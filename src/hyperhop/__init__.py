@@ -1,7 +1,7 @@
 """Entity-hypergraph diffusion retrieval for multi-hop question answering."""
 
 from .corpus import Passage, load_corpus
-from .embeddings import OfflineEncoder, cosine, embed_batch, max_sim_to_query_entities
+from .embeddings import OfflineEncoder, embed_batch, max_sim_to_query_entities
 from .entities import (
     EntityCatalog,
     EntitySet,
@@ -48,7 +48,6 @@ __all__ = [
     "build_incidence",
     "build_index",
     "compute_degrees",
-    "cosine",
     "diffuse",
     "embed_batch",
     "exact_match",

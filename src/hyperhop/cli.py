@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import AppConfig, load_app_config
+from .config import SETTING_TYPES, AppConfig, load_app_config
 from .corpus import load_corpus
 from .errors import HyperhopError
 from .evaluate import load_qa_dataset, run_eval
@@ -26,28 +26,6 @@ from .pipeline import (
 )
 from .qa import answer as generate_answer
 from .retrieval import retrieve
-
-_FLAG_SETTINGS = (
-    "corpus",
-    "index_dir",
-    "cache_dir",
-    "offline",
-    "api_base",
-    "api_key",
-    "embed_model",
-    "embed_dim",
-    "chat_model",
-    "batch_size",
-    "max_workers",
-    "offline_dim",
-    "extraction_prompt",
-    "answer_prompt",
-    "eta",
-    "beta",
-    "k1",
-    "k2",
-)
-
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
@@ -86,10 +64,7 @@ def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> AppConfig:
-    flags = {name: getattr(args, name, None) for name in _FLAG_SETTINGS}
-    for name in ("steps", "use_weight_matrix", "use_semantic_enhancement",
-                 "use_structural_enhancement"):
-        flags[name] = getattr(args, name, None)
+    flags = {name: getattr(args, name, None) for name in SETTING_TYPES}
     return load_app_config(flags, config_file=args.config)
 
 

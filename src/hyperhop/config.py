@@ -4,40 +4,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_type_hints
 
 from .errors import ContractError
 from .retrieval import RetrievalConfig
 
 ENV_PREFIX = "HYPERHOP_"
-
-# name -> (config file / env suffix, type)
-_SETTING_TYPES: dict[str, type] = {
-    "corpus": str,
-    "index_dir": str,
-    "cache_dir": str,
-    "offline": bool,
-    "api_base": str,
-    "api_key": str,
-    "embed_model": str,
-    "embed_dim": int,
-    "chat_model": str,
-    "batch_size": int,
-    "max_workers": int,
-    "offline_dim": int,
-    "extraction_prompt": str,
-    "answer_prompt": str,
-    "eta": float,
-    "beta": float,
-    "steps": int,
-    "k1": int,
-    "k2": int,
-    "use_weight_matrix": bool,
-    "use_semantic_enhancement": bool,
-    "use_structural_enhancement": bool,
-}
 
 
 @dataclass
@@ -65,8 +39,28 @@ class AppConfig:
         return value
 
 
+def _field_types(cls) -> dict[str, type]:
+    """Field name -> type of a dataclass, reading ``X | None`` as X."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        kinds = [k for k in get_args(hints[f.name]) if k is not type(None)]
+        out[f.name] = kinds[0] if kinds else hints[f.name]
+    return out
+
+
+_RETRIEVAL_TYPES = _field_types(RetrievalConfig)
+
+# Every setting a config file, the environment (HYPERHOP_<NAME>) or a flag
+# may set: the scalar fields of AppConfig, then those of RetrievalConfig.
+SETTING_TYPES: dict[str, type] = {
+    **{name: kind for name, kind in _field_types(AppConfig).items() if name != "retrieval"},
+    **_RETRIEVAL_TYPES,
+}
+
+
 def _coerce(name: str, value: Any) -> Any:
-    kind = _SETTING_TYPES[name]
+    kind = SETTING_TYPES[name]
     if kind is bool and isinstance(value, str):
         lowered = value.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -82,7 +76,7 @@ def _from_file(path: str | Path) -> dict[str, Any]:
     if not path.exists():
         raise ContractError(f"config file not found: {path}")
     data = json.loads(path.read_text(encoding="utf-8"))
-    unknown = set(data) - set(_SETTING_TYPES)
+    unknown = set(data) - set(SETTING_TYPES)
     if unknown:
         raise ContractError(f"unknown config keys: {sorted(unknown)}")
     return {name: _coerce(name, value) for name, value in data.items()}
@@ -90,7 +84,7 @@ def _from_file(path: str | Path) -> dict[str, Any]:
 
 def _from_env(env: Mapping[str, str]) -> dict[str, Any]:
     out: dict[str, Any] = {}
-    for name in _SETTING_TYPES:
+    for name in SETTING_TYPES:
         key = ENV_PREFIX + name.upper()
         if key in env:
             out[name] = _coerce(name, env[key])
@@ -110,20 +104,7 @@ def load_app_config(
     if flag_values:
         merged.update({k: v for k, v in flag_values.items() if v is not None})
 
-    retrieval_kwargs = {
-        key: merged.pop(key)
-        for key in (
-            "eta",
-            "beta",
-            "steps",
-            "k1",
-            "k2",
-            "use_weight_matrix",
-            "use_semantic_enhancement",
-            "use_structural_enhancement",
-        )
-        if key in merged
-    }
+    retrieval_kwargs = {key: merged.pop(key) for key in _RETRIEVAL_TYPES if key in merged}
     config = AppConfig(**merged)
     config.retrieval = RetrievalConfig(**retrieval_kwargs)
     return config

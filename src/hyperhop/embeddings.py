@@ -260,19 +260,6 @@ def embed_batch(
     return EmbeddingMatrix(values=out, row_keys=keys)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with the zero-norm convention cos(0, .) = 0."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ContractError(f"cosine dim mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def _normalized_rows(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     norms = np.linalg.norm(values, axis=1, keepdims=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -236,48 +235,29 @@ class ExtractionCache:
             tmp.replace(self.path)
 
 
-@dataclass
-class RetryPolicy:
-    attempts: int = 3
-    backoff_seconds: float = 0.5
-
-    def sleep(self, attempt: int) -> None:
-        if self.backoff_seconds > 0:
-            time.sleep(self.backoff_seconds * (2**attempt))
-
-
 def extract_entities(
     passage: Passage,
     extractor: ExtractionClient,
     cache: ExtractionCache | None = None,
-    retry: RetryPolicy = RetryPolicy(),
 ) -> EntitySet:
     """Extract, normalize and deduplicate entities for one passage.
 
-    Cache hits bypass the extractor entirely. Extractor failures are retried
-    per ``retry`` and then surfaced as ExtractionError carrying the passage
-    id. An empty extraction result is valid and yields an empty EntitySet.
+    Cache hits bypass the extractor entirely. An extractor failure (remote
+    clients retry inside ``remote.post_json``) surfaces as ExtractionError
+    carrying the passage id. An empty extraction result is valid and yields
+    an empty EntitySet.
     """
     if cache is not None:
         cached = cache.get(passage.id)
         if cached is not None:
             return EntitySet(passage_id=passage.id, entities=tuple(cached))
 
-    last_error: Exception | None = None
-    raw: list[str] | None = None
-    for attempt in range(retry.attempts):
-        try:
-            raw = extractor.extract(passage.title, passage.text)
-            break
-        except Exception as exc:
-            last_error = exc
-            if attempt + 1 < retry.attempts:
-                retry.sleep(attempt)
-    if raw is None:
+    try:
+        raw = extractor.extract(passage.title, passage.text)
+    except Exception as exc:
         raise ExtractionError(
-            f"extraction failed for passage {passage.id!r}: {last_error}",
-            passage_id=passage.id,
-        ) from last_error
+            f"extraction failed for passage {passage.id!r}: {exc}", passage_id=passage.id
+        ) from exc
 
     entities = dedup_normalized(raw)
     if cache is not None:
@@ -302,7 +282,6 @@ def extract_corpus_entities(
     extractor: ExtractionClient,
     cache: ExtractionCache | None = None,
     max_workers: int = 1,
-    retry: RetryPolicy = RetryPolicy(),
 ) -> list[EntitySet]:
     """Extract entity sets for a whole corpus, preserving passage order.
 
@@ -310,10 +289,10 @@ def extract_corpus_entities(
     aligned with ``passages`` regardless of completion order.
     """
     if max_workers <= 1:
-        sets = [extract_entities(p, extractor, cache, retry) for p in passages]
+        sets = [extract_entities(p, extractor, cache) for p in passages]
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            sets = list(pool.map(lambda p: extract_entities(p, extractor, cache, retry), passages))
+            sets = list(pool.map(lambda p: extract_entities(p, extractor, cache), passages))
     if cache is not None:
         cache.flush()
     return sets

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -127,16 +127,7 @@ class EvalReport:
     def to_json(self, include_timing: bool = False) -> str:
         payload = {
             "aggregates": self.aggregates,
-            "config": {
-                "eta": self.config.eta,
-                "beta": self.config.beta,
-                "steps": self.config.steps,
-                "k1": self.config.k1,
-                "k2": self.config.k2,
-                "use_weight_matrix": self.config.use_weight_matrix,
-                "use_semantic_enhancement": self.config.use_semantic_enhancement,
-                "use_structural_enhancement": self.config.use_structural_enhancement,
-            },
+            "config": asdict(self.config),
             "records": [r.to_dict(include_timing) for r in self.records],
         }
         if include_timing:

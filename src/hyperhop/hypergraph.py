@@ -1,13 +1,14 @@
 """Sparse entity-passage incidence structure and the diffusion operator.
 
-The hypergraph stores a binary incidence matrix H (entities x passages) in
-two compressed orientations so that both propagation directions are linear
-scans over contiguous arrays:
-
-* entity-major: for entity i, ``ent_indices[ent_offsets[i]:ent_offsets[i+1]]``
-  lists the passages containing i;
-* passage-major: for passage j, ``pas_indices[pas_offsets[j]:pas_offsets[j+1]]``
-  lists the entities of j.
+The hypergraph stores the binary incidence matrix H (entities x passages)
+once, passage-major: for passage j,
+``pas_indices[pas_offsets[j]:pas_offsets[j+1]]`` lists the entity rows of j
+in strictly ascending order. Both propagation directions scan these arrays:
+H vec scatters each passage's value onto its rows, and H^T vec gathers the
+rows' values and sums them per passage. Because rows ascend inside each
+passage, H^T adds each passage's terms in ascending entity order, so its
+result is bit for bit the one an entity-major transpose would give. Node
+and hyperedge degrees are derived from the two arrays, never stored.
 
 The diffusion operator applies the passage-weighted symmetric normalized
 propagation matrix
@@ -32,45 +33,29 @@ from .errors import ContractError
 
 @dataclass
 class IncidenceMatrix:
-    """Binary incidence matrix in dual compressed form.
+    """Binary incidence matrix in passage-major compressed form.
 
-    Both orientations describe the same set of (entity, passage) pairs;
-    ``validate`` cross-checks them.
+    ``pas_columns`` is derived at construction: the passage column of each
+    entry, which turns H^T into one gather and one ``bincount``. Both
+    per-entry arrays are held as intp, the index type numpy gathers and
+    counts in, so no propagation step converts them; on disk they are int32.
     """
 
     n_entities: int
     n_passages: int
-    ent_offsets: np.ndarray  # int32, len n_entities + 1
-    ent_indices: np.ndarray  # int32, len nnz, passage column per entry
     pas_offsets: np.ndarray  # int32, len n_passages + 1
-    pas_indices: np.ndarray  # int32, len nnz, entity row per entry
+    pas_indices: np.ndarray  # intp, len nnz, entity row per entry, ascending per passage
+    pas_columns: np.ndarray = field(init=False, repr=False, compare=False)  # intp, len nnz
+
+    def __post_init__(self):
+        self.pas_indices = np.asarray(self.pas_indices, dtype=np.intp)
+        self.pas_columns = np.repeat(
+            np.arange(self.n_passages, dtype=np.intp), np.diff(self.pas_offsets)
+        )
 
     @property
     def nnz(self) -> int:
-        return int(self.ent_indices.shape[0])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_entities, self.n_passages), dtype=np.float64)
-        for j in range(self.n_passages):
-            rows = self.pas_indices[self.pas_offsets[j] : self.pas_offsets[j + 1]]
-            dense[rows, j] = 1.0
-        return dense
-
-    def validate(self) -> None:
-        if self.ent_offsets.shape != (self.n_entities + 1,):
-            raise ContractError("entity offsets length mismatch")
-        if self.pas_offsets.shape != (self.n_passages + 1,):
-            raise ContractError("passage offsets length mismatch")
-        if self.ent_indices.shape[0] != self.pas_indices.shape[0]:
-            raise ContractError("orientations disagree on nnz")
-        from_ent = set(zip(_expand_rows(self.ent_offsets), self.ent_indices.tolist()))
-        from_pas = set(zip(self.pas_indices.tolist(), _expand_rows(self.pas_offsets)))
-        if len(from_ent) != self.nnz or from_ent != from_pas:
-            raise ContractError("orientations describe different (i, j) sets")
-
-
-def _expand_rows(offsets: np.ndarray) -> list[int]:
-    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)).tolist()
+        return int(self.pas_indices.shape[0])
 
 
 @dataclass(eq=False)
@@ -110,63 +95,46 @@ class DegreeVectors:
 def build_incidence(entity_sets: Sequence[EntitySet], catalog: EntityCatalog) -> IncidenceMatrix:
     """Build H from per-passage entity sets, columns in the given order.
 
-    Every entity must already be cataloged; a missing entity indicates an
-    inconsistent build and raises ContractError.
+    Rows are sorted ascending inside each passage. Every entity must already
+    be cataloged; a missing entity indicates an inconsistent build and
+    raises ContractError.
     """
-    n_passages = len(entity_sets)
-    n_entities = len(catalog)
-    edge_degrees = np.zeros(n_passages, dtype=np.int64)
-    rows_chunks: list[np.ndarray] = []
-    for j, es in enumerate(entity_sets):
+    rows: list[int] = []
+    offsets = [0]
+    for es in entity_sets:
         try:
-            rows = np.array([catalog.index_of(e) for e in es.entities], dtype=np.int32)
+            rows.extend(sorted(catalog.index_of(e) for e in es.entities))
         except KeyError as exc:
             raise ContractError(f"passage {es.passage_id!r}: {exc.args[0]}") from exc
-        edge_degrees[j] = rows.shape[0]
-        rows_chunks.append(rows)
-
-    pas_indices = (
-        np.concatenate(rows_chunks) if rows_chunks else np.empty(0, dtype=np.int32)
-    ).astype(np.int32)
-    pas_offsets = np.zeros(n_passages + 1, dtype=np.int32)
-    np.cumsum(edge_degrees, out=pas_offsets[1:])
-
-    # Transpose to entity-major via a stable counting sort over rows; the
-    # passage-major data is already in ascending column order, so columns
-    # stay sorted within each entity row.
-    node_degrees = np.bincount(pas_indices, minlength=n_entities).astype(np.int64)
-    ent_offsets = np.zeros(n_entities + 1, dtype=np.int32)
-    np.cumsum(node_degrees, out=ent_offsets[1:])
-    col_of_entry = np.repeat(np.arange(n_passages, dtype=np.int32), edge_degrees)
-    order = np.argsort(pas_indices, kind="stable")
-    ent_indices = col_of_entry[order].astype(np.int32)
-
+        offsets.append(len(rows))
     return IncidenceMatrix(
-        n_entities=n_entities,
-        n_passages=n_passages,
-        ent_offsets=ent_offsets,
-        ent_indices=ent_indices,
-        pas_offsets=pas_offsets,
-        pas_indices=pas_indices,
+        n_entities=len(catalog),
+        n_passages=len(entity_sets),
+        pas_offsets=np.array(offsets, dtype=np.int32),
+        pas_indices=np.array(rows, dtype=np.intp),
     )
 
 
 def compute_degrees(incidence: IncidenceMatrix) -> DegreeVectors:
     """Row and column sums of H as integer vectors."""
+    node_degrees = np.bincount(incidence.pas_indices, minlength=incidence.n_entities)
     return DegreeVectors(
-        node_degrees=np.diff(incidence.ent_offsets).astype(np.int64),
+        node_degrees=node_degrees.astype(np.int64),
         edge_degrees=np.diff(incidence.pas_offsets).astype(np.int64),
     )
 
 
 def entity_to_passage(vec: np.ndarray, incidence: IncidenceMatrix) -> np.ndarray:
-    """H^T vec: accumulate each entity's value into the passages holding it."""
+    """H^T vec: sum the values of each passage's entities."""
     if vec.shape != (incidence.n_entities,):
         raise ContractError(
             f"entity vector has length {vec.shape}, expected ({incidence.n_entities},)"
         )
-    contrib = np.repeat(vec, np.diff(incidence.ent_offsets))
-    out = np.bincount(incidence.ent_indices, weights=contrib, minlength=incidence.n_passages)
+    out = np.bincount(
+        incidence.pas_columns,
+        weights=vec[incidence.pas_indices],
+        minlength=incidence.n_passages,
+    )
     return out.astype(np.float64, copy=False)  # bincount yields int64 when nnz == 0
 
 

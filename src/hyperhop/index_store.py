@@ -1,18 +1,20 @@
-"""Immutable on-disk retrieval index.
+"""Immutable on-disk retrieval index, format version 2.
 
 Directory layout (all binary arrays little-endian):
 
     manifest.json           counts, format version, corpus digest, encoder id
     entities.json           entity strings, row order
     passages.json           passage ids, column order
-    ent_offsets.bin         int32, len n_entities + 1
-    ent_indices.bin         int32, len nnz (passage column per entry)
     pas_offsets.bin         int32, len n_passages + 1
-    pas_indices.bin         int32, len nnz (entity row per entry)
-    node_degrees.bin        int32, len n_entities
-    edge_degrees.bin        int32, len n_passages
+    pas_indices.bin         int32, len nnz (entity row per entry, ascending per passage)
     entity_embeddings.bin   float32, n_entities x dim
     passage_embeddings.bin  float32, n_passages x dim
+
+The incidence is stored passage-major only; degrees are derived at load.
+``load_index`` checks the incidence arrays and the embedding file sizes and
+raises IndexIntegrityError on any mismatch; version 1 indexes, which also
+stored the entity-major orientation and the degrees, are rejected and must
+be rebuilt.
 
 The manifest is written with sorted keys and no timestamps, so rebuilding
 from warm caches reproduces it byte for byte.
@@ -36,7 +38,7 @@ from .hypergraph import (
     compute_degrees,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
@@ -119,12 +121,8 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
     (directory / "passages.json").write_text(
         json.dumps(index.passage_ids, ensure_ascii=False), encoding="utf-8"
     )
-    _write_array(directory / "ent_offsets.bin", inc.ent_offsets, "<i4")
-    _write_array(directory / "ent_indices.bin", inc.ent_indices, "<i4")
     _write_array(directory / "pas_offsets.bin", inc.pas_offsets, "<i4")
     _write_array(directory / "pas_indices.bin", inc.pas_indices, "<i4")
-    _write_array(directory / "node_degrees.bin", index.degrees.node_degrees, "<i4")
-    _write_array(directory / "edge_degrees.bin", index.degrees.edge_degrees, "<i4")
     if index.entity_embeddings is not None:
         manifest["embedding_dim"] = int(index.entity_embeddings.shape[1])
         _write_array(directory / "entity_embeddings.bin", index.entity_embeddings, "<f4")
@@ -138,6 +136,40 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
     return manifest
 
 
+def _checked_incidence(
+    offsets: np.ndarray, indices: np.ndarray, n_entities: int, n_passages: int, nnz: int
+) -> IncidenceMatrix:
+    """Wrap the stored arrays, raising IndexIntegrityError on any inconsistency."""
+    if indices.shape[0] != nnz:
+        raise IndexIntegrityError("manifest nnz disagrees with stored incidence")
+    if (
+        offsets.shape != (n_passages + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != nnz
+        or np.any(offsets[1:] < offsets[:-1])
+    ):
+        raise IndexIntegrityError("pas_offsets.bin does not frame pas_indices.bin")
+    if nnz and (indices.min() < 0 or indices.max() >= n_entities):
+        raise IndexIntegrityError("pas_indices.bin holds an entity row outside [0, n_entities)")
+    incidence = IncidenceMatrix(n_entities, n_passages, offsets, indices)
+    # H^T relies on rows ascending inside each passage; a repeated row would
+    # be a duplicate incidence.
+    same_passage = incidence.pas_columns[1:] == incidence.pas_columns[:-1]
+    if np.any(same_passage & (indices[1:] <= indices[:-1])):
+        raise IndexIntegrityError("pas_indices.bin rows are not strictly ascending in a passage")
+    return incidence
+
+
+def _read_embeddings(path: Path, rows: int, dim: int) -> np.ndarray | None:
+    """The float32 (rows, dim) matrix in ``path``, or None when it is absent."""
+    if not path.exists():
+        return None
+    size = path.stat().st_size
+    if size != rows * dim * 4:
+        raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
+    return _read_array(path, "<f4").reshape(rows, dim)
+
+
 def load_index(directory: str | Path) -> HypergraphIndex:
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -147,45 +179,33 @@ def load_index(directory: str | Path) -> HypergraphIndex:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise IndexIntegrityError(
             f"unsupported index format version {manifest.get('format_version')!r}"
+            f" (expected {FORMAT_VERSION}); rebuild the index"
         )
     entities = json.loads((directory / "entities.json").read_text(encoding="utf-8"))
     passage_ids = json.loads((directory / "passages.json").read_text(encoding="utf-8"))
     n_entities = manifest["n_entities"]
     n_passages = manifest["n_passages"]
-    nnz = manifest["nnz"]
-
-    incidence = IncidenceMatrix(
-        n_entities=n_entities,
-        n_passages=n_passages,
-        ent_offsets=_read_array(directory / "ent_offsets.bin", "<i4"),
-        ent_indices=_read_array(directory / "ent_indices.bin", "<i4"),
-        pas_offsets=_read_array(directory / "pas_offsets.bin", "<i4"),
-        pas_indices=_read_array(directory / "pas_indices.bin", "<i4"),
-    )
     if len(entities) != n_entities or len(passage_ids) != n_passages:
         raise IndexIntegrityError("manifest counts disagree with stored id lists")
-    if incidence.ent_indices.shape[0] != nnz or incidence.pas_indices.shape[0] != nnz:
-        raise IndexIntegrityError("manifest nnz disagrees with stored incidence")
 
-    degrees = DegreeVectors(
-        node_degrees=_read_array(directory / "node_degrees.bin", "<i4").astype(np.int64),
-        edge_degrees=_read_array(directory / "edge_degrees.bin", "<i4").astype(np.int64),
+    incidence = _checked_incidence(
+        _read_array(directory / "pas_offsets.bin", "<i4"),
+        _read_array(directory / "pas_indices.bin", "<i4"),
+        n_entities,
+        n_passages,
+        manifest["nnz"],
     )
 
     dim = manifest.get("embedding_dim")
     entity_embeddings = passage_embeddings = None
     if dim:
-        ent_path = directory / "entity_embeddings.bin"
-        pas_path = directory / "passage_embeddings.bin"
-        if ent_path.exists():
-            entity_embeddings = _read_array(ent_path, "<f4").reshape(n_entities, dim)
-        if pas_path.exists():
-            passage_embeddings = _read_array(pas_path, "<f4").reshape(n_passages, dim)
+        entity_embeddings = _read_embeddings(directory / "entity_embeddings.bin", n_entities, dim)
+        passage_embeddings = _read_embeddings(directory / "passage_embeddings.bin", n_passages, dim)
 
     return HypergraphIndex(
         catalog=EntityCatalog(entities),
         incidence=incidence,
-        degrees=degrees,
+        degrees=compute_degrees(incidence),
         passage_ids=passage_ids,
         entity_embeddings=entity_embeddings,
         passage_embeddings=passage_embeddings,

@@ -1,12 +1,37 @@
 """Dense-matrix reference implementations used as independent oracles.
 
 Everything here works on plain dense numpy arrays and deliberately shares
-no code with the sparse production path.
+no code with the sparse production path; ``dense_incidence`` only reads the
+stored arrays of an incidence to give the oracles their input.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from hyperhop.errors import ContractError
+
+
+def dense_incidence(incidence) -> np.ndarray:
+    """H as a dense float64 (n_entities, n_passages) 0/1 matrix."""
+    dense = np.zeros((incidence.n_entities, incidence.n_passages), dtype=np.float64)
+    for j in range(incidence.n_passages):
+        rows = incidence.pas_indices[incidence.pas_offsets[j] : incidence.pas_offsets[j + 1]]
+        dense[rows, j] = 1.0
+    return dense
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Scalar cosine similarity with the zero-norm convention cos(0, .) = 0."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ContractError(f"cosine dim mismatch: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def dense_propagation_matrix(H: np.ndarray, edge_weights: np.ndarray) -> np.ndarray:

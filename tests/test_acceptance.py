@@ -25,7 +25,12 @@ from hyperhop.retrieval import (
 )
 
 from conftest import DATA_DIR, TOY_SETS, index_from_sets
-from reference import dense_pipeline, dense_propagation_matrix, random_entity_sets
+from reference import (
+    dense_incidence,
+    dense_pipeline,
+    dense_propagation_matrix,
+    random_entity_sets,
+)
 
 SEED = 20250809
 
@@ -74,7 +79,7 @@ def test_criterion_1_dense_oracle_equivalence():
                 continue
             config = RetrievalConfig(beta=beta, steps=steps, k1=1, k2=1)
             result = rank_passages(x, p, index, config)
-            oracle = dense_pipeline(index.incidence.to_dense(), x, p, steps, beta)
+            oracle = dense_pipeline(dense_incidence(index.incidence), x, p, steps, beta)
             got = result.artifacts.p_tilde
             assert np.allclose(got, oracle, rtol=1e-9, atol=1e-12)
             denom = np.maximum(np.abs(oracle), 1e-300)
@@ -97,7 +102,7 @@ def test_criterion_2_spectral_and_stability():
             if index.n_entities == 0:
                 continue
             weights = np.clip(p, 0.0, 1.0)
-            dense = dense_propagation_matrix(index.incidence.to_dense(), weights)
+            dense = dense_propagation_matrix(dense_incidence(index.incidence), weights)
             eigenvalues = np.linalg.eigvalsh(dense)
             min_eig = min(min_eig, float(eigenvalues.min()))
             max_eig = max(max_eig, float(eigenvalues.max()))
@@ -124,7 +129,7 @@ def test_criterion_3_toy_reproduction():
         config = RetrievalConfig(beta=0.5, steps=1, k1=1, k2=3)
         result = rank_passages(x, weights, index, config)
 
-        oracle = dense_pipeline(index.incidence.to_dense(), x, weights, steps=1, beta=0.5)
+        oracle = dense_pipeline(dense_incidence(index.incidence), x, weights, steps=1, beta=0.5)
         assert np.allclose(result.artifacts.p_tilde, oracle, rtol=1e-9)
         selected_ids = [index.passage_ids[col] for col, _ in result.selected]
         assert selected_ids == ["P1", "P2"], selected_ids
@@ -165,7 +170,7 @@ def test_criterion_4_ablation_identities():
                 # Documented zero-x fallback: rank by p alone.
                 np.testing.assert_array_equal(result.artifacts.p_tilde, p)
                 continue
-            masked = index.incidence.to_dense().T @ x  # H^T x
+            masked = dense_incidence(index.incidence).T @ x  # H^T x
             np.testing.assert_allclose(result.artifacts.p_tilde, masked, rtol=1e-12, atol=0)
             assert [c for c, _ in result.ranking] == ranked_order(masked).tolist()
             assert [c for c, _ in result.selected] == [c for c, _ in result.ranking[:1]]
@@ -180,7 +185,7 @@ def test_criterion_5_containment():
         while checked < 500:
             sets = random_entity_sets(rng, max_entities=50, max_passages=20)
             index = index_from_sets({f"p{j:02d}": s for j, s in enumerate(sets)})
-            H = index.incidence.to_dense()
+            H = dense_incidence(index.incidence)
             for _ in range(10):
                 if checked >= 500:
                     break

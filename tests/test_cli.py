@@ -95,6 +95,13 @@ class TestRetrieveCommand:
         code = main(["retrieve", "q", "--index-dir", str(tmp_path / "void"), "--offline"])
         assert code == 2
 
+    def test_truncated_passage_embeddings_exit_2(self, built, capsys):
+        path = built / "index" / "passage_embeddings.bin"
+        path.write_bytes(path.read_bytes()[:-4])
+        code = main(["retrieve", TOY_QUERY] + common(built))
+        assert code == 2
+        assert "passage_embeddings.bin" in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_toy_counts(self, built, capsys):

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from hyperhop.config import AppConfig, load_app_config
 from hyperhop.errors import ContractError
+from hyperhop.retrieval import RetrievalConfig
 
 
 def test_defaults():
@@ -53,3 +55,59 @@ def test_require():
     config = AppConfig()
     with pytest.raises(ContractError, match="corpus"):
         config.require("corpus")
+
+
+# Independent of the derivation in hyperhop.config: every setting and the
+# type it must be coerced to.
+EXPECTED_TYPES = {
+    "corpus": str,
+    "index_dir": str,
+    "cache_dir": str,
+    "offline": bool,
+    "api_base": str,
+    "api_key": str,
+    "embed_model": str,
+    "embed_dim": int,
+    "chat_model": str,
+    "batch_size": int,
+    "max_workers": int,
+    "offline_dim": int,
+    "extraction_prompt": str,
+    "answer_prompt": str,
+    "eta": float,
+    "beta": float,
+    "steps": int,
+    "k1": int,
+    "k2": int,
+    "use_weight_matrix": bool,
+    "use_semantic_enhancement": bool,
+    "use_structural_enhancement": bool,
+}
+FILE_VALUES = {str: "from-file", int: "3", float: 1, bool: "yes"}
+ENV_VALUES = {str: "from-env", int: "4", float: "0.25", bool: "off"}
+COERCED = {
+    "file": {str: "from-file", int: 3, float: 1.0, bool: True},
+    "env": {str: "from-env", int: 4, float: 0.25, bool: False},
+}
+
+
+def _setting(config, name):
+    return getattr(config.retrieval if hasattr(config.retrieval, name) else config, name)
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_every_setting_is_coerced_from_file_and_env(tmp_path, source):
+    names = [f.name for f in fields(AppConfig) if f.name != "retrieval"]
+    names += [f.name for f in fields(RetrievalConfig)]
+    assert names == list(EXPECTED_TYPES)
+    if source == "file":
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({n: FILE_VALUES[k] for n, k in EXPECTED_TYPES.items()}))
+        config = load_app_config(config_file=cfg_file, env={})
+    else:
+        env = {f"HYPERHOP_{n.upper()}": ENV_VALUES[k] for n, k in EXPECTED_TYPES.items()}
+        config = load_app_config(env=env)
+    for name, kind in EXPECTED_TYPES.items():
+        value = _setting(config, name)
+        assert type(value) is kind, name
+        assert value == COERCED[source][kind], name

@@ -10,7 +10,6 @@ from hyperhop.entities import (
     EntitySet,
     ExtractionCache,
     OfflineEntityExtractor,
-    RetryPolicy,
     build_catalog,
     dedup_normalized,
     extract_corpus_entities,
@@ -114,20 +113,13 @@ class FailingNTimesExtractor:
 
 
 class TestExtractionRetryAndCache:
-    def test_retry_then_success(self):
-        passage = Passage(id="p1", title="", text="x")
-        extractor = FailingNTimesExtractor(failures=2)
-        retry = RetryPolicy(attempts=3, backoff_seconds=0)
-        es = extract_entities(passage, extractor, retry=retry)
-        assert es.entities == ("berlin",)
-        assert extractor.calls == 3
-
     def test_exhausted_retries_carry_passage_id(self):
         passage = Passage(id="p9", title="", text="x")
         extractor = FailingNTimesExtractor(failures=10)
         with pytest.raises(ExtractionError) as excinfo:
-            extract_entities(passage, extractor, retry=RetryPolicy(attempts=3, backoff_seconds=0))
+            extract_entities(passage, extractor)
         assert excinfo.value.passage_id == "p9"
+        assert extractor.calls == 1  # retrying is the transport's job
 
     def test_cache_fidelity_zero_extractor_calls(self, tmp_path):
         passages = [

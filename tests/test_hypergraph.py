@@ -15,7 +15,7 @@ from hyperhop.hypergraph import (
 )
 
 from conftest import TOY_SETS, index_from_sets
-from reference import dense_propagation_matrix, random_entity_sets
+from reference import dense_incidence, dense_propagation_matrix, random_entity_sets
 
 
 def make_incidence(sets_by_pid):
@@ -34,11 +34,8 @@ class TestBuildIncidence:
         assert degrees.edge_degrees.tolist() == [2, 3, 2]
         germany = catalog.index_of("germany")
         assert degrees.node_degrees[germany] == 2
-        row = incidence.ent_indices[
-            incidence.ent_offsets[germany] : incidence.ent_offsets[germany + 1]
-        ]
-        assert row.tolist() == [0, 1]
-        incidence.validate()
+        assert np.flatnonzero(dense_incidence(incidence)[germany]).tolist() == [0, 1]
+        assert incidence.pas_columns.tolist() == [0, 0, 1, 1, 1, 2, 2]
 
     def test_empty_entity_set_gives_zero_column(self):
         incidence, _ = make_incidence({"p1": ["a"], "p2": []})
@@ -47,7 +44,7 @@ class TestBuildIncidence:
 
     def test_single_cell(self):
         incidence, _ = make_incidence({"p1": ["only"]})
-        assert incidence.to_dense().tolist() == [[1.0]]
+        assert dense_incidence(incidence).tolist() == [[1.0]]
         degrees = compute_degrees(incidence)
         assert degrees.node_degrees.tolist() == [1]
         assert degrees.edge_degrees.tolist() == [1]
@@ -58,11 +55,22 @@ class TestBuildIncidence:
         with pytest.raises(ContractError, match="p2"):
             build_incidence(entity_sets, catalog)
 
-    def test_orientations_agree_on_random_graphs(self, rng):
+    def test_rows_ascend_within_passages_on_random_graphs(self, rng):
         for _ in range(20):
             sets = random_entity_sets(rng)
-            incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            incidence.validate()
+            pids = [f"p{j:02d}" for j in range(len(sets))]
+            incidence, catalog = make_incidence(dict(zip(pids, sets)))
+            for j, names in enumerate(sets):
+                lo, hi = incidence.pas_offsets[j], incidence.pas_offsets[j + 1]
+                assert incidence.pas_indices[lo:hi].tolist() == sorted(
+                    catalog.index_of(e) for e in names
+                )
+                assert (incidence.pas_columns[lo:hi] == j).all()
+
+    def test_rows_sorted_even_when_entities_arrive_out_of_catalog_order(self):
+        incidence, catalog = make_incidence({"p1": ["a", "b"], "p2": ["b", "a", "c"]})
+        assert [catalog.index_of(e) for e in ("a", "b", "c")] == [0, 1, 2]
+        assert incidence.pas_indices.tolist() == [0, 1, 0, 1, 2]
 
     def test_degree_sums_equal_nnz(self, rng):
         for _ in range(20):
@@ -79,11 +87,26 @@ class TestGatherScatter:
         for _ in range(10):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            H = incidence.to_dense()
+            H = dense_incidence(incidence)
             u = rng.normal(size=incidence.n_entities)
             w = rng.normal(size=incidence.n_passages)
             np.testing.assert_allclose(entity_to_passage(u, incidence), H.T @ u, rtol=1e-12)
             np.testing.assert_allclose(passage_to_entity(w, incidence), H @ w, rtol=1e-12)
+
+    def test_transpose_is_bitwise_the_entity_major_sum(self, rng):
+        # An entity-major pass adds each passage's terms in ascending entity
+        # order; sorted rows make the passage-major gather do the same.
+        for _ in range(10):
+            sets = random_entity_sets(rng)
+            incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
+            u = rng.normal(size=incidence.n_entities)
+            order = np.argsort(incidence.pas_indices, kind="stable")
+            entity_major = np.bincount(
+                incidence.pas_columns[order],
+                weights=u[incidence.pas_indices[order]],
+                minlength=incidence.n_passages,
+            )
+            np.testing.assert_array_equal(entity_to_passage(u, incidence), entity_major)
 
     def test_dimension_mismatch(self, toy_index):
         with pytest.raises(ContractError):
@@ -111,7 +134,7 @@ class TestDiffusionOperator:
         x = np.zeros(5)
         x[catalog.index_of("albert einstein")] = 1.0
         out = apply_diffusion_operator(x, toy_index.incidence, toy_index.degrees, np.ones(3))
-        oracle = dense_propagation_matrix(toy_index.incidence.to_dense(), np.ones(3)) @ x
+        oracle = dense_propagation_matrix(dense_incidence(toy_index.incidence), np.ones(3)) @ x
         np.testing.assert_allclose(out, oracle, rtol=1e-12)
         assert out[catalog.index_of("germany")] > 0.0
         assert out[catalog.index_of("brussels")] == 0.0
@@ -134,7 +157,7 @@ class TestDiffusionOperator:
             weights = rng.random(incidence.n_passages)
             x = rng.random(incidence.n_entities)
             sparse = apply_diffusion_operator(x, incidence, degrees, weights)
-            dense = dense_propagation_matrix(incidence.to_dense(), weights) @ x
+            dense = dense_propagation_matrix(dense_incidence(incidence), weights) @ x
             np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-12)
 
     def test_nonnegativity(self, rng):
@@ -166,14 +189,16 @@ class TestSpectralProperties:
         for _ in range(20):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            dense = dense_propagation_matrix(incidence.to_dense(), rng.random(incidence.n_passages))
+            weights = rng.random(incidence.n_passages)
+            dense = dense_propagation_matrix(dense_incidence(incidence), weights)
             assert np.abs(dense - dense.T).max() < 1e-12
 
     def test_eigenvalues_within_unit_band(self, rng):
         for _ in range(20):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            dense = dense_propagation_matrix(incidence.to_dense(), rng.random(incidence.n_passages))
+            weights = rng.random(incidence.n_passages)
+            dense = dense_propagation_matrix(dense_incidence(incidence), weights)
             eigenvalues = np.linalg.eigvalsh(dense)
             assert eigenvalues.min() >= -1e-9
             assert eigenvalues.max() <= 1.0 + 1e-9
@@ -189,7 +214,7 @@ def test_operator_agrees_with_oracle_property(seed):
     weights = rng.random(incidence.n_passages)
     x = rng.standard_normal(incidence.n_entities)
     sparse = apply_diffusion_operator(x, incidence, degrees, weights)
-    dense = dense_propagation_matrix(incidence.to_dense(), weights) @ x
+    dense = dense_propagation_matrix(dense_incidence(incidence), weights) @ x
     np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-12)
 
 

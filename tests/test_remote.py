@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from hyperhop.corpus import Passage
 from hyperhop.embeddings import RemoteEncoder, embed_batch
-from hyperhop.entities import RemoteEntityExtractor, _parse_entity_reply
-from hyperhop.errors import ChatError, EmbeddingError
+from hyperhop.entities import RemoteEntityExtractor, _parse_entity_reply, extract_entities
+from hyperhop.errors import ChatError, EmbeddingError, ExtractionError
 from hyperhop.qa import RemoteChatClient, default_prompt_template
 from hyperhop.remote import EndpointConfig, chat_completion, embeddings, post_json
 
@@ -110,6 +111,16 @@ def test_remote_extractor_formats_prompt_and_parses_json():
     _, payload, _ = transport.requests[0]
     assert "Some passage text" in payload["messages"][0]["content"]
     assert payload["temperature"] == 0
+
+
+def test_failing_remote_extraction_is_retried_by_the_transport_only():
+    transport = RecordingTransport([RuntimeError("down")] * 10)
+    chat = RemoteChatClient(ENDPOINT, "chat-model", transport=transport)
+    extractor = RemoteEntityExtractor(chat, default_prompt_template("entity_extraction"))
+    with pytest.raises(ExtractionError) as excinfo:
+        extract_entities(Passage(id="p7", title="", text="Berlin"), extractor)
+    assert excinfo.value.passage_id == "p7"
+    assert len(transport.requests) == ENDPOINT.attempts == 3
 
 
 @pytest.mark.parametrize(

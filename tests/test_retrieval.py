@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperhop.embeddings import OfflineEncoder, cosine, embed_batch
+from hyperhop.embeddings import OfflineEncoder, embed_batch
 from hyperhop.entities import OfflineEntityExtractor
 from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.pipeline import passage_embedding_text
@@ -19,7 +19,13 @@ from hyperhop.retrieval import (
 )
 
 from conftest import index_from_sets
-from reference import dense_pipeline, dense_shared_counts, random_entity_sets
+from reference import (
+    cosine,
+    dense_incidence,
+    dense_pipeline,
+    dense_shared_counts,
+    random_entity_sets,
+)
 
 ENCODER = OfflineEncoder(dim=256)
 EXTRACTOR = OfflineEntityExtractor()
@@ -126,7 +132,7 @@ class TestDiffuse:
         x = rng.random(5)
         p = rng.random(3)
         _, p0 = diffuse(x, p, toy_index, steps=0)
-        dense = toy_index.incidence.to_dense()
+        dense = dense_incidence(toy_index.incidence)
         np.testing.assert_array_equal(p0, np.clip(p, 0, 1) * (dense.T @ x))
 
     def test_zero_x_stays_zero(self, toy_index, rng):
@@ -139,7 +145,7 @@ class TestDiffuse:
         x[toy_index.catalog.index_of("albert einstein")] = 1.0
         _, p_t = diffuse(x, TOY_WEIGHTS, toy_index, steps=1)
         oracle = dense_pipeline(
-            toy_index.incidence.to_dense(), x, TOY_WEIGHTS, steps=1, beta=0.0,
+            dense_incidence(toy_index.incidence), x, TOY_WEIGHTS, steps=1, beta=0.0,
             use_semantic_enhancement=False,
         )
         np.testing.assert_allclose(p_t, oracle, rtol=1e-12)
@@ -223,7 +229,7 @@ class TestStructuralEnhance:
             seeds = rng.choice(n, size=k1, replace=False)
             candidates = np.arange(n)
             sparse = shared_entity_counts(index, seeds, candidates)
-            dense = dense_shared_counts(index.incidence.to_dense(), seeds)
+            dense = dense_shared_counts(dense_incidence(index.incidence), seeds)
             np.testing.assert_array_equal(sparse, dense.astype(np.int64))
 
     def test_containment_on_random_instances(self, rng):
@@ -257,7 +263,7 @@ class TestRankPassages:
             p = rng.uniform(-1, 1, index.n_passages)
             result = rank_passages(x, p, index, config)
             oracle = dense_pipeline(
-                index.incidence.to_dense(), x, p, config.steps, config.beta
+                dense_incidence(index.incidence), x, p, config.steps, config.beta
             )
             if x.any():
                 np.testing.assert_allclose(
@@ -293,7 +299,7 @@ class TestRankPassages:
                 k2=min(2, index.n_passages),
             )
             result = rank_passages(x, p, index, config)
-            expected = index.incidence.to_dense().T @ x
+            expected = dense_incidence(index.incidence).T @ x
             np.testing.assert_allclose(result.artifacts.p_tilde, expected, rtol=1e-12)
 
     def test_structural_disabled_selects_topk1(self, rng):
@@ -370,7 +376,7 @@ class TestRetrieveEndToEnd:
         config = RetrievalConfig(beta=0.5, steps=1, k1=1, k2=3)
         result = rank_passages(x, TOY_WEIGHTS, toy_index, config)
         assert [col for col, _ in result.selected] == [0, 1]
-        oracle = dense_pipeline(toy_index.incidence.to_dense(), x, TOY_WEIGHTS, 1, 0.5)
+        oracle = dense_pipeline(dense_incidence(toy_index.incidence), x, TOY_WEIGHTS, 1, 0.5)
         np.testing.assert_allclose(result.artifacts.p_tilde, oracle, rtol=1e-12)
 
     def test_offline_query_selects_p1_p2(self, toy_built):
