@@ -1,7 +1,7 @@
 """Entity-hypergraph diffusion retrieval for multi-hop question answering."""
 
 from .corpus import Passage, load_corpus
-from .embeddings import OfflineEncoder, embed_batch, max_sim_to_query_entities
+from .embeddings import OfflineEncoder, embed_batch, max_sim_to_query_entities, unit_rows
 from .entities import (
     EntityCatalog,
     EntitySet,
@@ -64,4 +64,5 @@ __all__ = [
     "semantic_enhance",
     "structural_enhance",
     "token_f1",
+    "unit_rows",
 ]

@@ -260,15 +260,30 @@ def embed_batch(
     return EmbeddingMatrix(values=out, row_keys=keys)
 
 
-def _normalized_rows(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return values / safe
+_UNIT_ROWS_BLOCK = 4096
+
+
+def unit_rows(values: np.ndarray) -> np.ndarray:
+    """``values`` in float64 with each row scaled to unit L2 norm; zero rows stay zero.
+
+    Works through blocks of rows, so the float64 copy and the squared
+    temporary that ``np.linalg.norm`` makes are one block, not the whole
+    matrix. Each row's norm depends only on that row, so the result does not
+    depend on the block size.
+    """
+    values = np.asarray(values)
+    out = np.empty(values.shape, dtype=np.float64)
+    for start in range(0, values.shape[0], _UNIT_ROWS_BLOCK):
+        stop = start + _UNIT_ROWS_BLOCK
+        block = values[start:stop].astype(np.float64)
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block, np.where(norms > 0.0, norms, 1.0), out=out[start:stop])
+    return out
 
 
 def cosine_against_rows(query_vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Cosine of one vector against every row; zero rows or query give 0."""
+    """Cosine of one vector against every row; ``rows`` already went through
+    ``unit_rows``. A zero query or a zero row gives 0."""
     query_vec = np.asarray(query_vec, dtype=np.float64).ravel()
     if rows.shape[0] == 0:
         return np.zeros(0, dtype=np.float64)
@@ -277,25 +292,24 @@ def cosine_against_rows(query_vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     qn = float(np.linalg.norm(query_vec))
     if qn == 0.0:
         return np.zeros(rows.shape[0], dtype=np.float64)
-    sims = _normalized_rows(rows) @ (query_vec / qn)
-    return np.clip(sims, -1.0, 1.0)
+    return np.clip(rows @ (query_vec / qn), -1.0, 1.0)
 
 
 def max_sim_to_query_entities(
-    query_entity_rows: EmbeddingMatrix, corpus_entity_rows: EmbeddingMatrix
+    query_rows: np.ndarray, unit_corpus_rows: np.ndarray
 ) -> np.ndarray:
-    """Per-corpus-entity max cosine over all query entities.
+    """Per-corpus-entity max cosine over all query entity embeddings.
 
-    An empty query entity set yields the all-zero vector.
+    ``query_rows`` are raw embeddings, ``unit_corpus_rows`` already went
+    through ``unit_rows``. An empty query entity set yields the all-zero
+    vector.
     """
-    n_corpus = corpus_entity_rows.rows
-    if query_entity_rows.rows == 0:
+    n_corpus = unit_corpus_rows.shape[0]
+    if query_rows.shape[0] == 0:
         return np.zeros(n_corpus, dtype=np.float64)
     if n_corpus == 0:
         return np.zeros(0, dtype=np.float64)
-    if query_entity_rows.dim != corpus_entity_rows.dim:
+    if query_rows.shape[1] != unit_corpus_rows.shape[1]:
         raise ContractError("query and corpus embedding dims differ")
-    q = _normalized_rows(query_entity_rows.values)
-    c = _normalized_rows(corpus_entity_rows.values)
-    sims = c @ q.T  # (n_corpus, n_query)
+    sims = unit_corpus_rows @ unit_rows(query_rows).T  # (n_corpus, n_query)
     return np.clip(sims.max(axis=1), -1.0, 1.0)

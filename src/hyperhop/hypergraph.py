@@ -36,8 +36,8 @@ class IncidenceMatrix:
     """Binary incidence matrix in passage-major compressed form.
 
     ``pas_columns`` is derived at construction: the passage column of each
-    entry, which turns H^T into one gather and one ``bincount``. Both
-    per-entry arrays are held as intp, the index type numpy gathers and
+    entry, which turns H^T and H each into one gather and one ``bincount``.
+    Both per-entry arrays are held as intp, the index type numpy gathers and
     counts in, so no propagation step converts them; on disk they are int32.
     """
 
@@ -144,8 +144,9 @@ def passage_to_entity(vec: np.ndarray, incidence: IncidenceMatrix) -> np.ndarray
         raise ContractError(
             f"passage vector has length {vec.shape}, expected ({incidence.n_passages},)"
         )
-    contrib = np.repeat(vec, np.diff(incidence.pas_offsets))
-    out = np.bincount(incidence.pas_indices, weights=contrib, minlength=incidence.n_entities)
+    out = np.bincount(
+        incidence.pas_indices, weights=vec[incidence.pas_columns], minlength=incidence.n_entities
+    )
     return out.astype(np.float64, copy=False)
 
 

@@ -11,10 +11,10 @@ Directory layout (all binary arrays little-endian):
     passage_embeddings.bin  float32, n_passages x dim
 
 The incidence is stored passage-major only; degrees are derived at load.
-``load_index`` checks the incidence arrays and the embedding file sizes and
-raises IndexIntegrityError on any mismatch; version 1 indexes, which also
-stored the entity-major orientation and the degrees, are rejected and must
-be rebuilt.
+``load_index`` checks the incidence arrays, the embedding file sizes and that
+every embedding value is finite, and raises IndexIntegrityError on any
+mismatch; version 1 indexes, which also stored the entity-major orientation
+and the degrees, are rejected and must be rebuilt.
 
 The manifest is written with sorted keys and no timestamps, so rebuilding
 from warm caches reproduces it byte for byte.
@@ -22,6 +22,7 @@ from warm caches reproduces it byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .embeddings import unit_rows
 from .entities import EntityCatalog, EntitySet
 from .errors import IndexIntegrityError
 from .hypergraph import (
@@ -45,7 +47,12 @@ MANIFEST_NAME = "manifest.json"
 
 @dataclass
 class HypergraphIndex:
-    """Catalog, incidence, degrees and aligned embeddings for one corpus."""
+    """Catalog, incidence, degrees and aligned embeddings for one corpus.
+
+    ``unit_entity_rows`` and ``unit_passage_rows`` are the embeddings through
+    ``embeddings.unit_rows``, computed on first use and then kept, so the
+    query path normalizes each matrix once per index and a build never does.
+    """
 
     catalog: EntityCatalog
     incidence: IncidenceMatrix
@@ -62,6 +69,14 @@ class HypergraphIndex:
     @property
     def n_passages(self) -> int:
         return self.incidence.n_passages
+
+    @functools.cached_property
+    def unit_entity_rows(self) -> np.ndarray:
+        return _read_only(unit_rows(self.entity_embeddings))
+
+    @functools.cached_property
+    def unit_passage_rows(self) -> np.ndarray:
+        return _read_only(unit_rows(self.passage_embeddings))
 
 
 def build_index(
@@ -91,12 +106,15 @@ def _write_array(path: Path, array: np.ndarray, dtype: str) -> None:
     array.astype(dtype).tofile(path)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _read_array(path: Path, dtype: str) -> np.ndarray:
     if not path.exists():
         raise IndexIntegrityError(f"missing index file: {path.name}")
-    array = np.fromfile(path, dtype=dtype)
-    array.flags.writeable = False  # loaded indices are immutable
-    return array
+    return _read_only(np.fromfile(path, dtype=dtype))  # loaded indices are immutable
 
 
 def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: dict | None = None) -> dict:
@@ -167,7 +185,10 @@ def _read_embeddings(path: Path, rows: int, dim: int) -> np.ndarray | None:
     size = path.stat().st_size
     if size != rows * dim * 4:
         raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
-    return _read_array(path, "<f4").reshape(rows, dim)
+    values = _read_array(path, "<f4").reshape(rows, dim)
+    if not np.isfinite(values).all():
+        raise IndexIntegrityError(f"{path.name} holds a non-finite value")
+    return values
 
 
 def load_index(directory: str | Path) -> HypergraphIndex:

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import (
-    EmbeddingMatrix,
     EncoderClient,
     cosine_against_rows,
     embed_batch,
@@ -109,10 +108,21 @@ class RankedResult:
         }
 
 
-def ranked_order(scores: np.ndarray) -> np.ndarray:
-    """Indices sorted by descending score, ties by ascending index."""
+def ranked_order(scores: np.ndarray, depth: int | None = None) -> np.ndarray:
+    """The first ``depth`` indices (all when None) by descending score, ties
+    by ascending index. Scores must not be NaN.
+
+    Only the scores at or above the depth-th largest are sorted:
+    ``np.partition`` finds that boundary score, and every index tied with
+    it is a candidate, so the prefix is exactly that of a full sort.
+    """
     n = scores.shape[0]
-    return np.lexsort((np.arange(n), -scores))
+    if depth is None or depth >= n:
+        return np.lexsort((np.arange(n), -scores))
+    neg = -scores
+    boundary = np.partition(neg, depth - 1)[depth - 1]
+    candidates = np.flatnonzero(neg <= boundary)
+    return candidates[np.lexsort((candidates, neg[candidates]))[:depth]]
 
 
 def build_entity_similarity(
@@ -140,9 +150,8 @@ def build_entity_similarity(
     query_entities = dedup_normalized(raw)
     if not query_entities:
         return np.zeros(n_entities, dtype=np.float64)
-    query_rows = embed_batch(query_entities, encoder)
-    corpus_rows = EmbeddingMatrix(values=index.entity_embeddings, row_keys=list(index.catalog))
-    v = max_sim_to_query_entities(query_rows, corpus_rows)
+    query_rows = embed_batch(query_entities, encoder).values
+    v = max_sim_to_query_entities(query_rows, index.unit_entity_rows)
     return np.where(v > eta, v, 0.0)
 
 
@@ -155,7 +164,7 @@ def build_passage_similarity(
     if index.passage_embeddings.shape[0] != index.n_passages:
         raise IndexIntegrityError("passage embedding rows disagree with column count")
     query_vec = embed_batch([query], encoder).values[0]
-    return cosine_against_rows(query_vec, index.passage_embeddings)
+    return cosine_against_rows(query_vec, index.unit_passage_rows)
 
 
 def diffuse(
@@ -225,12 +234,13 @@ def shared_entity_counts(
 
 
 def structural_enhance(
-    p_tilde: np.ndarray, index: HypergraphIndex, k1: int, k2: int
+    order: np.ndarray, index: HypergraphIndex, k1: int, k2: int
 ) -> np.ndarray:
     """Dynamic-size selection: top-k1 seeds plus entity-sharing top-k2 rest.
 
-    Returns selected columns ordered by descending score (ties by ascending
-    index). Seeds are always retained, so k1 <= |selection| <= k2.
+    ``order`` is the ranking by p_tilde from ``ranked_order``, at least k2
+    columns long. Returns selected columns in that order. Seeds are always
+    retained, so k1 <= |selection| <= k2.
     """
     n = index.n_passages
     if not 1 <= k1 <= k2:
@@ -239,9 +249,8 @@ def structural_enhance(
         raise ContractError(f"k1={k1} exceeds passage count {n}")
     if k2 > n:
         raise ContractError(f"k2={k2} exceeds passage count {n}")
-    if p_tilde.shape != (n,):
-        raise ContractError(f"p_tilde has shape {p_tilde.shape}, expected ({n},)")
-    order = ranked_order(np.asarray(p_tilde, dtype=np.float64))
+    if order.shape[0] < k2:
+        raise ContractError(f"order holds {order.shape[0]} columns, fewer than k2={k2}")
     seeds = order[:k1]
     candidates = order[k1:k2]
     shares = shared_entity_counts(index, seeds, candidates)
@@ -287,11 +296,10 @@ def rank_passages(
         scores = semantic_enhance(p_t, p, config.beta, config.use_semantic_enhancement)
 
     artifacts = QueryArtifacts(x=x, p=p, p_t=p_t, p_tilde=scores)
-    depth = max(k2, ranking_depth or 0)
-    order = ranked_order(scores)
-    ranking = [(int(col), float(scores[col])) for col in order[:depth]]
+    order = ranked_order(scores, max(k2, ranking_depth or 0))
+    ranking = [(int(col), float(scores[col])) for col in order]
     if config.use_structural_enhancement:
-        selected_cols = structural_enhance(scores, index, k1, k2)
+        selected_cols = structural_enhance(order, index, k1, k2)
     else:
         selected_cols = order[:k1]
     selected = [(int(col), float(scores[col])) for col in selected_cols]

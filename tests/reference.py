@@ -101,3 +101,26 @@ def random_entity_sets(
         mask = rng.random(n_universe) < density
         sets.append([universe[i] for i in np.flatnonzero(mask)])
     return sets
+
+
+def normalized_rows(values: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm in float64, the whole matrix at once."""
+    values = np.asarray(values, dtype=np.float64)
+    norms = np.linalg.norm(values, axis=1, keepdims=True)
+    return values / np.where(norms > 0.0, norms, 1.0)
+
+
+def per_call_entity_similarity(
+    query_rows: np.ndarray, entity_embeddings: np.ndarray, eta: float
+) -> np.ndarray:
+    """x with both matrices normalized on every call, as queries once did."""
+    sims = normalized_rows(entity_embeddings) @ normalized_rows(query_rows).T
+    v = np.clip(sims.max(axis=1), -1.0, 1.0)
+    return np.where(v > eta, v, 0.0)
+
+
+def per_call_passage_similarity(query_vec: np.ndarray, passage_embeddings: np.ndarray) -> np.ndarray:
+    """p with the passage rows normalized on every call, as queries once did."""
+    query_vec = np.asarray(query_vec, dtype=np.float64).ravel()
+    query_vec = query_vec / float(np.linalg.norm(query_vec))
+    return np.clip(normalized_rows(passage_embeddings) @ query_vec, -1.0, 1.0)

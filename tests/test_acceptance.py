@@ -193,7 +193,7 @@ def test_criterion_5_containment():
                 k2 = int(rng.integers(1, n + 1))
                 k1 = int(rng.integers(1, k2 + 1))
                 p_tilde = rng.uniform(-1, 1, n)
-                selection = structural_enhance(p_tilde, index, k1, k2)
+                selection = structural_enhance(ranked_order(p_tilde, k2), index, k1, k2)
                 order = ranked_order(p_tilde)
                 seeds = set(order[:k1].tolist())
                 topk2 = set(order[:k2].tolist())

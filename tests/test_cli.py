@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hyperhop.cli import main
@@ -101,6 +102,16 @@ class TestRetrieveCommand:
         code = main(["retrieve", TOY_QUERY] + common(built))
         assert code == 2
         assert "passage_embeddings.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["passage_embeddings.bin", "entity_embeddings.bin"])
+    def test_nan_embedding_exits_2(self, built, capsys, name):
+        path = built / "index" / name
+        values = np.fromfile(path, dtype="<f4")
+        values[0] = np.nan
+        values.tofile(path)
+        code = main(["retrieve", TOY_QUERY] + common(built))
+        assert code == 2
+        assert f"{name} holds a non-finite value" in capsys.readouterr().err
 
 
 class TestStatsCommand:

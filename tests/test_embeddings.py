@@ -10,6 +10,7 @@ from hyperhop.embeddings import (
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
+    unit_rows,
 )
 from hyperhop.errors import ContractError, EmbeddingError
 
@@ -78,7 +79,7 @@ class TestCosine:
         rows = rng.normal(size=(7, 5))
         rows[3] = 0.0  # zero row uses the zero convention
         q = rng.normal(size=5)
-        sims = cosine_against_rows(q, rows)
+        sims = cosine_against_rows(q, unit_rows(rows))
         expected = [cosine(q, row) for row in rows]
         np.testing.assert_allclose(sims, expected, rtol=1e-12)
 
@@ -88,20 +89,20 @@ class TestMaxSim:
         enc = OfflineEncoder(dim=64)
         corpus = embed_batch(["alpha", "beta", "gamma"], enc)
         query = embed_batch(["beta"], enc)
-        v = max_sim_to_query_entities(query, corpus)
+        v = max_sim_to_query_entities(query.values, unit_rows(corpus.values))
         assert v[1] == pytest.approx(1.0)
 
     def test_empty_query_entities(self):
         enc = OfflineEncoder(dim=64)
         corpus = embed_batch(["alpha", "beta"], enc)
-        empty = EmbeddingMatrix(values=np.empty((0, 64), dtype=np.float32), row_keys=[])
-        assert max_sim_to_query_entities(empty, corpus).tolist() == [0.0, 0.0]
+        empty = np.empty((0, 64), dtype=np.float32)
+        assert max_sim_to_query_entities(empty, unit_rows(corpus.values)).tolist() == [0.0, 0.0]
 
     def test_matches_pairwise_brute_force(self):
         enc = OfflineEncoder(dim=64)
         corpus = embed_batch(["red fox", "blue whale", "green tea"], enc)
         query = embed_batch(["green tea leaves", "blue deep whale"], enc)
-        v = max_sim_to_query_entities(query, corpus)
+        v = max_sim_to_query_entities(query.values, unit_rows(corpus.values))
         brute = [
             max(cosine(qrow, crow) for qrow in query.values) for crow in corpus.values
         ]
@@ -109,13 +110,13 @@ class TestMaxSim:
 
     def test_permutation_invariance_and_monotonicity(self, rng):
         enc = OfflineEncoder(dim=32)
-        corpus = embed_batch([f"word{i}" for i in range(6)], enc)
-        q1 = embed_batch(["alpha beta", "gamma"], enc)
-        q2 = embed_batch(["gamma", "alpha beta"], enc)
+        corpus = unit_rows(embed_batch([f"word{i}" for i in range(6)], enc).values)
+        q1 = embed_batch(["alpha beta", "gamma"], enc).values
+        q2 = embed_batch(["gamma", "alpha beta"], enc).values
         np.testing.assert_array_equal(
             max_sim_to_query_entities(q1, corpus), max_sim_to_query_entities(q2, corpus)
         )
-        q3 = embed_batch(["gamma", "alpha beta", "word3"], enc)
+        q3 = embed_batch(["gamma", "alpha beta", "word3"], enc).values
         assert (
             max_sim_to_query_entities(q3, corpus) >= max_sim_to_query_entities(q1, corpus) - 1e-12
         ).all()
@@ -124,7 +125,7 @@ class TestMaxSim:
         a = embed_batch(["x"], OfflineEncoder(dim=16))
         b = embed_batch(["x"], OfflineEncoder(dim=32))
         with pytest.raises(ContractError):
-            max_sim_to_query_entities(a, b)
+            max_sim_to_query_entities(a.values, unit_rows(b.values))
 
 
 class TestEmbeddingCache:

@@ -108,6 +108,18 @@ class TestGatherScatter:
             )
             np.testing.assert_array_equal(entity_to_passage(u, incidence), entity_major)
 
+    def test_scatter_is_bitwise_the_repeated_passage_values(self, rng):
+        for _ in range(10):
+            sets = random_entity_sets(rng)
+            incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
+            w = rng.normal(size=incidence.n_passages)
+            repeated = np.bincount(
+                incidence.pas_indices,
+                weights=np.repeat(w, np.diff(incidence.pas_offsets)),
+                minlength=incidence.n_entities,
+            )
+            np.testing.assert_array_equal(passage_to_entity(w, incidence), repeated)
+
     def test_dimension_mismatch(self, toy_index):
         with pytest.raises(ContractError):
             entity_to_passage(np.zeros(2), toy_index.incidence)

@@ -162,3 +162,20 @@ def test_bad_offsets_detected(tmp_path, offsets):
     np.array(offsets, dtype="<i4").tofile(directory / "pas_offsets.bin")
     with pytest.raises(IndexIntegrityError, match="pas_offsets"):
         load_index(directory)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("passage_embeddings.bin", np.nan),
+        ("entity_embeddings.bin", np.nan),
+        ("entity_embeddings.bin", -np.inf),
+    ],
+)
+def test_non_finite_embeddings_detected(tmp_path, name, value):
+    path = _saved(tmp_path) / name
+    values = np.fromfile(path, dtype="<f4")
+    values[5] = value
+    values.tofile(path)
+    with pytest.raises(IndexIntegrityError, match=f"{name} holds a non-finite value"):
+        load_index(tmp_path)

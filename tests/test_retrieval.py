@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from hyperhop.config import AppConfig
 from hyperhop.embeddings import OfflineEncoder, embed_batch
-from hyperhop.entities import OfflineEntityExtractor
+from hyperhop.entities import OfflineEntityExtractor, dedup_normalized
 from hyperhop.errors import ContractError, IndexIntegrityError
-from hyperhop.pipeline import passage_embedding_text
+from hyperhop.pipeline import build_index_from_corpus, passage_embedding_text
 from hyperhop.retrieval import (
     RetrievalConfig,
     build_entity_similarity,
@@ -18,12 +19,14 @@ from hyperhop.retrieval import (
     structural_enhance,
 )
 
-from conftest import index_from_sets
+from conftest import DATA_DIR, index_from_sets
 from reference import (
     cosine,
     dense_incidence,
     dense_pipeline,
     dense_shared_counts,
+    per_call_entity_similarity,
+    per_call_passage_similarity,
     random_entity_sets,
 )
 
@@ -127,6 +130,44 @@ class TestPassageSimilarity:
             build_passage_similarity("q", toy_index, ENCODER)
 
 
+class TestUnitRowCache:
+    def test_build_computes_no_unit_rows(self, tmp_path):
+        config = AppConfig(
+            corpus=str(DATA_DIR / "toy_corpus.jsonl"),
+            index_dir=str(tmp_path / "index"),
+            cache_dir=str(tmp_path / "cache"),
+            offline=True,
+        )
+        index, _ = build_index_from_corpus(config)
+        assert "unit_entity_rows" not in vars(index)
+        assert "unit_passage_rows" not in vars(index)
+
+    def test_queries_reuse_the_unit_rows(self, toy_built):
+        index, _, _ = toy_built
+        retrieve(TOY_QUERY, index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
+        entity_rows, passage_rows = index.unit_entity_rows, index.unit_passage_rows
+        retrieve("Where is Brussels?", index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
+        assert index.unit_entity_rows is entity_rows
+        assert index.unit_passage_rows is passage_rows
+        assert not entity_rows.flags.writeable and not passage_rows.flags.writeable
+
+    @pytest.mark.parametrize("eta", [0.0, 0.8])
+    def test_vectors_bitwise_equal_per_call_normalization(self, toy_built, eta):
+        index, _, _ = toy_built
+        config = RetrievalConfig(eta=eta, k1=1, k2=3)
+        result = retrieve(TOY_QUERY, index, config, ENCODER, EXTRACTOR)
+        query_rows = embed_batch(dedup_normalized(EXTRACTOR.extract("", TOY_QUERY)), ENCODER).values
+        x = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
+        p = per_call_passage_similarity(
+            embed_batch([TOY_QUERY], ENCODER).values[0], index.passage_embeddings
+        )
+        expected = rank_passages(x, p, index, config).artifacts
+        assert x.any()
+        np.testing.assert_array_equal(result.artifacts.x, x)
+        np.testing.assert_array_equal(result.artifacts.p, p)
+        np.testing.assert_array_equal(result.artifacts.p_tilde, expected.p_tilde)
+
+
 class TestDiffuse:
     def test_zero_steps_is_single_hop(self, toy_index, rng):
         x = rng.random(5)
@@ -197,29 +238,47 @@ class TestSemanticEnhance:
         np.testing.assert_array_equal(semantic_enhance(p_t, p, 0.7, enabled=False), p_t)
 
 
+class TestRankedOrder:
+    def test_prefix_matches_full_lexsort_under_heavy_ties(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            levels = rng.uniform(-1, 1, int(rng.integers(3, 5)))
+            scores = rng.choice(levels, size=n)
+            full = np.lexsort((np.arange(n), -scores))
+            for depth in (1, n - 1, n, n + 1, int(rng.integers(1, n + 1))):
+                np.testing.assert_array_equal(ranked_order(scores, depth), full[:depth])
+
+    def test_all_equal_and_signed_zero_scores(self):
+        for scores in (np.full(7, 0.25), np.array([0.0, -0.0, 0.0, -0.0, 0.5])):
+            n = scores.shape[0]
+            full = np.lexsort((np.arange(n), -scores))
+            for depth in (1, n - 1, n, n + 1):
+                np.testing.assert_array_equal(ranked_order(scores, depth), full[:depth])
+
+
 class TestStructuralEnhance:
     def test_toy_selection_drops_unlinked(self, toy_index):
         # Seed P1; P2 shares "germany", P3 shares nothing.
         p_tilde = np.array([0.9, 0.5, 0.4])
-        selected = structural_enhance(p_tilde, toy_index, k1=1, k2=3)
+        selected = structural_enhance(ranked_order(p_tilde), toy_index, k1=1, k2=3)
         assert selected.tolist() == [0, 1]
 
     def test_k1_equals_k2_is_plain_topk(self, toy_index):
         p_tilde = np.array([0.1, 0.9, 0.5])
-        selected = structural_enhance(p_tilde, toy_index, k1=2, k2=2)
+        selected = structural_enhance(ranked_order(p_tilde), toy_index, k1=2, k2=2)
         assert selected.tolist() == [1, 2]
 
     def test_entityless_seed_is_retained(self):
         index = index_from_sets({"p1": [], "p2": ["a"], "p3": ["b"]})
         p_tilde = np.array([0.9, 0.2, 0.1])
-        selected = structural_enhance(p_tilde, index, k1=1, k2=3)
+        selected = structural_enhance(ranked_order(p_tilde), index, k1=1, k2=3)
         assert selected.tolist() == [0]
 
     def test_k_out_of_range(self, toy_index):
         with pytest.raises(ContractError):
-            structural_enhance(np.zeros(3), toy_index, k1=4, k2=4)
+            structural_enhance(ranked_order(np.zeros(3)), toy_index, k1=4, k2=4)
         with pytest.raises(ContractError):
-            structural_enhance(np.zeros(3), toy_index, k1=1, k2=5)
+            structural_enhance(ranked_order(np.zeros(3)), toy_index, k1=1, k2=5)
 
     def test_shared_counts_match_dense_oracle(self, rng):
         for _ in range(25):
@@ -241,7 +300,7 @@ class TestStructuralEnhance:
             p_tilde = rng.random(n)
             order = ranked_order(p_tilde)
             seeds, topk2 = set(order[:k1].tolist()), set(order[:k2].tolist())
-            selected = structural_enhance(p_tilde, index, k1, k2)
+            selected = structural_enhance(ranked_order(p_tilde, k2), index, k1, k2)
             chosen = set(selected.tolist())
             assert seeds <= chosen <= topk2
             assert k1 <= len(chosen) <= k2
@@ -327,8 +386,8 @@ class TestRankPassages:
             k1 = int(rng.integers(1, k2 + 1))
             assert ranked_order(scale * p_tilde).tolist() == ranked_order(p_tilde).tolist()
             np.testing.assert_array_equal(
-                structural_enhance(scale * p_tilde, index, k1, k2),
-                structural_enhance(p_tilde, index, k1, k2),
+                structural_enhance(ranked_order(scale * p_tilde, k2), index, k1, k2),
+                structural_enhance(ranked_order(p_tilde, k2), index, k1, k2),
             )
 
     def test_norm_non_expansion(self, rng):
