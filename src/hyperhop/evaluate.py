@@ -18,7 +18,7 @@ from typing import Sequence
 from .corpus import Passage
 from .embeddings import EncoderClient
 from .entities import ExtractionClient
-from .errors import CorpusFormatError
+from .errors import ChatError, CorpusFormatError, EmbeddingError
 from .index_store import HypergraphIndex
 from .metrics import exact_match, hit_at_k, recall_at_k, token_f1
 from .qa import ChatClient, answer
@@ -152,6 +152,17 @@ class EvalReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows) + "\n"
 
 
+def _failed_record(example: QAExample, reason: str) -> ExampleRecord:
+    return ExampleRecord(
+        question=example.question,
+        selected_ids=[],
+        selected_size=0,
+        recall={k: 0.0 for k in RECALL_KS},
+        hits={k: 0 for k in RECALL_KS},
+        error=reason,
+    )
+
+
 def _evaluate_one(
     example: QAExample,
     index: HypergraphIndex,
@@ -170,14 +181,7 @@ def _evaluate_one(
             if missing
             else "example has no gold passage ids"
         )
-        return ExampleRecord(
-            question=example.question,
-            selected_ids=[],
-            selected_size=0,
-            recall={k: 0.0 for k in RECALL_KS},
-            hits={k: 0 for k in RECALL_KS},
-            error=reason,
-        )
+        return _failed_record(example, reason)
 
     warnings: list[str] = []
     x = build_entity_similarity(example.question, index, encoder, extractor, config.eta, warnings)
@@ -218,8 +222,10 @@ def run_eval(
 ) -> EvalReport:
     """Evaluate retrieval (and QA when a chat client is given) over a dataset.
 
-    Per-example failures (for example gold ids absent from the index) are
-    recorded and evaluation continues.
+    Per-example failures (gold ids absent from the index, a failed
+    embedding or chat call) are recorded in the example's ``error`` and
+    evaluation continues. A broken index or configuration fails every
+    example alike, so its error propagates.
     """
     passages_by_id = {p.id: p for p in passages} if passages is not None else None
     if chat is not None and passages_by_id is None:
@@ -227,10 +233,13 @@ def run_eval(
     known_ids = set(index.passage_ids)
 
     def work(example: QAExample) -> ExampleRecord:
-        return _evaluate_one(
-            example, index, known_ids, config, encoder, extractor, chat,
-            passages_by_id, answer_template,
-        )
+        try:
+            return _evaluate_one(
+                example, index, known_ids, config, encoder, extractor, chat,
+                passages_by_id, answer_template,
+            )
+        except (EmbeddingError, ChatError) as exc:
+            return _failed_record(example, f"{type(exc).__name__}: {exc}")
 
     if max_workers <= 1:
         records = [work(ex) for ex in dataset]

@@ -10,6 +10,13 @@ passage, H^T adds each passage's terms in ascending entity order, so its
 result is bit for bit the one an entity-major transpose would give. Node
 and hyperedge degrees are derived from the two arrays, never stored.
 
+``keep_passages`` restricts H to a subset of its passages: the dropped
+passages' entries are removed and every other entry keeps its position
+relative to the rest. Retrieval uses it to drop, once per query, the
+passages whose hyperedge weight is zero; they carry no mass, so the
+diffusion over the restricted H adds the same nonzero terms in the same
+order and its result is bit for bit the full one.
+
 The diffusion operator applies the passage-weighted symmetric normalized
 propagation matrix
 
@@ -35,23 +42,25 @@ from .errors import ContractError
 class IncidenceMatrix:
     """Binary incidence matrix in passage-major compressed form.
 
-    ``pas_columns`` is derived at construction: the passage column of each
-    entry, which turns H^T and H each into one gather and one ``bincount``.
-    Both per-entry arrays are held as intp, the index type numpy gathers and
-    counts in, so no propagation step converts them; on disk they are int32.
+    ``pas_columns`` is the passage column of each entry, which turns H^T
+    and H each into one gather and one ``bincount``; it is derived from
+    ``pas_offsets`` unless the caller already holds it. Both per-entry
+    arrays are held as intp, the index type numpy gathers and counts in, so
+    no propagation step converts them; on disk they are int32.
     """
 
     n_entities: int
     n_passages: int
     pas_offsets: np.ndarray  # int32, len n_passages + 1
     pas_indices: np.ndarray  # intp, len nnz, entity row per entry, ascending per passage
-    pas_columns: np.ndarray = field(init=False, repr=False, compare=False)  # intp, len nnz
+    pas_columns: np.ndarray | None = field(default=None, repr=False, compare=False)  # intp, len nnz
 
     def __post_init__(self):
         self.pas_indices = np.asarray(self.pas_indices, dtype=np.intp)
-        self.pas_columns = np.repeat(
-            np.arange(self.n_passages, dtype=np.intp), np.diff(self.pas_offsets)
-        )
+        if self.pas_columns is None:
+            self.pas_columns = np.repeat(
+                np.arange(self.n_passages, dtype=np.intp), np.diff(self.pas_offsets)
+            )
 
     @property
     def nnz(self) -> int:
@@ -121,6 +130,34 @@ def compute_degrees(incidence: IncidenceMatrix) -> DegreeVectors:
     return DegreeVectors(
         node_degrees=node_degrees.astype(np.int64),
         edge_degrees=np.diff(incidence.pas_offsets).astype(np.int64),
+    )
+
+
+def keep_passages(incidence: IncidenceMatrix, keep: np.ndarray) -> IncidenceMatrix:
+    """H with the entries of every passage where ``keep`` is false removed.
+
+    The shape stays the same; a dropped passage becomes an empty column.
+    The kept entries stay in order, so H and H^T over the result add the
+    same terms in the same order as over ``incidence``, less the dropped
+    passages' terms. When every passage is kept, ``incidence`` itself is
+    returned.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (incidence.n_passages,):
+        raise ContractError(
+            f"keep mask has shape {keep.shape}, expected ({incidence.n_passages},)"
+        )
+    if keep.all():
+        return incidence
+    entries = keep[incidence.pas_columns]
+    offsets = np.zeros_like(incidence.pas_offsets)
+    np.cumsum(np.where(keep, np.diff(incidence.pas_offsets), 0), out=offsets[1:])
+    return IncidenceMatrix(
+        n_entities=incidence.n_entities,
+        n_passages=incidence.n_passages,
+        pas_offsets=offsets,
+        pas_indices=incidence.pas_indices[entries],
+        pas_columns=incidence.pas_columns[entries],
     )
 
 

@@ -24,7 +24,7 @@ from .embeddings import (
 )
 from .entities import ExtractionClient, dedup_normalized
 from .errors import ContractError, IndexIntegrityError
-from .hypergraph import apply_diffusion_operator, entity_to_passage
+from .hypergraph import apply_diffusion_operator, entity_to_passage, keep_passages
 from .index_store import HypergraphIndex
 
 
@@ -179,6 +179,11 @@ def diffuse(
     The hyperedge weights are the clamped passage similarities (or all ones
     when the weight matrix is ablated); there is no renormalization between
     steps. Returns (x_t, p_t) with p_t = W H^T x_t.
+
+    Every step runs on H restricted to the passages of positive weight. A
+    zero-weight passage adds exactly +-0.0 to each entity sum, and a sum
+    that starts at +0.0 never becomes -0.0, so dropping it changes no bit of
+    x_t; its p_t entry is 0 either way. The degrees stay the full graph's.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -190,10 +195,11 @@ def diffuse(
         weights = np.clip(p, 0.0, 1.0)
     else:
         weights = np.ones(index.n_passages, dtype=np.float64)
+    support = keep_passages(index.incidence, weights > 0)
     x_t = x
     for _ in range(steps):
-        x_t = apply_diffusion_operator(x_t, index.incidence, index.degrees, weights)
-    p_t = weights * entity_to_passage(x_t, index.incidence)
+        x_t = apply_diffusion_operator(x_t, support, index.degrees, weights)
+    p_t = weights * entity_to_passage(x_t, support)
     return x_t, p_t
 
 

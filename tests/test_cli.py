@@ -162,6 +162,14 @@ class TestEvalCommand:
         payload = json.loads(out.read_text())
         assert payload["aggregates"]["errors"] == 1
 
+    def test_index_without_passage_embeddings_exits_2(self, built, capsys):
+        # A broken index fails every example alike: a precondition, not a
+        # per-example failure.
+        (built / "index" / "passage_embeddings.bin").unlink()
+        args = ["eval", "--dataset", TOY_QA, "--k1", "1", "--k2", "3"] + common(built)
+        assert main(args) == 2
+        assert "passage embeddings" in capsys.readouterr().err
+
 
 class TestRebuildDeterminism:
     def test_two_builds_produce_identical_artifacts(self, tmp_path, no_network):

@@ -127,6 +127,15 @@ class TestMaxSim:
         with pytest.raises(ContractError):
             max_sim_to_query_entities(a.values, unit_rows(b.values))
 
+    @pytest.mark.parametrize("n_query", [1, 2, 3, 4])
+    def test_bitwise_equal_to_a_max_over_the_query_axis(self, rng, n_query):
+        for _ in range(10):
+            corpus = unit_rows(rng.normal(size=(int(rng.integers(1, 500)), 24)))
+            query = rng.normal(size=(n_query, 24)).astype(np.float32)
+            expected = np.clip((corpus @ unit_rows(query).T).max(axis=1), -1.0, 1.0)
+            got = max_sim_to_query_entities(query, corpus)
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestEmbeddingCache:
     def test_cache_fidelity_zero_client_calls(self, tmp_path):

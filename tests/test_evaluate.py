@@ -4,7 +4,7 @@ import pytest
 
 from hyperhop.embeddings import OfflineEncoder
 from hyperhop.entities import OfflineEntityExtractor
-from hyperhop.errors import CorpusFormatError
+from hyperhop.errors import ChatError, CorpusFormatError, EmbeddingError
 from hyperhop.evaluate import QAExample, load_qa_dataset, run_eval
 from hyperhop.qa import OfflineChatClient
 from hyperhop.retrieval import RetrievalConfig
@@ -114,3 +114,57 @@ def test_table_rendering(toy_built, data_dir):
     table = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR).to_table()
     assert "recall@5" in table
     assert "mean |C_q|" in table
+
+
+class FailingOnQuestionEncoder(OfflineEncoder):
+    """Offline encoder whose endpoint fails for one text."""
+
+    def __init__(self, failing_text: str):
+        super().__init__(dim=256)
+        self.failing_text = failing_text
+
+    def encode_batch(self, texts):
+        if self.failing_text in texts:
+            raise RuntimeError("endpoint down")
+        return super().encode_batch(texts)
+
+
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_embedding_failure_is_recorded_and_evaluation_continues(
+    toy_built, data_dir, max_workers
+):
+    index, _, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    failing = dataset[1].question
+    report = run_eval(
+        dataset, index, CONFIG, FailingOnQuestionEncoder(failing), EXTRACTOR,
+        max_workers=max_workers,
+    )
+    assert report.errors == 1
+    assert report.records[1].error.startswith(EmbeddingError.__name__)
+    assert "endpoint down" in report.records[1].error
+    healthy = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR)
+    for got, want in zip(report.records, healthy.records):
+        if got.error is None:
+            assert got.selected_ids == want.selected_ids
+    assert report.aggregates["scored"] == 2
+
+
+class FailingOnQuestionChat(OfflineChatClient):
+    def __init__(self, failing_text: str):
+        self.failing_text = failing_text
+
+    def complete(self, prompt: str) -> str:
+        if self.failing_text in prompt:
+            raise ChatError("chat endpoint down")
+        return super().complete(prompt)
+
+
+def test_chat_failure_is_recorded_and_evaluation_continues(toy_built, data_dir):
+    index, passages, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    chat = FailingOnQuestionChat(dataset[0].question)
+    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, passages=passages)
+    assert report.errors == 1
+    assert report.records[0].error == "ChatError: chat endpoint down"
+    assert all(r.prediction is not None for r in report.records[1:])

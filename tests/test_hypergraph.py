@@ -11,6 +11,7 @@ from hyperhop.hypergraph import (
     compute_degrees,
     entity_to_passage,
     graph_stats,
+    keep_passages,
     passage_to_entity,
 )
 
@@ -125,6 +126,36 @@ class TestGatherScatter:
             entity_to_passage(np.zeros(2), toy_index.incidence)
         with pytest.raises(ContractError):
             passage_to_entity(np.zeros(2), toy_index.incidence)
+
+
+class TestKeepPassages:
+    def test_all_true_mask_returns_the_incidence_itself(self, toy_index):
+        incidence = toy_index.incidence
+        assert keep_passages(incidence, np.ones(3, dtype=bool)) is incidence
+
+    def test_all_false_mask_leaves_no_entries(self, toy_index):
+        support = keep_passages(toy_index.incidence, np.zeros(3, dtype=bool))
+        assert (support.n_entities, support.n_passages, support.nnz) == (5, 3, 0)
+        assert support.pas_offsets.tolist() == [0, 0, 0, 0]
+        summed = entity_to_passage(np.ones(5), support)
+        assert summed.dtype == np.float64 and not summed.any()
+
+    def test_random_masks_drop_exactly_the_masked_columns(self, rng):
+        for _ in range(20):
+            sets = random_entity_sets(rng)
+            incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
+            keep = rng.random(incidence.n_passages) < 0.5
+            support = keep_passages(incidence, keep)
+            np.testing.assert_array_equal(
+                dense_incidence(support), dense_incidence(incidence) * keep
+            )
+            rebuilt = np.repeat(np.arange(support.n_passages), np.diff(support.pas_offsets))
+            np.testing.assert_array_equal(support.pas_columns, rebuilt)
+            assert support.pas_offsets.dtype == incidence.pas_offsets.dtype
+
+    def test_mask_length_mismatch(self, toy_index):
+        with pytest.raises(ContractError):
+            keep_passages(toy_index.incidence, np.ones(2, dtype=bool))
 
 
 class TestDiffusionOperator:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from hyperhop import retrieval
 from hyperhop.config import AppConfig
 from hyperhop.embeddings import OfflineEncoder, embed_batch
 from hyperhop.entities import OfflineEntityExtractor, dedup_normalized
 from hyperhop.errors import ContractError, IndexIntegrityError
+from hyperhop.hypergraph import apply_diffusion_operator, entity_to_passage
 from hyperhop.pipeline import build_index_from_corpus, passage_embedding_text
 from hyperhop.retrieval import (
     RetrievalConfig,
@@ -41,6 +43,15 @@ TOY_WEIGHTS = np.array([0.9, 0.8, 0.3])
 def random_index(rng, max_entities=50, max_passages=20):
     sets = random_entity_sets(rng, max_entities=max_entities, max_passages=max_passages)
     return index_from_sets({f"p{j:02d}": s for j, s in enumerate(sets)})
+
+
+def full_incidence_diffusion(x, p, index, steps, use_weight_matrix):
+    """diffuse() as one loop over the whole incidence, zero-weight passages included."""
+    weights = np.clip(p, 0.0, 1.0) if use_weight_matrix else np.ones(index.n_passages)
+    x_t = np.asarray(x, dtype=np.float64)
+    for _ in range(steps):
+        x_t = apply_diffusion_operator(x_t, index.incidence, index.degrees, weights)
+    return x_t, weights * entity_to_passage(x_t, index.incidence)
 
 
 class TestRetrievalConfig:
@@ -218,6 +229,61 @@ class TestDiffuse:
     def test_dimension_mismatch(self, toy_index):
         with pytest.raises(ContractError):
             diffuse(np.zeros(5), np.zeros(2), toy_index, steps=1)
+
+    @pytest.mark.parametrize("use_weight_matrix", [True, False])
+    def test_restricted_support_is_bitwise_the_full_incidence_loop(self, rng, use_weight_matrix):
+        for _ in range(30):
+            index = random_index(rng)
+            x = np.where(rng.random(index.n_entities) < 0.3, rng.random(index.n_entities), 0.0)
+            p = rng.uniform(-1, 1, index.n_passages)  # about half the weights are zero
+            for steps in range(7):
+                x_t, p_t = diffuse(x, p, index, steps, use_weight_matrix)
+                ref_x, ref_p = full_incidence_diffusion(x, p, index, steps, use_weight_matrix)
+                assert x_t.tobytes() == ref_x.tobytes()
+                assert p_t.dtype == np.float64 and p_t.tobytes() == ref_p.tobytes()
+
+    def test_entityless_passages_keep_zero_relevance(self, rng):
+        index = index_from_sets({"P1": ["a", "b"], "P2": [], "P3": ["b", "c"], "P4": []})
+        x = np.array([0.9, 0.0, 0.0])
+        p = np.array([0.5, 0.7, -0.2, 0.0])
+        for steps in range(7):
+            x_t, p_t = diffuse(x, p, index, steps)
+            ref_x, ref_p = full_incidence_diffusion(x, p, index, steps, True)
+            assert x_t.tobytes() == ref_x.tobytes() and p_t.tobytes() == ref_p.tobytes()
+            assert p_t[1] == 0.0 and p_t[3] == 0.0
+
+    def test_all_weights_zero_gives_float64_zeros(self, rng):
+        for _ in range(10):
+            index = random_index(rng)
+            x = rng.random(index.n_entities)
+            p = -rng.random(index.n_passages)
+            for steps in range(7):
+                x_t, p_t = diffuse(x, p, index, steps)
+                assert p_t.dtype == np.float64 and p_t.shape == (index.n_passages,)
+                assert not p_t.any()
+                if steps:
+                    assert x_t.dtype == np.float64 and not x_t.any()
+
+    def test_calls_the_module_level_diffusion_step_once_per_step(self, toy_index, monkeypatch):
+        # Tracing wraps retrieval.apply_diffusion_operator and counts the
+        # nonzero entities of each output, so every step must go through it.
+        outputs = []
+
+        def counting(*args):
+            out = apply_diffusion_operator(*args)
+            outputs.append(out)
+            return out
+
+        monkeypatch.setattr(retrieval, "apply_diffusion_operator", counting)
+        x = np.zeros(5)
+        x[toy_index.catalog.index_of("albert einstein")] = 1.0
+        for steps in range(5):
+            outputs.clear()
+            x_t, _ = diffuse(x, TOY_WEIGHTS, toy_index, steps)
+            assert len(outputs) == steps
+            assert all(out.shape == (5,) for out in outputs)
+            if steps:
+                assert outputs[-1] is x_t
 
 
 class TestSemanticEnhance:
