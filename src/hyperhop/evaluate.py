@@ -18,7 +18,7 @@ from typing import Sequence
 from .corpus import Passage
 from .embeddings import EncoderClient
 from .entities import ExtractionClient
-from .errors import ChatError, CorpusFormatError, EmbeddingError
+from .errors import ChatError, CorpusFormatError, EmbeddingError, HyperhopError
 from .index_store import HypergraphIndex
 from .metrics import exact_match, hit_at_k, recall_at_k, token_f1
 from .qa import ChatClient, answer
@@ -173,7 +173,12 @@ def _evaluate_one(
     chat: ChatClient | None,
     passages_by_id: dict[str, Passage] | None,
     answer_template: str | None,
-) -> ExampleRecord:
+) -> tuple[ExampleRecord, HyperhopError | None]:
+    """Score one example; also return the failed endpoint call, if any.
+
+    A failed embedding call leaves nothing to score. A failed chat call
+    keeps the retrieval fields and sets only ``error``.
+    """
     missing = [pid for pid in example.gold_passage_ids if pid not in known_ids]
     if missing or not example.gold_passage_ids:
         reason = (
@@ -181,11 +186,16 @@ def _evaluate_one(
             if missing
             else "example has no gold passage ids"
         )
-        return _failed_record(example, reason)
+        return _failed_record(example, reason), None
 
     warnings: list[str] = []
-    x = build_entity_similarity(example.question, index, encoder, extractor, config.eta, warnings)
-    p = build_passage_similarity(example.question, index, encoder)
+    try:
+        x = build_entity_similarity(
+            example.question, index, encoder, extractor, config.eta, warnings
+        )
+        p = build_passage_similarity(example.question, index, encoder)
+    except EmbeddingError as exc:
+        return _failed_record(example, f"EmbeddingError: {exc}"), exc
     start = time.perf_counter()
     result = rank_passages(x, p, index, config, ranking_depth=max(RECALL_KS))
     elapsed = time.perf_counter() - start
@@ -203,10 +213,14 @@ def _evaluate_one(
     )
     if chat is not None and passages_by_id is not None:
         context = [passages_by_id[pid] for pid in selected_ids if pid in passages_by_id]
-        record.prediction = answer(example.question, context, chat, answer_template)
+        try:
+            record.prediction = answer(example.question, context, chat, answer_template)
+        except ChatError as exc:
+            record.error = f"ChatError: {exc}"
+            return record, exc
         record.em = exact_match(record.prediction, example.gold_answers)
         record.f1 = token_f1(record.prediction, example.gold_answers)
-    return record
+    return record, None
 
 
 def run_eval(
@@ -224,27 +238,40 @@ def run_eval(
 
     Per-example failures (gold ids absent from the index, a failed
     embedding or chat call) are recorded in the example's ``error`` and
-    evaluation continues. A broken index or configuration fails every
-    example alike, so its error propagates.
+    evaluation continues. A failed call before any example has succeeded
+    (in dataset order) propagates instead: the endpoint or its
+    configuration is taken to be broken for every example, and the run
+    stops before each one pays the retry budget. Index errors propagate.
     """
     passages_by_id = {p.id: p for p in passages} if passages is not None else None
     if chat is not None and passages_by_id is None:
         raise CorpusFormatError("QA scoring requires the corpus passages")
     known_ids = set(index.passage_ids)
 
-    def work(example: QAExample) -> ExampleRecord:
-        try:
-            return _evaluate_one(
-                example, index, known_ids, config, encoder, extractor, chat,
-                passages_by_id, answer_template,
-            )
-        except (EmbeddingError, ChatError) as exc:
-            return _failed_record(example, f"{type(exc).__name__}: {exc}")
+    def work(example: QAExample) -> tuple[ExampleRecord, HyperhopError | None]:
+        return _evaluate_one(
+            example, index, known_ids, config, encoder, extractor, chat,
+            passages_by_id, answer_template,
+        )
+
+    def collect(outcomes) -> list[ExampleRecord]:
+        records: list[ExampleRecord] = []
+        succeeded = False
+        for record, failure in outcomes:
+            if failure is not None and not succeeded:
+                raise failure
+            succeeded = succeeded or record.error is None
+            records.append(record)
+        return records
 
     if max_workers <= 1:
-        records = [work(ex) for ex in dataset]
+        records = collect(work(ex) for ex in dataset)
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(work, dataset))
+            try:
+                records = collect(pool.map(work, dataset))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     errors = sum(1 for r in records if r.error is not None)
     return EvalReport(records=records, config=config, qa_scored=chat is not None, errors=errors)

@@ -13,9 +13,10 @@ and hyperedge degrees are derived from the two arrays, never stored.
 ``keep_passages`` restricts H to a subset of its passages: the dropped
 passages' entries are removed and every other entry keeps its position
 relative to the rest. Retrieval uses it to drop, once per query, the
-passages whose hyperedge weight is zero; they carry no mass, so the
-diffusion over the restricted H adds the same nonzero terms in the same
-order and its result is bit for bit the full one.
+passages whose hyperedge weight is zero when they are at least a third of
+all; they carry no mass, so the diffusion over the restricted H adds the
+same nonzero terms in the same order and its result is bit for bit the full
+one.
 
 The diffusion operator applies the passage-weighted symmetric normalized
 propagation matrix

@@ -170,6 +170,15 @@ class TestEvalCommand:
         assert main(args) == 2
         assert "passage embeddings" in capsys.readouterr().err
 
+    def test_endpoint_failing_every_question_exits_2(self, built, capsys, monkeypatch):
+        def down(self, texts):
+            raise RuntimeError("endpoint down")
+
+        monkeypatch.setattr(OfflineEncoder, "encode_batch", down)
+        args = ["eval", "--dataset", TOY_QA, "--k1", "1", "--k2", "3"] + common(built)
+        assert main(args) == 2
+        assert "endpoint down" in capsys.readouterr().err
+
 
 class TestRebuildDeterminism:
     def test_two_builds_produce_identical_artifacts(self, tmp_path, no_network):

@@ -117,14 +117,16 @@ def test_table_rendering(toy_built, data_dir):
 
 
 class FailingOnQuestionEncoder(OfflineEncoder):
-    """Offline encoder whose endpoint fails for one text."""
+    """Offline encoder whose endpoint fails for the given texts."""
 
-    def __init__(self, failing_text: str):
+    def __init__(self, *failing_texts: str):
         super().__init__(dim=256)
-        self.failing_text = failing_text
+        self.failing_texts = set(failing_texts)
+        self.failures = 0
 
     def encode_batch(self, texts):
-        if self.failing_text in texts:
+        if self.failing_texts & set(texts):
+            self.failures += 1
             raise RuntimeError("endpoint down")
         return super().encode_batch(texts)
 
@@ -150,21 +152,57 @@ def test_embedding_failure_is_recorded_and_evaluation_continues(
     assert report.aggregates["scored"] == 2
 
 
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_embedding_failure_before_any_success_propagates(toy_built, data_dir, max_workers):
+    # A dead endpoint or a wrong model width fails every example alike: the
+    # run stops at the first one instead of recording the same error for all.
+    index, _, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    encoder = FailingOnQuestionEncoder(*(ex.question for ex in dataset))
+    with pytest.raises(EmbeddingError, match="endpoint down"):
+        run_eval(dataset, index, CONFIG, encoder, EXTRACTOR, max_workers=max_workers)
+    if max_workers == 1:
+        assert encoder.failures == 1
+
+
+def test_missing_gold_ids_do_not_count_as_success(toy_built, data_dir):
+    index, _, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    dataset = [QAExample("q", ("a",), ("MISSING",))] + list(dataset)
+    encoder = FailingOnQuestionEncoder(dataset[1].question)
+    with pytest.raises(EmbeddingError):
+        run_eval(dataset, index, CONFIG, encoder, EXTRACTOR)
+
+
 class FailingOnQuestionChat(OfflineChatClient):
-    def __init__(self, failing_text: str):
-        self.failing_text = failing_text
+    def __init__(self, *failing_texts: str):
+        self.failing_texts = failing_texts
 
     def complete(self, prompt: str) -> str:
-        if self.failing_text in prompt:
+        if any(text in prompt for text in self.failing_texts):
             raise ChatError("chat endpoint down")
         return super().complete(prompt)
 
 
-def test_chat_failure_is_recorded_and_evaluation_continues(toy_built, data_dir):
+def test_chat_failure_keeps_the_retrieval_and_evaluation_continues(toy_built, data_dir):
+    index, passages, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    chat = FailingOnQuestionChat(dataset[1].question)
+    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, passages=passages)
+    healthy = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR)
+    assert report.errors == 1
+    failed = report.records[1]
+    assert failed.error == "ChatError: chat endpoint down"
+    assert failed.prediction is None and failed.em is None
+    assert failed.selected_ids == healthy.records[1].selected_ids
+    assert failed.recall == healthy.records[1].recall
+    assert report.records[0].prediction is not None
+    assert report.records[2].prediction is not None
+
+
+def test_chat_failure_before_any_success_propagates(toy_built, data_dir):
     index, passages, _ = toy_built
     dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
     chat = FailingOnQuestionChat(dataset[0].question)
-    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, passages=passages)
-    assert report.errors == 1
-    assert report.records[0].error == "ChatError: chat endpoint down"
-    assert all(r.prediction is not None for r in report.records[1:])
+    with pytest.raises(ChatError):
+        run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, passages=passages)

@@ -264,6 +264,31 @@ class TestDiffuse:
                 if steps:
                     assert x_t.dtype == np.float64 and not x_t.any()
 
+    @pytest.mark.parametrize("n_kept, restricted", [(0, True), (4, True), (5, False), (6, False)])
+    def test_restricts_h_only_when_at_most_two_thirds_are_kept(
+        self, monkeypatch, n_kept, restricted
+    ):
+        # The restricted copy costs about half a step, so weights that are
+        # nearly all positive (typical of dense embedding models) run on H.
+        sets = {f"p{j}": ["a", "b"] if j % 2 else ["b", "c", "d"] for j in range(6)}
+        index = index_from_sets(sets)
+        supports = []
+
+        def recording(x, incidence, degrees, weights):
+            supports.append(incidence)
+            return apply_diffusion_operator(x, incidence, degrees, weights)
+
+        monkeypatch.setattr(retrieval, "apply_diffusion_operator", recording)
+        x = np.array([0.9, 0.5, 0.0, 0.2])
+        p = np.where(np.arange(6) < n_kept, 0.6, -0.1)
+        x_t, p_t = diffuse(x, p, index, steps=2)
+        assert len(supports) == 2 and supports[0] is supports[1]
+        assert (supports[0] is not index.incidence) == restricted
+        kept_nnz = sum(len(sets[f"p{j}"]) for j in range(n_kept))
+        assert supports[0].nnz == (kept_nnz if restricted else index.incidence.nnz)
+        ref_x, ref_p = full_incidence_diffusion(x, p, index, 2, True)
+        assert x_t.tobytes() == ref_x.tobytes() and p_t.tobytes() == ref_p.tobytes()
+
     def test_calls_the_module_level_diffusion_step_once_per_step(self, toy_index, monkeypatch):
         # Tracing wraps retrieval.apply_diffusion_operator and counts the
         # nonzero entities of each output, so every step must go through it.
