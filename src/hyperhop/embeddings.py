@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass
@@ -129,7 +130,9 @@ class EmbeddingCache:
     Layout: ``manifest.json`` (encoder id, dim, count), ``keys.txt`` (one
     hash per line) and ``vectors.bin`` (float32 little-endian rows). A cache
     written by a different encoder id is discarded on open. Writes are
-    serialized; readers see a consistent prefix.
+    serialized; readers see a consistent prefix. Opening truncates both
+    files to the manifest's count, so rows and keys that a crash left past
+    it are never paired with the offsets of later appends.
     """
 
     def __init__(self, directory: str | Path, encoder_id: str, dim: int):
@@ -155,20 +158,27 @@ class EmbeddingCache:
         return self.directory / "vectors.bin"
 
     def _load(self) -> None:
-        if not self._manifest_path.exists():
-            return
-        manifest = json.loads(self._manifest_path.read_text(encoding="utf-8"))
+        manifest = {"encoder_id": self.encoder_id, "dim": self.dim, "count": 0}
+        if self._manifest_path.exists():
+            manifest = json.loads(self._manifest_path.read_text(encoding="utf-8"))
         if manifest.get("encoder_id") != self.encoder_id or manifest.get("dim") != self.dim:
             # Different encoder: existing rows are unusable.
             self._keys_path.unlink(missing_ok=True)
             self._vectors_path.unlink(missing_ok=True)
             self._manifest_path.unlink(missing_ok=True)
             return
-        keys = self._keys_path.read_text(encoding="utf-8").split() if self._keys_path.exists() else []
-        bin_rows = 0
-        if self._vectors_path.exists():
-            bin_rows = self._vectors_path.stat().st_size // (4 * self.dim)
-        count = min(int(manifest.get("count", 0)), len(keys), bin_rows)
+        text = self._keys_path.read_text(encoding="utf-8") if self._keys_path.exists() else ""
+        keys = text.split()
+        row_bytes = 4 * self.dim
+        bin_bytes = self._vectors_path.stat().st_size if self._vectors_path.exists() else 0
+        count = min(int(manifest.get("count", 0)), len(keys), bin_bytes // row_bytes)
+        # Appends go after the last byte of each file, so anything past the
+        # count, or a last line without its newline, must go before a key can
+        # be given the next offset.
+        if len(keys) != count or not text.endswith("\n") and text:
+            self._keys_path.write_text("".join(k + "\n" for k in keys[:count]), encoding="utf-8")
+        if bin_bytes != count * row_bytes:
+            os.truncate(self._vectors_path, count * row_bytes)
         self._offsets = {key: i for i, key in enumerate(keys[:count])}
         self._count = count
 
@@ -263,8 +273,8 @@ def embed_batch(
 _UNIT_ROWS_BLOCK = 4096
 
 
-def unit_rows(values: np.ndarray) -> np.ndarray:
-    """``values`` in float64 with each row scaled to unit L2 norm; zero rows stay zero.
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """The float64 L2 norm of each row of ``values``.
 
     Works through blocks of rows, so the float64 copy and the squared
     temporary that ``np.linalg.norm`` makes are one block, not the whole
@@ -272,12 +282,36 @@ def unit_rows(values: np.ndarray) -> np.ndarray:
     depend on the block size.
     """
     values = np.asarray(values)
-    out = np.empty(values.shape, dtype=np.float64)
+    out = np.empty(values.shape[0], dtype=np.float64)
     for start in range(0, values.shape[0], _UNIT_ROWS_BLOCK):
         stop = start + _UNIT_ROWS_BLOCK
-        block = values[start:stop].astype(np.float64)
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
-        np.divide(block, np.where(norms > 0.0, norms, 1.0), out=out[start:stop])
+        out[start:stop] = np.linalg.norm(values[start:stop].astype(np.float64), axis=1)
+    return out
+
+
+def unit_rows(
+    values: np.ndarray, norms: np.ndarray | None = None, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """``values[rows]`` (every row when ``rows`` is None) in float64, each
+    row scaled to unit L2 norm; zero rows stay zero.
+
+    ``norms`` are ``row_norms(values)``, computed here when not given;
+    with a matrix's cached norms, the selected rows come out bit for bit as
+    in ``unit_rows(values)``. Gathers and divides block by block, so the only
+    temporary is one block of ``values``; the division casts to float64,
+    which is exact.
+    """
+    values = np.asarray(values)
+    if norms is None:
+        norms = row_norms(values)
+    if rows is None:
+        rows = np.arange(values.shape[0])
+    out = np.empty((rows.shape[0], values.shape[1]), dtype=np.float64)
+    for start in range(0, rows.shape[0], _UNIT_ROWS_BLOCK):
+        stop = start + _UNIT_ROWS_BLOCK
+        scale = norms[rows[start:stop]]
+        divisors = np.where(scale > 0.0, scale, 1.0)[:, None]
+        np.divide(values[rows[start:stop]], divisors, out=out[start:stop])
     return out
 
 
@@ -293,6 +327,16 @@ def cosine_against_rows(query_vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if qn == 0.0:
         return np.zeros(rows.shape[0], dtype=np.float64)
     return np.clip(rows @ (query_vec / qn), -1.0, 1.0)
+
+
+def _fold_max(sims: np.ndarray) -> np.ndarray:
+    """``sims.max(axis=1)`` of a (rows, few) matrix, as a column-by-column
+    fold: numpy reduces a short trailing axis one row at a time, about 30x
+    slower."""
+    best = sims[:, 0].copy()
+    for col in range(1, sims.shape[1]):
+        np.maximum(best, sims[:, col], out=best)
+    return best
 
 
 def max_sim_to_query_entities(
@@ -312,9 +356,56 @@ def max_sim_to_query_entities(
     if query_rows.shape[1] != unit_corpus_rows.shape[1]:
         raise ContractError("query and corpus embedding dims differ")
     sims = unit_corpus_rows @ unit_rows(query_rows).T  # (n_corpus, n_query)
-    # A column-by-column fold gives the values of sims.max(axis=1) about 30x
-    # faster: numpy reduces a short trailing axis one row at a time.
-    best = sims[:, 0].copy()
-    for col in range(1, sims.shape[1]):
-        np.maximum(best, sims[:, col], out=best)
-    return np.clip(best, -1.0, 1.0)
+    return np.clip(_fold_max(sims), -1.0, 1.0)
+
+
+# Rows whose float32 dot products with a unit vector can overflow, or whose
+# products can underflow by more than the margin covers (see screen_max_sim).
+_SCREEN_MAX_NORM = 2.0**127
+_SCREEN_MIN_NORM = float(np.finfo(np.float32).tiny)  # 2**-126
+
+
+def screen_max_sim(
+    query_rows: np.ndarray, corpus_rows: np.ndarray, corpus_norms: np.ndarray, eta: float
+) -> np.ndarray:
+    """Indices of every corpus row whose ``max_sim_to_query_entities`` value
+    can exceed ``eta``, found in float32 without normalizing the corpus.
+
+    ``corpus_rows`` are the raw float32 embeddings and ``corpus_norms``
+    their ``row_norms``. Row i is kept when ``s_i > (eta - margin) * n_i``,
+    where ``s_i`` is the max over the query rows of the float32 product of
+    ``e_i`` with the query's unit row rounded to float32 (``h``), ``n_i`` is
+    ``|e_i|`` and ``margin = 2 (dim + 2) eps32 = 4 (dim + 2) u`` with
+    ``u = 2**-24``.
+
+    No row whose float64 value exceeds ``eta`` is screened out. Let ``q`` be
+    the float64 unit query row. Rounding ``q`` to float32 moves ``e . q`` by
+    at most ``u sum|e_k q_k| <= u |e|``. Any float32 dot product of length
+    ``dim``, in any summation order, with or without FMA, is within
+    ``gamma_dim sum|e_k h_k| <= gamma_dim (1 + u) |e|`` of the exact one,
+    with ``gamma_dim = dim u / (1 - dim u)``. Together ``s_i`` is within
+    ``(dim + 2) u |e_i|`` of ``e_i . q`` for any dim below 2**11, and within
+    ``3 (dim + 2) u |e_i|`` for any dim below 2**22. That leaves at least
+    ``(dim + 2) u |e_i|`` of the margin for the float64 side: the float64
+    value, from ``e_i / n_i`` and ``q``, is within ``(2 dim + 5) 2**-53`` of
+    ``e_i . q / |e_i|``, and ``n_i`` and ``(eta - margin) n_i`` carry a
+    relative error of about ``dim 2**-53``. Clipping to [-1, 1] only lowers
+    a value above ``eta``.
+
+    The bound assumes no float32 overflow or underflow. Partial sums stay
+    below ``(1 + u) |e|``, so none overflows when ``|e| < 2**127``; an
+    underflowing product adds at most ``2**-150``, which the margin covers
+    when ``|e| >= 2**-126``. Rows with a norm outside that range, zero rows
+    aside, are always kept. A zero row has the value 0, which never exceeds
+    ``eta >= 0``, and ``0 > -0.0`` is false.
+    """
+    if query_rows.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp)
+    if query_rows.shape[1] != corpus_rows.shape[1]:
+        raise ContractError("query and corpus embedding dims differ")
+    best = _fold_max(corpus_rows @ unit_rows(query_rows).astype(np.float32).T)
+    margin = 2 * (corpus_rows.shape[1] + 2) * float(np.finfo(np.float32).eps)
+    keep = best > (eta - margin) * corpus_norms
+    keep |= corpus_norms >= _SCREEN_MAX_NORM
+    keep |= (corpus_norms > 0.0) & (corpus_norms < _SCREEN_MIN_NORM)
+    return np.flatnonzero(keep)

@@ -11,10 +11,17 @@ Directory layout (all binary arrays little-endian):
     passage_embeddings.bin  float32, n_passages x dim
 
 The incidence is stored passage-major only; degrees are derived at load.
-``load_index`` checks the incidence arrays, the embedding file sizes and that
-every embedding value is finite, and raises IndexIntegrityError on any
-mismatch; version 1 indexes, which also stored the entity-major orientation
-and the degrees, are rejected and must be rebuilt.
+``load_index`` checks the incidence arrays and, when the manifest declares
+``embedding_dim``, that both embedding files are there, of the right size and
+with every value finite; it raises IndexIntegrityError on any mismatch.
+Version 1 indexes, which also stored the entity-major orientation and the
+degrees, are rejected and must be rebuilt.
+
+In memory, a loaded index keeps the float32 embeddings as stored, the float64
+unit passage rows (the passage similarity needs every passage) and the
+float64 norm of each entity row. It keeps no float64 entity matrix: a query
+screens the float32 entity rows and normalizes only the few that can pass
+the threshold (``embeddings.screen_max_sim``).
 
 The manifest is written with sorted keys and no timestamps, so rebuilding
 from warm caches reproduces it byte for byte.
@@ -30,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import unit_rows
+from .embeddings import row_norms, unit_rows
 from .entities import EntityCatalog, EntitySet
 from .errors import IndexIntegrityError
 from .hypergraph import (
@@ -49,9 +56,12 @@ MANIFEST_NAME = "manifest.json"
 class HypergraphIndex:
     """Catalog, incidence, degrees and aligned embeddings for one corpus.
 
-    ``unit_entity_rows`` and ``unit_passage_rows`` are the embeddings through
-    ``embeddings.unit_rows``, computed on first use and then kept, so the
-    query path normalizes each matrix once per index and a build never does.
+    ``unit_passage_rows`` (the passage embeddings through
+    ``embeddings.unit_rows``) and ``entity_row_norms`` are computed on first
+    use and then kept, so a query never renormalizes a whole matrix and a
+    build never normalizes one. A query derives the unit rows of its
+    candidate entities from the norms, bit for bit the rows of
+    ``unit_rows(entity_embeddings)``.
     """
 
     catalog: EntityCatalog
@@ -71,8 +81,8 @@ class HypergraphIndex:
         return self.incidence.n_passages
 
     @functools.cached_property
-    def unit_entity_rows(self) -> np.ndarray:
-        return _read_only(unit_rows(self.entity_embeddings))
+    def entity_row_norms(self) -> np.ndarray:
+        return _read_only(row_norms(self.entity_embeddings))
 
     @functools.cached_property
     def unit_passage_rows(self) -> np.ndarray:
@@ -178,14 +188,16 @@ def _checked_incidence(
     return incidence
 
 
-def _read_embeddings(path: Path, rows: int, dim: int) -> np.ndarray | None:
-    """The float32 (rows, dim) matrix in ``path``, or None when it is absent."""
+def _read_embeddings(directory: Path, kind: str, rows: int, dim: int) -> np.ndarray:
+    """The float32 (rows, dim) matrix in ``{kind}_embeddings.bin``."""
+    path = directory / f"{kind}_embeddings.bin"
     if not path.exists():
-        return None
+        raise IndexIntegrityError(f"index has no {kind} embeddings: missing {path.name}")
+    values = _read_array(path, "<f4")
     size = path.stat().st_size
     if size != rows * dim * 4:
         raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
-    values = _read_array(path, "<f4").reshape(rows, dim)
+    values = values.reshape(rows, dim)
     if not np.isfinite(values).all():
         raise IndexIntegrityError(f"{path.name} holds a non-finite value")
     return values
@@ -220,8 +232,8 @@ def load_index(directory: str | Path) -> HypergraphIndex:
     dim = manifest.get("embedding_dim")
     entity_embeddings = passage_embeddings = None
     if dim:
-        entity_embeddings = _read_embeddings(directory / "entity_embeddings.bin", n_entities, dim)
-        passage_embeddings = _read_embeddings(directory / "passage_embeddings.bin", n_passages, dim)
+        entity_embeddings = _read_embeddings(directory, "entity", n_entities, dim)
+        passage_embeddings = _read_embeddings(directory, "passage", n_passages, dim)
 
     return HypergraphIndex(
         catalog=EntityCatalog(entities),

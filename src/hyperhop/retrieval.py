@@ -21,6 +21,8 @@ from .embeddings import (
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
+    screen_max_sim,
+    unit_rows,
 )
 from .entities import ExtractionClient, dedup_normalized
 from .errors import ContractError, IndexIntegrityError
@@ -141,8 +143,11 @@ def build_entity_similarity(
 ) -> np.ndarray:
     """Thresholded max-cosine vector of query entities vs catalog entities.
 
-    x_i = v_i when v_i > eta (strict), else 0. Extraction failures degrade
-    to an all-zero vector with a warning rather than a hard error.
+    x_i = v_i when v_i > eta (strict), else 0. A float32 screen over the
+    stored entity rows first drops every row that cannot exceed eta
+    (``screen_max_sim``); v is computed in float64 for the rest only.
+    Extraction failures degrade to an all-zero vector with a warning rather
+    than a hard error.
     """
     n_entities = index.n_entities
     if index.entity_embeddings is None:
@@ -157,8 +162,12 @@ def build_entity_similarity(
     if not query_entities:
         return np.zeros(n_entities, dtype=np.float64)
     query_rows = embed_batch(query_entities, encoder).values
-    v = max_sim_to_query_entities(query_rows, index.unit_entity_rows)
-    return np.where(v > eta, v, 0.0)
+    embeddings, norms = index.entity_embeddings, index.entity_row_norms
+    candidates = screen_max_sim(query_rows, embeddings, norms, eta)
+    v = max_sim_to_query_entities(query_rows, unit_rows(embeddings, norms, candidates))
+    x = np.zeros(n_entities, dtype=np.float64)
+    x[candidates] = np.where(v > eta, v, 0.0)
+    return x
 
 
 def build_passage_similarity(

@@ -114,6 +114,14 @@ class TestRetrieveCommand:
         assert f"{name} holds a non-finite value" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name", ["passage_embeddings.bin", "entity_embeddings.bin"])
+    def test_missing_embedding_file_exits_2(self, built, capsys, name):
+        (built / "index" / name).unlink()
+        code = main(["retrieve", TOY_QUERY] + common(built))
+        assert code == 2
+        assert f"missing {name}" in capsys.readouterr().err
+
+
 class TestStatsCommand:
     def test_toy_counts(self, built, capsys):
         assert main(["stats"] + common(built)) == 0

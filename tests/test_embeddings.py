@@ -10,6 +10,8 @@ from hyperhop.embeddings import (
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
+    row_norms,
+    screen_max_sim,
     unit_rows,
 )
 from hyperhop.errors import ContractError, EmbeddingError
@@ -137,6 +139,75 @@ class TestMaxSim:
             assert got.tobytes() == expected.tobytes()
 
 
+def rows_near_threshold(rng, query_rows, eta, per_query=200):
+    """float32 rows whose cosine with one of ``query_rows`` lies within 1e-7
+    of ``eta`` on either side, at norms from 1e-3 to 1e3."""
+    dim = query_rows.shape[1]
+    rows = []
+    for q in unit_rows(query_rows):
+        for delta in np.linspace(-1e-7, 1e-7, per_query):
+            cos = min(eta + delta, 1.0)
+            w = rng.normal(size=dim)
+            w -= (w @ q) * q
+            w /= np.linalg.norm(w)
+            rows.append(10.0 ** rng.uniform(-3, 3) * (cos * q + np.sqrt(1.0 - cos * cos) * w))
+    return np.asarray(rows, dtype=np.float32)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("n_query", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [8, 256, 1536])
+    @pytest.mark.parametrize("eta", [0.8, 0.999999])
+    def test_keeps_every_row_whose_float64_value_passes(self, rng, eta, dim, n_query):
+        query = (rng.normal(size=(n_query, dim)) * rng.uniform(0.1, 10.0, (n_query, 1))).astype(
+            np.float32
+        )
+        rows = rows_near_threshold(rng, query, eta)
+        v = max_sim_to_query_entities(query, unit_rows(rows))
+        passing = np.flatnonzero(v > eta)
+        near = np.abs(v - eta) < 2e-7
+        assert np.count_nonzero(near & (v > eta)) > 50 and np.count_nonzero(near & (v <= eta)) > 50
+        candidates = screen_max_sim(query, rows, row_norms(rows), eta)
+        assert np.isin(passing, candidates).all()
+
+    def test_rows_beyond_the_float32_range_are_kept(self):
+        tiny = 2.0**-149  # the smallest float32 subnormal
+        query = np.array([[0.81, np.sqrt(1.0 - 0.81**2), 0.0]], dtype=np.float32)
+        rows = np.array(
+            [
+                [3 * tiny, 0.0, 0.0],  # cosine 0.81, but 3 x 0.81 tiny rounds to 2 tiny
+                [2e38, -2e38, 0.0],  # norm above 2**127, where partial sums can overflow
+                [0.0, 0.0, 0.0],  # a zero row never passes
+                [1.0, -1.0, 1.0],  # an ordinary row below eta
+            ],
+            dtype=np.float32,
+        )
+        v = max_sim_to_query_entities(query, unit_rows(rows))
+        assert v[0] > 0.8
+        assert screen_max_sim(query, rows, row_norms(rows), 0.8).tolist() == [0, 1]
+
+    def test_empty_query_or_corpus_keeps_nothing(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        empty_query = np.empty((0, 4), dtype=np.float32)
+        assert screen_max_sim(empty_query, rows, row_norms(rows), 0.5).size == 0
+        no_rows = np.empty((0, 4), dtype=np.float32)
+        assert screen_max_sim(rows[:1], no_rows, row_norms(no_rows), 0.5).size == 0
+
+    def test_dim_mismatch(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        with pytest.raises(ContractError):
+            screen_max_sim(np.ones((1, 5), dtype=np.float32), rows, row_norms(rows), 0.5)
+
+    def test_unit_rows_from_cached_norms_are_bitwise_the_whole_matrix_rows(self, rng):
+        values = rng.normal(size=(9000, 16)).astype(np.float32)  # more than one block
+        values[[3, 5000]] = 0.0
+        whole = unit_rows(values)
+        norms = row_norms(values)
+        picked = rng.choice(9000, 600, replace=False)
+        picked[:2] = [3, 5000]
+        assert unit_rows(values[picked], norms[picked]).tobytes() == whole[picked].tobytes()
+
+
 class TestEmbeddingCache:
     def test_cache_fidelity_zero_client_calls(self, tmp_path):
         texts = ["one", "two", "three"]
@@ -170,6 +241,44 @@ class TestEmbeddingCache:
         direct = client.encode_batch(["b", "c", "a"])
         client.calls -= 1
         np.testing.assert_array_equal(matrix.values, direct)
+
+    @pytest.mark.parametrize("orphan_rows", [1.0, 0.5])
+    @pytest.mark.parametrize("with_manifest", [True, False])
+    def test_rows_past_the_manifest_count_are_dropped_on_open(
+        self, tmp_path, with_manifest, orphan_rows
+    ):
+        # A crash between writing vectors.bin and keys.txt and writing
+        # manifest.json leaves a row (or part of one) past the count.
+        client = CountingEncoder()
+        if with_manifest:
+            cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+            cache.append(["a", "b", "c"], client.encode_batch(["a", "b", "c"]))
+        orphan = np.full(int(client.dim * orphan_rows), 7.0, dtype="<f4")
+        with (tmp_path / "vectors.bin").open("ab") as fh:
+            fh.write(orphan.tobytes())
+        with (tmp_path / "keys.txt").open("a", encoding="utf-8") as fh:
+            fh.write("orphan\n")
+
+        reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        d = client.encode_batch(["d"])
+        reopened.append(["d"], d)
+        np.testing.assert_array_equal(reopened.read_rows([reopened.lookup(["d"])["d"]]), d)
+
+        again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert again.lookup(["orphan"]) == {}
+        np.testing.assert_array_equal(again.read_rows([again.lookup(["d"])["d"]]), d)
+
+    def test_last_key_line_without_its_newline_is_repaired_on_open(self, tmp_path):
+        client = CountingEncoder()
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        cache.append(["a", "b"], client.encode_batch(["a", "b"]))
+        keys = tmp_path / "keys.txt"
+        keys.write_text(keys.read_text(encoding="utf-8")[:-1], encoding="utf-8")
+
+        reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        reopened.append(["d"], client.encode_batch(["d"]))
+        again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert sorted(again.lookup(["a", "b", "d"])) == ["a", "b", "d"]
 
     def test_duplicate_texts_encoded_once(self, tmp_path):
         client = CountingEncoder()

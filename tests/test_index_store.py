@@ -80,6 +80,20 @@ def test_missing_binary_detected(tmp_path):
         load_index(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_embeddings.bin"])
+def test_missing_embedding_file_detected_at_load(tmp_path, name):
+    (_saved(tmp_path) / name).unlink()
+    with pytest.raises(IndexIntegrityError, match=f"missing {name}"):
+        load_index(tmp_path)
+
+
+def test_index_without_embedding_dim_loads(tmp_path):
+    save_index(make_toy_index(with_embeddings=False), tmp_path)
+    assert "embedding_dim" not in json.loads((tmp_path / "manifest.json").read_text())
+    loaded = load_index(tmp_path)
+    assert loaded.entity_embeddings is None and loaded.passage_embeddings is None
+
+
 def test_misaligned_sets_rejected():
     entity_sets = [EntitySet("p1", ("a",))]
     catalog = build_catalog(entity_sets)

@@ -4,9 +4,10 @@ import pytest
 from hyperhop import retrieval
 from hyperhop.config import AppConfig
 from hyperhop.embeddings import OfflineEncoder, embed_batch
-from hyperhop.entities import OfflineEntityExtractor, dedup_normalized
+from hyperhop.entities import EntitySet, OfflineEntityExtractor, build_catalog, dedup_normalized
 from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.hypergraph import apply_diffusion_operator, entity_to_passage
+from hyperhop.index_store import build_index
 from hyperhop.pipeline import build_index_from_corpus, passage_embedding_text
 from hyperhop.retrieval import (
     RetrievalConfig,
@@ -117,6 +118,88 @@ class TestEntitySimilarity:
         assert warnings and "extraction failed" in warnings[0]
 
 
+class FixedQuery:
+    """Extractor and encoder for a query whose entities are given: each
+    name extracts as itself and embeds as its row."""
+
+    encoder_id = "fixed"
+
+    def __init__(self, rows: dict[str, np.ndarray]):
+        self.rows = rows
+        self.dim = len(next(iter(rows.values())))
+
+    def extract(self, title, text):
+        return list(self.rows)
+
+    def encode_batch(self, texts):
+        return np.asarray([self.rows[t] for t in texts], dtype=np.float32)
+
+
+class ListExtractor:
+    def __init__(self, names):
+        self.names = names
+
+    def extract(self, title, text):
+        return list(self.names)
+
+
+def index_with_entity_rows(values):
+    """One passage per entity, the entity rows given."""
+    sets = [EntitySet(f"p{i:05d}", (f"e{i}",)) for i in range(len(values))]
+    return build_index(sets, build_catalog(sets), [s.passage_id for s in sets], values)
+
+
+class TestEntitySimilarityScreen:
+    """x from the float32 screen and the float64 pass over its candidates,
+    against x from the whole matrix normalized on every call."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8, 1.0])
+    def test_dense_rows_match_per_call_normalization(self, rng, eta):
+        passed = 0
+        for _ in range(20):
+            dim = int(rng.choice([8, 64, 256]))
+            n, n_query = int(rng.integers(1, 2000)), int(rng.integers(1, 4))
+            query = rng.normal(size=(n_query, dim)).astype(np.float32)
+            values = rng.normal(size=(n, dim)).astype(np.float32)
+            # Rows around the query rows, so that every eta below 1 has passers.
+            near = np.flatnonzero(rng.random(n) < 0.3)
+            values[near] = (
+                query[rng.integers(0, n_query, near.size)] * rng.uniform(0.1, 3.0, (near.size, 1))
+                + rng.normal(size=(near.size, dim)) * rng.uniform(0.0, 1.5, (near.size, 1))
+            )
+            index = index_with_entity_rows(values)
+            fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
+            x = build_entity_similarity("?", index, fixed, fixed, eta)
+            expected = per_call_entity_similarity(query, index.entity_embeddings, eta)
+            np.testing.assert_array_equal(np.flatnonzero(x), np.flatnonzero(expected))
+            # Both sides take the same unit rows, but the product over fewer
+            # rows may sum in another order. Each order is within gamma_dim =
+            # dim u / (1 - dim u) of the exact dot of two unit rows, so the
+            # two are within 2 gamma_dim (an absolute bound: near 0 it cancels).
+            u = np.finfo(np.float64).eps / 2
+            gamma = dim * u / (1 - dim * u)
+            np.testing.assert_allclose(x, expected, rtol=0, atol=2 * gamma)
+            passed += np.count_nonzero(expected)
+        assert passed > 0 or eta == 1.0
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8])
+    def test_offline_rows_bitwise_equal_per_call_normalization(self, rng, eta):
+        words = [f"w{i}" for i in range(60)]
+        names = sorted({" ".join(rng.choice(words, rng.integers(1, 4))) for _ in range(300)})
+        index = index_with_entity_rows(embed_batch(names, ENCODER).values)
+        passed = 0
+        for _ in range(30):
+            query_names = [names[rng.integers(len(names))]] + [
+                " ".join(rng.choice(words, rng.integers(1, 4))) for _ in range(rng.integers(0, 3))
+            ]
+            x = build_entity_similarity("?", index, ENCODER, ListExtractor(query_names), eta)
+            query_rows = embed_batch(dedup_normalized(query_names), ENCODER).values
+            expected = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
+            assert x.tobytes() == expected.tobytes()
+            passed += np.count_nonzero(expected)
+        assert passed > 0
+
+
 class TestPassageSimilarity:
     def test_identical_text_scores_one(self, toy_built):
         index, passages, _ = toy_built
@@ -150,17 +233,17 @@ class TestUnitRowCache:
             offline=True,
         )
         index, _ = build_index_from_corpus(config)
-        assert "unit_entity_rows" not in vars(index)
+        assert "entity_row_norms" not in vars(index)
         assert "unit_passage_rows" not in vars(index)
 
     def test_queries_reuse_the_unit_rows(self, toy_built):
         index, _, _ = toy_built
         retrieve(TOY_QUERY, index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
-        entity_rows, passage_rows = index.unit_entity_rows, index.unit_passage_rows
+        entity_norms, passage_rows = index.entity_row_norms, index.unit_passage_rows
         retrieve("Where is Brussels?", index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
-        assert index.unit_entity_rows is entity_rows
+        assert index.entity_row_norms is entity_norms
         assert index.unit_passage_rows is passage_rows
-        assert not entity_rows.flags.writeable and not passage_rows.flags.writeable
+        assert not entity_norms.flags.writeable and not passage_rows.flags.writeable
 
     @pytest.mark.parametrize("eta", [0.0, 0.8])
     def test_vectors_bitwise_equal_per_call_normalization(self, toy_built, eta):
