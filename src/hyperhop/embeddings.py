@@ -271,6 +271,9 @@ def embed_batch(
 
 
 _UNIT_ROWS_BLOCK = 4096
+# Rows per float64 block in max_sim_to_query_entities: 256 rows of dimension
+# 256 (512 KB) measured fastest of block sizes from 64 to 4096.
+_MAX_SIM_BLOCK = 256
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:
@@ -289,29 +292,22 @@ def row_norms(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_rows(
-    values: np.ndarray, norms: np.ndarray | None = None, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """``values[rows]`` (every row when ``rows`` is None) in float64, each
-    row scaled to unit L2 norm; zero rows stay zero.
+def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """``values`` in float64 with each row scaled to unit L2 norm; zero rows stay zero.
 
-    ``norms`` are ``row_norms(values)``, computed here when not given;
-    with a matrix's cached norms, the selected rows come out bit for bit as
-    in ``unit_rows(values)``. Gathers and divides block by block, so the only
-    temporary is one block of ``values``; the division casts to float64,
-    which is exact.
+    ``norms`` are ``row_norms(values)``, computed block by block when not
+    given; either way the rows come out bit for bit the same, so the rows of
+    a matrix can be normalized a few at a time from its cached norms. Works
+    through blocks of rows, so the float64 copy is one block, not the whole
+    matrix; the cast to float64 is exact.
     """
     values = np.asarray(values)
-    if norms is None:
-        norms = row_norms(values)
-    if rows is None:
-        rows = np.arange(values.shape[0])
-    out = np.empty((rows.shape[0], values.shape[1]), dtype=np.float64)
-    for start in range(0, rows.shape[0], _UNIT_ROWS_BLOCK):
+    out = np.empty(values.shape, dtype=np.float64)
+    for start in range(0, values.shape[0], _UNIT_ROWS_BLOCK):
         stop = start + _UNIT_ROWS_BLOCK
-        scale = norms[rows[start:stop]]
-        divisors = np.where(scale > 0.0, scale, 1.0)[:, None]
-        np.divide(values[rows[start:stop]], divisors, out=out[start:stop])
+        block = values[start:stop].astype(np.float64)
+        scale = np.linalg.norm(block, axis=1) if norms is None else norms[start:stop]
+        np.divide(block, np.where(scale > 0.0, scale, 1.0)[:, None], out=out[start:stop])
     return out
 
 
@@ -340,29 +336,42 @@ def _fold_max(sims: np.ndarray) -> np.ndarray:
 
 
 def max_sim_to_query_entities(
-    query_rows: np.ndarray, unit_corpus_rows: np.ndarray
+    query_rows: np.ndarray, corpus_rows: np.ndarray, corpus_norms: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-corpus-entity max cosine over all query entity embeddings.
 
-    ``query_rows`` are raw embeddings, ``unit_corpus_rows`` already went
-    through ``unit_rows``. An empty query entity set yields the all-zero
-    vector.
+    ``query_rows`` are raw embeddings. ``corpus_rows`` already went through
+    ``unit_rows``; or, with ``corpus_norms`` (their ``row_norms``), they are
+    raw rows, normalized here ``_MAX_SIM_BLOCK`` at a time, bit for bit as
+    ``unit_rows`` would, so no float64 copy of the whole corpus is made. An
+    empty query entity set yields the all-zero vector.
     """
-    n_corpus = unit_corpus_rows.shape[0]
+    n_corpus = corpus_rows.shape[0]
     if query_rows.shape[0] == 0:
         return np.zeros(n_corpus, dtype=np.float64)
     if n_corpus == 0:
         return np.zeros(0, dtype=np.float64)
-    if query_rows.shape[1] != unit_corpus_rows.shape[1]:
+    if query_rows.shape[1] != corpus_rows.shape[1]:
         raise ContractError("query and corpus embedding dims differ")
-    sims = unit_corpus_rows @ unit_rows(query_rows).T  # (n_corpus, n_query)
-    return np.clip(_fold_max(sims), -1.0, 1.0)
+    unit_query = unit_rows(query_rows).T
+    if corpus_norms is None:
+        return np.clip(_fold_max(corpus_rows @ unit_query), -1.0, 1.0)
+    best = np.empty(n_corpus, dtype=np.float64)
+    for start in range(0, n_corpus, _MAX_SIM_BLOCK):
+        stop = start + _MAX_SIM_BLOCK
+        block = unit_rows(corpus_rows[start:stop], corpus_norms[start:stop])
+        best[start:stop] = _fold_max(block @ unit_query)  # (block, n_query) folded
+    return np.clip(best, -1.0, 1.0, out=best)
 
 
-# Rows whose float32 dot products with a unit vector can overflow, or whose
-# products can underflow by more than the margin covers (see screen_max_sim).
+# Rows whose float32 dot products with a unit vector can overflow; below
+# _FLOAT32_TINY, products can underflow by more than the margin covers (see
+# screen_max_sim).
 _SCREEN_MAX_NORM = 2.0**127
-_SCREEN_MIN_NORM = float(np.finfo(np.float32).tiny)  # 2**-126
+# Rows per block of the screen's second test; a block of 512 float32 rows
+# of dimension 256 (512 KB) stays in cache, and larger blocks measured slower.
+_SCREEN_BLOCK = 512
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)  # 2**-126, the smallest normal float32
 
 
 def screen_max_sim(
@@ -372,40 +381,79 @@ def screen_max_sim(
     can exceed ``eta``, found in float32 without normalizing the corpus.
 
     ``corpus_rows`` are the raw float32 embeddings and ``corpus_norms``
-    their ``row_norms``. Row i is kept when ``s_i > (eta - margin) * n_i``,
-    where ``s_i`` is the max over the query rows of the float32 product of
-    ``e_i`` with the query's unit row rounded to float32 (``h``), ``n_i`` is
-    ``|e_i|`` and ``margin = 2 (dim + 2) eps32 = 4 (dim + 2) u`` with
-    ``u = 2**-24``.
+    their ``row_norms``. Let ``h_j`` be query j's unit row rounded to
+    float32, ``s_i`` the max over j of the float32 product ``e_i . h_j``,
+    ``n_i = |e_i|``, ``u = 2**-24`` and ``margin = 2 (dim + 2) eps32 =
+    4 (dim + 2) u``. No row whose float64 value exceeds ``eta`` fails
+    either of two tests:
 
-    No row whose float64 value exceeds ``eta`` is screened out. Let ``q`` be
-    the float64 unit query row. Rounding ``q`` to float32 moves ``e . q`` by
-    at most ``u sum|e_k q_k| <= u |e|``. Any float32 dot product of length
-    ``dim``, in any summation order, with or without FMA, is within
-    ``gamma_dim sum|e_k h_k| <= gamma_dim (1 + u) |e|`` of the exact one,
-    with ``gamma_dim = dim u / (1 - dim u)``. Together ``s_i`` is within
-    ``(dim + 2) u |e_i|`` of ``e_i . q`` for any dim below 2**11, and within
-    ``3 (dim + 2) u |e_i|`` for any dim below 2**22. That leaves at least
-    ``(dim + 2) u |e_i|`` of the margin for the float64 side: the float64
-    value, from ``e_i / n_i`` and ``q``, is within ``(2 dim + 5) 2**-53`` of
-    ``e_i . q / |e_i|``, and ``n_i`` and ``(eta - margin) n_i`` carry a
-    relative error of about ``dim 2**-53``. Clipping to [-1, 1] only lowers
-    a value above ``eta``.
+    1. The norm bound, over every row: keep row i when
+       ``s_i > (eta - margin) n_i``.
+    2. The row's own bound, over the rows that pass 1 with
+       ``s_i <= (eta + margin) n_i``, which 1 cannot settle: keep row i when
+       ``a_i > 0`` and ``s_i + margin a_i + dim 2**-149 > eta n_i``, where
+       ``a_i`` is the max over j of the float32 product ``|e_i| . |h_j|``.
+       A row that shares no nonzero coordinate with any query row has
+       ``a_i = 0`` and the value 0, and is dropped at every ``eta >= 0``;
+       test 1 keeps it for every ``eta`` below ``margin``.
 
-    The bound assumes no float32 overflow or underflow. Partial sums stay
-    below ``(1 + u) |e|``, so none overflows when ``|e| < 2**127``; an
-    underflowing product adds at most ``2**-150``, which the margin covers
-    when ``|e| >= 2**-126``. Rows with a norm outside that range, zero rows
-    aside, are always kept. A zero row has the value 0, which never exceeds
-    ``eta >= 0``, and ``0 > -0.0`` is false.
+    Why. Let ``q`` be the float64 unit query row and ``A = sum|e_k h_k|``.
+    Rounding ``q`` to float32 moves ``e . q`` by at most ``u sum|e_k q_k| <=
+    u A / (1 - u)``. Any float32 dot product of length ``dim``, in any
+    summation order, with or without FMA, is within ``gamma_dim A`` of the
+    exact one, with ``gamma_dim = dim u / (1 - dim u)``, and a float32 sum of
+    the nonnegative ``|e_k h_k|`` is at least ``(1 - gamma_dim) A``. The
+    float64 value, from ``e / n`` (the computed norm) and ``q``, in any
+    order, is within about ``(dim + 1) 2**-53 A / n`` of ``e . q / n``. So a
+    row whose value exceeds ``eta`` has ``s > eta n - (dim + 2) u A`` (up to
+    a factor 4/3 for dim below 2**22), which half the margin times ``a_i``
+    covers; the other half covers rounding in evaluating the tests. Test 1
+    follows from ``A <= (1 + u) n``. Clipping to [-1, 1] only lowers a value
+    above ``eta``.
+
+    Overflow and underflow. Partial sums stay below ``(1 + u) |e|``, so none
+    overflows when ``|e| < 2**127``. An underflowing product adds at most
+    ``2**-150``: test 1's margin covers ``dim`` of them when
+    ``|e| >= 2**-126``, and the ``dim 2**-149`` term covers them in test 2.
+    Rows with a norm outside that range, zero rows aside, are always kept; a
+    zero row has the value 0, which never exceeds ``eta >= 0``, and
+    ``0 > -0.0`` is false. Test 2 runs only when every nonzero coordinate of
+    ``q`` is at least ``2**-126``, so ``h_k`` is a normal float32 exactly
+    when ``q_k != 0``. It computes ``a_i`` with ``|h_j|`` scaled by the power
+    of two ``sigma >= 1 / min|h_k|`` (divided out after), so a product of
+    nonzero factors is at least ``2**-149`` and never rounds to 0: ``a_i = 0``
+    only when every ``e_k q_k`` is 0. An ``a_i`` that overflows to inf
+    keeps its row.
     """
     if query_rows.shape[0] == 0:
         return np.zeros(0, dtype=np.intp)
     if query_rows.shape[1] != corpus_rows.shape[1]:
         raise ContractError("query and corpus embedding dims differ")
-    best = _fold_max(corpus_rows @ unit_rows(query_rows).astype(np.float32).T)
+    unit_query = unit_rows(query_rows)
+    h = unit_query.astype(np.float32).T
+    best = _fold_max(corpus_rows @ h)
     margin = 2 * (corpus_rows.shape[1] + 2) * float(np.finfo(np.float32).eps)
     keep = best > (eta - margin) * corpus_norms
-    keep |= corpus_norms >= _SCREEN_MAX_NORM
-    keep |= (corpus_norms > 0.0) & (corpus_norms < _SCREEN_MIN_NORM)
+    in_range = (corpus_norms >= _FLOAT32_TINY) & (corpus_norms < _SCREEN_MAX_NORM)
+    keep |= ~in_range & (corpus_norms > 0.0)
+
+    smallest_q = _smallest_nonzero(unit_query)
+    if not _FLOAT32_TINY <= smallest_q < np.inf:
+        return np.flatnonzero(keep)
+    scale = 2.0 ** np.ceil(-np.log2(_smallest_nonzero(h)))  # sigma of test 2
+    scaled_abs_h = np.abs(h) * np.float32(scale)
+    slack = corpus_rows.shape[1] * 2.0**-149
+    undecided = np.flatnonzero(keep & in_range & (best <= (eta + margin) * corpus_norms))
+    for start in range(0, undecided.size, _SCREEN_BLOCK):
+        rows = undecided[start : start + _SCREEN_BLOCK]
+        block = corpus_rows[rows]
+        scaled_bound = _fold_max(np.abs(block, out=block) @ scaled_abs_h)
+        own_bound = np.divide(scaled_bound, scale, dtype=np.float64)
+        passes = best[rows] + margin * own_bound + slack > eta * corpus_norms[rows]
+        keep[rows] = (own_bound > 0.0) & passes
     return np.flatnonzero(keep)
+
+
+def _smallest_nonzero(values: np.ndarray) -> float:
+    """The smallest nonzero ``|value|``, in float64; inf when all are zero."""
+    return float(np.min(np.abs(values), where=values != 0.0, initial=np.inf))

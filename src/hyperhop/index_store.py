@@ -20,8 +20,9 @@ degrees, are rejected and must be rebuilt.
 In memory, a loaded index keeps the float32 embeddings as stored, the float64
 unit passage rows (the passage similarity needs every passage) and the
 float64 norm of each entity row. It keeps no float64 entity matrix: a query
-screens the float32 entity rows and normalizes only the few that can pass
-the threshold (``embeddings.screen_max_sim``).
+screens the float32 entity rows (``embeddings.screen_max_sim``) and
+normalizes the rows that can pass the threshold from their norms, a block
+at a time.
 
 The manifest is written with sorted keys and no timestamps, so rebuilding
 from warm caches reproduces it byte for byte.
@@ -193,11 +194,10 @@ def _read_embeddings(directory: Path, kind: str, rows: int, dim: int) -> np.ndar
     path = directory / f"{kind}_embeddings.bin"
     if not path.exists():
         raise IndexIntegrityError(f"index has no {kind} embeddings: missing {path.name}")
-    values = _read_array(path, "<f4")
     size = path.stat().st_size
     if size != rows * dim * 4:
         raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
-    values = values.reshape(rows, dim)
+    values = _read_array(path, "<f4").reshape(rows, dim)
     if not np.isfinite(values).all():
         raise IndexIntegrityError(f"{path.name} holds a non-finite value")
     return values

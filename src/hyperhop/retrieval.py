@@ -22,7 +22,6 @@ from .embeddings import (
     embed_batch,
     max_sim_to_query_entities,
     screen_max_sim,
-    unit_rows,
 )
 from .entities import ExtractionClient, dedup_normalized
 from .errors import ContractError, IndexIntegrityError
@@ -34,6 +33,13 @@ from .index_store import HypergraphIndex
 # benchmark graphs (4 steps), it broke even at a kept share of 0.75 (10k
 # passages, 50k entities) and 0.87 (50k passages, 5k entities).
 _RESTRICT_MAX_KEPT_SHARE = 2 / 3
+
+# Gathering an entity row costs about as much as normalizing and scoring
+# it, so build_entity_similarity gathers the screen's candidates only while
+# they are at most half of the rows, and otherwise scores every row.
+# Measured on 50k random rows of dimension 256 (3 query rows), the two broke
+# even at a share of 0.5 to 0.6.
+_GATHER_MAX_SHARE = 0.5
 
 
 @dataclass
@@ -145,7 +151,8 @@ def build_entity_similarity(
 
     x_i = v_i when v_i > eta (strict), else 0. A float32 screen over the
     stored entity rows first drops every row that cannot exceed eta
-    (``screen_max_sim``); v is computed in float64 for the rest only.
+    (``screen_max_sim``); v is computed in float64 for the rest only, or for
+    every row when the rest is more than half of them.
     Extraction failures degrade to an all-zero vector with a warning rather
     than a hard error.
     """
@@ -164,9 +171,10 @@ def build_entity_similarity(
     query_rows = embed_batch(query_entities, encoder).values
     embeddings, norms = index.entity_embeddings, index.entity_row_norms
     candidates = screen_max_sim(query_rows, embeddings, norms, eta)
-    v = max_sim_to_query_entities(query_rows, unit_rows(embeddings, norms, candidates))
+    rows = candidates if candidates.size <= _GATHER_MAX_SHARE * n_entities else slice(None)
+    v = max_sim_to_query_entities(query_rows, embeddings[rows], norms[rows])
     x = np.zeros(n_entities, dtype=np.float64)
-    x[candidates] = np.where(v > eta, v, 0.0)
+    x[rows] = np.where(v > eta, v, 0.0)
     return x
 
 

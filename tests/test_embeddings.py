@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperhop.embeddings import (
+    _MAX_SIM_BLOCK,
     EmbeddingCache,
     EmbeddingMatrix,
     OfflineEncoder,
@@ -138,6 +139,20 @@ class TestMaxSim:
             got = max_sim_to_query_entities(query, corpus)
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n_query", [1, 2, 3])
+    def test_raw_rows_with_norms_score_as_their_unit_rows(self, rng, n_query):
+        raw = rng.normal(size=(3 * _MAX_SIM_BLOCK + 17, 24)).astype(np.float32)
+        raw[[5, _MAX_SIM_BLOCK]] = 0.0
+        query = rng.normal(size=(n_query, 24)).astype(np.float32)
+        got = max_sim_to_query_entities(query, raw, row_norms(raw))
+        # Block by block, the product of the unit rows with the unit query rows.
+        unit, unit_query = unit_rows(raw), unit_rows(query)
+        blocks = [
+            (unit[start : start + _MAX_SIM_BLOCK] @ unit_query.T).max(axis=1)
+            for start in range(0, raw.shape[0], _MAX_SIM_BLOCK)
+        ]
+        assert got.tobytes() == np.clip(np.concatenate(blocks), -1.0, 1.0).tobytes()
+
 
 def rows_near_threshold(rng, query_rows, eta, per_query=200):
     """float32 rows whose cosine with one of ``query_rows`` lies within 1e-7
@@ -185,6 +200,36 @@ class TestScreen:
         v = max_sim_to_query_entities(query, unit_rows(rows))
         assert v[0] > 0.8
         assert screen_max_sim(query, rows, row_norms(rows), 0.8).tolist() == [0, 1]
+
+    def test_rows_sharing_no_coordinate_with_the_query_are_dropped(self):
+        query = np.array([[1.0, 1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
+        rows = np.array(
+            [
+                [2.0, 0.0, 0.0, 0.0, 0.0],  # cosine 1/sqrt(2)
+                [0.0, -3.0, 0.0, 0.0, 0.0],  # cosine -1/sqrt(2): the norm bound drops it
+                [0.0, 0.0, 1.0, 0.0, 0.0],  # cosine 0, which the norm bound keeps at eta 0
+                [0.0, 0.0, 0.0, 4.0, 5.0],
+            ],
+            dtype=np.float32,
+        )
+        assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0]
+
+    def test_products_below_the_float32_range_are_kept(self):
+        # 1e-30 x 1e-20 rounds to 0 in float32, but the row's float64 value is 1e-20.
+        query = np.array([[1.0, 1e-20, 0.0]], dtype=np.float32)
+        rows = np.array([[0.0, 1e-30, 0.0], [0.0, 0.0, 1e-30]], dtype=np.float32)
+        v = max_sim_to_query_entities(query, unit_rows(rows))
+        assert v[0] > 0.0 and v[1] == 0.0
+        assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0]
+
+    def test_a_query_coordinate_below_the_float32_range_leaves_the_norm_bound(self):
+        # Normalized, the query's 1e-40 is a float32 subnormal, so the rows'
+        # own bounds are not used and the norm bound keeps both rows.
+        query = np.array([[1.0, 1e-40, 0.0]], dtype=np.float32)
+        rows = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)
+        v = max_sim_to_query_entities(query, unit_rows(rows))
+        assert v[0] > 0.0 and v[1] == 0.0
+        assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0, 1]
 
     def test_empty_query_or_corpus_keeps_nothing(self):
         rows = np.ones((3, 4), dtype=np.float32)
