@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .config import SETTING_TYPES, AppConfig, load_app_config
-from .corpus import load_corpus
-from .errors import HyperhopError
+from .corpus import corpus_digest, load_corpus
+from .errors import HyperhopError, IndexIntegrityError
 from .evaluate import load_qa_dataset, run_eval
 from .hypergraph import graph_stats
 from .index_store import load_index
@@ -73,6 +73,18 @@ def _load_index_or_fail(config: AppConfig):
     return load_index(index_dir)
 
 
+def _load_indexed_corpus(config: AppConfig, index):
+    """The corpus passages, once the file is checked to be the one the index
+    was built from (its ``corpus_sha256``)."""
+    path = config.require("corpus")
+    built_from = (index.manifest or {}).get("corpus_sha256")
+    if built_from is not None and corpus_digest(path) != built_from:
+        raise IndexIntegrityError(
+            f"corpus {path} is not the one the index was built from; rebuild the index"
+        )
+    return load_corpus(path)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, manifest = build_index_from_corpus(config)
@@ -98,7 +110,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_answer(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     index = _load_index_or_fail(config)
-    passages = {p.id: p for p in load_corpus(config.require("corpus"))}
+    passages = {p.id: p for p in _load_indexed_corpus(config, index)}
     result = retrieve(
         args.query,
         index,
@@ -126,7 +138,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     index = _load_index_or_fail(config)
     dataset = load_qa_dataset(args.dataset)
     chat = make_chat(config) if args.qa else None
-    passages = load_corpus(config.require("corpus")) if args.qa else None
+    passages = _load_indexed_corpus(config, index) if args.qa else None
     report = run_eval(
         dataset,
         index,

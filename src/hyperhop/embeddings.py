@@ -368,9 +368,6 @@ def max_sim_to_query_entities(
 # _FLOAT32_TINY, products can underflow by more than the margin covers (see
 # screen_max_sim).
 _SCREEN_MAX_NORM = 2.0**127
-# Rows per block of the screen's second test; a block of 512 float32 rows
-# of dimension 256 (512 KB) stays in cache, and larger blocks measured slower.
-_SCREEN_BLOCK = 512
 _FLOAT32_TINY = float(np.finfo(np.float32).tiny)  # 2**-126, the smallest normal float32
 
 
@@ -378,82 +375,54 @@ def screen_max_sim(
     query_rows: np.ndarray, corpus_rows: np.ndarray, corpus_norms: np.ndarray, eta: float
 ) -> np.ndarray:
     """Indices of every corpus row whose ``max_sim_to_query_entities`` value
-    can exceed ``eta``, found in float32 without normalizing the corpus.
+    can exceed ``eta >= 0``, found in float32 without normalizing the corpus.
 
     ``corpus_rows`` are the raw float32 embeddings and ``corpus_norms``
-    their ``row_norms``. Let ``h_j`` be query j's unit row rounded to
-    float32, ``s_i`` the max over j of the float32 product ``e_i . h_j``,
-    ``n_i = |e_i|``, ``u = 2**-24`` and ``margin = 2 (dim + 2) eps32 =
-    4 (dim + 2) u``. No row whose float64 value exceeds ``eta`` fails
-    either of two tests:
+    their ``row_norms``. Let ``q_j`` be query j's float64 unit row, ``h_j``
+    that row rounded to float32, ``s_i`` the max over j of the float32
+    product ``e_i . h_j``, ``n_i = |e_i|``, ``u = 2**-24`` and ``margin =
+    2 (dim + 2) eps32 = 4 (dim + 2) u``. No row whose float64 value exceeds
+    ``eta`` fails either of two tests:
 
     1. The norm bound, over every row: keep row i when
        ``s_i > (eta - margin) n_i``.
-    2. The row's own bound, over the rows that pass 1 with
+    2. The support test, over the rows that pass 1 with
        ``s_i <= (eta + margin) n_i``, which 1 cannot settle: keep row i when
-       ``a_i > 0`` and ``s_i + margin a_i + dim 2**-149 > eta n_i``, where
-       ``a_i`` is the max over j of the float32 product ``|e_i| . |h_j|``.
-       A row that shares no nonzero coordinate with any query row has
-       ``a_i = 0`` and the value 0, and is dropped at every ``eta >= 0``;
-       test 1 keeps it for every ``eta`` below ``margin``.
+       it is nonzero on some coordinate where some ``q_j`` is nonzero.
 
-    Why. Let ``q`` be the float64 unit query row and ``A = sum|e_k h_k|``.
-    Rounding ``q`` to float32 moves ``e . q`` by at most ``u sum|e_k q_k| <=
-    u A / (1 - u)``. Any float32 dot product of length ``dim``, in any
-    summation order, with or without FMA, is within ``gamma_dim A`` of the
-    exact one, with ``gamma_dim = dim u / (1 - dim u)``, and a float32 sum of
-    the nonnegative ``|e_k h_k|`` is at least ``(1 - gamma_dim) A``. The
-    float64 value, from ``e / n`` (the computed norm) and ``q``, in any
-    order, is within about ``(dim + 1) 2**-53 A / n`` of ``e . q / n``. So a
-    row whose value exceeds ``eta`` has ``s > eta n - (dim + 2) u A`` (up to
-    a factor 4/3 for dim below 2**22), which half the margin times ``a_i``
-    covers; the other half covers rounding in evaluating the tests. Test 1
-    follows from ``A <= (1 + u) n``. Clipping to [-1, 1] only lowers a value
-    above ``eta``.
+    Why 1. Rounding ``q`` to float32 moves ``e . q`` by at most ``u sum|e_k
+    q_k| <= u (1 + u) n``. Any float32 dot product of length ``dim``, in any
+    summation order, with or without FMA, is within ``gamma_dim (1 + u) n``
+    of the exact one, with ``gamma_dim = dim u / (1 - dim u)``. The float64
+    value, from ``e / n`` (the computed norm) and ``q``, in any order, is
+    within about ``(dim + 1) 2**-53`` of ``e . q / n``. So a row whose value
+    exceeds ``eta`` has ``s > eta n - (dim + 2) u n`` (up to a factor 4/3 for
+    dim below 2**22), which half the margin covers; the other half covers
+    rounding in evaluating the test. Clipping to [-1, 1] only lowers a value
+    above ``eta``. Partial sums stay below ``(1 + u) n``, so none overflows
+    when ``n < 2**127``; an underflowing product adds at most ``2**-150``,
+    and the margin covers ``dim`` of them when ``n >= 2**-126``. Test 1 keeps
+    every row with a norm outside that range, zero rows aside; a zero row has
+    the value 0, and ``0 > -0.0`` is false.
 
-    Overflow and underflow. Partial sums stay below ``(1 + u) |e|``, so none
-    overflows when ``|e| < 2**127``. An underflowing product adds at most
-    ``2**-150``: test 1's margin covers ``dim`` of them when
-    ``|e| >= 2**-126``, and the ``dim 2**-149`` term covers them in test 2.
-    Rows with a norm outside that range, zero rows aside, are always kept; a
-    zero row has the value 0, which never exceeds ``eta >= 0``, and
-    ``0 > -0.0`` is false. Test 2 runs only when every nonzero coordinate of
-    ``q`` is at least ``2**-126``, so ``h_k`` is a normal float32 exactly
-    when ``q_k != 0``. It computes ``a_i`` with ``|h_j|`` scaled by the power
-    of two ``sigma >= 1 / min|h_k|`` (divided out after), so a product of
-    nonzero factors is at least ``2**-149`` and never rounds to 0: ``a_i = 0``
-    only when every ``e_k q_k`` is 0. An ``a_i`` that overflows to inf
-    keeps its row.
+    Why 2. A row dropped by 2 has ``e_k = 0`` wherever some ``q_jk != 0``,
+    so every float64 term ``(e_k / n) q_jk`` has a zero factor and its value
+    is exactly +-0, which exceeds no ``eta >= 0``.
     """
+    if eta < 0.0:
+        raise ContractError(f"eta must be >= 0, got {eta}")
     if query_rows.shape[0] == 0:
         return np.zeros(0, dtype=np.intp)
     if query_rows.shape[1] != corpus_rows.shape[1]:
         raise ContractError("query and corpus embedding dims differ")
     unit_query = unit_rows(query_rows)
-    h = unit_query.astype(np.float32).T
-    best = _fold_max(corpus_rows @ h)
+    best = _fold_max(corpus_rows @ unit_query.astype(np.float32).T)
     margin = 2 * (corpus_rows.shape[1] + 2) * float(np.finfo(np.float32).eps)
     keep = best > (eta - margin) * corpus_norms
     in_range = (corpus_norms >= _FLOAT32_TINY) & (corpus_norms < _SCREEN_MAX_NORM)
     keep |= ~in_range & (corpus_norms > 0.0)
 
-    smallest_q = _smallest_nonzero(unit_query)
-    if not _FLOAT32_TINY <= smallest_q < np.inf:
-        return np.flatnonzero(keep)
-    scale = 2.0 ** np.ceil(-np.log2(_smallest_nonzero(h)))  # sigma of test 2
-    scaled_abs_h = np.abs(h) * np.float32(scale)
-    slack = corpus_rows.shape[1] * 2.0**-149
-    undecided = np.flatnonzero(keep & in_range & (best <= (eta + margin) * corpus_norms))
-    for start in range(0, undecided.size, _SCREEN_BLOCK):
-        rows = undecided[start : start + _SCREEN_BLOCK]
-        block = corpus_rows[rows]
-        scaled_bound = _fold_max(np.abs(block, out=block) @ scaled_abs_h)
-        own_bound = np.divide(scaled_bound, scale, dtype=np.float64)
-        passes = best[rows] + margin * own_bound + slack > eta * corpus_norms[rows]
-        keep[rows] = (own_bound > 0.0) & passes
+    cols = np.flatnonzero((unit_query != 0.0).any(axis=0))
+    undecided = np.flatnonzero(keep & (best <= (eta + margin) * corpus_norms))
+    keep[undecided] = (corpus_rows[np.ix_(undecided, cols)] != 0.0).any(axis=1)
     return np.flatnonzero(keep)
-
-
-def _smallest_nonzero(values: np.ndarray) -> float:
-    """The smallest nonzero ``|value|``, in float64; inf when all are zero."""
-    return float(np.min(np.abs(values), where=values != 0.0, initial=np.inf))

@@ -70,7 +70,7 @@ class IncidenceMatrix:
 
 @dataclass(eq=False)
 class DegreeVectors:
-    """Integer node and hyperedge degrees, with cached float reciprocals.
+    """Integer node and hyperedge degrees, with their float reciprocals.
 
     Reciprocals are computed once to avoid drift between repeated
     applications of the operator.
@@ -78,28 +78,8 @@ class DegreeVectors:
 
     node_degrees: np.ndarray  # int64, len n_entities, row sums of H
     edge_degrees: np.ndarray  # int64, len n_passages, column sums of H
-    _inv_sqrt_node: np.ndarray | None = field(default=None, repr=False)
-    _inv_edge: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def inv_sqrt_node(self) -> np.ndarray:
-        if self._inv_sqrt_node is None:
-            deg = self.node_degrees.astype(np.float64)
-            with np.errstate(divide="ignore"):
-                inv = 1.0 / np.sqrt(deg)
-            inv[deg == 0] = 0.0
-            self._inv_sqrt_node = inv
-        return self._inv_sqrt_node
-
-    @property
-    def inv_edge(self) -> np.ndarray:
-        if self._inv_edge is None:
-            deg = self.edge_degrees.astype(np.float64)
-            with np.errstate(divide="ignore"):
-                inv = 1.0 / deg
-            inv[deg == 0] = 0.0  # entityless passages stay inert
-            self._inv_edge = inv
-        return self._inv_edge
+    inv_sqrt_node: np.ndarray = field(repr=False)  # float64, 1 / sqrt(node degree)
+    inv_edge: np.ndarray = field(repr=False)  # float64, 1 / edge degree
 
 
 def build_incidence(entity_sets: Sequence[EntitySet], catalog: EntityCatalog) -> IncidenceMatrix:
@@ -126,12 +106,24 @@ def build_incidence(entity_sets: Sequence[EntitySet], catalog: EntityCatalog) ->
 
 
 def compute_degrees(incidence: IncidenceMatrix) -> DegreeVectors:
-    """Row and column sums of H as integer vectors."""
+    """Row and column sums of H as integer vectors, and their reciprocals."""
     node_degrees = np.bincount(incidence.pas_indices, minlength=incidence.n_entities)
+    node_degrees = node_degrees.astype(np.int64)
+    edge_degrees = np.diff(incidence.pas_offsets).astype(np.int64)
     return DegreeVectors(
-        node_degrees=node_degrees.astype(np.int64),
-        edge_degrees=np.diff(incidence.pas_offsets).astype(np.int64),
+        node_degrees=node_degrees,
+        edge_degrees=edge_degrees,
+        inv_sqrt_node=_reciprocal(np.sqrt(node_degrees.astype(np.float64))),
+        inv_edge=_reciprocal(edge_degrees.astype(np.float64)),
     )
+
+
+def _reciprocal(values: np.ndarray) -> np.ndarray:
+    """1 / values, with 1 / 0 := 0 (entityless passages stay inert)."""
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / values
+    inv[values == 0] = 0.0
+    return inv
 
 
 def keep_passages(incidence: IncidenceMatrix, keep: np.ndarray) -> IncidenceMatrix:

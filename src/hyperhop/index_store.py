@@ -98,9 +98,28 @@ def build_index(
     passage_embeddings: np.ndarray | None = None,
     manifest: dict | None = None,
 ) -> HypergraphIndex:
-    """Assemble an in-memory index from already-extracted pieces."""
+    """Assemble an in-memory index from already-extracted pieces.
+
+    Raises IndexIntegrityError when the entity sets, or an embedding matrix's
+    rows, do not line up with the catalog and the passages, or when the two
+    matrices differ in dimension.
+    """
     if len(entity_sets) != len(passage_ids):
         raise IndexIntegrityError("entity sets and passage ids are misaligned")
+    dims = set()
+    for kind, values, rows in (
+        ("entity", entity_embeddings, len(catalog)),
+        ("passage", passage_embeddings, len(passage_ids)),
+    ):
+        if values is None:
+            continue
+        if values.ndim != 2 or values.shape[0] != rows:
+            raise IndexIntegrityError(
+                f"{kind} embeddings have shape {values.shape}, expected {rows} rows"
+            )
+        dims.add(values.shape[1])
+    if len(dims) > 1:
+        raise IndexIntegrityError(f"entity and passage embedding dims differ: {sorted(dims)}")
     incidence = build_incidence(entity_sets, catalog)
     return HypergraphIndex(
         catalog=catalog,

@@ -184,8 +184,6 @@ def build_passage_similarity(
     """Raw cosine of the query against every passage embedding."""
     if index.passage_embeddings is None:
         raise IndexIntegrityError("index has no passage embeddings")
-    if index.passage_embeddings.shape[0] != index.n_passages:
-        raise IndexIntegrityError("passage embedding rows disagree with column count")
     query_vec = embed_batch([query], encoder).values[0]
     return cosine_against_rows(query_vec, index.unit_passage_rows)
 

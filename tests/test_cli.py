@@ -140,6 +140,26 @@ class TestAnswerCommand:
         assert payload["passages"] == ["P1", "P2"]
 
 
+def stale_corpus(tmp_path):
+    """The toy corpus with passage P3 renamed after indexing."""
+    path = tmp_path / "stale.jsonl"
+    text = (DATA_DIR / "toy_corpus.jsonl").read_text(encoding="utf-8")
+    path.write_text(text.replace('"id": "P3"', '"id": "P3b"'), encoding="utf-8")
+    return str(path)
+
+
+class TestStaleCorpus:
+    def test_answer_exits_2(self, built, capsys):
+        args = ["answer", TOY_QUERY] + common(built) + ["--corpus", stale_corpus(built)]
+        assert main(args) == 2
+        assert "rebuild the index" in capsys.readouterr().err
+
+    def test_eval_qa_exits_2(self, built, capsys):
+        args = ["eval", "--dataset", TOY_QA, "--qa"] + common(built)
+        assert main(args + ["--corpus", stale_corpus(built)]) == 2
+        assert "rebuild the index" in capsys.readouterr().err
+
+
 class TestEvalCommand:
     def test_deterministic_report_bytes(self, built, capsys):
         out_a = built / "report_a.json"

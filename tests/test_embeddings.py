@@ -222,14 +222,49 @@ class TestScreen:
         assert v[0] > 0.0 and v[1] == 0.0
         assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0]
 
-    def test_a_query_coordinate_below_the_float32_range_leaves_the_norm_bound(self):
-        # Normalized, the query's 1e-40 is a float32 subnormal, so the rows'
-        # own bounds are not used and the norm bound keeps both rows.
+    def test_a_subnormal_query_coordinate_counts_in_the_support(self):
+        # Normalized, the query's 1e-40 is a float32 subnormal; row 0 is
+        # nonzero there and kept, row 1 shares no coordinate and is dropped.
         query = np.array([[1.0, 1e-40, 0.0]], dtype=np.float32)
         rows = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)
         v = max_sim_to_query_entities(query, unit_rows(rows))
         assert v[0] > 0.0 and v[1] == 0.0
-        assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0, 1]
+        assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0]
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8])
+    @pytest.mark.parametrize("kind", ["two_sparse", "dense"])
+    def test_support_test_drops_only_rows_of_value_zero(self, rng, kind, eta):
+        dim, n_rows = 64, 3000
+        if kind == "two_sparse":  # like the offline encoder: two nonzero coordinates
+            rows = np.zeros((n_rows, dim), dtype=np.float32)
+            for row in rows:
+                row[rng.choice(dim, 2, replace=False)] = rng.choice([-1.0, 1.0, 2.0], 2)
+            query = np.zeros((2, dim), dtype=np.float32)
+            query[0, [3, 7]] = [1.0, -1.0]
+            query[1, [7, 40]] = [2.0, 1.0]
+        else:
+            rows = rng.normal(size=(n_rows, dim)).astype(np.float32)
+            rows[: n_rows // 10, : dim // 2] = 0.0  # these miss the query's support
+            query = np.zeros((2, dim), dtype=np.float32)
+            query[:, : dim // 2] = rng.normal(size=(2, dim // 2))
+        rows[[5, 6]] = 0.0
+        v = max_sim_to_query_entities(query, unit_rows(rows))
+        candidates = screen_max_sim(query, rows, row_norms(rows), eta)
+        assert np.isin(np.flatnonzero(v > eta), candidates).all()
+        no_support = ~(rows[:, (query != 0).any(axis=0)] != 0).any(axis=1)
+        assert np.count_nonzero(no_support & (row_norms(rows) > 0)) > 200
+        assert not np.isin(np.flatnonzero(no_support), candidates).any()
+        assert (v[no_support] == 0.0).all()
+
+    def test_a_query_entity_without_tokens_leaves_no_candidates(self):
+        query = OfflineEncoder(dim=32).encode_batch([""])  # the zero row
+        rows = OfflineEncoder(dim=32).encode_batch(["albert einstein", "ulm", "germany"])
+        assert screen_max_sim(query, rows, row_norms(rows), 0.0).size == 0
+
+    def test_negative_eta_is_rejected(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        with pytest.raises(ContractError):
+            screen_max_sim(rows[:1], rows, row_norms(rows), -0.1)
 
     def test_empty_query_or_corpus_keeps_nothing(self):
         rows = np.ones((3, 4), dtype=np.float32)

@@ -101,6 +101,26 @@ def test_misaligned_sets_rejected():
         build_index(entity_sets, catalog, ["p1", "p2"])
 
 
+@pytest.mark.parametrize(
+    "entity_shape, passage_shape",
+    [
+        ((3, 32), (3, 32)),  # entity matrix two rows short
+        ((8, 32), (3, 32)),  # three extra entity rows
+        ((5,), (3, 32)),  # a 1-D entity matrix
+        ((5, 32), (2, 32)),  # passage matrix one row short
+        ((5, 32), (3, 16)),  # the two matrices differ in dimension
+    ],
+)
+def test_misaligned_embeddings_rejected(entity_shape, passage_shape):
+    pids = sorted(TOY_SETS)  # 3 passages over 5 entities
+    entity_sets = [EntitySet(pid, tuple(TOY_SETS[pid])) for pid in pids]
+    catalog = build_catalog(entity_sets)
+    entities = np.ones(entity_shape, dtype=np.float32)
+    passages = np.ones(passage_shape, dtype=np.float32)
+    with pytest.raises(IndexIntegrityError, match="embedding"):
+        build_index(entity_sets, catalog, pids, entities, passages)
+
+
 def _saved(tmp_path):
     save_index(make_toy_index(), tmp_path)
     return tmp_path
