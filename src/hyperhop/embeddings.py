@@ -186,10 +186,12 @@ class EmbeddingCache:
         return {k: self._offsets[k] for k in keys if k in self._offsets}
 
     def read_rows(self, offsets: Sequence[int]) -> np.ndarray:
+        """The rows at ``offsets``, copied out of a read-only map of the
+        first ``count`` rows of ``vectors.bin``, so only their pages are read."""
         if not offsets:
             return np.empty((0, self.dim), dtype=np.float32)
-        data = np.fromfile(self._vectors_path, dtype="<f4").reshape(-1, self.dim)
-        return data[np.asarray(offsets, dtype=np.int64)]
+        rows = np.memmap(self._vectors_path, dtype="<f4", mode="r", shape=(self._count, self.dim))
+        return rows[np.asarray(offsets, dtype=np.int64)]  # a gather: an ndarray copy
 
     def append(self, keys: Sequence[str], vectors: np.ndarray) -> None:
         if vectors.shape != (len(keys), self.dim):
@@ -292,17 +294,21 @@ def row_norms(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+def unit_rows(
+    values: np.ndarray, norms: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """``values`` in float64 with each row scaled to unit L2 norm; zero rows stay zero.
 
     ``norms`` are ``row_norms(values)``, computed block by block when not
     given; either way the rows come out bit for bit the same, so the rows of
     a matrix can be normalized a few at a time from its cached norms. Works
     through blocks of rows, so the float64 copy is one block, not the whole
-    matrix; the cast to float64 is exact.
+    matrix; the cast to float64 is exact. ``out``, when given, is the float64
+    array of ``values.shape`` that receives the rows.
     """
     values = np.asarray(values)
-    out = np.empty(values.shape, dtype=np.float64)
+    if out is None:
+        out = np.empty(values.shape, dtype=np.float64)
     for start in range(0, values.shape[0], _UNIT_ROWS_BLOCK):
         stop = start + _UNIT_ROWS_BLOCK
         block = values[start:stop].astype(np.float64)

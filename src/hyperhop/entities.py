@@ -8,6 +8,7 @@ entity strings to dense row indices.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import threading
@@ -131,6 +132,8 @@ class OfflineEntityExtractor:
     test fixtures and offline mode.
     """
 
+    extractor_id = "offline-capitalized-spans"
+
     def extract(self, title: str, text: str) -> list[str]:
         spans: list[str] = []
         current: list[str] = []
@@ -189,16 +192,33 @@ def _parse_entity_reply(reply: str) -> list[str]:
     return [line.strip(" -*\t") for line in reply.splitlines() if line.strip(" -*\t")]
 
 
-class ExtractionCache:
-    """JSONL cache of per-passage extraction results, keyed by passage id.
+def passage_sha256(passage: Passage) -> str:
+    """The sha256 of what an extractor reads of a passage: its title and text.
 
-    Entries are ``{"passage_id": ..., "entities": [...]}``. Writes go to a
-    temp file and are swapped in atomically; concurrent puts are serialized.
+    The title's length goes first, so no other title and text hash alike.
+    """
+    content = f"{len(passage.title)}:{passage.title}{passage.text}"
+    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+
+
+class ExtractionCache:
+    """JSONL cache of per-passage extraction results, one entry per passage id.
+
+    Entries are ``{"passage_id", "passage_sha256", "extractor_id",
+    "entities"}``. ``get`` returns the entities only when the entry was made
+    from the same title and text (``passage_sha256``) by the same extractor
+    (``extractor_id``: the offline tag, or the chat model and the hash of the
+    prompt), so an edited passage or a changed extractor is a miss, and its
+    ``put`` replaces the stale entry. ``flush`` writes the entries when a
+    ``put`` came since the last write, to a temp file swapped in atomically;
+    concurrent puts are serialized.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, extractor_id: str):
         self.path = Path(path)
-        self._entries: dict[str, list[str]] = {}
+        self.extractor_id = extractor_id
+        self._entries: dict[str, dict] = {}
+        self._unwritten = False
         self._lock = threading.Lock()
         if self.path.exists():
             with self.path.open("r", encoding="utf-8") as fh:
@@ -206,33 +226,43 @@ class ExtractionCache:
                     if not line.strip():
                         continue
                     obj = json.loads(line)
-                    self._entries[obj["passage_id"]] = list(obj["entities"])
+                    self._entries[obj["passage_id"]] = obj
 
-    def get(self, passage_id: str) -> list[str] | None:
-        entities = self._entries.get(passage_id)
-        return list(entities) if entities is not None else None
+    def get(self, passage: Passage) -> list[str] | None:
+        entry = self._entries.get(passage.id)
+        if (
+            entry is None
+            or entry.get("extractor_id") != self.extractor_id
+            or entry.get("passage_sha256") != passage_sha256(passage)
+        ):
+            return None
+        return list(entry["entities"])
 
-    def put(self, passage_id: str, entities: Sequence[str]) -> None:
+    def put(self, passage: Passage, entities: Sequence[str]) -> None:
+        entry = {
+            "passage_id": passage.id,
+            "passage_sha256": passage_sha256(passage),
+            "extractor_id": self.extractor_id,
+            "entities": list(entities),
+        }
         with self._lock:
-            self._entries[passage_id] = list(entities)
+            self._entries[passage.id] = entry
+            self._unwritten = True
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def flush(self) -> None:
         with self._lock:
+            if not self._unwritten:
+                return
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with tmp.open("w", encoding="utf-8") as fh:
                 for pid in sorted(self._entries):
-                    fh.write(
-                        json.dumps(
-                            {"passage_id": pid, "entities": self._entries[pid]},
-                            ensure_ascii=False,
-                        )
-                        + "\n"
-                    )
+                    fh.write(json.dumps(self._entries[pid], ensure_ascii=False) + "\n")
             tmp.replace(self.path)
+            self._unwritten = False
 
 
 def extract_entities(
@@ -248,7 +278,7 @@ def extract_entities(
     an empty EntitySet.
     """
     if cache is not None:
-        cached = cache.get(passage.id)
+        cached = cache.get(passage)
         if cached is not None:
             return EntitySet(passage_id=passage.id, entities=tuple(cached))
 
@@ -261,7 +291,7 @@ def extract_entities(
 
     entities = dedup_normalized(raw)
     if cache is not None:
-        cache.put(passage.id, entities)
+        cache.put(passage, entities)
     return EntitySet(passage_id=passage.id, entities=tuple(entities))
 
 

@@ -12,15 +12,18 @@ Directory layout (all binary arrays little-endian):
 
 The incidence is stored passage-major only; degrees are derived at load.
 ``load_index`` checks the incidence arrays and, when the manifest declares
-``embedding_dim``, that both embedding files are there, of the right size and
-with every value finite; it raises IndexIntegrityError on any mismatch.
-Version 1 indexes, which also stored the entity-major orientation and the
-degrees, are rejected and must be rebuilt.
+``embedding_dim``, that both embedding files are there, of the right size,
+read in full and with every value finite; it raises IndexIntegrityError on
+any mismatch. Version 1 indexes, which also stored the entity-major
+orientation and the degrees, are rejected and must be rebuilt.
 
-In memory, a loaded index keeps the float32 embeddings as stored, the float64
-unit passage rows (the passage similarity needs every passage) and the
-float64 norm of each entity row. It keeps no float64 entity matrix: a query
-screens the float32 entity rows (``embeddings.screen_max_sim``) and
+In memory, a loaded index keeps what the query path reads and nothing else:
+the float64 unit passage rows (the passage similarity needs every passage),
+the float32 entity rows as stored and the float64 norm of each entity row.
+``load_index`` streams each embedding file once, ``_LOAD_BLOCK`` rows at a
+time, straight into these arrays, so it keeps no float32 passage matrix and
+makes no whole-matrix temporary. It keeps no float64 entity matrix either: a
+query screens the float32 entity rows (``embeddings.screen_max_sim``) and
 normalizes the rows that can pass the threshold from their norms, a block
 at a time.
 
@@ -34,13 +37,13 @@ import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .embeddings import row_norms, unit_rows
 from .entities import EntityCatalog, EntitySet
-from .errors import IndexIntegrityError
+from .errors import ContractError, IndexIntegrityError
 from .hypergraph import (
     DegreeVectors,
     IncidenceMatrix,
@@ -50,6 +53,10 @@ from .hypergraph import (
 
 FORMAT_VERSION = 2
 
+# Rows per block when load_index streams an embedding file: at dimension 256,
+# a 256 KB float32 block.
+_LOAD_BLOCK = 256
+
 MANIFEST_NAME = "manifest.json"
 
 
@@ -58,9 +65,11 @@ class HypergraphIndex:
     """Catalog, incidence, degrees and aligned embeddings for one corpus.
 
     ``unit_passage_rows`` (the passage embeddings through
-    ``embeddings.unit_rows``) and ``entity_row_norms`` are computed on first
-    use and then kept, so a query never renormalizes a whole matrix and a
-    build never normalizes one. A query derives the unit rows of its
+    ``embeddings.unit_rows``, or None without them) and ``entity_row_norms``
+    are computed on first use and then kept, so a query never renormalizes a
+    whole matrix and a build never normalizes one. ``load_index`` sets both
+    as it reads the files and leaves ``passage_embeddings`` None, so a loaded
+    index cannot be saved again. A query derives the unit rows of its
     candidate entities from the norms, bit for bit the rows of
     ``unit_rows(entity_embeddings)``.
     """
@@ -86,7 +95,9 @@ class HypergraphIndex:
         return _read_only(row_norms(self.entity_embeddings))
 
     @functools.cached_property
-    def unit_passage_rows(self) -> np.ndarray:
+    def unit_passage_rows(self) -> np.ndarray | None:
+        if self.passage_embeddings is None:
+            return None
         return _read_only(unit_rows(self.passage_embeddings))
 
 
@@ -149,6 +160,11 @@ def _read_array(path: Path, dtype: str) -> np.ndarray:
 
 def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: dict | None = None) -> dict:
     """Persist the index; returns the manifest that was written."""
+    if (index.entity_embeddings is None) != (index.passage_embeddings is None):
+        raise ContractError(
+            "an index is saved with both float32 embedding matrices or neither"
+            " (a loaded index keeps no float32 passage matrix)"
+        )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     inc = index.incidence
@@ -208,18 +224,51 @@ def _checked_incidence(
     return incidence
 
 
-def _read_embeddings(directory: Path, kind: str, rows: int, dim: int) -> np.ndarray:
-    """The float32 (rows, dim) matrix in ``{kind}_embeddings.bin``."""
+def _stream_embeddings(
+    directory: Path, kind: str, rows: int, dim: int, block_at: Callable[[int, int], np.ndarray]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Read the float32 (rows, dim) matrix in ``{kind}_embeddings.bin`` once,
+    ``_LOAD_BLOCK`` rows at a time.
+
+    Rows ``[start, stop)`` are read into ``block_at(start, stop)``, a
+    contiguous float32 array of that many rows, and yielded as ``(start,
+    stop, block)`` once every value in them is checked finite.
+    """
     path = directory / f"{kind}_embeddings.bin"
     if not path.exists():
         raise IndexIntegrityError(f"index has no {kind} embeddings: missing {path.name}")
     size = path.stat().st_size
     if size != rows * dim * 4:
         raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
-    values = _read_array(path, "<f4").reshape(rows, dim)
-    if not np.isfinite(values).all():
-        raise IndexIntegrityError(f"{path.name} holds a non-finite value")
-    return values
+    with path.open("rb") as fh:
+        for start in range(0, rows, _LOAD_BLOCK):
+            stop = min(start + _LOAD_BLOCK, rows)
+            block = block_at(start, stop)
+            if fh.readinto(block) != block.nbytes:
+                raise IndexIntegrityError(f"short read from {path.name}")
+            if not np.isfinite(block).all():
+                raise IndexIntegrityError(f"{path.name} holds a non-finite value")
+            yield start, stop, block
+
+
+def _load_entity_rows(directory: Path, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 entity rows as stored and their ``row_norms``, in one pass."""
+    values = np.empty((rows, dim), dtype="<f4")
+    norms = np.empty(rows, dtype=np.float64)
+    blocks = _stream_embeddings(directory, "entity", rows, dim, lambda i, j: values[i:j])
+    for start, stop, block in blocks:
+        norms[start:stop] = row_norms(block)
+    return _read_only(values), _read_only(norms)
+
+
+def _load_unit_passage_rows(directory: Path, rows: int, dim: int) -> np.ndarray:
+    """``unit_rows`` of the stored passage rows, read through one reused block."""
+    unit = np.empty((rows, dim), dtype=np.float64)
+    buffer = np.empty((min(rows, _LOAD_BLOCK), dim), dtype="<f4")
+    blocks = _stream_embeddings(directory, "passage", rows, dim, lambda i, j: buffer[: j - i])
+    for start, stop, block in blocks:
+        unit_rows(block, out=unit[start:stop])
+    return _read_only(unit)
 
 
 def load_index(directory: str | Path) -> HypergraphIndex:
@@ -248,18 +297,17 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         manifest["nnz"],
     )
 
-    dim = manifest.get("embedding_dim")
-    entity_embeddings = passage_embeddings = None
-    if dim:
-        entity_embeddings = _read_embeddings(directory, "entity", n_entities, dim)
-        passage_embeddings = _read_embeddings(directory, "passage", n_passages, dim)
-
-    return HypergraphIndex(
+    index = HypergraphIndex(
         catalog=EntityCatalog(entities),
         incidence=incidence,
         degrees=compute_degrees(incidence),
         passage_ids=passage_ids,
-        entity_embeddings=entity_embeddings,
-        passage_embeddings=passage_embeddings,
         manifest=manifest,
     )
+    dim = manifest.get("embedding_dim")
+    if dim:
+        index.entity_embeddings, index.entity_row_norms = _load_entity_rows(
+            directory, n_entities, dim
+        )
+        index.unit_passage_rows = _load_unit_passage_rows(directory, n_passages, dim)
+    return index

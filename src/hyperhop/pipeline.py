@@ -6,7 +6,14 @@ from pathlib import Path
 
 from .config import AppConfig
 from .corpus import Passage, corpus_digest, load_corpus
-from .embeddings import EmbeddingCache, EncoderClient, OfflineEncoder, RemoteEncoder, embed_batch
+from .embeddings import (
+    EmbeddingCache,
+    EncoderClient,
+    OfflineEncoder,
+    RemoteEncoder,
+    embed_batch,
+    text_key,
+)
 from .entities import (
     ExtractionCache,
     ExtractionClient,
@@ -50,12 +57,22 @@ def make_extractor(config: AppConfig) -> ExtractionClient:
         return OfflineEntityExtractor()
     if not config.chat_model:
         raise ContractError("chat_model is required for remote extraction")
-    if config.extraction_prompt:
-        template = Path(config.extraction_prompt).read_text(encoding="utf-8")
-    else:
-        template = default_prompt_template("entity_extraction")
     chat = RemoteChatClient(_endpoint(config), config.chat_model)
-    return RemoteEntityExtractor(chat, template)
+    return RemoteEntityExtractor(chat, _extraction_template(config))
+
+
+def _extraction_template(config: AppConfig) -> str:
+    if config.extraction_prompt:
+        return Path(config.extraction_prompt).read_text(encoding="utf-8")
+    return default_prompt_template("entity_extraction")
+
+
+def extractor_id(config: AppConfig) -> str:
+    """The extractor that ``make_extractor`` gives, as the extraction cache
+    keys it: the offline tag, or the chat model and the sha256 of the prompt."""
+    if config.offline:
+        return OfflineEntityExtractor.extractor_id
+    return f"remote:{config.chat_model}:{text_key(_extraction_template(config))}"
 
 
 def make_chat(config: AppConfig) -> ChatClient:
@@ -84,7 +101,7 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
 
     passages = load_corpus(corpus_path)
     extractor = make_extractor(config)
-    extraction_cache = ExtractionCache(cache_dir / "extraction.jsonl")
+    extraction_cache = ExtractionCache(cache_dir / "extraction.jsonl", extractor_id(config))
     entity_sets = extract_corpus_entities(
         passages, extractor, extraction_cache, max_workers=config.max_workers
     )

@@ -182,10 +182,11 @@ def build_passage_similarity(
     query: str, index: HypergraphIndex, encoder: EncoderClient
 ) -> np.ndarray:
     """Raw cosine of the query against every passage embedding."""
-    if index.passage_embeddings is None:
+    unit_passages = index.unit_passage_rows
+    if unit_passages is None:
         raise IndexIntegrityError("index has no passage embeddings")
     query_vec = embed_batch([query], encoder).values[0]
-    return cosine_against_rows(query_vec, index.unit_passage_rows)
+    return cosine_against_rows(query_vec, unit_passages)
 
 
 def diffuse(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperhop
 from hyperhop.cli import main
 from hyperhop.embeddings import OfflineEncoder
 from hyperhop.index_store import load_index
@@ -272,3 +277,26 @@ def test_all_commands_honor_offline_mode(built, capsys):
     assert main(["retrieve", "q", "--k1", "1", "--k2", "2"] + common(built)) == 0
     assert main(["answer", "q", "--k1", "1", "--k2", "2"] + common(built)) == 0
     assert main(["eval", "--dataset", TOY_QA, "--k1", "1", "--k2", "2"] + common(built)) == 0
+
+
+@pytest.mark.parametrize("module", ["hyperhop", "hyperhop.cli"])
+class TestRunAsModule:
+    """``python -m`` runs the same CLI as the installed ``hyperhop`` script."""
+
+    def run(self, module, *args):
+        src = str(Path(hyperhop.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.run(
+            [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
+        )
+
+    def test_help_prints_usage(self, module):
+        done = self.run(module, "--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: hyperhop")
+
+    def test_stats_on_a_missing_index_exits_2(self, module, tmp_path):
+        done = self.run(module, "stats", "--index-dir", str(tmp_path / "void"), "--offline")
+        assert done.returncode == 2
+        assert "no index manifest" in done.stderr

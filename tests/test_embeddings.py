@@ -348,6 +348,21 @@ class TestEmbeddingCache:
         assert again.lookup(["orphan"]) == {}
         np.testing.assert_array_equal(again.read_rows([again.lookup(["d"])["d"]]), d)
 
+    def test_read_rows_gathers_only_the_first_count_rows(self, tmp_path):
+        client = CountingEncoder()
+        texts = [f"text {i}" for i in range(40)]
+        vectors = client.encode_batch(texts)
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        cache.append(texts, vectors)
+        # Bytes past the count, such as a half-written append of another
+        # writer, are never mapped.
+        with (tmp_path / "vectors.bin").open("ab") as fh:
+            fh.write(bytes(4 * client.dim // 2))
+        offsets = [39, 0, 7, 7, 20]
+        rows = cache.read_rows(offsets)
+        assert type(rows) is np.ndarray and rows.dtype == np.dtype("<f4")
+        assert rows.tobytes() == vectors[offsets].tobytes()
+
     def test_last_key_line_without_its_newline_is_repaired_on_open(self, tmp_path):
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)

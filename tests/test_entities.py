@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperhop.corpus import Passage
+from hyperhop.corpus import Passage, load_corpus
 from hyperhop.entities import (
     EntityCatalog,
     EntitySet,
@@ -135,17 +135,23 @@ class TestExtractionRetryAndCache:
                 CountingExtractor.calls += 1
                 return super().extract(title, text)
 
-        first = extract_corpus_entities(passages, CountingExtractor(), ExtractionCache(cache_path))
+        first = extract_corpus_entities(
+            passages, CountingExtractor(), ExtractionCache(cache_path, "o")
+        )
         assert CountingExtractor.calls == 2
 
-        second = extract_corpus_entities(passages, CountingExtractor(), ExtractionCache(cache_path))
+        second = extract_corpus_entities(
+            passages, CountingExtractor(), ExtractionCache(cache_path, "o")
+        )
         assert CountingExtractor.calls == 2  # cache hits only
         assert first == second
 
     def test_cache_file_round_trips(self, tmp_path, data_dir):
-        cache = ExtractionCache(data_dir / "toy_extraction.jsonl")
-        assert cache.get("P2") == ["germany", "berlin", "european union"]
-        assert cache.get("missing") is None
+        path = data_dir / "toy_extraction.jsonl"
+        cache = ExtractionCache(path, OfflineEntityExtractor.extractor_id)
+        by_id = {p.id: p for p in load_corpus(data_dir / "toy_corpus.jsonl")}
+        assert cache.get(by_id["P2"]) == ["germany", "berlin", "european union"]
+        assert cache.get(Passage(id="missing", title="", text="x")) is None
 
     def test_concurrent_extraction_preserves_order(self):
         passages = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(8)]
@@ -154,10 +160,10 @@ class TestExtractionRetryAndCache:
         assert sets[3].entities == ("city3",)
 
     def test_cache_writes_are_serialized(self, tmp_path):
-        cache = ExtractionCache(tmp_path / "c.jsonl")
+        cache = ExtractionCache(tmp_path / "c.jsonl", "x")
 
         def put(i):
-            cache.put(f"p{i}", [f"e{i}"])
+            cache.put(Passage(id=f"p{i}", title="", text=f"t{i}"), [f"e{i}"])
 
         threads = [threading.Thread(target=put, args=(i,)) for i in range(16)]
         for t in threads:
@@ -165,5 +171,49 @@ class TestExtractionRetryAndCache:
         for t in threads:
             t.join()
         cache.flush()
-        reloaded = ExtractionCache(tmp_path / "c.jsonl")
+        reloaded = ExtractionCache(tmp_path / "c.jsonl", "x")
         assert len(reloaded) == 16
+        assert reloaded.get(Passage(id="p3", title="", text="t3")) == ["e3"]
+
+
+class TestStaleExtractionEntries:
+    """An entry serves only the title, text and extractor it was made from."""
+
+    PASSAGE = Passage(id="p1", title="T", text="Berlin is big.")
+
+    def cache_with_entry(self, tmp_path):
+        cache = ExtractionCache(tmp_path / "c.jsonl", "offline")
+        cache.put(self.PASSAGE, ["berlin"])
+        cache.flush()
+        return tmp_path / "c.jsonl"
+
+    @pytest.mark.parametrize(
+        "passage",
+        [
+            Passage(id="p1", title="T", text="Paris is old."),  # text edited
+            Passage(id="p1", title="U", text="Berlin is big."),  # title edited
+        ],
+    )
+    def test_edited_passage_is_a_miss(self, tmp_path, passage):
+        cache = ExtractionCache(self.cache_with_entry(tmp_path), "offline")
+        assert cache.get(self.PASSAGE) == ["berlin"]
+        assert cache.get(passage) is None
+
+    def test_other_extractor_is_a_miss(self, tmp_path):
+        cache = ExtractionCache(self.cache_with_entry(tmp_path), "remote:m:abc")
+        assert cache.get(self.PASSAGE) is None
+
+    def test_entry_without_a_content_hash_is_a_miss(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"passage_id": "p1", "entities": ["berlin"]}\n', encoding="utf-8")
+        assert ExtractionCache(path, "offline").get(self.PASSAGE) is None
+
+    def test_a_miss_replaces_the_stale_entry(self, tmp_path):
+        path = self.cache_with_entry(tmp_path)
+        edited = Passage(id="p1", title="T", text="Paris is old.")
+        cache = ExtractionCache(path, "offline")
+        extract_corpus_entities([edited], OfflineEntityExtractor(), cache)
+        cache = ExtractionCache(path, "offline")
+        assert len(cache) == 1
+        assert cache.get(edited) == ["paris"]
+        assert cache.get(self.PASSAGE) is None

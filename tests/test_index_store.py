@@ -1,11 +1,17 @@
+import gc
+import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperhop.embeddings import OfflineEncoder, embed_batch
+from hyperhop import index_store
+from hyperhop.cli import main
+from hyperhop.embeddings import OfflineEncoder, embed_batch, row_norms, unit_rows
 from hyperhop.entities import EntitySet, build_catalog
-from hyperhop.errors import IndexIntegrityError
+from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.index_store import build_index, load_index, save_index
 
 from conftest import TOY_SETS
@@ -36,9 +42,15 @@ def test_round_trip_preserves_everything(tmp_path):
     np.testing.assert_array_equal(loaded.incidence.pas_columns, index.incidence.pas_columns)
     np.testing.assert_array_equal(loaded.degrees.node_degrees, index.degrees.node_degrees)
     np.testing.assert_array_equal(loaded.degrees.edge_degrees, index.degrees.edge_degrees)
-    np.testing.assert_array_equal(loaded.entity_embeddings, index.entity_embeddings)
-    np.testing.assert_array_equal(loaded.passage_embeddings, index.passage_embeddings)
+    _assert_bitwise_equal(loaded.entity_embeddings, index.entity_embeddings)
+    _assert_bitwise_equal(loaded.entity_row_norms, index.entity_row_norms)
+    _assert_bitwise_equal(loaded.unit_passage_rows, index.unit_passage_rows)
     assert loaded.manifest["corpus_sha256"] == "abc"
+
+
+def _assert_bitwise_equal(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 def test_binary_files_are_little_endian_int32(tmp_path):
@@ -213,3 +225,97 @@ def test_non_finite_embeddings_detected(tmp_path, name, value):
     values.tofile(path)
     with pytest.raises(IndexIntegrityError, match=f"{name} holds a non-finite value"):
         load_index(tmp_path)
+
+
+BLOCK = index_store._LOAD_BLOCK
+
+
+def _synthetic_index(rows, dim, seed=7):
+    """``rows`` passages, each holding its own entity, with random embeddings
+    of mixed scale and a few zero rows."""
+    rng = np.random.default_rng(seed)
+    entity_sets = [EntitySet(f"p{i:06d}", (f"e{i}",)) for i in range(rows)]
+    matrices = []
+    for _ in range(2):
+        values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
+        values[::17] = 0.0
+        matrices.append(values.astype(np.float32))
+    pids = [es.passage_id for es in entity_sets]
+    return build_index(entity_sets, build_catalog(entity_sets), pids, *matrices)
+
+
+def _stored(directory, name, dim):
+    return np.fromfile(directory / name, dtype="<f4").reshape(-1, dim)
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
+    save_index(_synthetic_index(rows, 16), tmp_path)
+    loaded = load_index(tmp_path)
+    entities = _stored(tmp_path, "entity_embeddings.bin", 16)
+    passages = _stored(tmp_path, "passage_embeddings.bin", 16)
+    _assert_bitwise_equal(loaded.entity_embeddings, entities)
+    _assert_bitwise_equal(loaded.entity_row_norms, row_norms(entities))
+    _assert_bitwise_equal(loaded.unit_passage_rows, unit_rows(passages))
+    assert not loaded.entity_embeddings.flags.writeable
+    assert not loaded.entity_row_norms.flags.writeable
+    assert not loaded.unit_passage_rows.flags.writeable
+
+
+def test_loaded_index_keeps_no_float32_passage_matrix(tmp_path):
+    loaded = load_index(_saved(tmp_path))
+    assert loaded.passage_embeddings is None
+    assert loaded.unit_passage_rows.shape == (loaded.n_passages, 32)
+
+
+def test_a_loaded_index_cannot_be_saved_again(tmp_path):
+    loaded = load_index(_saved(tmp_path / "a"))
+    with pytest.raises(ContractError, match="float32 passage matrix"):
+        save_index(loaded, tmp_path / "b")
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_embeddings.bin"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_last_row_of_a_partial_block_exits_2(tmp_path, capsys, name, value):
+    save_index(_synthetic_index(BLOCK + 3, 8), tmp_path)
+    path = tmp_path / name
+    values = np.fromfile(path, dtype="<f4")
+    values[-1] = value
+    values.tofile(path)
+    assert main(["stats", "--index-dir", str(tmp_path), "--offline"]) == 2
+    assert f"{name} holds a non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_embeddings.bin"])
+def test_short_read_detected(tmp_path, monkeypatch, name):
+    """A file that ends before the size it reported when checked."""
+    directory = _saved(tmp_path)
+    real_open = Path.open
+
+    def open_short(self, mode="r", *args, **kwargs):
+        if self.name != name:
+            return real_open(self, mode, *args, **kwargs)
+        with real_open(self, "rb") as fh:
+            return io.BytesIO(fh.read()[:-4])
+
+    monkeypatch.setattr(Path, "open", open_short)
+    with pytest.raises(IndexIntegrityError, match=f"short read from {name}"):
+        load_index(directory)
+
+
+def test_load_makes_no_temporary_beyond_one_block(tmp_path):
+    """Everything traced after the load is held by the index; on top of
+    that, the load's peak holds about one block's temporaries."""
+    dim = 64
+    save_index(_synthetic_index(20_000, dim), tmp_path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_index(tmp_path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.unit_passage_rows.nbytes == 20_000 * dim * 8
+    assert peak - before <= (retained - before) + BLOCK * dim * 4 + 2**20

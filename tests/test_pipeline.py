@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hyperhop import pipeline
 from hyperhop.config import AppConfig
 from hyperhop.corpus import Passage, corpus_digest
 from hyperhop.embeddings import OfflineEncoder
+from hyperhop.entities import OfflineEntityExtractor
 from hyperhop.errors import ContractError
 from hyperhop.pipeline import (
     build_index_from_corpus,
+    extractor_id,
     make_chat,
     make_encoder,
     make_extractor,
@@ -71,3 +76,52 @@ def test_rebuild_with_warm_caches_is_bitwise_identical(tmp_path, data_dir, no_ne
         index, manifest = build_index_from_corpus(config)
         results.append((manifest, index.entity_embeddings.tobytes()))
     assert results[0] == results[1]
+
+
+def _index_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_warm_rebuild_extracts_only_the_edited_passage(tmp_path, data_dir, monkeypatch, no_network):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((data_dir / "toy_corpus.jsonl").read_bytes())
+    config = AppConfig(
+        corpus=str(corpus),
+        index_dir=str(tmp_path / "index"),
+        cache_dir=str(tmp_path / "cache"),
+        offline=True,
+    )
+    build_index_from_corpus(config)
+    first = _index_files(tmp_path / "index")
+
+    titles = []
+
+    class RecordingExtractor(OfflineEntityExtractor):
+        def extract(self, title, text):
+            titles.append(title)
+            return super().extract(title, text)
+
+    monkeypatch.setattr(pipeline, "make_extractor", lambda config: RecordingExtractor())
+    build_index_from_corpus(config)
+    assert titles == []
+    assert _index_files(tmp_path / "index") == first
+
+    corpus.write_text(corpus.read_text().replace("Brussels", "Strasbourg"))
+    index, _ = build_index_from_corpus(config)
+    assert titles == ["European Union"]  # the title of P3, the passage edited
+    assert "strasbourg" in index.catalog and "brussels" not in index.catalog
+
+
+def test_extractor_id_follows_the_model_and_the_prompt(tmp_path):
+    remote = AppConfig(offline=False, api_base="http://x.local/v1", chat_model="m1")
+    prompt = tmp_path / "prompt.txt"
+    prompt.write_text("Entities of {title}: {text}", encoding="utf-8")
+    ids = [
+        extractor_id(AppConfig(offline=True)),
+        extractor_id(remote),
+        extractor_id(replace(remote, chat_model="m2")),
+        extractor_id(replace(remote, extraction_prompt=str(prompt))),
+    ]
+    assert ids[0] == OfflineEntityExtractor.extractor_id
+    assert len(set(ids)) == 4
+    assert extractor_id(remote) == ids[1]
