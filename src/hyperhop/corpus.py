@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .errors import CorpusFormatError
 
@@ -26,40 +27,53 @@ class Passage:
     text: str
 
 
-def load_corpus(path: str | Path) -> list[Passage]:
-    """Load passages from a JSONL file, sorted by ascending id.
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line of a JSONL file as ``(line number, JSON object)``.
 
-    Raises CorpusFormatError naming the line number on malformed JSON,
-    missing keys, empty text, or duplicate ids.
+    Raises CorpusFormatError naming the line on bytes that are not UTF-8,
+    invalid JSON, or a value that is not an object.
     """
-    path = Path(path)
-    passages: list[Passage] = []
-    seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"not UTF-8 at byte {exc.start}", line=lineno) from exc
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(raw)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(obj, dict):
                 raise CorpusFormatError("expected a JSON object", line=lineno)
-            for key in _REQUIRED_KEYS:
-                if key not in obj:
-                    raise CorpusFormatError(f"missing key {key!r}", line=lineno)
-                if not isinstance(obj[key], str):
-                    raise CorpusFormatError(f"key {key!r} must be a string", line=lineno)
-            if not obj["text"].strip():
-                raise CorpusFormatError("empty text", line=lineno)
-            pid = obj["id"]
-            if pid in seen:
-                raise CorpusFormatError(
-                    f"duplicate passage id {pid!r} (first seen at line {seen[pid]})",
-                    line=lineno,
-                )
-            seen[pid] = lineno
-            passages.append(Passage(id=pid, title=obj["title"], text=obj["text"]))
+            yield lineno, obj
+
+
+def load_corpus(path: str | Path) -> list[Passage]:
+    """Load passages from a JSONL file, sorted by ascending id.
+
+    Raises CorpusFormatError naming the line number on a line that
+    ``read_jsonl`` rejects, missing keys, empty text, or duplicate ids.
+    """
+    passages: list[Passage] = []
+    seen: dict[str, int] = {}
+    for lineno, obj in read_jsonl(path):
+        for key in _REQUIRED_KEYS:
+            if key not in obj:
+                raise CorpusFormatError(f"missing key {key!r}", line=lineno)
+            if not isinstance(obj[key], str):
+                raise CorpusFormatError(f"key {key!r} must be a string", line=lineno)
+        if not obj["text"].strip():
+            raise CorpusFormatError("empty text", line=lineno)
+        pid = obj["id"]
+        if pid in seen:
+            raise CorpusFormatError(
+                f"duplicate passage id {pid!r} (first seen at line {seen[pid]})",
+                line=lineno,
+            )
+        seen[pid] = lineno
+        passages.append(Passage(id=pid, title=obj["title"], text=obj["text"]))
     passages.sort(key=lambda p: p.id)
     return passages
 

@@ -13,7 +13,6 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -24,30 +23,6 @@ from .remote import EndpointConfig, Transport
 from .remote import embeddings as remote_embeddings
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
-
-
-@dataclass
-class EmbeddingMatrix:
-    """Row-major float32 matrix with one row per input key."""
-
-    values: np.ndarray  # shape (rows, dim), float32
-    row_keys: list[str]
-
-    @property
-    def rows(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[1])
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ContractError("embedding values must be 2-D")
-        if len(self.row_keys) != self.values.shape[0]:
-            raise ContractError("row_keys length must match row count")
-        if self.values.size and not np.all(np.isfinite(self.values)):
-            raise IndexIntegrityError("embedding matrix contains non-finite entries")
 
 
 class EncoderClient(Protocol):
@@ -100,13 +75,11 @@ class RemoteEncoder:
         endpoint: EndpointConfig,
         model: str,
         dim: int,
-        batch_size: int = 64,
         transport: Transport | None = None,
     ):
         self.endpoint = endpoint
         self.model = model
         self.dim = dim
-        self.batch_size = batch_size
         self.encoder_id = f"remote:{model}-d{dim}"
         self._transport = transport
 
@@ -224,35 +197,33 @@ def embed_batch(
     texts: Sequence[str],
     client: EncoderClient,
     cache: EmbeddingCache | None = None,
-    batch_size: int | None = None,
-) -> EmbeddingMatrix:
-    """Embed texts in order, consulting and extending the cache.
+    batch_size: int = 64,
+) -> np.ndarray:
+    """Embed texts in order, consulting and extending the cache; returns the
+    float32 (len(texts), client.dim) matrix, one row per text.
 
-    Only cache misses reach the encoder client. A remote failure is wrapped
-    in EmbeddingError carrying the offsets of the failing batch.
+    Only cache misses reach the encoder client, ``batch_size`` texts per
+    call. A remote failure is wrapped in EmbeddingError carrying the offsets
+    of the failing batch; a non-finite value raises IndexIntegrityError.
     """
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     texts = list(texts)
-    if not texts:
-        return EmbeddingMatrix(values=np.empty((0, client.dim), dtype=np.float32), row_keys=[])
-    size = batch_size or getattr(client, "batch_size", 64)
     keys = [text_key(t) for t in texts]
     out = np.empty((len(texts), client.dim), dtype=np.float32)
 
     hits = cache.lookup(keys) if cache is not None else {}
     if hits:
         hit_positions = [i for i, k in enumerate(keys) if k in hits]
-        rows = cache.read_rows([hits[keys[i]] for i in hit_positions])
-        out[hit_positions] = rows
+        out[hit_positions] = cache.read_rows([hits[keys[i]] for i in hit_positions])
 
-    # Deduplicate misses so repeated texts are encoded once.
-    miss_text_by_key: dict[str, str] = {}
-    for i, k in enumerate(keys):
-        if k not in hits and k not in miss_text_by_key:
-            miss_text_by_key[k] = texts[i]
+    # Deduplicate misses, in order of first appearance, so repeated texts are
+    # encoded once.
+    miss_text_by_key = {k: text for k, text in zip(keys, texts) if k not in hits}
     miss_keys = list(miss_text_by_key)
     encoded: dict[str, np.ndarray] = {}
-    for start in range(0, len(miss_keys), size):
-        chunk = miss_keys[start : start + size]
+    for start in range(0, len(miss_keys), batch_size):
+        chunk = miss_keys[start : start + batch_size]
         try:
             vectors = client.encode_batch([miss_text_by_key[k] for k in chunk])
         except Exception as exc:
@@ -263,19 +234,21 @@ def embed_batch(
         vectors = np.asarray(vectors, dtype=np.float32)
         if cache is not None:
             cache.append(chunk, vectors)
-        for k, vec in zip(chunk, vectors):
-            encoded[k] = vec
+        encoded.update(zip(chunk, vectors))
     for i, k in enumerate(keys):
         if k in encoded:
             out[i] = encoded[k]
 
-    return EmbeddingMatrix(values=out, row_keys=keys)
+    if not np.isfinite(out).all():
+        raise IndexIntegrityError("embedding matrix contains non-finite entries")
+    return out
 
 
-_UNIT_ROWS_BLOCK = 4096
-# Rows per float64 block in max_sim_to_query_entities: 256 rows of dimension
-# 256 (512 KB) measured fastest of block sizes from 64 to 4096.
-_MAX_SIM_BLOCK = 256
+# Rows per block wherever rows pass through float64 a few at a time, and per
+# read when load_index streams an embedding file. On 50k rows of dimension 256
+# (2-core Xeon, numpy 2.4), 256-row blocks beat 4096-row ones: unit_rows 74
+# vs 117 ms, row_norms 25 vs 101 ms.
+ROW_BLOCK = 256
 
 
 def row_norms(values: np.ndarray) -> np.ndarray:
@@ -288,8 +261,8 @@ def row_norms(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values)
     out = np.empty(values.shape[0], dtype=np.float64)
-    for start in range(0, values.shape[0], _UNIT_ROWS_BLOCK):
-        stop = start + _UNIT_ROWS_BLOCK
+    for start in range(0, values.shape[0], ROW_BLOCK):
+        stop = start + ROW_BLOCK
         out[start:stop] = np.linalg.norm(values[start:stop].astype(np.float64), axis=1)
     return out
 
@@ -309,8 +282,8 @@ def unit_rows(
     values = np.asarray(values)
     if out is None:
         out = np.empty(values.shape, dtype=np.float64)
-    for start in range(0, values.shape[0], _UNIT_ROWS_BLOCK):
-        stop = start + _UNIT_ROWS_BLOCK
+    for start in range(0, values.shape[0], ROW_BLOCK):
+        stop = start + ROW_BLOCK
         block = values[start:stop].astype(np.float64)
         scale = np.linalg.norm(block, axis=1) if norms is None else norms[start:stop]
         np.divide(block, np.where(scale > 0.0, scale, 1.0)[:, None], out=out[start:stop])
@@ -342,31 +315,34 @@ def _fold_max(sims: np.ndarray) -> np.ndarray:
 
 
 def max_sim_to_query_entities(
-    query_rows: np.ndarray, corpus_rows: np.ndarray, corpus_norms: np.ndarray | None = None
+    query_rows: np.ndarray,
+    corpus_rows: np.ndarray,
+    corpus_norms: np.ndarray,
+    candidates: np.ndarray,
 ) -> np.ndarray:
-    """Per-corpus-entity max cosine over all query entity embeddings.
+    """Max cosine over the query entity embeddings of each corpus row in
+    ``candidates``, in their order.
 
-    ``query_rows`` are raw embeddings. ``corpus_rows`` already went through
-    ``unit_rows``; or, with ``corpus_norms`` (their ``row_norms``), they are
-    raw rows, normalized here ``_MAX_SIM_BLOCK`` at a time, bit for bit as
-    ``unit_rows`` would, so no float64 copy of the whole corpus is made. An
-    empty query entity set yields the all-zero vector.
+    ``query_rows`` and ``corpus_rows`` are raw embeddings, ``corpus_norms``
+    the ``row_norms`` of the corpus and ``candidates`` ascending distinct row
+    indices, as ``screen_max_sim`` gives them. The candidate rows are
+    gathered, normalized from their norms (bit for bit the rows of
+    ``unit_rows``) and scored ``ROW_BLOCK`` at a time, so no float64 copy of
+    more than one block is made; a block of consecutive rows is read in
+    place. An empty query entity set yields zeros.
     """
-    n_corpus = corpus_rows.shape[0]
     if query_rows.shape[0] == 0:
-        return np.zeros(n_corpus, dtype=np.float64)
-    if n_corpus == 0:
-        return np.zeros(0, dtype=np.float64)
+        return np.zeros(candidates.shape[0], dtype=np.float64)
     if query_rows.shape[1] != corpus_rows.shape[1]:
         raise ContractError("query and corpus embedding dims differ")
     unit_query = unit_rows(query_rows).T
-    if corpus_norms is None:
-        return np.clip(_fold_max(corpus_rows @ unit_query), -1.0, 1.0)
-    best = np.empty(n_corpus, dtype=np.float64)
-    for start in range(0, n_corpus, _MAX_SIM_BLOCK):
-        stop = start + _MAX_SIM_BLOCK
-        block = unit_rows(corpus_rows[start:stop], corpus_norms[start:stop])
-        best[start:stop] = _fold_max(block @ unit_query)  # (block, n_query) folded
+    best = np.empty(candidates.shape[0], dtype=np.float64)
+    for start in range(0, candidates.shape[0], ROW_BLOCK):
+        rows = candidates[start : start + ROW_BLOCK]
+        if rows[-1] - rows[0] == rows.shape[0] - 1:  # a run of consecutive rows: no gather
+            rows = slice(rows[0], rows[-1] + 1)
+        block = unit_rows(corpus_rows[rows], corpus_norms[rows])
+        best[start : start + ROW_BLOCK] = _fold_max(block @ unit_query)  # (block, n_query) folded
     return np.clip(best, -1.0, 1.0, out=best)
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage
+from .corpus import Passage, read_jsonl
 from .embeddings import EncoderClient
 from .entities import ExtractionClient
 from .errors import ChatError, CorpusFormatError, EmbeddingError, HyperhopError
@@ -39,26 +39,27 @@ class QAExample:
 
 
 def load_qa_dataset(path: str | Path) -> list[QAExample]:
-    """JSONL loader: {question, answers: [...], gold_passage_ids: [...]}."""
+    """JSONL loader: {question, answers: [...], gold_passage_ids: [...]}.
+
+    ``question`` must be a string, ``answers`` a non-empty list of strings
+    and ``gold_passage_ids`` (an empty list when absent) a list of strings;
+    anything else, or a line that ``read_jsonl`` rejects, raises
+    CorpusFormatError naming the line.
+    """
     examples = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            try:
-                examples.append(
-                    QAExample(
-                        question=obj["question"],
-                        gold_answers=tuple(obj["answers"]),
-                        gold_passage_ids=tuple(obj.get("gold_passage_ids", [])),
-                    )
-                )
-            except KeyError as exc:
-                raise CorpusFormatError(f"missing key {exc.args[0]!r}", line=lineno) from exc
+    for lineno, obj in read_jsonl(path):
+        obj.setdefault("gold_passage_ids", [])
+        if not isinstance(obj.get("question"), str):
+            raise CorpusFormatError("'question' must be a string", line=lineno)
+        for key in ("answers", "gold_passage_ids"):
+            value = obj.get(key)
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise CorpusFormatError(f"{key!r} must be a list of strings", line=lineno)
+        if not obj["answers"]:
+            raise CorpusFormatError("'answers' is empty", line=lineno)
+        examples.append(
+            QAExample(obj["question"], tuple(obj["answers"]), tuple(obj["gold_passage_ids"]))
+        )
     return examples
 
 

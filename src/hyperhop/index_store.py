@@ -20,7 +20,7 @@ orientation and the degrees, are rejected and must be rebuilt.
 In memory, a loaded index keeps what the query path reads and nothing else:
 the float64 unit passage rows (the passage similarity needs every passage),
 the float32 entity rows as stored and the float64 norm of each entity row.
-``load_index`` streams each embedding file once, ``_LOAD_BLOCK`` rows at a
+``load_index`` streams each embedding file once, ``ROW_BLOCK`` rows at a
 time, straight into these arrays, so it keeps no float32 passage matrix and
 makes no whole-matrix temporary. It keeps no float64 entity matrix either: a
 query screens the float32 entity rows (``embeddings.screen_max_sim``) and
@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import row_norms, unit_rows
+from .embeddings import ROW_BLOCK, row_norms, unit_rows
 from .entities import EntityCatalog, EntitySet
 from .errors import ContractError, IndexIntegrityError
 from .hypergraph import (
@@ -52,10 +52,6 @@ from .hypergraph import (
 )
 
 FORMAT_VERSION = 2
-
-# Rows per block when load_index streams an embedding file: at dimension 256,
-# a 256 KB float32 block.
-_LOAD_BLOCK = 256
 
 MANIFEST_NAME = "manifest.json"
 
@@ -228,7 +224,7 @@ def _stream_embeddings(
     directory: Path, kind: str, rows: int, dim: int, block_at: Callable[[int, int], np.ndarray]
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Read the float32 (rows, dim) matrix in ``{kind}_embeddings.bin`` once,
-    ``_LOAD_BLOCK`` rows at a time.
+    ``ROW_BLOCK`` rows at a time.
 
     Rows ``[start, stop)`` are read into ``block_at(start, stop)``, a
     contiguous float32 array of that many rows, and yielded as ``(start,
@@ -241,8 +237,8 @@ def _stream_embeddings(
     if size != rows * dim * 4:
         raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
     with path.open("rb") as fh:
-        for start in range(0, rows, _LOAD_BLOCK):
-            stop = min(start + _LOAD_BLOCK, rows)
+        for start in range(0, rows, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, rows)
             block = block_at(start, stop)
             if fh.readinto(block) != block.nbytes:
                 raise IndexIntegrityError(f"short read from {path.name}")
@@ -264,11 +260,35 @@ def _load_entity_rows(directory: Path, rows: int, dim: int) -> tuple[np.ndarray,
 def _load_unit_passage_rows(directory: Path, rows: int, dim: int) -> np.ndarray:
     """``unit_rows`` of the stored passage rows, read through one reused block."""
     unit = np.empty((rows, dim), dtype=np.float64)
-    buffer = np.empty((min(rows, _LOAD_BLOCK), dim), dtype="<f4")
+    buffer = np.empty((min(rows, ROW_BLOCK), dim), dtype="<f4")
     blocks = _stream_embeddings(directory, "passage", rows, dim, lambda i, j: buffer[: j - i])
     for start, stop, block in blocks:
         unit_rows(block, out=unit[start:stop])
     return _read_only(unit)
+
+
+def _read_json(path: Path, kind: type):
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IndexIntegrityError(f"{path.name} is not valid JSON: {exc}") from exc
+    if not isinstance(value, kind):
+        raise IndexIntegrityError(f"{path.name} does not hold a JSON {kind.__name__}")
+    return value
+
+
+def _read_ids(path: Path) -> list[str]:
+    ids = _read_json(path, list)
+    if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
+        raise IndexIntegrityError(f"{path.name} is not a list of distinct strings")
+    return ids
+
+
+def _count(manifest: dict, key: str) -> int:
+    value = manifest.get(key)
+    if type(value) is not int or value < 0:
+        raise IndexIntegrityError(f"{MANIFEST_NAME} has no count {key!r}")
+    return value
 
 
 def load_index(directory: str | Path) -> HypergraphIndex:
@@ -276,16 +296,16 @@ def load_index(directory: str | Path) -> HypergraphIndex:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise IndexIntegrityError(f"no index manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_json(manifest_path, dict)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise IndexIntegrityError(
             f"unsupported index format version {manifest.get('format_version')!r}"
             f" (expected {FORMAT_VERSION}); rebuild the index"
         )
-    entities = json.loads((directory / "entities.json").read_text(encoding="utf-8"))
-    passage_ids = json.loads((directory / "passages.json").read_text(encoding="utf-8"))
-    n_entities = manifest["n_entities"]
-    n_passages = manifest["n_passages"]
+    n_entities, n_passages, nnz = (_count(manifest, k) for k in ("n_entities", "n_passages", "nnz"))
+    dim = manifest.get("embedding_dim") and _count(manifest, "embedding_dim")
+    entities = _read_ids(directory / "entities.json")
+    passage_ids = _read_ids(directory / "passages.json")
     if len(entities) != n_entities or len(passage_ids) != n_passages:
         raise IndexIntegrityError("manifest counts disagree with stored id lists")
 
@@ -294,7 +314,7 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         _read_array(directory / "pas_indices.bin", "<i4"),
         n_entities,
         n_passages,
-        manifest["nnz"],
+        nnz,
     )
 
     index = HypergraphIndex(
@@ -304,7 +324,6 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         passage_ids=passage_ids,
         manifest=manifest,
     )
-    dim = manifest.get("embedding_dim")
     if dim:
         index.entity_embeddings, index.entity_row_norms = _load_entity_rows(
             directory, n_entities, dim

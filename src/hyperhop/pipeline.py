@@ -47,9 +47,7 @@ def make_encoder(config: AppConfig) -> EncoderClient:
     endpoint = _endpoint(config)
     if not config.embed_model:
         raise ContractError("embed_model is required for remote encoding")
-    return RemoteEncoder(
-        endpoint, config.embed_model, dim=config.embed_dim, batch_size=config.batch_size
-    )
+    return RemoteEncoder(endpoint, config.embed_model, dim=config.embed_dim)
 
 
 def make_extractor(config: AppConfig) -> ExtractionClient:
@@ -109,8 +107,8 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
 
     encoder = make_encoder(config)
     embedding_cache = EmbeddingCache(cache_dir / "embeddings", encoder.encoder_id, encoder.dim)
-    entity_matrix = embed_batch(catalog.to_list(), encoder, embedding_cache, config.batch_size)
-    passage_matrix = embed_batch(
+    entity_embeddings = embed_batch(catalog.to_list(), encoder, embedding_cache, config.batch_size)
+    passage_embeddings = embed_batch(
         [passage_embedding_text(p) for p in passages], encoder, embedding_cache, config.batch_size
     )
 
@@ -118,8 +116,8 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
         entity_sets,
         catalog,
         [p.id for p in passages],
-        entity_embeddings=entity_matrix.values,
-        passage_embeddings=passage_matrix.values,
+        entity_embeddings=entity_embeddings,
+        passage_embeddings=passage_embeddings,
     )
     manifest = save_index(
         index,

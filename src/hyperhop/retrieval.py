@@ -34,14 +34,6 @@ from .index_store import HypergraphIndex
 # passages, 50k entities) and 0.87 (50k passages, 5k entities).
 _RESTRICT_MAX_KEPT_SHARE = 2 / 3
 
-# Gathering an entity row costs about as much as normalizing and scoring
-# it, so build_entity_similarity gathers the screen's candidates only while
-# they are at most half of the rows, and otherwise scores every row.
-# Measured on 50k random rows of dimension 256 (3 query rows), the two broke
-# even at a share of 0.5 to 0.6.
-_GATHER_MAX_SHARE = 0.5
-
-
 @dataclass
 class RetrievalConfig:
     """Hyperparameters and ablation switches for the retrieval pipeline."""
@@ -151,8 +143,8 @@ def build_entity_similarity(
 
     x_i = v_i when v_i > eta (strict), else 0. A float32 screen over the
     stored entity rows first drops every row that cannot exceed eta
-    (``screen_max_sim``); v is computed in float64 for the rest only, or for
-    every row when the rest is more than half of them.
+    (``screen_max_sim``); v is computed in float64, a block at a time, for
+    the rows it leaves only (``max_sim_to_query_entities``).
     Extraction failures degrade to an all-zero vector with a warning rather
     than a hard error.
     """
@@ -168,13 +160,12 @@ def build_entity_similarity(
     query_entities = dedup_normalized(raw)
     if not query_entities:
         return np.zeros(n_entities, dtype=np.float64)
-    query_rows = embed_batch(query_entities, encoder).values
+    query_rows = embed_batch(query_entities, encoder)
     embeddings, norms = index.entity_embeddings, index.entity_row_norms
     candidates = screen_max_sim(query_rows, embeddings, norms, eta)
-    rows = candidates if candidates.size <= _GATHER_MAX_SHARE * n_entities else slice(None)
-    v = max_sim_to_query_entities(query_rows, embeddings[rows], norms[rows])
+    v = max_sim_to_query_entities(query_rows, embeddings, norms, candidates)
     x = np.zeros(n_entities, dtype=np.float64)
-    x[rows] = np.where(v > eta, v, 0.0)
+    x[candidates] = np.where(v > eta, v, 0.0)
     return x
 
 
@@ -185,7 +176,7 @@ def build_passage_similarity(
     unit_passages = index.unit_passage_rows
     if unit_passages is None:
         raise IndexIntegrityError("index has no passage embeddings")
-    query_vec = embed_batch([query], encoder).values[0]
+    query_vec = embed_batch([query], encoder)[0]
     return cosine_against_rows(query_vec, unit_passages)
 
 

@@ -32,8 +32,8 @@ def index_from_sets(
     entity_embeddings = passage_embeddings = None
     if with_embeddings:
         encoder = OfflineEncoder(dim=dim)
-        entity_embeddings = embed_batch(catalog.to_list(), encoder).values
-        passage_embeddings = embed_batch([f"text of {pid}" for pid in pids], encoder).values
+        entity_embeddings = embed_batch(catalog.to_list(), encoder)
+        passage_embeddings = embed_batch([f"text of {pid}" for pid in pids], encoder)
     return build_index(entity_sets, catalog, pids, entity_embeddings, passage_embeddings)
 
 

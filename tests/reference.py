@@ -110,12 +110,17 @@ def normalized_rows(values: np.ndarray) -> np.ndarray:
     return values / np.where(norms > 0.0, norms, 1.0)
 
 
+def max_sim_of_unit_rows(query_rows: np.ndarray, unit_rows: np.ndarray) -> np.ndarray:
+    """Max cosine of each row of ``unit_rows`` (already of unit norm, or zero)
+    over the query rows, from one product over the whole matrix."""
+    return np.clip((unit_rows @ normalized_rows(query_rows).T).max(axis=1), -1.0, 1.0)
+
+
 def per_call_entity_similarity(
     query_rows: np.ndarray, entity_embeddings: np.ndarray, eta: float
 ) -> np.ndarray:
     """x with both matrices normalized on every call, as queries once did."""
-    sims = normalized_rows(entity_embeddings) @ normalized_rows(query_rows).T
-    v = np.clip(sims.max(axis=1), -1.0, 1.0)
+    v = max_sim_of_unit_rows(query_rows, normalized_rows(entity_embeddings))
     return np.where(v > eta, v, 0.0)
 
 

@@ -67,6 +67,19 @@ class TestIndexCommand:
         assert "nope.jsonl" in capsys.readouterr().err
 
 
+    def test_corpus_that_is_not_utf8_exits_2(self, tmp_path, capsys, no_network):
+        corpus = tmp_path / "latin1.jsonl"
+        corpus.write_bytes(
+            (DATA_DIR / "toy_corpus.jsonl").read_bytes()
+            + '{"id": "P4", "title": "", "text": "Köln"}\n'.encode("latin-1")
+        )
+        code = main(
+            ["index", "--corpus", str(corpus), "--index-dir", str(tmp_path / "i"), "--offline"]
+        )
+        assert code == 2
+        assert "line 4: not UTF-8" in capsys.readouterr().err
+
+
 class TestRetrieveCommand:
     def test_toy_query_selects_p1_p2(self, built, capsys):
         code = main(["retrieve", TOY_QUERY, "--k1", "1", "--k2", "3"] + common(built))
@@ -136,6 +149,41 @@ class TestStatsCommand:
         assert payload["incidences"] == 7
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _drop_nnz(path):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["nnz"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _repeat_first_id(path):
+    ids = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps([ids[0]] + ids[:-1]), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("manifest.json", _truncate),
+        ("entities.json", _truncate),
+        ("passages.json", _truncate),
+        ("manifest.json", _drop_nnz),
+        ("manifest.json", lambda path: path.write_text("[1, 2]", encoding="utf-8")),
+        ("entities.json", lambda path: path.write_text("[1, 2, 3, 4, 5]", encoding="utf-8")),
+        ("passages.json", lambda path: path.write_text('{"P1": 0}', encoding="utf-8")),
+        ("entities.json", _repeat_first_id),
+        ("passages.json", _repeat_first_id),
+    ],
+)
+def test_corrupt_index_json_exits_2(built, capsys, name, corrupt):
+    corrupt(built / "index" / name)
+    assert main(["stats"] + common(built)) == 2
+    assert name in capsys.readouterr().err
+
+
 class TestAnswerCommand:
     def test_offline_placeholder_answer(self, built, capsys):
         code = main(["answer", TOY_QUERY, "--k1", "1", "--k2", "3"] + common(built))
@@ -194,6 +242,13 @@ class TestEvalCommand:
         assert out.exists()  # report still written on partial failure
         payload = json.loads(out.read_text())
         assert payload["aggregates"]["errors"] == 1
+
+    def test_malformed_dataset_line_exits_2(self, built, tmp_path, capsys):
+        bad = tmp_path / "bad_qa.jsonl"
+        bad.write_text('{"question": "q", "answers": "Paris"}\n', encoding="utf-8")
+        args = ["eval", "--dataset", str(bad), "--k1", "1", "--k2", "3"] + common(built)
+        assert main(args) == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_index_without_passage_embeddings_exits_2(self, built, capsys):
         # A broken index fails every example alike: a precondition, not a
@@ -277,6 +332,33 @@ def test_all_commands_honor_offline_mode(built, capsys):
     assert main(["retrieve", "q", "--k1", "1", "--k2", "2"] + common(built)) == 0
     assert main(["answer", "q", "--k1", "1", "--k2", "2"] + common(built)) == 0
     assert main(["eval", "--dataset", TOY_QA, "--k1", "1", "--k2", "2"] + common(built)) == 0
+
+
+GOLDEN = DATA_DIR / "toy_golden"
+
+
+def test_toy_outputs_are_the_golden_bytes(built, capsys):
+    """The toy index manifest, `stats`, `eval` and `eval --qa` outputs byte for
+    byte as in tests/data/toy_golden, and the ids that `retrieve` selects and
+    ranks. The retrieval scores are left out: BLAS kernels may move their
+    last bits from one CPU to another."""
+    golden = {path.name: path.read_bytes() for path in GOLDEN.iterdir()}
+    assert (built / "index" / "manifest.json").read_bytes() == golden["manifest.json"]
+    runs = {
+        "manifest.json": ["index"],
+        "stats.json": ["stats"],
+        "eval.json": ["eval", "--dataset", TOY_QA],
+        "eval_qa.json": ["eval", "--dataset", TOY_QA, "--qa", "--k1", "1", "--k2", "3"],
+    }
+    capsys.readouterr()
+    for name, args in runs.items():
+        assert main(args + common(built)) == 0
+        assert capsys.readouterr().out.encode("utf-8") == golden[name], name
+    assert main(["retrieve", TOY_QUERY, "--k1", "1", "--k2", "3"] + common(built)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ids = {key: [e["id"] for e in payload[key]] for key in ("selected", "topk2")}
+    rendered = json.dumps({"query": payload["query"], **ids}, indent=2) + "\n"
+    assert rendered.encode("utf-8") == golden["retrieve_ids.json"]
 
 
 @pytest.mark.parametrize("module", ["hyperhop", "hyperhop.cli"])

@@ -78,3 +78,14 @@ def test_corpus_digest_changes_with_content(tmp_path):
     write_jsonl(b, [{"id": "p1", "title": "", "text": "y"}])
     assert corpus_digest(a) != corpus_digest(b)
     assert corpus_digest(a) == corpus_digest(a)
+
+
+def test_load_corpus_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(
+        json.dumps({"id": "p1", "title": "", "text": "ok"}).encode("utf-8")
+        + b"\n"
+        + '{"id": "p2", "title": "", "text": "Köln"}\n'.encode("latin-1")
+    )
+    with pytest.raises(CorpusFormatError, match="line 2: not UTF-8"):
+        load_corpus(path)

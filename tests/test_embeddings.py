@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperhop.embeddings import (
-    _MAX_SIM_BLOCK,
+    ROW_BLOCK,
     EmbeddingCache,
-    EmbeddingMatrix,
     OfflineEncoder,
     cosine_against_rows,
     embed_batch,
@@ -15,9 +14,15 @@ from hyperhop.embeddings import (
     screen_max_sim,
     unit_rows,
 )
-from hyperhop.errors import ContractError, EmbeddingError
+from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
 
 from reference import cosine
+
+
+def max_sim_over_all_rows(query_rows, rows):
+    """``max_sim_to_query_entities`` with every row of ``rows`` a candidate."""
+    rows = np.asarray(rows, dtype=np.float32)
+    return max_sim_to_query_entities(query_rows, rows, row_norms(rows), np.arange(rows.shape[0]))
 
 
 class CountingEncoder(OfflineEncoder):
@@ -36,20 +41,20 @@ class CountingEncoder(OfflineEncoder):
 class TestOfflineEncoder:
     def test_identical_inputs_identical_rows(self):
         matrix = embed_batch(["berlin", "berlin"], OfflineEncoder(dim=64))
-        assert matrix.rows == 2
-        np.testing.assert_array_equal(matrix.values[0], matrix.values[1])
+        assert matrix.shape == (2, 64) and matrix.dtype == np.float32
+        np.testing.assert_array_equal(matrix[0], matrix[1])
 
     def test_empty_input(self):
         matrix = embed_batch([], OfflineEncoder(dim=64))
-        assert matrix.rows == 0 and matrix.dim == 64
+        assert matrix.shape == (0, 64) and matrix.dtype == np.float32
 
     def test_unit_norm(self):
         matrix = embed_batch(["some text with words"], OfflineEncoder(dim=64))
-        assert np.linalg.norm(matrix.values[0]) == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.norm(matrix[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_tokenless_text_is_zero_vector(self):
         matrix = embed_batch(["?!?"], OfflineEncoder(dim=64))
-        assert not matrix.values[0].any()
+        assert not matrix[0].any()
 
     def test_purity_across_instances(self):
         a = OfflineEncoder(dim=128).encode_batch(["Albert Einstein"])
@@ -92,64 +97,68 @@ class TestMaxSim:
         enc = OfflineEncoder(dim=64)
         corpus = embed_batch(["alpha", "beta", "gamma"], enc)
         query = embed_batch(["beta"], enc)
-        v = max_sim_to_query_entities(query.values, unit_rows(corpus.values))
+        v = max_sim_over_all_rows(query, corpus)
         assert v[1] == pytest.approx(1.0)
 
     def test_empty_query_entities(self):
         enc = OfflineEncoder(dim=64)
         corpus = embed_batch(["alpha", "beta"], enc)
         empty = np.empty((0, 64), dtype=np.float32)
-        assert max_sim_to_query_entities(empty, unit_rows(corpus.values)).tolist() == [0.0, 0.0]
+        assert max_sim_over_all_rows(empty, corpus).tolist() == [0.0, 0.0]
 
     def test_matches_pairwise_brute_force(self):
         enc = OfflineEncoder(dim=64)
         corpus = embed_batch(["red fox", "blue whale", "green tea"], enc)
         query = embed_batch(["green tea leaves", "blue deep whale"], enc)
-        v = max_sim_to_query_entities(query.values, unit_rows(corpus.values))
-        brute = [
-            max(cosine(qrow, crow) for qrow in query.values) for crow in corpus.values
-        ]
+        v = max_sim_over_all_rows(query, corpus)
+        brute = [max(cosine(qrow, crow) for qrow in query) for crow in corpus]
         np.testing.assert_allclose(v, brute, rtol=1e-6)
 
     def test_permutation_invariance_and_monotonicity(self, rng):
         enc = OfflineEncoder(dim=32)
-        corpus = unit_rows(embed_batch([f"word{i}" for i in range(6)], enc).values)
-        q1 = embed_batch(["alpha beta", "gamma"], enc).values
-        q2 = embed_batch(["gamma", "alpha beta"], enc).values
+        corpus = embed_batch([f"word{i}" for i in range(6)], enc)
+        q1 = embed_batch(["alpha beta", "gamma"], enc)
+        q2 = embed_batch(["gamma", "alpha beta"], enc)
         np.testing.assert_array_equal(
-            max_sim_to_query_entities(q1, corpus), max_sim_to_query_entities(q2, corpus)
+            max_sim_over_all_rows(q1, corpus), max_sim_over_all_rows(q2, corpus)
         )
-        q3 = embed_batch(["gamma", "alpha beta", "word3"], enc).values
+        q3 = embed_batch(["gamma", "alpha beta", "word3"], enc)
         assert (
-            max_sim_to_query_entities(q3, corpus) >= max_sim_to_query_entities(q1, corpus) - 1e-12
+            max_sim_over_all_rows(q3, corpus) >= max_sim_over_all_rows(q1, corpus) - 1e-12
         ).all()
 
     def test_dim_mismatch(self):
         a = embed_batch(["x"], OfflineEncoder(dim=16))
         b = embed_batch(["x"], OfflineEncoder(dim=32))
         with pytest.raises(ContractError):
-            max_sim_to_query_entities(a.values, unit_rows(b.values))
+            max_sim_over_all_rows(a, b)
 
     @pytest.mark.parametrize("n_query", [1, 2, 3, 4])
     def test_bitwise_equal_to_a_max_over_the_query_axis(self, rng, n_query):
         for _ in range(10):
-            corpus = unit_rows(rng.normal(size=(int(rng.integers(1, 500)), 24)))
+            raw = rng.normal(size=(int(rng.integers(1, ROW_BLOCK)), 24)).astype(np.float32)
+            candidates = np.flatnonzero(rng.random(raw.shape[0]) < rng.random())
             query = rng.normal(size=(n_query, 24)).astype(np.float32)
-            expected = np.clip((corpus @ unit_rows(query).T).max(axis=1), -1.0, 1.0)
-            got = max_sim_to_query_entities(query, corpus)
+            unit = unit_rows(raw)[candidates]  # one block
+            expected = np.clip((unit @ unit_rows(query).T).max(axis=1), -1.0, 1.0)
+            got = max_sim_to_query_entities(query, raw, row_norms(raw), candidates)
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_query", [1, 2, 3])
     def test_raw_rows_with_norms_score_as_their_unit_rows(self, rng, n_query):
-        raw = rng.normal(size=(3 * _MAX_SIM_BLOCK + 17, 24)).astype(np.float32)
-        raw[[5, _MAX_SIM_BLOCK]] = 0.0
+        raw = rng.normal(size=(5 * ROW_BLOCK, 24)).astype(np.float32)
+        raw[[5, ROW_BLOCK]] = 0.0
+        # Blocks of gathered rows, and at least one run of consecutive rows.
+        scattered = rng.choice(raw.shape[0], ROW_BLOCK + 17, replace=False)
+        candidates = np.union1d(scattered, np.r_[5, ROW_BLOCK : 3 * ROW_BLOCK])
         query = rng.normal(size=(n_query, 24)).astype(np.float32)
-        got = max_sim_to_query_entities(query, raw, row_norms(raw))
-        # Block by block, the product of the unit rows with the unit query rows.
-        unit, unit_query = unit_rows(raw), unit_rows(query)
+        got = max_sim_to_query_entities(query, raw, row_norms(raw), candidates)
+        # Block by block, the product of the candidates' unit rows with the
+        # unit query rows.
+        unit, unit_query = unit_rows(raw)[candidates], unit_rows(query)
         blocks = [
-            (unit[start : start + _MAX_SIM_BLOCK] @ unit_query.T).max(axis=1)
-            for start in range(0, raw.shape[0], _MAX_SIM_BLOCK)
+            (unit[start : start + ROW_BLOCK] @ unit_query.T).max(axis=1)
+            for start in range(0, candidates.shape[0], ROW_BLOCK)
         ]
         assert got.tobytes() == np.clip(np.concatenate(blocks), -1.0, 1.0).tobytes()
 
@@ -178,7 +187,7 @@ class TestScreen:
             np.float32
         )
         rows = rows_near_threshold(rng, query, eta)
-        v = max_sim_to_query_entities(query, unit_rows(rows))
+        v = max_sim_over_all_rows(query, rows)
         passing = np.flatnonzero(v > eta)
         near = np.abs(v - eta) < 2e-7
         assert np.count_nonzero(near & (v > eta)) > 50 and np.count_nonzero(near & (v <= eta)) > 50
@@ -197,7 +206,7 @@ class TestScreen:
             ],
             dtype=np.float32,
         )
-        v = max_sim_to_query_entities(query, unit_rows(rows))
+        v = max_sim_over_all_rows(query, rows)
         assert v[0] > 0.8
         assert screen_max_sim(query, rows, row_norms(rows), 0.8).tolist() == [0, 1]
 
@@ -218,7 +227,7 @@ class TestScreen:
         # 1e-30 x 1e-20 rounds to 0 in float32, but the row's float64 value is 1e-20.
         query = np.array([[1.0, 1e-20, 0.0]], dtype=np.float32)
         rows = np.array([[0.0, 1e-30, 0.0], [0.0, 0.0, 1e-30]], dtype=np.float32)
-        v = max_sim_to_query_entities(query, unit_rows(rows))
+        v = max_sim_over_all_rows(query, rows)
         assert v[0] > 0.0 and v[1] == 0.0
         assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0]
 
@@ -227,7 +236,7 @@ class TestScreen:
         # nonzero there and kept, row 1 shares no coordinate and is dropped.
         query = np.array([[1.0, 1e-40, 0.0]], dtype=np.float32)
         rows = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)
-        v = max_sim_to_query_entities(query, unit_rows(rows))
+        v = max_sim_over_all_rows(query, rows)
         assert v[0] > 0.0 and v[1] == 0.0
         assert screen_max_sim(query, rows, row_norms(rows), 0.0).tolist() == [0]
 
@@ -248,7 +257,7 @@ class TestScreen:
             query = np.zeros((2, dim), dtype=np.float32)
             query[:, : dim // 2] = rng.normal(size=(2, dim // 2))
         rows[[5, 6]] = 0.0
-        v = max_sim_to_query_entities(query, unit_rows(rows))
+        v = max_sim_over_all_rows(query, rows)
         candidates = screen_max_sim(query, rows, row_norms(rows), eta)
         assert np.isin(np.flatnonzero(v > eta), candidates).all()
         no_support = ~(rows[:, (query != 0).any(axis=0)] != 0).any(axis=1)
@@ -300,7 +309,7 @@ class TestEmbeddingCache:
         cache2 = EmbeddingCache(tmp_path, second_client.encoder_id, second_client.dim)
         second = embed_batch(texts, second_client, cache2)
         assert second_client.calls == 0
-        assert first.values.tobytes() == second.values.tobytes()
+        assert first.tobytes() == second.tobytes()
 
     def test_cache_invalidated_on_encoder_change(self, tmp_path):
         client = CountingEncoder()
@@ -320,7 +329,7 @@ class TestEmbeddingCache:
         assert client.calls == calls_before + 1  # only "c" is new
         direct = client.encode_batch(["b", "c", "a"])
         client.calls -= 1
-        np.testing.assert_array_equal(matrix.values, direct)
+        np.testing.assert_array_equal(matrix, direct)
 
     @pytest.mark.parametrize("orphan_rows", [1.0, 0.5])
     @pytest.mark.parametrize("with_manifest", [True, False])
@@ -380,7 +389,7 @@ class TestEmbeddingCache:
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         matrix = embed_batch(["same", "same", "same"], client, cache, batch_size=1)
         assert client.calls == 1
-        np.testing.assert_array_equal(matrix.values[0], matrix.values[2])
+        np.testing.assert_array_equal(matrix[0], matrix[2])
 
 
 class ExplodingEncoder(OfflineEncoder):
@@ -394,9 +403,19 @@ def test_embedding_error_carries_batch_offsets():
     assert excinfo.value.batch_offsets == (0, 2)
 
 
-def test_embedding_matrix_rejects_non_finite():
-    from hyperhop.errors import IndexIntegrityError
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one_is_rejected(batch_size):
+    with pytest.raises(ContractError, match="batch_size"):
+        embed_batch(["a"], OfflineEncoder(dim=8), batch_size=batch_size)
 
-    bad = np.array([[1.0, np.nan]], dtype=np.float32)
-    with pytest.raises(IndexIntegrityError):
-        EmbeddingMatrix(values=bad, row_keys=["k"])
+
+class NaNEncoder(OfflineEncoder):
+    def encode_batch(self, texts):
+        out = super().encode_batch(texts)
+        out[-1, 0] = np.nan
+        return out
+
+
+def test_embedding_matrix_rejects_non_finite():
+    with pytest.raises(IndexIntegrityError, match="non-finite"):
+        embed_batch(["a", "b"], NaNEncoder(dim=8))

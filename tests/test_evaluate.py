@@ -28,6 +28,45 @@ def test_load_qa_dataset_rejects_missing_keys(tmp_path):
         load_qa_dataset(path)
 
 
+GOOD_LINE = json.dumps({"question": "q", "answers": ["a"], "gold_passage_ids": ["P1"]})
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"question": "q", "answers": "Paris"}', "'answers' must be a list of strings"),
+        ('{"question": "q", "answers": ["a", 1]}', "'answers' must be a list of strings"),
+        ('{"question": "q", "answers": []}', "'answers' is empty"),
+        (
+            '{"question": "q", "answers": ["a"], "gold_passage_ids": "P1"}',
+            "'gold_passage_ids' must be a list of strings",
+        ),
+        ('{"question": 7, "answers": ["a"]}', "'question' must be a string"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"question": "q"', "invalid JSON"),
+    ],
+)
+def test_load_qa_dataset_rejects_malformed_lines(tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"line 2: .*{message}"):
+        load_qa_dataset(path)
+
+
+def test_load_qa_dataset_gold_passage_ids_default_to_empty(tmp_path):
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"question": "q", "answers": ["a"]}\n', encoding="utf-8")
+    assert load_qa_dataset(path)[0].gold_passage_ids == ()
+
+
+def test_load_qa_dataset_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    latin1 = '{"question": "Köln?", "answers": ["a"]}\n'.encode("latin-1")
+    path.write_bytes(GOOD_LINE.encode("utf-8") + b"\n" + latin1)
+    with pytest.raises(CorpusFormatError, match="line 2: not UTF-8"):
+        load_qa_dataset(path)
+
+
 def test_retrieval_only_report(toy_built, data_dir):
     index, _, _ = toy_built
     dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")

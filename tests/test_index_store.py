@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperhop import index_store
 from hyperhop.cli import main
-from hyperhop.embeddings import OfflineEncoder, embed_batch, row_norms, unit_rows
+from hyperhop.embeddings import ROW_BLOCK, OfflineEncoder, embed_batch, row_norms, unit_rows
 from hyperhop.entities import EntitySet, build_catalog
 from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.index_store import build_index, load_index, save_index
@@ -24,8 +23,8 @@ def make_toy_index(with_embeddings=True):
     entity_embeddings = passage_embeddings = None
     if with_embeddings:
         encoder = OfflineEncoder(dim=32)
-        entity_embeddings = embed_batch(catalog.to_list(), encoder).values
-        passage_embeddings = embed_batch([f"t {pid}" for pid in pids], encoder).values
+        entity_embeddings = embed_batch(catalog.to_list(), encoder)
+        passage_embeddings = embed_batch([f"t {pid}" for pid in pids], encoder)
     return build_index(entity_sets, catalog, pids, entity_embeddings, passage_embeddings)
 
 
@@ -227,9 +226,6 @@ def test_non_finite_embeddings_detected(tmp_path, name, value):
         load_index(tmp_path)
 
 
-BLOCK = index_store._LOAD_BLOCK
-
-
 def _synthetic_index(rows, dim, seed=7):
     """``rows`` passages, each holding its own entity, with random embeddings
     of mixed scale and a few zero rows."""
@@ -248,7 +244,7 @@ def _stored(directory, name, dim):
     return np.fromfile(directory / name, dtype="<f4").reshape(-1, dim)
 
 
-@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     save_index(_synthetic_index(rows, 16), tmp_path)
     loaded = load_index(tmp_path)
@@ -278,7 +274,7 @@ def test_a_loaded_index_cannot_be_saved_again(tmp_path):
 @pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_embeddings.bin"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_last_row_of_a_partial_block_exits_2(tmp_path, capsys, name, value):
-    save_index(_synthetic_index(BLOCK + 3, 8), tmp_path)
+    save_index(_synthetic_index(ROW_BLOCK + 3, 8), tmp_path)
     path = tmp_path / name
     values = np.fromfile(path, dtype="<f4")
     values[-1] = value
@@ -318,4 +314,4 @@ def test_load_makes_no_temporary_beyond_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.unit_passage_rows.nbytes == 20_000 * dim * 8
-    assert peak - before <= (retained - before) + BLOCK * dim * 4 + 2**20
+    assert peak - before <= (retained - before) + ROW_BLOCK * dim * 4 + 2**20

@@ -80,10 +80,10 @@ def test_remote_encoder_through_embed_batch():
             {"data": [{"index": 0, "embedding": [9.0, 9.0]}]},
         ]
     )
-    encoder = RemoteEncoder(ENDPOINT, "emb-model", dim=2, batch_size=2, transport=transport)
+    encoder = RemoteEncoder(ENDPOINT, "emb-model", dim=2, transport=transport)
     matrix = embed_batch(["a", "b", "c"], encoder, batch_size=2)
-    assert matrix.rows == 3
-    np.testing.assert_array_equal(matrix.values[2], [9.0, 9.0])
+    assert matrix.shape == (3, 2)
+    np.testing.assert_array_equal(matrix[2], [9.0, 9.0])
 
 
 def test_remote_encoder_shape_mismatch_is_embedding_error():

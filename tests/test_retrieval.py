@@ -3,7 +3,7 @@ import pytest
 
 from hyperhop import retrieval
 from hyperhop.config import AppConfig
-from hyperhop.embeddings import OfflineEncoder, embed_batch
+from hyperhop.embeddings import ROW_BLOCK, OfflineEncoder, embed_batch, screen_max_sim
 from hyperhop.entities import EntitySet, OfflineEntityExtractor, build_catalog, dedup_normalized
 from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.hypergraph import apply_diffusion_operator, entity_to_passage
@@ -28,6 +28,7 @@ from reference import (
     dense_incidence,
     dense_pipeline,
     dense_shared_counts,
+    max_sim_of_unit_rows,
     normalized_rows,
     per_call_entity_similarity,
     per_call_passage_similarity,
@@ -93,7 +94,7 @@ class TestEntitySimilarity:
     def test_eta_zero_matches_brute_force(self, toy_built):
         index, _, _ = toy_built
         x = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.0)
-        query_rows = embed_batch(["albert einstein"], ENCODER).values
+        query_rows = embed_batch(["albert einstein"], ENCODER)
         for i, entity in enumerate(index.catalog):
             expected = max(cosine(q, index.entity_embeddings[i]) for q in query_rows)
             if expected > 0.0:
@@ -183,11 +184,29 @@ class TestEntitySimilarityScreen:
             passed += np.count_nonzero(expected)
         assert passed > 0 or eta == 1.0
 
+    def test_a_screen_that_keeps_most_rows_matches_the_oracle(self, rng):
+        # Dense rows leaning toward the query rows, at eta 0: the screen keeps
+        # more than half of them, and they are scored over several blocks.
+        dim, n = 64, 3 * ROW_BLOCK + 7
+        query = rng.normal(size=(3, dim)).astype(np.float32)
+        values = (rng.normal(size=(n, dim)) + query.sum(axis=0)).astype(np.float32)
+        values[5] = 0.0
+        index = index_with_entity_rows(values)
+        kept = screen_max_sim(query, values, index.entity_row_norms, 0.0)
+        assert kept.size > n / 2
+        fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
+        x = build_entity_similarity("?", index, fixed, fixed, 0.0)
+        expected = per_call_entity_similarity(query, values, 0.0)
+        u = np.finfo(np.float64).eps / 2
+        gamma = dim * u / (1 - dim * u)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=2 * gamma)
+        assert x[5] == 0.0 and np.count_nonzero(x) > n / 2
+
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.8])
     def test_offline_rows_match_per_call_normalization(self, rng, eta):
         words = [f"w{i}" for i in range(200)]
         names = sorted({" ".join(rng.choice(words, rng.integers(1, 4))) for _ in range(3000)})
-        index = index_with_entity_rows(embed_batch(names, ENCODER).values)
+        index = index_with_entity_rows(embed_batch(names, ENCODER))
         unit_entities = normalized_rows(index.entity_embeddings)
         dim = ENCODER.dim
         u = np.finfo(np.float64).eps / 2
@@ -198,13 +217,13 @@ class TestEntitySimilarityScreen:
                 " ".join(rng.choice(words, rng.integers(1, 4))) for _ in range(rng.integers(0, 3))
             ]
             x = build_entity_similarity("?", index, ENCODER, ListExtractor(query_names), eta)
-            query_rows = embed_batch(dedup_normalized(query_names), ENCODER).values
+            query_rows = embed_batch(dedup_normalized(query_names), ENCODER)
             expected = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
             # As in the dense test, the product over the candidates may sum in
             # another order than the whole-catalog one: the values are within
             # 2 gamma_dim, and a value that close to eta may pass on one side
             # only (an exact 0 at eta 0, or a one-word match of 1/2 at eta 0.5).
-            v = np.clip((unit_entities @ normalized_rows(query_rows).T).max(axis=1), -1.0, 1.0)
+            v = max_sim_of_unit_rows(query_rows, unit_entities)
             settled = np.abs(v - eta) > 2 * gamma
             np.testing.assert_allclose(x[settled], expected[settled], rtol=0, atol=2 * gamma)
             assert ((x == 0.0) | (np.abs(x - v) <= 2 * gamma))[~settled].all()
@@ -227,7 +246,7 @@ class TestPassageSimilarity:
     def test_matches_scalar_cosine(self, toy_built):
         index, _, _ = toy_built
         p = build_passage_similarity(TOY_QUERY, index, ENCODER)
-        qv = embed_batch([TOY_QUERY], ENCODER).values[0]
+        qv = embed_batch([TOY_QUERY], ENCODER)[0]
         expected = [cosine(qv, row) for row in index.passage_embeddings]
         np.testing.assert_allclose(p, expected, rtol=1e-12)
 
@@ -262,10 +281,10 @@ class TestUnitRowCache:
         index, _, _ = toy_built
         config = RetrievalConfig(eta=eta, k1=1, k2=3)
         result = retrieve(TOY_QUERY, index, config, ENCODER, EXTRACTOR)
-        query_rows = embed_batch(dedup_normalized(EXTRACTOR.extract("", TOY_QUERY)), ENCODER).values
+        query_rows = embed_batch(dedup_normalized(EXTRACTOR.extract("", TOY_QUERY)), ENCODER)
         x = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
         p = per_call_passage_similarity(
-            embed_batch([TOY_QUERY], ENCODER).values[0], index.passage_embeddings
+            embed_batch([TOY_QUERY], ENCODER)[0], index.passage_embeddings
         )
         expected = rank_passages(x, p, index, config).artifacts
         assert x.any()
