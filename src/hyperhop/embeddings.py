@@ -324,12 +324,11 @@ def max_sim_to_query_entities(
     ``candidates``, in their order.
 
     ``query_rows`` and ``corpus_rows`` are raw embeddings, ``corpus_norms``
-    the ``row_norms`` of the corpus and ``candidates`` ascending distinct row
-    indices, as ``screen_max_sim`` gives them. The candidate rows are
-    gathered, normalized from their norms (bit for bit the rows of
-    ``unit_rows``) and scored ``ROW_BLOCK`` at a time, so no float64 copy of
-    more than one block is made; a block of consecutive rows is read in
-    place. An empty query entity set yields zeros.
+    the ``row_norms`` of the corpus and ``candidates`` row indices, such as
+    the ones ``screen_max_sim`` gives. The candidate rows are gathered,
+    normalized from their norms (bit for bit the rows of ``unit_rows``) and
+    scored ``ROW_BLOCK`` at a time, so no float64 copy of more than one
+    block is made. An empty query entity set yields zeros.
     """
     if query_rows.shape[0] == 0:
         return np.zeros(candidates.shape[0], dtype=np.float64)
@@ -339,8 +338,6 @@ def max_sim_to_query_entities(
     best = np.empty(candidates.shape[0], dtype=np.float64)
     for start in range(0, candidates.shape[0], ROW_BLOCK):
         rows = candidates[start : start + ROW_BLOCK]
-        if rows[-1] - rows[0] == rows.shape[0] - 1:  # a run of consecutive rows: no gather
-            rows = slice(rows[0], rows[-1] + 1)
         block = unit_rows(corpus_rows[rows], corpus_norms[rows])
         best[start : start + ROW_BLOCK] = _fold_max(block @ unit_query)  # (block, n_query) folded
     return np.clip(best, -1.0, 1.0, out=best)

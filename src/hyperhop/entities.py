@@ -70,10 +70,10 @@ class EntityCatalog:
     """Bijection between normalized entity strings and indices in [0, n)."""
 
     def __init__(self, entities: Iterable[str] = ()):
-        self._entities: list[str] = []
-        self._index: dict[str, int] = {}
-        for ent in entities:
-            self.add(ent)
+        # In one pass each, not one ``add`` per entity: an index load builds
+        # a catalog of every entity.
+        self._entities: list[str] = list(dict.fromkeys(entities))
+        self._index: dict[str, int] = dict(zip(self._entities, range(len(self._entities))))
 
     def add(self, entity: str) -> int:
         idx = self._index.get(entity)

@@ -55,11 +55,13 @@ def load_qa_dataset(path: str | Path) -> list[QAExample]:
             value = obj.get(key)
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise CorpusFormatError(f"{key!r} must be a list of strings", line=lineno)
-        if not obj["answers"]:
-            raise CorpusFormatError("'answers' is empty", line=lineno)
-        examples.append(
-            QAExample(obj["question"], tuple(obj["answers"]), tuple(obj["gold_passage_ids"]))
-        )
+        try:
+            example = QAExample(
+                obj["question"], tuple(obj["answers"]), tuple(obj["gold_passage_ids"])
+            )
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(str(exc), line=lineno) from None
+        examples.append(example)
     return examples
 
 

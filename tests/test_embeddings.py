@@ -148,7 +148,7 @@ class TestMaxSim:
     def test_raw_rows_with_norms_score_as_their_unit_rows(self, rng, n_query):
         raw = rng.normal(size=(5 * ROW_BLOCK, 24)).astype(np.float32)
         raw[[5, ROW_BLOCK]] = 0.0
-        # Blocks of gathered rows, and at least one run of consecutive rows.
+        # Blocks of scattered rows, and at least one of consecutive rows.
         scattered = rng.choice(raw.shape[0], ROW_BLOCK + 17, replace=False)
         candidates = np.union1d(scattered, np.r_[5, ROW_BLOCK : 3 * ROW_BLOCK])
         query = rng.normal(size=(n_query, 24)).astype(np.float32)
@@ -161,6 +161,15 @@ class TestMaxSim:
             for start in range(0, candidates.shape[0], ROW_BLOCK)
         ]
         assert got.tobytes() == np.clip(np.concatenate(blocks), -1.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("candidates", [[0, 2, 1, 3], [0, 0, 2], [3, 1]])
+    def test_candidates_in_any_order_score_in_their_order(self, rng, candidates):
+        raw = rng.normal(size=(4, 24)).astype(np.float32)
+        query = rng.normal(size=(2, 24)).astype(np.float32)
+        every_row = max_sim_to_query_entities(query, raw, row_norms(raw), np.arange(4))
+        got = max_sim_to_query_entities(query, raw, row_norms(raw), np.array(candidates))
+        # Wrong rows or a wrong order differ by far more than BLAS rounding.
+        np.testing.assert_allclose(got, every_row[candidates], rtol=0, atol=1e-12)
 
 
 def rows_near_threshold(rng, query_rows, eta, per_query=200):

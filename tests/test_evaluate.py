@@ -36,7 +36,7 @@ GOOD_LINE = json.dumps({"question": "q", "answers": ["a"], "gold_passage_ids": [
     [
         ('{"question": "q", "answers": "Paris"}', "'answers' must be a list of strings"),
         ('{"question": "q", "answers": ["a", 1]}', "'answers' must be a list of strings"),
-        ('{"question": "q", "answers": []}', "'answers' is empty"),
+        ('{"question": "q", "answers": []}', "has no gold answers"),
         (
             '{"question": "q", "answers": ["a"], "gold_passage_ids": "P1"}',
             "'gold_passage_ids' must be a list of strings",
