@@ -68,11 +68,6 @@ def _config_from_args(args: argparse.Namespace) -> AppConfig:
     return load_app_config(flags, config_file=args.config)
 
 
-def _load_index_or_fail(config: AppConfig):
-    index_dir = Path(config.require("index_dir"))
-    return load_index(index_dir)
-
-
 def _load_indexed_corpus(config: AppConfig, index):
     """The corpus passages, once the file is checked to be the one the index
     was built from (its ``corpus_sha256``)."""
@@ -94,7 +89,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = _load_index_or_fail(config)
+    index = load_index(config.require("index_dir"))
     result = retrieve(
         args.query,
         index,
@@ -109,7 +104,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 def cmd_answer(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = _load_index_or_fail(config)
+    index = load_index(config.require("index_dir"))
     passages = {p.id: p for p in _load_indexed_corpus(config, index)}
     result = retrieve(
         args.query,
@@ -135,7 +130,7 @@ def cmd_answer(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = _load_index_or_fail(config)
+    index = load_index(config.require("index_dir"))
     dataset = load_qa_dataset(args.dataset)
     chat = make_chat(config) if args.qa else None
     passages = _load_indexed_corpus(config, index) if args.qa else None
@@ -161,7 +156,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = _load_index_or_fail(config)
+    index = load_index(config.require("index_dir"))
     report = graph_stats(index.incidence, index.degrees)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return 0

@@ -68,17 +68,29 @@ def _coerce(name: str, value: Any) -> Any:
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ContractError(f"cannot parse boolean setting {name}={value!r}")
-    return kind(value)
+    # bool is an int, and int() drops a fraction: neither is a number here.
+    lossy = kind is int and isinstance(value, float) and not value.is_integer()
+    if kind in (int, float) and (isinstance(value, bool) or lossy):
+        raise ContractError(f"setting {name}={value!r} is not {kind.__name__}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ContractError(f"setting {name}={value!r} is not {kind.__name__}") from None
 
 
 def _from_file(path: str | Path) -> dict[str, Any]:
     path = Path(path)
     if not path.exists():
         raise ContractError(f"config file not found: {path}")
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ContractError(f"config file {path} is not readable JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ContractError(f"config file {path} must hold a JSON object")
     unknown = set(data) - set(SETTING_TYPES)
     if unknown:
-        raise ContractError(f"unknown config keys: {sorted(unknown)}")
+        raise ContractError(f"unknown config keys in {path}: {sorted(unknown)}")
     return {name: _coerce(name, value) for name, value in data.items()}
 
 

@@ -97,15 +97,21 @@ def text_key(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+_KEY_CHARS = 64  # a text_key: sha256 as hex
+
+
 class EmbeddingCache:
     """Append-only on-disk vector cache keyed by content hash.
 
-    Layout: ``manifest.json`` (encoder id, dim, count), ``keys.txt`` (one
-    hash per line) and ``vectors.bin`` (float32 little-endian rows). A cache
-    written by a different encoder id is discarded on open. Writes are
-    serialized; readers see a consistent prefix. Opening truncates both
-    files to the manifest's count, so rows and keys that a crash left past
-    it are never paired with the offsets of later appends.
+    ``manifest.json`` holds the encoder id and dim; it is written when the
+    cache is made and never on ``append``. ``records.bin`` holds one
+    fixed-size record per entry: the 64-character ``text_key`` as ASCII, then
+    the float32 little-endian row. The entry count is the file size over the
+    record size, and a key and its row are written together, so they cannot
+    disagree. Opening replaces a manifest that is not the expected one
+    (another encoder or dim, an older layout, an unparsable file) and deletes
+    the records with it, and truncates a partial last record that a crashed
+    append left. Appends are serialized; one process writes a cache at a time.
     """
 
     def __init__(self, directory: str | Path, encoder_id: str, dim: int):
@@ -113,84 +119,56 @@ class EmbeddingCache:
         self.encoder_id = encoder_id
         self.dim = dim
         self._lock = threading.Lock()
-        self._offsets: dict[str, int] = {}
-        self._count = 0
+        self._records = self.directory / "records.bin"
+        self._dtype = np.dtype([("key", f"S{_KEY_CHARS}"), ("row", "<f4", (dim,))])
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._load()
+        manifest = self.directory / "manifest.json"
+        expected = json.dumps({"dim": dim, "encoder_id": encoder_id}, sort_keys=True).encode()
+        if not manifest.is_file() or manifest.read_bytes() != expected:
+            for name in ("records.bin", "keys.txt", "vectors.bin"):
+                (self.directory / name).unlink(missing_ok=True)
+            manifest.write_bytes(expected)
+        size = self._records.stat().st_size if self._records.exists() else 0
+        self._count = size // self._dtype.itemsize
+        if size != self._count * self._dtype.itemsize:
+            os.truncate(self._records, self._count * self._dtype.itemsize)
+        # latin-1 decodes any byte, so a damaged key is a miss, not a crash.
+        self._offsets = {
+            key.decode("latin-1"): i for i, key in enumerate(self._mapped()["key"].tolist())
+        }
 
-    @property
-    def _manifest_path(self) -> Path:
-        return self.directory / "manifest.json"
-
-    @property
-    def _keys_path(self) -> Path:
-        return self.directory / "keys.txt"
-
-    @property
-    def _vectors_path(self) -> Path:
-        return self.directory / "vectors.bin"
-
-    def _load(self) -> None:
-        manifest = {"encoder_id": self.encoder_id, "dim": self.dim, "count": 0}
-        if self._manifest_path.exists():
-            manifest = json.loads(self._manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("encoder_id") != self.encoder_id or manifest.get("dim") != self.dim:
-            # Different encoder: existing rows are unusable.
-            self._keys_path.unlink(missing_ok=True)
-            self._vectors_path.unlink(missing_ok=True)
-            self._manifest_path.unlink(missing_ok=True)
-            return
-        text = self._keys_path.read_text(encoding="utf-8") if self._keys_path.exists() else ""
-        keys = text.split()
-        row_bytes = 4 * self.dim
-        bin_bytes = self._vectors_path.stat().st_size if self._vectors_path.exists() else 0
-        count = min(int(manifest.get("count", 0)), len(keys), bin_bytes // row_bytes)
-        # Appends go after the last byte of each file, so anything past the
-        # count, or a last line without its newline, must go before a key can
-        # be given the next offset.
-        if len(keys) != count or not text.endswith("\n") and text:
-            self._keys_path.write_text("".join(k + "\n" for k in keys[:count]), encoding="utf-8")
-        if bin_bytes != count * row_bytes:
-            os.truncate(self._vectors_path, count * row_bytes)
-        self._offsets = {key: i for i, key in enumerate(keys[:count])}
-        self._count = count
+    def _mapped(self) -> np.ndarray:
+        """A read-only map of the first ``count`` records."""
+        if not self._count:
+            return np.empty(0, dtype=self._dtype)
+        return np.memmap(self._records, dtype=self._dtype, mode="r", shape=(self._count,))
 
     def lookup(self, keys: Sequence[str]) -> dict[str, int]:
         return {k: self._offsets[k] for k in keys if k in self._offsets}
 
     def read_rows(self, offsets: Sequence[int]) -> np.ndarray:
-        """The rows at ``offsets``, copied out of a read-only map of the
-        first ``count`` rows of ``vectors.bin``, so only their pages are read."""
-        if not offsets:
-            return np.empty((0, self.dim), dtype=np.float32)
-        rows = np.memmap(self._vectors_path, dtype="<f4", mode="r", shape=(self._count, self.dim))
+        """The rows at ``offsets``, gathered from a read-only map of the
+        first ``count`` records, so only their pages are read."""
+        rows = self._mapped()["row"]
         return rows[np.asarray(offsets, dtype=np.int64)]  # a gather: an ndarray copy
 
     def append(self, keys: Sequence[str], vectors: np.ndarray) -> None:
         if vectors.shape != (len(keys), self.dim):
             raise ContractError("cache append shape mismatch")
+        for key in keys:
+            if len(key) != _KEY_CHARS or not key.isascii():
+                raise ContractError(f"cache key must be {_KEY_CHARS} ASCII characters: {key!r}")
         with self._lock:
-            fresh = [(k, i) for i, k in enumerate(keys) if k not in self._offsets]
+            fresh = {k: i for i, k in enumerate(keys) if k not in self._offsets}
             if not fresh:
                 return
-            rows = vectors[[i for _, i in fresh]].astype("<f4")
-            with self._vectors_path.open("ab") as fh:
-                fh.write(rows.tobytes())
-            with self._keys_path.open("a", encoding="utf-8") as fh:
-                for k, _ in fresh:
-                    fh.write(k + "\n")
-            for k, _ in fresh:
-                self._offsets[k] = self._count
-                self._count += 1
-            tmp = self._manifest_path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(
-                    {"encoder_id": self.encoder_id, "dim": self.dim, "count": self._count},
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
-            tmp.replace(self._manifest_path)
+            records = np.empty(len(fresh), dtype=self._dtype)
+            records["key"] = list(fresh)
+            records["row"] = vectors[list(fresh.values())]
+            with self._records.open("ab") as fh:
+                fh.write(records.tobytes())
+            self._offsets.update(zip(fresh, range(self._count, self._count + len(fresh))))
+            self._count += len(fresh)
 
 
 def embed_batch(

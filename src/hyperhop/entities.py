@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .corpus import Passage
-from .errors import ContractError, ExtractionError
+from .corpus import Passage, read_jsonl
+from .errors import ContractError, CorpusFormatError, ExtractionError
 
 # Tokens that may never start a capitalized span in the offline extractor.
 _SPAN_STOPWORDS = frozenset(
@@ -211,7 +211,8 @@ class ExtractionCache:
     prompt), so an edited passage or a changed extractor is a miss, and its
     ``put`` replaces the stale entry. ``flush`` writes the entries when a
     ``put`` came since the last write, to a temp file swapped in atomically;
-    concurrent puts are serialized.
+    concurrent puts are serialized. A line that is not such an entry raises
+    CorpusFormatError naming the file and the line.
     """
 
     def __init__(self, path: str | Path, extractor_id: str):
@@ -221,12 +222,22 @@ class ExtractionCache:
         self._unwritten = False
         self._lock = threading.Lock()
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
+            try:
+                for lineno, obj in read_jsonl(self.path):
+                    entities = obj.get("entities")
+                    if not (
+                        isinstance(obj.get("passage_id"), str)
+                        and isinstance(entities, list)
+                        and all(isinstance(e, str) for e in entities)
+                    ):
+                        raise CorpusFormatError(
+                            "an entry needs a string 'passage_id' and a list of strings "
+                            "in 'entities'",
+                            line=lineno,
+                        )
                     self._entries[obj["passage_id"]] = obj
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(f"extraction cache {self.path}: {exc}") from None
 
     def get(self, passage: Passage) -> list[str] | None:
         entry = self._entries.get(passage.id)

@@ -191,11 +191,8 @@ def _evaluate_one(
         )
         return _failed_record(example, reason), None
 
-    warnings: list[str] = []
     try:
-        x = build_entity_similarity(
-            example.question, index, encoder, extractor, config.eta, warnings
-        )
+        x = build_entity_similarity(example.question, index, encoder, extractor, config.eta)
         p = build_passage_similarity(example.question, index, encoder)
     except EmbeddingError as exc:
         return _failed_record(example, f"EmbeddingError: {exc}"), exc

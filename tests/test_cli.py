@@ -79,6 +79,61 @@ class TestIndexCommand:
         assert code == 2
         assert "line 4: not UTF-8" in capsys.readouterr().err
 
+    def test_garbage_embedding_cache_manifest_is_replaced(self, built, capsys):
+        index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
+        manifest = built / "cache" / "embeddings" / "manifest.json"
+        manifest.write_text("{not json")
+        assert main(["index"] + common(built)) == 0
+        assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
+        assert "count" not in json.loads(manifest.read_text())
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{not json",
+            "[1]",
+            '{"entities": []}',
+            '{"passage_id": 1, "entities": []}',
+            '{"passage_id": "P1", "entities": "germany"}',
+            '{"passage_id": "P1", "entities": [1]}',
+        ],
+    )
+    def test_damaged_extraction_cache_exits_2(self, built, capsys, line):
+        cache = built / "cache" / "extraction.jsonl"
+        cache.write_text(cache.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["index"] + common(built)) == 2
+        assert f"extraction cache {cache}: line 4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_text, env, named",
+    [
+        ("{not json", {}, "cfg.json"),
+        (None, {}, "cfg.json"),  # a directory
+        ("[1]", {}, "cfg.json"),
+        ('"k1"', {}, "cfg.json"),
+        ('{"k1": "x"}', {}, "k1='x'"),
+        ('{"k1": 2.7}', {}, "k1=2.7"),
+        ('{"k2": true}', {}, "k2=True"),
+        ('{"eta": false}', {}, "eta=False"),
+        ('{"steps": [4]}', {}, "steps=[4]"),
+        ("{}", {"HYPERHOP_K1": "abc"}, "k1='abc'"),
+        ("{}", {"HYPERHOP_ETA": "high"}, "eta='high'"),
+    ],
+)
+def test_malformed_config_exits_2(built, tmp_path, capsys, monkeypatch, config_text, env, named):
+    cfg = tmp_path / "cfg.json"
+    if config_text is None:
+        cfg.mkdir()
+    else:
+        cfg.write_text(config_text)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    assert main(["retrieve", TOY_QUERY, "--config", str(cfg)] + common(built)) == 2
+    assert named in capsys.readouterr().err
+
 
 class TestRetrieveCommand:
     def test_toy_query_selects_p1_p2(self, built, capsys):

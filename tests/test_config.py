@@ -41,6 +41,12 @@ def test_unknown_config_keys_rejected(tmp_path):
         load_app_config(config_file=cfg_file, env={})
 
 
+def test_integral_float_is_an_int_setting(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"k1": 2.0}))
+    assert load_app_config(config_file=cfg_file, env={}).retrieval.k1 == 2
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ContractError, match="not found"):
         load_app_config(config_file=tmp_path / "absent.json", env={})

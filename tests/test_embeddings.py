@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hyperhop.embeddings import (
     max_sim_to_query_entities,
     row_norms,
     screen_max_sim,
+    text_key,
     unit_rows,
 )
 from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
@@ -327,7 +330,7 @@ class TestEmbeddingCache:
 
         other = OfflineEncoder(dim=32)
         cache2 = EmbeddingCache(tmp_path, other.encoder_id, other.dim)
-        assert cache2.lookup([list(cache._offsets)[0]]) == {}
+        assert cache2.lookup([text_key("a")]) == {}
 
     def test_partial_hits_only_encode_misses(self, tmp_path):
         client = CountingEncoder()
@@ -345,53 +348,127 @@ class TestEmbeddingCache:
     def test_rows_past_the_manifest_count_are_dropped_on_open(
         self, tmp_path, with_manifest, orphan_rows
     ):
-        # A crash between writing vectors.bin and keys.txt and writing
-        # manifest.json leaves a row (or part of one) past the count.
+        # A crash during an append leaves a partial record: a row's worth of
+        # bytes (or less) is short of the key plus the row of a whole record.
+        # Without a manifest the records are discarded on open.
         client = CountingEncoder()
+        abc = [text_key(t) for t in "abc"]
         if with_manifest:
             cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-            cache.append(["a", "b", "c"], client.encode_batch(["a", "b", "c"]))
+            cache.append(abc, client.encode_batch(["a", "b", "c"]))
         orphan = np.full(int(client.dim * orphan_rows), 7.0, dtype="<f4")
-        with (tmp_path / "vectors.bin").open("ab") as fh:
+        with (tmp_path / "records.bin").open("ab") as fh:
             fh.write(orphan.tobytes())
-        with (tmp_path / "keys.txt").open("a", encoding="utf-8") as fh:
-            fh.write("orphan\n")
 
         reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        d = client.encode_batch(["d"])
-        reopened.append(["d"], d)
-        np.testing.assert_array_equal(reopened.read_rows([reopened.lookup(["d"])["d"]]), d)
+        assert len(reopened.lookup(abc)) == (3 if with_manifest else 0)
+        d, key = client.encode_batch(["d"]), text_key("d")
+        reopened.append([key], d)
+        np.testing.assert_array_equal(reopened.read_rows([reopened.lookup([key])[key]]), d)
 
         again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        assert again.lookup(["orphan"]) == {}
-        np.testing.assert_array_equal(again.read_rows([again.lookup(["d"])["d"]]), d)
+        assert again.lookup([key]) == {key: 3 if with_manifest else 0}
+        np.testing.assert_array_equal(again.read_rows([again.lookup([key])[key]]), d)
+        if with_manifest:
+            abc_rows = client.encode_batch(["a", "b", "c"])
+            assert again.read_rows([0, 1, 2]).tobytes() == abc_rows.tobytes()
+
+    def test_half_a_record_is_truncated_then_appends_read_back(self, tmp_path):
+        client = CountingEncoder()
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        cache.append([text_key("a")], client.encode_batch(["a"]))
+        records = tmp_path / "records.bin"
+        record_size = 64 + 4 * client.dim
+        with records.open("ab") as fh:
+            fh.write(bytes(record_size // 2))
+
+        reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert records.stat().st_size == record_size
+        texts = ["b", "c"]
+        reopened.append([text_key(t) for t in texts], client.encode_batch(texts))
+        assert records.stat().st_size == 3 * record_size
+        again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        offsets = again.lookup([text_key(t) for t in ["a", "b", "c"]])
+        assert sorted(offsets.values()) == [0, 1, 2]
+        rows = again.read_rows([offsets[text_key(t)] for t in ["a", "b", "c"]])
+        assert rows.tobytes() == client.encode_batch(["a", "b", "c"]).tobytes()
 
     def test_read_rows_gathers_only_the_first_count_rows(self, tmp_path):
         client = CountingEncoder()
         texts = [f"text {i}" for i in range(40)]
         vectors = client.encode_batch(texts)
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        cache.append(texts, vectors)
+        cache.append([text_key(t) for t in texts], vectors)
         # Bytes past the count, such as a half-written append of another
         # writer, are never mapped.
-        with (tmp_path / "vectors.bin").open("ab") as fh:
-            fh.write(bytes(4 * client.dim // 2))
+        with (tmp_path / "records.bin").open("ab") as fh:
+            fh.write(bytes(64 + 4 * client.dim // 2))
         offsets = [39, 0, 7, 7, 20]
         rows = cache.read_rows(offsets)
         assert type(rows) is np.ndarray and rows.dtype == np.dtype("<f4")
         assert rows.tobytes() == vectors[offsets].tobytes()
+        with pytest.raises(IndexError):
+            cache.read_rows([40])
 
-    def test_last_key_line_without_its_newline_is_repaired_on_open(self, tmp_path):
+    def test_manifest_of_another_dim_discards_the_records(self, tmp_path):
+        client = CountingEncoder()
+        embed_batch(["a", "b"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
+        other = CountingEncoder(dim=16)
+        other.encoder_id = client.encoder_id  # same id, another width
+        cache = EmbeddingCache(tmp_path, other.encoder_id, other.dim)
+        assert cache.lookup([text_key("a"), text_key("b")]) == {}
+        assert not (tmp_path / "records.bin").exists()
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {
+            "dim": 16, "encoder_id": client.encoder_id
+        }
+        embed_batch(["a"], other, cache)
+        assert other.calls == 1
+
+    def test_old_layout_with_a_count_is_discarded(self, tmp_path):
+        client = CountingEncoder()
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"count": 1, "dim": client.dim, "encoder_id": client.encoder_id})
+        )
+        (tmp_path / "keys.txt").write_text(text_key("a") + "\n")
+        (tmp_path / "vectors.bin").write_bytes(client.encode_batch(["a"]).tobytes())
+
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert cache.lookup([text_key("a")]) == {}
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json"]
+        assert "count" not in json.loads((tmp_path / "manifest.json").read_text())
+        embed_batch(["a"], client, cache)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "records.bin"]
+
+    @pytest.mark.parametrize("manifest", [b"{not json", b"", b"[1, 2]"])
+    def test_garbage_manifest_is_replaced(self, tmp_path, manifest):
+        client = CountingEncoder()
+        embed_batch(["a"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
+        (tmp_path / "manifest.json").write_bytes(manifest)
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert cache.lookup([text_key("a")]) == {}
+        assert not (tmp_path / "records.bin").exists()
+        assert json.loads((tmp_path / "manifest.json").read_text())["dim"] == client.dim
+
+    @pytest.mark.parametrize(
+        "key", ["a" * 63, "a" * 65, "é" * 64, ""], ids=["63", "65", "non-ascii", "empty"]
+    )
+    def test_key_that_is_not_64_ascii_characters_is_rejected(self, tmp_path, key):
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        cache.append(["a", "b"], client.encode_batch(["a", "b"]))
-        keys = tmp_path / "keys.txt"
-        keys.write_text(keys.read_text(encoding="utf-8")[:-1], encoding="utf-8")
+        with pytest.raises(ContractError, match="64 ASCII"):
+            cache.append([text_key("a"), key], client.encode_batch(["a", "b"]))
+        assert cache.lookup([text_key("a")]) == {}
+        assert not (tmp_path / "records.bin").exists()
 
-        reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        reopened.append(["d"], client.encode_batch(["d"]))
-        again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        assert sorted(again.lookup(["a", "b", "d"])) == ["a", "b", "d"]
+    def test_append_leaves_the_manifest_unchanged(self, tmp_path):
+        client = CountingEncoder()
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        manifest = tmp_path / "manifest.json"
+        before = (manifest.read_bytes(), manifest.stat().st_mtime_ns, manifest.stat().st_ino)
+        embed_batch([f"text {i}" for i in range(10)], client, cache, batch_size=3)
+        assert client.calls == 4
+        assert (manifest.read_bytes(), manifest.stat().st_mtime_ns, manifest.stat().st_ino) == before
+        assert not (tmp_path / "keys.txt").exists()
 
     def test_duplicate_texts_encoded_once(self, tmp_path):
         client = CountingEncoder()
