@@ -157,8 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     index = load_index(config.require("index_dir"))
-    report = graph_stats(index.incidence, index.degrees)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(graph_stats(index.incidence, index.degrees), sort_keys=True, indent=2))
     return 0
 
 
@@ -207,10 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HyperhopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (HyperhopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,15 +59,21 @@ SETTING_TYPES: dict[str, type] = {
 }
 
 
+_BOOL_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
 def _coerce(name: str, value: Any) -> Any:
     kind = SETTING_TYPES[name]
-    if kind is bool and isinstance(value, str):
-        lowered = value.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ContractError(f"cannot parse boolean setting {name}={value!r}")
+    if kind is bool:
+        # A boolean or a boolean word, never the truth value of another type.
+        if isinstance(value, str):
+            value = _BOOL_WORDS.get(value.strip().lower(), value)
+        if not isinstance(value, bool):
+            raise ContractError(f"cannot parse boolean setting {name}={value!r}")
+        return value
     # bool is an int, and int() drops a fraction: neither is a number here.
     lossy = kind is int and isinstance(value, float) and not value.is_integer()
     if kind in (int, float) and (isinstance(value, bool) or lossy):
@@ -91,7 +97,8 @@ def _from_file(path: str | Path) -> dict[str, Any]:
     unknown = set(data) - set(SETTING_TYPES)
     if unknown:
         raise ContractError(f"unknown config keys in {path}: {sorted(unknown)}")
-    return {name: _coerce(name, value) for name, value in data.items()}
+    # A null is a setting left unset, as an absent key is.
+    return {name: _coerce(name, value) for name, value in data.items() if value is not None}
 
 
 def _from_env(env: Mapping[str, str]) -> dict[str, Any]:

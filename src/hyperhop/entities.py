@@ -70,18 +70,9 @@ class EntityCatalog:
     """Bijection between normalized entity strings and indices in [0, n)."""
 
     def __init__(self, entities: Iterable[str] = ()):
-        # In one pass each, not one ``add`` per entity: an index load builds
-        # a catalog of every entity.
+        # Repeats keep their first position; both maps are built in one pass.
         self._entities: list[str] = list(dict.fromkeys(entities))
         self._index: dict[str, int] = dict(zip(self._entities, range(len(self._entities))))
-
-    def add(self, entity: str) -> int:
-        idx = self._index.get(entity)
-        if idx is None:
-            idx = len(self._entities)
-            self._index[entity] = idx
-            self._entities.append(entity)
-        return idx
 
     def index_of(self, entity: str) -> int:
         try:
@@ -89,17 +80,8 @@ class EntityCatalog:
         except KeyError:
             raise KeyError(f"entity {entity!r} not in catalog") from None
 
-    def entity_of(self, index: int) -> str:
-        return self._entities[index]
-
-    def __contains__(self, entity: str) -> bool:
-        return entity in self._index
-
     def __len__(self) -> int:
         return len(self._entities)
-
-    def __iter__(self):
-        return iter(self._entities)
 
     def to_list(self) -> list[str]:
         return list(self._entities)
@@ -108,14 +90,11 @@ class EntityCatalog:
 def build_catalog(entity_sets: Sequence[EntitySet]) -> EntityCatalog:
     """Union all entity sets into a catalog, indices in first-seen order.
 
-    Callers must pass the sets in the deterministic indexing order
-    (ascending passage id) for reproducible index assignment.
+    Every occurrence goes to the catalog's one-pass constructor. Callers
+    must pass the sets in the deterministic indexing order (ascending
+    passage id) for reproducible index assignment.
     """
-    catalog = EntityCatalog()
-    for es in entity_sets:
-        for ent in es.entities:
-            catalog.add(ent)
-    return catalog
+    return EntityCatalog(ent for es in entity_sets for ent in es.entities)
 
 
 class ExtractionClient(Protocol):

@@ -18,7 +18,7 @@ from typing import Sequence
 from .corpus import Passage, read_jsonl
 from .embeddings import EncoderClient
 from .entities import ExtractionClient
-from .errors import ChatError, CorpusFormatError, EmbeddingError, HyperhopError
+from .errors import ChatError, CorpusFormatError, EmbeddingError, ExtractionError, HyperhopError
 from .index_store import HypergraphIndex
 from .metrics import exact_match, hit_at_k, recall_at_k, token_f1
 from .qa import ChatClient, answer
@@ -179,8 +179,9 @@ def _evaluate_one(
 ) -> tuple[ExampleRecord, HyperhopError | None]:
     """Score one example; also return the failed endpoint call, if any.
 
-    A failed embedding call leaves nothing to score. A failed chat call
-    keeps the retrieval fields and sets only ``error``.
+    A failed query entity extraction or embedding call leaves nothing to
+    score. A failed chat call keeps the retrieval fields and sets only
+    ``error``.
     """
     missing = [pid for pid in example.gold_passage_ids if pid not in known_ids]
     if missing or not example.gold_passage_ids:
@@ -194,8 +195,8 @@ def _evaluate_one(
     try:
         x = build_entity_similarity(example.question, index, encoder, extractor, config.eta)
         p = build_passage_similarity(example.question, index, encoder)
-    except EmbeddingError as exc:
-        return _failed_record(example, f"EmbeddingError: {exc}"), exc
+    except (ExtractionError, EmbeddingError) as exc:
+        return _failed_record(example, f"{type(exc).__name__}: {exc}"), exc
     start = time.perf_counter()
     result = rank_passages(x, p, index, config, ranking_depth=max(RECALL_KS))
     elapsed = time.perf_counter() - start
@@ -236,12 +237,12 @@ def run_eval(
 ) -> EvalReport:
     """Evaluate retrieval (and QA when a chat client is given) over a dataset.
 
-    Per-example failures (gold ids absent from the index, a failed
-    embedding or chat call) are recorded in the example's ``error`` and
-    evaluation continues. A failed call before any example has succeeded
-    (in dataset order) propagates instead: the endpoint or its
-    configuration is taken to be broken for every example, and the run
-    stops before each one pays the retry budget. Index errors propagate.
+    Per-example failures (gold ids absent from the index, a failed query
+    entity extraction, embedding or chat call) are recorded in the
+    example's ``error`` and evaluation continues. A failed call before any
+    example has succeeded (in dataset order) propagates instead: the
+    endpoint or its configuration is taken to be broken for every example,
+    and the run stops before each one pays the retry budget. Index errors propagate.
     """
     passages_by_id = {p.id: p for p in passages} if passages is not None else None
     if chat is not None and passages_by_id is None:

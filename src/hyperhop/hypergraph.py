@@ -210,38 +210,19 @@ def apply_diffusion_operator(
     return y
 
 
-@dataclass
-class StatsReport:
-    """Graph-scale statistics for a built index."""
+def graph_stats(incidence: IncidenceMatrix, degrees: DegreeVectors) -> dict:
+    """Graph-scale statistics of an index, as ``hyperhop stats`` prints them;
+    a histogram maps each degree, as a string, to its count."""
 
-    n_entities: int
-    n_passages: int
-    nnz: int
-    node_degree_histogram: dict[int, int]
-    edge_degree_histogram: dict[int, int]
-    zero_degree_hyperedges: int
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.n_entities,
-            "hyperedges": self.n_passages,
-            "incidences": self.nnz,
-            "node_degree_histogram": {str(k): v for k, v in sorted(self.node_degree_histogram.items())},
-            "edge_degree_histogram": {str(k): v for k, v in sorted(self.edge_degree_histogram.items())},
-            "zero_degree_hyperedges": self.zero_degree_hyperedges,
-        }
-
-
-def graph_stats(incidence: IncidenceMatrix, degrees: DegreeVectors) -> StatsReport:
-    def histogram(deg: np.ndarray) -> dict[int, int]:
+    def histogram(deg: np.ndarray) -> dict[str, int]:
         values, counts = np.unique(deg, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
+        return {str(v): int(c) for v, c in zip(values, counts)}
 
-    return StatsReport(
-        n_entities=incidence.n_entities,
-        n_passages=incidence.n_passages,
-        nnz=incidence.nnz,
-        node_degree_histogram=histogram(degrees.node_degrees) if incidence.n_entities else {},
-        edge_degree_histogram=histogram(degrees.edge_degrees) if incidence.n_passages else {},
-        zero_degree_hyperedges=int(np.count_nonzero(degrees.edge_degrees == 0)),
-    )
+    return {
+        "nodes": incidence.n_entities,
+        "hyperedges": incidence.n_passages,
+        "incidences": incidence.nnz,
+        "node_degree_histogram": histogram(degrees.node_degrees),
+        "edge_degree_histogram": histogram(degrees.edge_degrees),
+        "zero_degree_hyperedges": int(np.count_nonzero(degrees.edge_degrees == 0)),
+    }

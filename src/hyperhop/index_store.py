@@ -10,11 +10,13 @@ Directory layout (all binary arrays little-endian):
     entity_embeddings.bin   float32, n_entities x dim
     passage_embeddings.bin  float32, n_passages x dim
 
+Every index has both embedding matrices, and the manifest always declares
+their ``embedding_dim``, which ``save_index`` derives from the matrices.
 The incidence is stored passage-major only; degrees are derived at load.
-``load_index`` checks the incidence arrays and, when the manifest declares
-``embedding_dim``, that both embedding files are there, of the right size,
-read in full and with every value finite; it raises IndexIntegrityError on
-any mismatch. Version 1 indexes, which also stored the entity-major
+``load_index`` checks the incidence arrays, a positive ``embedding_dim``,
+and that both embedding files are there, of the right size, read in full
+and with every value finite; it raises IndexIntegrityError on any
+mismatch. Version 1 indexes, which also stored the entity-major
 orientation and the degrees, are rejected and must be rebuilt.
 
 In memory, a loaded index keeps what the query path reads and nothing else:
@@ -61,11 +63,11 @@ class HypergraphIndex:
     """Catalog, incidence, degrees and aligned embeddings for one corpus.
 
     ``unit_passage_rows`` (the passage embeddings through
-    ``embeddings.unit_rows``, or None without them) and ``entity_row_norms``
-    are computed on first use and then kept, so a query never renormalizes a
-    whole matrix and a build never normalizes one. ``load_index`` sets both
-    as it reads the files and leaves ``passage_embeddings`` None, so a loaded
-    index cannot be saved again. A query derives the unit rows of its
+    ``embeddings.unit_rows``) and ``entity_row_norms`` are computed on first
+    use and then kept, so a query never renormalizes a whole matrix and a
+    build never normalizes one. ``load_index`` sets both as it reads the
+    files and leaves ``passage_embeddings`` None, the one field an index
+    leaves unset, so a loaded index cannot be saved again. A query derives the unit rows of its
     candidate entities from the norms, bit for bit the rows of
     ``unit_rows(entity_embeddings)``.
     """
@@ -74,8 +76,8 @@ class HypergraphIndex:
     incidence: IncidenceMatrix
     degrees: DegreeVectors
     passage_ids: list[str]
-    entity_embeddings: np.ndarray | None = None  # float32 (n_entities, dim)
-    passage_embeddings: np.ndarray | None = None  # float32 (n_passages, dim)
+    entity_embeddings: np.ndarray  # float32 (n_entities, dim)
+    passage_embeddings: np.ndarray | None  # float32 (n_passages, dim); None once loaded
     manifest: dict | None = None
 
     @property
@@ -91,9 +93,7 @@ class HypergraphIndex:
         return _read_only(row_norms(self.entity_embeddings))
 
     @functools.cached_property
-    def unit_passage_rows(self) -> np.ndarray | None:
-        if self.passage_embeddings is None:
-            return None
+    def unit_passage_rows(self) -> np.ndarray:
         return _read_only(unit_rows(self.passage_embeddings))
 
 
@@ -101,11 +101,11 @@ def build_index(
     entity_sets: Sequence[EntitySet],
     catalog: EntityCatalog,
     passage_ids: Sequence[str],
-    entity_embeddings: np.ndarray | None = None,
-    passage_embeddings: np.ndarray | None = None,
-    manifest: dict | None = None,
+    entity_embeddings: np.ndarray,
+    passage_embeddings: np.ndarray,
 ) -> HypergraphIndex:
-    """Assemble an in-memory index from already-extracted pieces.
+    """Assemble an in-memory index from already-extracted pieces and the two
+    float32 embedding matrices, one row per catalog entity and per passage.
 
     Raises IndexIntegrityError when the entity sets, or an embedding matrix's
     rows, do not line up with the catalog and the passages, or when the two
@@ -118,8 +118,6 @@ def build_index(
         ("entity", entity_embeddings, len(catalog)),
         ("passage", passage_embeddings, len(passage_ids)),
     ):
-        if values is None:
-            continue
         if values.ndim != 2 or values.shape[0] != rows:
             raise IndexIntegrityError(
                 f"{kind} embeddings have shape {values.shape}, expected {rows} rows"
@@ -135,7 +133,6 @@ def build_index(
         passage_ids=list(passage_ids),
         entity_embeddings=entity_embeddings,
         passage_embeddings=passage_embeddings,
-        manifest=manifest,
     )
 
 
@@ -155,25 +152,26 @@ def _read_array(path: Path, dtype: str) -> np.ndarray:
 
 
 def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: dict | None = None) -> dict:
-    """Persist the index; returns the manifest that was written."""
-    if (index.entity_embeddings is None) != (index.passage_embeddings is None):
-        raise ContractError(
-            "an index is saved with both float32 embedding matrices or neither"
-            " (a loaded index keeps no float32 passage matrix)"
-        )
+    """Persist the index; returns the manifest that was written.
+
+    The manifest holds the index's own manifest, then ``extra_manifest``,
+    then the format version, the counts and ``embedding_dim``, derived from
+    the index; a later source wins on a shared key.
+    """
+    if index.passage_embeddings is None:
+        raise ContractError("a loaded index keeps no float32 passage matrix and cannot be saved")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     inc = index.incidence
     manifest = {
+        **(index.manifest or {}),
+        **(extra_manifest or {}),
         "format_version": FORMAT_VERSION,
         "n_entities": inc.n_entities,
         "n_passages": inc.n_passages,
         "nnz": inc.nnz,
+        "embedding_dim": int(index.entity_embeddings.shape[1]),
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
-    if index.manifest:
-        manifest = {**index.manifest, **manifest}
 
     (directory / "entities.json").write_text(
         json.dumps(index.catalog.to_list(), ensure_ascii=False), encoding="utf-8"
@@ -183,12 +181,8 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
     )
     _write_array(directory / "pas_offsets.bin", inc.pas_offsets, "<i4")
     _write_array(directory / "pas_indices.bin", inc.pas_indices, "<i4")
-    if index.entity_embeddings is not None:
-        manifest["embedding_dim"] = int(index.entity_embeddings.shape[1])
-        _write_array(directory / "entity_embeddings.bin", index.entity_embeddings, "<f4")
-    if index.passage_embeddings is not None:
-        manifest.setdefault("embedding_dim", int(index.passage_embeddings.shape[1]))
-        _write_array(directory / "passage_embeddings.bin", index.passage_embeddings, "<f4")
+    _write_array(directory / "entity_embeddings.bin", index.entity_embeddings, "<f4")
+    _write_array(directory / "passage_embeddings.bin", index.passage_embeddings, "<f4")
 
     (directory / MANIFEST_NAME).write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -232,7 +226,7 @@ def _stream_embeddings(
     """
     path = directory / f"{kind}_embeddings.bin"
     if not path.exists():
-        raise IndexIntegrityError(f"index has no {kind} embeddings: missing {path.name}")
+        raise IndexIntegrityError(f"no {kind} embeddings: missing {path.name}")
     size = path.stat().st_size
     if size != rows * dim * 4:
         raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
@@ -302,8 +296,11 @@ def load_index(directory: str | Path) -> HypergraphIndex:
             f"unsupported index format version {manifest.get('format_version')!r}"
             f" (expected {FORMAT_VERSION}); rebuild the index"
         )
-    n_entities, n_passages, nnz = (_count(manifest, k) for k in ("n_entities", "n_passages", "nnz"))
-    dim = manifest.get("embedding_dim") and _count(manifest, "embedding_dim")
+    n_entities, n_passages, nnz, dim = (
+        _count(manifest, k) for k in ("n_entities", "n_passages", "nnz", "embedding_dim")
+    )
+    if dim == 0:
+        raise IndexIntegrityError(f"{MANIFEST_NAME} declares embedding_dim 0")
     entities = _read_ids(directory / "entities.json")
     passage_ids = _read_ids(directory / "passages.json")
     if len(entities) != n_entities or len(passage_ids) != n_passages:
@@ -317,16 +314,16 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         nnz,
     )
 
+    entity_embeddings, entity_row_norms = _load_entity_rows(directory, n_entities, dim)
     index = HypergraphIndex(
         catalog=EntityCatalog(entities),
         incidence=incidence,
         degrees=compute_degrees(incidence),
         passage_ids=passage_ids,
+        entity_embeddings=entity_embeddings,
+        passage_embeddings=None,
         manifest=manifest,
     )
-    if dim:
-        index.entity_embeddings, index.entity_row_norms = _load_entity_rows(
-            directory, n_entities, dim
-        )
-        index.unit_passage_rows = _load_unit_passage_rows(directory, n_passages, dim)
+    index.entity_row_norms = entity_row_norms
+    index.unit_passage_rows = _load_unit_passage_rows(directory, n_passages, dim)
     return index

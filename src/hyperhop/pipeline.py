@@ -125,7 +125,6 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
         extra_manifest={
             "corpus_sha256": corpus_digest(corpus_path),
             "encoder_id": encoder.encoder_id,
-            "embedding_dim": encoder.dim,
         },
     )
     index.manifest = manifest

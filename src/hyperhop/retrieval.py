@@ -24,7 +24,7 @@ from .embeddings import (
     screen_max_sim,
 )
 from .entities import ExtractionClient, dedup_normalized
-from .errors import ContractError, IndexIntegrityError
+from .errors import ContractError, ExtractionError
 from .hypergraph import apply_diffusion_operator, entity_to_passage, keep_passages
 from .index_store import HypergraphIndex
 
@@ -145,17 +145,17 @@ def build_entity_similarity(
     stored entity rows first drops every row that cannot exceed eta
     (``screen_max_sim``); v is computed in float64, a block at a time, for
     the rows it leaves only (``max_sim_to_query_entities``).
-    Extraction failures degrade to an all-zero vector with a warning rather
-    than a hard error.
+    An extraction failure degrades to an all-zero vector when a
+    ``warnings`` list is given, with a warning appended to it; without one
+    it raises ExtractionError chained to the failure.
     """
     n_entities = index.n_entities
-    if index.entity_embeddings is None:
-        raise IndexIntegrityError("index has no entity embeddings")
     try:
         raw = extractor.extract("", query)
     except Exception as exc:
-        if warnings is not None:
-            warnings.append(f"query entity extraction failed: {exc}")
+        if warnings is None:
+            raise ExtractionError(f"query entity extraction failed: {exc}") from exc
+        warnings.append(f"query entity extraction failed: {exc}")
         return np.zeros(n_entities, dtype=np.float64)
     query_entities = dedup_normalized(raw)
     if not query_entities:
@@ -173,11 +173,8 @@ def build_passage_similarity(
     query: str, index: HypergraphIndex, encoder: EncoderClient
 ) -> np.ndarray:
     """Raw cosine of the query against every passage embedding."""
-    unit_passages = index.unit_passage_rows
-    if unit_passages is None:
-        raise IndexIntegrityError("index has no passage embeddings")
     query_vec = embed_batch([query], encoder)[0]
-    return cosine_against_rows(query_vec, unit_passages)
+    return cosine_against_rows(query_vec, index.unit_passage_rows)
 
 
 def diffuse(

@@ -20,20 +20,15 @@ TOY_SETS = {
 }
 
 
-def index_from_sets(
-    sets_by_pid: dict[str, list[str]],
-    with_embeddings: bool = False,
-    dim: int = 64,
-) -> HypergraphIndex:
-    """Assemble an in-memory index from passage-id -> entity list."""
+def index_from_sets(sets_by_pid: dict[str, list[str]], dim: int = 64) -> HypergraphIndex:
+    """Assemble an in-memory index from passage-id -> entity list, embedded
+    by the offline encoder."""
     pids = sorted(sets_by_pid)
     entity_sets = [EntitySet(pid, tuple(sets_by_pid[pid])) for pid in pids]
     catalog = build_catalog(entity_sets)
-    entity_embeddings = passage_embeddings = None
-    if with_embeddings:
-        encoder = OfflineEncoder(dim=dim)
-        entity_embeddings = embed_batch(catalog.to_list(), encoder)
-        passage_embeddings = embed_batch([f"text of {pid}" for pid in pids], encoder)
+    encoder = OfflineEncoder(dim=dim)
+    entity_embeddings = embed_batch(catalog.to_list(), encoder)
+    passage_embeddings = embed_batch([f"text of {pid}" for pid in pids], encoder)
     return build_index(entity_sets, catalog, pids, entity_embeddings, passage_embeddings)
 
 

@@ -67,6 +67,11 @@ class TestIndexCommand:
         assert "nope.jsonl" in capsys.readouterr().err
 
 
+    def test_corpus_that_is_a_directory_exits_2(self, tmp_path, capsys, no_network):
+        args = ["--corpus", str(tmp_path), "--index-dir", str(tmp_path / "i"), "--offline"]
+        assert main(["index"] + args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_corpus_that_is_not_utf8_exits_2(self, tmp_path, capsys, no_network):
         corpus = tmp_path / "latin1.jsonl"
         corpus.write_bytes(
@@ -304,6 +309,11 @@ class TestEvalCommand:
         args = ["eval", "--dataset", str(bad), "--k1", "1", "--k2", "3"] + common(built)
         assert main(args) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_dataset_that_is_a_directory_exits_2(self, built, tmp_path, capsys):
+        args = ["eval", "--dataset", str(tmp_path), "--k1", "1", "--k2", "3"] + common(built)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_index_without_passage_embeddings_exits_2(self, built, capsys):
         # A broken index fails every example alike: a precondition, not a

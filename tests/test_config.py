@@ -34,6 +34,25 @@ def test_env_bool_parsing():
         load_app_config(env={"HYPERHOP_OFFLINE": "maybe"})
 
 
+def test_file_null_leaves_the_setting_unset(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"index_dir": None, "eta": None}))
+    config = load_app_config(config_file=cfg_file, env={})
+    assert config.index_dir is None and config.retrieval.eta == 0.8
+    with pytest.raises(ContractError, match="missing required setting: index_dir"):
+        config.require("index_dir")
+
+
+@pytest.mark.parametrize(
+    "name, value", [("offline", 2), ("use_weight_matrix", []), ("offline", "maybe")]
+)
+def test_file_bool_that_is_not_a_boolean_rejected(tmp_path, name, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({name: value}))
+    with pytest.raises(ContractError, match=f"boolean setting {name}="):
+        load_app_config(config_file=cfg_file, env={})
+
+
 def test_unknown_config_keys_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"nope": 1}))

@@ -55,15 +55,16 @@ class TestCatalog:
 
     def test_round_trip(self):
         catalog = EntityCatalog(["alpha", "beta", "gamma"])
-        for i in range(len(catalog)):
-            assert catalog.index_of(catalog.entity_of(i)) == i
+        for i, entity in enumerate(catalog.to_list()):
+            assert catalog.index_of(entity) == i
 
     @given(st.lists(st.text(min_size=1, max_size=8), max_size=30))
     def test_round_trip_random(self, raws):
         entities = dedup_normalized(raws)
         catalog = EntityCatalog(entities)
-        for i in range(len(catalog)):
-            assert catalog.index_of(catalog.entity_of(i)) == i
+        assert len(catalog) == len(entities)
+        for i, entity in enumerate(catalog.to_list()):
+            assert catalog.index_of(entity) == i
 
 
 class TestEntitySet:

@@ -4,7 +4,7 @@ import pytest
 
 from hyperhop.embeddings import OfflineEncoder
 from hyperhop.entities import OfflineEntityExtractor
-from hyperhop.errors import ChatError, CorpusFormatError, EmbeddingError
+from hyperhop.errors import ChatError, CorpusFormatError, EmbeddingError, ExtractionError
 from hyperhop.evaluate import QAExample, load_qa_dataset, run_eval
 from hyperhop.qa import OfflineChatClient
 from hyperhop.retrieval import RetrievalConfig
@@ -202,6 +202,51 @@ def test_embedding_failure_before_any_success_propagates(toy_built, data_dir, ma
         run_eval(dataset, index, CONFIG, encoder, EXTRACTOR, max_workers=max_workers)
     if max_workers == 1:
         assert encoder.failures == 1
+
+
+class FailingOnQuestionExtractor(OfflineEntityExtractor):
+    """Offline extractor whose chat endpoint fails for the given questions."""
+
+    def __init__(self, *failing_texts: str):
+        self.failing_texts = set(failing_texts)
+        self.failures = 0
+
+    def extract(self, title, text):
+        if text in self.failing_texts:
+            self.failures += 1
+            raise ChatError("chat endpoint down")
+        return super().extract(title, text)
+
+
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_extraction_failure_is_recorded_and_evaluation_continues(
+    toy_built, data_dir, max_workers
+):
+    index, _, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    extractor = FailingOnQuestionExtractor(dataset[1].question)
+    report = run_eval(dataset, index, CONFIG, ENCODER, extractor, max_workers=max_workers)
+    assert report.errors == 1
+    error = "ExtractionError: query entity extraction failed: chat endpoint down"
+    assert report.records[1].error == error
+    assert report.records[1].selected_ids == []
+    healthy = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR)
+    for i in (0, 2):
+        assert report.records[i].error is None
+        assert report.records[i].selected_ids == healthy.records[i].selected_ids
+    assert report.aggregates["scored"] == 2
+
+
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_extraction_failure_before_any_success_propagates(toy_built, data_dir, max_workers):
+    index, _, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    extractor = FailingOnQuestionExtractor(*(ex.question for ex in dataset))
+    with pytest.raises(ExtractionError, match="chat endpoint down") as raised:
+        run_eval(dataset, index, CONFIG, ENCODER, extractor, max_workers=max_workers)
+    assert isinstance(raised.value.__cause__, ChatError)
+    if max_workers == 1:
+        assert extractor.failures == 1
 
 
 def test_missing_gold_ids_do_not_count_as_success(toy_built, data_dir):

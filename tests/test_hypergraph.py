@@ -264,16 +264,16 @@ def test_operator_agrees_with_oracle_property(seed):
 class TestGraphStats:
     def test_toy_counts(self, toy_index):
         report = graph_stats(toy_index.incidence, toy_index.degrees)
-        assert (report.n_entities, report.n_passages, report.nnz) == (5, 3, 7)
-        assert report.zero_degree_hyperedges == 0
-        assert report.edge_degree_histogram == {2: 2, 3: 1}
+        assert (report["nodes"], report["hyperedges"], report["incidences"]) == (5, 3, 7)
+        assert report["zero_degree_hyperedges"] == 0
+        assert report["edge_degree_histogram"] == {"2": 2, "3": 1}
 
     def test_empty_corpus(self):
         incidence, _ = make_incidence({})
         report = graph_stats(incidence, compute_degrees(incidence))
-        assert (report.n_entities, report.n_passages, report.nnz) == (0, 0, 0)
-        assert report.to_dict()["nodes"] == 0
+        assert (report["nodes"], report["hyperedges"], report["incidences"]) == (0, 0, 0)
+        assert report["node_degree_histogram"] == report["edge_degree_histogram"] == {}
 
     def test_report_shape_names_nodes_and_hyperedges(self, toy_index):
-        payload = graph_stats(toy_index.incidence, toy_index.degrees).to_dict()
+        payload = graph_stats(toy_index.incidence, toy_index.degrees)
         assert set(payload) >= {"nodes", "hyperedges", "incidences", "zero_degree_hyperedges"}

@@ -16,15 +16,13 @@ from hyperhop.index_store import build_index, load_index, save_index
 from conftest import TOY_SETS
 
 
-def make_toy_index(with_embeddings=True):
+def make_toy_index():
     pids = sorted(TOY_SETS)
     entity_sets = [EntitySet(pid, tuple(TOY_SETS[pid])) for pid in pids]
     catalog = build_catalog(entity_sets)
-    entity_embeddings = passage_embeddings = None
-    if with_embeddings:
-        encoder = OfflineEncoder(dim=32)
-        entity_embeddings = embed_batch(catalog.to_list(), encoder)
-        passage_embeddings = embed_batch([f"t {pid}" for pid in pids], encoder)
+    encoder = OfflineEncoder(dim=32)
+    entity_embeddings = embed_batch(catalog.to_list(), encoder)
+    passage_embeddings = embed_batch([f"t {pid}" for pid in pids], encoder)
     return build_index(entity_sets, catalog, pids, entity_embeddings, passage_embeddings)
 
 
@@ -53,7 +51,7 @@ def _assert_bitwise_equal(actual, expected):
 
 
 def test_binary_files_are_little_endian_int32(tmp_path):
-    index = make_toy_index(with_embeddings=False)
+    index = make_toy_index()
     save_index(index, tmp_path)
     raw = (tmp_path / "pas_offsets.bin").read_bytes()
     assert np.frombuffer(raw, dtype="<i4").tolist() == [0, 2, 5, 7]
@@ -74,7 +72,7 @@ def test_missing_manifest(tmp_path):
 
 
 def test_corrupted_counts_detected(tmp_path):
-    index = make_toy_index(with_embeddings=False)
+    index = make_toy_index()
     save_index(index, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     manifest["nnz"] = 99
@@ -84,7 +82,7 @@ def test_corrupted_counts_detected(tmp_path):
 
 
 def test_missing_binary_detected(tmp_path):
-    index = make_toy_index(with_embeddings=False)
+    index = make_toy_index()
     save_index(index, tmp_path)
     (tmp_path / "pas_indices.bin").unlink()
     with pytest.raises(IndexIntegrityError, match="pas_indices"):
@@ -98,18 +96,35 @@ def test_missing_embedding_file_detected_at_load(tmp_path, name):
         load_index(tmp_path)
 
 
-def test_index_without_embedding_dim_loads(tmp_path):
-    save_index(make_toy_index(with_embeddings=False), tmp_path)
-    assert "embedding_dim" not in json.loads((tmp_path / "manifest.json").read_text())
-    loaded = load_index(tmp_path)
-    assert loaded.entity_embeddings is None and loaded.passage_embeddings is None
+@pytest.mark.parametrize("embedding_dim", [None, 0])
+def test_index_without_embedding_dim_exits_2(tmp_path, capsys, embedding_dim):
+    save_index(make_toy_index(), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["embedding_dim"] = embedding_dim
+    if embedding_dim is None:
+        del manifest["embedding_dim"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["stats", "--index-dir", str(tmp_path), "--offline"]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "embedding_dim" in err
+
+
+def test_derived_manifest_keys_win_over_extra_manifest(tmp_path):
+    index = make_toy_index()
+    index.manifest = {"corpus_sha256": "abc", "nnz": 1}
+    written = save_index(index, tmp_path, extra_manifest={"nnz": 99, "embedding_dim": 7})
+    assert (written["nnz"], written["embedding_dim"]) == (7, 32)
+    assert written["corpus_sha256"] == "abc"
+    assert json.loads((tmp_path / "manifest.json").read_text()) == written
+    assert load_index(tmp_path).manifest == written
 
 
 def test_misaligned_sets_rejected():
     entity_sets = [EntitySet("p1", ("a",))]
     catalog = build_catalog(entity_sets)
+    values = np.ones((1, 4), dtype=np.float32)
     with pytest.raises(IndexIntegrityError):
-        build_index(entity_sets, catalog, ["p1", "p2"])
+        build_index(entity_sets, catalog, ["p1", "p2"], values, values)
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ def test_passage_embedding_text_uses_title_when_present():
 def test_built_embeddings_align_with_catalog_and_passages(toy_built):
     index, passages, manifest = toy_built
     encoder = OfflineEncoder(dim=manifest["embedding_dim"])
-    for i, entity in enumerate(index.catalog):
+    for i, entity in enumerate(index.catalog.to_list()):
         expected = encoder.encode_batch([entity])[0]
         np.testing.assert_array_equal(index.entity_embeddings[i], expected)
     for j, passage in enumerate(passages):
@@ -109,7 +109,8 @@ def test_warm_rebuild_extracts_only_the_edited_passage(tmp_path, data_dir, monke
     corpus.write_text(corpus.read_text().replace("Brussels", "Strasbourg"))
     index, _ = build_index_from_corpus(config)
     assert titles == ["European Union"]  # the title of P3, the passage edited
-    assert "strasbourg" in index.catalog and "brussels" not in index.catalog
+    entities = index.catalog.to_list()
+    assert "strasbourg" in entities and "brussels" not in entities
 
 
 def test_extractor_id_follows_the_model_and_the_prompt(tmp_path):

@@ -5,7 +5,7 @@ from hyperhop import retrieval
 from hyperhop.config import AppConfig
 from hyperhop.embeddings import ROW_BLOCK, OfflineEncoder, embed_batch, screen_max_sim
 from hyperhop.entities import EntitySet, OfflineEntityExtractor, build_catalog, dedup_normalized
-from hyperhop.errors import ContractError, IndexIntegrityError
+from hyperhop.errors import ContractError
 from hyperhop.hypergraph import apply_diffusion_operator, entity_to_passage
 from hyperhop.index_store import build_index
 from hyperhop.pipeline import build_index_from_corpus, passage_embedding_text
@@ -95,7 +95,7 @@ class TestEntitySimilarity:
         index, _, _ = toy_built
         x = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.0)
         query_rows = embed_batch(["albert einstein"], ENCODER)
-        for i, entity in enumerate(index.catalog):
+        for i, entity in enumerate(index.catalog.to_list()):
             expected = max(cosine(q, index.entity_embeddings[i]) for q in query_rows)
             if expected > 0.0:
                 assert x[i] == pytest.approx(expected, abs=1e-12)
@@ -146,9 +146,10 @@ class ListExtractor:
 
 
 def index_with_entity_rows(values):
-    """One passage per entity, the entity rows given."""
+    """One passage per entity, the entity rows given; each passage row is
+    its entity's."""
     sets = [EntitySet(f"p{i:05d}", (f"e{i}",)) for i in range(len(values))]
-    return build_index(sets, build_catalog(sets), [s.passage_id for s in sets], values)
+    return build_index(sets, build_catalog(sets), [s.passage_id for s in sets], values, values)
 
 
 class TestEntitySimilarityScreen:
@@ -249,10 +250,6 @@ class TestPassageSimilarity:
         qv = embed_batch([TOY_QUERY], ENCODER)[0]
         expected = [cosine(qv, row) for row in index.passage_embeddings]
         np.testing.assert_allclose(p, expected, rtol=1e-12)
-
-    def test_missing_embeddings_is_integrity_error(self, toy_index):
-        with pytest.raises(IndexIntegrityError):
-            build_passage_similarity("q", toy_index, ENCODER)
 
 
 class TestUnitRowCache:
