@@ -74,6 +74,9 @@ def _coerce(name: str, value: Any) -> Any:
         if not isinstance(value, bool):
             raise ContractError(f"cannot parse boolean setting {name}={value!r}")
         return value
+    # str() would make a directory name of a JSON list or a key of a number.
+    if kind is str and not isinstance(value, str):
+        raise ContractError(f"setting {name}={value!r} is not str")
     # bool is an int, and int() drops a fraction: neither is a number here.
     lossy = kind is int and isinstance(value, float) and not value.is_integer()
     if kind in (int, float) and (isinstance(value, bool) or lossy):

@@ -116,6 +116,23 @@ def max_sim_of_unit_rows(query_rows: np.ndarray, unit_rows: np.ndarray) -> np.nd
     return np.clip((unit_rows @ normalized_rows(query_rows).T).max(axis=1), -1.0, 1.0)
 
 
+def whole_matrix_screen(
+    query_rows: np.ndarray, corpus_rows: np.ndarray, corpus_norms: np.ndarray, eta: float
+) -> np.ndarray:
+    """The rows ``embeddings.screen_max_sim`` keeps, with its float32 product
+    taken over the whole catalog at once, as the screen once took it."""
+    unit_query = normalized_rows(query_rows)
+    best = (corpus_rows @ unit_query.astype(np.float32).T).max(axis=1)
+    margin = 2 * (corpus_rows.shape[1] + 2) * float(np.finfo(np.float32).eps)
+    keep = best > (eta - margin) * corpus_norms
+    in_range = (corpus_norms >= np.finfo(np.float32).tiny) & (corpus_norms < 2.0**127)
+    keep |= ~in_range & (corpus_norms > 0.0)
+    support = (unit_query != 0.0).any(axis=0)
+    undecided = np.flatnonzero(keep & (best <= (eta + margin) * corpus_norms))
+    keep[undecided] = (corpus_rows[undecided][:, support] != 0.0).any(axis=1)
+    return np.flatnonzero(keep)
+
+
 def per_call_entity_similarity(
     query_rows: np.ndarray, entity_embeddings: np.ndarray, eta: float
 ) -> np.ndarray:

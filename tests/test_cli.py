@@ -125,6 +125,8 @@ class TestIndexCommand:
         ('{"steps": [4]}', {}, "steps=[4]"),
         ("{}", {"HYPERHOP_K1": "abc"}, "k1='abc'"),
         ("{}", {"HYPERHOP_ETA": "high"}, "eta='high'"),
+        ('{"index_dir": ["a", 1]}', {}, "index_dir=['a', 1]"),
+        ('{"api_key": 5}', {}, "api_key=5"),
     ],
 )
 def test_malformed_config_exits_2(built, tmp_path, capsys, monkeypatch, config_text, env, named):

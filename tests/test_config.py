@@ -53,6 +53,17 @@ def test_file_bool_that_is_not_a_boolean_rejected(tmp_path, name, value):
         load_app_config(config_file=cfg_file, env={})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("index_dir", ["a", 1]), ("api_key", 5), ("corpus", {"path": "c"}), ("chat_model", True)],
+)
+def test_file_string_that_is_not_a_string_rejected(tmp_path, name, value):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({name: value}))
+    with pytest.raises(ContractError, match=f"setting {name}=.* is not str"):
+        load_app_config(config_file=cfg_file, env={})
+
+
 def test_unknown_config_keys_rejected(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"nope": 1}))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hyperhop.embeddings import (
 )
 from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
 
-from reference import cosine
+from reference import cosine, whole_matrix_screen
 
 
 def max_sim_over_all_rows(query_rows, rows):
@@ -175,7 +176,10 @@ class TestMaxSim:
         np.testing.assert_allclose(got, every_row[candidates], rtol=0, atol=1e-12)
 
 
-def rows_near_threshold(rng, query_rows, eta, per_query=200):
+BLOCK_EDGES = [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 7]
+
+
+def rows_near_threshold(rng, query_rows, eta, per_query):
     """float32 rows whose cosine with one of ``query_rows`` lies within 1e-7
     of ``eta`` on either side, at norms from 1e-3 to 1e3."""
     dim = query_rows.shape[1]
@@ -198,13 +202,47 @@ class TestScreen:
         query = (rng.normal(size=(n_query, dim)) * rng.uniform(0.1, 10.0, (n_query, 1))).astype(
             np.float32
         )
-        rows = rows_near_threshold(rng, query, eta)
+        rows = rows_near_threshold(rng, query, eta, per_query=BLOCK_EDGES[-1] // n_query + 1)
         v = max_sim_over_all_rows(query, rows)
-        passing = np.flatnonzero(v > eta)
         near = np.abs(v - eta) < 2e-7
         assert np.count_nonzero(near & (v > eta)) > 50 and np.count_nonzero(near & (v <= eta)) > 50
-        candidates = screen_max_sim(query, rows, row_norms(rows), eta)
-        assert np.isin(passing, candidates).all()
+        for n_rows in BLOCK_EDGES:  # catalogs ending on and beside a block edge
+            some = rng.permutation(rows.shape[0])[:n_rows]
+            candidates = screen_max_sim(query, rows[some], row_norms(rows[some]), eta)
+            assert np.isin(np.flatnonzero(v[some] > eta), candidates).all(), n_rows
+
+    @pytest.mark.parametrize("n_query", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+    def test_offline_rows_keep_what_one_whole_catalog_product_kept(self, rng, n_rows, n_query):
+        words = [f"w{i}" for i in range(40)]
+        names = [" ".join(rng.choice(words, rng.integers(1, 4))) for _ in range(n_rows)]
+        asked = [" ".join(rng.choice(words, rng.integers(1, 4))) for _ in range(n_query)]
+        if names:  # an exact match among the query entities
+            asked[0] = names[-1]
+        encoder = OfflineEncoder(dim=32)
+        rows, query = encoder.encode_batch(names), encoder.encode_batch(asked)
+        norms = row_norms(rows)
+        for eta in (0.0, 0.5, 0.8, 0.95):
+            kept = screen_max_sim(query, rows, norms, eta)
+            assert kept.tolist() == whole_matrix_screen(query, rows, norms, eta).tolist()
+            assert n_rows == 0 or n_rows - 1 in kept
+
+    def test_peak_memory_is_below_one_whole_catalog_product(self, rng):
+        # A product of the whole catalog by 8 query rows takes n * 8 * 4
+        # bytes. The screen holds about 14 bytes a row (its float32 best
+        # values, bool masks and one float64 bound at a time) plus numpy's
+        # fixed 64 KB cast buffer.
+        n, n_query = 20_000, 8
+        rows = rng.normal(size=(n, 8)).astype(np.float32)
+        norms = row_norms(rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            screen_max_sim(rows[:n_query], rows, norms, 0.8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n_query * 4
 
     def test_rows_beyond_the_float32_range_are_kept(self):
         tiny = 2.0**-149  # the smallest float32 subnormal
