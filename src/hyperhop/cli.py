@@ -189,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output", help="write the JSON report here instead of stdout")
     p_eval.add_argument("--qa", action="store_true", help="also score generated answers")
     p_eval.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing in the report")
+                        help="include each example's retrieval wall-clock seconds in the report:"
+                             " entity and passage similarity (query extraction and"
+                             " embedding included), diffusion and selection; not the"
+                             " answer call")
     _add_common_flags(p_eval)
     _add_retrieval_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)

@@ -1,9 +1,11 @@
 """Evaluation harness: retrieval scoring, optional QA scoring, timing.
 
-The retrieval timer wraps only the diffusion-plus-enhancement core; encoder
-and LLM calls stay outside the measured region. Timing fields are excluded
-from the serialized report by default so that repeated offline runs produce
-byte-identical output.
+The retrieval timer wraps the whole retrieval of an example: the entity
+similarity x (query entity extraction and embedding included), the passage
+similarity p (query embedding included) and the ranking (diffusion,
+enhancement, selection). The answer call stays outside the measured region.
+Timing fields are excluded from the serialized report by default so that
+repeated offline runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -192,12 +194,12 @@ def _evaluate_one(
         )
         return _failed_record(example, reason), None
 
+    start = time.perf_counter()
     try:
         x = build_entity_similarity(example.question, index, encoder, extractor, config.eta)
         p = build_passage_similarity(example.question, index, encoder)
     except (ExtractionError, EmbeddingError) as exc:
         return _failed_record(example, f"{type(exc).__name__}: {exc}"), exc
-    start = time.perf_counter()
     result = rank_passages(x, p, index, config, ranking_depth=max(RECALL_KS))
     elapsed = time.perf_counter() - start
 

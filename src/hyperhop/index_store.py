@@ -21,13 +21,16 @@ orientation and the degrees, are rejected and must be rebuilt.
 
 In memory, a loaded index keeps what the query path reads and nothing else:
 the float64 unit passage rows (the passage similarity needs every passage),
-the float32 entity rows as stored and the float64 norm of each entity row.
-``load_index`` streams each embedding file once, ``ROW_BLOCK`` rows at a
-time, straight into these arrays, so it keeps no float32 passage matrix and
-makes no whole-matrix temporary. It keeps no float64 entity matrix either: a
-query screens the float32 entity rows (``embeddings.screen_max_sim``) and
-normalizes the rows that can pass the threshold from their norms, a block
-at a time.
+the float32 entity rows as stored, the float64 norm of each entity row and
+the entity rows' ``embeddings.AxisBuckets``. ``load_index`` streams each
+embedding file once, ``ROW_BLOCK`` rows at a time, straight into these
+arrays, so it keeps no float32 passage matrix and makes no whole-matrix
+temporary. It keeps no float64 entity matrix either: a query skips the
+buckets that cannot reach the threshold, screens the float32 rows of the
+others (``embeddings.screen_max_sim``), or every row when too few buckets
+are skipped, and normalizes the rows that can pass from their norms, a
+block at a time. The buckets are derived from the rows as they are read,
+so they add nothing to the files.
 
 The manifest is written with sorted keys and no timestamps, so rebuilding
 from warm caches reproduces it byte for byte.
@@ -43,7 +46,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import ROW_BLOCK, row_norms, unit_rows
+from .embeddings import ROW_BLOCK, AxisBuckets, row_norms, row_norms_and_largest, unit_rows
 from .entities import EntityCatalog, EntitySet
 from .errors import ContractError, IndexIntegrityError
 from .hypergraph import (
@@ -63,11 +66,13 @@ class HypergraphIndex:
     """Catalog, incidence, degrees and aligned embeddings for one corpus.
 
     ``unit_passage_rows`` (the passage embeddings through
-    ``embeddings.unit_rows``) and ``entity_row_norms`` are computed on first
-    use and then kept, so a query never renormalizes a whole matrix and a
-    build never normalizes one. ``load_index`` sets both as it reads the
+    ``embeddings.unit_rows``), ``entity_row_norms`` and ``entity_buckets``
+    (the entity rows' ``embeddings.AxisBuckets``) are computed on first use
+    and then kept, so a query never renormalizes a whole matrix and a build
+    never normalizes one. ``load_index`` sets all three as it reads the
     files and leaves ``passage_embeddings`` None, the one field an index
-    leaves unset, so a loaded index cannot be saved again. A query derives the unit rows of its
+    leaves unset, so a loaded index cannot be saved again. A query skips the
+    entity buckets that cannot reach ``eta`` and derives the unit rows of its
     candidate entities from the norms, bit for bit the rows of
     ``unit_rows(entity_embeddings)``.
     """
@@ -91,6 +96,11 @@ class HypergraphIndex:
     @functools.cached_property
     def entity_row_norms(self) -> np.ndarray:
         return _read_only(row_norms(self.entity_embeddings))
+
+    @functools.cached_property
+    def entity_buckets(self) -> AxisBuckets:
+        values = self.entity_embeddings
+        return AxisBuckets.of(*row_norms_and_largest(values), values.shape[1])
 
     @functools.cached_property
     def unit_passage_rows(self) -> np.ndarray:
@@ -241,14 +251,19 @@ def _stream_embeddings(
             yield start, stop, block
 
 
-def _load_entity_rows(directory: Path, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 entity rows as stored and their ``row_norms``, in one pass."""
+def _load_entity_rows(
+    directory: Path, rows: int, dim: int
+) -> tuple[np.ndarray, np.ndarray, AxisBuckets]:
+    """The float32 entity rows as stored, their ``row_norms`` and their
+    ``AxisBuckets``, in one pass: each block's norms and largest coordinates
+    are taken while the block is in cache."""
     values = np.empty((rows, dim), dtype="<f4")
     norms = np.empty(rows, dtype=np.float64)
+    axis, value = np.empty(rows, dtype=np.intp), np.empty(rows, dtype="<f4")
     blocks = _stream_embeddings(directory, "entity", rows, dim, lambda i, j: values[i:j])
     for start, stop, block in blocks:
-        norms[start:stop] = row_norms(block)
-    return _read_only(values), _read_only(norms)
+        norms[start:stop], axis[start:stop], value[start:stop] = row_norms_and_largest(block)
+    return _read_only(values), _read_only(norms), AxisBuckets.of(norms, axis, value, dim)
 
 
 def _load_unit_passage_rows(directory: Path, rows: int, dim: int) -> np.ndarray:
@@ -314,7 +329,9 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         nnz,
     )
 
-    entity_embeddings, entity_row_norms = _load_entity_rows(directory, n_entities, dim)
+    entity_embeddings, entity_row_norms, entity_buckets = _load_entity_rows(
+        directory, n_entities, dim
+    )
     index = HypergraphIndex(
         catalog=EntityCatalog(entities),
         incidence=incidence,
@@ -325,5 +342,6 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         manifest=manifest,
     )
     index.entity_row_norms = entity_row_norms
+    index.entity_buckets = entity_buckets
     index.unit_passage_rows = _load_unit_passage_rows(directory, n_passages, dim)
     return index

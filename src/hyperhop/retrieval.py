@@ -34,6 +34,13 @@ from .index_store import HypergraphIndex
 # passages, 50k entities) and 0.87 (50k passages, 5k entities).
 _RESTRICT_MAX_KEPT_SHARE = 2 / 3
 
+# Gathering the rows of the buckets an entity query can reach costs a copy,
+# so it pays only when few rows are kept. On 50k random dense rows of
+# dimension 256 with 3 query rows (one BLAS thread, 2-core Xeon, a 128 MB
+# flush before each call), the screen over gathered rows took 6.9, 8.9, 11.2
+# and 14.4 ms at kept shares 0.2, 0.3, 0.35 and 0.5, against 11.1 ms in place.
+_GATHER_MAX_KEPT_SHARE = 0.3
+
 @dataclass
 class RetrievalConfig:
     """Hyperparameters and ablation switches for the retrieval pipeline."""
@@ -141,8 +148,11 @@ def build_entity_similarity(
 ) -> np.ndarray:
     """Thresholded max-cosine vector of query entities vs catalog entities.
 
-    x_i = v_i when v_i > eta (strict), else 0. A float32 screen over the
-    stored entity rows first drops every row that cannot exceed eta
+    x_i = v_i when v_i > eta (strict), else 0. The entity buckets first skip
+    every row whose bucket cannot reach eta (``AxisBuckets.reachable_rows``).
+    When the rows left are at most ``_GATHER_MAX_KEPT_SHARE`` of the catalog,
+    they are gathered and screened; otherwise every row is screened in
+    place. The float32 screen drops every row that cannot exceed eta
     (``screen_max_sim``); v is computed in float64, a block at a time, for
     the rows it leaves only (``max_sim_to_query_entities``).
     An extraction failure degrades to an all-zero vector when a
@@ -162,7 +172,12 @@ def build_entity_similarity(
         return np.zeros(n_entities, dtype=np.float64)
     query_rows = embed_batch(query_entities, encoder)
     embeddings, norms = index.entity_embeddings, index.entity_row_norms
-    candidates = screen_max_sim(query_rows, embeddings, norms, eta)
+    max_rows = _GATHER_MAX_KEPT_SHARE * n_entities
+    rows = index.entity_buckets.reachable_rows(query_rows, eta, max_rows)
+    if rows is None:
+        candidates = screen_max_sim(query_rows, embeddings, norms, eta)
+    else:
+        candidates = rows[screen_max_sim(query_rows, embeddings[rows], norms[rows], eta)]
     v = max_sim_to_query_entities(query_rows, embeddings, norms, candidates)
     x = np.zeros(n_entities, dtype=np.float64)
     x[candidates] = np.where(v > eta, v, 0.0)

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from hyperhop.embeddings import (
     ROW_BLOCK,
+    AxisBuckets,
     EmbeddingCache,
     OfflineEncoder,
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
     row_norms,
+    row_norms_and_largest,
     screen_max_sim,
     text_key,
     unit_rows,
@@ -346,6 +348,70 @@ class TestScreen:
         picked[:2] = [3, 5000]
         assert unit_rows(values[picked], norms[picked]).tobytes() == whole[picked].tobytes()
 
+
+
+class TestAxisBuckets:
+    def test_each_row_goes_to_the_signed_axis_of_its_largest_coordinate(self):
+        tiny = 2.0**-149
+        rows = np.array(
+            [
+                [0.0, -2.0, 1.0],  # axis 1, negative: bucket 3, cosine 2/sqrt(5)
+                [1.0, -1.0, 0.0],  # a tie: the first axis, bucket 0
+                [0.0, 0.0, 4.0],  # bucket 4, cosine 1
+                [0.0, 1.0, 0.5],  # bucket 2, cosine 1/sqrt(1.25)
+                [0.0, 0.0, 0.0],  # zero: the bucket never skipped, 6
+                [3 * tiny, 0.0, 0.0],  # norm below 2**-126: bucket 6
+                [2e38, -2e38, 0.0],  # norm above 2**127: bucket 6
+            ],
+            dtype=np.float32,
+        )
+        buckets = AxisBuckets.of(*row_norms_and_largest(rows), rows.shape[1])
+        members = [
+            buckets.rows[buckets.starts[b] : buckets.starts[b + 1]].tolist() for b in range(7)
+        ]
+        assert members == [[1], [], [3], [0], [2], [], [4, 5, 6]]
+        norms = row_norms(rows)
+        expected = [1.0 / norms[1], 1.0, 1.0 / norms[3], 2.0 / norms[0], 1.0, 1.0]
+        assert buckets.cos_r[:6].tolist() == expected
+        assert not buckets.rows.flags.writeable and not buckets.cos_r.flags.writeable
+
+    @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+    def test_catalogs_across_block_edges_match_a_row_by_row_assignment(self, rng, n_rows):
+        dim = 16
+        rows = rng.normal(size=(n_rows, dim)).astype(np.float32)
+        rows[rng.random(n_rows) < 0.3] = 0.0
+        rows[rng.random(n_rows) < 0.2, 3] = 1e3  # many rows in one bucket
+        norms = row_norms(rows)
+        assert norms.tobytes() == np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
+        buckets = AxisBuckets.of(*row_norms_and_largest(rows), dim)
+        keys, cos_r = [], np.ones(2 * dim + 1)
+        for row, norm in zip(rows, norms):
+            k = int(np.argmax(np.abs(row)))
+            key = 2 * k + int(row[k] < 0) if norm > 0.0 else 2 * dim
+            keys.append(key)
+            if norm > 0.0:
+                cos_r[key] = min(cos_r[key], abs(float(row[k])) / norm)
+        members = [[i for i in range(n_rows) if keys[i] == b] for b in range(2 * dim + 1)]
+        got = [
+            buckets.rows[buckets.starts[b] : buckets.starts[b + 1]].tolist()
+            for b in range(2 * dim + 1)
+        ]
+        assert got == members
+        assert buckets.cos_r.tobytes() == cos_r.tobytes()
+
+    def test_reachable_rows_keep_the_axes_near_the_query(self):
+        rows = np.zeros((6, 4), dtype=np.float32)
+        rows[[0, 1, 2, 3], [0, 0, 1, 2]] = [1.0, 2.0, -1.0, 1.0]
+        rows[4] = [0.6, 0.8, 0.0, 0.0]  # bucket 2 (axis 1, positive), cosine 0.8
+        buckets = AxisBuckets.of(*row_norms_and_largest(rows), rows.shape[1])
+        query = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
+        # Bucket 0 holds the query's axis. Bucket 2's row, at cosine 0.8
+        # from its axis, can reach cosine 0.6 with the query; the others
+        # reach 0 at most. Bucket 8, with the zero row, is never skipped.
+        assert buckets.reachable_rows(query, 0.8, 6).tolist() == [0, 1, 5]
+        assert buckets.reachable_rows(query, 0.5, 6).tolist() == [0, 1, 4, 5]
+        assert buckets.reachable_rows(query, 0.5, 3) is None
+        assert buckets.reachable_rows(query[:0], 0.5, 6).size == 0
 
 class TestEmbeddingCache:
     def test_cache_fidelity_zero_client_calls(self, tmp_path):

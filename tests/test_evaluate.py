@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -137,6 +138,32 @@ def test_report_json_with_timing(toy_built, data_dir):
     payload = json.loads(report.to_json(include_timing=True))
     assert payload["total_retrieval_seconds"] >= 0.0
     assert all("retrieval_seconds" in r for r in payload["records"])
+
+
+def test_timing_covers_both_similarity_vectors_and_the_ranking(toy_built, data_dir, monkeypatch):
+    # Each stage sleeps its own length; the timer must cover all three and
+    # stop before the answer call, which sleeps longer than the three together.
+    from hyperhop import evaluate
+
+    def slowed(fn, seconds):
+        def slow(*args, **kwargs):
+            time.sleep(seconds)
+            return fn(*args, **kwargs)
+
+        return slow
+
+    stages = {
+        "build_entity_similarity": 0.01,
+        "build_passage_similarity": 0.02,
+        "rank_passages": 0.04,
+    }
+    for name, seconds in stages.items():
+        monkeypatch.setattr(evaluate, name, slowed(getattr(evaluate, name), seconds))
+    monkeypatch.setattr(evaluate, "answer", slowed(evaluate.answer, 0.5))
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")[:1]
+    index, passages, _ = toy_built
+    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, OfflineChatClient(), passages)
+    assert 0.07 <= report.records[0].retrieval_seconds < 0.5
 
 
 def test_parallel_evaluation_matches_serial(toy_built, data_dir):

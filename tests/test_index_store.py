@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from hyperhop.cli import main
-from hyperhop.embeddings import ROW_BLOCK, OfflineEncoder, embed_batch, row_norms, unit_rows
+from hyperhop.embeddings import (
+    ROW_BLOCK,
+    AxisBuckets,
+    OfflineEncoder,
+    embed_batch,
+    row_norms,
+    row_norms_and_largest,
+    unit_rows,
+)
 from hyperhop.entities import EntitySet, build_catalog
 from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.index_store import build_index, load_index, save_index
@@ -268,6 +276,9 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     _assert_bitwise_equal(loaded.entity_embeddings, entities)
     _assert_bitwise_equal(loaded.entity_row_norms, row_norms(entities))
     _assert_bitwise_equal(loaded.unit_passage_rows, unit_rows(passages))
+    buckets = AxisBuckets.of(*row_norms_and_largest(entities), 16)
+    for name in ("rows", "starts", "cos_r"):
+        _assert_bitwise_equal(getattr(loaded.entity_buckets, name), getattr(buckets, name))
     assert not loaded.entity_embeddings.flags.writeable
     assert not loaded.entity_row_norms.flags.writeable
     assert not loaded.unit_passage_rows.flags.writeable

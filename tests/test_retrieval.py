@@ -3,7 +3,14 @@ import pytest
 
 from hyperhop import retrieval
 from hyperhop.config import AppConfig
-from hyperhop.embeddings import ROW_BLOCK, OfflineEncoder, embed_batch, screen_max_sim
+from hyperhop.embeddings import (
+    ROW_BLOCK,
+    OfflineEncoder,
+    embed_batch,
+    max_sim_to_query_entities,
+    row_norms,
+    screen_max_sim,
+)
 from hyperhop.entities import EntitySet, OfflineEntityExtractor, build_catalog, dedup_normalized
 from hyperhop.errors import ContractError
 from hyperhop.hypergraph import apply_diffusion_operator, entity_to_passage
@@ -23,6 +30,7 @@ from hyperhop.retrieval import (
 )
 
 from conftest import DATA_DIR, index_from_sets
+from test_embeddings import BLOCK_EDGES
 from reference import (
     cosine,
     dense_incidence,
@@ -33,6 +41,7 @@ from reference import (
     per_call_entity_similarity,
     per_call_passage_similarity,
     random_entity_sets,
+    whole_matrix_screen,
 )
 
 ENCODER = OfflineEncoder(dim=256)
@@ -230,6 +239,138 @@ class TestEntitySimilarityScreen:
             assert ((x == 0.0) | (np.abs(x - v) <= 2 * gamma))[~settled].all()
             passed += np.count_nonzero(expected)
         assert passed > 0
+
+
+def cone_edge_rows(rng, dim):
+    """A catalog of ``3 ROW_BLOCK + 7`` float32 rows that put the entity
+    buckets' bound on edge, and the query rows that probe them.
+
+    For each eta in (0.5, 0.8, 0.95) the rows of one axis sit within 1e-7 of
+    cosine eta with SPREAD, a query row orthogonal to that axis, so their
+    bucket's bound is eta itself. Among the rest: 1-sparse rows; one dense
+    outlier whose largest coordinate is on an axis otherwise holding only
+    1-sparse rows, with a query row that the axis alone would rule out; zero
+    rows; rows of a norm outside ``[2**-126, 2**127)`` that point at a query
+    row; and rows on the negative half of an axis, with a query row there.
+    """
+    spread = np.zeros(dim)
+    spread[16:32] = 0.25  # unit, orthogonal to axes 0-15
+    rows = []
+    for axis, eta in enumerate((0.5, 0.8, 0.95)):
+        for sign in (1.0, -1.0):
+            for delta in np.linspace(-1e-7, 1e-7, 20):
+                on_axis = np.sqrt(1.0 - (eta + delta) ** 2)  # above the spread coordinates
+                row = (eta + delta) * spread
+                row[axis] = sign * on_axis
+                rows.append(10.0 ** rng.uniform(-3, 3) * row)
+    outlier = np.zeros(dim)
+    outlier[40] = 0.3
+    outlier[32:40] = rng.uniform(-0.29, 0.29, 8)
+    outlier[41:] = rng.uniform(-0.29, 0.29, dim - 41)
+    rows.append(outlier)
+    for _ in range(10):  # the outlier's bucket, otherwise 1-sparse: cos_r 1 without it
+        row = np.zeros(dim)
+        row[40] = rng.uniform(0.5, 2.0)
+        rows.append(row)
+    tiny, huge = np.zeros(dim), np.zeros(dim)
+    tiny[50] = 3 * 2.0**-149  # these two point at the 1-sparse query row
+    huge[[50, 51]] = [2e38, 1e38]  # cosine 0.89, no product overflows
+    rows += [tiny, huge, np.zeros(dim), np.zeros(dim)]
+    for scale in (0.5, 1.0, 3.0):  # the negative half of axis 33, for the negative query row
+        row = np.zeros(dim)
+        row[33] = -scale
+        rows.append(row)
+    while len(rows) < 3 * ROW_BLOCK + 7:  # 1- and 2-sparse rows off the spread coordinates
+        row = np.zeros(dim)
+        coords = rng.choice(np.r_[0:16, 32:dim], rng.integers(1, 3), replace=False)
+        row[coords] = rng.choice([-2.0, -1.0, 1.0, 2.0], coords.size)
+        rows.append(row)
+    one_sparse, negative = np.zeros(dim), np.zeros(dim)
+    one_sparse[50], negative[33] = 1.0, -2.0
+    beside = outlier.copy()
+    beside[40] = 0.0
+    queries = [spread, beside, one_sparse, negative, rng.normal(size=dim)]
+    rows = np.asarray(rows, dtype=np.float32)[rng.permutation(len(rows))]
+    return rows, np.asarray(queries, dtype=np.float32)
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """The corpus rows of every ``screen_max_sim`` call that
+    ``build_entity_similarity`` makes, in order."""
+    calls = []
+
+    def spy(query_rows, corpus_rows, corpus_norms, eta):
+        calls.append(corpus_rows)
+        return screen_max_sim(query_rows, corpus_rows, corpus_norms, eta)
+
+    monkeypatch.setattr(retrieval, "screen_max_sim", spy)
+    return calls
+
+
+class TestEntityBuckets:
+    """x when the entity buckets skip rows before the screen."""
+
+    def test_cone_edge_rows_give_x_bit_for_bit(self, rng, screened):
+        dim = 64
+        pool, queries = cone_edge_rows(rng, dim)
+        passed = {}
+        for n_rows in BLOCK_EDGES:
+            values = pool[rng.permutation(pool.shape[0])[:n_rows]]
+            index = index_with_entity_rows(values)
+            norms = index.entity_row_norms
+            for n_query in (1, 2, 3, 4):
+                query = queries[rng.choice(len(queries), n_query, replace=False)]
+                fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
+                for eta in (0.0, 0.5, 0.8, 0.95):
+                    x = build_entity_similarity("?", index, fixed, fixed, eta)
+                    candidates = whole_matrix_screen(query, values, norms, eta)
+                    v = max_sim_to_query_entities(query, values, norms, candidates)
+                    expected = np.zeros(n_rows)
+                    expected[candidates] = np.where(v > eta, v, 0.0)
+                    assert x.tobytes() == expected.tobytes(), (n_rows, n_query, eta)
+                    passed[eta] = passed.get(eta, 0) + np.count_nonzero(x)
+        # Both paths ran, and every eta had rows above it.
+        sizes = [len(rows) for rows in screened]
+        catalogs = [n for n in BLOCK_EDGES for _ in range(4 * 4)]
+        assert any(s < n for s, n in zip(sizes, catalogs))
+        assert any(s == n > 0 for s, n in zip(sizes, catalogs))
+        assert all(passed[eta] > 0 for eta in passed)
+
+    def test_edge_rows_fall_on_both_sides_of_eta(self, rng):
+        # The test above is adversarial only if the edge rows straddle eta.
+        pool, queries = cone_edge_rows(rng, 64)
+        v = max_sim_to_query_entities(queries[:1], pool, row_norms(pool), np.arange(len(pool)))
+        for eta in (0.5, 0.8, 0.95):
+            near = np.abs(v - eta) < 2e-7
+            assert np.count_nonzero(near & (v > eta)) > 3
+            assert np.count_nonzero(near & (v <= eta)) > 3
+
+    def test_offline_rows_screen_under_5_percent_of_the_catalog(self, rng, screened):
+        # Two-word names, as the offline extractor finds in the benchmark
+        # corpora: each row puts 1/sqrt(2) of its norm on one coordinate, or
+        # all of it when the two words share a coordinate.
+        syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+        words = ["".join(triple) for triple in rng.choice(syllables, (4000, 3))]
+        names = sorted({f"{a} {b}" for a, b in rng.choice(words, (5000, 2))})
+        index = index_with_entity_rows(embed_batch(names, ENCODER))
+        for _ in range(30):
+            rows = rng.choice(len(names), rng.integers(1, 4), replace=False)
+            asked = [names[i] for i in rows]
+            x = build_entity_similarity("?", index, ENCODER, ListExtractor(asked), 0.8)
+            assert (x[rows] > 0.99).all()
+            assert screened.pop().shape[0] < 0.05 * len(names)
+            build_entity_similarity("?", index, ENCODER, ListExtractor(asked), 0.0)
+            assert screened.pop() is index.entity_embeddings  # in place
+
+    def test_dense_rows_are_screened_in_place(self, rng, screened):
+        values = rng.normal(size=(3000, 64)).astype(np.float32)
+        index = index_with_entity_rows(values)
+        for eta in (0.0, 0.8, 0.95):
+            query = rng.normal(size=(2, 64)).astype(np.float32)
+            fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
+            build_entity_similarity("?", index, fixed, fixed, eta)
+            assert screened.pop() is index.entity_embeddings
 
 
 class TestPassageSimilarity:
