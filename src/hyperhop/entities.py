@@ -8,6 +8,7 @@ entity strings to dense row indices.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -15,8 +16,10 @@ import threading
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .corpus import Passage, read_jsonl
 from .errors import ContractError, CorpusFormatError, ExtractionError
@@ -47,6 +50,14 @@ def normalize_entity(raw: str) -> str:
     return " ".join(text.split())
 
 
+# A corpus names each entity in many passages. The memo's bound is over twice
+# the largest benchmark catalog (50k names); past it the least recent names
+# are normalized again.
+@functools.lru_cache(maxsize=1 << 17)
+def _is_normalized(entity: str) -> bool:
+    return entity == normalize_entity(entity)
+
+
 @dataclass(frozen=True)
 class EntitySet:
     """Normalized, deduplicated entities of one passage (order preserved)."""
@@ -55,11 +66,20 @@ class EntitySet:
     entities: tuple[str, ...]
 
     def __post_init__(self):
+        entities = self.entities
+        # Each check runs as one C-level pass; only a failing set goes through
+        # the loop, which names its first offending entity.
+        if (
+            all(entities)
+            and all(map(_is_normalized, entities))
+            and len(set(entities)) == len(entities)
+        ):
+            return
         seen = set()
-        for ent in self.entities:
+        for ent in entities:
             if not ent:
                 raise ContractError(f"empty entity in set for passage {self.passage_id!r}")
-            if ent != normalize_entity(ent):
+            if not _is_normalized(ent):
                 raise ContractError(f"entity {ent!r} is not normalized")
             if ent in seen:
                 raise ContractError(f"duplicate entity {ent!r} in passage {self.passage_id!r}")
@@ -67,12 +87,17 @@ class EntitySet:
 
 
 class EntityCatalog:
-    """Bijection between normalized entity strings and indices in [0, n)."""
+    """Bijection between normalized entity strings and indices in [0, n).
+
+    One dict holds it: its keys, in order, are the entities.
+    """
 
     def __init__(self, entities: Iterable[str] = ()):
-        # Repeats keep their first position; both maps are built in one pass.
-        self._entities: list[str] = list(dict.fromkeys(entities))
-        self._index: dict[str, int] = dict(zip(self._entities, range(len(self._entities))))
+        entities = list(entities)
+        self._index: dict[str, int] = dict(zip(entities, range(len(entities))))
+        if len(self._index) != len(entities):
+            # Repeats keep their first position.
+            self._index = dict(zip(dict.fromkeys(entities), range(len(entities))))
 
     def index_of(self, entity: str) -> int:
         try:
@@ -80,21 +105,25 @@ class EntityCatalog:
         except KeyError:
             raise KeyError(f"entity {entity!r} not in catalog") from None
 
+    def indices_of(self, entities: Iterable[str]) -> Iterator[int]:
+        """The index of each entity, lazily; a missing one raises a bare KeyError."""
+        return map(self._index.__getitem__, entities)
+
     def __len__(self) -> int:
-        return len(self._entities)
+        return len(self._index)
 
     def to_list(self) -> list[str]:
-        return list(self._entities)
+        return list(self._index)
 
 
 def build_catalog(entity_sets: Sequence[EntitySet]) -> EntityCatalog:
     """Union all entity sets into a catalog, indices in first-seen order.
 
-    Every occurrence goes to the catalog's one-pass constructor. Callers
-    must pass the sets in the deterministic indexing order (ascending
-    passage id) for reproducible index assignment.
+    Callers must pass the sets in the deterministic indexing order
+    (ascending passage id) for reproducible index assignment.
     """
-    return EntityCatalog(ent for es in entity_sets for ent in es.entities)
+    mentions = chain.from_iterable(map(attrgetter("entities"), entity_sets))
+    return EntityCatalog(dict.fromkeys(mentions))
 
 
 class ExtractionClient(Protocol):
@@ -192,6 +221,11 @@ class ExtractionCache:
     ``put`` came since the last write, to a temp file swapped in atomically;
     concurrent puts are serialized. A line that is not such an entry raises
     CorpusFormatError naming the file and the line.
+
+    Opening interns the entity strings, so all mentions of a name are one
+    object, hashed once and matched by identity in every later dict lookup.
+    Each entry keeps its entities as a tuple, which a hit hands to its
+    EntitySet without a copy; ``get`` returns a list copy.
     """
 
     def __init__(self, path: str | Path, extractor_id: str):
@@ -201,24 +235,30 @@ class ExtractionCache:
         self._unwritten = False
         self._lock = threading.Lock()
         if self.path.exists():
+            names: dict[str, str] = {}
             try:
                 for lineno, obj in read_jsonl(self.path):
                     entities = obj.get("entities")
                     if not (
                         isinstance(obj.get("passage_id"), str)
                         and isinstance(entities, list)
-                        and all(isinstance(e, str) for e in entities)
+                        and all(map(str.__instancecheck__, entities))
                     ):
                         raise CorpusFormatError(
                             "an entry needs a string 'passage_id' and a list of strings "
                             "in 'entities'",
                             line=lineno,
                         )
+                    obj["entities"] = tuple(map(names.setdefault, entities, entities))
                     self._entries[obj["passage_id"]] = obj
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"extraction cache {self.path}: {exc}") from None
 
     def get(self, passage: Passage) -> list[str] | None:
+        entities = self._hit(passage)
+        return None if entities is None else list(entities)
+
+    def _hit(self, passage: Passage) -> tuple[str, ...] | None:
         entry = self._entries.get(passage.id)
         if (
             entry is None
@@ -226,14 +266,14 @@ class ExtractionCache:
             or entry.get("passage_sha256") != passage_sha256(passage)
         ):
             return None
-        return list(entry["entities"])
+        return entry["entities"]
 
     def put(self, passage: Passage, entities: Sequence[str]) -> None:
         entry = {
             "passage_id": passage.id,
             "passage_sha256": passage_sha256(passage),
             "extractor_id": self.extractor_id,
-            "entities": list(entities),
+            "entities": tuple(entities),
         }
         with self._lock:
             self._entries[passage.id] = entry
@@ -268,9 +308,9 @@ def extract_entities(
     an empty EntitySet.
     """
     if cache is not None:
-        cached = cache.get(passage)
+        cached = cache._hit(passage)
         if cached is not None:
-            return EntitySet(passage_id=passage.id, entities=tuple(cached))
+            return EntitySet(passage_id=passage.id, entities=cached)
 
     try:
         raw = extractor.extract(passage.title, passage.text)
@@ -279,22 +319,20 @@ def extract_entities(
             f"extraction failed for passage {passage.id!r}: {exc}", passage_id=passage.id
         ) from exc
 
-    entities = dedup_normalized(raw)
+    entities = tuple(dedup_normalized(raw))
     if cache is not None:
         cache.put(passage, entities)
-    return EntitySet(passage_id=passage.id, entities=tuple(entities))
+    return EntitySet(passage_id=passage.id, entities=entities)
 
 
 def dedup_normalized(raw_entities: Iterable[str]) -> list[str]:
-    """Normalize raw entity strings, dropping empties and later duplicates."""
-    out: list[str] = []
-    seen: set[str] = set()
-    for raw in raw_entities:
-        ent = normalize_entity(raw)
-        if ent and ent not in seen:
-            seen.add(ent)
-            out.append(ent)
-    return out
+    """Normalize raw entity strings, dropping empties and later duplicates.
+
+    Each distinct raw string is normalized once, at its first position.
+    """
+    entities = dict.fromkeys(map(normalize_entity, dict.fromkeys(raw_entities)))
+    entities.pop("", None)
+    return list(entities)
 
 
 def extract_corpus_entities(

@@ -31,6 +31,8 @@ passages are inert under diffusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -89,19 +91,33 @@ def build_incidence(entity_sets: Sequence[EntitySet], catalog: EntityCatalog) ->
     be cataloged; a missing entity indicates an inconsistent build and
     raises ContractError.
     """
-    rows: list[int] = []
-    offsets = [0]
-    for es in entity_sets:
-        try:
-            rows.extend(sorted(catalog.index_of(e) for e in es.entities))
-        except KeyError as exc:
-            raise ContractError(f"passage {es.passage_id!r}: {exc.args[0]}") from exc
-        offsets.append(len(rows))
+    entity_lists = list(map(attrgetter("entities"), entity_sets))
+    sizes = np.fromiter(map(len, entity_lists), dtype=np.intp, count=len(entity_lists))
+    offsets = np.zeros(len(entity_lists) + 1, dtype=np.int32)
+    np.cumsum(sizes, out=offsets[1:])
+    mentions = chain.from_iterable(entity_lists)
+    try:
+        rows = np.fromiter(catalog.indices_of(mentions), dtype=np.intp, count=int(offsets[-1]))
+    except KeyError:
+        for es in entity_sets:  # name the first passage with a missing entity
+            try:
+                for e in es.entities:
+                    catalog.index_of(e)
+            except KeyError as exc:
+                raise ContractError(f"passage {es.passage_id!r}: {exc.args[0]}") from exc
+        raise
+    # Passages ascend already; one sort of (passage, row) keys puts the rows
+    # of each passage in ascending order.
+    n_entities = len(catalog)
+    columns = np.repeat(np.arange(len(entity_lists), dtype=np.intp), sizes)
+    column_bases = columns * n_entities
+    rows = np.sort(column_bases + rows) - column_bases
     return IncidenceMatrix(
-        n_entities=len(catalog),
-        n_passages=len(entity_sets),
-        pas_offsets=np.array(offsets, dtype=np.int32),
-        pas_indices=np.array(rows, dtype=np.intp),
+        n_entities=n_entities,
+        n_passages=len(entity_lists),
+        pas_offsets=offsets,
+        pas_indices=rows,
+        pas_columns=columns,
     )
 
 

@@ -42,7 +42,7 @@ import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, Sized
 
 import numpy as np
 
@@ -286,11 +286,20 @@ def _read_json(path: Path, kind: type):
     return value
 
 
-def _read_ids(path: Path) -> list[str]:
+def _read_ids(
+    path: Path, distinct: Callable[[list[str]], Sized] = set
+) -> tuple[list[str], Sized]:
+    """The id list in ``path`` and ``distinct(ids)``, which must hold as many.
+
+    ``distinct`` is what the caller keeps of the ids' hashes (the entity
+    catalog's dict), so each id is hashed once.
+    """
     ids = _read_json(path, list)
-    if not all(isinstance(i, str) for i in ids) or len(set(ids)) != len(ids):
-        raise IndexIntegrityError(f"{path.name} is not a list of distinct strings")
-    return ids
+    if all(map(str.__instancecheck__, ids)):
+        held = distinct(ids)
+        if len(held) == len(ids):
+            return ids, held
+    raise IndexIntegrityError(f"{path.name} is not a list of distinct strings")
 
 
 def _count(manifest: dict, key: str) -> int:
@@ -316,8 +325,8 @@ def load_index(directory: str | Path) -> HypergraphIndex:
     )
     if dim == 0:
         raise IndexIntegrityError(f"{MANIFEST_NAME} declares embedding_dim 0")
-    entities = _read_ids(directory / "entities.json")
-    passage_ids = _read_ids(directory / "passages.json")
+    entities, catalog = _read_ids(directory / "entities.json", EntityCatalog)
+    passage_ids = _read_ids(directory / "passages.json")[0]  # its set is not kept
     if len(entities) != n_entities or len(passage_ids) != n_passages:
         raise IndexIntegrityError("manifest counts disagree with stored id lists")
 
@@ -333,7 +342,7 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         directory, n_entities, dim
     )
     index = HypergraphIndex(
-        catalog=EntityCatalog(entities),
+        catalog=catalog,
         incidence=incidence,
         degrees=compute_degrees(incidence),
         passage_ids=passage_ids,

@@ -9,7 +9,9 @@ import pytest
 
 import hyperhop
 from hyperhop.cli import main
+from hyperhop.corpus import load_corpus
 from hyperhop.embeddings import OfflineEncoder
+from hyperhop.entities import OfflineEntityExtractor, passage_sha256
 from hyperhop.index_store import load_index
 from hyperhop.retrieval import ranked_order
 
@@ -109,6 +111,36 @@ class TestIndexCommand:
         capsys.readouterr()
         assert main(["index"] + common(built)) == 2
         assert f"extraction cache {cache}: line 4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entities, message",
+        [
+            (["Germany"], "entity 'Germany' is not normalized"),
+            ([""], "empty entity in set for passage 'P1'"),
+            (["germany", "germany"], "duplicate entity 'germany' in passage 'P1'"),
+        ],
+    )
+    def test_unchecked_extraction_cache_hit_exits_2(self, built, capsys, entities, message):
+        """A hit is checked like a fresh extraction; from other content it is a miss."""
+        cache = built / "cache" / "extraction.jsonl"
+        index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
+        p1 = next(p for p in load_corpus(TOY_CORPUS) if p.id == "P1")
+        entry = {
+            "passage_id": "P1",
+            "passage_sha256": passage_sha256(p1),
+            "extractor_id": OfflineEntityExtractor.extractor_id,
+            "entities": entities,
+        }
+        entries = cache.read_text(encoding="utf-8")
+        cache.write_text(entries + json.dumps(entry) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["index"] + common(built)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+        entry["passage_sha256"] = "0" * 64
+        cache.write_text(entries + json.dumps(entry) + "\n", encoding="utf-8")
+        assert main(["index"] + common(built)) == 0
+        assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,11 @@ class TestCatalog:
         for i, entity in enumerate(catalog.to_list()):
             assert catalog.index_of(entity) == i
 
+    def test_repeats_keep_their_first_position(self):
+        catalog = EntityCatalog(["b", "a", "b", "c"])
+        assert catalog.to_list() == ["b", "a", "c"]
+        assert catalog.index_of("c") == 2
+
     @given(st.lists(st.text(min_size=1, max_size=8), max_size=30))
     def test_round_trip_random(self, raws):
         entities = dedup_normalized(raws)
@@ -75,6 +80,23 @@ class TestEntitySet:
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
             EntitySet("p1", ("Albert",))
+
+    @pytest.mark.parametrize(
+        "entities, message",
+        [
+            (("a", ""), "empty entity in set for passage 'p1'"),
+            (("a", "Bb", "a", ""), "entity 'Bb' is not normalized"),
+            (("a", "b", "a", ""), "duplicate entity 'a' in passage 'p1'"),
+        ],
+    )
+    def test_names_the_first_offending_entity(self, entities, message):
+        with pytest.raises(ContractError) as excinfo:
+            EntitySet("p1", entities)
+        assert str(excinfo.value) == message
+
+
+def test_dedup_keeps_the_first_position_of_each_normalized_name():
+    assert dedup_normalized(["B", " b", "A", "", "a ", "B", "C"]) == ["b", "a", "c"]
 
 
 class TestOfflineExtractor:
@@ -153,6 +175,12 @@ class TestExtractionRetryAndCache:
         by_id = {p.id: p for p in load_corpus(data_dir / "toy_corpus.jsonl")}
         assert cache.get(by_id["P2"]) == ["germany", "berlin", "european union"]
         assert cache.get(Passage(id="missing", title="", text="x")) is None
+
+    def test_open_makes_equal_names_one_object(self, data_dir):
+        path = data_dir / "toy_extraction.jsonl"
+        cache = ExtractionCache(path, OfflineEntityExtractor.extractor_id)
+        by_id = {p.id: p for p in load_corpus(data_dir / "toy_corpus.jsonl")}
+        assert cache.get(by_id["P1"])[1] is cache.get(by_id["P2"])[0]  # "germany"
 
     def test_concurrent_extraction_preserves_order(self):
         passages = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(8)]

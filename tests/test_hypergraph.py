@@ -53,7 +53,7 @@ class TestBuildIncidence:
     def test_uncataloged_entity_rejected(self):
         entity_sets = [EntitySet("p1", ("a",)), EntitySet("p2", ("b",))]
         catalog = build_catalog(entity_sets[:1])
-        with pytest.raises(ContractError, match="p2"):
+        with pytest.raises(ContractError, match="^passage 'p2': entity 'b' not in catalog$"):
             build_incidence(entity_sets, catalog)
 
     def test_rows_ascend_within_passages_on_random_graphs(self, rng):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hyperhop import pipeline
 from hyperhop.config import AppConfig
 from hyperhop.corpus import Passage, corpus_digest
 from hyperhop.embeddings import OfflineEncoder
-from hyperhop.entities import OfflineEntityExtractor
+from hyperhop.entities import OfflineEntityExtractor, _is_normalized, normalize_entity
 from hyperhop.errors import ContractError
 from hyperhop.pipeline import (
     build_index_from_corpus,
@@ -111,6 +112,36 @@ def test_warm_rebuild_extracts_only_the_edited_passage(tmp_path, data_dir, monke
     assert titles == ["European Union"]  # the title of P3, the passage edited
     entities = index.catalog.to_list()
     assert "strasbourg" in entities and "brussels" not in entities
+
+
+def test_warm_rebuild_normalizes_each_distinct_name_once(tmp_path, monkeypatch, no_network):
+    names = ["Berlin", "Paris", "Rome", "Vienna", "Madrid"]
+    corpus = tmp_path / "corpus.jsonl"
+    with corpus.open("w", encoding="utf-8") as fh:
+        for i in range(40):
+            picked = [names[(i + k) % len(names)] for k in range(3)]
+            text = f"{picked[0]} met {picked[1]} and {picked[2]}."
+            fh.write(json.dumps({"id": f"p{i:02d}", "title": "", "text": text}) + "\n")
+    config = AppConfig(
+        corpus=str(corpus),
+        index_dir=str(tmp_path / "index"),
+        cache_dir=str(tmp_path / "cache"),
+        offline=True,
+    )
+    build_index_from_corpus(config)
+    first = _index_files(tmp_path / "index")
+
+    normalized = []
+
+    def counting_normalize(raw):
+        normalized.append(raw)
+        return normalize_entity(raw)
+
+    _is_normalized.cache_clear()  # earlier tests may have memoized these names
+    monkeypatch.setattr("hyperhop.entities.normalize_entity", counting_normalize)
+    build_index_from_corpus(config)
+    assert _index_files(tmp_path / "index") == first
+    assert sorted(normalized) == sorted(name.lower() for name in names)  # not once per mention
 
 
 def test_extractor_id_follows_the_model_and_the_prompt(tmp_path):
