@@ -101,18 +101,35 @@ def text_key(text: str) -> str:
 _KEY_CHARS = 64  # a text_key: sha256 as hex
 
 
+def open_cache(directory: Path, producer: dict) -> None:
+    """Make ``directory`` the cache of ``producer``, which its
+    ``manifest.json`` holds as sorted JSON.
+
+    The manifest is written when the cache is made and never on an append.
+    A manifest that is missing or not that one (another producer, an older
+    layout, an unparsable file) is replaced, and every other file in the
+    directory, the records of another producer or layout, is deleted.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = directory / "manifest.json"
+    expected = json.dumps(producer, sort_keys=True).encode()
+    if not manifest.is_file() or manifest.read_bytes() != expected:
+        for path in directory.iterdir():
+            if path.is_file():
+                path.unlink()
+        manifest.write_bytes(expected)
+
+
 class EmbeddingCache:
     """Append-only on-disk vector cache keyed by content hash.
 
-    ``manifest.json`` holds the encoder id and dim; it is written when the
-    cache is made and never on ``append``. ``records.bin`` holds one
-    fixed-size record per entry: the 64-character ``text_key`` as ASCII, then
-    the float32 little-endian row. The entry count is the file size over the
-    record size, and a key and its row are written together, so they cannot
-    disagree. Opening replaces a manifest that is not the expected one
-    (another encoder or dim, an older layout, an unparsable file) and deletes
-    the records with it, and truncates a partial last record that a crashed
-    append left. Appends are serialized; one process writes a cache at a time.
+    ``manifest.json`` holds the encoder id and dim (see ``open_cache``).
+    ``records.bin`` holds one fixed-size record per entry: the 64-character
+    ``text_key`` as ASCII, then the float32 little-endian row. The entry
+    count is the file size over the record size, and a key and its row are
+    written together, so they cannot disagree. Opening truncates a partial
+    last record that a crashed append left. Appends are serialized; one
+    process writes a cache at a time.
     """
 
     def __init__(self, directory: str | Path, encoder_id: str, dim: int):
@@ -122,13 +139,7 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self._records = self.directory / "records.bin"
         self._dtype = np.dtype([("key", f"S{_KEY_CHARS}"), ("row", "<f4", (dim,))])
-        self.directory.mkdir(parents=True, exist_ok=True)
-        manifest = self.directory / "manifest.json"
-        expected = json.dumps({"dim": dim, "encoder_id": encoder_id}, sort_keys=True).encode()
-        if not manifest.is_file() or manifest.read_bytes() != expected:
-            for name in ("records.bin", "keys.txt", "vectors.bin"):
-                (self.directory / name).unlink(missing_ok=True)
-            manifest.write_bytes(expected)
+        open_cache(self.directory, {"dim": dim, "encoder_id": encoder_id})
         size = self._records.stat().st_size if self._records.exists() else 0
         self._count = size // self._dtype.itemsize
         if size != self._count * self._dtype.itemsize:

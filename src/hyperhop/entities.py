@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import re
 import threading
 import unicodedata
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .corpus import Passage, read_jsonl
+from .embeddings import open_cache
 from .errors import ContractError, CorpusFormatError, ExtractionError
 
 # Tokens that may never start a capitalized span in the offline extractor.
@@ -210,89 +212,72 @@ def passage_sha256(passage: Passage) -> str:
 
 
 class ExtractionCache:
-    """JSONL cache of per-passage extraction results, one entry per passage id.
+    """Append-only cache of extraction results, keyed by passage content.
 
-    Entries are ``{"passage_id", "passage_sha256", "extractor_id",
-    "entities"}``. ``get`` returns the entities only when the entry was made
-    from the same title and text (``passage_sha256``) by the same extractor
-    (``extractor_id``: the offline tag, or the chat model and the hash of the
-    prompt), so an edited passage or a changed extractor is a miss, and its
-    ``put`` replaces the stale entry. ``flush`` writes the entries when a
-    ``put`` came since the last write, to a temp file swapped in atomically;
-    concurrent puts are serialized. A line that is not such an entry raises
-    CorpusFormatError naming the file and the line.
+    The cache is a directory. Its ``manifest.json`` names the extractor (the
+    offline tag, or the chat model and the sha256 of the prompt); opening for
+    another one wipes the cache (see ``embeddings.open_cache``).
+    ``records.jsonl`` holds one ``{"passage_sha256", "entities"}`` object per
+    line. The key is ``passage_sha256``, the hash of all an extractor reads
+    of a passage, so an edited title or text is a miss and the entry of the
+    old text stays valid for it. When a key repeats, the last line wins.
+    Opening truncates a last line that has no newline, the torn tail of a
+    crashed append; a complete line that is not such an entry raises
+    CorpusFormatError naming the file and the line. ``put`` queues a line and
+    ``flush`` appends the queued lines in one write; both are serialized.
 
     Opening interns the entity strings, so all mentions of a name are one
     object, hashed once and matched by identity in every later dict lookup.
-    Each entry keeps its entities as a tuple, which a hit hands to its
-    EntitySet without a copy; ``get`` returns a list copy.
+    Each entry keeps its entities as a tuple, which ``get`` hands to its
+    EntitySet without a copy.
     """
 
-    def __init__(self, path: str | Path, extractor_id: str):
-        self.path = Path(path)
-        self.extractor_id = extractor_id
-        self._entries: dict[str, dict] = {}
-        self._unwritten = False
+    def __init__(self, directory: str | Path, extractor_id: str):
+        directory = Path(directory)
+        open_cache(directory, {"extractor_id": extractor_id})
+        self._records = directory / "records.jsonl"
+        self._entries: dict[str, tuple[str, ...]] = {}
+        self._queued: list[str] = []
         self._lock = threading.Lock()
-        if self.path.exists():
-            names: dict[str, str] = {}
-            try:
-                for lineno, obj in read_jsonl(self.path):
-                    entities = obj.get("entities")
-                    if not (
-                        isinstance(obj.get("passage_id"), str)
-                        and isinstance(entities, list)
-                        and all(map(str.__instancecheck__, entities))
-                    ):
-                        raise CorpusFormatError(
-                            "an entry needs a string 'passage_id' and a list of strings "
-                            "in 'entities'",
-                            line=lineno,
-                        )
-                    obj["entities"] = tuple(map(names.setdefault, entities, entities))
-                    self._entries[obj["passage_id"]] = obj
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"extraction cache {self.path}: {exc}") from None
+        with self._records.open("ab+") as fh:  # made when missing
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+            if fh.read(1) not in (b"", b"\n"):  # the torn tail of a crashed append
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+        names: dict[str, str] = {}
+        try:
+            for lineno, obj in read_jsonl(self._records):
+                key, entities = obj.get("passage_sha256"), obj.get("entities")
+                if not (
+                    isinstance(key, str)
+                    and isinstance(entities, list)
+                    and all(map(str.__instancecheck__, entities))
+                ):
+                    raise CorpusFormatError(
+                        "an entry needs a string 'passage_sha256' and a list of strings "
+                        "in 'entities'",
+                        line=lineno,
+                    )
+                self._entries[key] = tuple(map(names.setdefault, entities, entities))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"extraction cache {self._records}: {exc}") from None
 
-    def get(self, passage: Passage) -> list[str] | None:
-        entities = self._hit(passage)
-        return None if entities is None else list(entities)
+    def get(self, key: str) -> tuple[str, ...] | None:
+        return self._entries.get(key)
 
-    def _hit(self, passage: Passage) -> tuple[str, ...] | None:
-        entry = self._entries.get(passage.id)
-        if (
-            entry is None
-            or entry.get("extractor_id") != self.extractor_id
-            or entry.get("passage_sha256") != passage_sha256(passage)
-        ):
-            return None
-        return entry["entities"]
-
-    def put(self, passage: Passage, entities: Sequence[str]) -> None:
-        entry = {
-            "passage_id": passage.id,
-            "passage_sha256": passage_sha256(passage),
-            "extractor_id": self.extractor_id,
-            "entities": tuple(entities),
-        }
+    def put(self, key: str, entities: Sequence[str]) -> None:
+        entities = tuple(entities)
+        line = json.dumps({"passage_sha256": key, "entities": entities}, ensure_ascii=False)
         with self._lock:
-            self._entries[passage.id] = entry
-            self._unwritten = True
-
-    def __len__(self) -> int:
-        return len(self._entries)
+            self._entries[key] = entities
+            self._queued.append(line + "\n")
 
     def flush(self) -> None:
         with self._lock:
-            if not self._unwritten:
-                return
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("w", encoding="utf-8") as fh:
-                for pid in sorted(self._entries):
-                    fh.write(json.dumps(self._entries[pid], ensure_ascii=False) + "\n")
-            tmp.replace(self.path)
-            self._unwritten = False
+            if self._queued:
+                with self._records.open("a", encoding="utf-8") as fh:
+                    fh.write("".join(self._queued))
+                self._queued.clear()
 
 
 def extract_entities(
@@ -308,7 +293,8 @@ def extract_entities(
     an empty EntitySet.
     """
     if cache is not None:
-        cached = cache._hit(passage)
+        key = passage_sha256(passage)
+        cached = cache.get(key)
         if cached is not None:
             return EntitySet(passage_id=passage.id, entities=cached)
 
@@ -321,7 +307,7 @@ def extract_entities(
 
     entities = tuple(dedup_normalized(raw))
     if cache is not None:
-        cache.put(passage, entities)
+        cache.put(key, entities)
     return EntitySet(passage_id=passage.id, entities=entities)
 
 
@@ -344,13 +330,15 @@ def extract_corpus_entities(
     """Extract entity sets for a whole corpus, preserving passage order.
 
     ``max_workers`` bounds in-flight extraction requests; results come back
-    aligned with ``passages`` regardless of completion order.
+    aligned with ``passages`` regardless of completion order. The cache is
+    flushed however the extraction ends, so a failed or interrupted build
+    keeps what it extracted.
     """
-    if max_workers <= 1:
-        sets = [extract_entities(p, extractor, cache) for p in passages]
-    else:
+    try:
+        if max_workers <= 1:
+            return [extract_entities(p, extractor, cache) for p in passages]
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            sets = list(pool.map(lambda p: extract_entities(p, extractor, cache), passages))
-    if cache is not None:
-        cache.flush()
-    return sets
+            return list(pool.map(lambda p: extract_entities(p, extractor, cache), passages))
+    finally:
+        if cache is not None:
+            cache.flush()

@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Sequence, Sized
 
 import numpy as np
 
-from .embeddings import ROW_BLOCK, AxisBuckets, row_norms, row_norms_and_largest, unit_rows
+from .embeddings import ROW_BLOCK, AxisBuckets, row_norms_and_largest, unit_rows
 from .entities import EntityCatalog, EntitySet
 from .errors import ContractError, IndexIntegrityError
 from .hypergraph import (
@@ -95,12 +95,19 @@ class HypergraphIndex:
 
     @functools.cached_property
     def entity_row_norms(self) -> np.ndarray:
-        return _read_only(row_norms(self.entity_embeddings))
+        return self._summarize_entity_rows()[0]
 
     @functools.cached_property
     def entity_buckets(self) -> AxisBuckets:
-        values = self.entity_embeddings
-        return AxisBuckets.of(*row_norms_and_largest(values), values.shape[1])
+        return self._summarize_entity_rows()[1]
+
+    def _summarize_entity_rows(self) -> tuple[np.ndarray, AxisBuckets]:
+        """Set ``entity_row_norms`` and ``entity_buckets`` from one pass over
+        the entity rows, as ``load_index`` does while it reads them."""
+        norms, axis, value = row_norms_and_largest(self.entity_embeddings)
+        self.entity_row_norms = _read_only(norms)
+        self.entity_buckets = AxisBuckets.of(norms, axis, value, self.entity_embeddings.shape[1])
+        return self.entity_row_norms, self.entity_buckets
 
     @functools.cached_property
     def unit_passage_rows(self) -> np.ndarray:

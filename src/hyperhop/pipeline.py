@@ -99,7 +99,7 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
 
     passages = load_corpus(corpus_path)
     extractor = make_extractor(config)
-    extraction_cache = ExtractionCache(cache_dir / "extraction.jsonl", extractor_id(config))
+    extraction_cache = ExtractionCache(cache_dir / "extraction", extractor_id(config))
     entity_sets = extract_corpus_entities(
         passages, extractor, extraction_cache, max_workers=config.max_workers
     )

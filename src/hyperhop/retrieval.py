@@ -11,7 +11,7 @@ the top-k1 seeds plus any top-k2 passage sharing an entity with a seed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -84,16 +84,6 @@ class Diagnostics:
     k2_effective: int = 0
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "nonzero_entity_count": self.nonzero_entity_count,
-            "steps_run": self.steps_run,
-            "dense_fallback": self.dense_fallback,
-            "k1_effective": self.k1_effective,
-            "k2_effective": self.k2_effective,
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclass
 class RankedResult:
@@ -117,20 +107,20 @@ class RankedResult:
             "query": query,
             "selected": entries(self.selected),
             "topk2": entries(self.ranking[:k2]),
-            "diagnostics": self.diagnostics.to_dict(),
+            "diagnostics": asdict(self.diagnostics),
         }
 
 
-def ranked_order(scores: np.ndarray, depth: int | None = None) -> np.ndarray:
-    """The first ``depth`` indices (all when None) by descending score, ties
-    by ascending index. Scores must not be NaN.
+def ranked_order(scores: np.ndarray, depth: int) -> np.ndarray:
+    """The first ``depth`` indices by descending score, ties by ascending
+    index. Scores must not be NaN.
 
     Only the scores at or above the depth-th largest are sorted:
     ``np.partition`` finds that boundary score, and every index tied with
     it is a candidate, so the prefix is exactly that of a full sort.
     """
     n = scores.shape[0]
-    if depth is None or depth >= n:
+    if depth >= n:
         return np.lexsort((np.arange(n), -scores))
     neg = -scores
     boundary = np.partition(neg, depth - 1)[depth - 1]

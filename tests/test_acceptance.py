@@ -146,7 +146,7 @@ def test_criterion_4_ablation_identities():
             signed_p = p * rng.choice([-1.0, 1.0], size=p.shape)
             config = RetrievalConfig(beta=1.0, k1=1, k2=index.n_passages)
             result = rank_passages(x, signed_p, index, config, ranking_depth=index.n_passages)
-            assert [c for c, _ in result.ranking] == ranked_order(signed_p).tolist()
+            assert [c for c, _ in result.ranking] == ranked_order(signed_p, len(signed_p)).tolist()
 
         # k1 = k2: selection is exactly the top-k1.
         for index, x, p in _instances(50, rng):
@@ -172,7 +172,7 @@ def test_criterion_4_ablation_identities():
                 continue
             masked = dense_incidence(index.incidence).T @ x  # H^T x
             np.testing.assert_allclose(result.artifacts.p_tilde, masked, rtol=1e-12, atol=0)
-            assert [c for c, _ in result.ranking] == ranked_order(masked).tolist()
+            assert [c for c, _ in result.ranking] == ranked_order(masked, len(masked)).tolist()
             assert [c for c, _ in result.selected] == [c for c, _ in result.ranking[:1]]
 
         record["detail"] = "beta=1, k1=k2, and degenerate-form checks on 50 instances each"
@@ -194,7 +194,7 @@ def test_criterion_5_containment():
                 k1 = int(rng.integers(1, k2 + 1))
                 p_tilde = rng.uniform(-1, 1, n)
                 selection = structural_enhance(ranked_order(p_tilde, k2), index, k1, k2)
-                order = ranked_order(p_tilde)
+                order = ranked_order(p_tilde, len(p_tilde))
                 seeds = set(order[:k1].tolist())
                 topk2 = set(order[:k2].tolist())
                 chosen = set(selection.tolist())

@@ -11,7 +11,7 @@ import hyperhop
 from hyperhop.cli import main
 from hyperhop.corpus import load_corpus
 from hyperhop.embeddings import OfflineEncoder
-from hyperhop.entities import OfflineEntityExtractor, passage_sha256
+from hyperhop.entities import passage_sha256
 from hyperhop.index_store import load_index
 from hyperhop.retrieval import ranked_order
 
@@ -100,13 +100,17 @@ class TestIndexCommand:
             "{not json",
             "[1]",
             '{"entities": []}',
+            # Lines of the older one-file layout, keyed by passage id.
             '{"passage_id": 1, "entities": []}',
             '{"passage_id": "P1", "entities": "germany"}',
             '{"passage_id": "P1", "entities": [1]}',
+            '{"passage_sha256": 1, "entities": []}',
+            '{"passage_sha256": "0", "entities": "germany"}',
+            '{"passage_sha256": "0", "entities": [1]}',
         ],
     )
     def test_damaged_extraction_cache_exits_2(self, built, capsys, line):
-        cache = built / "cache" / "extraction.jsonl"
+        cache = built / "cache" / "extraction" / "records.jsonl"
         cache.write_text(cache.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["index"] + common(built)) == 2
@@ -122,15 +126,10 @@ class TestIndexCommand:
     )
     def test_unchecked_extraction_cache_hit_exits_2(self, built, capsys, entities, message):
         """A hit is checked like a fresh extraction; from other content it is a miss."""
-        cache = built / "cache" / "extraction.jsonl"
+        cache = built / "cache" / "extraction" / "records.jsonl"
         index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
         p1 = next(p for p in load_corpus(TOY_CORPUS) if p.id == "P1")
-        entry = {
-            "passage_id": "P1",
-            "passage_sha256": passage_sha256(p1),
-            "extractor_id": OfflineEntityExtractor.extractor_id,
-            "entities": entities,
-        }
+        entry = {"passage_sha256": passage_sha256(p1), "entities": entities}
         entries = cache.read_text(encoding="utf-8")
         cache.write_text(entries + json.dumps(entry) + "\n", encoding="utf-8")
         capsys.readouterr()
@@ -191,7 +190,7 @@ class TestRetrieveCommand:
         from hyperhop.retrieval import build_passage_similarity
 
         p = build_passage_similarity(TOY_QUERY, index, OfflineEncoder(dim=256))
-        expected = [index.passage_ids[col] for col in ranked_order(p)]
+        expected = [index.passage_ids[col] for col in ranked_order(p, len(p))]
         assert [e["id"] for e in payload["topk2"]] == expected
 
     def test_ablation_flags_compose(self, built, capsys):

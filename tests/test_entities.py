@@ -1,3 +1,5 @@
+import json
+import shutil
 import threading
 
 import pytest
@@ -15,8 +17,9 @@ from hyperhop.entities import (
     extract_corpus_entities,
     extract_entities,
     normalize_entity,
+    passage_sha256,
 )
-from hyperhop.errors import ContractError, ExtractionError
+from hyperhop.errors import ContractError, CorpusFormatError, ExtractionError
 
 
 class TestNormalizeEntity:
@@ -95,6 +98,10 @@ class TestEntitySet:
         assert str(excinfo.value) == message
 
 
+def cached(cache, passage):
+    return cache.get(passage_sha256(passage))
+
+
 def test_dedup_keeps_the_first_position_of_each_normalized_name():
     assert dedup_normalized(["B", " b", "A", "", "a ", "B", "C"]) == ["b", "a", "c"]
 
@@ -149,7 +156,7 @@ class TestExtractionRetryAndCache:
             Passage(id="p1", title="", text="Berlin is big."),
             Passage(id="p2", title="", text="Paris is old."),
         ]
-        cache_path = tmp_path / "extraction.jsonl"
+        cache_dir = tmp_path / "extraction"
 
         class CountingExtractor(OfflineEntityExtractor):
             calls = 0
@@ -159,28 +166,32 @@ class TestExtractionRetryAndCache:
                 return super().extract(title, text)
 
         first = extract_corpus_entities(
-            passages, CountingExtractor(), ExtractionCache(cache_path, "o")
+            passages, CountingExtractor(), ExtractionCache(cache_dir, "o")
         )
         assert CountingExtractor.calls == 2
 
         second = extract_corpus_entities(
-            passages, CountingExtractor(), ExtractionCache(cache_path, "o")
+            passages, CountingExtractor(), ExtractionCache(cache_dir, "o")
         )
         assert CountingExtractor.calls == 2  # cache hits only
         assert first == second
 
     def test_cache_file_round_trips(self, tmp_path, data_dir):
-        path = data_dir / "toy_extraction.jsonl"
-        cache = ExtractionCache(path, OfflineEntityExtractor.extractor_id)
+        shutil.copytree(data_dir / "toy_extraction", tmp_path / "extraction")
+        records = tmp_path / "extraction" / "records.jsonl"
+        before = records.read_bytes()
+        cache = ExtractionCache(tmp_path / "extraction", OfflineEntityExtractor.extractor_id)
         by_id = {p.id: p for p in load_corpus(data_dir / "toy_corpus.jsonl")}
-        assert cache.get(by_id["P2"]) == ["germany", "berlin", "european union"]
-        assert cache.get(Passage(id="missing", title="", text="x")) is None
+        assert cached(cache, by_id["P2"]) == ("germany", "berlin", "european union")
+        assert cached(cache, Passage(id="missing", title="", text="x")) is None
+        assert records.read_bytes() == before
 
-    def test_open_makes_equal_names_one_object(self, data_dir):
-        path = data_dir / "toy_extraction.jsonl"
-        cache = ExtractionCache(path, OfflineEntityExtractor.extractor_id)
+    def test_open_makes_equal_names_one_object(self, tmp_path, data_dir):
+        shutil.copytree(data_dir / "toy_extraction", tmp_path / "extraction")
+        cache = ExtractionCache(tmp_path / "extraction", OfflineEntityExtractor.extractor_id)
         by_id = {p.id: p for p in load_corpus(data_dir / "toy_corpus.jsonl")}
-        assert cache.get(by_id["P1"])[1] is cache.get(by_id["P2"])[0]  # "germany"
+        germany = cached(cache, by_id["P1"])[1]
+        assert germany == "germany" and germany is cached(cache, by_id["P2"])[0]
 
     def test_concurrent_extraction_preserves_order(self):
         passages = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(8)]
@@ -189,10 +200,10 @@ class TestExtractionRetryAndCache:
         assert sets[3].entities == ("city3",)
 
     def test_cache_writes_are_serialized(self, tmp_path):
-        cache = ExtractionCache(tmp_path / "c.jsonl", "x")
+        cache = ExtractionCache(tmp_path / "c", "x")
 
         def put(i):
-            cache.put(Passage(id=f"p{i}", title="", text=f"t{i}"), [f"e{i}"])
+            cache.put(f"key{i}", [f"e{i}"])
 
         threads = [threading.Thread(target=put, args=(i,)) for i in range(16)]
         for t in threads:
@@ -200,9 +211,101 @@ class TestExtractionRetryAndCache:
         for t in threads:
             t.join()
         cache.flush()
-        reloaded = ExtractionCache(tmp_path / "c.jsonl", "x")
-        assert len(reloaded) == 16
-        assert reloaded.get(Passage(id="p3", title="", text="t3")) == ["e3"]
+        lines = (tmp_path / "c" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 16 and all(json.loads(line) for line in lines)
+        reloaded = ExtractionCache(tmp_path / "c", "x")
+        for i in range(16):
+            assert reloaded.get(f"key{i}") == (f"e{i}",)
+
+
+class FailsOnOnePassage(OfflineEntityExtractor):
+    """Fails on the passage whose text is ``failing``; records what it extracted."""
+
+    def __init__(self, failing=None):
+        self.failing = failing
+        self.extracted = []
+
+    def extract(self, title, text):
+        if text == self.failing:
+            raise RuntimeError("endpoint down")
+        self.extracted.append(text)
+        return super().extract(title, text)
+
+
+def build(passages, directory):
+    return extract_corpus_entities(
+        passages, OfflineEntityExtractor(), ExtractionCache(directory, "o")
+    )
+
+
+class TestAppendOnlyExtractionCache:
+    PASSAGES = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(6)]
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_a_failed_build_keeps_its_extraction_work(self, tmp_path, max_workers):
+        texts = [p.text for p in self.PASSAGES]
+        failing = FailsOnOnePassage(failing=texts[3])
+        with pytest.raises(ExtractionError):
+            extract_corpus_entities(
+                self.PASSAGES, failing, ExtractionCache(tmp_path, "o"), max_workers
+            )
+        assert texts[3] not in failing.extracted
+        if max_workers == 1:
+            assert failing.extracted == texts[:3]
+
+        rerun = FailsOnOnePassage()
+        sets = extract_corpus_entities(
+            self.PASSAGES, rerun, ExtractionCache(tmp_path, "o"), max_workers
+        )
+        assert sorted(rerun.extracted) == sorted(set(texts) - set(failing.extracted))
+        assert sets == extract_corpus_entities(self.PASSAGES, OfflineEntityExtractor())
+
+    @pytest.mark.parametrize("cut", [1, 20], ids=["newline", "part-of-the-line"])
+    def test_torn_tail_is_truncated_and_only_its_passage_extracted_again(self, tmp_path, cut):
+        build(self.PASSAGES, tmp_path)
+        records = tmp_path / "records.jsonl"
+        whole = records.read_bytes()
+        records.write_bytes(whole[:-cut])
+
+        cache = ExtractionCache(tmp_path, "o")
+        assert records.read_bytes() == b"".join(whole.splitlines(keepends=True)[:-1])
+        extractor = FailsOnOnePassage()
+        extract_corpus_entities(self.PASSAGES, extractor, cache)
+        assert extractor.extracted == [self.PASSAGES[-1].text]
+        assert records.read_bytes() == whole
+
+    def test_a_miss_appends_and_a_hit_writes_nothing(self, tmp_path):
+        build(self.PASSAGES, tmp_path)
+        records = tmp_path / "records.jsonl"
+        before = records.read_bytes()
+        edited = list(self.PASSAGES)
+        edited[2] = Passage(id="p2", title="", text="Lyon is old.")
+        build(edited, tmp_path)
+        after = records.read_bytes()
+        assert after.startswith(before)
+        assert json.loads(after[len(before):]) == {
+            "passage_sha256": passage_sha256(edited[2]), "entities": ["lyon"]
+        }
+        build(edited, tmp_path)
+        assert records.read_bytes() == after
+
+    def test_the_last_entry_of_a_repeated_key_wins(self, tmp_path):
+        passage = self.PASSAGES[0]
+        ExtractionCache(tmp_path, "o")
+        line = {"passage_sha256": passage_sha256(passage)}
+        (tmp_path / "records.jsonl").write_text(
+            "".join(json.dumps({**line, "entities": [e]}) + "\n" for e in ("a", "b")),
+            encoding="utf-8",
+        )
+        assert cached(ExtractionCache(tmp_path, "o"), passage) == ("b",)
+
+    def test_manifest_names_the_extractor_and_is_never_rewritten(self, tmp_path):
+        ExtractionCache(tmp_path, "o")
+        manifest = tmp_path / "manifest.json"
+        assert manifest.read_bytes() == b'{"extractor_id": "o"}'
+        before = (manifest.stat().st_mtime_ns, manifest.stat().st_ino)
+        build(self.PASSAGES, tmp_path)
+        assert (manifest.stat().st_mtime_ns, manifest.stat().st_ino) == before
 
 
 class TestStaleExtractionEntries:
@@ -211,10 +314,10 @@ class TestStaleExtractionEntries:
     PASSAGE = Passage(id="p1", title="T", text="Berlin is big.")
 
     def cache_with_entry(self, tmp_path):
-        cache = ExtractionCache(tmp_path / "c.jsonl", "offline")
-        cache.put(self.PASSAGE, ["berlin"])
+        cache = ExtractionCache(tmp_path / "c", "offline")
+        cache.put(passage_sha256(self.PASSAGE), ["berlin"])
         cache.flush()
-        return tmp_path / "c.jsonl"
+        return tmp_path / "c"
 
     @pytest.mark.parametrize(
         "passage",
@@ -225,24 +328,41 @@ class TestStaleExtractionEntries:
     )
     def test_edited_passage_is_a_miss(self, tmp_path, passage):
         cache = ExtractionCache(self.cache_with_entry(tmp_path), "offline")
-        assert cache.get(self.PASSAGE) == ["berlin"]
-        assert cache.get(passage) is None
+        assert cached(cache, self.PASSAGE) == ("berlin",)
+        assert cached(cache, passage) is None
 
     def test_other_extractor_is_a_miss(self, tmp_path):
-        cache = ExtractionCache(self.cache_with_entry(tmp_path), "remote:m:abc")
-        assert cache.get(self.PASSAGE) is None
+        directory = self.cache_with_entry(tmp_path)
+        cache = ExtractionCache(directory, "remote:m:abc")
+        assert cached(cache, self.PASSAGE) is None
+        # Opening for another extractor wipes the cache.
+        assert (directory / "records.jsonl").read_bytes() == b""
+        assert json.loads((directory / "manifest.json").read_text()) == {
+            "extractor_id": "remote:m:abc"
+        }
+        assert cached(ExtractionCache(directory, "offline"), self.PASSAGE) is None
 
-    def test_entry_without_a_content_hash_is_a_miss(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        path.write_text('{"passage_id": "p1", "entities": ["berlin"]}\n', encoding="utf-8")
-        assert ExtractionCache(path, "offline").get(self.PASSAGE) is None
+    @pytest.mark.parametrize(
+        "manifest", [b"{not json", b"", b'{"extractor_id": "offline", "v": 1}']
+    )
+    def test_other_manifest_wipes_the_cache(self, tmp_path, manifest):
+        directory = self.cache_with_entry(tmp_path)
+        (directory / "manifest.json").write_bytes(manifest)
+        assert cached(ExtractionCache(directory, "offline"), self.PASSAGE) is None
+        assert (directory / "records.jsonl").read_bytes() == b""
 
-    def test_a_miss_replaces_the_stale_entry(self, tmp_path):
-        path = self.cache_with_entry(tmp_path)
+    def test_entry_without_a_content_hash_is_rejected(self, tmp_path):
+        directory = self.cache_with_entry(tmp_path)
+        with (directory / "records.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"passage_id": "p1", "entities": ["berlin"]}\n')
+        with pytest.raises(CorpusFormatError, match="records.jsonl: line 2: an entry needs"):
+            ExtractionCache(directory, "offline")
+
+    def test_a_miss_keeps_the_stale_entry(self, tmp_path):
+        directory = self.cache_with_entry(tmp_path)
         edited = Passage(id="p1", title="T", text="Paris is old.")
-        cache = ExtractionCache(path, "offline")
+        cache = ExtractionCache(directory, "offline")
         extract_corpus_entities([edited], OfflineEntityExtractor(), cache)
-        cache = ExtractionCache(path, "offline")
-        assert len(cache) == 1
-        assert cache.get(edited) == ["paris"]
-        assert cache.get(self.PASSAGE) is None
+        cache = ExtractionCache(directory, "offline")
+        assert cached(cache, edited) == ("paris",)
+        assert cached(cache, self.PASSAGE) == ("berlin",)  # right for the old text

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperhop import embeddings, index_store
 from hyperhop.cli import main
 from hyperhop.embeddings import (
     ROW_BLOCK,
@@ -282,6 +283,26 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     assert not loaded.entity_embeddings.flags.writeable
     assert not loaded.entity_row_norms.flags.writeable
     assert not loaded.unit_passage_rows.flags.writeable
+
+
+def test_a_built_index_takes_its_norms_and_buckets_from_one_pass(tmp_path, monkeypatch):
+    index = _synthetic_index(ROW_BLOCK + 1, 16)
+    save_index(index, tmp_path)
+    loaded = load_index(tmp_path)
+    passes = []
+
+    def counted(values):
+        passes.append(len(values))
+        return row_norms_and_largest(values)
+
+    monkeypatch.setattr(embeddings, "row_norms_and_largest", counted)
+    monkeypatch.setattr(index_store, "row_norms_and_largest", counted)
+    _assert_bitwise_equal(index.entity_row_norms, loaded.entity_row_norms)
+    for name in ("rows", "starts", "cos_r"):
+        built, read = index.entity_buckets, loaded.entity_buckets
+        _assert_bitwise_equal(getattr(built, name), getattr(read, name))
+    assert passes == [ROW_BLOCK + 1]
+    assert not index.entity_row_norms.flags.writeable
 
 
 def test_loaded_index_keeps_no_float32_passage_matrix(tmp_path):

@@ -603,25 +603,25 @@ class TestStructuralEnhance:
     def test_toy_selection_drops_unlinked(self, toy_index):
         # Seed P1; P2 shares "germany", P3 shares nothing.
         p_tilde = np.array([0.9, 0.5, 0.4])
-        selected = structural_enhance(ranked_order(p_tilde), toy_index, k1=1, k2=3)
+        selected = structural_enhance(ranked_order(p_tilde, len(p_tilde)), toy_index, k1=1, k2=3)
         assert selected.tolist() == [0, 1]
 
     def test_k1_equals_k2_is_plain_topk(self, toy_index):
         p_tilde = np.array([0.1, 0.9, 0.5])
-        selected = structural_enhance(ranked_order(p_tilde), toy_index, k1=2, k2=2)
+        selected = structural_enhance(ranked_order(p_tilde, len(p_tilde)), toy_index, k1=2, k2=2)
         assert selected.tolist() == [1, 2]
 
     def test_entityless_seed_is_retained(self):
         index = index_from_sets({"p1": [], "p2": ["a"], "p3": ["b"]})
         p_tilde = np.array([0.9, 0.2, 0.1])
-        selected = structural_enhance(ranked_order(p_tilde), index, k1=1, k2=3)
+        selected = structural_enhance(ranked_order(p_tilde, len(p_tilde)), index, k1=1, k2=3)
         assert selected.tolist() == [0]
 
     def test_k_out_of_range(self, toy_index):
         with pytest.raises(ContractError):
-            structural_enhance(ranked_order(np.zeros(3)), toy_index, k1=4, k2=4)
+            structural_enhance(ranked_order(np.zeros(3), 3), toy_index, k1=4, k2=4)
         with pytest.raises(ContractError):
-            structural_enhance(ranked_order(np.zeros(3)), toy_index, k1=1, k2=5)
+            structural_enhance(ranked_order(np.zeros(3), 3), toy_index, k1=1, k2=5)
 
     def test_shared_counts_match_dense_oracle(self, rng):
         for _ in range(25):
@@ -641,7 +641,7 @@ class TestStructuralEnhance:
             k2 = int(rng.integers(1, n + 1))
             k1 = int(rng.integers(1, k2 + 1))
             p_tilde = rng.random(n)
-            order = ranked_order(p_tilde)
+            order = ranked_order(p_tilde, len(p_tilde))
             seeds, topk2 = set(order[:k1].tolist()), set(order[:k2].tolist())
             selected = structural_enhance(ranked_order(p_tilde, k2), index, k1, k2)
             chosen = set(selected.tolist())
@@ -677,7 +677,7 @@ class TestRankPassages:
         config = RetrievalConfig(k1=1, k2=3, beta=0.0)
         result = rank_passages(np.zeros(5), p, toy_index, config)
         assert result.diagnostics.dense_fallback
-        assert [col for col, _ in result.ranking] == ranked_order(p).tolist()
+        assert [col for col, _ in result.ranking] == ranked_order(p, len(p)).tolist()
 
     def test_beta_one_equals_dense_ranking(self, rng):
         for _ in range(10):
@@ -686,7 +686,7 @@ class TestRankPassages:
             p = rng.uniform(-1, 1, index.n_passages)
             config = RetrievalConfig(beta=1.0, k1=1, k2=min(3, index.n_passages))
             result = rank_passages(x, p, index, config, ranking_depth=index.n_passages)
-            assert [col for col, _ in result.ranking] == ranked_order(p).tolist()
+            assert [col for col, _ in result.ranking] == ranked_order(p, len(p)).tolist()
 
     def test_ablation_reduces_to_masked_entity_overlap(self, rng):
         for _ in range(10):
@@ -727,7 +727,7 @@ class TestRankPassages:
             p_tilde = rng.uniform(-1, 1, n)
             k2 = int(rng.integers(1, n + 1))
             k1 = int(rng.integers(1, k2 + 1))
-            assert ranked_order(scale * p_tilde).tolist() == ranked_order(p_tilde).tolist()
+            assert ranked_order(scale * p_tilde, n).tolist() == ranked_order(p_tilde, n).tolist()
             np.testing.assert_array_equal(
                 structural_enhance(ranked_order(scale * p_tilde, k2), index, k1, k2),
                 structural_enhance(ranked_order(p_tilde, k2), index, k1, k2),
