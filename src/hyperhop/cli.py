@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import SETTING_TYPES, AppConfig, load_app_config
 from .corpus import corpus_digest, load_corpus
-from .errors import HyperhopError, IndexIntegrityError
+from .errors import ContractError, HyperhopError, IndexIntegrityError
 from .evaluate import load_qa_dataset, run_eval
 from .hypergraph import graph_stats
 from .index_store import load_index
@@ -80,6 +80,20 @@ def _load_indexed_corpus(config: AppConfig, index):
     return load_corpus(path)
 
 
+def _open_index(config: AppConfig):
+    """The index, encoder and extractor a query command uses, once the
+    index is checked to be built with that encoder (its ``encoder_id``)."""
+    index = load_index(config.require("index_dir"))
+    encoder = make_encoder(config)
+    built_with = (index.manifest or {}).get("encoder_id")
+    if built_with is not None and built_with != encoder.encoder_id:
+        raise ContractError(
+            f"the index was built with encoder {built_with!r}, not {encoder.encoder_id!r};"
+            " query it with the same encoder settings or rebuild the index"
+        )
+    return index, encoder, make_extractor(config)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, manifest = build_index_from_corpus(config)
@@ -89,14 +103,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = load_index(config.require("index_dir"))
-    result = retrieve(
-        args.query,
-        index,
-        config.retrieval,
-        make_encoder(config),
-        make_extractor(config),
-    )
+    index, encoder, extractor = _open_index(config)
+    result = retrieve(args.query, index, config.retrieval, encoder, extractor)
     k2 = min(config.retrieval.k2, index.n_passages)
     print(json.dumps(result.to_payload(args.query, index.passage_ids, k2), indent=2))
     return 0
@@ -104,15 +112,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 def cmd_answer(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = load_index(config.require("index_dir"))
+    index, encoder, extractor = _open_index(config)
     passages = {p.id: p for p in _load_indexed_corpus(config, index)}
-    result = retrieve(
-        args.query,
-        index,
-        config.retrieval,
-        make_encoder(config),
-        make_extractor(config),
-    )
+    result = retrieve(args.query, index, config.retrieval, encoder, extractor)
     context = [passages[index.passage_ids[col]] for col, _ in result.selected]
     reply = generate_answer(args.query, context, make_chat(config), answer_template(config))
     print(
@@ -130,7 +132,7 @@ def cmd_answer(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    index = load_index(config.require("index_dir"))
+    index, encoder, extractor = _open_index(config)
     dataset = load_qa_dataset(args.dataset)
     chat = make_chat(config) if args.qa else None
     passages = _load_indexed_corpus(config, index) if args.qa else None
@@ -138,8 +140,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         dataset,
         index,
         config.retrieval,
-        make_encoder(config),
-        make_extractor(config),
+        encoder,
+        extractor,
         chat=chat,
         passages=passages,
         answer_template=answer_template(config),

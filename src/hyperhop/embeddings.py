@@ -15,7 +15,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -237,42 +237,26 @@ def embed_batch(
 # Rows per block wherever rows pass through float64 a few at a time, in
 # screen_max_sim's float32 product, and per read when load_index streams an
 # embedding file. On 50k rows of dimension 256 (2-core Xeon, numpy 2.4),
-# 256-row blocks beat 4096-row ones: unit_rows 74 vs 117 ms, row_norms 25 vs
-# 101 ms.
+# 256-row blocks beat 4096-row ones: unit_rows 74 vs 117 ms, the row norms
+# 25 vs 101 ms.
 ROW_BLOCK = 256
 
 
-def row_norms_and_largest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float64 L2 norm of each float32 row of ``values``, and each row's
+def row_norms_and_largest(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 L2 norm of each float32 row of ``block``, and each row's
     first coordinate of largest absolute value with that coordinate's value.
 
-    Works through blocks of rows with one float64 copy of a block, squared
-    in place and summed as ``np.linalg.norm`` sums it, so the norms are bit
-    for bit its norms without its two temporaries. The squares of float32
-    values are exact in float64, so they order and tie as the absolute
-    values do, and their argmax is the largest coordinate. Each row's
-    results depend only on that row, so they do not depend on the block
-    size.
+    Takes one float64 copy of the block, squared in place and summed as
+    ``np.linalg.norm`` sums it, so the norms are bit for bit its norms
+    without its two temporaries. The squares of float32 values are exact in
+    float64, so they order and tie as the absolute values do, and their
+    argmax is the largest coordinate. Each row's results depend only on
+    that row, so they do not depend on how the rows are split into blocks.
     """
-    values = np.asarray(values)
-    norms = np.empty(values.shape[0], dtype=np.float64)
-    axis = np.empty(values.shape[0], dtype=np.intp)
-    value = np.empty(values.shape[0], dtype=values.dtype)
-    for start in range(0, values.shape[0], ROW_BLOCK):
-        stop = start + ROW_BLOCK
-        block = values[start:stop]
-        squares = block.astype(np.float64)
-        np.multiply(squares, squares, out=squares)
-        norms[start:stop] = np.sqrt(np.add.reduce(squares, axis=1))
-        axis[start:stop] = squares.argmax(axis=1)
-        value[start:stop] = block[np.arange(block.shape[0]), axis[start:stop]]
-    return norms, axis, value
-
-
-def row_norms(values: np.ndarray) -> np.ndarray:
-    """The float64 L2 norm of each float32 row of ``values`` (see
-    ``row_norms_and_largest``)."""
-    return row_norms_and_largest(values)[0]
+    squares = block.astype(np.float64)
+    np.multiply(squares, squares, out=squares)
+    axis = squares.argmax(axis=1)
+    return np.sqrt(np.add.reduce(squares, axis=1)), axis, block[np.arange(block.shape[0]), axis]
 
 
 def unit_rows(
@@ -280,11 +264,12 @@ def unit_rows(
 ) -> np.ndarray:
     """``values`` in float64 with each row scaled to unit L2 norm; zero rows stay zero.
 
-    ``norms`` are ``row_norms(values)``, computed block by block when not
-    given; either way the rows come out bit for bit the same, so the rows of
-    a matrix can be normalized a few at a time from its cached norms. Works
-    through blocks of rows, so the float64 copy is one block, not the whole
-    matrix; the cast to float64 is exact. ``out``, when given, is the float64
+    ``norms`` are the float64 norms of the rows (``EntityRows.norms``),
+    computed block by block when not given; either way the rows come out
+    bit for bit the same, so the rows of a matrix can be normalized a few at
+    a time from its cached norms. Works through blocks of rows, so the
+    float64 copy is one block, not the whole matrix; the cast to float64 is
+    exact. ``out``, when given, is the float64
     array of ``values.shape`` that receives the rows.
     """
     values = np.asarray(values)
@@ -332,11 +317,11 @@ def max_sim_to_query_entities(
     ``candidates``, in their order.
 
     ``query_rows`` and ``corpus_rows`` are raw embeddings, ``corpus_norms``
-    the ``row_norms`` of the corpus and ``candidates`` row indices, such as
-    the ones ``screen_max_sim`` gives. The candidate rows are gathered,
-    normalized from their norms (bit for bit the rows of ``unit_rows``) and
-    scored ``ROW_BLOCK`` at a time, so no float64 copy of more than one
-    block is made. An empty query entity set yields zeros.
+    their float64 norms (``EntityRows.norms``) and ``candidates`` row
+    indices, such as the ones ``EntityRows.candidates`` gives. The candidate
+    rows are gathered, normalized from their norms (bit for bit the rows of
+    ``unit_rows``) and scored ``ROW_BLOCK`` at a time, so no float64 copy of
+    more than one block is made. An empty query entity set yields zeros.
     """
     if query_rows.shape[0] == 0:
         return np.zeros(candidates.shape[0], dtype=np.float64)
@@ -370,7 +355,7 @@ def screen_max_sim(
     can exceed ``eta >= 0``, found in float32 without normalizing the corpus.
 
     ``corpus_rows`` are the raw float32 embeddings and ``corpus_norms``
-    their ``row_norms``. Let ``q_j`` be query j's float64 unit row, ``h_j``
+    their float64 norms. Let ``q_j`` be query j's float64 unit row, ``h_j``
     that row rounded to float32, ``s_i`` the max over j of the float32
     product ``e_i . h_j``, ``n_i = |e_i|``, ``u = 2**-24`` and ``margin =
     2 (dim + 2) eps32 = 4 (dim + 2) u``. No row whose float64 value exceeds
@@ -433,14 +418,23 @@ def screen_max_sim(
     return np.flatnonzero(keep)
 
 
+# Gathering the rows of the buckets a query can reach costs a copy, so it
+# pays only when few rows are kept. On 50k random dense rows of dimension 256
+# with 3 query rows (one BLAS thread, 2-core Xeon, a 128 MB flush before each
+# call), the screen over gathered rows took 6.9, 8.9, 11.2 and 14.4 ms at
+# kept shares 0.2, 0.3, 0.35 and 0.5, against 11.1 ms in place.
+_GATHER_MAX_KEPT_SHARE = 0.3
+
+
 @dataclass(frozen=True, eq=False)
-class AxisBuckets:
-    """The stored entity rows in ``2 dim + 1`` buckets around the signed
-    coordinate axes, so that a query screens only the rows of the buckets
-    that can reach ``eta`` (see ``reachable_rows``). It is an exact cone
-    bound, after LEMP (Teflioudi, Gemulla & Mykytiuk, SIGMOD 2015) and cone
-    trees (Ram & Gray, KDD 2012), whose centroids are the axes, so it needs
-    no training and nothing on disk.
+class EntityRows:
+    """What the entity similarity reads of the catalog: the float32 rows as
+    stored, their float64 L2 ``norms``, and the rows in ``2 dim + 1``
+    buckets around the signed coordinate axes, so that a query screens only
+    the rows of the buckets that can reach ``eta`` (see ``reachable_rows``).
+    The buckets are an exact cone bound, after LEMP (Teflioudi, Gemulla &
+    Mykytiuk, SIGMOD 2015) and cone trees (Ram & Gray, KDD 2012), whose
+    centroids are the axes, so they need no training and nothing on disk.
 
     A row ``e`` whose norm ``n`` lies in ``[2**-126, 2**127)`` goes to
     bucket ``2 k + [e_k < 0]``, with ``k`` the first coordinate of largest
@@ -454,17 +448,37 @@ class AxisBuckets:
     keeps.
     """
 
+    values: np.ndarray  # float32 (n_rows, dim)
+    norms: np.ndarray  # float64 (n_rows,)
     rows: np.ndarray  # int32 (n_rows,)
     starts: np.ndarray  # (2 dim + 2,)
     cos_r: np.ndarray  # float64 (2 dim + 1,)
 
     @classmethod
     def of(
-        cls, norms: np.ndarray, axis: np.ndarray, value: np.ndarray, dim: int
-    ) -> AxisBuckets:
-        """The buckets of float32 rows of dimension ``dim``, given their
-        ``row_norms_and_largest``; ``load_index`` takes those block by block
-        as it reads the rows."""
+        cls, values: np.ndarray, filled: Iterable[tuple[int, int, np.ndarray]] | None = None
+    ) -> EntityRows:
+        """The entity rows of the float32 matrix ``values``, each block's
+        norms and largest coordinates (``row_norms_and_largest``) taken
+        while the block is in cache.
+
+        ``filled``, when given, yields ``(start, stop, block)`` as the rows
+        ``[start, stop)`` of ``values`` are filled, so ``load_index`` derives
+        them as it reads the rows; otherwise the blocks are ``ROW_BLOCK``
+        rows of ``values``.
+        """
+        values = np.asarray(values)
+        n_rows, dim = values.shape
+        if filled is None:
+            filled = (
+                (start, start + ROW_BLOCK, values[start : start + ROW_BLOCK])
+                for start in range(0, n_rows, ROW_BLOCK)
+            )
+        norms = np.empty(n_rows, dtype=np.float64)
+        axis = np.empty(n_rows, dtype=np.intp)
+        value = np.empty(n_rows, dtype=values.dtype)
+        for start, stop, block in filled:
+            norms[start:stop], axis[start:stop], value[start:stop] = row_norms_and_largest(block)
         # 16-bit keys sort stably by radix, about 6 times faster than wider ones.
         keys = (2 * axis + (value < 0.0)).astype(np.int16 if 2 * dim < 2**15 else np.int32)
         in_range = (norms >= _FLOAT32_TINY) & (norms < _SCREEN_MAX_NORM)
@@ -474,9 +488,26 @@ class AxisBuckets:
         starts = np.zeros(2 * dim + 2, dtype=np.intp)
         np.cumsum(np.bincount(keys, minlength=2 * dim + 1), out=starts[1:])
         rows = np.argsort(keys, kind="stable").astype(np.int32)
-        for array in (rows, starts, cos_r):
+        for array in (norms, rows, starts, cos_r):
             array.flags.writeable = False
-        return cls(rows, starts, cos_r)
+        return cls(values, norms, rows, starts, cos_r)
+
+    def candidates(self, query_rows: np.ndarray, eta: float) -> np.ndarray:
+        """Ascending indices of every row whose ``max_sim_to_query_entities``
+        value can exceed ``eta``: the rows of the buckets that can reach it
+        (``reachable_rows``), gathered and screened (``screen_max_sim``).
+        When they are more than ``_GATHER_MAX_KEPT_SHARE`` of the rows, every
+        row is screened in place instead.
+        """
+        if query_rows.shape[1] != self.values.shape[1]:
+            raise ContractError(
+                f"query rows have dim {query_rows.shape[1]}, the entity rows {self.values.shape[1]}"
+            )
+        max_rows = _GATHER_MAX_KEPT_SHARE * self.values.shape[0]
+        rows = self.reachable_rows(query_rows, eta, max_rows)
+        if rows is None:
+            return screen_max_sim(query_rows, self.values, self.norms, eta)
+        return rows[screen_max_sim(query_rows, self.values[rows], self.norms[rows], eta)]
 
     def reachable_rows(
         self, query_rows: np.ndarray, eta: float, max_rows: float

@@ -20,17 +20,13 @@ mismatch. Version 1 indexes, which also stored the entity-major
 orientation and the degrees, are rejected and must be rebuilt.
 
 In memory, a loaded index keeps what the query path reads and nothing else:
-the float64 unit passage rows (the passage similarity needs every passage),
-the float32 entity rows as stored, the float64 norm of each entity row and
-the entity rows' ``embeddings.AxisBuckets``. ``load_index`` streams each
+the float64 unit passage rows (the passage similarity needs every passage)
+and the ``embeddings.EntityRows`` of the entities: the float32 rows as
+stored, their float64 norms and their buckets. ``load_index`` streams each
 embedding file once, ``ROW_BLOCK`` rows at a time, straight into these
-arrays, so it keeps no float32 passage matrix and makes no whole-matrix
-temporary. It keeps no float64 entity matrix either: a query skips the
-buckets that cannot reach the threshold, screens the float32 rows of the
-others (``embeddings.screen_max_sim``), or every row when too few buckets
-are skipped, and normalizes the rows that can pass from their norms, a
-block at a time. The buckets are derived from the rows as they are read,
-so they add nothing to the files.
+arrays, so it keeps no float32 passage matrix, no float64 entity matrix and
+makes no whole-matrix temporary. The norms and buckets are derived from the
+rows as they are read, so they add nothing to the files.
 
 The manifest is written with sorted keys and no timestamps, so rebuilding
 from warm caches reproduces it byte for byte.
@@ -46,7 +42,7 @@ from typing import Callable, Iterator, Sequence, Sized
 
 import numpy as np
 
-from .embeddings import ROW_BLOCK, AxisBuckets, row_norms_and_largest, unit_rows
+from .embeddings import ROW_BLOCK, EntityRows, unit_rows
 from .entities import EntityCatalog, EntitySet
 from .errors import ContractError, IndexIntegrityError
 from .hypergraph import (
@@ -66,15 +62,12 @@ class HypergraphIndex:
     """Catalog, incidence, degrees and aligned embeddings for one corpus.
 
     ``unit_passage_rows`` (the passage embeddings through
-    ``embeddings.unit_rows``), ``entity_row_norms`` and ``entity_buckets``
-    (the entity rows' ``embeddings.AxisBuckets``) are computed on first use
-    and then kept, so a query never renormalizes a whole matrix and a build
-    never normalizes one. ``load_index`` sets all three as it reads the
+    ``embeddings.unit_rows``) and ``entity_rows`` (the
+    ``embeddings.EntityRows`` of ``entity_embeddings``) are computed on first
+    use and then kept, so a query never renormalizes a whole matrix and a
+    build never normalizes one. ``load_index`` sets both as it reads the
     files and leaves ``passage_embeddings`` None, the one field an index
-    leaves unset, so a loaded index cannot be saved again. A query skips the
-    entity buckets that cannot reach ``eta`` and derives the unit rows of its
-    candidate entities from the norms, bit for bit the rows of
-    ``unit_rows(entity_embeddings)``.
+    leaves unset, so a loaded index cannot be saved again.
     """
 
     catalog: EntityCatalog
@@ -94,20 +87,8 @@ class HypergraphIndex:
         return self.incidence.n_passages
 
     @functools.cached_property
-    def entity_row_norms(self) -> np.ndarray:
-        return self._summarize_entity_rows()[0]
-
-    @functools.cached_property
-    def entity_buckets(self) -> AxisBuckets:
-        return self._summarize_entity_rows()[1]
-
-    def _summarize_entity_rows(self) -> tuple[np.ndarray, AxisBuckets]:
-        """Set ``entity_row_norms`` and ``entity_buckets`` from one pass over
-        the entity rows, as ``load_index`` does while it reads them."""
-        norms, axis, value = row_norms_and_largest(self.entity_embeddings)
-        self.entity_row_norms = _read_only(norms)
-        self.entity_buckets = AxisBuckets.of(norms, axis, value, self.entity_embeddings.shape[1])
-        return self.entity_row_norms, self.entity_buckets
+    def entity_rows(self) -> EntityRows:
+        return EntityRows.of(self.entity_embeddings)
 
     @functools.cached_property
     def unit_passage_rows(self) -> np.ndarray:
@@ -258,21 +239,6 @@ def _stream_embeddings(
             yield start, stop, block
 
 
-def _load_entity_rows(
-    directory: Path, rows: int, dim: int
-) -> tuple[np.ndarray, np.ndarray, AxisBuckets]:
-    """The float32 entity rows as stored, their ``row_norms`` and their
-    ``AxisBuckets``, in one pass: each block's norms and largest coordinates
-    are taken while the block is in cache."""
-    values = np.empty((rows, dim), dtype="<f4")
-    norms = np.empty(rows, dtype=np.float64)
-    axis, value = np.empty(rows, dtype=np.intp), np.empty(rows, dtype="<f4")
-    blocks = _stream_embeddings(directory, "entity", rows, dim, lambda i, j: values[i:j])
-    for start, stop, block in blocks:
-        norms[start:stop], axis[start:stop], value[start:stop] = row_norms_and_largest(block)
-    return _read_only(values), _read_only(norms), AxisBuckets.of(norms, axis, value, dim)
-
-
 def _load_unit_passage_rows(directory: Path, rows: int, dim: int) -> np.ndarray:
     """``unit_rows`` of the stored passage rows, read through one reused block."""
     unit = np.empty((rows, dim), dtype=np.float64)
@@ -345,19 +311,18 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         nnz,
     )
 
-    entity_embeddings, entity_row_norms, entity_buckets = _load_entity_rows(
-        directory, n_entities, dim
-    )
+    values = np.empty((n_entities, dim), dtype="<f4")
+    blocks = _stream_embeddings(directory, "entity", n_entities, dim, lambda i, j: values[i:j])
+    entity_rows = EntityRows.of(values, blocks)
     index = HypergraphIndex(
         catalog=catalog,
         incidence=incidence,
         degrees=compute_degrees(incidence),
         passage_ids=passage_ids,
-        entity_embeddings=entity_embeddings,
+        entity_embeddings=_read_only(values),
         passage_embeddings=None,
         manifest=manifest,
     )
-    index.entity_row_norms = entity_row_norms
-    index.entity_buckets = entity_buckets
+    index.entity_rows = entity_rows
     index.unit_passage_rows = _load_unit_passage_rows(directory, n_passages, dim)
     return index

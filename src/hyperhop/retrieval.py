@@ -21,7 +21,6 @@ from .embeddings import (
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
-    screen_max_sim,
 )
 from .entities import ExtractionClient, dedup_normalized
 from .errors import ContractError, ExtractionError
@@ -33,13 +32,6 @@ from .index_store import HypergraphIndex
 # benchmark graphs (4 steps), it broke even at a kept share of 0.75 (10k
 # passages, 50k entities) and 0.87 (50k passages, 5k entities).
 _RESTRICT_MAX_KEPT_SHARE = 2 / 3
-
-# Gathering the rows of the buckets an entity query can reach costs a copy,
-# so it pays only when few rows are kept. On 50k random dense rows of
-# dimension 256 with 3 query rows (one BLAS thread, 2-core Xeon, a 128 MB
-# flush before each call), the screen over gathered rows took 6.9, 8.9, 11.2
-# and 14.4 ms at kept shares 0.2, 0.3, 0.35 and 0.5, against 11.1 ms in place.
-_GATHER_MAX_KEPT_SHARE = 0.3
 
 @dataclass
 class RetrievalConfig:
@@ -138,13 +130,10 @@ def build_entity_similarity(
 ) -> np.ndarray:
     """Thresholded max-cosine vector of query entities vs catalog entities.
 
-    x_i = v_i when v_i > eta (strict), else 0. The entity buckets first skip
-    every row whose bucket cannot reach eta (``AxisBuckets.reachable_rows``).
-    When the rows left are at most ``_GATHER_MAX_KEPT_SHARE`` of the catalog,
-    they are gathered and screened; otherwise every row is screened in
-    place. The float32 screen drops every row that cannot exceed eta
-    (``screen_max_sim``); v is computed in float64, a block at a time, for
-    the rows it leaves only (``max_sim_to_query_entities``).
+    x_i = v_i when v_i > eta (strict), else 0. The entity rows drop every
+    row that cannot exceed eta (``EntityRows.candidates``); v is computed in
+    float64, a block at a time, for the rows left only
+    (``max_sim_to_query_entities``).
     An extraction failure degrades to an all-zero vector when a
     ``warnings`` list is given, with a warning appended to it; without one
     it raises ExtractionError chained to the failure.
@@ -161,14 +150,9 @@ def build_entity_similarity(
     if not query_entities:
         return np.zeros(n_entities, dtype=np.float64)
     query_rows = embed_batch(query_entities, encoder)
-    embeddings, norms = index.entity_embeddings, index.entity_row_norms
-    max_rows = _GATHER_MAX_KEPT_SHARE * n_entities
-    rows = index.entity_buckets.reachable_rows(query_rows, eta, max_rows)
-    if rows is None:
-        candidates = screen_max_sim(query_rows, embeddings, norms, eta)
-    else:
-        candidates = rows[screen_max_sim(query_rows, embeddings[rows], norms[rows], eta)]
-    v = max_sim_to_query_entities(query_rows, embeddings, norms, candidates)
+    entity_rows = index.entity_rows
+    candidates = entity_rows.candidates(query_rows, eta)
+    v = max_sim_to_query_entities(query_rows, entity_rows.values, entity_rows.norms, candidates)
     x = np.zeros(n_entities, dtype=np.float64)
     x[candidates] = np.where(v > eta, v, 0.0)
     return x
@@ -337,12 +321,11 @@ def retrieve(
     config: RetrievalConfig,
     encoder: EncoderClient,
     extractor: ExtractionClient,
-    ranking_depth: int | None = None,
 ) -> RankedResult:
     """Full pipeline: similarity vectors, diffusion, enhancement, selection."""
     warnings: list[str] = []
     x = build_entity_similarity(query, index, encoder, extractor, config.eta, warnings)
     p = build_passage_similarity(query, index, encoder)
-    result = rank_passages(x, p, index, config, ranking_depth)
+    result = rank_passages(x, p, index, config)
     result.diagnostics.warnings = warnings + result.diagnostics.warnings
     return result

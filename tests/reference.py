@@ -103,6 +103,11 @@ def random_entity_sets(
     return sets
 
 
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """The float64 L2 norm of each row, the whole matrix at once."""
+    return np.linalg.norm(np.asarray(values, dtype=np.float64), axis=1)
+
+
 def normalized_rows(values: np.ndarray) -> np.ndarray:
     """Rows scaled to unit L2 norm in float64, the whole matrix at once."""
     values = np.asarray(values, dtype=np.float64)

@@ -366,6 +366,46 @@ class TestEvalCommand:
         assert "endpoint down" in capsys.readouterr().err
 
 
+class TestEncoderMismatch:
+    """A query command whose encoder is not the one the index was built
+    with stops before the first query."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["retrieve", TOY_QUERY],
+            ["answer", TOY_QUERY],
+            ["eval", "--dataset", TOY_QA, "--output", "report.json"],
+        ],
+    )
+    def test_another_offline_dim_exits_2(self, built, capsys, monkeypatch, command):
+        monkeypatch.chdir(built)
+        assert main(command + common(built) + ["--offline-dim", "64"]) == 2
+        err = capsys.readouterr().err
+        assert "'offline-hash-bow-d256'" in err and "'offline-hash-bow-d64'" in err
+        assert not (built / "report.json").exists()
+
+    def test_remote_encoder_of_the_same_width_exits_2(self, built, capsys, monkeypatch):
+        monkeypatch.delenv("HYPERHOP_OFFLINE", raising=False)
+        args = [
+            "retrieve", TOY_QUERY,
+            "--index-dir", str(built / "index"),
+            "--api-base", "http://localhost:9",
+            "--embed-model", "other", "--embed-dim", "256", "--chat-model", "chat",
+        ]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "'offline-hash-bow-d256'" in err and "'remote:other-d256'" in err
+
+    def test_index_without_encoder_id_still_answers(self, built, capsys):
+        path = built / "index" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["encoder_id"]
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        assert main(["answer", TOY_QUERY, "--k1", "1", "--k2", "3"] + common(built)) == 0
+        assert json.loads(capsys.readouterr().out)["passages"] == ["P1", "P2"]
+
+
 class TestRebuildDeterminism:
     def test_two_builds_produce_identical_artifacts(self, tmp_path, no_network):
         digests = []

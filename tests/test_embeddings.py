@@ -8,21 +8,19 @@ from hypothesis import strategies as st
 
 from hyperhop.embeddings import (
     ROW_BLOCK,
-    AxisBuckets,
     EmbeddingCache,
+    EntityRows,
     OfflineEncoder,
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
-    row_norms,
-    row_norms_and_largest,
     screen_max_sim,
     text_key,
     unit_rows,
 )
 from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
 
-from reference import cosine, whole_matrix_screen
+from reference import cosine, row_norms, whole_matrix_screen
 
 
 def max_sim_over_all_rows(query_rows, rows):
@@ -351,6 +349,8 @@ class TestScreen:
 
 
 class TestAxisBuckets:
+    """The axis buckets of ``EntityRows`` and the rows it derives them from."""
+
     def test_each_row_goes_to_the_signed_axis_of_its_largest_coordinate(self):
         tiny = 2.0**-149
         rows = np.array(
@@ -365,7 +365,7 @@ class TestAxisBuckets:
             ],
             dtype=np.float32,
         )
-        buckets = AxisBuckets.of(*row_norms_and_largest(rows), rows.shape[1])
+        buckets = EntityRows.of(rows)
         members = [
             buckets.rows[buckets.starts[b] : buckets.starts[b + 1]].tolist() for b in range(7)
         ]
@@ -373,7 +373,9 @@ class TestAxisBuckets:
         norms = row_norms(rows)
         expected = [1.0 / norms[1], 1.0, 1.0 / norms[3], 2.0 / norms[0], 1.0, 1.0]
         assert buckets.cos_r[:6].tolist() == expected
-        assert not buckets.rows.flags.writeable and not buckets.cos_r.flags.writeable
+        assert buckets.norms.tobytes() == norms.tobytes()
+        for array in (buckets.norms, buckets.rows, buckets.starts, buckets.cos_r):
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
     def test_catalogs_across_block_edges_match_a_row_by_row_assignment(self, rng, n_rows):
@@ -382,8 +384,8 @@ class TestAxisBuckets:
         rows[rng.random(n_rows) < 0.3] = 0.0
         rows[rng.random(n_rows) < 0.2, 3] = 1e3  # many rows in one bucket
         norms = row_norms(rows)
-        assert norms.tobytes() == np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
-        buckets = AxisBuckets.of(*row_norms_and_largest(rows), dim)
+        buckets = EntityRows.of(rows)
+        assert buckets.norms.tobytes() == norms.tobytes()
         keys, cos_r = [], np.ones(2 * dim + 1)
         for row, norm in zip(rows, norms):
             k = int(np.argmax(np.abs(row)))
@@ -403,7 +405,7 @@ class TestAxisBuckets:
         rows = np.zeros((6, 4), dtype=np.float32)
         rows[[0, 1, 2, 3], [0, 0, 1, 2]] = [1.0, 2.0, -1.0, 1.0]
         rows[4] = [0.6, 0.8, 0.0, 0.0]  # bucket 2 (axis 1, positive), cosine 0.8
-        buckets = AxisBuckets.of(*row_norms_and_largest(rows), rows.shape[1])
+        buckets = EntityRows.of(rows)
         query = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
         # Bucket 0 holds the query's axis. Bucket 2's row, at cosine 0.8
         # from its axis, can reach cosine 0.6 with the query; the others
@@ -412,6 +414,19 @@ class TestAxisBuckets:
         assert buckets.reachable_rows(query, 0.5, 6).tolist() == [0, 1, 4, 5]
         assert buckets.reachable_rows(query, 0.5, 3) is None
         assert buckets.reachable_rows(query[:0], 0.5, 6).size == 0
+
+    @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
+    def test_rows_filled_in_any_blocks_give_the_same_arrays(self, rng, n_rows):
+        rows = rng.normal(size=(n_rows, 8)).astype(np.float32)
+        rows[::5] = 0.0
+        whole = EntityRows.of(rows)
+        edges = [0, *sorted(rng.choice(n_rows + 1, 3)), n_rows]
+        filled = [(i, j, rows[i:j]) for i, j in zip(edges, edges[1:])]
+        parts = EntityRows.of(rows, filled)
+        for name in ("norms", "rows", "starts", "cos_r"):
+            assert getattr(parts, name).tobytes() == getattr(whole, name).tobytes()
+        assert parts.values is rows
+
 
 class TestEmbeddingCache:
     def test_cache_fidelity_zero_client_calls(self, tmp_path):

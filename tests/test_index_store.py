@@ -7,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperhop import embeddings, index_store
+from hyperhop import embeddings
 from hyperhop.cli import main
 from hyperhop.embeddings import (
     ROW_BLOCK,
-    AxisBuckets,
+    EntityRows,
     OfflineEncoder,
     embed_batch,
-    row_norms,
     row_norms_and_largest,
     unit_rows,
 )
@@ -23,6 +22,7 @@ from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.index_store import build_index, load_index, save_index
 
 from conftest import TOY_SETS
+from reference import row_norms
 
 
 def make_toy_index():
@@ -49,7 +49,7 @@ def test_round_trip_preserves_everything(tmp_path):
     np.testing.assert_array_equal(loaded.degrees.node_degrees, index.degrees.node_degrees)
     np.testing.assert_array_equal(loaded.degrees.edge_degrees, index.degrees.edge_degrees)
     _assert_bitwise_equal(loaded.entity_embeddings, index.entity_embeddings)
-    _assert_bitwise_equal(loaded.entity_row_norms, index.entity_row_norms)
+    _assert_bitwise_equal(loaded.entity_rows.norms, index.entity_rows.norms)
     _assert_bitwise_equal(loaded.unit_passage_rows, index.unit_passage_rows)
     assert loaded.manifest["corpus_sha256"] == "abc"
 
@@ -275,13 +275,14 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     entities = _stored(tmp_path, "entity_embeddings.bin", 16)
     passages = _stored(tmp_path, "passage_embeddings.bin", 16)
     _assert_bitwise_equal(loaded.entity_embeddings, entities)
-    _assert_bitwise_equal(loaded.entity_row_norms, row_norms(entities))
+    _assert_bitwise_equal(loaded.entity_rows.norms, row_norms(entities))
     _assert_bitwise_equal(loaded.unit_passage_rows, unit_rows(passages))
-    buckets = AxisBuckets.of(*row_norms_and_largest(entities), 16)
-    for name in ("rows", "starts", "cos_r"):
-        _assert_bitwise_equal(getattr(loaded.entity_buckets, name), getattr(buckets, name))
+    entity_rows = EntityRows.of(entities)
+    for name in ("values", "norms", "rows", "starts", "cos_r"):
+        _assert_bitwise_equal(getattr(loaded.entity_rows, name), getattr(entity_rows, name))
+    assert loaded.entity_rows.values is loaded.entity_embeddings
     assert not loaded.entity_embeddings.flags.writeable
-    assert not loaded.entity_row_norms.flags.writeable
+    assert not loaded.entity_rows.norms.flags.writeable
     assert not loaded.unit_passage_rows.flags.writeable
 
 
@@ -291,18 +292,17 @@ def test_a_built_index_takes_its_norms_and_buckets_from_one_pass(tmp_path, monke
     loaded = load_index(tmp_path)
     passes = []
 
-    def counted(values):
-        passes.append(len(values))
-        return row_norms_and_largest(values)
+    def counted(block):
+        passes.append(len(block))
+        return row_norms_and_largest(block)
 
     monkeypatch.setattr(embeddings, "row_norms_and_largest", counted)
-    monkeypatch.setattr(index_store, "row_norms_and_largest", counted)
-    _assert_bitwise_equal(index.entity_row_norms, loaded.entity_row_norms)
-    for name in ("rows", "starts", "cos_r"):
-        built, read = index.entity_buckets, loaded.entity_buckets
+    built, read = index.entity_rows, loaded.entity_rows
+    for name in ("norms", "rows", "starts", "cos_r"):
         _assert_bitwise_equal(getattr(built, name), getattr(read, name))
-    assert passes == [ROW_BLOCK + 1]
-    assert not index.entity_row_norms.flags.writeable
+    assert index.entity_rows is built
+    assert passes == [ROW_BLOCK, 1]  # each row once, a block at a time
+    assert not built.norms.flags.writeable
 
 
 def test_loaded_index_keeps_no_float32_passage_matrix(tmp_path):

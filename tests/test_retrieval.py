@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from hyperhop import retrieval
+from hyperhop import embeddings, retrieval
 from hyperhop.config import AppConfig
 from hyperhop.embeddings import (
     ROW_BLOCK,
     OfflineEncoder,
     embed_batch,
     max_sim_to_query_entities,
-    row_norms,
     screen_max_sim,
 )
 from hyperhop.entities import EntitySet, OfflineEntityExtractor, build_catalog, dedup_normalized
@@ -41,6 +40,7 @@ from reference import (
     per_call_entity_similarity,
     per_call_passage_similarity,
     random_entity_sets,
+    row_norms,
     whole_matrix_screen,
 )
 
@@ -115,6 +115,11 @@ class TestEntitySimilarity:
         index, _, _ = toy_built
         x_open = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.999999)
         assert x_open[index.catalog.index_of("albert einstein")] == pytest.approx(1.0)
+
+    def test_query_rows_of_another_dim_are_a_contract_error(self, toy_built):
+        index, _, _ = toy_built
+        with pytest.raises(ContractError, match="dim 64"):
+            build_entity_similarity(TOY_QUERY, index, OfflineEncoder(dim=64), EXTRACTOR, 0.8)
 
     def test_extraction_failure_degrades_to_zero_with_warning(self, toy_built):
         index, _, _ = toy_built
@@ -202,7 +207,7 @@ class TestEntitySimilarityScreen:
         values = (rng.normal(size=(n, dim)) + query.sum(axis=0)).astype(np.float32)
         values[5] = 0.0
         index = index_with_entity_rows(values)
-        kept = screen_max_sim(query, values, index.entity_row_norms, 0.0)
+        kept = screen_max_sim(query, values, index.entity_rows.norms, 0.0)
         assert kept.size > n / 2
         fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
         x = build_entity_similarity("?", index, fixed, fixed, 0.0)
@@ -297,14 +302,14 @@ def cone_edge_rows(rng, dim):
 @pytest.fixture
 def screened(monkeypatch):
     """The corpus rows of every ``screen_max_sim`` call that
-    ``build_entity_similarity`` makes, in order."""
+    ``EntityRows.candidates`` makes, in order."""
     calls = []
 
     def spy(query_rows, corpus_rows, corpus_norms, eta):
         calls.append(corpus_rows)
         return screen_max_sim(query_rows, corpus_rows, corpus_norms, eta)
 
-    monkeypatch.setattr(retrieval, "screen_max_sim", spy)
+    monkeypatch.setattr(embeddings, "screen_max_sim", spy)
     return calls
 
 
@@ -318,7 +323,7 @@ class TestEntityBuckets:
         for n_rows in BLOCK_EDGES:
             values = pool[rng.permutation(pool.shape[0])[:n_rows]]
             index = index_with_entity_rows(values)
-            norms = index.entity_row_norms
+            norms = index.entity_rows.norms
             for n_query in (1, 2, 3, 4):
                 query = queries[rng.choice(len(queries), n_query, replace=False)]
                 fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
@@ -402,17 +407,17 @@ class TestUnitRowCache:
             offline=True,
         )
         index, _ = build_index_from_corpus(config)
-        assert "entity_row_norms" not in vars(index)
+        assert "entity_rows" not in vars(index)
         assert "unit_passage_rows" not in vars(index)
 
     def test_queries_reuse_the_unit_rows(self, toy_built):
         index, _, _ = toy_built
         retrieve(TOY_QUERY, index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
-        entity_norms, passage_rows = index.entity_row_norms, index.unit_passage_rows
+        entity_rows, passage_rows = index.entity_rows, index.unit_passage_rows
         retrieve("Where is Brussels?", index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
-        assert index.entity_row_norms is entity_norms
+        assert index.entity_rows is entity_rows
         assert index.unit_passage_rows is passage_rows
-        assert not entity_norms.flags.writeable and not passage_rows.flags.writeable
+        assert not entity_rows.norms.flags.writeable and not passage_rows.flags.writeable
 
     @pytest.mark.parametrize("eta", [0.0, 0.8])
     def test_vectors_bitwise_equal_per_call_normalization(self, toy_built, eta):
