@@ -4,7 +4,7 @@ from .corpus import Passage, load_corpus
 from .embeddings import OfflineEncoder, embed_batch, max_sim_to_query_entities, unit_rows
 from .entities import (
     EntityCatalog,
-    EntitySet,
+    EntitySets,
     OfflineEntityExtractor,
     build_catalog,
     extract_entities,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeVectors",
     "EntityCatalog",
-    "EntitySet",
+    "EntitySets",
     "HypergraphIndex",
     "IncidenceMatrix",
     "OfflineEncoder",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import SETTING_TYPES, AppConfig, load_app_config
 from .corpus import corpus_digest, load_corpus
-from .errors import ContractError, HyperhopError, IndexIntegrityError
+from .errors import HyperhopError, IndexIntegrityError
 from .evaluate import load_qa_dataset, run_eval
 from .hypergraph import graph_stats
 from .index_store import load_index
@@ -81,17 +81,11 @@ def _load_indexed_corpus(config: AppConfig, index):
 
 
 def _open_index(config: AppConfig):
-    """The index, encoder and extractor a query command uses, once the
-    index is checked to be built with that encoder (its ``encoder_id``)."""
+    """The index, encoder and extractor a query command uses. Querying with
+    another encoder than the index's raises ContractError (exit 2) in
+    ``retrieve`` and ``run_eval``, before the first query."""
     index = load_index(config.require("index_dir"))
-    encoder = make_encoder(config)
-    built_with = (index.manifest or {}).get("encoder_id")
-    if built_with is not None and built_with != encoder.encoder_id:
-        raise ContractError(
-            f"the index was built with encoder {built_with!r}, not {encoder.encoder_id!r};"
-            " query it with the same encoder settings or rebuild the index"
-        )
-    return index, encoder, make_extractor(config)
+    return index, make_encoder(config), make_extractor(config)
 
 
 def cmd_index(args: argparse.Namespace) -> int:

@@ -3,7 +3,9 @@
 Entities are the fine-grained nodes of the hypergraph. Each passage yields
 an ordered, deduplicated set of normalized entity strings; the union over
 all passages (in ascending passage-id order) defines the catalog that maps
-entity strings to dense row indices.
+entity strings to dense row indices. The sets of a corpus travel as one
+``EntitySets``: name ids into a table of names, so a cached passage adds
+no Python object beyond its content hash.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import threading
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
-from .corpus import Passage, read_jsonl
+import numpy as np
+
+from .corpus import Passage
 from .embeddings import open_cache
 from .errors import ContractError, CorpusFormatError, ExtractionError
 
@@ -60,32 +63,56 @@ def _is_normalized(entity: str) -> bool:
     return entity == normalize_entity(entity)
 
 
-@dataclass(frozen=True)
-class EntitySet:
-    """Normalized, deduplicated entities of one passage (order preserved)."""
+@dataclass(frozen=True, eq=False)
+class EntitySets:
+    """The normalized, deduplicated entities of each passage, as name ids.
 
-    passage_id: str
-    entities: tuple[str, ...]
+    Passage ``passage_ids[j]`` has the entities ``names[i]`` for ``i`` in
+    ``ids[offsets[j]:offsets[j + 1]]``, in extraction order. The names are
+    distinct. Construction checks, for the names the sets use, that each is
+    nonempty and normalized, and that no passage repeats one; it raises
+    ContractError naming the first offending entity of the first offending
+    passage.
+    """
+
+    passage_ids: Sequence[str]
+    names: Sequence[str]
+    ids: np.ndarray  # integer, len nnz
+    offsets: np.ndarray  # integer, len(passage_ids) + 1
 
     def __post_init__(self):
-        entities = self.entities
-        # Each check runs as one C-level pass; only a failing set goes through
-        # the loop, which names its first offending entity.
-        if (
-            all(entities)
-            and all(map(_is_normalized, entities))
-            and len(set(entities)) == len(entities)
-        ):
+        names = self.names
+        used = np.flatnonzero(np.bincount(self.ids, minlength=len(names))).tolist()
+        # One sort of (passage, id) keys puts the repeats of a passage side by side.
+        keys = self.columns() * len(names) + self.ids
+        keys.sort()
+        if all(names[i] and _is_normalized(names[i]) for i in used) and not (
+            keys[1:] == keys[:-1]
+        ).any():
             return
-        seen = set()
-        for ent in entities:
-            if not ent:
-                raise ContractError(f"empty entity in set for passage {self.passage_id!r}")
-            if not _is_normalized(ent):
-                raise ContractError(f"entity {ent!r} is not normalized")
-            if ent in seen:
-                raise ContractError(f"duplicate entity {ent!r} in passage {self.passage_id!r}")
-            seen.add(ent)
+        for passage, passage_id in enumerate(self.passage_ids):  # name the first offense
+            seen = set()
+            for ent in self.entities(passage):
+                if not ent:
+                    raise ContractError(f"empty entity in set for passage {passage_id!r}")
+                if not _is_normalized(ent):
+                    raise ContractError(f"entity {ent!r} is not normalized")
+                if ent in seen:
+                    raise ContractError(f"duplicate entity {ent!r} in passage {passage_id!r}")
+                seen.add(ent)
+
+    def __len__(self) -> int:
+        return len(self.passage_ids)
+
+    def columns(self) -> np.ndarray:
+        """The passage of each id, as intp."""
+        sizes = np.diff(self.offsets)
+        return np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+
+    def entities(self, passage: int) -> tuple[str, ...]:
+        """The entity names of the ``passage``-th passage."""
+        span = self.ids[self.offsets[passage] : self.offsets[passage + 1]]
+        return tuple(self.names[i] for i in span.tolist())
 
 
 class EntityCatalog:
@@ -107,9 +134,11 @@ class EntityCatalog:
         except KeyError:
             raise KeyError(f"entity {entity!r} not in catalog") from None
 
-    def indices_of(self, entities: Iterable[str]) -> Iterator[int]:
-        """The index of each entity, lazily; a missing one raises a bare KeyError."""
-        return map(self._index.__getitem__, entities)
+    def rows_of(self, entities: Sequence[str]) -> np.ndarray:
+        """The index of each entity as intp, -1 for one not in the catalog."""
+        return np.fromiter(
+            map(self._index.get, entities, repeat(-1)), dtype=np.intp, count=len(entities)
+        )
 
     def __len__(self) -> int:
         return len(self._index)
@@ -118,14 +147,19 @@ class EntityCatalog:
         return list(self._index)
 
 
-def build_catalog(entity_sets: Sequence[EntitySet]) -> EntityCatalog:
-    """Union all entity sets into a catalog, indices in first-seen order.
+def build_catalog(entity_sets: EntitySets) -> EntityCatalog:
+    """Union all entity sets into a catalog, indices in first-seen order:
+    by passage, then by position in the passage.
 
     Callers must pass the sets in the deterministic indexing order
     (ascending passage id) for reproducible index assignment.
     """
-    mentions = chain.from_iterable(map(attrgetter("entities"), entity_sets))
-    return EntityCatalog(dict.fromkeys(mentions))
+    ids = entity_sets.ids
+    first = np.full(len(entity_sets.names), len(ids), dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(len(ids), dtype=np.intp))
+    used = np.flatnonzero(first < len(ids))
+    names = entity_sets.names
+    return EntityCatalog([names[i] for i in used[np.argsort(first[used])].tolist()])
 
 
 class ExtractionClient(Protocol):
@@ -202,113 +236,177 @@ def _parse_entity_reply(reply: str) -> list[str]:
     return [line.strip(" -*\t") for line in reply.splitlines() if line.strip(" -*\t")]
 
 
-def passage_sha256(passage: Passage) -> str:
-    """The sha256 of what an extractor reads of a passage: its title and text.
+def passage_sha256(passage: Passage) -> bytes:
+    """The raw sha256 of what an extractor reads of a passage: its title and
+    text.
 
     The title's length goes first, so no other title and text hash alike.
     """
     content = f"{len(passage.title)}:{passage.title}{passage.text}"
-    return hashlib.sha256(content.encode("utf-8")).hexdigest()
+    return hashlib.sha256(content.encode("utf-8")).digest()
+
+
+# An entry record: the raw passage_sha256, then the count of the entry's ids.
+# Keys are read as raw bytes (V32): an S32 field would drop trailing NULs.
+_ENTRY = np.dtype([("key", "V32"), ("count", "<u4")])
+_LAYOUT = 2  # the array layout; the older records.jsonl one had no tag
+_FILES = ("names.txt", "ids.bin", "entries.bin")  # in the order a flush appends to them
 
 
 class ExtractionCache:
     """Append-only cache of extraction results, keyed by passage content.
 
-    The cache is a directory. Its ``manifest.json`` names the extractor (the
-    offline tag, or the chat model and the sha256 of the prompt); opening for
-    another one wipes the cache (see ``embeddings.open_cache``).
-    ``records.jsonl`` holds one ``{"passage_sha256", "entities"}`` object per
-    line. The key is ``passage_sha256``, the hash of all an extractor reads
-    of a passage, so an edited title or text is a miss and the entry of the
-    old text stays valid for it. When a key repeats, the last line wins.
-    Opening truncates a last line that has no newline, the torn tail of a
-    crashed append; a complete line that is not such an entry raises
-    CorpusFormatError naming the file and the line. ``put`` queues a line and
-    ``flush`` appends the queued lines in one write; both are serialized.
+    The cache is a directory; with none, it lives in memory only. Its
+    ``manifest.json`` names the extractor (the offline tag, or the chat
+    model and the sha256 of the prompt) and the layout; opening for another
+    one wipes the cache (see ``embeddings.open_cache``). An entry holds the
+    entities of one passage content as ids into a table of names:
 
-    Opening interns the entity strings, so all mentions of a name are one
-    object, hashed once and matched by identity in every later dict lookup.
-    Each entry keeps its entities as a tuple, which ``get`` hands to its
-    EntitySet without a copy.
+    - ``names.txt``: one name per line, UTF-8; a name's id is its line
+      number, counted from 0.
+    - ``ids.bin``: the int32 name ids of every entry, entry after entry.
+    - ``entries.bin``: one record per entry, the 32-byte ``passage_sha256``
+      and the uint32 count of the entry's ids.
+
+    The key hashes all an extractor reads of a passage, so an edited title
+    or text is a miss and the entry of the old text stays valid for it.
+    When a key repeats, the last entry wins. ``put`` queues an entry and
+    ``flush`` appends the queued names, ids and records, in that order and
+    one write per file; both are serialized. So an entry is committed once
+    its record is whole. Opening cuts each file back to what the committed
+    entries use: ``entries.bin`` to whole records, ``ids.bin`` to their
+    ids, ``names.txt`` to whole lines. Files that committed entries cannot
+    be read from (fewer ids than the records count, an id that is not a
+    line of ``names.txt``, a repeated or non-UTF-8 name) raise
+    CorpusFormatError naming the file.
     """
 
-    def __init__(self, directory: str | Path, extractor_id: str):
-        directory = Path(directory)
-        open_cache(directory, {"extractor_id": extractor_id})
-        self._records = directory / "records.jsonl"
-        self._entries: dict[str, tuple[str, ...]] = {}
-        self._queued: list[str] = []
+    def __init__(self, directory: str | Path | None = None, extractor_id: str = ""):
+        self._directory = directory = Path(directory) if directory is not None else None
         self._lock = threading.Lock()
-        with self._records.open("ab+") as fh:  # made when missing
-            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-            if fh.read(1) not in (b"", b"\n"):  # the torn tail of a crashed append
-                fh.seek(0)
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-        names: dict[str, str] = {}
-        try:
-            for lineno, obj in read_jsonl(self._records):
-                key, entities = obj.get("passage_sha256"), obj.get("entities")
-                if not (
-                    isinstance(key, str)
-                    and isinstance(entities, list)
-                    and all(map(str.__instancecheck__, entities))
-                ):
-                    raise CorpusFormatError(
-                        "an entry needs a string 'passage_sha256' and a list of strings "
-                        "in 'entities'",
-                        line=lineno,
-                    )
-                self._entries[key] = tuple(map(names.setdefault, entities, entities))
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"extraction cache {self._records}: {exc}") from None
+        self.names: list[str] = []
+        ids, entries = np.empty(0, dtype="<i4"), np.empty(0, dtype=_ENTRY)
+        if directory is not None:
+            open_cache(directory, {"extractor_id": extractor_id, "layout": _LAYOUT})
+            self.names, ids, entries = _read_committed(directory)
+        self._name_ids = dict(zip(self.names, range(len(self.names))))
+        if len(self._name_ids) != len(self.names):  # a repeat maps to its last line
+            line = next(i for i, name in enumerate(self.names) if self._name_ids[name] != i)
+            raise CorpusFormatError(
+                f"extraction cache {directory / 'names.txt'}: line {line + 1} repeats"
+                f" on line {self._name_ids[self.names[line]] + 1}"
+            )
+        self._entry_of = dict(zip(entries["key"].tolist(), range(len(entries))))
+        self._ids, self._counts = ids, entries["count"].astype(np.intp)
+        self._written_names = len(self.names)
+        self._queue: list[tuple[bytes, list[int]]] = []
 
-    def get(self, key: str) -> tuple[str, ...] | None:
-        return self._entries.get(key)
+    def lookup(self, keys: Sequence[bytes]) -> np.ndarray:
+        """The entry of each key as intp, -1 for a miss."""
+        entries = map(self._entry_of.get, keys, repeat(-1))
+        return np.fromiter(entries, dtype=np.intp, count=len(keys))
 
-    def put(self, key: str, entities: Sequence[str]) -> None:
-        entities = tuple(entities)
-        line = json.dumps({"passage_sha256": key, "entities": entities}, ensure_ascii=False)
+    def put(self, key: bytes, entities: Sequence[str]) -> int:
+        """Queue the entry of ``key``, distinct normalized names; returns it."""
+        if len(key) != _ENTRY["key"].itemsize:
+            raise ContractError(f"an extraction cache key is a raw sha256, not {key!r}")
         with self._lock:
-            self._entries[key] = entities
-            self._queued.append(line + "\n")
+            ids = []
+            for name in entities:
+                i = self._name_ids.get(name)
+                if i is None:
+                    if not name or not _is_normalized(name):
+                        raise ContractError(f"cannot cache {name!r}: not a normalized entity")
+                    i = self._name_ids[name] = len(self.names)
+                    self.names.append(name)
+                ids.append(i)
+            self._queue.append((key, ids))
+            self._entry_of[key] = entry = len(self._counts) + len(self._queue) - 1
+            return entry
 
     def flush(self) -> None:
         with self._lock:
-            if self._queued:
-                with self._records.open("a", encoding="utf-8") as fh:
-                    fh.write("".join(self._queued))
-                self._queued.clear()
+            if not self._queue:
+                return
+            keys, id_lists = zip(*self._queue)
+            ids = np.fromiter(chain.from_iterable(id_lists), dtype="<i4")
+            records = np.empty(len(keys), dtype=_ENTRY)
+            records["key"], records["count"] = keys, list(map(len, id_lists))
+            if self._directory is not None:
+                names = "".join(f"{name}\n" for name in self.names[self._written_names :])
+                for file, data in zip(_FILES, (names.encode(), ids.tobytes(), records.tobytes())):
+                    with (self._directory / file).open("ab") as fh:
+                        fh.write(data)
+            self._ids = np.concatenate((self._ids, ids))
+            self._counts = np.concatenate((self._counts, records["count"].astype(np.intp)))
+            self._written_names = len(self.names)
+            self._queue.clear()
+
+    def entity_sets(self, passage_ids: Sequence[str], entries: np.ndarray) -> EntitySets:
+        """The EntitySets of passages whose entries (from ``lookup`` or
+        ``put``) are ``entries``, gathered with numpy once they are flushed."""
+        counts = self._counts[entries]
+        offsets = np.zeros(len(entries) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        starts = (np.cumsum(self._counts) - self._counts)[entries]
+        gather = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        return EntitySets(list(passage_ids), list(self.names), self._ids[gather], offsets)
 
 
-def extract_entities(
-    passage: Passage,
-    extractor: ExtractionClient,
-    cache: ExtractionCache | None = None,
-) -> EntitySet:
-    """Extract, normalize and deduplicate entities for one passage.
+def _read_committed(directory: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The names, ids and entry records of the committed entries, once each
+    file is cut back to them."""
+    paths = {name: directory / name for name in _FILES}
+    for path in paths.values():
+        path.touch()  # made when missing
 
-    Cache hits bypass the extractor entirely. An extractor failure (remote
-    clients retry inside ``remote.post_json``) surfaces as ExtractionError
-    carrying the passage id. An empty extraction result is valid and yields
-    an empty EntitySet.
+    def cut(path: Path, size: int) -> None:
+        if path.stat().st_size > size:
+            os.truncate(path, size)
+
+    n_entries = paths["entries.bin"].stat().st_size // _ENTRY.itemsize
+    cut(paths["entries.bin"], n_entries * _ENTRY.itemsize)
+    entries = np.fromfile(paths["entries.bin"], dtype=_ENTRY, count=n_entries)
+    n_ids = int(entries["count"].sum(dtype=np.int64))
+    held = paths["ids.bin"].stat().st_size // 4
+    if held < n_ids:
+        raise CorpusFormatError(
+            f"extraction cache {paths['entries.bin']}: its records count {n_ids} ids,"
+            f" ids.bin holds {held}"
+        )
+    cut(paths["ids.bin"], n_ids * 4)
+    ids = np.fromfile(paths["ids.bin"], dtype="<i4", count=n_ids)
+
+    text = paths["names.txt"].read_bytes()
+    text = text[: text.rfind(b"\n") + 1]
+    cut(paths["names.txt"], len(text))
+    try:
+        names = text.decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"extraction cache {paths['names.txt']}: not UTF-8: {exc}") from None
+    past = ids[(ids < 0) | (ids >= len(names))]
+    if past.size:
+        raise CorpusFormatError(
+            f"extraction cache {paths['ids.bin']}: id {past[0]} is not a line of the"
+            f" {len(names)} in names.txt"
+        )
+    return names, ids, entries
+
+
+def extract_entities(passage: Passage, extractor: ExtractionClient) -> list[str]:
+    """Extract, normalize and deduplicate the entities of one passage.
+
+    An extractor failure (remote clients retry inside ``remote.post_json``)
+    surfaces as ExtractionError carrying the passage id. An empty
+    extraction result is valid and yields no entities.
     """
-    if cache is not None:
-        key = passage_sha256(passage)
-        cached = cache.get(key)
-        if cached is not None:
-            return EntitySet(passage_id=passage.id, entities=cached)
-
     try:
         raw = extractor.extract(passage.title, passage.text)
     except Exception as exc:
         raise ExtractionError(
             f"extraction failed for passage {passage.id!r}: {exc}", passage_id=passage.id
         ) from exc
-
-    entities = tuple(dedup_normalized(raw))
-    if cache is not None:
-        cache.put(key, entities)
-    return EntitySet(passage_id=passage.id, entities=entities)
+    return dedup_normalized(raw)
 
 
 def dedup_normalized(raw_entities: Iterable[str]) -> list[str]:
@@ -326,19 +424,31 @@ def extract_corpus_entities(
     extractor: ExtractionClient,
     cache: ExtractionCache | None = None,
     max_workers: int = 1,
-) -> list[EntitySet]:
-    """Extract entity sets for a whole corpus, preserving passage order.
+) -> EntitySets:
+    """Extract the entity sets of a whole corpus, aligned with ``passages``.
 
-    ``max_workers`` bounds in-flight extraction requests; results come back
-    aligned with ``passages`` regardless of completion order. The cache is
-    flushed however the extraction ends, so a failed or interrupted build
-    keeps what it extracted.
+    A passage whose content the cache holds is a hit: it costs a hash, one
+    dict lookup and its share of a numpy gather, and no extractor call.
+    ``max_workers`` bounds in-flight extraction requests for the misses.
+    The cache is flushed however the extraction ends, so a failed or
+    interrupted build keeps what it extracted.
     """
+    if cache is None:
+        cache = ExtractionCache()
+    keys = list(map(passage_sha256, passages))
+    entries = cache.lookup(keys)
+    misses = np.flatnonzero(entries < 0).tolist()
+
+    def extract(i: int) -> None:
+        entries[i] = cache.put(keys[i], extract_entities(passages[i], extractor))
+
     try:
         if max_workers <= 1:
-            return [extract_entities(p, extractor, cache) for p in passages]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda p: extract_entities(p, extractor, cache), passages))
+            for i in misses:
+                extract(i)
+        else:
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                list(pool.map(extract, misses))
     finally:
-        if cache is not None:
-            cache.flush()
+        cache.flush()
+    return cache.entity_sets([p.id for p in passages], entries)

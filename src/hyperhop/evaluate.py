@@ -24,7 +24,13 @@ from .errors import ChatError, CorpusFormatError, EmbeddingError, ExtractionErro
 from .index_store import HypergraphIndex
 from .metrics import exact_match, hit_at_k, recall_at_k, token_f1
 from .qa import ChatClient, answer
-from .retrieval import RetrievalConfig, build_entity_similarity, build_passage_similarity, rank_passages
+from .retrieval import (
+    RetrievalConfig,
+    build_entity_similarity,
+    build_passage_similarity,
+    check_encoder,
+    rank_passages,
+)
 
 RECALL_KS = (5, 10)
 
@@ -244,8 +250,11 @@ def run_eval(
     example's ``error`` and evaluation continues. A failed call before any
     example has succeeded (in dataset order) propagates instead: the
     endpoint or its configuration is taken to be broken for every example,
-    and the run stops before each one pays the retry budget. Index errors propagate.
+    and the run stops before each one pays the retry budget. Index errors
+    propagate, and an index built with another encoder raises ContractError
+    before the first example (see ``retrieval.check_encoder``).
     """
+    check_encoder(index, encoder)
     passages_by_id = {p.id: p for p in passages} if passages is not None else None
     if chat is not None and passages_by_id is None:
         raise CorpusFormatError("QA scoring requires the corpus passages")

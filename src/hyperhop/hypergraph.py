@@ -31,13 +31,10 @@ passages are inert under diffusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
-from typing import Sequence
 
 import numpy as np
 
-from .entities import EntityCatalog, EntitySet
+from .entities import EntityCatalog, EntitySets
 from .errors import ContractError
 
 
@@ -84,38 +81,29 @@ class DegreeVectors:
     inv_edge: np.ndarray = field(repr=False)  # float64, 1 / edge degree
 
 
-def build_incidence(entity_sets: Sequence[EntitySet], catalog: EntityCatalog) -> IncidenceMatrix:
+def build_incidence(entity_sets: EntitySets, catalog: EntityCatalog) -> IncidenceMatrix:
     """Build H from per-passage entity sets, columns in the given order.
 
     Rows are sorted ascending inside each passage. Every entity must already
     be cataloged; a missing entity indicates an inconsistent build and
     raises ContractError.
     """
-    entity_lists = list(map(attrgetter("entities"), entity_sets))
-    sizes = np.fromiter(map(len, entity_lists), dtype=np.intp, count=len(entity_lists))
-    offsets = np.zeros(len(entity_lists) + 1, dtype=np.int32)
-    np.cumsum(sizes, out=offsets[1:])
-    mentions = chain.from_iterable(entity_lists)
-    try:
-        rows = np.fromiter(catalog.indices_of(mentions), dtype=np.intp, count=int(offsets[-1]))
-    except KeyError:
-        for es in entity_sets:  # name the first passage with a missing entity
-            try:
-                for e in es.entities:
-                    catalog.index_of(e)
-            except KeyError as exc:
-                raise ContractError(f"passage {es.passage_id!r}: {exc.args[0]}") from exc
-        raise
+    rows = catalog.rows_of(entity_sets.names)[entity_sets.ids]
+    columns = entity_sets.columns()
+    if rows.size and rows.min() < 0:  # name the first passage with a missing entity
+        at = int(np.argmax(rows < 0))
+        entity = entity_sets.names[entity_sets.ids[at]]
+        passage_id = entity_sets.passage_ids[columns[at]]
+        raise ContractError(f"passage {passage_id!r}: entity {entity!r} not in catalog")
     # Passages ascend already; one sort of (passage, row) keys puts the rows
     # of each passage in ascending order.
     n_entities = len(catalog)
-    columns = np.repeat(np.arange(len(entity_lists), dtype=np.intp), sizes)
     column_bases = columns * n_entities
     rows = np.sort(column_bases + rows) - column_bases
     return IncidenceMatrix(
         n_entities=n_entities,
-        n_passages=len(entity_lists),
-        pas_offsets=offsets,
+        n_passages=len(entity_sets),
+        pas_offsets=entity_sets.offsets.astype(np.int32),
         pas_indices=rows,
         pas_columns=columns,
     )

@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Sequence, Sized
 import numpy as np
 
 from .embeddings import ROW_BLOCK, EntityRows, unit_rows
-from .entities import EntityCatalog, EntitySet
+from .entities import EntityCatalog, EntitySets
 from .errors import ContractError, IndexIntegrityError
 from .hypergraph import (
     DegreeVectors,
@@ -96,7 +96,7 @@ class HypergraphIndex:
 
 
 def build_index(
-    entity_sets: Sequence[EntitySet],
+    entity_sets: EntitySets,
     catalog: EntityCatalog,
     passage_ids: Sequence[str],
     entity_embeddings: np.ndarray,

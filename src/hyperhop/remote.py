@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-import requests
-
 Transport = Callable[[str, dict, dict], dict]
 
 
@@ -26,6 +24,8 @@ class EndpointConfig:
 
 
 def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+    import requests  # here, not at the top: an offline command never pays for the import
+
     response = requests.post(url, json=payload, headers=headers, timeout=timeout)
     response.raise_for_status()
     return response.json()

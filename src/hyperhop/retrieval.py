@@ -315,6 +315,17 @@ def rank_passages(
     return RankedResult(ranking=ranking, selected=selected, diagnostics=diag, artifacts=artifacts)
 
 
+def check_encoder(index: HypergraphIndex, encoder: EncoderClient) -> None:
+    """Raise ContractError when the index's manifest names another
+    ``encoder_id`` than ``encoder``'s; an index that names none is queried."""
+    built_with = (index.manifest or {}).get("encoder_id")
+    if built_with is not None and built_with != encoder.encoder_id:
+        raise ContractError(
+            f"the index was built with encoder {built_with!r}, not {encoder.encoder_id!r};"
+            " query it with the same encoder settings or rebuild the index"
+        )
+
+
 def retrieve(
     query: str,
     index: HypergraphIndex,
@@ -322,7 +333,12 @@ def retrieve(
     encoder: EncoderClient,
     extractor: ExtractionClient,
 ) -> RankedResult:
-    """Full pipeline: similarity vectors, diffusion, enhancement, selection."""
+    """Full pipeline: similarity vectors, diffusion, enhancement, selection.
+
+    Raises ContractError, before any work, when the index was built with
+    another encoder (see ``check_encoder``).
+    """
+    check_encoder(index, encoder)
     warnings: list[str] = []
     x = build_entity_similarity(query, index, encoder, extractor, config.eta, warnings)
     p = build_passage_similarity(query, index, encoder)

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import socket
+from itertools import chain
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from hyperhop.embeddings import OfflineEncoder, embed_batch
-from hyperhop.entities import EntitySet, build_catalog
+from hyperhop.entities import EntitySets, build_catalog
 from hyperhop.index_store import HypergraphIndex, build_index
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -20,11 +22,22 @@ TOY_SETS = {
 }
 
 
+def entity_sets_of(sets_by_pid: Mapping[str, Sequence[str]]) -> EntitySets:
+    """The EntitySets of passage id -> entity list, passages in id order."""
+    pids = sorted(sets_by_pid)
+    names = list(dict.fromkeys(chain.from_iterable(sets_by_pid.values())))
+    name_ids = dict(zip(names, range(len(names))))
+    ids = [name_ids[name] for pid in pids for name in sets_by_pid[pid]]
+    offsets = np.zeros(len(pids) + 1, dtype=np.intp)
+    np.cumsum([len(sets_by_pid[pid]) for pid in pids], out=offsets[1:])
+    return EntitySets(pids, names, np.array(ids, dtype=np.intp), offsets)
+
+
 def index_from_sets(sets_by_pid: dict[str, list[str]], dim: int = 64) -> HypergraphIndex:
     """Assemble an in-memory index from passage-id -> entity list, embedded
     by the offline encoder."""
     pids = sorted(sets_by_pid)
-    entity_sets = [EntitySet(pid, tuple(sets_by_pid[pid])) for pid in pids]
+    entity_sets = entity_sets_of(sets_by_pid)
     catalog = build_catalog(entity_sets)
     encoder = OfflineEncoder(dim=dim)
     entity_embeddings = embed_batch(catalog.to_list(), encoder)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,10 @@ from hyperhop.cli import main
 from hyperhop.corpus import load_corpus
 from hyperhop.embeddings import OfflineEncoder
 from hyperhop.entities import passage_sha256
+from hyperhop.errors import ContractError
+from hyperhop.evaluate import load_qa_dataset, run_eval
 from hyperhop.index_store import load_index
-from hyperhop.retrieval import ranked_order
+from hyperhop.retrieval import RetrievalConfig, ranked_order, retrieve
 
 from conftest import DATA_DIR
 
@@ -95,26 +98,34 @@ class TestIndexCommand:
         assert "count" not in json.loads(manifest.read_text())
 
     @pytest.mark.parametrize(
-        "line",
+        "file, damage",
         [
-            "{not json",
-            "[1]",
-            '{"entities": []}',
-            # Lines of the older one-file layout, keyed by passage id.
-            '{"passage_id": 1, "entities": []}',
-            '{"passage_id": "P1", "entities": "germany"}',
-            '{"passage_id": "P1", "entities": [1]}',
-            '{"passage_sha256": 1, "entities": []}',
-            '{"passage_sha256": "0", "entities": "germany"}',
-            '{"passage_sha256": "0", "entities": [1]}',
+            ("ids.bin", lambda data: data[:-4] + np.int32(5).tobytes()),
+            ("ids.bin", lambda data: np.int32(-1).tobytes() + data[4:]),
+            ("entries.bin", lambda data: data[:-4] + np.uint32(3).tobytes()),
+            ("names.txt", lambda data: data + b"germany\n"),
+            ("names.txt", lambda data: data + b"\xff\n"),
         ],
+        ids=["id-past-the-names", "negative-id", "counts-overrun-ids", "repeated-name", "not-utf8"],
     )
-    def test_damaged_extraction_cache_exits_2(self, built, capsys, line):
-        cache = built / "cache" / "extraction" / "records.jsonl"
-        cache.write_text(cache.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    def test_damaged_extraction_cache_exits_2(self, built, capsys, file, damage):
+        path = built / "cache" / "extraction" / file
+        path.write_bytes(damage(path.read_bytes()))
         capsys.readouterr()
         assert main(["index"] + common(built)) == 2
-        assert f"extraction cache {cache}: line 4:" in capsys.readouterr().err
+        assert f"error: extraction cache {path}: " in capsys.readouterr().err
+
+    def test_older_extraction_cache_layout_is_wiped_and_rebuilt(self, built, capsys):
+        index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
+        extraction = built / "cache" / "extraction"
+        shutil.rmtree(extraction)
+        shutil.copytree(DATA_DIR / "toy_extraction", extraction)  # one records.jsonl
+        assert main(["index"] + common(built)) == 0
+        assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
+        assert sorted(f.name for f in extraction.iterdir()) == [
+            "entries.bin", "ids.bin", "manifest.json", "names.txt"
+        ]
+        assert (extraction / "entries.bin").stat().st_size == 3 * 36  # extracted again
 
     @pytest.mark.parametrize(
         "entities, message",
@@ -126,20 +137,34 @@ class TestIndexCommand:
     )
     def test_unchecked_extraction_cache_hit_exits_2(self, built, capsys, entities, message):
         """A hit is checked like a fresh extraction; from other content it is a miss."""
-        cache = built / "cache" / "extraction" / "records.jsonl"
+        extraction = built / "cache" / "extraction"
+        saved = {f: f.read_bytes() for f in extraction.iterdir()}
         index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
         p1 = next(p for p in load_corpus(TOY_CORPUS) if p.id == "P1")
-        entry = {"passage_sha256": passage_sha256(p1), "entities": entities}
-        entries = cache.read_text(encoding="utf-8")
-        cache.write_text(entries + json.dumps(entry) + "\n", encoding="utf-8")
+        append_extraction_entry(extraction, passage_sha256(p1), entities)
         capsys.readouterr()
         assert main(["index"] + common(built)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-        entry["passage_sha256"] = "0" * 64
-        cache.write_text(entries + json.dumps(entry) + "\n", encoding="utf-8")
+        for f, data in saved.items():
+            f.write_bytes(data)
+        append_extraction_entry(extraction, bytes(32), entities)
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
+
+
+def append_extraction_entry(extraction, key, entities):
+    """Append an entry to the extraction cache files as a flush would, but
+    without the checks of ``ExtractionCache.put``."""
+    names = (extraction / "names.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    fresh = [name for name in dict.fromkeys(entities) if name not in names]
+    ids = [(names + fresh).index(name) for name in entities]
+    with (extraction / "names.txt").open("a", encoding="utf-8") as fh:
+        fh.write("".join(name + "\n" for name in fresh))
+    with (extraction / "ids.bin").open("ab") as fh:
+        fh.write(np.array(ids, dtype="<i4").tobytes())
+    with (extraction / "entries.bin").open("ab") as fh:
+        fh.write(key + np.uint32(len(ids)).tobytes())
 
 
 @pytest.mark.parametrize(
@@ -397,6 +422,17 @@ class TestEncoderMismatch:
         err = capsys.readouterr().err
         assert "'offline-hash-bow-d256'" in err and "'remote:other-d256'" in err
 
+    def test_library_queries_with_another_encoder_raise(self, built):
+        index = load_index(built / "index")
+        encoder = OfflineEncoder(256)
+        encoder.encoder_id = "another-model-d256"
+        config = RetrievalConfig(k1=1, k2=3)
+        named = "'offline-hash-bow-d256', not 'another-model-d256'"
+        with pytest.raises(ContractError, match=named):
+            retrieve(TOY_QUERY, index, config, encoder, None)
+        with pytest.raises(ContractError, match=named):
+            run_eval(load_qa_dataset(TOY_QA), index, config, encoder, None)
+
     def test_index_without_encoder_id_still_answers(self, built, capsys):
         path = built / "index" / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -504,17 +540,31 @@ class TestRunAsModule:
     """``python -m`` runs the same CLI as the installed ``hyperhop`` script."""
 
     def run(self, module, *args):
+        return self.run_code(None, "-m", module, *args)
+
+    def run_code(self, code, *args):
         src = str(Path(hyperhop.__file__).resolve().parent.parent)
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}
-        return subprocess.run(
-            [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
-        )
+        command = [sys.executable, *(("-c", code) if code else args)]
+        return subprocess.run(command, capture_output=True, text=True, env=env)
 
     def test_help_prints_usage(self, module):
         done = self.run(module, "--help")
         assert done.returncode == 0
         assert done.stdout.startswith("usage: hyperhop")
+
+    def test_offline_retrieve_does_not_import_requests(self, module, built):
+        """``requests`` is imported on the first remote call only."""
+        args = ["retrieve", TOY_QUERY, "--index-dir", str(built / "index"), "--offline"]
+        code = (
+            f"import sys, runpy; sys.argv = ['hyperhop', *{args!r}]\n"
+            f"try:\n    runpy.run_module({module!r}, run_name='__main__')\n"
+            "finally:\n    assert 'requests' not in sys.modules, 'requests was imported'"
+        )
+        done = self.run_code(code)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["query"] == TOY_QUERY
 
     def test_stats_on_a_missing_index_exits_2(self, module, tmp_path):
         done = self.run(module, "stats", "--index-dir", str(tmp_path / "void"), "--offline")

@@ -1,7 +1,7 @@
-import json
-import shutil
+import gc
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hyperhop.corpus import Passage, load_corpus
 from hyperhop.entities import (
     EntityCatalog,
-    EntitySet,
+    EntitySets,
     ExtractionCache,
     OfflineEntityExtractor,
     build_catalog,
@@ -19,7 +19,11 @@ from hyperhop.entities import (
     normalize_entity,
     passage_sha256,
 )
-from hyperhop.errors import ContractError, CorpusFormatError, ExtractionError
+from hyperhop.errors import ContractError, ExtractionError
+
+from conftest import entity_sets_of
+
+CACHE_FILES = ("names.txt", "ids.bin", "entries.bin")
 
 
 class TestNormalizeEntity:
@@ -45,16 +49,19 @@ class TestNormalizeEntity:
 
 class TestCatalog:
     def test_first_seen_order(self):
-        sets = [EntitySet("p1", ("a", "b")), EntitySet("p2", ("b", "c"))]
-        catalog = build_catalog(sets)
+        catalog = build_catalog(entity_sets_of({"p1": ["a", "b"], "p2": ["b", "c"]}))
         assert [catalog.index_of(e) for e in ("a", "b", "c")] == [0, 1, 2]
 
+    def test_first_seen_order_follows_the_passages_not_the_names_table(self):
+        offsets = np.array([0, 2, 4])
+        sets = EntitySets(["p1", "p2"], ["c", "b", "a"], np.array([2, 1, 1, 0]), offsets)
+        assert build_catalog(sets).to_list() == ["a", "b", "c"]
+
     def test_all_empty(self):
-        assert len(build_catalog([EntitySet("p1", ()), EntitySet("p2", ())])) == 0
+        assert len(build_catalog(entity_sets_of({"p1": [], "p2": []}))) == 0
 
     def test_union_semantics(self):
-        sets = [EntitySet(f"p{i}", ("x",)) for i in range(3)]
-        assert len(build_catalog(sets)) == 1
+        assert len(build_catalog(entity_sets_of({f"p{i}": ["x"] for i in range(3)}))) == 1
 
     def test_round_trip(self):
         catalog = EntityCatalog(["alpha", "beta", "gamma"])
@@ -76,13 +83,15 @@ class TestCatalog:
 
 
 class TestEntitySet:
+    """The checks EntitySets makes of each passage's entities."""
+
     def test_rejects_duplicates(self):
         with pytest.raises(ContractError):
-            EntitySet("p1", ("a", "a"))
+            entity_sets_of({"p1": ["a", "a"]})
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
-            EntitySet("p1", ("Albert",))
+            entity_sets_of({"p1": ["Albert"]})
 
     @pytest.mark.parametrize(
         "entities, message",
@@ -94,12 +103,26 @@ class TestEntitySet:
     )
     def test_names_the_first_offending_entity(self, entities, message):
         with pytest.raises(ContractError) as excinfo:
-            EntitySet("p1", entities)
+            entity_sets_of({"p0": ["a", "b"], "p1": entities, "p2": ["", "c", "c"]})
         assert str(excinfo.value) == message
+
+    def test_a_name_no_passage_uses_is_not_checked(self):
+        sets = EntitySets(["p1"], ["Bad", "", "a"], np.array([2]), np.array([0, 1]))
+        assert sets.entities(0) == ("a",)
 
 
 def cached(cache, passage):
-    return cache.get(passage_sha256(passage))
+    """The entities the cache holds for the passage's content; None on a miss."""
+    entries = cache.lookup([passage_sha256(passage)])
+    return None if entries[0] < 0 else cache.entity_sets([passage.id], entries).entities(0)
+
+
+def listed(entity_sets):
+    return [(pid, entity_sets.entities(j)) for j, pid in enumerate(entity_sets.passage_ids)]
+
+
+def files(directory):
+    return {name: (directory / name).read_bytes() for name in CACHE_FILES}
 
 
 def test_dedup_keeps_the_first_position_of_each_normalized_name():
@@ -114,8 +137,7 @@ class TestOfflineExtractor:
 
     def test_no_proper_nouns(self):
         passage = Passage(id="p", title="", text="nothing but plain words here.")
-        es = extract_entities(passage, OfflineEntityExtractor())
-        assert es.entities == ()
+        assert extract_entities(passage, OfflineEntityExtractor()) == []
 
     def test_stopword_initial_tokens_excluded(self):
         ex = OfflineEntityExtractor()
@@ -125,8 +147,7 @@ class TestOfflineExtractor:
 
     def test_duplicate_mentions_dedup(self):
         passage = Passage(id="p", title="", text="Germany borders Austria. Germany is large.")
-        es = extract_entities(passage, OfflineEntityExtractor())
-        assert es.entities.count("germany") == 1
+        assert extract_entities(passage, OfflineEntityExtractor()).count("germany") == 1
 
 
 class FailingNTimesExtractor:
@@ -174,36 +195,44 @@ class TestExtractionRetryAndCache:
             passages, CountingExtractor(), ExtractionCache(cache_dir, "o")
         )
         assert CountingExtractor.calls == 2  # cache hits only
-        assert first == second
+        assert listed(first) == listed(second) == [("p1", ("berlin",)), ("p2", ("paris",))]
+
+    def toy_cache(self, directory, data_dir):
+        passages = load_corpus(data_dir / "toy_corpus.jsonl")
+        cache = ExtractionCache(directory, OfflineEntityExtractor.extractor_id)
+        extract_corpus_entities(passages, OfflineEntityExtractor(), cache)
+        return {p.id: p for p in passages}
 
     def test_cache_file_round_trips(self, tmp_path, data_dir):
-        shutil.copytree(data_dir / "toy_extraction", tmp_path / "extraction")
-        records = tmp_path / "extraction" / "records.jsonl"
-        before = records.read_bytes()
-        cache = ExtractionCache(tmp_path / "extraction", OfflineEntityExtractor.extractor_id)
-        by_id = {p.id: p for p in load_corpus(data_dir / "toy_corpus.jsonl")}
+        by_id = self.toy_cache(tmp_path, data_dir)
+        before = files(tmp_path)
+        cache = ExtractionCache(tmp_path, OfflineEntityExtractor.extractor_id)
         assert cached(cache, by_id["P2"]) == ("germany", "berlin", "european union")
         assert cached(cache, Passage(id="missing", title="", text="x")) is None
-        assert records.read_bytes() == before
+        assert files(tmp_path) == before
+        assert before["names.txt"].decode().splitlines() == [
+            "albert einstein", "germany", "berlin", "european union", "brussels"
+        ]
+        assert np.frombuffer(before["ids.bin"], "<i4").tolist() == [0, 1, 1, 2, 3, 3, 4]
 
     def test_open_makes_equal_names_one_object(self, tmp_path, data_dir):
-        shutil.copytree(data_dir / "toy_extraction", tmp_path / "extraction")
-        cache = ExtractionCache(tmp_path / "extraction", OfflineEntityExtractor.extractor_id)
-        by_id = {p.id: p for p in load_corpus(data_dir / "toy_corpus.jsonl")}
+        by_id = self.toy_cache(tmp_path, data_dir)
+        cache = ExtractionCache(tmp_path, OfflineEntityExtractor.extractor_id)
         germany = cached(cache, by_id["P1"])[1]
         assert germany == "germany" and germany is cached(cache, by_id["P2"])[0]
+        assert cache.names.count("germany") == 1
 
     def test_concurrent_extraction_preserves_order(self):
         passages = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(8)]
         sets = extract_corpus_entities(passages, OfflineEntityExtractor(), max_workers=4)
-        assert [es.passage_id for es in sets] == [p.id for p in passages]
-        assert sets[3].entities == ("city3",)
+        assert sets.passage_ids == [p.id for p in passages]
+        assert sets.entities(3) == ("city3",)
 
     def test_cache_writes_are_serialized(self, tmp_path):
         cache = ExtractionCache(tmp_path / "c", "x")
 
         def put(i):
-            cache.put(f"key{i}", [f"e{i}"])
+            cache.put(bytes([i]) * 32, [f"e{i}"])
 
         threads = [threading.Thread(target=put, args=(i,)) for i in range(16)]
         for t in threads:
@@ -211,11 +240,44 @@ class TestExtractionRetryAndCache:
         for t in threads:
             t.join()
         cache.flush()
-        lines = (tmp_path / "c" / "records.jsonl").read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 16 and all(json.loads(line) for line in lines)
+        written = files(tmp_path / "c")
+        assert len(written["entries.bin"]) == 16 * 36 and len(written["ids.bin"]) == 16 * 4
         reloaded = ExtractionCache(tmp_path / "c", "x")
         for i in range(16):
-            assert reloaded.get(f"key{i}") == (f"e{i}",)
+            entries = reloaded.lookup([bytes([i]) * 32])
+            assert reloaded.entity_sets(["p"], entries).entities(0) == (f"e{i}",)
+
+    @pytest.mark.parametrize("key", [b"\x07" * 31 + b"\x00", bytes(32)], ids=["last", "all"])
+    def test_a_key_ending_in_nul_bytes_round_trips(self, tmp_path, key):
+        cache = ExtractionCache(tmp_path, "x")
+        cache.put(b"\x07" * 31 + b"\x01", ["other"])
+        cache.put(key, ["berlin"])
+        cache.flush()
+        reloaded = ExtractionCache(tmp_path, "x")
+        assert reloaded.lookup([key, key[:31]]).tolist() == [1, -1]
+        assert reloaded.entity_sets(["p"], reloaded.lookup([key])).entities(0) == ("berlin",)
+
+    def test_a_warm_hit_makes_no_container_object(self, tmp_path):
+        """The collector tracks no object per hit: a warm pass over 2000
+        passages adds as many tracked objects as one over 20."""
+        passages = [Passage(f"p{i}", "", f"City{i} met Town{i % 7}.") for i in range(2000)]
+        extract_corpus_entities(passages, OfflineEntityExtractor(), ExtractionCache(tmp_path, "o"))
+
+        def tracked_growth(corpus):
+            cache = ExtractionCache(tmp_path, "o")
+            gc.collect()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                sets = extract_corpus_entities(corpus, OfflineEntityExtractor(), cache)
+                return len(gc.get_objects()) - before, sets
+            finally:
+                gc.enable()
+
+        small, _ = tracked_growth(passages[:20])
+        large, sets = tracked_growth(passages)
+        assert sets.entities(1999) == ("city1999", "town4")
+        assert large == small
 
 
 class FailsOnOnePassage(OfflineEntityExtractor):
@@ -258,51 +320,66 @@ class TestAppendOnlyExtractionCache:
             self.PASSAGES, rerun, ExtractionCache(tmp_path, "o"), max_workers
         )
         assert sorted(rerun.extracted) == sorted(set(texts) - set(failing.extracted))
-        assert sets == extract_corpus_entities(self.PASSAGES, OfflineEntityExtractor())
+        assert listed(sets) == listed(
+            extract_corpus_entities(self.PASSAGES, OfflineEntityExtractor())
+        )
 
-    @pytest.mark.parametrize("cut", [1, 20], ids=["newline", "part-of-the-line"])
-    def test_torn_tail_is_truncated_and_only_its_passage_extracted_again(self, tmp_path, cut):
+    @pytest.mark.parametrize("cut", ["one-byte", "all-but-one-byte"])
+    @pytest.mark.parametrize("torn", CACHE_FILES)
+    def test_torn_tail_is_truncated_and_only_its_passage_extracted_again(
+        self, tmp_path, torn, cut
+    ):
+        """A crash in the last flush tears one file and leaves the ones it
+        appends to later unwritten."""
+        build(self.PASSAGES[:-1], tmp_path)
+        before = files(tmp_path)
         build(self.PASSAGES, tmp_path)
-        records = tmp_path / "records.jsonl"
-        whole = records.read_bytes()
-        records.write_bytes(whole[:-cut])
+        whole = files(tmp_path)
+        for name in CACHE_FILES[CACHE_FILES.index(torn) :]:
+            appended = len(whole[name]) - len(before[name])
+            kept = len(before[name]) + (appended - 1 if cut == "one-byte" else 1)
+            (tmp_path / name).write_bytes(whole[name][:kept] if name == torn else before[name])
 
         cache = ExtractionCache(tmp_path, "o")
-        assert records.read_bytes() == b"".join(whole.splitlines(keepends=True)[:-1])
+        opened = files(tmp_path)
+        assert opened == {**before, "names.txt": before["names.txt"] if torn == "names.txt"
+                          else whole["names.txt"]}
         extractor = FailsOnOnePassage()
         extract_corpus_entities(self.PASSAGES, extractor, cache)
         assert extractor.extracted == [self.PASSAGES[-1].text]
-        assert records.read_bytes() == whole
+        assert files(tmp_path) == whole
 
     def test_a_miss_appends_and_a_hit_writes_nothing(self, tmp_path):
         build(self.PASSAGES, tmp_path)
-        records = tmp_path / "records.jsonl"
-        before = records.read_bytes()
+        before = files(tmp_path)
         edited = list(self.PASSAGES)
         edited[2] = Passage(id="p2", title="", text="Lyon is old.")
         build(edited, tmp_path)
-        after = records.read_bytes()
-        assert after.startswith(before)
-        assert json.loads(after[len(before):]) == {
-            "passage_sha256": passage_sha256(edited[2]), "entities": ["lyon"]
+        after = files(tmp_path)
+        appended = {name: after[name][len(before[name]) :] for name in CACHE_FILES}
+        assert all(after[name].startswith(before[name]) for name in CACHE_FILES)
+        lyon = len(self.PASSAGES)  # one name per passage before it
+        assert appended == {
+            "names.txt": b"lyon\n",
+            "ids.bin": np.int32(lyon).tobytes(),
+            "entries.bin": passage_sha256(edited[2]) + np.uint32(1).tobytes(),
         }
         build(edited, tmp_path)
-        assert records.read_bytes() == after
+        assert files(tmp_path) == after
 
     def test_the_last_entry_of_a_repeated_key_wins(self, tmp_path):
         passage = self.PASSAGES[0]
-        ExtractionCache(tmp_path, "o")
-        line = {"passage_sha256": passage_sha256(passage)}
-        (tmp_path / "records.jsonl").write_text(
-            "".join(json.dumps({**line, "entities": [e]}) + "\n" for e in ("a", "b")),
-            encoding="utf-8",
-        )
+        cache = ExtractionCache(tmp_path, "o")
+        for entity in ("a", "b"):
+            cache.put(passage_sha256(passage), [entity])
+        cache.flush()
+        assert len((tmp_path / "entries.bin").read_bytes()) == 2 * 36
         assert cached(ExtractionCache(tmp_path, "o"), passage) == ("b",)
 
     def test_manifest_names_the_extractor_and_is_never_rewritten(self, tmp_path):
         ExtractionCache(tmp_path, "o")
         manifest = tmp_path / "manifest.json"
-        assert manifest.read_bytes() == b'{"extractor_id": "o"}'
+        assert manifest.read_bytes() == b'{"extractor_id": "o", "layout": 2}'
         before = (manifest.stat().st_mtime_ns, manifest.stat().st_ino)
         build(self.PASSAGES, tmp_path)
         assert (manifest.stat().st_mtime_ns, manifest.stat().st_ino) == before
@@ -336,27 +413,32 @@ class TestStaleExtractionEntries:
         cache = ExtractionCache(directory, "remote:m:abc")
         assert cached(cache, self.PASSAGE) is None
         # Opening for another extractor wipes the cache.
-        assert (directory / "records.jsonl").read_bytes() == b""
-        assert json.loads((directory / "manifest.json").read_text()) == {
-            "extractor_id": "remote:m:abc"
-        }
+        assert set(files(directory).values()) == {b""}
+        assert (directory / "manifest.json").read_bytes() == (
+            b'{"extractor_id": "remote:m:abc", "layout": 2}'
+        )
         assert cached(ExtractionCache(directory, "offline"), self.PASSAGE) is None
 
     @pytest.mark.parametrize(
-        "manifest", [b"{not json", b"", b'{"extractor_id": "offline", "v": 1}']
+        "manifest",
+        [
+            b"{not json",
+            b"",
+            b'{"extractor_id": "offline", "v": 1}',
+            b'{"extractor_id": "offline"}',  # the older records.jsonl layout
+        ],
     )
     def test_other_manifest_wipes_the_cache(self, tmp_path, manifest):
         directory = self.cache_with_entry(tmp_path)
         (directory / "manifest.json").write_bytes(manifest)
         assert cached(ExtractionCache(directory, "offline"), self.PASSAGE) is None
-        assert (directory / "records.jsonl").read_bytes() == b""
+        assert set(files(directory).values()) == {b""}
 
     def test_entry_without_a_content_hash_is_rejected(self, tmp_path):
-        directory = self.cache_with_entry(tmp_path)
-        with (directory / "records.jsonl").open("a", encoding="utf-8") as fh:
-            fh.write('{"passage_id": "p1", "entities": ["berlin"]}\n')
-        with pytest.raises(CorpusFormatError, match="records.jsonl: line 2: an entry needs"):
-            ExtractionCache(directory, "offline")
+        cache = ExtractionCache(self.cache_with_entry(tmp_path), "offline")
+        for key in (passage_sha256(self.PASSAGE).hex(), b"p1"):  # the older key, a passage id
+            with pytest.raises(ContractError, match="is a raw sha256"):
+                cache.put(key, ["berlin"])
 
     def test_a_miss_keeps_the_stale_entry(self, tmp_path):
         directory = self.cache_with_entry(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperhop.entities import EntitySet, build_catalog
+from hyperhop.entities import build_catalog
 from hyperhop.errors import ContractError
 from hyperhop.hypergraph import (
     apply_diffusion_operator,
@@ -15,13 +15,12 @@ from hyperhop.hypergraph import (
     passage_to_entity,
 )
 
-from conftest import TOY_SETS, index_from_sets
+from conftest import TOY_SETS, entity_sets_of, index_from_sets
 from reference import dense_incidence, dense_propagation_matrix, random_entity_sets
 
 
 def make_incidence(sets_by_pid):
-    pids = sorted(sets_by_pid)
-    entity_sets = [EntitySet(pid, tuple(sets_by_pid[pid])) for pid in pids]
+    entity_sets = entity_sets_of(sets_by_pid)
     catalog = build_catalog(entity_sets)
     return build_incidence(entity_sets, catalog), catalog
 
@@ -51,8 +50,8 @@ class TestBuildIncidence:
         assert degrees.edge_degrees.tolist() == [1]
 
     def test_uncataloged_entity_rejected(self):
-        entity_sets = [EntitySet("p1", ("a",)), EntitySet("p2", ("b",))]
-        catalog = build_catalog(entity_sets[:1])
+        entity_sets = entity_sets_of({"p1": ["a"], "p2": ["b"]})
+        catalog = build_catalog(entity_sets_of({"p1": ["a"]}))
         with pytest.raises(ContractError, match="^passage 'p2': entity 'b' not in catalog$"):
             build_incidence(entity_sets, catalog)
 

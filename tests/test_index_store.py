@@ -17,17 +17,17 @@ from hyperhop.embeddings import (
     row_norms_and_largest,
     unit_rows,
 )
-from hyperhop.entities import EntitySet, build_catalog
+from hyperhop.entities import build_catalog
 from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.index_store import build_index, load_index, save_index
 
-from conftest import TOY_SETS
+from conftest import TOY_SETS, entity_sets_of
 from reference import row_norms
 
 
 def make_toy_index():
     pids = sorted(TOY_SETS)
-    entity_sets = [EntitySet(pid, tuple(TOY_SETS[pid])) for pid in pids]
+    entity_sets = entity_sets_of(TOY_SETS)
     catalog = build_catalog(entity_sets)
     encoder = OfflineEncoder(dim=32)
     entity_embeddings = embed_batch(catalog.to_list(), encoder)
@@ -129,7 +129,7 @@ def test_derived_manifest_keys_win_over_extra_manifest(tmp_path):
 
 
 def test_misaligned_sets_rejected():
-    entity_sets = [EntitySet("p1", ("a",))]
+    entity_sets = entity_sets_of({"p1": ["a"]})
     catalog = build_catalog(entity_sets)
     values = np.ones((1, 4), dtype=np.float32)
     with pytest.raises(IndexIntegrityError):
@@ -148,7 +148,7 @@ def test_misaligned_sets_rejected():
 )
 def test_misaligned_embeddings_rejected(entity_shape, passage_shape):
     pids = sorted(TOY_SETS)  # 3 passages over 5 entities
-    entity_sets = [EntitySet(pid, tuple(TOY_SETS[pid])) for pid in pids]
+    entity_sets = entity_sets_of(TOY_SETS)
     catalog = build_catalog(entity_sets)
     entities = np.ones(entity_shape, dtype=np.float32)
     passages = np.ones(passage_shape, dtype=np.float32)
@@ -254,13 +254,13 @@ def _synthetic_index(rows, dim, seed=7):
     """``rows`` passages, each holding its own entity, with random embeddings
     of mixed scale and a few zero rows."""
     rng = np.random.default_rng(seed)
-    entity_sets = [EntitySet(f"p{i:06d}", (f"e{i}",)) for i in range(rows)]
+    entity_sets = entity_sets_of({f"p{i:06d}": [f"e{i}"] for i in range(rows)})
     matrices = []
     for _ in range(2):
         values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
         values[::17] = 0.0
         matrices.append(values.astype(np.float32))
-    pids = [es.passage_id for es in entity_sets]
+    pids = entity_sets.passage_ids
     return build_index(entity_sets, build_catalog(entity_sets), pids, *matrices)
 
 

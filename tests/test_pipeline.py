@@ -114,6 +114,41 @@ def test_warm_rebuild_extracts_only_the_edited_passage(tmp_path, data_dir, monke
     assert "strasbourg" in entities and "brussels" not in entities
 
 
+def test_edited_corpus_warm_rebuild_writes_the_bytes_of_a_cold_build(
+    tmp_path, data_dir, monkeypatch, no_network
+):
+    original = (data_dir / "toy_corpus.jsonl").read_text(encoding="utf-8")
+    edited = original.replace("born in Germany", "born in Ulm, Germany")
+    assert edited != original
+    corpus = tmp_path / "corpus.jsonl"
+
+    def build(text, root, cache="cache"):
+        corpus.write_text(text, encoding="utf-8")
+        config = AppConfig(
+            corpus=str(corpus),
+            index_dir=str(tmp_path / root),
+            cache_dir=str(tmp_path / cache),
+            offline=True,
+        )
+        build_index_from_corpus(config)
+        return _index_files(tmp_path / root)
+
+    first = build(original, "index")
+    cold = build(edited, "cold", cache="fresh")
+    calls = []
+
+    class RecordingExtractor(OfflineEntityExtractor):
+        def extract(self, title, text):
+            calls.append(text)
+            return super().extract(title, text)
+
+    monkeypatch.setattr(pipeline, "make_extractor", lambda config: RecordingExtractor())
+    assert build(edited, "index") == cold
+    assert calls == ["Albert Einstein was born in Ulm, Germany."]
+    assert build(original, "index") == first  # the old entry still serves the old text
+    assert len(calls) == 1
+
+
 def test_warm_rebuild_normalizes_each_distinct_name_once(tmp_path, monkeypatch, no_network):
     names = ["Berlin", "Paris", "Rome", "Vienna", "Madrid"]
     corpus = tmp_path / "corpus.jsonl"

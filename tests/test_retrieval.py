@@ -10,7 +10,7 @@ from hyperhop.embeddings import (
     max_sim_to_query_entities,
     screen_max_sim,
 )
-from hyperhop.entities import EntitySet, OfflineEntityExtractor, build_catalog, dedup_normalized
+from hyperhop.entities import OfflineEntityExtractor, build_catalog, dedup_normalized
 from hyperhop.errors import ContractError
 from hyperhop.hypergraph import apply_diffusion_operator, entity_to_passage
 from hyperhop.index_store import build_index
@@ -28,7 +28,7 @@ from hyperhop.retrieval import (
     structural_enhance,
 )
 
-from conftest import DATA_DIR, index_from_sets
+from conftest import DATA_DIR, entity_sets_of, index_from_sets
 from test_embeddings import BLOCK_EDGES
 from reference import (
     cosine,
@@ -162,8 +162,8 @@ class ListExtractor:
 def index_with_entity_rows(values):
     """One passage per entity, the entity rows given; each passage row is
     its entity's."""
-    sets = [EntitySet(f"p{i:05d}", (f"e{i}",)) for i in range(len(values))]
-    return build_index(sets, build_catalog(sets), [s.passage_id for s in sets], values, values)
+    sets = entity_sets_of({f"p{i:05d}": [f"e{i}"] for i in range(len(values))})
+    return build_index(sets, build_catalog(sets), sets.passage_ids, values, values)
 
 
 class TestEntitySimilarityScreen:
