@@ -10,13 +10,12 @@ passage, H^T adds each passage's terms in ascending entity order, so its
 result is bit for bit the one an entity-major transpose would give. Node
 and hyperedge degrees are derived from the two arrays, never stored.
 
-``keep_passages`` restricts H to a subset of its passages: the dropped
-passages' entries are removed and every other entry keeps its position
-relative to the rest. Retrieval uses it to drop, once per query, the
-passages whose hyperedge weight is zero when they are at least a third of
-all; they carry no mass, so the diffusion over the restricted H adds the
-same nonzero terms in the same order and its result is bit for bit the full
-one.
+The entity-major order of the same entries, ``IncidenceMatrix.entity_major``,
+is derived in memory the first time a diffusion needs it and kept with the
+incidence; nothing of it goes to disk. It is one sort of int32 keys: 6-9
+ms and 2.4 MB on the 600k entries of the passage-heavy benchmark graph,
+1-1.4 ms on the 80k of the multihop one (numpy 2.4, whose sort uses AVX-512
+there, on one core of a 2-vCPU Xeon).
 
 The diffusion operator applies the passage-weighted symmetric normalized
 propagation matrix
@@ -26,16 +25,50 @@ propagation matrix
 to an entity vector without ever materializing a matrix. Hyperedges with
 zero degree use the pseudo-inverse convention 1/0 := 0, so entityless
 passages are inert under diffusion.
+
+A query's steps share one ``DiffusionSupport``, and each half-step (H^T u
+or H e) takes one of two routes:
+
+- frontier: only the entries of the input's nonzero nodes are gathered, as
+  entity-major ranges for H^T and passage-major ranges for H, and one
+  bincount sums them;
+- full: one bincount over every entry of the support. The support is H less
+  its zero-weight passages when they are at least a third of all, built
+  once by the first full half-step, else H itself.
+
+Both routes add the same nonzero terms in the same order: the ranges are
+taken in ascending node order, and the kept entries keep theirs. A route
+skips only terms that are +-0.0 and the sums of zero-weight passages, which
+the next stage multiplies by their zero weight. Each sum starts at +0.0,
+and a sum that starts at +0.0 never becomes -0.0, so adding +-0.0 changes
+no bit of it. A step's result does not depend on its routes.
+
+The frontier route runs while the frontier's entries are under
+``_FRONTIER_MAX_SHARE`` (5%) of H's, and the first full half-step makes the
+rest of the query full. Per entry a frontier half-step costs 3-4 times a
+full one. On the benchmark graphs (90 questions each, 4 steps) it broke
+even at about 8% of H's entries on multihop and 17% on passage-heavy, and a
+whole diffusion took the same time, within 3%, at any cut-over from 2% to
+10%. There, step 1 starts from 2-4 entities and reaches under 1% of the
+entries; step 2's frontier holds a median 44% of them on passage-heavy and
+5% on multihop. The restriction, timed the same way, broke even at kept
+shares of 0.75-0.85 on passage-heavy, so ``_RESTRICT_MAX_KEPT_SHARE``
+stays 2/3.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .entities import EntityCatalog, EntitySets
 from .errors import ContractError
+
+# Cut-overs measured on the two benchmark graphs (see the module docstring).
+_FRONTIER_MAX_SHARE = 0.05
+_RESTRICT_MAX_KEPT_SHARE = 2 / 3
 
 
 @dataclass
@@ -65,6 +98,36 @@ class IncidenceMatrix:
     @property
     def nnz(self) -> int:
         return int(self.pas_indices.shape[0])
+
+    @functools.cached_property
+    def entity_major(self) -> EntityMajorOrder:
+        """H's entries in entity-major order, derived on first use and kept.
+
+        One sort of ``(entity << bits) | passage`` keys gives it, ``bits``
+        the width of the largest passage column: int32 keys when they fit,
+        else int64. Passages ascend inside each entity, so the order is the
+        stable argsort of ``pas_indices``.
+        """
+        bits = max(self.n_passages - 1, 0).bit_length()
+        wide = self.n_entities << bits > np.iinfo(np.int32).max + 1
+        keys = self.pas_indices.astype(np.int64 if wide else np.int32)
+        keys <<= bits
+        keys |= self.pas_columns
+        keys.sort()
+        keys &= (1 << bits) - 1
+        offsets = np.zeros(self.n_entities + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.pas_indices, minlength=self.n_entities), out=offsets[1:])
+        return EntityMajorOrder(offsets=offsets, columns=keys.astype(np.int32, copy=False))
+
+
+@dataclass(frozen=True, eq=False)
+class EntityMajorOrder:
+    """The entries of H grouped by entity: entity i's entries are
+    ``offsets[i]:offsets[i+1]``, and ``columns`` holds their passage
+    columns, ascending inside each entity."""
+
+    offsets: np.ndarray  # intp, len n_entities + 1
+    columns: np.ndarray  # int32, len nnz
 
 
 @dataclass(eq=False)
@@ -130,58 +193,89 @@ def _reciprocal(values: np.ndarray) -> np.ndarray:
     return inv
 
 
-def keep_passages(incidence: IncidenceMatrix, keep: np.ndarray) -> IncidenceMatrix:
-    """H with the entries of every passage where ``keep`` is false removed.
+def _sums(bins: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """Per-bin sums of ``values``, each bin added in entry order from +0.0."""
+    out = np.bincount(bins, weights=values, minlength=length)
+    return out.astype(np.float64, copy=False)  # bincount yields int64 when there are no entries
 
-    The shape stays the same; a dropped passage becomes an empty column.
-    The kept entries stay in order, so H and H^T over the result add the
-    same terms in the same order as over ``incidence``, less the dropped
-    passages' terms. When every passage is kept, ``incidence`` itself is
-    returned.
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] : starts[i] + counts[i]``, concatenated in order."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+class DiffusionSupport:
+    """H as one query's diffusion steps see it, under fixed hyperedge weights.
+
+    Its two half-steps take the frontier or the full route described in the
+    module docstring; ``edge_scale`` is W D_e^{-1}, computed once.
     """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != (incidence.n_passages,):
-        raise ContractError(
-            f"keep mask has shape {keep.shape}, expected ({incidence.n_passages},)"
-        )
-    if keep.all():
-        return incidence
-    entries = keep[incidence.pas_columns]
-    offsets = np.zeros_like(incidence.pas_offsets)
-    np.cumsum(np.where(keep, np.diff(incidence.pas_offsets), 0), out=offsets[1:])
-    return IncidenceMatrix(
-        n_entities=incidence.n_entities,
-        n_passages=incidence.n_passages,
-        pas_offsets=offsets,
-        pas_indices=incidence.pas_indices[entries],
-        pas_columns=incidence.pas_columns[entries],
-    )
 
+    def __init__(
+        self, incidence: IncidenceMatrix, degrees: DegreeVectors, edge_weights: np.ndarray
+    ):
+        if edge_weights.shape != (incidence.n_passages,):
+            raise ContractError(
+                f"edge_weights has shape {edge_weights.shape}, expected ({incidence.n_passages},)"
+            )
+        self.incidence, self.degrees, self.edge_weights = incidence, degrees, edge_weights
+        self.edge_scale = edge_weights * degrees.inv_edge
+        self._entries: tuple[np.ndarray, np.ndarray] | None = None
 
-def entity_to_passage(vec: np.ndarray, incidence: IncidenceMatrix) -> np.ndarray:
-    """H^T vec: sum the values of each passage's entities."""
-    if vec.shape != (incidence.n_entities,):
-        raise ContractError(
-            f"entity vector has length {vec.shape}, expected ({incidence.n_entities},)"
-        )
-    out = np.bincount(
-        incidence.pas_columns,
-        weights=vec[incidence.pas_indices],
-        minlength=incidence.n_passages,
-    )
-    return out.astype(np.float64, copy=False)  # bincount yields int64 when nnz == 0
+    @property
+    def full(self) -> bool:
+        """Whether a half-step has gone full, so that every later one is."""
+        return self._entries is not None
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support's (entity rows, passage columns), passage-major; the
+        first call builds them and makes the support full."""
+        if self._entries is None:
+            inc = self.incidence
+            keep = self.edge_weights > 0
+            if np.count_nonzero(keep) <= _RESTRICT_MAX_KEPT_SHARE * inc.n_passages:
+                entries = np.repeat(keep, self.degrees.edge_degrees)
+                self._entries = inc.pas_indices[entries], inc.pas_columns[entries]
+            else:
+                self._entries = inc.pas_indices, inc.pas_columns
+        return self._entries
 
-def passage_to_entity(vec: np.ndarray, incidence: IncidenceMatrix) -> np.ndarray:
-    """H vec: accumulate each passage's value into the entities it contains."""
-    if vec.shape != (incidence.n_passages,):
-        raise ContractError(
-            f"passage vector has length {vec.shape}, expected ({incidence.n_passages},)"
-        )
-    out = np.bincount(
-        incidence.pas_indices, weights=vec[incidence.pas_columns], minlength=incidence.n_entities
-    )
-    return out.astype(np.float64, copy=False)
+    def _frontier(
+        self, vec: np.ndarray, degrees: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The nonzero positions of ``vec`` and their degrees while a
+        frontier half-step over them pays, else None."""
+        if not self.full:
+            nonzero = np.flatnonzero(vec != 0)  # about 10x faster than on the float64 array
+            counts = degrees[nonzero]
+            if counts.sum() < _FRONTIER_MAX_SHARE * self.incidence.nnz:
+                return nonzero, counts
+        return None
+
+    def entity_to_passage(self, u: np.ndarray) -> np.ndarray:
+        """H^T u, except that a passage of zero weight may read 0."""
+        inc = self.incidence
+        frontier = self._frontier(u, self.degrees.node_degrees)
+        if frontier is not None:
+            nonzero, counts = frontier
+            order = inc.entity_major
+            at = _ranges(order.offsets[nonzero], counts)
+            return _sums(order.columns[at], np.repeat(u[nonzero], counts), inc.n_passages)
+        rows, columns = self.entries()
+        return _sums(columns, u[rows], inc.n_passages)
+
+    def passage_to_entity(self, e: np.ndarray) -> np.ndarray:
+        """H e."""
+        inc = self.incidence
+        frontier = self._frontier(e, self.degrees.edge_degrees)
+        if frontier is not None:
+            nonzero, counts = frontier
+            at = _ranges(inc.pas_offsets[nonzero], counts)
+            return _sums(inc.pas_indices[at], np.repeat(e[nonzero], counts), inc.n_entities)
+        rows, columns = self.entries()
+        return _sums(rows, e[columns], inc.n_entities)
 
 
 def apply_diffusion_operator(
@@ -189,27 +283,29 @@ def apply_diffusion_operator(
     incidence: IncidenceMatrix,
     degrees: DegreeVectors,
     edge_weights: np.ndarray,
+    support: DiffusionSupport | None = None,
 ) -> np.ndarray:
     """One application of D_v^{-1/2} H W D_e^{-1} H^T D_v^{-1/2} to x.
 
     Runs as staged sparse passes: scale, gather to passages, reweight,
     scatter back to entities, scale. ``edge_weights`` entries are expected
     in [0, 1] (clamped upstream); zero-degree passages contribute nothing.
+    A query's steps share one ``support``, the ``DiffusionSupport`` of these
+    same incidence, degrees and weights; without one, the step makes its own.
     """
     x = np.asarray(x, dtype=np.float64)
-    edge_weights = np.asarray(edge_weights, dtype=np.float64)
     if x.shape != (incidence.n_entities,):
         raise ContractError(
             f"x has shape {x.shape}, expected ({incidence.n_entities},)"
         )
-    if edge_weights.shape != (incidence.n_passages,):
-        raise ContractError(
-            f"edge_weights has shape {edge_weights.shape}, expected ({incidence.n_passages},)"
+    if support is None:
+        support = DiffusionSupport(
+            incidence, degrees, np.asarray(edge_weights, dtype=np.float64)
         )
     u = x * degrees.inv_sqrt_node
-    e = entity_to_passage(u, incidence)
-    e *= edge_weights * degrees.inv_edge
-    y = passage_to_entity(e, incidence)
+    e = support.entity_to_passage(u)
+    e *= support.edge_scale
+    y = support.passage_to_entity(e)
     y *= degrees.inv_sqrt_node
     return y
 

@@ -24,14 +24,8 @@ from .embeddings import (
 )
 from .entities import ExtractionClient, dedup_normalized
 from .errors import ContractError, ExtractionError
-from .hypergraph import apply_diffusion_operator, entity_to_passage, keep_passages
+from .hypergraph import DiffusionSupport, apply_diffusion_operator
 from .index_store import HypergraphIndex
-
-# Restricting H to the positive-weight passages costs about half a diffusion
-# step, so it pays only when enough passages drop out. Measured on the two
-# benchmark graphs (4 steps), it broke even at a kept share of 0.75 (10k
-# passages, 50k entities) and 0.87 (50k passages, 5k entities).
-_RESTRICT_MAX_KEPT_SHARE = 2 / 3
 
 @dataclass
 class RetrievalConfig:
@@ -177,33 +171,50 @@ def diffuse(
 
     The hyperedge weights are the clamped passage similarities (or all ones
     when the weight matrix is ablated); there is no renormalization between
-    steps. Returns (x_t, p_t) with p_t = W H^T x_t.
+    steps. Returns (x_t, p_t) with p_t = W H^T x_t. Raises ContractError
+    when x or p holds a non-finite value.
 
-    When at most two thirds of the passages have positive weight, every
-    step runs on H restricted to them. A zero-weight passage adds exactly
-    +-0.0 to each entity sum, and a sum that starts at +0.0 never becomes
-    -0.0, so dropping it changes no bit of x_t; its p_t entry is 0 either
-    way. The degrees stay the full graph's.
+    Each step is one call of ``apply_diffusion_operator``, and the steps and
+    the final hop share one ``hypergraph.DiffusionSupport``. A half-step
+    takes one of two routes. While the entries of its input's nonzero nodes
+    are under 5% of H's, it gathers only those, through H's entity-major
+    order (derived in memory on an index's first such half-step, never
+    stored) or its passage-major one. From the first half-step past that
+    share on, each is full: over H less its zero-weight passages when they
+    are at least a third of all, built once per query, else over H. Both
+    cut-overs were timed on the two benchmark graphs (see ``hypergraph``).
+    The routes add the same nonzero terms in the same order, and skip only
+    +-0.0 terms, which change no bit of a sum that starts at +0.0, and the
+    sums of zero-weight passages. So x_t is bit for bit that of full passes
+    over H, and so is p_t, except that where x has negative entries a
+    zero-weight passage's entry may be a zero of the other sign.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
+    if x.shape != (index.n_entities,):
+        raise ContractError(f"x has shape {x.shape}, expected ({index.n_entities},)")
     if p.shape != (index.n_passages,):
         raise ContractError(f"p has shape {p.shape}, expected ({index.n_passages},)")
+    _require_finite(x=x, p=p)
     if steps < 0:
         raise ContractError("steps must be >= 0")
     if use_weight_matrix:
         weights = np.clip(p, 0.0, 1.0)
     else:
         weights = np.ones(index.n_passages, dtype=np.float64)
-    keep = weights > 0
-    support = index.incidence
-    if np.count_nonzero(keep) <= _RESTRICT_MAX_KEPT_SHARE * index.n_passages:
-        support = keep_passages(index.incidence, keep)
+    incidence, degrees = index.incidence, index.degrees
+    support = DiffusionSupport(incidence, degrees, weights)
     x_t = x
     for _ in range(steps):
-        x_t = apply_diffusion_operator(x_t, support, index.degrees, weights)
-    p_t = weights * entity_to_passage(x_t, support)
+        x_t = apply_diffusion_operator(x_t, incidence, degrees, weights, support)
+    p_t = weights * support.entity_to_passage(x_t)
     return x_t, p_t
+
+
+def _require_finite(**vectors: np.ndarray) -> None:
+    for name, values in vectors.items():
+        if not np.isfinite(values).all():
+            raise ContractError(f"{name} holds a non-finite value")
 
 
 def semantic_enhance(
@@ -277,10 +288,12 @@ def rank_passages(
 
     This is the diffusion-plus-enhancement stage that evaluation timing
     wraps. When x is all zero the diffusion is skipped and passages are
-    ranked by p alone (recorded as a dense fallback in diagnostics).
+    ranked by p alone (recorded as a dense fallback in diagnostics). Raises
+    ContractError when x or p holds a non-finite value.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
+    _require_finite(x=x, p=p)
     n = index.n_passages
     diag = Diagnostics(nonzero_entity_count=int(np.count_nonzero(x)))
     if n == 0:

@@ -2,7 +2,10 @@
 
 Everything here works on plain dense numpy arrays and deliberately shares
 no code with the sparse production path; ``dense_incidence`` only reads the
-stored arrays of an incidence to give the oracles their input.
+stored arrays of an incidence to give the oracles their input. The two full
+passes, ``entity_to_passage`` and ``passage_to_entity``, read the same arrays:
+they are the sums that every route of a diffusion step must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,6 +22,22 @@ def dense_incidence(incidence) -> np.ndarray:
         rows = incidence.pas_indices[incidence.pas_offsets[j] : incidence.pas_offsets[j + 1]]
         dense[rows, j] = 1.0
     return dense
+
+
+def entity_to_passage(vec: np.ndarray, incidence) -> np.ndarray:
+    """H^T vec as one bincount over every stored entry, in storage order."""
+    out = np.bincount(
+        incidence.pas_columns, weights=vec[incidence.pas_indices], minlength=incidence.n_passages
+    )
+    return out.astype(np.float64, copy=False)
+
+
+def passage_to_entity(vec: np.ndarray, incidence) -> np.ndarray:
+    """H vec as one bincount over every stored entry, in storage order."""
+    out = np.bincount(
+        incidence.pas_indices, weights=vec[incidence.pas_columns], minlength=incidence.n_entities
+    )
+    return out.astype(np.float64, copy=False)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

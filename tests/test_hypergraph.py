@@ -3,20 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperhop import hypergraph
 from hyperhop.entities import build_catalog
 from hyperhop.errors import ContractError
 from hyperhop.hypergraph import (
+    DiffusionSupport,
+    IncidenceMatrix,
     apply_diffusion_operator,
     build_incidence,
     compute_degrees,
-    entity_to_passage,
     graph_stats,
-    keep_passages,
-    passage_to_entity,
 )
 
 from conftest import TOY_SETS, entity_sets_of, index_from_sets
-from reference import dense_incidence, dense_propagation_matrix, random_entity_sets
+from reference import (
+    dense_incidence,
+    dense_propagation_matrix,
+    entity_to_passage,
+    passage_to_entity,
+    random_entity_sets,
+)
 
 
 def make_incidence(sets_by_pid):
@@ -82,6 +88,17 @@ class TestBuildIncidence:
             assert (degrees.node_degrees >= 1).all()
 
 
+@pytest.fixture(params=[0.0, np.inf], ids=["full", "frontier"])
+def route(request, monkeypatch):
+    """Every half-step of a support full, or every one on the frontier."""
+    monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", request.param)
+
+
+def unweighted_support(incidence):
+    return DiffusionSupport(incidence, compute_degrees(incidence), np.ones(incidence.n_passages))
+
+
+@pytest.mark.usefixtures("route")
 class TestGatherScatter:
     def test_matches_dense_matvec(self, rng):
         for _ in range(10):
@@ -90,8 +107,9 @@ class TestGatherScatter:
             H = dense_incidence(incidence)
             u = rng.normal(size=incidence.n_entities)
             w = rng.normal(size=incidence.n_passages)
-            np.testing.assert_allclose(entity_to_passage(u, incidence), H.T @ u, rtol=1e-12)
-            np.testing.assert_allclose(passage_to_entity(w, incidence), H @ w, rtol=1e-12)
+            support = unweighted_support(incidence)
+            np.testing.assert_allclose(support.entity_to_passage(u), H.T @ u, rtol=1e-12)
+            np.testing.assert_allclose(support.passage_to_entity(w), H @ w, rtol=1e-12)
 
     def test_transpose_is_bitwise_the_entity_major_sum(self, rng):
         # An entity-major pass adds each passage's terms in ascending entity
@@ -99,62 +117,118 @@ class TestGatherScatter:
         for _ in range(10):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            u = rng.normal(size=incidence.n_entities)
+            n = incidence.n_entities
+            u = np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0)
             order = np.argsort(incidence.pas_indices, kind="stable")
             entity_major = np.bincount(
                 incidence.pas_columns[order],
                 weights=u[incidence.pas_indices[order]],
                 minlength=incidence.n_passages,
             )
-            np.testing.assert_array_equal(entity_to_passage(u, incidence), entity_major)
+            summed = unweighted_support(incidence).entity_to_passage(u)
+            np.testing.assert_array_equal(summed, entity_major)
+            assert summed.tobytes() == entity_to_passage(u, incidence).tobytes()
 
     def test_scatter_is_bitwise_the_repeated_passage_values(self, rng):
         for _ in range(10):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            w = rng.normal(size=incidence.n_passages)
+            n = incidence.n_passages
+            w = np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0)
             repeated = np.bincount(
                 incidence.pas_indices,
                 weights=np.repeat(w, np.diff(incidence.pas_offsets)),
                 minlength=incidence.n_entities,
             )
-            np.testing.assert_array_equal(passage_to_entity(w, incidence), repeated)
-
-    def test_dimension_mismatch(self, toy_index):
-        with pytest.raises(ContractError):
-            entity_to_passage(np.zeros(2), toy_index.incidence)
-        with pytest.raises(ContractError):
-            passage_to_entity(np.zeros(2), toy_index.incidence)
+            scattered = unweighted_support(incidence).passage_to_entity(w)
+            np.testing.assert_array_equal(scattered, repeated)
+            assert scattered.tobytes() == passage_to_entity(w, incidence).tobytes()
 
 
-class TestKeepPassages:
-    def test_all_true_mask_returns_the_incidence_itself(self, toy_index):
-        incidence = toy_index.incidence
-        assert keep_passages(incidence, np.ones(3, dtype=bool)) is incidence
+class TestEntityMajorOrder:
+    @staticmethod
+    def assert_is_the_stable_argsort(incidence):
+        order = incidence.entity_major
+        by_entity = np.argsort(incidence.pas_indices, kind="stable")
+        assert order.columns.dtype == np.int32
+        np.testing.assert_array_equal(order.columns, incidence.pas_columns[by_entity])
+        counts = np.bincount(incidence.pas_indices, minlength=incidence.n_entities)
+        np.testing.assert_array_equal(np.diff(order.offsets), counts)
+        assert order.offsets[0] == 0
 
-    def test_all_false_mask_leaves_no_entries(self, toy_index):
-        support = keep_passages(toy_index.incidence, np.zeros(3, dtype=bool))
-        assert (support.n_entities, support.n_passages, support.nnz) == (5, 3, 0)
-        assert support.pas_offsets.tolist() == [0, 0, 0, 0]
-        summed = entity_to_passage(np.ones(5), support)
-        assert summed.dtype == np.float64 and not summed.any()
-
-    def test_random_masks_drop_exactly_the_masked_columns(self, rng):
+    def test_random_graphs(self, rng):
         for _ in range(20):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            keep = rng.random(incidence.n_passages) < 0.5
-            support = keep_passages(incidence, keep)
-            np.testing.assert_array_equal(
-                dense_incidence(support), dense_incidence(incidence) * keep
-            )
-            rebuilt = np.repeat(np.arange(support.n_passages), np.diff(support.pas_offsets))
-            np.testing.assert_array_equal(support.pas_columns, rebuilt)
-            assert support.pas_offsets.dtype == incidence.pas_offsets.dtype
+            self.assert_is_the_stable_argsort(incidence)
 
-    def test_mask_length_mismatch(self, toy_index):
+    @pytest.mark.parametrize("n_entities, n_passages", [(2**15, 2**16), (2**15 + 1, 2**16)])
+    def test_int32_and_wide_keys(self, rng, n_entities, n_passages):
+        # 2**15 entities with 16-bit passage columns fill the int32 keys; one
+        # more entity needs the int64 ones.
+        # Each passage holds the first 0, 1 or 2 rows of an ascending pair.
+        counts = rng.integers(0, 3, n_passages)
+        first = rng.integers(0, n_entities - 2, n_passages)
+        pairs = np.stack([first, rng.integers(first + 1, n_entities - 1)], axis=1)
+        counts[-1], pairs[-1] = 2, [0, n_entities - 1]  # the last entity meets the last passage
+        offsets = np.zeros(n_passages + 1, dtype=np.int32)
+        np.cumsum(counts, out=offsets[1:])
+        rows = pairs[np.arange(2) < counts[:, None]]
+        incidence = IncidenceMatrix(n_entities, n_passages, offsets, rows)
+        self.assert_is_the_stable_argsort(incidence)
+        assert incidence.entity_major.columns[-1] == n_passages - 1
+
+    def test_empty_graphs(self):
+        for sets in ({}, {"p1": [], "p2": []}):
+            incidence, _ = make_incidence(sets)
+            order = incidence.entity_major
+            assert order.columns.shape == (0,) and order.offsets.tolist() == [0]
+
+    def test_derived_once(self, toy_index):
+        incidence = toy_index.incidence
+        assert incidence.entity_major is incidence.entity_major
+
+
+class TestDiffusionSupport:
+    def test_kept_passages_and_all_kept(self, rng):
+        for _ in range(20):
+            sets = random_entity_sets(rng)
+            incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
+            degrees = compute_degrees(incidence)
+            weights = np.where(rng.random(incidence.n_passages) < 0.5, rng.random(), 0.0)
+            keep = weights > 0
+            rows, columns = DiffusionSupport(incidence, degrees, weights).entries()
+            if np.count_nonzero(keep) > 2 / 3 * incidence.n_passages:
+                assert rows is incidence.pas_indices and columns is incidence.pas_columns
+            else:
+                entries = keep[incidence.pas_columns]
+                np.testing.assert_array_equal(rows, incidence.pas_indices[entries])
+                np.testing.assert_array_equal(columns, incidence.pas_columns[entries])
+
+    def test_no_kept_passage_leaves_no_entries(self, toy_index):
+        support = DiffusionSupport(toy_index.incidence, toy_index.degrees, np.zeros(3))
+        rows, columns = support.entries()
+        assert rows.shape == columns.shape == (0,)
+        summed = support.entity_to_passage(np.ones(5))
+        assert summed.dtype == np.float64 and summed.shape == (3,) and not summed.any()
+
+    def test_a_full_half_step_makes_the_rest_full(self, toy_index, monkeypatch):
+        # P3 ("brussels", "european union") has weight zero: a frontier H^T
+        # sums it, the restricted support reads 0 there.
+        monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", 0.5)
+        weights = np.array([0.9, 0.0, 0.0])
+        brussels = np.zeros(5)
+        brussels[toy_index.catalog.index_of("brussels")] = 1.0
+        support = DiffusionSupport(toy_index.incidence, toy_index.degrees, weights)
+        assert support.entity_to_passage(brussels).tolist() == [0.0, 0.0, 1.0]
+        assert not support.full
+        support.entity_to_passage(np.ones(5))  # 7 of 7 entries: full
+        assert support.full
+        assert support.entity_to_passage(brussels).tolist() == [0.0, 0.0, 0.0]
+
+    def test_weight_length_mismatch(self, toy_index):
         with pytest.raises(ContractError):
-            keep_passages(toy_index.incidence, np.ones(2, dtype=bool))
+            DiffusionSupport(toy_index.incidence, toy_index.degrees, np.ones(2))
 
 
 class TestDiffusionOperator:

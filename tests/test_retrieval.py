@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperhop import embeddings, retrieval
+from hyperhop import embeddings, hypergraph, retrieval
 from hyperhop.config import AppConfig
 from hyperhop.embeddings import (
     ROW_BLOCK,
@@ -12,7 +12,7 @@ from hyperhop.embeddings import (
 )
 from hyperhop.entities import OfflineEntityExtractor, build_catalog, dedup_normalized
 from hyperhop.errors import ContractError
-from hyperhop.hypergraph import apply_diffusion_operator, entity_to_passage
+from hyperhop.hypergraph import apply_diffusion_operator
 from hyperhop.index_store import build_index
 from hyperhop.pipeline import build_index_from_corpus, passage_embedding_text
 from hyperhop.retrieval import (
@@ -35,8 +35,10 @@ from reference import (
     dense_incidence,
     dense_pipeline,
     dense_shared_counts,
+    entity_to_passage,
     max_sim_of_unit_rows,
     normalized_rows,
+    passage_to_entity,
     per_call_entity_similarity,
     per_call_passage_similarity,
     random_entity_sets,
@@ -58,12 +60,24 @@ def random_index(rng, max_entities=50, max_passages=20):
 
 
 def full_incidence_diffusion(x, p, index, steps, use_weight_matrix):
-    """diffuse() as one loop over the whole incidence, zero-weight passages included."""
+    """diffuse() as one loop of full passes over the whole incidence,
+    zero-weight passages included."""
     weights = np.clip(p, 0.0, 1.0) if use_weight_matrix else np.ones(index.n_passages)
+    inc, degrees = index.incidence, index.degrees
     x_t = np.asarray(x, dtype=np.float64)
     for _ in range(steps):
-        x_t = apply_diffusion_operator(x_t, index.incidence, index.degrees, weights)
-    return x_t, weights * entity_to_passage(x_t, index.incidence)
+        e = entity_to_passage(x_t * degrees.inv_sqrt_node, inc)
+        e *= weights * degrees.inv_edge
+        x_t = passage_to_entity(e, inc) * degrees.inv_sqrt_node
+    return x_t, weights * entity_to_passage(x_t, inc)
+
+
+def sparse_entity_vector(rng, n_entities):
+    """1 to 3 nonzero entities, as a query's x usually has."""
+    x = np.zeros(n_entities)
+    chosen = rng.choice(n_entities, size=min(n_entities, int(rng.integers(1, 4))), replace=False)
+    x[chosen] = rng.random(chosen.size) + 0.5
+    return x
 
 
 class TestRetrievalConfig:
@@ -487,17 +501,56 @@ class TestDiffuse:
         with pytest.raises(ContractError):
             diffuse(np.zeros(5), np.zeros(2), toy_index, steps=1)
 
+    @pytest.mark.parametrize("frontier_share", [0.0, np.inf], ids=["all-full", "all-frontier"])
+    @pytest.mark.parametrize(
+        "kept_share",
+        [0.0, 2 / 3, 1.0],
+        ids=["restrict-if-none-kept", "restrict-default", "restrict-always"],
+    )
     @pytest.mark.parametrize("use_weight_matrix", [True, False])
-    def test_restricted_support_is_bitwise_the_full_incidence_loop(self, rng, use_weight_matrix):
-        for _ in range(30):
+    @pytest.mark.parametrize("weights", ["signed", "zero-or-negative-zero", "all-zero"])
+    def test_restricted_support_is_bitwise_the_full_incidence_loop(
+        self, rng, monkeypatch, frontier_share, kept_share, use_weight_matrix, weights
+    ):
+        monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", frontier_share)
+        monkeypatch.setattr(hypergraph, "_RESTRICT_MAX_KEPT_SHARE", kept_share)
+        for _ in range(15):
             index = random_index(rng)
-            x = np.where(rng.random(index.n_entities) < 0.3, rng.random(index.n_entities), 0.0)
-            p = rng.uniform(-1, 1, index.n_passages)  # about half the weights are zero
-            for steps in range(7):
-                x_t, p_t = diffuse(x, p, index, steps, use_weight_matrix)
-                ref_x, ref_p = full_incidence_diffusion(x, p, index, steps, use_weight_matrix)
-                assert x_t.tobytes() == ref_x.tobytes()
-                assert p_t.dtype == np.float64 and p_t.tobytes() == ref_p.tobytes()
+            n_e, n_p = index.n_entities, index.n_passages
+            p = {
+                "signed": rng.uniform(-1, 1, n_p),  # about half the weights are zero
+                "zero-or-negative-zero": np.where(rng.random(n_p) < 0.5, -0.0, rng.random(n_p)),
+                "all-zero": np.where(rng.random(n_p) < 0.5, -0.0, -rng.random(n_p)),
+            }[weights]
+            dense = np.where(rng.random(n_e) < 0.3, rng.random(n_e), 0.0)
+            for x in (dense, sparse_entity_vector(rng, n_e)):
+                for steps in range(7):
+                    x_t, p_t = diffuse(x, p, index, steps, use_weight_matrix)
+                    ref_x, ref_p = full_incidence_diffusion(x, p, index, steps, use_weight_matrix)
+                    assert x_t.tobytes() == ref_x.tobytes()
+                    assert p_t.dtype == np.float64 and p_t.tobytes() == ref_p.tobytes()
+
+    def test_frontier_just_below_and_just_above_the_cut_over(self, rng, monkeypatch):
+        # Step 1's H^T reaches the entries of x's 1-3 entities. A cut-over half
+        # an entry above that takes the frontier route, half an entry below
+        # the full one, and both give the bytes of the full loop.
+        for _ in range(20):
+            index = random_index(rng)
+            x = sparse_entity_vector(rng, index.n_entities)
+            p = rng.uniform(-1, 1, index.n_passages)
+            reach = index.degrees.node_degrees[x != 0].sum()
+            for entries, frontier in ((reach + 0.5, True), (reach - 0.5, False)):
+                cut_over = entries / index.incidence.nnz
+                monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", cut_over)
+                support = hypergraph.DiffusionSupport(
+                    index.incidence, index.degrees, np.clip(p, 0.0, 1.0)
+                )
+                support.entity_to_passage(x * index.degrees.inv_sqrt_node)
+                assert support.full is not frontier
+                for steps in range(5):
+                    x_t, p_t = diffuse(x, p, index, steps)
+                    ref_x, ref_p = full_incidence_diffusion(x, p, index, steps, True)
+                    assert x_t.tobytes() == ref_x.tobytes() and p_t.tobytes() == ref_p.tobytes()
 
     def test_entityless_passages_keep_zero_relevance(self, rng):
         index = index_from_sets({"P1": ["a", "b"], "P2": [], "P3": ["b", "c"], "P4": []})
@@ -525,26 +578,52 @@ class TestDiffuse:
     def test_restricts_h_only_when_at_most_two_thirds_are_kept(
         self, monkeypatch, n_kept, restricted
     ):
-        # The restricted copy costs about half a step, so weights that are
-        # nearly all positive (typical of dense embedding models) run on H.
+        # Restricting costs most of a full half-step over H, so weights that
+        # are nearly all positive (typical of dense embedding models) run on H.
+        monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", 0.0)  # full from the start
         sets = {f"p{j}": ["a", "b"] if j % 2 else ["b", "c", "d"] for j in range(6)}
         index = index_from_sets(sets)
         supports = []
 
-        def recording(x, incidence, degrees, weights):
-            supports.append(incidence)
-            return apply_diffusion_operator(x, incidence, degrees, weights)
+        def recording(x, incidence, degrees, weights, support):
+            supports.append(support)
+            return apply_diffusion_operator(x, incidence, degrees, weights, support)
 
         monkeypatch.setattr(retrieval, "apply_diffusion_operator", recording)
         x = np.array([0.9, 0.5, 0.0, 0.2])
         p = np.where(np.arange(6) < n_kept, 0.6, -0.1)
         x_t, p_t = diffuse(x, p, index, steps=2)
         assert len(supports) == 2 and supports[0] is supports[1]
-        assert (supports[0] is not index.incidence) == restricted
+        rows, columns = supports[0].entries()
+        assert (rows is not index.incidence.pas_indices) == restricted
         kept_nnz = sum(len(sets[f"p{j}"]) for j in range(n_kept))
-        assert supports[0].nnz == (kept_nnz if restricted else index.incidence.nnz)
+        assert rows.shape == columns.shape == (kept_nnz if restricted else index.incidence.nnz,)
         ref_x, ref_p = full_incidence_diffusion(x, p, index, 2, True)
         assert x_t.tobytes() == ref_x.tobytes() and p_t.tobytes() == ref_p.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n_kept", [2, 6])  # restricted support, or H itself
+    def test_non_finite_input_is_a_contract_error(self, bad, n_kept):
+        sets = {f"p{j}": ["a", "b"] if j % 2 else ["b", "c", "d"] for j in range(6)}
+        index = index_from_sets(sets)
+        x = np.array([0.9, 0.5, 0.0, 0.2])
+        p = np.where(np.arange(6) < n_kept, 0.6, -0.1)
+        config = RetrievalConfig(k1=1, k2=3)
+        for where in (0, 5):  # passage 5 has weight zero when two are kept
+            bad_p = p.copy()
+            bad_p[where] = bad
+            with pytest.raises(ContractError, match="^p holds a non-finite value$"):
+                diffuse(x, bad_p, index, steps=2)
+            with pytest.raises(ContractError, match="^p holds a non-finite value$"):
+                rank_passages(x, bad_p, index, config)
+            with pytest.raises(ContractError, match="^p holds a non-finite value$"):
+                rank_passages(np.zeros(4), bad_p, index, config)  # the dense fallback too
+        bad_x = x.copy()
+        bad_x[2] = bad
+        with pytest.raises(ContractError, match="^x holds a non-finite value$"):
+            diffuse(bad_x, p, index, steps=2)
+        with pytest.raises(ContractError, match="^x holds a non-finite value$"):
+            rank_passages(bad_x, p, index, config)
 
     def test_calls_the_module_level_diffusion_step_once_per_step(self, toy_index, monkeypatch):
         # Tracing wraps retrieval.apply_diffusion_operator and counts the
