@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -513,11 +514,14 @@ GOLDEN = DATA_DIR / "toy_golden"
 
 def test_toy_outputs_are_the_golden_bytes(built, capsys):
     """The toy index manifest, `stats`, `eval` and `eval --qa` outputs byte for
-    byte as in tests/data/toy_golden, and the ids that `retrieve` selects and
-    ranks. The retrieval scores are left out: BLAS kernels may move their
-    last bits from one CPU to another."""
+    byte as in tests/data/toy_golden, the sha256 of every index file, and the
+    ids that `retrieve` selects and ranks. The retrieval scores are left out:
+    BLAS kernels may move their last bits from one CPU to another."""
     golden = {path.name: path.read_bytes() for path in GOLDEN.iterdir()}
     assert (built / "index" / "manifest.json").read_bytes() == golden["manifest.json"]
+    index_files = (built / "index").iterdir()
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in index_files}
+    assert digests == json.loads(golden["index_digests.json"])
     runs = {
         "manifest.json": ["index"],
         "stats.json": ["stats"],
