@@ -42,7 +42,10 @@ _SPAN_STOPWORDS = frozenset(
     """.split()
 )
 
-_TOKEN_RE = re.compile(r"\w[\w'’\-]*", re.UNICODE)
+# Runs of tokens (``\w[\w'’-]*``) separated only by whitespace: any other
+# character between two tokens ends a run. ``\s`` and ``str.split`` take the
+# characters of ``str.isspace`` as whitespace.
+_RUN_RE = re.compile(r"\w[\w'’\-]*(?:\s+\w[\w'’\-]*)*")
 
 
 def normalize_entity(raw: str) -> str:
@@ -55,12 +58,22 @@ def normalize_entity(raw: str) -> str:
     return " ".join(text.split())
 
 
-# A corpus names each entity in many passages. The memo's bound is over twice
+# A corpus names each entity in many passages. The memos' bound is over twice
 # the largest benchmark catalog (50k names); past it the least recent names
 # are normalized again.
 @functools.lru_cache(maxsize=1 << 17)
 def _is_normalized(entity: str) -> bool:
     return entity == normalize_entity(entity)
+
+
+_normalized = functools.lru_cache(maxsize=1 << 17)(normalize_entity)
+
+
+# Ten times the distinct tokens of either benchmark corpus (about 6k).
+@functools.lru_cache(maxsize=1 << 16)
+def _starts_span(token: str) -> bool:
+    """Whether ``token`` may be part of a span: capitalized, not a stopword."""
+    return token[0].isalpha() and token[0].isupper() and token.lower() not in _SPAN_STOPWORDS
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,32 +185,30 @@ class OfflineEntityExtractor:
     """Deterministic fallback extractor: runs of capitalized tokens.
 
     A span is a maximal run of capitalized tokens whose lowercased forms are
-    not stopwords. Works without any model and is the extractor used by the
+    not stopwords, joined by whitespace alone; punctuation between tokens
+    breaks a span. Works without any model and is the extractor used by the
     test fixtures and offline mode.
+
+    The per-token definition in ``tests/reference.py`` (``extract_spans``)
+    is the specification. Here one regex finds the whitespace-joined runs of
+    tokens, and whether a token may start or extend a span is decided once
+    per distinct token, through a memo of at most 2**16 tokens.
     """
 
     extractor_id = "offline-capitalized-spans"
 
     def extract(self, title: str, text: str) -> list[str]:
         spans: list[str] = []
-        current: list[str] = []
-        prev_end = 0
-        for match in _TOKEN_RE.finditer(text):
-            token = match.group(0)
-            # Punctuation between tokens (periods, commas, ...) breaks a span.
-            contiguous = text[prev_end : match.start()].isspace() or prev_end == 0
-            if not contiguous and current:
-                spans.append(" ".join(current))
-                current = []
-            if token[0].isalpha() and token[0].isupper() and token.lower() not in _SPAN_STOPWORDS:
-                current.append(token)
-            else:
-                if current:
+        for run in _RUN_RE.findall(text):
+            current: list[str] = []
+            for token in run.split():
+                if _starts_span(token):
+                    current.append(token)
+                elif current:
                     spans.append(" ".join(current))
                     current = []
-            prev_end = match.end()
-        if current:
-            spans.append(" ".join(current))
+            if current:
+                spans.append(" ".join(current))
         return spans
 
 
@@ -412,9 +423,10 @@ def extract_entities(passage: Passage, extractor: ExtractionClient) -> list[str]
 def dedup_normalized(raw_entities: Iterable[str]) -> list[str]:
     """Normalize raw entity strings, dropping empties and later duplicates.
 
-    Each distinct raw string is normalized once, at its first position.
+    Each distinct raw string is normalized once, at its first position,
+    through a memo of at most 2**17 strings.
     """
-    entities = dict.fromkeys(map(normalize_entity, dict.fromkeys(raw_entities)))
+    entities = dict.fromkeys(map(_normalized, dict.fromkeys(raw_entities)))
     entities.pop("", None)
     return list(entities)
 

@@ -10,8 +10,12 @@ bit.
 
 from __future__ import annotations
 
+import hashlib
+import re
+
 import numpy as np
 
+from hyperhop.entities import _SPAN_STOPWORDS
 from hyperhop.errors import ContractError
 
 
@@ -170,3 +174,48 @@ def per_call_passage_similarity(query_vec: np.ndarray, passage_embeddings: np.nd
     query_vec = np.asarray(query_vec, dtype=np.float64).ravel()
     query_vec = query_vec / float(np.linalg.norm(query_vec))
     return np.clip(normalized_rows(passage_embeddings) @ query_vec, -1.0, 1.0)
+
+
+_WORD_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_RE = re.compile(r"\w[\w'’\-]*", re.UNICODE)
+
+
+def encode_one(text: str, dim: int) -> np.ndarray:
+    """The offline encoder's row of one text, token by token: the
+    specification of ``OfflineEncoder.encode_batch``."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in _WORD_RE.findall(text.lower()):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        value = int.from_bytes(digest, "little")
+        bucket = value % dim
+        sign = 1.0 if (value >> 63) & 1 == 0 else -1.0
+        vec[bucket] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec.astype(np.float32)
+
+
+def extract_spans(text: str) -> list[str]:
+    """The offline extractor's spans of one text, token by token: the
+    specification of ``OfflineEntityExtractor.extract``."""
+    spans: list[str] = []
+    current: list[str] = []
+    prev_end = 0
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group(0)
+        # Punctuation between tokens (periods, commas, ...) breaks a span.
+        contiguous = text[prev_end : match.start()].isspace() or prev_end == 0
+        if not contiguous and current:
+            spans.append(" ".join(current))
+            current = []
+        if token[0].isalpha() and token[0].isupper() and token.lower() not in _SPAN_STOPWORDS:
+            current.append(token)
+        else:
+            if current:
+                spans.append(" ".join(current))
+                current = []
+        prev_end = match.end()
+    if current:
+        spans.append(" ".join(current))
+    return spans

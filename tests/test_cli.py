@@ -509,6 +509,26 @@ def test_all_commands_honor_offline_mode(built, capsys):
     assert main(["eval", "--dataset", TOY_QA, "--k1", "1", "--k2", "2"] + common(built)) == 0
 
 
+def test_stats_counts_zero_norm_rows(tmp_path, no_network, capsys):
+    """An entity or passage whose offline embedding is the zero vector, which
+    no query can reach, is counted. `menalif saposig`'s two words cancel on
+    one coordinate at dim 256; "..." has no tokens."""
+    corpus = tmp_path / "corpus.jsonl"
+    rows = [
+        {"id": "P1", "title": "", "text": "Menalif Saposig met Albert Einstein."},
+        {"id": "P2", "title": "", "text": "..."},
+    ]
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    args = ["--corpus", str(corpus), "--index-dir", str(tmp_path / "index"), "--offline"]
+    assert main(["index"] + args) == 0
+    capsys.readouterr()
+    assert main(["stats"] + args) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["nodes"], stats["zero_norm_entity_rows"], stats["zero_norm_passage_rows"]) == (
+        2, 1, 1
+    )
+
+
 GOLDEN = DATA_DIR / "toy_golden"
 
 
