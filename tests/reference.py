@@ -5,7 +5,9 @@ no code with the sparse production path; ``dense_incidence`` only reads the
 stored arrays of an incidence to give the oracles their input. The two full
 passes, ``entity_to_passage`` and ``passage_to_entity``, read the same arrays:
 they are the sums that every route of a diffusion step must match bit for
-bit.
+bit. ``encode_one`` and ``extract_spans`` are the offline encoder and
+extractor as per-token loops, sharing only the stopword list with them:
+the batched clients must match them bit for bit.
 """
 
 from __future__ import annotations
