@@ -156,7 +156,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = graph_stats(index.incidence, index.degrees)
     # A row of zero norm has cosine 0 with every query: x or p never reaches it.
     stats["zero_norm_entity_rows"] = int((index.entity_rows.norms == 0.0).sum())
-    stats["zero_norm_passage_rows"] = int((~index.unit_passage_rows.any(axis=1)).sum())
+    stats["zero_norm_passage_rows"] = int((index.passage_rows.norms == 0.0).sum())
     print(json.dumps(stats, sort_keys=True, indent=2))
     return 0
 

@@ -20,13 +20,15 @@ mismatch. Version 1 indexes, which also stored the entity-major
 orientation and the degrees, are rejected and must be rebuilt.
 
 In memory, a loaded index keeps what the query path reads and nothing else:
-the float64 unit passage rows (the passage similarity needs every passage)
-and the ``embeddings.EntityRows`` of the entities: the float32 rows as
-stored, their float64 norms and their buckets. ``load_index`` streams each
-embedding file once, ``ROW_BLOCK`` rows at a time, straight into these
-arrays, so it keeps no float32 passage matrix, no float64 entity matrix and
-makes no whole-matrix temporary. The norms and buckets are derived from the
-rows as they are read, so they add nothing to the files.
+the ``embeddings.PassageRows`` of the passages (the passage similarity
+needs every passage): the stored values as float64, coordinate-major and
+not normalized, and their float64 norms; and the ``embeddings.EntityRows``
+of the entities: the float32 rows as stored, their float64 norms and their
+buckets. ``load_index`` streams each embedding file once, ``ROW_BLOCK`` rows
+at a time, straight into these arrays, so it keeps no float32 passage
+matrix, no float64 entity matrix and makes no whole-matrix temporary. The
+norms and buckets are derived from the rows as they are read, so they add
+nothing to the files.
 
 The manifest is written with sorted keys and no timestamps, so rebuilding
 from warm caches reproduces it byte for byte.
@@ -42,7 +44,7 @@ from typing import Callable, Iterator, Sequence, Sized
 
 import numpy as np
 
-from .embeddings import ROW_BLOCK, EntityRows, unit_rows
+from .embeddings import ROW_BLOCK, EntityRows, PassageRows
 from .entities import EntityCatalog, EntitySets
 from .errors import ContractError, IndexIntegrityError
 from .hypergraph import (
@@ -61,11 +63,11 @@ MANIFEST_NAME = "manifest.json"
 class HypergraphIndex:
     """Catalog, incidence, degrees and aligned embeddings for one corpus.
 
-    ``unit_passage_rows`` (the passage embeddings through
-    ``embeddings.unit_rows``) and ``entity_rows`` (the
+    ``passage_rows`` (the ``embeddings.PassageRows`` of
+    ``passage_embeddings``) and ``entity_rows`` (the
     ``embeddings.EntityRows`` of ``entity_embeddings``) are computed on first
-    use and then kept, so a query never renormalizes a whole matrix and a
-    build never normalizes one. ``load_index`` sets both as it reads the
+    use and then kept, so a query never converts a whole matrix and a build
+    never converts one. ``load_index`` sets both as it reads the
     files and leaves ``passage_embeddings`` None, the one field an index
     leaves unset, so a loaded index cannot be saved again.
     """
@@ -91,8 +93,8 @@ class HypergraphIndex:
         return EntityRows.of(self.entity_embeddings)
 
     @functools.cached_property
-    def unit_passage_rows(self) -> np.ndarray:
-        return _read_only(unit_rows(self.passage_embeddings))
+    def passage_rows(self) -> PassageRows:
+        return PassageRows.of(self.passage_embeddings)
 
 
 def build_index(
@@ -239,16 +241,6 @@ def _stream_embeddings(
             yield start, stop, block
 
 
-def _load_unit_passage_rows(directory: Path, rows: int, dim: int) -> np.ndarray:
-    """``unit_rows`` of the stored passage rows, read through one reused block."""
-    unit = np.empty((rows, dim), dtype=np.float64)
-    buffer = np.empty((min(rows, ROW_BLOCK), dim), dtype="<f4")
-    blocks = _stream_embeddings(directory, "passage", rows, dim, lambda i, j: buffer[: j - i])
-    for start, stop, block in blocks:
-        unit_rows(block, out=unit[start:stop])
-    return _read_only(unit)
-
-
 def _read_json(path: Path, kind: type):
     try:
         value = json.loads(path.read_text(encoding="utf-8"))
@@ -324,5 +316,9 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         manifest=manifest,
     )
     index.entity_rows = entity_rows
-    index.unit_passage_rows = _load_unit_passage_rows(directory, n_passages, dim)
+    # The passage rows pass through one reused block; the zero-stride
+    # matrix gives PassageRows.of only their shape.
+    buffer = np.empty((min(n_passages, ROW_BLOCK), dim), dtype="<f4")
+    blocks = _stream_embeddings(directory, "passage", n_passages, dim, lambda i, j: buffer[: j - i])
+    index.passage_rows = PassageRows.of(np.broadcast_to(buffer[:1], (n_passages, dim)), blocks)
     return index

@@ -157,7 +157,7 @@ def build_passage_similarity(
 ) -> np.ndarray:
     """Raw cosine of the query against every passage embedding."""
     query_vec = embed_batch([query], encoder)[0]
-    return cosine_against_rows(query_vec, index.unit_passage_rows)
+    return cosine_against_rows(query_vec, index.passage_rows)
 
 
 def diffuse(

@@ -7,7 +7,9 @@ passes, ``entity_to_passage`` and ``passage_to_entity``, read the same arrays:
 they are the sums that every route of a diffusion step must match bit for
 bit. ``encode_one`` and ``extract_spans`` are the offline encoder and
 extractor as per-token loops, sharing only the stopword list with them:
-the batched clients must match them bit for bit.
+the batched clients must match them bit for bit. ``passage_cosines`` is the
+passage similarity as a per-passage loop, which the sparse route of
+``cosine_against_rows`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -171,11 +173,29 @@ def per_call_entity_similarity(
     return np.where(v > eta, v, 0.0)
 
 
-def per_call_passage_similarity(query_vec: np.ndarray, passage_embeddings: np.ndarray) -> np.ndarray:
-    """p with the passage rows normalized on every call, as queries once did."""
+def passage_cosines(query_vec: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """p, passage by passage: the specification of ``cosine_against_rows``'s
+    route over the query's nonzero coordinates.
+
+    With ``q`` the query over its norm, each passage's value is the sum,
+    from +0.0 and in ascending coordinate order, of ``float64(value) * q[k]``
+    over the nonzero ``q[k]``, divided by the row's float64 norm (0 for a
+    zero row), then clipped to [-1, 1]. A zero query gives zeros.
+    """
     query_vec = np.asarray(query_vec, dtype=np.float64).ravel()
-    query_vec = query_vec / float(np.linalg.norm(query_vec))
-    return np.clip(normalized_rows(passage_embeddings) @ query_vec, -1.0, 1.0)
+    values = np.asarray(values)
+    out = np.zeros(values.shape[0], dtype=np.float64)
+    qn = float(np.linalg.norm(query_vec))
+    if qn == 0.0:
+        return out
+    q = query_vec / qn
+    support = [k for k in range(q.shape[0]) if q[k] != 0.0]
+    for i, (row, norm) in enumerate(zip(values, row_norms(values))):
+        total = 0.0
+        for k in support:
+            total += float(row[k]) * float(q[k])
+        out[i] = total / norm if norm > 0.0 else 0.0
+    return np.clip(out, -1.0, 1.0)
 
 
 _WORD_RE = re.compile(r"[a-z0-9]+")

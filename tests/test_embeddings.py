@@ -11,6 +11,7 @@ from hyperhop.embeddings import (
     EmbeddingCache,
     EntityRows,
     OfflineEncoder,
+    PassageRows,
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
@@ -20,7 +21,7 @@ from hyperhop.embeddings import (
 )
 from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
 
-from reference import cosine, row_norms, whole_matrix_screen
+from reference import cosine, passage_cosines, row_norms, whole_matrix_screen
 
 
 def max_sim_over_all_rows(query_rows, rows):
@@ -91,9 +92,80 @@ class TestCosine:
         rows = rng.normal(size=(7, 5))
         rows[3] = 0.0  # zero row uses the zero convention
         q = rng.normal(size=5)
-        sims = cosine_against_rows(q, unit_rows(rows))
+        sims = cosine_against_rows(q, PassageRows.of(rows))
         expected = [cosine(q, row) for row in rows]
         np.testing.assert_allclose(sims, expected, rtol=1e-12)
+
+
+def passage_fuzz(rng, dim, nonzero):
+    """Float32 passage rows over a wide range of norms, some of them zero or
+    zero on most coordinates, and a float32 query with ``nonzero`` nonzero
+    coordinates of either sign."""
+    n_rows = int(rng.integers(1, 40))
+    values = rng.standard_normal((n_rows, dim)) * 10.0 ** rng.integers(-8, 8, (n_rows, 1))
+    values[rng.random(n_rows) < 0.2] = 0.0
+    values[rng.random((n_rows, dim)) < 0.3] = 0.0
+    query = np.zeros(dim)
+    query[rng.choice(dim, nonzero, replace=False)] = rng.standard_normal(nonzero)
+    return values.astype(np.float32), (query * 10.0 ** rng.integers(-8, 8)).astype(np.float32)
+
+
+def dense_route_bound(dim):
+    """Twice ``cosine_against_rows``'s ``(dim + 2) 2**-53``: how far its two
+    routes may differ."""
+    return 2 * (dim + 2) * 2.0**-53
+
+
+class TestPassageCosines:
+    """``cosine_against_rows`` against ``reference.passage_cosines``."""
+
+    @pytest.mark.parametrize("dim", [1, 16, 64, 256])
+    def test_sparse_route_is_bitwise_the_reference(self, rng, dim):
+        # At dim 1 only the zero query is sparse: every other takes the GEMV.
+        for _ in range(30):
+            values, query = passage_fuzz(rng, dim, int(rng.integers(0, dim // 2 + 1)))
+            got = cosine_against_rows(query, PassageRows.of(values))
+            assert got.tobytes() == passage_cosines(query, values).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 16, 64, 256])
+    def test_dense_route_is_within_the_derived_bound(self, rng, dim):
+        for _ in range(30):
+            values, query = passage_fuzz(rng, dim, int(rng.integers(dim // 2 + 1, dim + 1)))
+            got = cosine_against_rows(query, PassageRows.of(values))
+            expected = passage_cosines(query, values)
+            assert np.abs(got - expected).max() <= dense_route_bound(dim)
+
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    def test_routes_cut_over_past_half_the_coordinates(self, rng, dim):
+        values, query = passage_fuzz(rng, dim, dim // 2)
+        rows = PassageRows.of(values)
+        assert cosine_against_rows(query, rows).tobytes() == passage_cosines(query, values).tobytes()
+        values, query = passage_fuzz(rng, dim, dim // 2 + 1)
+        got = cosine_against_rows(query, PassageRows.of(values))
+        assert np.abs(got - passage_cosines(query, values)).max() <= dense_route_bound(dim)
+
+    def test_zero_query_and_zero_rows_give_positive_zero(self):
+        values = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [3.0, 0.0, 0.0, 4.0]])
+        rows = PassageRows.of(values.astype(np.float32))
+        assert cosine_against_rows(np.zeros(4), rows).tobytes() == np.zeros(3).tobytes()
+        # -q[0] times the zeros of rows 0 and 1 are -0.0 terms; the sums start at +0.0.
+        got = cosine_against_rows(np.array([-1.0, 0.0, 0.0, 0.0]), rows)
+        assert got.tobytes() == np.array([0.0, 0.0, -0.6]).tobytes()
+
+    def test_no_rows_and_dim_mismatch(self):
+        rows = PassageRows.of(np.empty((0, 4), dtype=np.float32))
+        assert cosine_against_rows(np.ones(4), rows).shape == (0,)
+        with pytest.raises(ContractError, match="dim mismatch"):
+            cosine_against_rows(np.ones(5), rows)
+
+    def test_rows_hold_the_values_coordinate_major_and_their_norms(self, rng):
+        values = rng.standard_normal((ROW_BLOCK + 3, 8)).astype(np.float32)
+        values[[0, ROW_BLOCK]] = 0.0
+        rows = PassageRows.of(values)
+        assert rows.columns.tobytes() == values.T.astype(np.float64).tobytes()
+        assert rows.columns.shape == (8, ROW_BLOCK + 3)
+        assert rows.norms.tobytes() == row_norms(values).tobytes()
+        assert not rows.columns.flags.writeable and not rows.norms.flags.writeable
 
 
 class TestMaxSim:
@@ -622,5 +694,33 @@ class NaNEncoder(OfflineEncoder):
 
 
 def test_embedding_matrix_rejects_non_finite():
+    with pytest.raises(EmbeddingError, match="non-finite") as excinfo:
+        embed_batch(["a", "b", "c"], NaNEncoder(dim=8), batch_size=2)
+    assert excinfo.value.batch_offsets == (0, 2)
+
+
+def test_non_finite_batch_is_not_cached(tmp_path):
+    """A bad batch fails before it reaches the cache, so a rerun with a
+    healthy encoder on the same cache succeeds."""
+    healthy = OfflineEncoder(dim=8)
+    texts = ["a", "b", "c"]
+    embed_batch(["a"], healthy, EmbeddingCache(tmp_path, healthy.encoder_id, 8))
+    with pytest.raises(EmbeddingError, match=r"offsets \[0, 1\)") as excinfo:
+        embed_batch(texts, NaNEncoder(dim=8), EmbeddingCache(tmp_path, healthy.encoder_id, 8), 1)
+    assert excinfo.value.batch_offsets == (0, 1)
+    cache = EmbeddingCache(tmp_path, healthy.encoder_id, 8)
+    assert list(cache.lookup([text_key(t) for t in texts])) == [text_key("a")]
+    rows = embed_batch(texts, healthy, cache)
+    assert rows.tobytes() == embed_batch(texts, healthy).tobytes()
+
+
+def test_non_finite_cached_row_is_an_integrity_error(tmp_path):
+    client = OfflineEncoder(dim=8)
+    embed_batch(["a", "b"], client, EmbeddingCache(tmp_path, client.encoder_id, 8))
+    records = tmp_path / "records.bin"
+    raw = bytearray(records.read_bytes())
+    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last value of "b"
+    records.write_bytes(bytes(raw))
+    cache = EmbeddingCache(tmp_path, client.encoder_id, 8)
     with pytest.raises(IndexIntegrityError, match="non-finite"):
-        embed_batch(["a", "b"], NaNEncoder(dim=8))
+        embed_batch(["b"], client, cache)

@@ -218,6 +218,36 @@ def test_embedding_failure_is_recorded_and_evaluation_continues(
     assert report.aggregates["scored"] == 2
 
 
+class NonFiniteOnQuestionEncoder(OfflineEncoder):
+    """Offline encoder that returns an infinite value for the given texts."""
+
+    def __init__(self, *failing_texts: str):
+        super().__init__(dim=256)
+        self.failing_texts = set(failing_texts)
+
+    def encode_batch(self, texts):
+        out = super().encode_batch(texts)
+        for row, text in enumerate(texts):
+            if text in self.failing_texts:
+                out[row, 0] = float("inf")
+        return out
+
+
+@pytest.mark.parametrize("max_workers", [1, 2])
+def test_non_finite_query_vector_is_recorded_and_evaluation_continues(
+    toy_built, data_dir, max_workers
+):
+    index, _, _ = toy_built
+    dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
+    encoder = NonFiniteOnQuestionEncoder(dataset[1].question)
+    report = run_eval(dataset, index, CONFIG, encoder, EXTRACTOR, max_workers=max_workers)
+    assert report.errors == 1
+    assert report.records[0].error is None and report.records[2].error is None
+    assert report.records[1].error.startswith(EmbeddingError.__name__)
+    assert "non-finite" in report.records[1].error
+    assert report.records[1].selected_ids == []
+
+
 @pytest.mark.parametrize("max_workers", [1, 2])
 def test_embedding_failure_before_any_success_propagates(toy_built, data_dir, max_workers):
     # A dead endpoint or a wrong model width fails every example alike: the

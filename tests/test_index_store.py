@@ -13,9 +13,9 @@ from hyperhop.embeddings import (
     ROW_BLOCK,
     EntityRows,
     OfflineEncoder,
+    PassageRows,
     embed_batch,
     row_norms_and_largest,
-    unit_rows,
 )
 from hyperhop.entities import build_catalog
 from hyperhop.errors import ContractError, IndexIntegrityError
@@ -50,7 +50,8 @@ def test_round_trip_preserves_everything(tmp_path):
     np.testing.assert_array_equal(loaded.degrees.edge_degrees, index.degrees.edge_degrees)
     _assert_bitwise_equal(loaded.entity_embeddings, index.entity_embeddings)
     _assert_bitwise_equal(loaded.entity_rows.norms, index.entity_rows.norms)
-    _assert_bitwise_equal(loaded.unit_passage_rows, index.unit_passage_rows)
+    _assert_bitwise_equal(loaded.passage_rows.columns, index.passage_rows.columns)
+    _assert_bitwise_equal(loaded.passage_rows.norms, index.passage_rows.norms)
     assert loaded.manifest["corpus_sha256"] == "abc"
 
 
@@ -276,14 +277,16 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     passages = _stored(tmp_path, "passage_embeddings.bin", 16)
     _assert_bitwise_equal(loaded.entity_embeddings, entities)
     _assert_bitwise_equal(loaded.entity_rows.norms, row_norms(entities))
-    _assert_bitwise_equal(loaded.unit_passage_rows, unit_rows(passages))
+    _assert_bitwise_equal(loaded.passage_rows.columns, passages.T.astype(np.float64))
+    _assert_bitwise_equal(loaded.passage_rows.norms, row_norms(passages))
     entity_rows = EntityRows.of(entities)
     for name in ("values", "norms", "rows", "starts", "cos_r"):
         _assert_bitwise_equal(getattr(loaded.entity_rows, name), getattr(entity_rows, name))
     assert loaded.entity_rows.values is loaded.entity_embeddings
     assert not loaded.entity_embeddings.flags.writeable
     assert not loaded.entity_rows.norms.flags.writeable
-    assert not loaded.unit_passage_rows.flags.writeable
+    assert not loaded.passage_rows.columns.flags.writeable
+    assert not loaded.passage_rows.norms.flags.writeable
 
 
 def test_a_built_index_takes_its_norms_and_buckets_from_one_pass(tmp_path, monkeypatch):
@@ -308,7 +311,7 @@ def test_a_built_index_takes_its_norms_and_buckets_from_one_pass(tmp_path, monke
 def test_loaded_index_keeps_no_float32_passage_matrix(tmp_path):
     loaded = load_index(_saved(tmp_path))
     assert loaded.passage_embeddings is None
-    assert loaded.unit_passage_rows.shape == (loaded.n_passages, 32)
+    assert loaded.passage_rows.columns.shape == (32, loaded.n_passages)
 
 
 def test_a_loaded_index_cannot_be_saved_again(tmp_path):
@@ -360,5 +363,5 @@ def test_load_makes_no_temporary_beyond_one_block(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loaded.unit_passage_rows.nbytes == 20_000 * dim * 8
+    assert loaded.passage_rows.columns.nbytes == 20_000 * dim * 8
     assert peak - before <= (retained - before) + ROW_BLOCK * dim * 4 + 2**20

@@ -38,9 +38,9 @@ from reference import (
     entity_to_passage,
     max_sim_of_unit_rows,
     normalized_rows,
+    passage_cosines,
     passage_to_entity,
     per_call_entity_similarity,
-    per_call_passage_similarity,
     random_entity_sets,
     row_norms,
     whole_matrix_screen,
@@ -412,8 +412,8 @@ class TestPassageSimilarity:
         np.testing.assert_allclose(p, expected, rtol=1e-12)
 
 
-class TestUnitRowCache:
-    def test_build_computes_no_unit_rows(self, tmp_path):
+class TestRowCache:
+    def test_build_computes_no_row_caches(self, tmp_path):
         config = AppConfig(
             corpus=str(DATA_DIR / "toy_corpus.jsonl"),
             index_dir=str(tmp_path / "index"),
@@ -422,16 +422,17 @@ class TestUnitRowCache:
         )
         index, _ = build_index_from_corpus(config)
         assert "entity_rows" not in vars(index)
-        assert "unit_passage_rows" not in vars(index)
+        assert "passage_rows" not in vars(index)
 
-    def test_queries_reuse_the_unit_rows(self, toy_built):
+    def test_queries_reuse_the_row_caches(self, toy_built):
         index, _, _ = toy_built
         retrieve(TOY_QUERY, index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
-        entity_rows, passage_rows = index.entity_rows, index.unit_passage_rows
+        entity_rows, passage_rows = index.entity_rows, index.passage_rows
         retrieve("Where is Brussels?", index, RetrievalConfig(k1=1, k2=3), ENCODER, EXTRACTOR)
         assert index.entity_rows is entity_rows
-        assert index.unit_passage_rows is passage_rows
-        assert not entity_rows.norms.flags.writeable and not passage_rows.flags.writeable
+        assert index.passage_rows is passage_rows
+        assert not entity_rows.norms.flags.writeable
+        assert not passage_rows.columns.flags.writeable and not passage_rows.norms.flags.writeable
 
     @pytest.mark.parametrize("eta", [0.0, 0.8])
     def test_vectors_bitwise_equal_per_call_normalization(self, toy_built, eta):
@@ -440,9 +441,7 @@ class TestUnitRowCache:
         result = retrieve(TOY_QUERY, index, config, ENCODER, EXTRACTOR)
         query_rows = embed_batch(dedup_normalized(EXTRACTOR.extract("", TOY_QUERY)), ENCODER)
         x = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
-        p = per_call_passage_similarity(
-            embed_batch([TOY_QUERY], ENCODER)[0], index.passage_embeddings
-        )
+        p = passage_cosines(embed_batch([TOY_QUERY], ENCODER)[0], index.passage_embeddings)
         expected = rank_passages(x, p, index, config).artifacts
         assert x.any()
         np.testing.assert_array_equal(result.artifacts.x, x)
