@@ -167,9 +167,22 @@ class EmbeddingCache:
 
     def read_rows(self, offsets: Sequence[int]) -> np.ndarray:
         """The rows at ``offsets``, gathered from a read-only map of the
-        first ``count`` records, so only their pages are read."""
-        rows = self._mapped()["row"]
-        return rows[np.asarray(offsets, dtype=np.int64)]  # a gather: an ndarray copy
+        first ``count`` records, so only their pages are read.
+
+        Raises IndexIntegrityError naming the first record that holds a
+        non-finite value: the encoder path never appends one, so the file is
+        damaged.
+        """
+        offsets = np.asarray(offsets, dtype=np.int64)
+        rows = self._mapped()["row"][offsets]  # a gather: an ndarray copy
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise IndexIntegrityError(
+                f"embedding cache {self._records} holds non-finite entries, first in record"
+                f" {offsets[~finite].min()} (counted from 0); delete the cache directory"
+                f" {self.directory} and build again"
+            )
+        return rows
 
     def append(self, keys: Sequence[str], vectors: np.ndarray) -> None:
         if vectors.shape != (len(keys), self.dim):
@@ -203,7 +216,7 @@ def embed_batch(
     call. A remote failure, or a batch holding a non-finite value, raises
     EmbeddingError carrying the offsets of the failing batch, before the
     batch reaches the cache; a non-finite value read from the cache raises
-    IndexIntegrityError.
+    IndexIntegrityError (see ``EmbeddingCache.read_rows``).
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -214,10 +227,7 @@ def embed_batch(
     hits = cache.lookup(keys) if cache is not None else {}
     if hits:
         hit_positions = [i for i, k in enumerate(keys) if k in hits]
-        rows = cache.read_rows([hits[keys[i]] for i in hit_positions])
-        if not np.isfinite(rows).all():
-            raise IndexIntegrityError("embedding cache holds non-finite entries")
-        out[hit_positions] = rows
+        out[hit_positions] = cache.read_rows([hits[keys[i]] for i in hit_positions])
 
     # Deduplicate misses, in order of first appearance, so repeated texts are
     # encoded once.

@@ -32,9 +32,12 @@ or H e) takes one of two routes:
 - frontier: only the entries of the input's nonzero nodes are gathered, as
   entity-major ranges for H^T and passage-major ranges for H, and one
   bincount sums them;
-- full: one bincount over every entry of the support. The support is H less
-  its zero-weight passages when they are at least a third of all, built
-  once by the first full half-step, else H itself.
+- full: one bincount over every entry of the support, read in storage
+  order. The support is H less its zero-weight passages when they are at
+  least 30% of all, built once by the first full half-step, else H itself.
+  H^T takes the entries' rows of u; H repeats each kept passage's value
+  over its entries, which is the gather at their columns done as one
+  sequential pass.
 
 Both routes add the same nonzero terms in the same order: the ranges are
 taken in ascending node order, and the kept entries keep theirs. A route
@@ -43,17 +46,37 @@ the next stage multiplies by their zero weight. Each sum starts at +0.0,
 and a sum that starts at +0.0 never becomes -0.0, so adding +-0.0 changes
 no bit of it. A step's result does not depend on its routes.
 
+Costs per million entries, on one core of a 2-vCPU Xeon (numpy 2.4, the
+passage-heavy graph, warm memory): a full H^T takes about 3.8 ms and a full
+H about 2.5 ms, the bincount 2.4 ms of each. H^T's gather of u at the
+entries' rows takes 1.2 ms; H repeats e in 0.6 ms, where gathering it at
+the entries' columns took 1.3. Building the restricted support at a kept
+share of one half costs 2.5 ms per million entries of H, most of it the
+compress of the rows; its columns are a repeat of the kept passages, not a
+second compress. A frontier half-step costs 7.7 ms (H^T)
+and 9.3 ms (H) per million of its own entries, 2-4 times a full one; on
+multihop, whose nodes hold fewer entries each, 25 and 12 ms.
+
 The frontier route runs while the frontier's entries are under
 ``_FRONTIER_MAX_SHARE`` (5%) of H's, and the first full half-step makes the
-rest of the query full. Per entry a frontier half-step costs 3-4 times a
-full one. On the benchmark graphs (90 questions each, 4 steps) it broke
-even at about 8% of H's entries on multihop and 17% on passage-heavy, and a
-whole diffusion took the same time, within 3%, at any cut-over from 2% to
-10%. There, step 1 starts from 2-4 entities and reaches under 1% of the
-entries; step 2's frontier holds a median 44% of them on passage-heavy and
-5% on multihop. The restriction, timed the same way, broke even at kept
-shares of 0.75-0.85 on passage-heavy, so ``_RESTRICT_MAX_KEPT_SHARE``
-stays 2/3.
+rest of the query full. Against a full half-step over the question's
+support, built beforehand, a frontier H broke even at about 8% of H's
+entries on multihop and 13% on passage-heavy, and a frontier H^T at 12% and
+25%. But a whole diffusion took the same time, within 5%, at any cut-over
+from 2% to 13%, on both benchmark graphs at seeds 1 and 3 (90 questions
+each, 4 steps): step 1 starts from 2-4 entities and reaches under 1% of
+the entries, and step 2's frontier holds a median 44% of them on
+passage-heavy and 5% on multihop. So the cut-over stays 5%.
+
+The restriction was timed on the passage-heavy questions at seeds 1 and 3,
+each whole retrieval run with and without it after the 32 MB stream that
+the benchmark's calibration runs before every query: it broke even at kept
+shares of about 0.7, so ``_RESTRICT_MAX_KEPT_SHARE`` is 0.7 (no multihop
+question keeps more than 0.52). Timed without the stream, diffusions back
+to back broke even at about 0.6, and its build and half-steps alone on
+warm memory at 0.8-0.9: the first pass over the freshly built support costs
+1-3 ms more than the later ones. In the benchmark, a cut-over of 0.6 put
+passage-heavy ``query_p90_ms`` at seed 3 up 17% against 2/3.
 """
 
 from __future__ import annotations
@@ -68,7 +91,7 @@ from .errors import ContractError
 
 # Cut-overs measured on the two benchmark graphs (see the module docstring).
 _FRONTIER_MAX_SHARE = 0.05
-_RESTRICT_MAX_KEPT_SHARE = 2 / 3
+_RESTRICT_MAX_KEPT_SHARE = 0.7
 
 
 @dataclass
@@ -223,6 +246,7 @@ class DiffusionSupport:
         self.incidence, self.degrees, self.edge_weights = incidence, degrees, edge_weights
         self.edge_scale = edge_weights * degrees.inv_edge
         self._entries: tuple[np.ndarray, np.ndarray] | None = None
+        self._kept: tuple[np.ndarray, np.ndarray] | None = None  # kept passages, their degrees
 
     @property
     def full(self) -> bool:
@@ -233,11 +257,13 @@ class DiffusionSupport:
         """The support's (entity rows, passage columns), passage-major; the
         first call builds them and makes the support full."""
         if self._entries is None:
-            inc = self.incidence
+            inc, degrees = self.incidence, self.degrees.edge_degrees
             keep = self.edge_weights > 0
-            if np.count_nonzero(keep) <= _RESTRICT_MAX_KEPT_SHARE * inc.n_passages:
-                entries = np.repeat(keep, self.degrees.edge_degrees)
-                self._entries = inc.pas_indices[entries], inc.pas_columns[entries]
+            kept = np.flatnonzero(keep)
+            if kept.size <= _RESTRICT_MAX_KEPT_SHARE * inc.n_passages:
+                self._kept = kept, degrees[kept]
+                rows = inc.pas_indices[np.repeat(keep, degrees)]
+                self._entries = rows, np.repeat(*self._kept)
             else:
                 self._entries = inc.pas_indices, inc.pas_columns
         return self._entries
@@ -264,18 +290,25 @@ class DiffusionSupport:
             at = _ranges(order.offsets[nonzero], counts)
             return _sums(order.columns[at], np.repeat(u[nonzero], counts), inc.n_passages)
         rows, columns = self.entries()
-        return _sums(columns, u[rows], inc.n_passages)
+        return _sums(columns, u.take(rows), inc.n_passages)
 
     def passage_to_entity(self, e: np.ndarray) -> np.ndarray:
-        """H e."""
+        """H e, for an ``e`` that is zero on every zero-weight passage, as
+        ``e *= edge_scale`` makes it: the restricted support never reads e
+        there, while the frontier route and the full one over H do."""
         inc = self.incidence
         frontier = self._frontier(e, self.degrees.edge_degrees)
         if frontier is not None:
             nonzero, counts = frontier
             at = _ranges(inc.pas_offsets[nonzero], counts)
             return _sums(inc.pas_indices[at], np.repeat(e[nonzero], counts), inc.n_entities)
-        rows, columns = self.entries()
-        return _sums(rows, e[columns], inc.n_entities)
+        rows, _ = self.entries()
+        if self._kept is None:
+            values = np.repeat(e, self.degrees.edge_degrees)
+        else:
+            kept, counts = self._kept
+            values = np.repeat(e.take(kept), counts)
+        return _sums(rows, values, inc.n_entities)
 
 
 def apply_diffusion_operator(

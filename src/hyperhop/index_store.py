@@ -145,10 +145,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _read_array(path: Path, dtype: str) -> np.ndarray:
+def _read_array(path: Path, count: int) -> np.ndarray:
+    """The ``count`` little-endian int32 values that fill ``path``, read-only
+    (loaded indices are immutable)."""
     if not path.exists():
         raise IndexIntegrityError(f"missing index file: {path.name}")
-    return _read_only(np.fromfile(path, dtype=dtype))  # loaded indices are immutable
+    size = path.stat().st_size
+    if size != count * 4:
+        raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {count} int32")
+    return _read_only(np.fromfile(path, dtype="<i4"))
 
 
 def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: dict | None = None) -> dict:
@@ -193,15 +198,9 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
 def _checked_incidence(
     offsets: np.ndarray, indices: np.ndarray, n_entities: int, n_passages: int, nnz: int
 ) -> IncidenceMatrix:
-    """Wrap the stored arrays, raising IndexIntegrityError on any inconsistency."""
-    if indices.shape[0] != nnz:
-        raise IndexIntegrityError("manifest nnz disagrees with stored incidence")
-    if (
-        offsets.shape != (n_passages + 1,)
-        or offsets[0] != 0
-        or offsets[-1] != nnz
-        or np.any(offsets[1:] < offsets[:-1])
-    ):
+    """Wrap the stored arrays, which ``_read_array`` sized, raising
+    IndexIntegrityError on any inconsistency."""
+    if offsets[0] != 0 or offsets[-1] != nnz or np.any(offsets[1:] < offsets[:-1]):
         raise IndexIntegrityError("pas_offsets.bin does not frame pas_indices.bin")
     if nnz and (indices.min() < 0 or indices.max() >= n_entities):
         raise IndexIntegrityError("pas_indices.bin holds an entity row outside [0, n_entities)")
@@ -296,8 +295,8 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         raise IndexIntegrityError("manifest counts disagree with stored id lists")
 
     incidence = _checked_incidence(
-        _read_array(directory / "pas_offsets.bin", "<i4"),
-        _read_array(directory / "pas_indices.bin", "<i4"),
+        _read_array(directory / "pas_offsets.bin", n_passages + 1),
+        _read_array(directory / "pas_indices.bin", nnz),
         n_entities,
         n_passages,
         nnz,

@@ -180,9 +180,11 @@ def diffuse(
     are under 5% of H's, it gathers only those, through H's entity-major
     order (derived in memory on an index's first such half-step, never
     stored) or its passage-major one. From the first half-step past that
-    share on, each is full: over H less its zero-weight passages when they
-    are at least a third of all, built once per query, else over H. Both
-    cut-overs were timed on the two benchmark graphs (see ``hypergraph``).
+    share on, each is full and reads its support in storage order: H less
+    its zero-weight passages when they are at least 30% of all, built once
+    per query, else H. A full H e repeats each passage's value over its
+    entries instead of gathering it. Both cut-overs were timed on the two
+    benchmark graphs (see ``hypergraph``).
     The routes add the same nonzero terms in the same order, and skip only
     +-0.0 terms, which change no bit of a sum that starts at +0.0, and the
     sums of zero-weight passages. So x_t is bit for bit that of full passes
@@ -286,10 +288,11 @@ def rank_passages(
 ) -> RankedResult:
     """Core ranking given prebuilt similarity vectors (no encoder calls).
 
-    This is the diffusion-plus-enhancement stage that evaluation timing
-    wraps. When x is all zero the diffusion is skipped and passages are
-    ranked by p alone (recorded as a dense fallback in diagnostics). Raises
-    ContractError when x or p holds a non-finite value.
+    This is the diffusion-plus-enhancement stage; evaluation times it
+    together with building x and p. When x is all zero the diffusion is
+    skipped and passages are ranked by p alone (recorded as a dense
+    fallback in diagnostics). Raises ContractError when x or p holds a
+    non-finite value.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)

@@ -303,6 +303,15 @@ def test_corrupt_index_json_exits_2(built, capsys, name, corrupt):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["stats"], ["retrieve", TOY_QUERY]])
+@pytest.mark.parametrize("name", ["pas_offsets.bin", "pas_indices.bin"])
+def test_torn_incidence_array_exits_2(built, capsys, command, name):
+    path = built / "index" / name
+    path.write_bytes(path.read_bytes() + bytes(2))
+    assert main(command + common(built)) == 2
+    assert name in capsys.readouterr().err
+
+
 class TestAnswerCommand:
     def test_offline_placeholder_answer(self, built, capsys):
         code = main(["answer", TOY_QUERY, "--k1", "1", "--k2", "3"] + common(built))

@@ -715,12 +715,24 @@ def test_non_finite_batch_is_not_cached(tmp_path):
 
 
 def test_non_finite_cached_row_is_an_integrity_error(tmp_path):
+    """The error names the file, the first damaged record read and the way
+    out; a request that reads no damaged record is served."""
     client = OfflineEncoder(dim=8)
-    embed_batch(["a", "b"], client, EmbeddingCache(tmp_path, client.encoder_id, 8))
+    embed_batch(["a", "b", "c"], client, EmbeddingCache(tmp_path, client.encoder_id, 8))
     records = tmp_path / "records.bin"
     raw = bytearray(records.read_bytes())
-    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last value of "b"
+    size = len(raw) // 3
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    raw[2 * size - 4 : 2 * size] = nan  # the last value of "b", record 1
+    raw[-4:] = nan  # the last value of "c", record 2
     records.write_bytes(bytes(raw))
     cache = EmbeddingCache(tmp_path, client.encoder_id, 8)
-    with pytest.raises(IndexIntegrityError, match="non-finite"):
-        embed_batch(["b"], client, cache)
+    with pytest.raises(IndexIntegrityError, match="non-finite") as excinfo:
+        embed_batch(["c", "b", "a"], client, cache)
+    message = str(excinfo.value)
+    assert str(records) in message
+    assert "record 1 " in message
+    assert f"delete the cache directory {tmp_path}" in message
+    with pytest.raises(IndexIntegrityError, match="record 2 "):
+        embed_batch(["c"], client, cache)
+    assert embed_batch(["a"], client, cache).tobytes() == embed_batch(["a"], client).tobytes()

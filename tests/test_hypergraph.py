@@ -198,7 +198,7 @@ class TestDiffusionSupport:
             weights = np.where(rng.random(incidence.n_passages) < 0.5, rng.random(), 0.0)
             keep = weights > 0
             rows, columns = DiffusionSupport(incidence, degrees, weights).entries()
-            if np.count_nonzero(keep) > 2 / 3 * incidence.n_passages:
+            if np.count_nonzero(keep) > hypergraph._RESTRICT_MAX_KEPT_SHARE * incidence.n_passages:
                 assert rows is incidence.pas_indices and columns is incidence.pas_columns
             else:
                 entries = keep[incidence.pas_columns]
@@ -225,6 +225,31 @@ class TestDiffusionSupport:
         support.entity_to_passage(np.ones(5))  # 7 of 7 entries: full
         assert support.full
         assert support.entity_to_passage(brussels).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "frontier_share, restrict_share",
+        [(np.inf, 1.0), (0.0, 1.0), (0.0, -1.0)],
+        ids=["frontier", "full-restricted", "full-over-H"],
+    )
+    def test_every_route_of_h_e_is_the_reference_bytes(
+        self, rng, monkeypatch, frontier_share, restrict_share
+    ):
+        # e *= edge_scale leaves e zero on every zero-weight passage (-0.0
+        # where e was negative); under that precondition the routes agree.
+        monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", frontier_share)
+        monkeypatch.setattr(hypergraph, "_RESTRICT_MAX_KEPT_SHARE", restrict_share)
+        for _ in range(20):
+            sets = random_entity_sets(rng)
+            incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
+            n = incidence.n_passages
+            weights = np.where(rng.random(n) < 0.5, rng.random(n), 0.0)
+            support = DiffusionSupport(incidence, compute_degrees(incidence), weights)
+            e = np.where(rng.random(n) < 0.7, rng.normal(size=n), 0.0)
+            e *= support.edge_scale
+            summed = support.passage_to_entity(e)
+            if incidence.nnz:  # an empty H is always full
+                assert support.full == (frontier_share == 0.0)
+            assert summed.tobytes() == passage_to_entity(e, incidence).tobytes()
 
     def test_weight_length_mismatch(self, toy_index):
         with pytest.raises(ContractError):

@@ -198,6 +198,17 @@ def test_wrong_size_embeddings_detected(tmp_path, name, resize):
         load_index(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["pas_offsets.bin", "pas_indices.bin"])
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_torn_incidence_array_detected(tmp_path, name, extra):
+    # np.fromfile would drop the partial last item and load the rest.
+    path = _saved(tmp_path) / name
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + bytes(extra))
+    with pytest.raises(IndexIntegrityError, match=rf"{name} holds {size + extra} bytes"):
+        load_index(tmp_path)
+
+
 @pytest.mark.parametrize("row", [5, -1])  # the toy index has entities 0..4
 def test_out_of_range_row_detected(tmp_path, row):
     np.array([0, 1, 1, 2, 3, 3, row], dtype="<i4").tofile(_saved(tmp_path) / "pas_indices.bin")

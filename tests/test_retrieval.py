@@ -573,12 +573,14 @@ class TestDiffuse:
                 if steps:
                     assert x_t.dtype == np.float64 and not x_t.any()
 
+    # 4 of the 6 passages are at most the 0.7 cut-over share, 5 are over it.
     @pytest.mark.parametrize("n_kept, restricted", [(0, True), (4, True), (5, False), (6, False)])
-    def test_restricts_h_only_when_at_most_two_thirds_are_kept(
+    def test_restricts_h_only_when_at_most_the_cut_over_share_is_kept(
         self, monkeypatch, n_kept, restricted
     ):
         # Restricting costs most of a full half-step over H, so weights that
         # are nearly all positive (typical of dense embedding models) run on H.
+        assert hypergraph._RESTRICT_MAX_KEPT_SHARE == 0.7
         monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", 0.0)  # full from the start
         sets = {f"p{j}": ["a", "b"] if j % 2 else ["b", "c", "d"] for j in range(6)}
         index = index_from_sets(sets)
