@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -260,25 +260,31 @@ def embed_batch(
 
 
 # Rows per block wherever rows pass through float64 a few at a time, in
-# screen_max_sim's float32 product, and per read when load_index streams an
-# embedding file. On 50k rows of dimension 256 (2-core Xeon, numpy 2.4),
-# 256-row blocks beat 4096-row ones: unit_rows 74 vs 117 ms, the row norms
-# 25 vs 101 ms.
+# screen_max_sim's float32 product and the row norms. On 50k rows of
+# dimension 256 (2-core Xeon, numpy 2.4), 256-row blocks beat 4096-row
+# ones: unit_rows 74 vs 117 ms, the row norms 25 vs 101 ms.
 ROW_BLOCK = 256
+# Passages per float64 block in cosine_against_rows's GEMV. On 50k and 10k
+# mapped float32 rows of dimension 256 (one BLAS thread, median of 40), 384
+# took 15.7 and 1.5 ms, 256 20.8 and 1.8 ms, 512 16.3 and 1.6 ms.
+WIDEN_BLOCK = 384
+
+
+def row_norms(block: np.ndarray) -> np.ndarray:
+    """The float64 L2 norm of each float32 row of ``block``: one C-ordered
+    float64 copy, squared in place and summed as ``np.linalg.norm`` sums a
+    row-major row, so bit for bit its norms without its two temporaries. A
+    row's norm depends only on that row, not on how rows are split into blocks."""
+    squares = np.array(block, dtype=np.float64, order="C")
+    return np.sqrt(np.add.reduce(np.multiply(squares, squares, out=squares), axis=1))
 
 
 def row_norms_and_largest(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float64 L2 norm of each float32 row of ``block``, and each row's
-    first coordinate of largest absolute value with that coordinate's value.
-
-    Takes one float64 copy of the block, squared in place and summed as
-    ``np.linalg.norm`` sums it, so the norms are bit for bit its norms
-    without its two temporaries. The squares of float32 values are exact in
-    float64, so they order and tie as the absolute values do, and their
-    argmax is the largest coordinate. Each row's results depend only on
-    that row, so they do not depend on how the rows are split into blocks.
-    """
-    squares = block.astype(np.float64)
+    """``row_norms(block)``, summed the same way, and each row's first
+    coordinate of largest absolute value with that coordinate's value. The
+    squares of float32 values are exact in float64, so they order and tie as
+    the absolute values do, and their argmax is the largest coordinate."""
+    squares = np.array(block, dtype=np.float64, order="C")
     np.multiply(squares, squares, out=squares)
     axis = squares.argmax(axis=1)
     return np.sqrt(np.add.reduce(squares, axis=1)), axis, block[np.arange(block.shape[0]), axis]
@@ -313,39 +319,32 @@ def _blocks_of(values: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
 @dataclass(frozen=True, eq=False)
 class PassageRows:
     """What the passage similarity reads of the passages: the stored float32
-    values, exactly, as float64 and coordinate-major (``columns[k]`` holds
-    coordinate k of every passage), and each row's float64 L2 ``norms``.
+    values coordinate-major (``columns[k]`` holds coordinate k of every
+    passage), and each row's float64 L2 ``norms``. This is the layout of the
+    index files ``passage_columns.bin`` and ``passage_norms.bin``, so a
+    loaded index maps ``columns`` as stored.
 
     The rows are not normalized: a query divides by ``norms`` once per
     passage (``cosine_against_rows``), which costs less than dividing the
-    whole matrix at load. The coordinate-major layout lets a query that is
-    nonzero on few coordinates read only those rows of ``columns``; a dense
-    query reads them all in one product, as it would read unit rows.
+    whole matrix. The coordinate-major layout lets a query that is nonzero on
+    few coordinates read only those rows of ``columns``; a dense query reads
+    them all, a block of passages at a time.
     """
 
-    columns: np.ndarray  # float64 (dim, n_passages)
+    columns: np.ndarray  # float32 (dim, n_passages)
     norms: np.ndarray  # float64 (n_passages,)
 
     @classmethod
-    def of(
-        cls, values: np.ndarray, filled: Iterable[tuple[int, int, np.ndarray]] | None = None
-    ) -> PassageRows:
-        """The passage rows of the float32 matrix ``values``, each block
-        transposed into ``columns`` and its norms taken while it is in cache.
-
-        ``filled`` is as in ``EntityRows.of``: when given, it yields the
-        blocks of ``values`` as they are read, and ``values`` gives only the
-        shape. The norms are summed over each row's float64 squares as
-        ``np.linalg.norm`` sums them, so they are bit for bit its norms.
-        """
-        n_rows, dim = np.shape(values)
-        columns = np.empty((dim, n_rows), dtype=np.float64)
+    def of(cls, values: np.ndarray) -> PassageRows:
+        """The passage rows of the float32 (n_passages, dim) matrix
+        ``values``, each block transposed into ``columns`` and its norms
+        taken while it is in cache."""
+        n_rows, dim = values.shape
+        columns = np.empty((dim, n_rows), dtype=np.float32)
         norms = np.empty(n_rows, dtype=np.float64)
-        for start, stop, block in _blocks_of(values) if filled is None else filled:
-            squares = block.astype(np.float64)
-            columns[:, start:stop] = squares.T
-            np.multiply(squares, squares, out=squares)
-            norms[start:stop] = np.sqrt(np.add.reduce(squares, axis=1))
+        for start, stop, block in _blocks_of(values):
+            columns[:, start:stop] = block.T
+            norms[start:stop] = row_norms(block)
         columns.flags.writeable = False
         norms.flags.writeable = False
         return cls(columns, norms)
@@ -356,17 +355,21 @@ def cosine_against_rows(query_vec: np.ndarray, rows: PassageRows) -> np.ndarray:
     zero row gives 0.
 
     The query is scaled to unit length ``q``. While ``q`` is nonzero on at
-    most ``dim // 2`` coordinates, the sums are taken over those alone:
-    ``q[k] * columns[k]`` is added to every passage's sum, ``k`` ascending,
-    with numpy's ``multiply`` and ``add`` and no BLAS, so each sum is bit
-    for bit ``tests/reference.py``'s ``passage_cosines`` on any machine.
-    Otherwise one GEMV, ``q @ columns``, reads every coordinate. Either way
-    each sum is then divided by its row's norm and clipped to [-1, 1].
+    most ``3 dim // 4`` coordinates, the sums are taken over those alone:
+    ``q[k] * columns[k]``, widened to float64 (exactly), is added to every
+    passage's sum, ``k`` ascending, with numpy's ``multiply`` and ``add`` and
+    no BLAS, so each sum is bit for bit ``tests/reference.py``'s
+    ``passage_cosines`` on any machine. Otherwise a GEMV, ``q @ columns``,
+    reads every coordinate, ``WIDEN_BLOCK`` passages at a time widened into
+    one reused float64 block, so no float64 copy of the whole matrix is
+    made. Either way each sum is then divided by its row's norm and clipped
+    to [-1, 1].
 
-    On 50k random rows of dimension 256 (2-core Xeon, one BLAS thread), the
-    loop took 0.5 ms at 16 nonzero coordinates, 2.1 ms at 64 and 5.7 ms at
-    128, against 6-8 ms for the GEMV, which beat it at 192 (7.9 against
-    10.0 ms): hence the cut-over at half the coordinates.
+    On mapped random rows of dimension 256 (2-core Xeon, one BLAS thread,
+    median of 40), the loop took 1.6 ms at 16 coordinates, 10.4 at 128 and
+    15.9 at 192 on 50k rows, against 15.7 ms for the blocked GEMV (9.7 over
+    float64 columns); on 10k rows, 1.6 at 128 against 1.5. Three quarters
+    favours the larger index, where the time goes, and keeps more bitwise.
 
     Why the two routes agree to about ``(dim + 2) 2**-53``. Let ``v`` be a
     row, ``n`` its computed norm and ``s`` the exact ``v . q``. Any float64
@@ -380,7 +383,8 @@ def cosine_against_rows(query_vec: np.ndarray, rows: PassageRows) -> np.ndarray:
     twice that of each other, which can flip a tie in the ranking.
     """
     query_vec = np.asarray(query_vec, dtype=np.float64).ravel()
-    dim, n_rows = rows.columns.shape
+    columns = rows.columns
+    dim, n_rows = columns.shape
     if dim != query_vec.shape[0]:
         raise ContractError(f"dim mismatch: rows {dim} vs query {query_vec.shape[0]}")
     qn = float(np.linalg.norm(query_vec))
@@ -388,14 +392,20 @@ def cosine_against_rows(query_vec: np.ndarray, rows: PassageRows) -> np.ndarray:
         return np.zeros(n_rows, dtype=np.float64)
     q = query_vec / qn
     support = np.flatnonzero(q)
-    if support.shape[0] <= dim // 2:
+    if support.shape[0] <= 3 * dim // 4:
         sums = np.zeros(n_rows, dtype=np.float64)
         term = np.empty(n_rows, dtype=np.float64)
         for k in support.tolist():
-            np.multiply(rows.columns[k], q[k], out=term)
+            np.multiply(columns[k], q[k], out=term, dtype=np.float64)
             np.add(sums, term, out=sums)
     else:
-        sums = q @ rows.columns
+        sums = np.empty(n_rows, dtype=np.float64)
+        wide = np.empty((dim, min(n_rows, WIDEN_BLOCK)), dtype=np.float64)
+        for start in range(0, n_rows, WIDEN_BLOCK):
+            block = columns[:, start : start + WIDEN_BLOCK]
+            part = wide[:, : block.shape[1]]
+            np.copyto(part, block)
+            np.matmul(q, part, out=sums[start : start + WIDEN_BLOCK])
     np.divide(sums, rows.norms, out=sums, where=rows.norms > 0.0)
     return np.clip(sums, -1.0, 1.0, out=sums)
 
@@ -558,24 +568,16 @@ class EntityRows:
     cos_r: np.ndarray  # float64 (2 dim + 1,)
 
     @classmethod
-    def of(
-        cls, values: np.ndarray, filled: Iterable[tuple[int, int, np.ndarray]] | None = None
-    ) -> EntityRows:
+    def of(cls, values: np.ndarray) -> EntityRows:
         """The entity rows of the float32 matrix ``values``, each block's
         norms and largest coordinates (``row_norms_and_largest``) taken
-        while the block is in cache.
-
-        ``filled``, when given, yields ``(start, stop, block)`` as the rows
-        ``[start, stop)`` of ``values`` are filled, so ``load_index`` derives
-        them as it reads the rows; otherwise the blocks are ``ROW_BLOCK``
-        rows of ``values``.
-        """
+        while the block is in cache."""
         values = np.asarray(values)
         n_rows, dim = values.shape
         norms = np.empty(n_rows, dtype=np.float64)
         axis = np.empty(n_rows, dtype=np.intp)
         value = np.empty(n_rows, dtype=values.dtype)
-        for start, stop, block in _blocks_of(values) if filled is None else filled:
+        for start, stop, block in _blocks_of(values):
             norms[start:stop], axis[start:stop], value[start:stop] = row_norms_and_largest(block)
         # 16-bit keys sort stably by radix, about 6 times faster than wider ones.
         keys = (2 * axis + (value < 0.0)).astype(np.int16 if 2 * dim < 2**15 else np.int32)

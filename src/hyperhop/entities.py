@@ -141,12 +141,6 @@ class EntityCatalog:
             # Repeats keep their first position.
             self._index = dict(zip(dict.fromkeys(entities), range(len(entities))))
 
-    def index_of(self, entity: str) -> int:
-        try:
-            return self._index[entity]
-        except KeyError:
-            raise KeyError(f"entity {entity!r} not in catalog") from None
-
     def rows_of(self, entities: Sequence[str]) -> np.ndarray:
         """The index of each entity as intp, -1 for one not in the catalog."""
         return np.fromiter(

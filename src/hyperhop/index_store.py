@@ -1,4 +1,4 @@
-"""Immutable on-disk retrieval index, format version 2.
+"""Immutable on-disk retrieval index, format version 3.
 
 Directory layout (all binary arrays little-endian):
 
@@ -8,45 +8,43 @@ Directory layout (all binary arrays little-endian):
     pas_offsets.bin         int32, len n_passages + 1
     pas_indices.bin         int32, len nnz (entity row per entry, ascending per passage)
     entity_embeddings.bin   float32, n_entities x dim
-    passage_embeddings.bin  float32, n_passages x dim
+    passage_columns.bin     float32, dim x n_passages (passage values, coordinate-major)
+    passage_norms.bin       float64, n_passages (L2 norm of each passage row)
 
-Every index has both embedding matrices, and the manifest always declares
-their ``embedding_dim``, which ``save_index`` derives from the matrices.
 The incidence is stored passage-major only; degrees are derived at load.
-``load_index`` checks the incidence arrays, a positive ``embedding_dim``,
-and that both embedding files are there, of the right size, read in full
-and with every value finite; it raises IndexIntegrityError on any
-mismatch. Version 1 indexes, which also stored the entity-major
-orientation and the degrees, are rejected and must be rebuilt.
+The passage files are the ``embeddings.PassageRows`` the query path reads,
+the norms summed in row order (bit for bit ``np.linalg.norm``'s).
+``save_index`` writes each file to a temporary name beside it and renames
+it into place, so a process that mapped the old file keeps it whole.
 
-In memory, a loaded index keeps what the query path reads and nothing else:
-the ``embeddings.PassageRows`` of the passages (the passage similarity
-needs every passage): the stored values as float64, coordinate-major and
-not normalized, and their float64 norms; and the ``embeddings.EntityRows``
-of the entities: the float32 rows as stored, their float64 norms and their
-buckets. ``load_index`` streams each embedding file once, ``ROW_BLOCK`` rows
-at a time, straight into these arrays, so it keeps no float32 passage
-matrix, no float64 entity matrix and makes no whole-matrix temporary. The
-norms and buckets are derived from the rows as they are read, so they add
-nothing to the files.
-
-The manifest is written with sorted keys and no timestamps, so rebuilding
-from warm caches reproduces it byte for byte.
+``load_index`` maps both embedding files read-only and reads the rest. It
+raises IndexIntegrityError unless every file is there and of its size, the
+incidence arrays and ids are consistent, ``embedding_dim`` is positive,
+every embedding value is finite, every norm is finite and >= 0, and the
+norms of ``_NORM_CHECKS`` seeded passages, recomputed from the columns,
+equal the stored ones bit for bit. The entity norms and buckets
+(``embeddings.EntityRows``) are derived in one pass over the map. Versions
+1 and 2 (passage values row-major) are rejected and must be rebuilt. The
+manifest has sorted keys and no timestamps, so rebuilding from warm caches
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import mmap
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, Sized
+from typing import Callable, Sequence, Sized
 
 import numpy as np
 
-from .embeddings import ROW_BLOCK, EntityRows, PassageRows
+from .embeddings import EntityRows, PassageRows, row_norms
 from .entities import EntityCatalog, EntitySets
-from .errors import ContractError, IndexIntegrityError
+from .errors import IndexIntegrityError
 from .hypergraph import (
     DegreeVectors,
     IncidenceMatrix,
@@ -54,9 +52,12 @@ from .hypergraph import (
     compute_degrees,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
+
+# Passages whose stored norm load_index recomputes from the columns.
+_NORM_CHECKS = 64
 
 
 @dataclass
@@ -66,10 +67,10 @@ class HypergraphIndex:
     ``passage_rows`` (the ``embeddings.PassageRows`` of
     ``passage_embeddings``) and ``entity_rows`` (the
     ``embeddings.EntityRows`` of ``entity_embeddings``) are computed on first
-    use and then kept, so a query never converts a whole matrix and a build
-    never converts one. ``load_index`` sets both as it reads the
-    files and leaves ``passage_embeddings`` None, the one field an index
-    leaves unset, so a loaded index cannot be saved again.
+    use and then kept, so a query never converts a whole matrix; a build
+    computes the passage rows, which ``save_index`` writes. ``load_index``
+    sets both; a loaded index's ``passage_embeddings`` is the transposed view
+    of its mapped columns.
     """
 
     catalog: EntityCatalog
@@ -77,7 +78,7 @@ class HypergraphIndex:
     degrees: DegreeVectors
     passage_ids: list[str]
     entity_embeddings: np.ndarray  # float32 (n_entities, dim)
-    passage_embeddings: np.ndarray | None  # float32 (n_passages, dim); None once loaded
+    passage_embeddings: np.ndarray  # float32 (n_passages, dim)
     manifest: dict | None = None
 
     @property
@@ -136,35 +137,44 @@ def build_index(
     )
 
 
-def _write_array(path: Path, array: np.ndarray, dtype: str) -> None:
-    array.astype(dtype).tofile(path)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _read_array(path: Path, count: int) -> np.ndarray:
-    """The ``count`` little-endian int32 values that fill ``path``, read-only
-    (loaded indices are immutable)."""
+def _stored(path: Path, dtype: str, shape: tuple[int, ...], mapped: bool = False) -> np.ndarray:
+    """The array of ``shape`` that fills ``path``, read-only (loaded indices
+    are immutable): mapped when ``mapped``, else read into memory."""
     if not path.exists():
         raise IndexIntegrityError(f"missing index file: {path.name}")
-    size = path.stat().st_size
-    if size != count * 4:
-        raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {count} int32")
-    return _read_only(np.fromfile(path, dtype="<i4"))
+    dtype, size = np.dtype(dtype), path.stat().st_size
+    if size != math.prod(shape) * dtype.itemsize:
+        shown = " x ".join(map(str, shape))
+        raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {shown} {dtype.name}")
+    with path.open("rb") as fh:
+        buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if mapped and size else fh.read()
+    if len(buffer) != size:
+        raise IndexIntegrityError(f"short read from {path.name}")
+    return np.frombuffer(buffer, dtype=dtype).reshape(shape)  # a read-only map or bytes
+
+
+def _replace(path: Path, data: bytes | np.ndarray) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it over
+    ``path``, so no reader sees a partly written file and a map of the old
+    one stays valid."""
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("wb") as fh:
+            fh.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: dict | None = None) -> dict:
-    """Persist the index; returns the manifest that was written.
+    """Persist the index, one file at a time, the manifest last; returns the
+    manifest that was written.
 
     The manifest holds the index's own manifest, then ``extra_manifest``,
     then the format version, the counts and ``embedding_dim``, derived from
     the index; a later source wins on a shared key.
     """
-    if index.passage_embeddings is None:
-        raise ContractError("a loaded index keeps no float32 passage matrix and cannot be saved")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     inc = index.incidence
@@ -177,28 +187,25 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
         "nnz": inc.nnz,
         "embedding_dim": int(index.entity_embeddings.shape[1]),
     }
-
-    (directory / "entities.json").write_text(
-        json.dumps(index.catalog.to_list(), ensure_ascii=False), encoding="utf-8"
-    )
-    (directory / "passages.json").write_text(
-        json.dumps(index.passage_ids, ensure_ascii=False), encoding="utf-8"
-    )
-    _write_array(directory / "pas_offsets.bin", inc.pas_offsets, "<i4")
-    _write_array(directory / "pas_indices.bin", inc.pas_indices, "<i4")
-    _write_array(directory / "entity_embeddings.bin", index.entity_embeddings, "<f4")
-    _write_array(directory / "passage_embeddings.bin", index.passage_embeddings, "<f4")
-
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    files = {
+        "entities.json": json.dumps(index.catalog.to_list(), ensure_ascii=False).encode("utf-8"),
+        "passages.json": json.dumps(index.passage_ids, ensure_ascii=False).encode("utf-8"),
+        "pas_offsets.bin": np.ascontiguousarray(inc.pas_offsets, dtype="<i4"),
+        "pas_indices.bin": np.ascontiguousarray(inc.pas_indices, dtype="<i4"),
+        "entity_embeddings.bin": np.ascontiguousarray(index.entity_embeddings, dtype="<f4"),
+        "passage_columns.bin": np.ascontiguousarray(index.passage_rows.columns, dtype="<f4"),
+        "passage_norms.bin": np.ascontiguousarray(index.passage_rows.norms, dtype="<f8"),
+        MANIFEST_NAME: (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"),
+    }
+    for name, data in files.items():
+        _replace(directory / name, data)
     return manifest
 
 
 def _checked_incidence(
     offsets: np.ndarray, indices: np.ndarray, n_entities: int, n_passages: int, nnz: int
 ) -> IncidenceMatrix:
-    """Wrap the stored arrays, which ``_read_array`` sized, raising
+    """Wrap the stored arrays, which ``_stored`` sized, raising
     IndexIntegrityError on any inconsistency."""
     if offsets[0] != 0 or offsets[-1] != nnz or np.any(offsets[1:] < offsets[:-1]):
         raise IndexIntegrityError("pas_offsets.bin does not frame pas_indices.bin")
@@ -213,36 +220,27 @@ def _checked_incidence(
     return incidence
 
 
-def _stream_embeddings(
-    directory: Path, kind: str, rows: int, dim: int, block_at: Callable[[int, int], np.ndarray]
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Read the float32 (rows, dim) matrix in ``{kind}_embeddings.bin`` once,
-    ``ROW_BLOCK`` rows at a time.
-
-    Rows ``[start, stop)`` are read into ``block_at(start, stop)``, a
-    contiguous float32 array of that many rows, and yielded as ``(start,
-    stop, block)`` once every value in them is checked finite.
-    """
-    path = directory / f"{kind}_embeddings.bin"
-    if not path.exists():
-        raise IndexIntegrityError(f"no {kind} embeddings: missing {path.name}")
-    size = path.stat().st_size
-    if size != rows * dim * 4:
-        raise IndexIntegrityError(f"{path.name} holds {size} bytes, expected {rows} x {dim} float32")
-    with path.open("rb") as fh:
-        for start in range(0, rows, ROW_BLOCK):
-            stop = min(start + ROW_BLOCK, rows)
-            block = block_at(start, stop)
-            if fh.readinto(block) != block.nbytes:
-                raise IndexIntegrityError(f"short read from {path.name}")
-            if not np.isfinite(block).all():
-                raise IndexIntegrityError(f"{path.name} holds a non-finite value")
-            yield start, stop, block
+def _checked_passage_rows(directory: Path, n_passages: int, dim: int) -> PassageRows:
+    """The passage rows as stored: the columns mapped, the norms read, and
+    both checked (see the module docstring)."""
+    columns_path = directory / "passage_columns.bin"
+    columns = _stored(columns_path, "<f4", (dim, n_passages), mapped=True)
+    norms = _stored(directory / "passage_norms.bin", "<f8", (n_passages,))
+    if not all(np.isfinite(row).all() for row in columns):  # one row's temporary at a time
+        raise IndexIntegrityError(f"{columns_path.name} holds a non-finite value")
+    if not (np.isfinite(norms) & (norms >= 0.0)).all():
+        raise IndexIntegrityError("passage_norms.bin holds a non-finite or negative norm")
+    picked = np.random.default_rng(0).choice(n_passages, min(n_passages, _NORM_CHECKS), replace=False)
+    if row_norms(columns[:, picked].T).tobytes() != norms[picked].tobytes():
+        raise IndexIntegrityError("passage_norms.bin does not hold the norms of passage_columns.bin")
+    return PassageRows(columns, norms)
 
 
 def _read_json(path: Path, kind: type):
     try:
         value = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise IndexIntegrityError(f"missing index file: {path.name}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IndexIntegrityError(f"{path.name} is not valid JSON: {exc}") from exc
     if not isinstance(value, kind):
@@ -295,29 +293,29 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         raise IndexIntegrityError("manifest counts disagree with stored id lists")
 
     incidence = _checked_incidence(
-        _read_array(directory / "pas_offsets.bin", n_passages + 1),
-        _read_array(directory / "pas_indices.bin", nnz),
+        _stored(directory / "pas_offsets.bin", "<i4", (n_passages + 1,)),
+        _stored(directory / "pas_indices.bin", "<i4", (nnz,)),
         n_entities,
         n_passages,
         nnz,
     )
 
-    values = np.empty((n_entities, dim), dtype="<f4")
-    blocks = _stream_embeddings(directory, "entity", n_entities, dim, lambda i, j: values[i:j])
-    entity_rows = EntityRows.of(values, blocks)
+    passage_rows = _checked_passage_rows(directory, n_passages, dim)
+    values = _stored(directory / "entity_embeddings.bin", "<f4", (n_entities, dim), mapped=True)
+    entity_rows = EntityRows.of(values)
+    # The norms are summed from exact float64 squares of float32 values,
+    # which cannot overflow: a norm is finite exactly when its row is.
+    if not np.isfinite(entity_rows.norms).all():
+        raise IndexIntegrityError("entity_embeddings.bin holds a non-finite value")
     index = HypergraphIndex(
         catalog=catalog,
         incidence=incidence,
         degrees=compute_degrees(incidence),
         passage_ids=passage_ids,
-        entity_embeddings=_read_only(values),
-        passage_embeddings=None,
+        entity_embeddings=values,
+        passage_embeddings=passage_rows.columns.T,
         manifest=manifest,
     )
     index.entity_rows = entity_rows
-    # The passage rows pass through one reused block; the zero-stride
-    # matrix gives PassageRows.of only their shape.
-    buffer = np.empty((min(n_passages, ROW_BLOCK), dim), dtype="<f4")
-    blocks = _stream_embeddings(directory, "passage", n_passages, dim, lambda i, j: buffer[: j - i])
-    index.passage_rows = PassageRows.of(np.broadcast_to(buffer[:1], (n_passages, dim)), blocks)
+    index.passage_rows = passage_rows
     return index

@@ -13,6 +13,9 @@ from typing import Callable
 
 Transport = Callable[[str, dict, dict], dict]
 
+# Client errors other than a timeout (408) and a rate limit (429): a retry fails alike.
+_FINAL_STATUSES = frozenset(range(400, 500)) - {408, 429}
+
 
 @dataclass
 class EndpointConfig:
@@ -37,7 +40,8 @@ def post_json(
     payload: dict,
     transport: Transport | None = None,
 ) -> dict:
-    """POST with retries; raises the last error after attempts are exhausted."""
+    """POST with retries; raises the last error after attempts are exhausted,
+    or at once an error whose ``response.status_code`` no retry can change."""
     url = endpoint.base_url.rstrip("/") + path
     headers: dict[str, str] = {"Content-Type": "application/json"}
     if endpoint.api_key:
@@ -48,6 +52,8 @@ def post_json(
         try:
             return send(url, payload, headers)
         except Exception as exc:
+            if getattr(getattr(exc, "response", None), "status_code", None) in _FINAL_STATUSES:
+                raise
             last_error = exc
             if attempt + 1 < endpoint.attempts and endpoint.backoff_seconds > 0:
                 time.sleep(endpoint.backoff_seconds * (2**attempt))

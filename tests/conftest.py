@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hyperhop.embeddings import OfflineEncoder, embed_batch
-from hyperhop.entities import EntitySets, build_catalog
+from hyperhop.entities import EntityCatalog, EntitySets, build_catalog
 from hyperhop.index_store import HypergraphIndex, build_index
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -31,6 +31,14 @@ def entity_sets_of(sets_by_pid: Mapping[str, Sequence[str]]) -> EntitySets:
     offsets = np.zeros(len(pids) + 1, dtype=np.intp)
     np.cumsum([len(sets_by_pid[pid]) for pid in pids], out=offsets[1:])
     return EntitySets(pids, names, np.array(ids, dtype=np.intp), offsets)
+
+
+def index_of(catalog: EntityCatalog, entity: str) -> int:
+    """The catalog row of ``entity``; KeyError when it is not in the catalog."""
+    [row] = catalog.rows_of([entity]).tolist()
+    if row < 0:
+        raise KeyError(f"entity {entity!r} not in catalog")
+    return row
 
 
 def index_from_sets(sets_by_pid: dict[str, list[str]], dim: int = 64) -> HypergraphIndex:

@@ -13,7 +13,7 @@ import hyperhop
 from hyperhop.cli import main
 from hyperhop.corpus import load_corpus
 from hyperhop.embeddings import OfflineEncoder
-from hyperhop.entities import passage_sha256
+from hyperhop.entities import OfflineEntityExtractor, passage_sha256
 from hyperhop.errors import ContractError
 from hyperhop.evaluate import load_qa_dataset, run_eval
 from hyperhop.index_store import load_index
@@ -24,6 +24,16 @@ from conftest import DATA_DIR
 TOY_CORPUS = str(DATA_DIR / "toy_corpus.jsonl")
 TOY_QA = str(DATA_DIR / "toy_qa.jsonl")
 TOY_QUERY = "What is the capital of the country where Albert Einstein was born?"
+INDEX_FILES = [
+    "manifest.json",
+    "entities.json",
+    "passages.json",
+    "pas_offsets.bin",
+    "pas_indices.bin",
+    "entity_embeddings.bin",
+    "passage_columns.bin",
+    "passage_norms.bin",
+]
 
 
 @pytest.fixture
@@ -233,14 +243,14 @@ class TestRetrieveCommand:
         code = main(["retrieve", "q", "--index-dir", str(tmp_path / "void"), "--offline"])
         assert code == 2
 
-    def test_truncated_passage_embeddings_exit_2(self, built, capsys):
-        path = built / "index" / "passage_embeddings.bin"
+    def test_truncated_passage_columns_exit_2(self, built, capsys):
+        path = built / "index" / "passage_columns.bin"
         path.write_bytes(path.read_bytes()[:-4])
         code = main(["retrieve", TOY_QUERY] + common(built))
         assert code == 2
-        assert "passage_embeddings.bin" in capsys.readouterr().err
+        assert "passage_columns.bin" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["passage_embeddings.bin", "entity_embeddings.bin"])
+    @pytest.mark.parametrize("name", ["passage_columns.bin", "entity_embeddings.bin"])
     def test_nan_embedding_exits_2(self, built, capsys, name):
         path = built / "index" / name
         values = np.fromfile(path, dtype="<f4")
@@ -250,13 +260,40 @@ class TestRetrieveCommand:
         assert code == 2
         assert f"{name} holds a non-finite value" in capsys.readouterr().err
 
-
-    @pytest.mark.parametrize("name", ["passage_embeddings.bin", "entity_embeddings.bin"])
-    def test_missing_embedding_file_exits_2(self, built, capsys, name):
+    @pytest.mark.parametrize("name", INDEX_FILES)
+    def test_missing_index_file_exits_2(self, built, capsys, name):
         (built / "index" / name).unlink()
         code = main(["retrieve", TOY_QUERY] + common(built))
         assert code == 2
-        assert f"missing {name}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err and "Errno" not in err
+
+    def test_version_2_index_exits_2(self, built, capsys):
+        path = built / "index" / "manifest.json"
+        path.write_text(path.read_text().replace('"format_version": 3', '"format_version": 2'))
+        assert main(["retrieve", TOY_QUERY] + common(built)) == 2
+        assert "rebuild the index" in capsys.readouterr().err
+
+    def test_old_index_answers_after_a_rebuild_into_its_directory(self, built, capsys):
+        """The rebuild replaces each file: the loaded index's map keeps the old one."""
+        index = load_index(built / "index")
+        config = RetrievalConfig(k1=1, k2=3)
+        encoder, extractor = OfflineEncoder(dim=256), OfflineEntityExtractor()
+        before = retrieve(TOY_QUERY, index, config, encoder, extractor)
+        columns = index.passage_rows.columns.copy()
+        other = built / "other.jsonl"
+        rows = [json.loads(line) for line in Path(TOY_CORPUS).read_text().splitlines()]
+        other.write_text("".join(
+            json.dumps({**row, "text": row["text"] + " Capital cities matter."}) + "\n"
+            for row in rows
+        ))
+        args = ["index", "--corpus", str(other), "--index-dir", str(built / "index"), "--offline"]
+        assert main(args) == 0
+        assert load_index(built / "index").passage_rows.columns.tobytes() != columns.tobytes()
+        assert index.passage_rows.columns.tobytes() == columns.tobytes()
+        after = retrieve(TOY_QUERY, index, config, encoder, extractor)
+        assert (after.selected, after.ranking) == (before.selected, before.ranking)
+        assert sorted(f.name for f in (built / "index").iterdir()) == sorted(INDEX_FILES)
 
 
 class TestStatsCommand:
@@ -383,13 +420,13 @@ class TestEvalCommand:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_index_without_passage_embeddings_exits_2(self, built, capsys):
+    def test_index_without_passage_columns_exits_2(self, built, capsys):
         # A broken index fails every example alike: a precondition, not a
         # per-example failure.
-        (built / "index" / "passage_embeddings.bin").unlink()
+        (built / "index" / "passage_columns.bin").unlink()
         args = ["eval", "--dataset", TOY_QA, "--k1", "1", "--k2", "3"] + common(built)
         assert main(args) == 2
-        assert "passage embeddings" in capsys.readouterr().err
+        assert "missing index file: passage_columns.bin" in capsys.readouterr().err
 
     def test_endpoint_failing_every_question_exits_2(self, built, capsys, monkeypatch):
         def down(self, texts):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hyperhop.embeddings import (
     ROW_BLOCK,
+    WIDEN_BLOCK,
     EmbeddingCache,
     EntityRows,
     OfflineEncoder,
@@ -89,7 +90,7 @@ class TestCosine:
             cosine(np.zeros(3), np.zeros(4))
 
     def test_rows_variant_matches_scalar(self, rng):
-        rows = rng.normal(size=(7, 5))
+        rows = rng.normal(size=(7, 5)).astype(np.float32)  # passage rows are float32
         rows[3] = 0.0  # zero row uses the zero convention
         q = rng.normal(size=5)
         sims = cosine_against_rows(q, PassageRows.of(rows))
@@ -110,6 +111,12 @@ def passage_fuzz(rng, dim, nonzero):
     return values.astype(np.float32), (query * 10.0 ** rng.integers(-8, 8)).astype(np.float32)
 
 
+def sparse_limit(dim):
+    """The most nonzero query coordinates ``cosine_against_rows`` sums one
+    at a time; past it, the GEMV route."""
+    return 3 * dim // 4
+
+
 def dense_route_bound(dim):
     """Twice ``cosine_against_rows``'s ``(dim + 2) 2**-53``: how far its two
     routes may differ."""
@@ -123,24 +130,25 @@ class TestPassageCosines:
     def test_sparse_route_is_bitwise_the_reference(self, rng, dim):
         # At dim 1 only the zero query is sparse: every other takes the GEMV.
         for _ in range(30):
-            values, query = passage_fuzz(rng, dim, int(rng.integers(0, dim // 2 + 1)))
+            values, query = passage_fuzz(rng, dim, int(rng.integers(0, sparse_limit(dim) + 1)))
             got = cosine_against_rows(query, PassageRows.of(values))
             assert got.tobytes() == passage_cosines(query, values).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 16, 64, 256])
     def test_dense_route_is_within_the_derived_bound(self, rng, dim):
         for _ in range(30):
-            values, query = passage_fuzz(rng, dim, int(rng.integers(dim // 2 + 1, dim + 1)))
+            nonzero = int(rng.integers(sparse_limit(dim) + 1, dim + 1))
+            values, query = passage_fuzz(rng, dim, nonzero)
             got = cosine_against_rows(query, PassageRows.of(values))
             expected = passage_cosines(query, values)
             assert np.abs(got - expected).max() <= dense_route_bound(dim)
 
     @pytest.mark.parametrize("dim", [16, 64, 256])
-    def test_routes_cut_over_past_half_the_coordinates(self, rng, dim):
-        values, query = passage_fuzz(rng, dim, dim // 2)
+    def test_routes_cut_over_past_three_quarters_of_the_coordinates(self, rng, dim):
+        values, query = passage_fuzz(rng, dim, sparse_limit(dim))
         rows = PassageRows.of(values)
         assert cosine_against_rows(query, rows).tobytes() == passage_cosines(query, values).tobytes()
-        values, query = passage_fuzz(rng, dim, dim // 2 + 1)
+        values, query = passage_fuzz(rng, dim, sparse_limit(dim) + 1)
         got = cosine_against_rows(query, PassageRows.of(values))
         assert np.abs(got - passage_cosines(query, values)).max() <= dense_route_bound(dim)
 
@@ -162,10 +170,44 @@ class TestPassageCosines:
         values = rng.standard_normal((ROW_BLOCK + 3, 8)).astype(np.float32)
         values[[0, ROW_BLOCK]] = 0.0
         rows = PassageRows.of(values)
-        assert rows.columns.tobytes() == values.T.astype(np.float64).tobytes()
-        assert rows.columns.shape == (8, ROW_BLOCK + 3)
+        assert rows.columns.tobytes() == np.ascontiguousarray(values.T).tobytes()
+        assert rows.columns.shape == (8, ROW_BLOCK + 3) and rows.columns.dtype == np.float32
         assert rows.norms.tobytes() == row_norms(values).tobytes()
         assert not rows.columns.flags.writeable and not rows.norms.flags.writeable
+
+
+class TestDenseRoute:
+    """The GEMV route on 20k dense rows: 52 full blocks and a partial one."""
+
+    DIM = 256
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((20_000, self.DIM)).astype(np.float32)
+        values[[0, WIDEN_BLOCK, 19_999]] = 0.0
+        query = rng.standard_normal(self.DIM)
+        return values, PassageRows.of(values), query
+
+    def test_within_the_derived_bound_of_the_reference(self, dense):
+        values, rows, query = dense
+        got = cosine_against_rows(query, rows)
+        # passage_cosines loops in Python; checked on the block edges and a sample.
+        picked = np.r_[0 : WIDEN_BLOCK + 2, 3000:3100, 20_000 - 40 : 20_000]
+        expected = passage_cosines(query, values[picked])
+        assert np.abs(got[picked] - expected).max() <= dense_route_bound(self.DIM)
+        assert got[[0, WIDEN_BLOCK, 19_999]].tolist() == [0.0, 0.0, 0.0]
+
+    def test_widens_a_block_at_a_time(self, dense):
+        _, rows, query = dense
+        tracemalloc.start()
+        try:
+            cosine_against_rows(query, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A float64 copy of the whole matrix would be twice columns.nbytes.
+        assert peak < rows.columns.nbytes
 
 
 class TestMaxSim:
@@ -488,16 +530,12 @@ class TestAxisBuckets:
         assert buckets.reachable_rows(query[:0], 0.5, 6).size == 0
 
     @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
-    def test_rows_filled_in_any_blocks_give_the_same_arrays(self, rng, n_rows):
+    def test_rows_taken_in_blocks_give_the_whole_matrix_norms(self, rng, n_rows):
         rows = rng.normal(size=(n_rows, 8)).astype(np.float32)
         rows[::5] = 0.0
-        whole = EntityRows.of(rows)
-        edges = [0, *sorted(rng.choice(n_rows + 1, 3)), n_rows]
-        filled = [(i, j, rows[i:j]) for i, j in zip(edges, edges[1:])]
-        parts = EntityRows.of(rows, filled)
-        for name in ("norms", "rows", "starts", "cos_r"):
-            assert getattr(parts, name).tobytes() == getattr(whole, name).tobytes()
-        assert parts.values is rows
+        entity_rows = EntityRows.of(rows)
+        assert entity_rows.norms.tobytes() == row_norms(rows).tobytes()
+        assert entity_rows.values is rows
 
 
 class TestEmbeddingCache:

@@ -21,7 +21,7 @@ from hyperhop.entities import (
 )
 from hyperhop.errors import ContractError, ExtractionError
 
-from conftest import entity_sets_of
+from conftest import entity_sets_of, index_of
 
 CACHE_FILES = ("names.txt", "ids.bin", "entries.bin")
 
@@ -50,7 +50,7 @@ class TestNormalizeEntity:
 class TestCatalog:
     def test_first_seen_order(self):
         catalog = build_catalog(entity_sets_of({"p1": ["a", "b"], "p2": ["b", "c"]}))
-        assert [catalog.index_of(e) for e in ("a", "b", "c")] == [0, 1, 2]
+        assert [index_of(catalog, e) for e in ("a", "b", "c")] == [0, 1, 2]
 
     def test_first_seen_order_follows_the_passages_not_the_names_table(self):
         offsets = np.array([0, 2, 4])
@@ -66,12 +66,12 @@ class TestCatalog:
     def test_round_trip(self):
         catalog = EntityCatalog(["alpha", "beta", "gamma"])
         for i, entity in enumerate(catalog.to_list()):
-            assert catalog.index_of(entity) == i
+            assert index_of(catalog, entity) == i
 
     def test_repeats_keep_their_first_position(self):
         catalog = EntityCatalog(["b", "a", "b", "c"])
         assert catalog.to_list() == ["b", "a", "c"]
-        assert catalog.index_of("c") == 2
+        assert index_of(catalog, "c") == 2
 
     @given(st.lists(st.text(min_size=1, max_size=8), max_size=30))
     def test_round_trip_random(self, raws):
@@ -79,7 +79,7 @@ class TestCatalog:
         catalog = EntityCatalog(entities)
         assert len(catalog) == len(entities)
         for i, entity in enumerate(catalog.to_list()):
-            assert catalog.index_of(entity) == i
+            assert index_of(catalog, entity) == i
 
 
 class TestEntitySet:

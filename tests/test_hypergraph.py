@@ -15,7 +15,7 @@ from hyperhop.hypergraph import (
     graph_stats,
 )
 
-from conftest import TOY_SETS, entity_sets_of, index_from_sets
+from conftest import TOY_SETS, entity_sets_of, index_from_sets, index_of
 from reference import (
     dense_incidence,
     dense_propagation_matrix,
@@ -38,7 +38,7 @@ class TestBuildIncidence:
         assert incidence.nnz == 7
         degrees = compute_degrees(incidence)
         assert degrees.edge_degrees.tolist() == [2, 3, 2]
-        germany = catalog.index_of("germany")
+        germany = index_of(catalog, "germany")
         assert degrees.node_degrees[germany] == 2
         assert np.flatnonzero(dense_incidence(incidence)[germany]).tolist() == [0, 1]
         assert incidence.pas_columns.tolist() == [0, 0, 1, 1, 1, 2, 2]
@@ -69,13 +69,13 @@ class TestBuildIncidence:
             for j, names in enumerate(sets):
                 lo, hi = incidence.pas_offsets[j], incidence.pas_offsets[j + 1]
                 assert incidence.pas_indices[lo:hi].tolist() == sorted(
-                    catalog.index_of(e) for e in names
+                    index_of(catalog, e) for e in names
                 )
                 assert (incidence.pas_columns[lo:hi] == j).all()
 
     def test_rows_sorted_even_when_entities_arrive_out_of_catalog_order(self):
         incidence, catalog = make_incidence({"p1": ["a", "b"], "p2": ["b", "a", "c"]})
-        assert [catalog.index_of(e) for e in ("a", "b", "c")] == [0, 1, 2]
+        assert [index_of(catalog, e) for e in ("a", "b", "c")] == [0, 1, 2]
         assert incidence.pas_indices.tolist() == [0, 1, 0, 1, 2]
 
     def test_degree_sums_equal_nnz(self, rng):
@@ -218,7 +218,7 @@ class TestDiffusionSupport:
         monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", 0.5)
         weights = np.array([0.9, 0.0, 0.0])
         brussels = np.zeros(5)
-        brussels[toy_index.catalog.index_of("brussels")] = 1.0
+        brussels[index_of(toy_index.catalog, "brussels")] = 1.0
         support = DiffusionSupport(toy_index.incidence, toy_index.degrees, weights)
         assert support.entity_to_passage(brussels).tolist() == [0.0, 0.0, 1.0]
         assert not support.full
@@ -273,12 +273,12 @@ class TestDiffusionOperator:
     def test_toy_one_step_from_einstein(self, toy_index):
         catalog = toy_index.catalog
         x = np.zeros(5)
-        x[catalog.index_of("albert einstein")] = 1.0
+        x[index_of(catalog, "albert einstein")] = 1.0
         out = apply_diffusion_operator(x, toy_index.incidence, toy_index.degrees, np.ones(3))
         oracle = dense_propagation_matrix(dense_incidence(toy_index.incidence), np.ones(3)) @ x
         np.testing.assert_allclose(out, oracle, rtol=1e-12)
-        assert out[catalog.index_of("germany")] > 0.0
-        assert out[catalog.index_of("brussels")] == 0.0
+        assert out[index_of(catalog, "germany")] > 0.0
+        assert out[index_of(catalog, "brussels")] == 0.0
 
     def test_dimension_mismatch(self, toy_index):
         with pytest.raises(ContractError):

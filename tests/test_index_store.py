@@ -1,24 +1,24 @@
 import gc
 import io
 import json
+import mmap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperhop import embeddings
+from hyperhop import embeddings, index_store
 from hyperhop.cli import main
 from hyperhop.embeddings import (
     ROW_BLOCK,
     EntityRows,
     OfflineEncoder,
-    PassageRows,
     embed_batch,
     row_norms_and_largest,
 )
 from hyperhop.entities import build_catalog
-from hyperhop.errors import ContractError, IndexIntegrityError
+from hyperhop.errors import IndexIntegrityError
 from hyperhop.index_store import build_index, load_index, save_index
 
 from conftest import TOY_SETS, entity_sets_of
@@ -99,10 +99,12 @@ def test_missing_binary_detected(tmp_path):
         load_index(tmp_path)
 
 
-@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_embeddings.bin"])
+@pytest.mark.parametrize(
+    "name", ["entity_embeddings.bin", "passage_columns.bin", "passage_norms.bin"]
+)
 def test_missing_embedding_file_detected_at_load(tmp_path, name):
     (_saved(tmp_path) / name).unlink()
-    with pytest.raises(IndexIntegrityError, match=f"missing {name}"):
+    with pytest.raises(IndexIntegrityError, match=f"missing index file: {name}"):
         load_index(tmp_path)
 
 
@@ -117,6 +119,16 @@ def test_index_without_embedding_dim_exits_2(tmp_path, capsys, embedding_dim):
     assert main(["stats", "--index-dir", str(tmp_path), "--offline"]) == 2
     err = capsys.readouterr().err
     assert "manifest.json" in err and "embedding_dim" in err
+
+
+def test_an_embedding_dim_too_large_for_the_files_exits_2(tmp_path, capsys):
+    """The files' sizes are checked before any array of that size is made."""
+    save_index(make_toy_index(), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["embedding_dim"] = 10**13
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["stats", "--index-dir", str(tmp_path), "--offline"]) == 2
+    assert "passage_columns.bin holds" in capsys.readouterr().err
 
 
 def test_derived_manifest_keys_win_over_extra_manifest(tmp_path):
@@ -169,25 +181,28 @@ def test_only_the_passage_major_incidence_is_stored(tmp_path):
         "manifest.json",
         "pas_indices.bin",
         "pas_offsets.bin",
-        "passage_embeddings.bin",
+        "passage_columns.bin",
+        "passage_norms.bin",
         "passages.json",
     ]
-    assert json.loads((tmp_path / "manifest.json").read_text())["format_version"] == 2
+    assert json.loads((tmp_path / "manifest.json").read_text())["format_version"] == 3
 
 
-def test_version_1_index_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_index_versions_rejected(tmp_path, version):
     directory = _saved(tmp_path)
     manifest = json.loads((directory / "manifest.json").read_text())
-    manifest["format_version"] = 1
+    manifest["format_version"] = version
     (directory / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(IndexIntegrityError, match="version 1.*rebuild"):
+    with pytest.raises(IndexIntegrityError, match=f"version {version}.*rebuild the index"):
         load_index(directory)
 
 
 @pytest.mark.parametrize(
     "name, resize",
     [
-        ("passage_embeddings.bin", lambda raw: raw[:-4]),  # truncated
+        ("passage_columns.bin", lambda raw: raw[:-4]),  # truncated
+        ("passage_norms.bin", lambda raw: raw[:-1]),  # torn
         ("entity_embeddings.bin", lambda raw: raw + bytes(4)),  # oversized
     ],
 )
@@ -248,7 +263,7 @@ def test_bad_offsets_detected(tmp_path, offsets):
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("passage_embeddings.bin", np.nan),
+        ("passage_columns.bin", np.nan),
         ("entity_embeddings.bin", np.nan),
         ("entity_embeddings.bin", -np.inf),
     ],
@@ -285,11 +300,13 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     save_index(_synthetic_index(rows, 16), tmp_path)
     loaded = load_index(tmp_path)
     entities = _stored(tmp_path, "entity_embeddings.bin", 16)
-    passages = _stored(tmp_path, "passage_embeddings.bin", 16)
+    columns = np.fromfile(tmp_path / "passage_columns.bin", dtype="<f4").reshape(16, rows)
     _assert_bitwise_equal(loaded.entity_embeddings, entities)
     _assert_bitwise_equal(loaded.entity_rows.norms, row_norms(entities))
-    _assert_bitwise_equal(loaded.passage_rows.columns, passages.T.astype(np.float64))
-    _assert_bitwise_equal(loaded.passage_rows.norms, row_norms(passages))
+    _assert_bitwise_equal(loaded.passage_rows.columns, columns)
+    # Row order: np.linalg.norm sums an F-ordered row in another order.
+    _assert_bitwise_equal(loaded.passage_rows.norms, row_norms(np.ascontiguousarray(columns.T)))
+    _assert_bitwise_equal(loaded.passage_rows.norms, np.fromfile(tmp_path / "passage_norms.bin"))
     entity_rows = EntityRows.of(entities)
     for name in ("values", "norms", "rows", "starts", "cos_r"):
         _assert_bitwise_equal(getattr(loaded.entity_rows, name), getattr(entity_rows, name))
@@ -319,20 +336,71 @@ def test_a_built_index_takes_its_norms_and_buckets_from_one_pass(tmp_path, monke
     assert not built.norms.flags.writeable
 
 
-def test_loaded_index_keeps_no_float32_passage_matrix(tmp_path):
+def test_a_loaded_index_maps_its_passage_columns(tmp_path):
     loaded = load_index(_saved(tmp_path))
-    assert loaded.passage_embeddings is None
-    assert loaded.passage_rows.columns.shape == (32, loaded.n_passages)
+    columns = loaded.passage_rows.columns
+    assert columns.shape == (32, loaded.n_passages) and columns.dtype == np.float32
+    base = columns
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)
+    assert np.shares_memory(loaded.passage_embeddings, columns)
 
 
-def test_a_loaded_index_cannot_be_saved_again(tmp_path):
-    loaded = load_index(_saved(tmp_path / "a"))
-    with pytest.raises(ContractError, match="float32 passage matrix"):
-        save_index(loaded, tmp_path / "b")
-    assert not (tmp_path / "b").exists()
+def test_a_loaded_index_saves_the_same_bytes(tmp_path):
+    index = make_toy_index()
+    save_index(index, tmp_path / "a", extra_manifest={"corpus_sha256": "abc"})
+    save_index(load_index(tmp_path / "a"), tmp_path / "b")
+    for path in (tmp_path / "a").iterdir():
+        assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes(), path.name
+    assert sorted(f.name for f in (tmp_path / "b").iterdir()) == sorted(
+        f.name for f in (tmp_path / "a").iterdir()
+    )
 
 
-@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_embeddings.bin"])
+def test_a_map_outlives_a_save_into_its_directory(tmp_path):
+    """Each file is replaced, not rewritten in place: an index loaded before
+    the save keeps its values, and no temporary file is left."""
+    save_index(_synthetic_index(ROW_BLOCK + 5, 16, seed=1), tmp_path)
+    old = load_index(tmp_path)
+    before = old.passage_rows.columns.copy()
+    save_index(_synthetic_index(ROW_BLOCK + 5, 16, seed=2), tmp_path)
+    _assert_bitwise_equal(old.passage_rows.columns, before)
+    new = load_index(tmp_path)
+    assert new.passage_rows.columns.tobytes() != before.tobytes()
+    assert not [f.name for f in tmp_path.iterdir() if f.name.endswith(".tmp")]
+
+
+def test_a_failed_save_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(index_store.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_index(make_toy_index(), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_a_norm_that_is_not_finite_and_nonnegative_detected(tmp_path, value):
+    path = _saved(tmp_path) / "passage_norms.bin"
+    norms = np.fromfile(path)
+    norms[1] = value
+    norms.tofile(path)
+    with pytest.raises(IndexIntegrityError, match="passage_norms.bin holds a non-finite or negative"):
+        load_index(tmp_path)
+
+
+def test_a_wrong_norm_detected_by_the_spot_check(tmp_path):
+    path = _saved(tmp_path) / "passage_norms.bin"
+    norms = np.fromfile(path)
+    norms[2] = np.nextafter(norms[2], np.inf)
+    norms.tofile(path)
+    with pytest.raises(IndexIntegrityError, match="not hold the norms of passage_columns.bin"):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_columns.bin"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_last_row_of_a_partial_block_exits_2(tmp_path, capsys, name, value):
     save_index(_synthetic_index(ROW_BLOCK + 3, 8), tmp_path)
@@ -344,7 +412,7 @@ def test_non_finite_last_row_of_a_partial_block_exits_2(tmp_path, capsys, name, 
     assert f"{name} holds a non-finite value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_embeddings.bin"])
+@pytest.mark.parametrize("name", ["passage_norms.bin", "pas_indices.bin"])
 def test_short_read_detected(tmp_path, monkeypatch, name):
     """A file that ends before the size it reported when checked."""
     directory = _saved(tmp_path)
@@ -361,11 +429,29 @@ def test_short_read_detected(tmp_path, monkeypatch, name):
         load_index(directory)
 
 
-def test_load_makes_no_temporary_beyond_one_block(tmp_path):
-    """Everything traced after the load is held by the index; on top of
-    that, the load's peak holds about one block's temporaries."""
-    dim = 64
-    save_index(_synthetic_index(20_000, dim), tmp_path)
+@pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_columns.bin"])
+def test_short_map_detected(tmp_path, monkeypatch, name):
+    """A mapped file that ends before the size it reported when checked."""
+    directory = _saved(tmp_path)
+    size = (directory / name).stat().st_size
+    real_mmap = mmap.mmap
+
+    def map_short(fileno, length, **kwargs):
+        buffer = real_mmap(fileno, length, **kwargs)
+        return buffer[:-4] if len(buffer) == size else buffer
+
+    monkeypatch.setattr(mmap, "mmap", map_short)
+    with pytest.raises(IndexIntegrityError, match=f"short read from {name}"):
+        load_index(directory)
+
+
+def test_load_neither_copies_nor_holds_a_matrix(tmp_path):
+    """Both embedding matrices are mapped, so the load holds far less than
+    one in traced memory; on top of what it holds, its peak is one float64
+    block and a few O(n) temporaries (the entity buckets' sort), far below
+    any whole-matrix temporary, even a bool one."""
+    n_rows, dim = 20_000, 256
+    save_index(_synthetic_index(n_rows, dim), tmp_path)
     gc.collect()
     tracemalloc.start()
     try:
@@ -374,5 +460,7 @@ def test_load_makes_no_temporary_beyond_one_block(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert loaded.passage_rows.columns.nbytes == 20_000 * dim * 8
-    assert peak - before <= (retained - before) + ROW_BLOCK * dim * 4 + 2**20
+    assert loaded.passage_rows.columns.nbytes == n_rows * dim * 4
+    assert loaded.entity_embeddings.nbytes == n_rows * dim * 4
+    assert retained - before < n_rows * dim * 2
+    assert peak - retained <= ROW_BLOCK * dim * 8 + 64 * n_rows < n_rows * dim

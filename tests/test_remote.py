@@ -1,5 +1,7 @@
 """Wire-format tests for the OpenAI-compatible clients via a fake transport."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,29 @@ def test_post_json_exhausts_attempts():
     with pytest.raises(RuntimeError, match="down"):
         post_json(ENDPOINT, "/x", {}, transport)
     assert len(transport.requests) == 3
+
+
+class HTTPError(Exception):
+    """An error that carries its response, as ``requests.HTTPError`` does."""
+
+    def __init__(self, status_code):
+        super().__init__(f"HTTP {status_code}")
+        self.response = SimpleNamespace(status_code=status_code)
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_post_json_does_not_retry_a_client_error(status):
+    transport = RecordingTransport([HTTPError(status), {"ok": True}])
+    with pytest.raises(HTTPError, match=str(status)):
+        post_json(ENDPOINT, "/x", {}, transport)
+    assert len(transport.requests) == 1
+
+
+@pytest.mark.parametrize("status", [408, 429, 500, 503])
+def test_post_json_retries_a_timeout_a_rate_limit_and_a_server_error(status):
+    transport = RecordingTransport([HTTPError(status), {"ok": True}])
+    assert post_json(ENDPOINT, "/x", {}, transport) == {"ok": True}
+    assert len(transport.requests) == 2
 
 
 def test_remote_encoder_through_embed_batch():

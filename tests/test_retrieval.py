@@ -28,7 +28,7 @@ from hyperhop.retrieval import (
     structural_enhance,
 )
 
-from conftest import DATA_DIR, entity_sets_of, index_from_sets
+from conftest import DATA_DIR, entity_sets_of, index_from_sets, index_of
 from test_embeddings import BLOCK_EDGES
 from reference import (
     cosine,
@@ -107,7 +107,7 @@ class TestEntitySimilarity:
     def test_exact_match_coordinate_is_one(self, toy_built):
         index, _, _ = toy_built
         x = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.8)
-        assert x[index.catalog.index_of("albert einstein")] == pytest.approx(1.0)
+        assert x[index_of(index.catalog, "albert einstein")] == pytest.approx(1.0)
 
     def test_eta_one_blanks_everything(self, toy_built):
         index, _, _ = toy_built
@@ -128,7 +128,7 @@ class TestEntitySimilarity:
     def test_threshold_is_strict(self, toy_built):
         index, _, _ = toy_built
         x_open = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.999999)
-        assert x_open[index.catalog.index_of("albert einstein")] == pytest.approx(1.0)
+        assert x_open[index_of(index.catalog, "albert einstein")] == pytest.approx(1.0)
 
     def test_query_rows_of_another_dim_are_a_contract_error(self, toy_built):
         index, _, _ = toy_built
@@ -413,7 +413,7 @@ class TestPassageSimilarity:
 
 
 class TestRowCache:
-    def test_build_computes_no_row_caches(self, tmp_path):
+    def test_build_computes_only_the_passage_rows_it_saves(self, tmp_path):
         config = AppConfig(
             corpus=str(DATA_DIR / "toy_corpus.jsonl"),
             index_dir=str(tmp_path / "index"),
@@ -422,7 +422,8 @@ class TestRowCache:
         )
         index, _ = build_index_from_corpus(config)
         assert "entity_rows" not in vars(index)
-        assert "passage_rows" not in vars(index)
+        stored = (tmp_path / "index" / "passage_columns.bin").read_bytes()
+        assert index.passage_rows.columns.tobytes() == stored
 
     def test_queries_reuse_the_row_caches(self, toy_built):
         index, _, _ = toy_built
@@ -464,7 +465,7 @@ class TestDiffuse:
 
     def test_toy_one_step_ordering(self, toy_index):
         x = np.zeros(5)
-        x[toy_index.catalog.index_of("albert einstein")] = 1.0
+        x[index_of(toy_index.catalog, "albert einstein")] = 1.0
         _, p_t = diffuse(x, TOY_WEIGHTS, toy_index, steps=1)
         oracle = dense_pipeline(
             dense_incidence(toy_index.incidence), x, TOY_WEIGHTS, steps=1, beta=0.0,
@@ -638,7 +639,7 @@ class TestDiffuse:
 
         monkeypatch.setattr(retrieval, "apply_diffusion_operator", counting)
         x = np.zeros(5)
-        x[toy_index.catalog.index_of("albert einstein")] = 1.0
+        x[index_of(toy_index.catalog, "albert einstein")] = 1.0
         for steps in range(5):
             outputs.clear()
             x_t, _ = diffuse(x, TOY_WEIGHTS, toy_index, steps)
@@ -859,7 +860,7 @@ class TestRetrieveEndToEnd:
     def test_toy_stipulated_weights_select_p1_p2(self, toy_index):
         # Composition of the worked diffusion and selection examples.
         x = np.zeros(5)
-        x[toy_index.catalog.index_of("albert einstein")] = 1.0
+        x[index_of(toy_index.catalog, "albert einstein")] = 1.0
         config = RetrievalConfig(beta=0.5, steps=1, k1=1, k2=3)
         result = rank_passages(x, TOY_WEIGHTS, toy_index, config)
         assert [col for col, _ in result.selected] == [0, 1]
