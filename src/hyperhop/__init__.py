@@ -12,10 +12,10 @@ from .entities import (
 )
 from .hypergraph import (
     DegreeVectors,
+    DiffusionSupport,
     IncidenceMatrix,
     apply_diffusion_operator,
     build_incidence,
-    compute_degrees,
     graph_stats,
 )
 from .index_store import HypergraphIndex, build_index, load_index, save_index
@@ -34,6 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegreeVectors",
+    "DiffusionSupport",
     "EntityCatalog",
     "EntitySets",
     "HypergraphIndex",
@@ -47,7 +48,6 @@ __all__ = [
     "build_catalog",
     "build_incidence",
     "build_index",
-    "compute_degrees",
     "diffuse",
     "embed_batch",
     "exact_match",

@@ -153,7 +153,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     index = load_index(config.require("index_dir"))
-    stats = graph_stats(index.incidence, index.degrees)
+    stats = graph_stats(index.incidence)
     # A row of zero norm has cosine 0 with every query: x or p never reaches it.
     stats["zero_norm_entity_rows"] = int((index.entity_rows.norms == 0.0).sum())
     stats["zero_norm_passage_rows"] = int((index.passage_rows.norms == 0.0).sum())

@@ -210,7 +210,8 @@ class RemoteEntityExtractor:
     """LLM-backed extractor over an OpenAI-compatible chat endpoint.
 
     Sends the configured one-shot prompt with temperature 0 and parses the
-    reply as a JSON array of strings (falling back to one entity per line).
+    reply as a JSON array, keeping its string items (falling back to one
+    entity per line).
     """
 
     def __init__(self, chat_client, prompt_template: str):
@@ -235,7 +236,7 @@ def _parse_entity_reply(reply: str) -> list[str]:
         try:
             parsed = json.loads(reply[start : end + 1])
             if isinstance(parsed, list):
-                return [str(item) for item in parsed]
+                return [item for item in parsed if isinstance(item, str)]
         except json.JSONDecodeError:
             pass
     return [line.strip(" -*\t") for line in reply.splitlines() if line.strip(" -*\t")]

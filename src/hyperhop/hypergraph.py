@@ -8,7 +8,8 @@ H vec scatters each passage's value onto its rows, and H^T vec gathers the
 rows' values and sums them per passage. Because rows ascend inside each
 passage, H^T adds each passage's terms in ascending entity order, so its
 result is bit for bit the one an entity-major transpose would give. Node
-and hyperedge degrees are derived from the two arrays, never stored.
+and hyperedge degrees are derived from the two arrays on first use and kept
+with the incidence (``IncidenceMatrix.degrees``); they are never stored.
 
 The entity-major order of the same entries, ``IncidenceMatrix.entity_major``,
 is derived in memory the first time a diffusion needs it and kept with the
@@ -98,29 +99,43 @@ _RESTRICT_MAX_KEPT_SHARE = 0.7
 class IncidenceMatrix:
     """Binary incidence matrix in passage-major compressed form.
 
-    ``pas_columns`` is the passage column of each entry, which turns H^T
-    and H each into one gather and one ``bincount``; it is derived from
-    ``pas_offsets`` unless the caller already holds it. Both per-entry
-    arrays are held as intp, the index type numpy gathers and counts in, so
-    no propagation step converts them; on disk they are int32.
+    ``pas_columns``, ``degrees`` and ``entity_major`` are derived from the
+    two stored arrays on first use and then kept. The per-entry arrays,
+    ``pas_indices`` and ``pas_columns``, are held as intp, the index type
+    numpy gathers and counts in, so no propagation step converts them; on
+    disk ``pas_indices`` is int32.
     """
 
     n_entities: int
     n_passages: int
     pas_offsets: np.ndarray  # int32, len n_passages + 1
     pas_indices: np.ndarray  # intp, len nnz, entity row per entry, ascending per passage
-    pas_columns: np.ndarray | None = field(default=None, repr=False, compare=False)  # intp, len nnz
 
     def __post_init__(self):
         self.pas_indices = np.asarray(self.pas_indices, dtype=np.intp)
-        if self.pas_columns is None:
-            self.pas_columns = np.repeat(
-                np.arange(self.n_passages, dtype=np.intp), np.diff(self.pas_offsets)
-            )
 
     @property
     def nnz(self) -> int:
         return int(self.pas_indices.shape[0])
+
+    @functools.cached_property
+    def pas_columns(self) -> np.ndarray:
+        """The passage column of each entry (intp, len nnz), which turns H^T
+        and H each into one gather and one ``bincount``."""
+        return np.repeat(np.arange(self.n_passages, dtype=np.intp), np.diff(self.pas_offsets))
+
+    @functools.cached_property
+    def degrees(self) -> DegreeVectors:
+        """Row and column sums of H as integer vectors, and their reciprocals."""
+        node_degrees = np.bincount(self.pas_indices, minlength=self.n_entities)
+        node_degrees = node_degrees.astype(np.int64)
+        edge_degrees = np.diff(self.pas_offsets).astype(np.int64)
+        return DegreeVectors(
+            node_degrees=node_degrees,
+            edge_degrees=edge_degrees,
+            inv_sqrt_node=_reciprocal(np.sqrt(node_degrees.astype(np.float64))),
+            inv_edge=_reciprocal(edge_degrees.astype(np.float64)),
+        )
 
     @functools.cached_property
     def entity_major(self) -> EntityMajorOrder:
@@ -191,20 +206,6 @@ def build_incidence(entity_sets: EntitySets, catalog: EntityCatalog) -> Incidenc
         n_passages=len(entity_sets),
         pas_offsets=entity_sets.offsets.astype(np.int32),
         pas_indices=rows,
-        pas_columns=columns,
-    )
-
-
-def compute_degrees(incidence: IncidenceMatrix) -> DegreeVectors:
-    """Row and column sums of H as integer vectors, and their reciprocals."""
-    node_degrees = np.bincount(incidence.pas_indices, minlength=incidence.n_entities)
-    node_degrees = node_degrees.astype(np.int64)
-    edge_degrees = np.diff(incidence.pas_offsets).astype(np.int64)
-    return DegreeVectors(
-        node_degrees=node_degrees,
-        edge_degrees=edge_degrees,
-        inv_sqrt_node=_reciprocal(np.sqrt(node_degrees.astype(np.float64))),
-        inv_edge=_reciprocal(edge_degrees.astype(np.float64)),
     )
 
 
@@ -236,15 +237,13 @@ class DiffusionSupport:
     module docstring; ``edge_scale`` is W D_e^{-1}, computed once.
     """
 
-    def __init__(
-        self, incidence: IncidenceMatrix, degrees: DegreeVectors, edge_weights: np.ndarray
-    ):
+    def __init__(self, incidence: IncidenceMatrix, edge_weights: np.ndarray):
         if edge_weights.shape != (incidence.n_passages,):
             raise ContractError(
                 f"edge_weights has shape {edge_weights.shape}, expected ({incidence.n_passages},)"
             )
-        self.incidence, self.degrees, self.edge_weights = incidence, degrees, edge_weights
-        self.edge_scale = edge_weights * degrees.inv_edge
+        self.incidence, self.edge_weights = incidence, edge_weights
+        self.edge_scale = edge_weights * incidence.degrees.inv_edge
         self._entries: tuple[np.ndarray, np.ndarray] | None = None
         self._kept: tuple[np.ndarray, np.ndarray] | None = None  # kept passages, their degrees
 
@@ -257,7 +256,7 @@ class DiffusionSupport:
         """The support's (entity rows, passage columns), passage-major; the
         first call builds them and makes the support full."""
         if self._entries is None:
-            inc, degrees = self.incidence, self.degrees.edge_degrees
+            inc, degrees = self.incidence, self.incidence.degrees.edge_degrees
             keep = self.edge_weights > 0
             kept = np.flatnonzero(keep)
             if kept.size <= _RESTRICT_MAX_KEPT_SHARE * inc.n_passages:
@@ -283,7 +282,7 @@ class DiffusionSupport:
     def entity_to_passage(self, u: np.ndarray) -> np.ndarray:
         """H^T u, except that a passage of zero weight may read 0."""
         inc = self.incidence
-        frontier = self._frontier(u, self.degrees.node_degrees)
+        frontier = self._frontier(u, inc.degrees.node_degrees)
         if frontier is not None:
             nonzero, counts = frontier
             order = inc.entity_major
@@ -297,53 +296,41 @@ class DiffusionSupport:
         ``e *= edge_scale`` makes it: the restricted support never reads e
         there, while the frontier route and the full one over H do."""
         inc = self.incidence
-        frontier = self._frontier(e, self.degrees.edge_degrees)
+        frontier = self._frontier(e, inc.degrees.edge_degrees)
         if frontier is not None:
             nonzero, counts = frontier
             at = _ranges(inc.pas_offsets[nonzero], counts)
             return _sums(inc.pas_indices[at], np.repeat(e[nonzero], counts), inc.n_entities)
         rows, _ = self.entries()
         if self._kept is None:
-            values = np.repeat(e, self.degrees.edge_degrees)
+            values = np.repeat(e, inc.degrees.edge_degrees)
         else:
             kept, counts = self._kept
             values = np.repeat(e.take(kept), counts)
         return _sums(rows, values, inc.n_entities)
 
 
-def apply_diffusion_operator(
-    x: np.ndarray,
-    incidence: IncidenceMatrix,
-    degrees: DegreeVectors,
-    edge_weights: np.ndarray,
-    support: DiffusionSupport | None = None,
-) -> np.ndarray:
-    """One application of D_v^{-1/2} H W D_e^{-1} H^T D_v^{-1/2} to x.
+def apply_diffusion_operator(x: np.ndarray, support: DiffusionSupport) -> np.ndarray:
+    """One application of D_v^{-1/2} H W D_e^{-1} H^T D_v^{-1/2} to x, for
+    the H and W of ``support``; a query's steps share one support.
 
     Runs as staged sparse passes: scale, gather to passages, reweight,
-    scatter back to entities, scale. ``edge_weights`` entries are expected
-    in [0, 1] (clamped upstream); zero-degree passages contribute nothing.
-    A query's steps share one ``support``, the ``DiffusionSupport`` of these
-    same incidence, degrees and weights; without one, the step makes its own.
+    scatter back to entities, scale. The weights are expected in [0, 1]
+    (clamped upstream); zero-degree passages contribute nothing.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (incidence.n_entities,):
-        raise ContractError(
-            f"x has shape {x.shape}, expected ({incidence.n_entities},)"
-        )
-    if support is None:
-        support = DiffusionSupport(
-            incidence, degrees, np.asarray(edge_weights, dtype=np.float64)
-        )
-    u = x * degrees.inv_sqrt_node
+    inc = support.incidence
+    if x.shape != (inc.n_entities,):
+        raise ContractError(f"x has shape {x.shape}, expected ({inc.n_entities},)")
+    u = x * inc.degrees.inv_sqrt_node
     e = support.entity_to_passage(u)
     e *= support.edge_scale
     y = support.passage_to_entity(e)
-    y *= degrees.inv_sqrt_node
+    y *= inc.degrees.inv_sqrt_node
     return y
 
 
-def graph_stats(incidence: IncidenceMatrix, degrees: DegreeVectors) -> dict:
+def graph_stats(incidence: IncidenceMatrix) -> dict:
     """Graph-scale statistics of an index, as ``hyperhop stats`` prints them;
     a histogram maps each degree, as a string, to its count."""
 
@@ -351,6 +338,7 @@ def graph_stats(incidence: IncidenceMatrix, degrees: DegreeVectors) -> dict:
         values, counts = np.unique(deg, return_counts=True)
         return {str(v): int(c) for v, c in zip(values, counts)}
 
+    degrees = incidence.degrees
     return {
         "nodes": incidence.n_entities,
         "hyperedges": incidence.n_passages,

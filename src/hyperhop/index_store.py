@@ -11,7 +11,8 @@ Directory layout (all binary arrays little-endian):
     passage_columns.bin     float32, dim x n_passages (passage values, coordinate-major)
     passage_norms.bin       float64, n_passages (L2 norm of each passage row)
 
-The incidence is stored passage-major only; degrees are derived at load.
+The incidence is stored passage-major only; its passage columns and its
+degrees are derived from it on first use.
 The passage files are the ``embeddings.PassageRows`` the query path reads,
 the norms summed in row order (bit for bit ``np.linalg.norm``'s).
 ``save_index`` writes each file to a temporary name beside it and renames
@@ -45,12 +46,7 @@ import numpy as np
 from .embeddings import EntityRows, PassageRows, row_norms
 from .entities import EntityCatalog, EntitySets
 from .errors import IndexIntegrityError
-from .hypergraph import (
-    DegreeVectors,
-    IncidenceMatrix,
-    build_incidence,
-    compute_degrees,
-)
+from .hypergraph import IncidenceMatrix, build_incidence
 
 FORMAT_VERSION = 3
 
@@ -62,23 +58,20 @@ _NORM_CHECKS = 64
 
 @dataclass
 class HypergraphIndex:
-    """Catalog, incidence, degrees and aligned embeddings for one corpus.
+    """Catalog, incidence and aligned embeddings for one corpus.
 
-    ``passage_rows`` (the ``embeddings.PassageRows`` of
-    ``passage_embeddings``) and ``entity_rows`` (the
-    ``embeddings.EntityRows`` of ``entity_embeddings``) are computed on first
-    use and then kept, so a query never converts a whole matrix; a build
-    computes the passage rows, which ``save_index`` writes. ``load_index``
-    sets both; a loaded index's ``passage_embeddings`` is the transposed view
-    of its mapped columns.
+    The passages are held once, as the ``embeddings.PassageRows`` that
+    ``save_index`` writes and a query reads. ``entity_rows`` (the
+    ``embeddings.EntityRows`` of ``entity_embeddings``) is computed on first
+    use and then kept, so a query never converts a whole matrix. The
+    degrees of the incidence are derived on first use too.
     """
 
     catalog: EntityCatalog
     incidence: IncidenceMatrix
-    degrees: DegreeVectors
     passage_ids: list[str]
     entity_embeddings: np.ndarray  # float32 (n_entities, dim)
-    passage_embeddings: np.ndarray  # float32 (n_passages, dim)
+    passage_rows: PassageRows
     manifest: dict | None = None
 
     @property
@@ -92,10 +85,6 @@ class HypergraphIndex:
     @functools.cached_property
     def entity_rows(self) -> EntityRows:
         return EntityRows.of(self.entity_embeddings)
-
-    @functools.cached_property
-    def passage_rows(self) -> PassageRows:
-        return PassageRows.of(self.passage_embeddings)
 
 
 def build_index(
@@ -126,14 +115,12 @@ def build_index(
         dims.add(values.shape[1])
     if len(dims) > 1:
         raise IndexIntegrityError(f"entity and passage embedding dims differ: {sorted(dims)}")
-    incidence = build_incidence(entity_sets, catalog)
     return HypergraphIndex(
         catalog=catalog,
-        incidence=incidence,
-        degrees=compute_degrees(incidence),
+        incidence=build_incidence(entity_sets, catalog),
         passage_ids=list(passage_ids),
         entity_embeddings=entity_embeddings,
-        passage_embeddings=passage_embeddings,
+        passage_rows=PassageRows.of(passage_embeddings),
     )
 
 
@@ -287,8 +274,10 @@ def load_index(directory: str | Path) -> HypergraphIndex:
     )
     if dim == 0:
         raise IndexIntegrityError(f"{MANIFEST_NAME} declares embedding_dim 0")
+    # Passages first: the set that checks their ids is freed before the
+    # catalog and the arrays are made.
+    passage_ids = _read_ids(directory / "passages.json")[0]
     entities, catalog = _read_ids(directory / "entities.json", EntityCatalog)
-    passage_ids = _read_ids(directory / "passages.json")[0]  # its set is not kept
     if len(entities) != n_entities or len(passage_ids) != n_passages:
         raise IndexIntegrityError("manifest counts disagree with stored id lists")
 
@@ -300,22 +289,18 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         nnz,
     )
 
-    passage_rows = _checked_passage_rows(directory, n_passages, dim)
-    values = _stored(directory / "entity_embeddings.bin", "<f4", (n_entities, dim), mapped=True)
-    entity_rows = EntityRows.of(values)
-    # The norms are summed from exact float64 squares of float32 values,
-    # which cannot overflow: a norm is finite exactly when its row is.
-    if not np.isfinite(entity_rows.norms).all():
-        raise IndexIntegrityError("entity_embeddings.bin holds a non-finite value")
     index = HypergraphIndex(
         catalog=catalog,
         incidence=incidence,
-        degrees=compute_degrees(incidence),
         passage_ids=passage_ids,
-        entity_embeddings=values,
-        passage_embeddings=passage_rows.columns.T,
+        passage_rows=_checked_passage_rows(directory, n_passages, dim),
+        entity_embeddings=_stored(
+            directory / "entity_embeddings.bin", "<f4", (n_entities, dim), mapped=True
+        ),
         manifest=manifest,
     )
-    index.entity_rows = entity_rows
-    index.passage_rows = passage_rows
+    # The norms are summed from exact float64 squares of float32 values,
+    # which cannot overflow: a norm is finite exactly when its row is.
+    if not np.isfinite(index.entity_rows.norms).all():
+        raise IndexIntegrityError("entity_embeddings.bin holds a non-finite value")
     return index

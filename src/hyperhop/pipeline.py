@@ -59,9 +59,24 @@ def make_extractor(config: AppConfig) -> ExtractionClient:
     return RemoteEntityExtractor(chat, _extraction_template(config))
 
 
+def _read_template(path: str, *fields: str) -> str:
+    """The prompt template in ``path``; raises ContractError unless
+    ``str.format`` takes it with placeholder ``fields``."""
+    template = Path(path).read_text(encoding="utf-8")
+    try:
+        template.format(**dict.fromkeys(fields, ""))
+    except (AttributeError, IndexError, KeyError, ValueError) as exc:
+        named = ", ".join(f"{{{name}}}" for name in fields)
+        raise ContractError(
+            f"prompt file {path} holds a brace that is not one of {named}"
+            f" ({type(exc).__name__}: {exc}); write a literal brace as {{{{ or }}}}"
+        ) from None
+    return template
+
+
 def _extraction_template(config: AppConfig) -> str:
     if config.extraction_prompt:
-        return Path(config.extraction_prompt).read_text(encoding="utf-8")
+        return _read_template(config.extraction_prompt, "title", "text")
     return default_prompt_template("entity_extraction")
 
 
@@ -83,7 +98,7 @@ def make_chat(config: AppConfig) -> ChatClient:
 
 def answer_template(config: AppConfig) -> str | None:
     if config.answer_prompt:
-        return Path(config.answer_prompt).read_text(encoding="utf-8")
+        return _read_template(config.answer_prompt, "context", "question")
     return None
 
 
@@ -113,11 +128,7 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
     )
 
     index = build_index(
-        entity_sets,
-        catalog,
-        [p.id for p in passages],
-        entity_embeddings=entity_embeddings,
-        passage_embeddings=passage_embeddings,
+        entity_sets, catalog, [p.id for p in passages], entity_embeddings, passage_embeddings
     )
     manifest = save_index(
         index,

@@ -172,7 +172,7 @@ def diffuse(
     The hyperedge weights are the clamped passage similarities (or all ones
     when the weight matrix is ablated); there is no renormalization between
     steps. Returns (x_t, p_t) with p_t = W H^T x_t. Raises ContractError
-    when x or p holds a non-finite value.
+    when x or p does not fit the index or holds a non-finite value.
 
     Each step is one call of ``apply_diffusion_operator``, and the steps and
     the final hop share one ``hypergraph.DiffusionSupport``. A half-step
@@ -191,32 +191,33 @@ def diffuse(
     over H, and so is p_t, except that where x has negative entries a
     zero-weight passage's entry may be a zero of the other sign.
     """
-    x = np.asarray(x, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if x.shape != (index.n_entities,):
-        raise ContractError(f"x has shape {x.shape}, expected ({index.n_entities},)")
-    if p.shape != (index.n_passages,):
-        raise ContractError(f"p has shape {p.shape}, expected ({index.n_passages},)")
-    _require_finite(x=x, p=p)
+    x, p = _checked_similarities(x, p, index)
     if steps < 0:
         raise ContractError("steps must be >= 0")
     if use_weight_matrix:
         weights = np.clip(p, 0.0, 1.0)
     else:
         weights = np.ones(index.n_passages, dtype=np.float64)
-    incidence, degrees = index.incidence, index.degrees
-    support = DiffusionSupport(incidence, degrees, weights)
+    support = DiffusionSupport(index.incidence, weights)
     x_t = x
     for _ in range(steps):
-        x_t = apply_diffusion_operator(x_t, incidence, degrees, weights, support)
+        x_t = apply_diffusion_operator(x_t, support)
     p_t = weights * support.entity_to_passage(x_t)
     return x_t, p_t
 
 
-def _require_finite(**vectors: np.ndarray) -> None:
-    for name, values in vectors.items():
+def _checked_similarities(
+    x: np.ndarray, p: np.ndarray, index: HypergraphIndex
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and p as float64; raises ContractError unless x holds one finite
+    value per entity of ``index`` and p one per passage."""
+    x, p = np.asarray(x, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    for name, values, n in (("x", x, index.n_entities), ("p", p, index.n_passages)):
+        if values.shape != (n,):
+            raise ContractError(f"{name} has shape {values.shape}, expected ({n},)")
         if not np.isfinite(values).all():
             raise ContractError(f"{name} holds a non-finite value")
+    return x, p
 
 
 def semantic_enhance(
@@ -291,12 +292,10 @@ def rank_passages(
     This is the diffusion-plus-enhancement stage; evaluation times it
     together with building x and p. When x is all zero the diffusion is
     skipped and passages are ranked by p alone (recorded as a dense
-    fallback in diagnostics). Raises ContractError when x or p holds a
-    non-finite value.
+    fallback in diagnostics). Raises ContractError when x or p does not
+    fit the index or holds a non-finite value.
     """
-    x = np.asarray(x, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    _require_finite(x=x, p=p)
+    x, p = _checked_similarities(x, p, index)
     n = index.n_passages
     diag = Diagnostics(nonzero_entity_count=int(np.count_nonzero(x)))
     if n == 0:

@@ -95,7 +95,7 @@ def test_criterion_2_spectral_and_stability():
     with report_line("2 spectral/stability suite") as record:
         rng = np.random.default_rng(SEED)
         min_eig, max_eig = np.inf, -np.inf
-        from hyperhop.hypergraph import apply_diffusion_operator
+        from hyperhop.hypergraph import DiffusionSupport, apply_diffusion_operator
 
         # Same seed and draw order as criterion 1: identical instances.
         for index, x, p in _instances(200, rng):
@@ -112,9 +112,10 @@ def test_criterion_2_spectral_and_stability():
             assert eigenvalues.max() <= 1.0 + 1e-9
 
             norm_start = float(np.linalg.norm(x))
+            support = DiffusionSupport(index.incidence, weights)
             x_t = x.copy()
             for _ in range(6):
-                x_t = apply_diffusion_operator(x_t, index.incidence, index.degrees, weights)
+                x_t = apply_diffusion_operator(x_t, support)
                 assert float(np.linalg.norm(x_t)) <= norm_start
                 assert (x_t >= 0.0).all()
         record["detail"] = f"eigenvalues in [{min_eig:.2e}, {max_eig:.6f}]"

@@ -358,6 +358,45 @@ class TestAnswerCommand:
         assert payload["passages"] == ["P1", "P2"]
 
 
+class TestPromptFiles:
+    """A prompt file is a ``str.format`` template: a literal brace is doubled,
+    and a file with a single one is a failed precondition."""
+
+    @pytest.mark.parametrize(
+        "command", [["answer", TOY_QUERY], ["eval", "--dataset", TOY_QA, "--qa"]]
+    )
+    def test_answer_prompt_with_a_literal_brace_exits_2(self, built, capsys, command):
+        prompt = built / "answer.txt"
+        prompt.write_text('Reply {"answer": "..."}.\n{context}\n{question}\n', encoding="utf-8")
+        assert main(command + common(built) + ["--answer-prompt", str(prompt)]) == 2
+        err = capsys.readouterr().err
+        assert f"prompt file {prompt} holds a brace" in err and "{{ or }}" in err
+
+    def test_doubled_braces_are_literal(self, built, capsys):
+        prompt = built / "answer.txt"
+        prompt.write_text('Reply {{"answer": "..."}}.\n{context}\n{question}\n', encoding="utf-8")
+        args = ["answer", TOY_QUERY, "--answer-prompt", str(prompt)] + common(built)
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["answer"].startswith("offline-answer-")
+
+    def test_extraction_prompt_with_a_literal_brace_exits_2(self, built, capsys):
+        # The remote build stops before it extracts or connects.
+        prompt = built / "extraction.txt"
+        prompt.write_text('Reply {"entities": [...]}.\n{title}\n{text}\n', encoding="utf-8")
+        args = [
+            "index",
+            "--corpus", TOY_CORPUS,
+            "--index-dir", str(built / "remote"),
+            "--api-base", "http://127.0.0.1:9/v1",
+            "--chat-model", "chat",
+            "--embed-model", "embed",
+            "--extraction-prompt", str(prompt),
+        ]
+        assert main(args) == 2
+        assert f"prompt file {prompt} holds a brace" in capsys.readouterr().err
+        assert not (built / "remote").exists()
+
+
 def stale_corpus(tmp_path):
     """The toy corpus with passage P3 renamed after indexing."""
     path = tmp_path / "stale.jsonl"

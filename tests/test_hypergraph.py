@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,9 @@ from hyperhop.hypergraph import (
     IncidenceMatrix,
     apply_diffusion_operator,
     build_incidence,
-    compute_degrees,
     graph_stats,
 )
+from hyperhop.index_store import load_index, save_index
 
 from conftest import TOY_SETS, entity_sets_of, index_from_sets, index_of
 from reference import (
@@ -36,7 +38,7 @@ class TestBuildIncidence:
         incidence, catalog = make_incidence(TOY_SETS)
         assert (incidence.n_entities, incidence.n_passages) == (5, 3)
         assert incidence.nnz == 7
-        degrees = compute_degrees(incidence)
+        degrees = incidence.degrees
         assert degrees.edge_degrees.tolist() == [2, 3, 2]
         germany = index_of(catalog, "germany")
         assert degrees.node_degrees[germany] == 2
@@ -45,13 +47,12 @@ class TestBuildIncidence:
 
     def test_empty_entity_set_gives_zero_column(self):
         incidence, _ = make_incidence({"p1": ["a"], "p2": []})
-        degrees = compute_degrees(incidence)
-        assert degrees.edge_degrees.tolist() == [1, 0]
+        assert incidence.degrees.edge_degrees.tolist() == [1, 0]
 
     def test_single_cell(self):
         incidence, _ = make_incidence({"p1": ["only"]})
         assert dense_incidence(incidence).tolist() == [[1.0]]
-        degrees = compute_degrees(incidence)
+        degrees = incidence.degrees
         assert degrees.node_degrees.tolist() == [1]
         assert degrees.edge_degrees.tolist() == [1]
 
@@ -82,7 +83,7 @@ class TestBuildIncidence:
         for _ in range(20):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            degrees = compute_degrees(incidence)
+            degrees = incidence.degrees
             assert degrees.node_degrees.sum() == incidence.nnz
             assert degrees.edge_degrees.sum() == incidence.nnz
             assert (degrees.node_degrees >= 1).all()
@@ -95,7 +96,12 @@ def route(request, monkeypatch):
 
 
 def unweighted_support(incidence):
-    return DiffusionSupport(incidence, compute_degrees(incidence), np.ones(incidence.n_passages))
+    return DiffusionSupport(incidence, np.ones(incidence.n_passages))
+
+
+def diffusion_step(x, incidence, weights):
+    """One operator application under its own support."""
+    return apply_diffusion_operator(x, DiffusionSupport(incidence, np.asarray(weights, float)))
 
 
 @pytest.mark.usefixtures("route")
@@ -184,9 +190,25 @@ class TestEntityMajorOrder:
             order = incidence.entity_major
             assert order.columns.shape == (0,) and order.offsets.tolist() == [0]
 
-    def test_derived_once(self, toy_index):
-        incidence = toy_index.incidence
-        assert incidence.entity_major is incidence.entity_major
+
+def test_derived_facts_are_kept_and_survive_a_round_trip(toy_index, tmp_path):
+    # The passage columns, the degrees and the entity-major order are each
+    # derived once per incidence, and a loaded index derives the same bytes.
+    save_index(toy_index, tmp_path)
+    built, loaded = toy_index.incidence, load_index(tmp_path).incidence
+    for name in ("pas_columns", "degrees", "entity_major"):
+        assert getattr(built, name) is getattr(built, name)
+        assert getattr(loaded, name) is getattr(loaded, name)
+
+    def arrays(incidence):
+        facts = incidence.degrees, incidence.entity_major
+        return [incidence.pas_columns] + [
+            getattr(fact, f.name) for fact in facts for f in dataclasses.fields(fact)
+        ]
+
+    assert len(arrays(built)) == 7
+    for a, b in zip(arrays(built), arrays(loaded)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDiffusionSupport:
@@ -194,10 +216,9 @@ class TestDiffusionSupport:
         for _ in range(20):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            degrees = compute_degrees(incidence)
             weights = np.where(rng.random(incidence.n_passages) < 0.5, rng.random(), 0.0)
             keep = weights > 0
-            rows, columns = DiffusionSupport(incidence, degrees, weights).entries()
+            rows, columns = DiffusionSupport(incidence, weights).entries()
             if np.count_nonzero(keep) > hypergraph._RESTRICT_MAX_KEPT_SHARE * incidence.n_passages:
                 assert rows is incidence.pas_indices and columns is incidence.pas_columns
             else:
@@ -206,7 +227,7 @@ class TestDiffusionSupport:
                 np.testing.assert_array_equal(columns, incidence.pas_columns[entries])
 
     def test_no_kept_passage_leaves_no_entries(self, toy_index):
-        support = DiffusionSupport(toy_index.incidence, toy_index.degrees, np.zeros(3))
+        support = DiffusionSupport(toy_index.incidence, np.zeros(3))
         rows, columns = support.entries()
         assert rows.shape == columns.shape == (0,)
         summed = support.entity_to_passage(np.ones(5))
@@ -219,7 +240,7 @@ class TestDiffusionSupport:
         weights = np.array([0.9, 0.0, 0.0])
         brussels = np.zeros(5)
         brussels[index_of(toy_index.catalog, "brussels")] = 1.0
-        support = DiffusionSupport(toy_index.incidence, toy_index.degrees, weights)
+        support = DiffusionSupport(toy_index.incidence, weights)
         assert support.entity_to_passage(brussels).tolist() == [0.0, 0.0, 1.0]
         assert not support.full
         support.entity_to_passage(np.ones(5))  # 7 of 7 entries: full
@@ -243,7 +264,7 @@ class TestDiffusionSupport:
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
             n = incidence.n_passages
             weights = np.where(rng.random(n) < 0.5, rng.random(n), 0.0)
-            support = DiffusionSupport(incidence, compute_degrees(incidence), weights)
+            support = DiffusionSupport(incidence, weights)
             e = np.where(rng.random(n) < 0.7, rng.normal(size=n), 0.0)
             e *= support.edge_scale
             summed = support.passage_to_entity(e)
@@ -253,51 +274,43 @@ class TestDiffusionSupport:
 
     def test_weight_length_mismatch(self, toy_index):
         with pytest.raises(ContractError):
-            DiffusionSupport(toy_index.incidence, toy_index.degrees, np.ones(2))
+            DiffusionSupport(toy_index.incidence, np.ones(2))
 
 
 class TestDiffusionOperator:
     def test_zero_input_gives_zero(self, toy_index):
-        out = apply_diffusion_operator(
-            np.zeros(5), toy_index.incidence, toy_index.degrees, np.ones(3)
-        )
+        out = diffusion_step(np.zeros(5), toy_index.incidence, np.ones(3))
         assert not out.any()
 
     def test_single_cell_half_weight(self):
         # Dense hand evaluation: D_v = D_e = 1, so the operator is just W.
         incidence, _ = make_incidence({"p1": ["only"]})
-        degrees = compute_degrees(incidence)
-        out = apply_diffusion_operator(np.array([1.0]), incidence, degrees, np.array([0.5]))
+        out = diffusion_step(np.array([1.0]), incidence, [0.5])
         assert out == pytest.approx([0.5], abs=1e-15)
 
     def test_toy_one_step_from_einstein(self, toy_index):
         catalog = toy_index.catalog
         x = np.zeros(5)
         x[index_of(catalog, "albert einstein")] = 1.0
-        out = apply_diffusion_operator(x, toy_index.incidence, toy_index.degrees, np.ones(3))
+        out = diffusion_step(x, toy_index.incidence, np.ones(3))
         oracle = dense_propagation_matrix(dense_incidence(toy_index.incidence), np.ones(3)) @ x
         np.testing.assert_allclose(out, oracle, rtol=1e-12)
         assert out[index_of(catalog, "germany")] > 0.0
         assert out[index_of(catalog, "brussels")] == 0.0
 
     def test_dimension_mismatch(self, toy_index):
-        with pytest.raises(ContractError):
-            apply_diffusion_operator(
-                np.zeros(4), toy_index.incidence, toy_index.degrees, np.ones(3)
-            )
-        with pytest.raises(ContractError):
-            apply_diffusion_operator(
-                np.zeros(5), toy_index.incidence, toy_index.degrees, np.ones(4)
-            )
+        with pytest.raises(ContractError, match=r"^x has shape \(4,\), expected \(5,\)$"):
+            diffusion_step(np.zeros(4), toy_index.incidence, np.ones(3))
+        with pytest.raises(ContractError, match="^edge_weights has shape"):
+            diffusion_step(np.zeros(5), toy_index.incidence, np.ones(4))
 
     def test_matches_dense_oracle_on_random_instances(self, rng):
         for _ in range(50):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            degrees = compute_degrees(incidence)
             weights = rng.random(incidence.n_passages)
             x = rng.random(incidence.n_entities)
-            sparse = apply_diffusion_operator(x, incidence, degrees, weights)
+            sparse = diffusion_step(x, incidence, weights)
             dense = dense_propagation_matrix(dense_incidence(incidence), weights) @ x
             np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-12)
 
@@ -305,12 +318,8 @@ class TestDiffusionOperator:
         for _ in range(20):
             sets = random_entity_sets(rng)
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-            degrees = compute_degrees(incidence)
-            out = apply_diffusion_operator(
-                rng.random(incidence.n_entities),
-                incidence,
-                degrees,
-                rng.random(incidence.n_passages),
+            out = diffusion_step(
+                rng.random(incidence.n_entities), incidence, rng.random(incidence.n_passages)
             )
             assert (out >= 0.0).all()
 
@@ -320,8 +329,8 @@ class TestDiffusionOperator:
         idx_a = index_from_sets(base)
         idx_b = index_from_sets(augmented)
         x = rng.random(5)
-        out_a = apply_diffusion_operator(x, idx_a.incidence, idx_a.degrees, np.full(3, 0.7))
-        out_b = apply_diffusion_operator(x, idx_b.incidence, idx_b.degrees, np.full(4, 0.7))
+        out_a = diffusion_step(x, idx_a.incidence, np.full(3, 0.7))
+        out_b = diffusion_step(x, idx_b.incidence, np.full(4, 0.7))
         np.testing.assert_array_equal(out_a, out_b)
 
 
@@ -351,27 +360,26 @@ def test_operator_agrees_with_oracle_property(seed):
     rng = np.random.default_rng(seed)
     sets = random_entity_sets(rng, max_entities=20, max_passages=8)
     incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
-    degrees = compute_degrees(incidence)
     weights = rng.random(incidence.n_passages)
     x = rng.standard_normal(incidence.n_entities)
-    sparse = apply_diffusion_operator(x, incidence, degrees, weights)
+    sparse = diffusion_step(x, incidence, weights)
     dense = dense_propagation_matrix(dense_incidence(incidence), weights) @ x
     np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-12)
 
 
 class TestGraphStats:
     def test_toy_counts(self, toy_index):
-        report = graph_stats(toy_index.incidence, toy_index.degrees)
+        report = graph_stats(toy_index.incidence)
         assert (report["nodes"], report["hyperedges"], report["incidences"]) == (5, 3, 7)
         assert report["zero_degree_hyperedges"] == 0
         assert report["edge_degree_histogram"] == {"2": 2, "3": 1}
 
     def test_empty_corpus(self):
         incidence, _ = make_incidence({})
-        report = graph_stats(incidence, compute_degrees(incidence))
+        report = graph_stats(incidence)
         assert (report["nodes"], report["hyperedges"], report["incidences"]) == (0, 0, 0)
         assert report["node_degree_histogram"] == report["edge_degree_histogram"] == {}
 
     def test_report_shape_names_nodes_and_hyperedges(self, toy_index):
-        payload = graph_stats(toy_index.incidence, toy_index.degrees)
+        payload = graph_stats(toy_index.incidence)
         assert set(payload) >= {"nodes", "hyperedges", "incidences", "zero_degree_hyperedges"}

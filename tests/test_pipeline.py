@@ -35,7 +35,7 @@ def test_built_embeddings_align_with_catalog_and_passages(toy_built):
         np.testing.assert_array_equal(index.entity_embeddings[i], expected)
     for j, passage in enumerate(passages):
         expected = encoder.encode_batch([passage_embedding_text(passage)])[0]
-        np.testing.assert_array_equal(index.passage_embeddings[j], expected)
+        np.testing.assert_array_equal(index.passage_rows.columns[:, j], expected)
 
 
 def test_manifest_records_build_fingerprint(toy_built, data_dir):

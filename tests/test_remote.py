@@ -156,6 +156,9 @@ def test_failing_remote_extraction_is_retried_by_the_transport_only():
         ("- alpha\n- beta", ["alpha", "beta"]),
         ("single line", ["single line"]),
         ("", []),
+        # Only the string items of a JSON list are entities.
+        ('["a", null, true, 3, {"a": 1}, ["x"], "b"]', ["a", "b"]),
+        ("[null]", []),
     ],
 )
 def test_entity_reply_parsing(reply, expected):

@@ -63,7 +63,7 @@ def full_incidence_diffusion(x, p, index, steps, use_weight_matrix):
     """diffuse() as one loop of full passes over the whole incidence,
     zero-weight passages included."""
     weights = np.clip(p, 0.0, 1.0) if use_weight_matrix else np.ones(index.n_passages)
-    inc, degrees = index.incidence, index.degrees
+    inc, degrees = index.incidence, index.incidence.degrees
     x_t = np.asarray(x, dtype=np.float64)
     for _ in range(steps):
         e = entity_to_passage(x_t * degrees.inv_sqrt_node, inc)
@@ -408,7 +408,7 @@ class TestPassageSimilarity:
         index, _, _ = toy_built
         p = build_passage_similarity(TOY_QUERY, index, ENCODER)
         qv = embed_batch([TOY_QUERY], ENCODER)[0]
-        expected = [cosine(qv, row) for row in index.passage_embeddings]
+        expected = [cosine(qv, row) for row in index.passage_rows.columns.T]
         np.testing.assert_allclose(p, expected, rtol=1e-12)
 
 
@@ -442,7 +442,7 @@ class TestRowCache:
         result = retrieve(TOY_QUERY, index, config, ENCODER, EXTRACTOR)
         query_rows = embed_batch(dedup_normalized(EXTRACTOR.extract("", TOY_QUERY)), ENCODER)
         x = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
-        p = passage_cosines(embed_batch([TOY_QUERY], ENCODER)[0], index.passage_embeddings)
+        p = passage_cosines(embed_batch([TOY_QUERY], ENCODER)[0], index.passage_rows.columns.T)
         expected = rank_passages(x, p, index, config).artifacts
         assert x.any()
         np.testing.assert_array_equal(result.artifacts.x, x)
@@ -538,14 +538,13 @@ class TestDiffuse:
             index = random_index(rng)
             x = sparse_entity_vector(rng, index.n_entities)
             p = rng.uniform(-1, 1, index.n_passages)
-            reach = index.degrees.node_degrees[x != 0].sum()
+            degrees = index.incidence.degrees
+            reach = degrees.node_degrees[x != 0].sum()
             for entries, frontier in ((reach + 0.5, True), (reach - 0.5, False)):
                 cut_over = entries / index.incidence.nnz
                 monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", cut_over)
-                support = hypergraph.DiffusionSupport(
-                    index.incidence, index.degrees, np.clip(p, 0.0, 1.0)
-                )
-                support.entity_to_passage(x * index.degrees.inv_sqrt_node)
+                support = hypergraph.DiffusionSupport(index.incidence, np.clip(p, 0.0, 1.0))
+                support.entity_to_passage(x * degrees.inv_sqrt_node)
                 assert support.full is not frontier
                 for steps in range(5):
                     x_t, p_t = diffuse(x, p, index, steps)
@@ -587,9 +586,9 @@ class TestDiffuse:
         index = index_from_sets(sets)
         supports = []
 
-        def recording(x, incidence, degrees, weights, support):
+        def recording(x, support):
             supports.append(support)
-            return apply_diffusion_operator(x, incidence, degrees, weights, support)
+            return apply_diffusion_operator(x, support)
 
         monkeypatch.setattr(retrieval, "apply_diffusion_operator", recording)
         x = np.array([0.9, 0.5, 0.0, 0.2])
@@ -626,6 +625,20 @@ class TestDiffuse:
             diffuse(bad_x, p, index, steps=2)
         with pytest.raises(ContractError, match="^x holds a non-finite value$"):
             rank_passages(bad_x, p, index, config)
+
+    @pytest.mark.parametrize("x_any", [True, False], ids=["diffusion", "dense-fallback"])
+    def test_wrong_length_input_is_a_contract_error(self, toy_index, x_any):
+        # The dense fallback (an all-zero x) checks both shapes too.
+        x = np.zeros(5)
+        x[0] = float(x_any)
+        config = RetrievalConfig(k1=1, k2=3)
+        for bad_x in (np.zeros(4), np.zeros(6)):
+            bad_x[0] = float(x_any)
+            with pytest.raises(ContractError, match=r"^x has shape \(\d,\), expected \(5,\)$"):
+                rank_passages(bad_x, TOY_WEIGHTS, toy_index, config)
+        for bad_p in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ContractError, match=r"^p has shape \(.*\), expected \(3,\)$"):
+                rank_passages(x, bad_p, toy_index, config)
 
     def test_calls_the_module_level_diffusion_step_once_per_step(self, toy_index, monkeypatch):
         # Tracing wraps retrieval.apply_diffusion_operator and counts the
@@ -825,11 +838,10 @@ class TestRankPassages:
             x = rng.random(index.n_entities)
             p = rng.random(index.n_passages)
             weights = np.clip(p, 0, 1)
-            from hyperhop.hypergraph import apply_diffusion_operator
-
+            support = hypergraph.DiffusionSupport(index.incidence, weights)
             x_t = x.copy()
             for _step in range(6):
-                x_t = apply_diffusion_operator(x_t, index.incidence, index.degrees, weights)
+                x_t = apply_diffusion_operator(x_t, support)
                 assert np.linalg.norm(x_t) <= np.linalg.norm(x) * (1 + 1e-12)
 
     def test_k_range_clamped_on_tiny_corpus(self, toy_index):
