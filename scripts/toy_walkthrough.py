@@ -38,7 +38,7 @@ def main() -> None:
         )
         index, manifest = build_index_from_corpus(config)
         print(f"index: {manifest['n_entities']} entities, {manifest['n_passages']} passages")
-        print(f"catalog: {index.catalog.to_list()}")
+        print(f"entity names: {index.entity_names}")
 
         encoder = OfflineEncoder(dim=config.offline_dim)
         extractor = OfflineEntityExtractor()

@@ -3,10 +3,8 @@
 from .corpus import Passage, load_corpus
 from .embeddings import OfflineEncoder, embed_batch, max_sim_to_query_entities, unit_rows
 from .entities import (
-    EntityCatalog,
     EntitySets,
     OfflineEntityExtractor,
-    build_catalog,
     extract_entities,
     normalize_entity,
 )
@@ -35,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeVectors",
     "DiffusionSupport",
-    "EntityCatalog",
     "EntitySets",
     "HypergraphIndex",
     "IncidenceMatrix",
@@ -45,7 +42,6 @@ __all__ = [
     "RankedResult",
     "RetrievalConfig",
     "apply_diffusion_operator",
-    "build_catalog",
     "build_incidence",
     "build_index",
     "diffuse",

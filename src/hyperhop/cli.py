@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import SETTING_TYPES, AppConfig, load_app_config
 from .corpus import corpus_digest, load_corpus
-from .errors import HyperhopError, IndexIntegrityError
+from .errors import ContractError, HyperhopError, IndexIntegrityError
 from .evaluate import load_qa_dataset, run_eval
 from .hypergraph import graph_stats
 from .index_store import load_index
@@ -61,6 +61,15 @@ def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
                         default=None, help="ablation: skip semantic enhancement")
     parser.add_argument("--no-struct", dest="use_structural_enhancement", action="store_false",
                         default=None, help="ablation: fixed top-k1 selection")
+
+
+def _check_utf8(query: str) -> None:
+    """Raise ContractError unless UTF-8 can encode ``query``: argv carries
+    bytes that are not UTF-8 as lone surrogates."""
+    try:
+        query.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ContractError(f"the query is not valid UTF-8 at character {exc.start}") from None
 
 
 def _config_from_args(args: argparse.Namespace) -> AppConfig:
@@ -208,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_utf8(getattr(args, "query", ""))
         return args.func(args)
     except (HyperhopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -16,6 +17,9 @@ from typing import Iterator
 from .errors import CorpusFormatError
 
 _REQUIRED_KEYS = ("id", "title", "text")
+
+# Strict UTF-8 decoding refuses a surrogate's bytes: only a JSON escape makes one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Each non-blank line of a JSONL file as ``(line number, JSON object)``.
 
     Raises CorpusFormatError naming the line on bytes that are not UTF-8,
-    invalid JSON, or a value that is not an object.
+    invalid JSON, a value that is not an object, or a ``\\u`` escape of a
+    lone surrogate, which no UTF-8 text holds.
     """
     with Path(path).open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -47,6 +52,11 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise CorpusFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             if not isinstance(obj, dict):
                 raise CorpusFormatError("expected a JSON object", line=lineno)
+            if _SURROGATE_ESCAPE.search(line):
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise CorpusFormatError("not UTF-8: a lone surrogate", line=lineno) from exc
             yield lineno, obj
 
 

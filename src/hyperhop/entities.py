@@ -1,11 +1,10 @@
 """Entity extraction, normalization, and the global entity catalog.
 
 Entities are the fine-grained nodes of the hypergraph. Each passage yields
-an ordered, deduplicated set of normalized entity strings; the union over
-all passages (in ascending passage-id order) defines the catalog that maps
-entity strings to dense row indices. The sets of a corpus travel as one
-``EntitySets``: name ids into a table of names, so a cached passage adds
-no Python object beyond its content hash.
+an ordered, deduplicated set of normalized entity strings. The sets of a
+corpus travel as one ``EntitySets``: name ids into a table of names, so a
+cached passage adds no Python object beyond its content hash. Its
+``catalog`` names the index's entity rows.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import os
 import re
 import threading
 import unicodedata
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -81,11 +81,12 @@ class EntitySets:
     """The normalized, deduplicated entities of each passage, as name ids.
 
     Passage ``passage_ids[j]`` has the entities ``names[i]`` for ``i`` in
-    ``ids[offsets[j]:offsets[j + 1]]``, in extraction order. The names are
-    distinct. Construction checks, for the names the sets use, that each is
-    nonempty and normalized, and that no passage repeats one; it raises
-    ContractError naming the first offending entity of the first offending
-    passage.
+    ``ids[offsets[j]:offsets[j + 1]]``, in extraction order. Construction
+    raises ContractError unless ``offsets`` frames ``ids`` into one span per
+    passage (from 0, never decreasing, to ``len(ids)``), every id is a
+    position of ``names``, and the names the sets use are distinct,
+    nonempty, normalized and not repeated in a passage, naming the first
+    offending entity of the first offending passage. Unused names are free.
     """
 
     passage_ids: Sequence[str]
@@ -94,14 +95,22 @@ class EntitySets:
     offsets: np.ndarray  # integer, len(passage_ids) + 1
 
     def __post_init__(self):
-        names = self.names
-        used = np.flatnonzero(np.bincount(self.ids, minlength=len(names))).tolist()
+        names, ids, offsets = self.names, self.ids, self.offsets
+        framed = len(offsets) == len(self) + 1 and offsets[0] == 0 and offsets[-1] == len(ids)
+        if not (framed and (np.diff(offsets) >= 0).all()):
+            raise ContractError(
+                f"entity sets: offsets do not frame {len(ids)} ids into {len(self)} passages"
+            )
+        outside = ids[(ids < 0) | (ids >= len(names))]
+        if outside.size:
+            raise ContractError(f"entity sets: id {outside[0]} is not one of {len(names)} names")
         # One sort of (passage, id) keys puts the repeats of a passage side by side.
-        keys = self.columns() * len(names) + self.ids
-        keys.sort()
-        if all(names[i] and _is_normalized(names[i]) for i in used) and not (
-            keys[1:] == keys[:-1]
-        ).any():
+        keys = np.sort(self.columns() * len(names) + ids)
+        if (
+            all(name and _is_normalized(name) for name in self.catalog)
+            and not (keys[1:] == keys[:-1]).any()
+            and distinct(self.catalog)
+        ):
             return
         for passage, passage_id in enumerate(self.passage_ids):  # name the first offense
             seen = set()
@@ -113,6 +122,8 @@ class EntitySets:
                 if ent in seen:
                     raise ContractError(f"duplicate entity {ent!r} in passage {passage_id!r}")
                 seen.add(ent)
+        repeated = next(name for name, count in Counter(self.catalog).items() if count > 1)
+        raise ContractError(f"entity sets: the name {repeated!r} has two ids")
 
     def __len__(self) -> int:
         return len(self.passage_ids)
@@ -127,46 +138,35 @@ class EntitySets:
         span = self.ids[self.offsets[passage] : self.offsets[passage + 1]]
         return tuple(self.names[i] for i in span.tolist())
 
+    @functools.cached_property
+    def catalog(self) -> list[str]:
+        """The used names in first-seen order, by passage then by position."""
+        return [self.names[i] for i in self._first_seen.tolist()]
 
-class EntityCatalog:
-    """Bijection between normalized entity strings and indices in [0, n).
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The catalog row of each id, as intp."""
+        row_of = np.empty(len(self.names), dtype=np.intp)
+        row_of[self._first_seen] = np.arange(len(self._first_seen))
+        return row_of[self.ids]
 
-    One dict holds it: its keys, in order, are the entities.
-    """
-
-    def __init__(self, entities: Iterable[str] = ()):
-        entities = list(entities)
-        self._index: dict[str, int] = dict(zip(entities, range(len(entities))))
-        if len(self._index) != len(entities):
-            # Repeats keep their first position.
-            self._index = dict(zip(dict.fromkeys(entities), range(len(entities))))
-
-    def rows_of(self, entities: Sequence[str]) -> np.ndarray:
-        """The index of each entity as intp, -1 for one not in the catalog."""
-        return np.fromiter(
-            map(self._index.get, entities, repeat(-1)), dtype=np.intp, count=len(entities)
-        )
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def to_list(self) -> list[str]:
-        return list(self._index)
+    @functools.cached_property
+    def _first_seen(self) -> np.ndarray:
+        """The ids of the used names, in first-seen order."""
+        first = np.full(len(self.names), len(self.ids), dtype=np.intp)
+        np.minimum.at(first, self.ids, np.arange(len(self.ids), dtype=np.intp))
+        used = np.flatnonzero(first < len(self.ids))
+        return used[np.argsort(first[used])]
 
 
-def build_catalog(entity_sets: EntitySets) -> EntityCatalog:
-    """Union all entity sets into a catalog, indices in first-seen order:
-    by passage, then by position in the passage.
-
-    Callers must pass the sets in the deterministic indexing order
-    (ascending passage id) for reproducible index assignment.
-    """
-    ids = entity_sets.ids
-    first = np.full(len(entity_sets.names), len(ids), dtype=np.intp)
-    np.minimum.at(first, ids, np.arange(len(ids), dtype=np.intp))
-    used = np.flatnonzero(first < len(ids))
-    names = entity_sets.names
-    return EntityCatalog([names[i] for i in used[np.argsort(first[used])].tolist()])
+def distinct(strings: Sequence[str]) -> bool:
+    """Whether no string repeats. Only the strings whose hash repeats go into
+    a set: a sort of the int64 hashes finds them."""
+    hashes = np.fromiter(map(hash, strings), dtype=np.int64, count=len(strings))
+    ordered = np.sort(hashes)
+    clashes = np.isin(hashes, ordered[1:][ordered[1:] == ordered[:-1]])
+    shared = [strings[i] for i in np.flatnonzero(clashes).tolist()]
+    return len(set(shared)) == len(shared)
 
 
 class ExtractionClient(Protocol):

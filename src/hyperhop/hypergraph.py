@@ -87,7 +87,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entities import EntityCatalog, EntitySets
+from .entities import EntitySets
 from .errors import ContractError
 
 # Cut-overs measured on the two benchmark graphs (see the module docstring).
@@ -182,31 +182,15 @@ class DegreeVectors:
     inv_edge: np.ndarray = field(repr=False)  # float64, 1 / edge degree
 
 
-def build_incidence(entity_sets: EntitySets, catalog: EntityCatalog) -> IncidenceMatrix:
-    """Build H from per-passage entity sets, columns in the given order.
-
-    Rows are sorted ascending inside each passage. Every entity must already
-    be cataloged; a missing entity indicates an inconsistent build and
-    raises ContractError.
-    """
-    rows = catalog.rows_of(entity_sets.names)[entity_sets.ids]
-    columns = entity_sets.columns()
-    if rows.size and rows.min() < 0:  # name the first passage with a missing entity
-        at = int(np.argmax(rows < 0))
-        entity = entity_sets.names[entity_sets.ids[at]]
-        passage_id = entity_sets.passage_ids[columns[at]]
-        raise ContractError(f"passage {passage_id!r}: entity {entity!r} not in catalog")
+def build_incidence(entity_sets: EntitySets) -> IncidenceMatrix:
+    """Build H from per-passage entity sets: a row per name of their catalog,
+    a column per passage in the given order, rows ascending in each column."""
     # Passages ascend already; one sort of (passage, row) keys puts the rows
     # of each passage in ascending order.
-    n_entities = len(catalog)
-    column_bases = columns * n_entities
-    rows = np.sort(column_bases + rows) - column_bases
-    return IncidenceMatrix(
-        n_entities=n_entities,
-        n_passages=len(entity_sets),
-        pas_offsets=entity_sets.offsets.astype(np.int32),
-        pas_indices=rows,
-    )
+    n_entities = len(entity_sets.catalog)
+    column_bases = entity_sets.columns() * n_entities
+    rows = np.sort(column_bases + entity_sets.rows) - column_bases
+    return IncidenceMatrix(n_entities, len(entity_sets), entity_sets.offsets.astype(np.int32), rows)
 
 
 def _reciprocal(values: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Directory layout (all binary arrays little-endian):
 
     manifest.json           counts, format version, corpus digest, encoder id
-    entities.json           entity strings, row order
+    entities.json           entity names, row order (``EntitySets.catalog``)
     passages.json           passage ids, column order
     pas_offsets.bin         int32, len n_passages + 1
     pas_indices.bin         int32, len nnz (entity row per entry, ascending per passage)
@@ -20,14 +20,14 @@ it into place, so a process that mapped the old file keeps it whole.
 
 ``load_index`` maps both embedding files read-only and reads the rest. It
 raises IndexIntegrityError unless every file is there and of its size, the
-incidence arrays and ids are consistent, ``embedding_dim`` is positive,
-every embedding value is finite, every norm is finite and >= 0, and the
-norms of ``_NORM_CHECKS`` seeded passages, recomputed from the columns,
-equal the stored ones bit for bit. The entity norms and buckets
-(``embeddings.EntityRows``) are derived in one pass over the map. Versions
-1 and 2 (passage values row-major) are rejected and must be rebuilt. The
-manifest has sorted keys and no timestamps, so rebuilding from warm caches
-reproduces it byte for byte.
+incidence arrays are consistent, each id list holds distinct strings,
+``embedding_dim`` is positive, every embedding value is finite, every norm
+is finite and >= 0, and the norms of ``_NORM_CHECKS`` seeded passages,
+recomputed from the columns, equal the stored ones bit for bit. The entity
+norms and buckets (``embeddings.EntityRows``) are derived in one pass over
+the map. Versions 1 and 2 (passage values row-major) are rejected and must
+be rebuilt. The manifest has sorted keys and no timestamps, so rebuilding
+from warm caches reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Sized
 
 import numpy as np
 
 from .embeddings import EntityRows, PassageRows, row_norms
-from .entities import EntityCatalog, EntitySets
+from .entities import EntitySets, distinct
 from .errors import IndexIntegrityError
 from .hypergraph import IncidenceMatrix, build_incidence
 
@@ -58,16 +57,16 @@ _NORM_CHECKS = 64
 
 @dataclass
 class HypergraphIndex:
-    """Catalog, incidence and aligned embeddings for one corpus.
-
-    The passages are held once, as the ``embeddings.PassageRows`` that
-    ``save_index`` writes and a query reads. ``entity_rows`` (the
-    ``embeddings.EntityRows`` of ``entity_embeddings``) is computed on first
-    use and then kept, so a query never converts a whole matrix. The
-    degrees of the incidence are derived on first use too.
+    """Incidence and aligned embeddings for one corpus, with the names of
+    its entity rows and the ids of its passage columns. The passages are
+    held once, as the ``embeddings.PassageRows`` that ``save_index`` writes
+    and a query reads. ``entity_rows`` (the ``embeddings.EntityRows`` of
+    ``entity_embeddings``) is computed on first use and then kept, so a
+    query never converts a whole matrix. The degrees of the incidence are
+    derived on first use too.
     """
 
-    catalog: EntityCatalog
+    entity_names: list[str]
     incidence: IncidenceMatrix
     passage_ids: list[str]
     entity_embeddings: np.ndarray  # float32 (n_entities, dim)
@@ -88,37 +87,28 @@ class HypergraphIndex:
 
 
 def build_index(
-    entity_sets: EntitySets,
-    catalog: EntityCatalog,
-    passage_ids: Sequence[str],
-    entity_embeddings: np.ndarray,
-    passage_embeddings: np.ndarray,
+    entity_sets: EntitySets, entity_embeddings: np.ndarray, passage_embeddings: np.ndarray
 ) -> HypergraphIndex:
-    """Assemble an in-memory index from already-extracted pieces and the two
-    float32 embedding matrices, one row per catalog entity and per passage.
-
-    Raises IndexIntegrityError when the entity sets, or an embedding matrix's
-    rows, do not line up with the catalog and the passages, or when the two
-    matrices differ in dimension.
+    """Assemble an in-memory index from a corpus's entity sets and the two
+    float32 embedding matrices, one row per name of ``entity_sets.catalog``
+    and per passage; raises IndexIntegrityError when a matrix's rows do not
+    line up with them, or when the two differ in dimension.
     """
-    if len(entity_sets) != len(passage_ids):
-        raise IndexIntegrityError("entity sets and passage ids are misaligned")
-    dims = set()
     for kind, values, rows in (
-        ("entity", entity_embeddings, len(catalog)),
-        ("passage", passage_embeddings, len(passage_ids)),
+        ("entity", entity_embeddings, len(entity_sets.catalog)),
+        ("passage", passage_embeddings, len(entity_sets)),
     ):
         if values.ndim != 2 or values.shape[0] != rows:
             raise IndexIntegrityError(
                 f"{kind} embeddings have shape {values.shape}, expected {rows} rows"
             )
-        dims.add(values.shape[1])
+    dims = sorted({entity_embeddings.shape[1], passage_embeddings.shape[1]})
     if len(dims) > 1:
-        raise IndexIntegrityError(f"entity and passage embedding dims differ: {sorted(dims)}")
+        raise IndexIntegrityError(f"entity and passage embedding dims differ: {dims}")
     return HypergraphIndex(
-        catalog=catalog,
-        incidence=build_incidence(entity_sets, catalog),
-        passage_ids=list(passage_ids),
+        entity_names=entity_sets.catalog,
+        incidence=build_incidence(entity_sets),
+        passage_ids=list(entity_sets.passage_ids),
         entity_embeddings=entity_embeddings,
         passage_rows=PassageRows.of(passage_embeddings),
     )
@@ -175,7 +165,7 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
         "embedding_dim": int(index.entity_embeddings.shape[1]),
     }
     files = {
-        "entities.json": json.dumps(index.catalog.to_list(), ensure_ascii=False).encode("utf-8"),
+        "entities.json": json.dumps(index.entity_names, ensure_ascii=False).encode("utf-8"),
         "passages.json": json.dumps(index.passage_ids, ensure_ascii=False).encode("utf-8"),
         "pas_offsets.bin": np.ascontiguousarray(inc.pas_offsets, dtype="<i4"),
         "pas_indices.bin": np.ascontiguousarray(inc.pas_indices, dtype="<i4"),
@@ -235,19 +225,11 @@ def _read_json(path: Path, kind: type):
     return value
 
 
-def _read_ids(
-    path: Path, distinct: Callable[[list[str]], Sized] = set
-) -> tuple[list[str], Sized]:
-    """The id list in ``path`` and ``distinct(ids)``, which must hold as many.
-
-    ``distinct`` is what the caller keeps of the ids' hashes (the entity
-    catalog's dict), so each id is hashed once.
-    """
+def _read_ids(path: Path) -> list[str]:
+    """The list of distinct strings in ``path``."""
     ids = _read_json(path, list)
-    if all(map(str.__instancecheck__, ids)):
-        held = distinct(ids)
-        if len(held) == len(ids):
-            return ids, held
+    if all(map(str.__instancecheck__, ids)) and distinct(ids):
+        return ids
     raise IndexIntegrityError(f"{path.name} is not a list of distinct strings")
 
 
@@ -274,11 +256,9 @@ def load_index(directory: str | Path) -> HypergraphIndex:
     )
     if dim == 0:
         raise IndexIntegrityError(f"{MANIFEST_NAME} declares embedding_dim 0")
-    # Passages first: the set that checks their ids is freed before the
-    # catalog and the arrays are made.
-    passage_ids = _read_ids(directory / "passages.json")[0]
-    entities, catalog = _read_ids(directory / "entities.json", EntityCatalog)
-    if len(entities) != n_entities or len(passage_ids) != n_passages:
+    passage_ids = _read_ids(directory / "passages.json")
+    entity_names = _read_ids(directory / "entities.json")
+    if len(entity_names) != n_entities or len(passage_ids) != n_passages:
         raise IndexIntegrityError("manifest counts disagree with stored id lists")
 
     incidence = _checked_incidence(
@@ -290,7 +270,7 @@ def load_index(directory: str | Path) -> HypergraphIndex:
     )
 
     index = HypergraphIndex(
-        catalog=catalog,
+        entity_names=entity_names,
         incidence=incidence,
         passage_ids=passage_ids,
         passage_rows=_checked_passage_rows(directory, n_passages, dim),

@@ -19,7 +19,6 @@ from .entities import (
     ExtractionClient,
     OfflineEntityExtractor,
     RemoteEntityExtractor,
-    build_catalog,
     extract_corpus_entities,
 )
 from .errors import ContractError
@@ -118,18 +117,17 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
     entity_sets = extract_corpus_entities(
         passages, extractor, extraction_cache, max_workers=config.max_workers
     )
-    catalog = build_catalog(entity_sets)
 
     encoder = make_encoder(config)
     embedding_cache = EmbeddingCache(cache_dir / "embeddings", encoder.encoder_id, encoder.dim)
-    entity_embeddings = embed_batch(catalog.to_list(), encoder, embedding_cache, config.batch_size)
+    entity_embeddings = embed_batch(
+        entity_sets.catalog, encoder, embedding_cache, config.batch_size
+    )
     passage_embeddings = embed_batch(
         [passage_embedding_text(p) for p in passages], encoder, embedding_cache, config.batch_size
     )
 
-    index = build_index(
-        entity_sets, catalog, [p.id for p in passages], entity_embeddings, passage_embeddings
-    )
+    index = build_index(entity_sets, entity_embeddings, passage_embeddings)
     manifest = save_index(
         index,
         index_dir,

@@ -68,7 +68,10 @@ def chat_completion(
 ) -> str:
     payload = {"model": model, "messages": messages, "temperature": 0}
     data = post_json(endpoint, "/chat/completions", payload, transport)
-    return data["choices"][0]["message"]["content"]
+    content = data["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"chat reply content is {type(content).__name__}, not a string")
+    return content
 
 
 def embeddings(

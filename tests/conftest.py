@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hyperhop.embeddings import OfflineEncoder, embed_batch
-from hyperhop.entities import EntityCatalog, EntitySets, build_catalog
+from hyperhop.entities import EntitySets
 from hyperhop.index_store import HypergraphIndex, build_index
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -33,24 +33,20 @@ def entity_sets_of(sets_by_pid: Mapping[str, Sequence[str]]) -> EntitySets:
     return EntitySets(pids, names, np.array(ids, dtype=np.intp), offsets)
 
 
-def index_of(catalog: EntityCatalog, entity: str) -> int:
-    """The catalog row of ``entity``; KeyError when it is not in the catalog."""
-    [row] = catalog.rows_of([entity]).tolist()
-    if row < 0:
-        raise KeyError(f"entity {entity!r} not in catalog")
-    return row
+def index_of(entity_names: Sequence[str], entity: str) -> int:
+    """The row of ``entity`` in a list of entity names; ValueError when it
+    is not one of them."""
+    return entity_names.index(entity)
 
 
 def index_from_sets(sets_by_pid: dict[str, list[str]], dim: int = 64) -> HypergraphIndex:
     """Assemble an in-memory index from passage-id -> entity list, embedded
     by the offline encoder."""
-    pids = sorted(sets_by_pid)
     entity_sets = entity_sets_of(sets_by_pid)
-    catalog = build_catalog(entity_sets)
     encoder = OfflineEncoder(dim=dim)
-    entity_embeddings = embed_batch(catalog.to_list(), encoder)
-    passage_embeddings = embed_batch([f"text of {pid}" for pid in pids], encoder)
-    return build_index(entity_sets, catalog, pids, entity_embeddings, passage_embeddings)
+    entity_embeddings = embed_batch(entity_sets.catalog, encoder)
+    passage_embeddings = embed_batch([f"text of {pid}" for pid in entity_sets.passage_ids], encoder)
+    return build_index(entity_sets, entity_embeddings, passage_embeddings)
 
 
 @pytest.fixture

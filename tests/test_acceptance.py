@@ -125,7 +125,7 @@ def test_criterion_3_toy_reproduction():
     with report_line("3 toy graph reproduction") as record:
         index = index_from_sets(TOY_SETS)
         x = np.zeros(5)
-        x[index_of(index.catalog, "albert einstein")] = 1.0
+        x[index_of(index.entity_names, "albert einstein")] = 1.0
         weights = np.array([0.9, 0.8, 0.3])  # stipulated toy passage weights
         config = RetrievalConfig(beta=0.5, steps=1, k1=1, k2=3)
         result = rank_passages(x, weights, index, config)

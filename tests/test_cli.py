@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hyperhop
+from hyperhop import cli
 from hyperhop.cli import main
 from hyperhop.corpus import load_corpus
 from hyperhop.embeddings import OfflineEncoder
@@ -17,6 +18,8 @@ from hyperhop.entities import OfflineEntityExtractor, passage_sha256
 from hyperhop.errors import ContractError
 from hyperhop.evaluate import load_qa_dataset, run_eval
 from hyperhop.index_store import load_index
+from hyperhop.qa import RemoteChatClient
+from hyperhop.remote import EndpointConfig
 from hyperhop.retrieval import RetrievalConfig, ranked_order, retrieve
 
 from conftest import DATA_DIR
@@ -99,6 +102,22 @@ class TestIndexCommand:
         )
         assert code == 2
         assert "line 4: not UTF-8" in capsys.readouterr().err
+
+    # A \ud800 escape decodes to a lone surrogate, which UTF-8 cannot encode:
+    # the corpus line is refused before any extraction or embedding runs.
+    @pytest.mark.parametrize("key", ["id", "text"])
+    def test_corpus_escape_that_utf8_cannot_encode_exits_2(self, tmp_path, capsys, no_network, key):
+        line = {"id": "P4", "title": "", "text": "Köln"} | {key: "K\ud800ln"}
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_bytes(
+            (DATA_DIR / "toy_corpus.jsonl").read_bytes() + (json.dumps(line) + "\n").encode()
+        )
+        code = main(
+            ["index", "--corpus", str(corpus), "--index-dir", str(tmp_path / "i"), "--offline"]
+        )
+        assert code == 2
+        assert "line 4: not UTF-8: a lone surrogate" in capsys.readouterr().err
+        assert not (tmp_path / "i").exists()
 
     def test_garbage_embedding_cache_manifest_is_replaced(self, built, capsys):
         index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
@@ -358,6 +377,30 @@ class TestAnswerCommand:
         assert payload["passages"] == ["P1", "P2"]
 
 
+def null_content_chat(failing_question):
+    """A remote chat client whose endpoint replies with null content to the
+    prompt of ``failing_question``, and with "Berlin" to any other."""
+
+    def transport(url, payload, headers):
+        failing = failing_question in payload["messages"][0]["content"]
+        return {"choices": [{"message": {"content": None if failing else "Berlin"}}]}
+
+    return RemoteChatClient(EndpointConfig("http://fake.local/v1"), "chat-model", transport)
+
+
+def test_answer_with_null_chat_content_exits_2(built, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_chat", lambda config: null_content_chat(TOY_QUERY))
+    assert main(["answer", TOY_QUERY] + common(built)) == 2
+    assert "chat reply content is NoneType, not a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["retrieve", "answer"])
+def test_query_that_utf8_cannot_encode_exits_2(built, capsys, command):
+    # argv carries the byte 0xff, which is not UTF-8, as the lone surrogate \udcff.
+    assert main([command, "Br\udcffssels"] + common(built)) == 2
+    assert "the query is not valid UTF-8 at character 2" in capsys.readouterr().err
+
+
 class TestPromptFiles:
     """A prompt file is a ``str.format`` template: a literal brace is doubled,
     and a file with a single one is a failed precondition."""
@@ -453,6 +496,26 @@ class TestEvalCommand:
         args = ["eval", "--dataset", str(bad), "--k1", "1", "--k2", "3"] + common(built)
         assert main(args) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_question_that_utf8_cannot_encode_exits_2(self, built, tmp_path, capsys):
+        bad = tmp_path / "bad_qa.jsonl"
+        bad.write_text('{"question": "Br\\udcffssels?", "answers": ["a"]}\n', encoding="utf-8")
+        args = ["eval", "--dataset", str(bad), "--k1", "1", "--k2", "3"] + common(built)
+        assert main(args) == 2
+        assert "line 1: not UTF-8: a lone surrogate" in capsys.readouterr().err
+
+    def test_null_chat_content_is_the_examples_error(self, built, tmp_path, capsys, monkeypatch):
+        failing = load_qa_dataset(TOY_QA)[1].question
+        monkeypatch.setattr(cli, "make_chat", lambda config: null_content_chat(failing))
+        out = tmp_path / "report.json"
+        args = ["eval", "--dataset", TOY_QA, "--qa", "--output", str(out)] + common(built)
+        assert main(args) == 1
+        records = json.loads(out.read_text())["records"]
+        assert [r.get("error") for r in records] == [
+            None,
+            "ChatError: chat completion failed: chat reply content is NoneType, not a string",
+            None,
+        ]
 
     def test_dataset_that_is_a_directory_exits_2(self, built, tmp_path, capsys):
         args = ["eval", "--dataset", str(tmp_path), "--k1", "1", "--k2", "3"] + common(built)

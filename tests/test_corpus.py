@@ -89,3 +89,11 @@ def test_load_corpus_rejects_bytes_that_are_not_utf8(tmp_path):
     )
     with pytest.raises(CorpusFormatError, match="line 2: not UTF-8"):
         load_corpus(path)
+
+
+def test_load_corpus_accepts_an_escaped_surrogate_pair(tmp_path):
+    # A \u escape pair makes one valid character; only a lone half is refused
+    # (tests/test_cli.py runs the refusal end to end).
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "p1", "title": "", "text": "smile \\ud83d\\ude00"}\n', encoding="utf-8")
+    assert load_corpus(path)[0].text == "smile \U0001f600"

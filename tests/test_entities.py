@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from hyperhop.corpus import Passage, load_corpus
 from hyperhop.entities import (
-    EntityCatalog,
     EntitySets,
     ExtractionCache,
     OfflineEntityExtractor,
-    build_catalog,
     dedup_normalized,
+    distinct,
     extract_corpus_entities,
     extract_entities,
     normalize_entity,
@@ -21,7 +20,7 @@ from hyperhop.entities import (
 )
 from hyperhop.errors import ContractError, ExtractionError
 
-from conftest import entity_sets_of, index_of
+from conftest import entity_sets_of
 
 CACHE_FILES = ("names.txt", "ids.bin", "entries.bin")
 
@@ -47,39 +46,39 @@ class TestNormalizeEntity:
         assert normalize_entity(once) == once
 
 
+@st.composite
+def shuffled_entity_sets(draw):
+    """EntitySets over a shuffled table of names, some of which no passage uses."""
+    names = draw(st.permutations([f"e{i}" for i in range(draw(st.integers(1, 12)))]))
+    name_ids = st.lists(st.integers(0, len(names) - 1), unique=True, max_size=5)
+    spans = draw(st.lists(name_ids, max_size=6))
+    ids = np.array([i for span in spans for i in span], dtype=np.intp)
+    offsets = np.cumsum([0, *map(len, spans)])
+    return EntitySets([f"p{j}" for j in range(len(spans))], names, ids, offsets)
+
+
 class TestCatalog:
     def test_first_seen_order(self):
-        catalog = build_catalog(entity_sets_of({"p1": ["a", "b"], "p2": ["b", "c"]}))
-        assert [index_of(catalog, e) for e in ("a", "b", "c")] == [0, 1, 2]
+        assert entity_sets_of({"p1": ["a", "b"], "p2": ["b", "c"]}).catalog == ["a", "b", "c"]
 
     def test_first_seen_order_follows_the_passages_not_the_names_table(self):
         offsets = np.array([0, 2, 4])
         sets = EntitySets(["p1", "p2"], ["c", "b", "a"], np.array([2, 1, 1, 0]), offsets)
-        assert build_catalog(sets).to_list() == ["a", "b", "c"]
+        assert sets.catalog == ["a", "b", "c"]
+        assert sets.rows.tolist() == [0, 1, 1, 2]
 
     def test_all_empty(self):
-        assert len(build_catalog(entity_sets_of({"p1": [], "p2": []}))) == 0
+        sets = entity_sets_of({"p1": [], "p2": []})
+        assert sets.catalog == [] and sets.rows.size == 0
 
     def test_union_semantics(self):
-        assert len(build_catalog(entity_sets_of({f"p{i}": ["x"] for i in range(3)}))) == 1
+        assert entity_sets_of({f"p{i}": ["x"] for i in range(3)}).catalog == ["x"]
 
-    def test_round_trip(self):
-        catalog = EntityCatalog(["alpha", "beta", "gamma"])
-        for i, entity in enumerate(catalog.to_list()):
-            assert index_of(catalog, entity) == i
-
-    def test_repeats_keep_their_first_position(self):
-        catalog = EntityCatalog(["b", "a", "b", "c"])
-        assert catalog.to_list() == ["b", "a", "c"]
-        assert index_of(catalog, "c") == 2
-
-    @given(st.lists(st.text(min_size=1, max_size=8), max_size=30))
-    def test_round_trip_random(self, raws):
-        entities = dedup_normalized(raws)
-        catalog = EntityCatalog(entities)
-        assert len(catalog) == len(entities)
-        for i, entity in enumerate(catalog.to_list()):
-            assert index_of(catalog, entity) == i
+    @given(shuffled_entity_sets())
+    def test_catalog_and_rows_follow_one_definition(self, sets):
+        names, ids = sets.names, sets.ids.tolist()
+        assert sets.catalog == list(dict.fromkeys(names[i] for i in ids))
+        assert [sets.catalog[row] for row in sets.rows.tolist()] == [names[i] for i in ids]
 
 
 class TestEntitySet:
@@ -107,8 +106,43 @@ class TestEntitySet:
         assert str(excinfo.value) == message
 
     def test_a_name_no_passage_uses_is_not_checked(self):
-        sets = EntitySets(["p1"], ["Bad", "", "a"], np.array([2]), np.array([0, 1]))
+        sets = EntitySets(["p1"], ["Bad", "", "a", "a"], np.array([2]), np.array([0, 1]))
         assert sets.entities(0) == ("a",)
+
+    @pytest.mark.parametrize(
+        "n_passages, names, ids, offsets, message",
+        [
+            (1, ["a"], [1], [0, 1], "entity sets: id 1 is not one of 1 names"),
+            (1, ["a"], [-1], [0, 1], "entity sets: id -1 is not one of 1 names"),
+            (3, ["a", "b"], [0, 1], [0, 2, 1, 2], "offsets do not frame 2 ids into 3 passages"),
+            (2, ["a"], [0], [0, 1], "offsets do not frame 1 ids into 2 passages"),
+            (1, ["a"], [0], [1, 1], "offsets do not frame 1 ids into 1 passages"),
+            (1, ["a", "b"], [0, 1], [0, 1], "offsets do not frame 2 ids into 1 passages"),
+            (2, ["a", "a"], [0, 1], [0, 1, 2], "entity sets: the name 'a' has two ids"),
+            (1, ["a", "a"], [0, 1], [0, 2], "duplicate entity 'a' in passage 'p0'"),
+        ],
+        ids=[
+            "id-past-the-names",
+            "negative-id",
+            "decreasing-offsets",
+            "fewer-spans-than-passages",
+            "offsets-not-from-0",
+            "offsets-short-of-the-ids",
+            "a-name-with-two-ids",
+            "a-name-twice-in-a-passage",
+        ],
+    )
+    def test_framing_and_names_are_checked(self, n_passages, names, ids, offsets, message):
+        pids = [f"p{j}" for j in range(n_passages)]
+        with pytest.raises(ContractError) as excinfo:
+            EntitySets(pids, names, np.array(ids, dtype=np.intp), np.array(offsets))
+        assert message in str(excinfo.value)
+
+
+def test_distinct_compares_the_values_that_share_a_hash():
+    # In CPython hash(-1) == hash(-2): a clash of two values that differ.
+    assert distinct([]) and distinct(["a", "b"]) and distinct([-1, -2, 5])
+    assert not distinct(["a", "b", "a"]) and not distinct([-1, -2, -1])
 
 
 def cached(cache, passage):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperhop import hypergraph
-from hyperhop.entities import build_catalog
 from hyperhop.errors import ContractError
 from hyperhop.hypergraph import (
     DiffusionSupport,
@@ -29,8 +28,7 @@ from reference import (
 
 def make_incidence(sets_by_pid):
     entity_sets = entity_sets_of(sets_by_pid)
-    catalog = build_catalog(entity_sets)
-    return build_incidence(entity_sets, catalog), catalog
+    return build_incidence(entity_sets), entity_sets.catalog
 
 
 class TestBuildIncidence:
@@ -55,12 +53,6 @@ class TestBuildIncidence:
         degrees = incidence.degrees
         assert degrees.node_degrees.tolist() == [1]
         assert degrees.edge_degrees.tolist() == [1]
-
-    def test_uncataloged_entity_rejected(self):
-        entity_sets = entity_sets_of({"p1": ["a"], "p2": ["b"]})
-        catalog = build_catalog(entity_sets_of({"p1": ["a"]}))
-        with pytest.raises(ContractError, match="^passage 'p2': entity 'b' not in catalog$"):
-            build_incidence(entity_sets, catalog)
 
     def test_rows_ascend_within_passages_on_random_graphs(self, rng):
         for _ in range(20):
@@ -239,7 +231,7 @@ class TestDiffusionSupport:
         monkeypatch.setattr(hypergraph, "_FRONTIER_MAX_SHARE", 0.5)
         weights = np.array([0.9, 0.0, 0.0])
         brussels = np.zeros(5)
-        brussels[index_of(toy_index.catalog, "brussels")] = 1.0
+        brussels[index_of(toy_index.entity_names, "brussels")] = 1.0
         support = DiffusionSupport(toy_index.incidence, weights)
         assert support.entity_to_passage(brussels).tolist() == [0.0, 0.0, 1.0]
         assert not support.full
@@ -289,14 +281,14 @@ class TestDiffusionOperator:
         assert out == pytest.approx([0.5], abs=1e-15)
 
     def test_toy_one_step_from_einstein(self, toy_index):
-        catalog = toy_index.catalog
+        names = toy_index.entity_names
         x = np.zeros(5)
-        x[index_of(catalog, "albert einstein")] = 1.0
+        x[index_of(names, "albert einstein")] = 1.0
         out = diffusion_step(x, toy_index.incidence, np.ones(3))
         oracle = dense_propagation_matrix(dense_incidence(toy_index.incidence), np.ones(3)) @ x
         np.testing.assert_allclose(out, oracle, rtol=1e-12)
-        assert out[index_of(catalog, "germany")] > 0.0
-        assert out[index_of(catalog, "brussels")] == 0.0
+        assert out[index_of(names, "germany")] > 0.0
+        assert out[index_of(names, "brussels")] == 0.0
 
     def test_dimension_mismatch(self, toy_index):
         with pytest.raises(ContractError, match=r"^x has shape \(4,\), expected \(5,\)$"):

@@ -17,7 +17,6 @@ from hyperhop.embeddings import (
     embed_batch,
     row_norms_and_largest,
 )
-from hyperhop.entities import build_catalog
 from hyperhop.errors import IndexIntegrityError
 from hyperhop.index_store import build_index, load_index, save_index
 
@@ -26,13 +25,11 @@ from reference import row_norms
 
 
 def make_toy_index():
-    pids = sorted(TOY_SETS)
     entity_sets = entity_sets_of(TOY_SETS)
-    catalog = build_catalog(entity_sets)
     encoder = OfflineEncoder(dim=32)
-    entity_embeddings = embed_batch(catalog.to_list(), encoder)
-    passage_embeddings = embed_batch([f"t {pid}" for pid in pids], encoder)
-    return build_index(entity_sets, catalog, pids, entity_embeddings, passage_embeddings)
+    entity_embeddings = embed_batch(entity_sets.catalog, encoder)
+    passage_embeddings = embed_batch([f"t {pid}" for pid in entity_sets.passage_ids], encoder)
+    return build_index(entity_sets, entity_embeddings, passage_embeddings)
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -41,7 +38,7 @@ def test_round_trip_preserves_everything(tmp_path):
     loaded = load_index(tmp_path)
 
     assert loaded.passage_ids == index.passage_ids
-    assert loaded.catalog.to_list() == index.catalog.to_list()
+    assert loaded.entity_names == index.entity_names
     assert loaded.incidence.nnz == index.incidence.nnz
     np.testing.assert_array_equal(loaded.incidence.pas_offsets, index.incidence.pas_offsets)
     np.testing.assert_array_equal(loaded.incidence.pas_indices, index.incidence.pas_indices)
@@ -145,14 +142,6 @@ def test_derived_manifest_keys_win_over_extra_manifest(tmp_path):
     assert load_index(tmp_path).manifest == written
 
 
-def test_misaligned_sets_rejected():
-    entity_sets = entity_sets_of({"p1": ["a"]})
-    catalog = build_catalog(entity_sets)
-    values = np.ones((1, 4), dtype=np.float32)
-    with pytest.raises(IndexIntegrityError):
-        build_index(entity_sets, catalog, ["p1", "p2"], values, values)
-
-
 @pytest.mark.parametrize(
     "entity_shape, passage_shape",
     [
@@ -164,13 +153,11 @@ def test_misaligned_sets_rejected():
     ],
 )
 def test_misaligned_embeddings_rejected(entity_shape, passage_shape):
-    pids = sorted(TOY_SETS)  # 3 passages over 5 entities
-    entity_sets = entity_sets_of(TOY_SETS)
-    catalog = build_catalog(entity_sets)
+    entity_sets = entity_sets_of(TOY_SETS)  # 3 passages over 5 entities
     entities = np.ones(entity_shape, dtype=np.float32)
     passages = np.ones(passage_shape, dtype=np.float32)
     with pytest.raises(IndexIntegrityError, match="embedding"):
-        build_index(entity_sets, catalog, pids, entities, passages)
+        build_index(entity_sets, entities, passages)
 
 
 def _saved(tmp_path):
@@ -291,8 +278,7 @@ def _synthetic_index(rows, dim, seed=7):
         values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
         values[::17] = 0.0
         matrices.append(values.astype(np.float32))
-    pids = entity_sets.passage_ids
-    return build_index(entity_sets, build_catalog(entity_sets), pids, *matrices)
+    return build_index(entity_sets, *matrices)
 
 
 def _stored(directory, name, dim):

@@ -27,10 +27,10 @@ def test_passage_embedding_text_uses_title_when_present():
     assert passage_embedding_text(without) == "body"
 
 
-def test_built_embeddings_align_with_catalog_and_passages(toy_built):
+def test_built_embeddings_align_with_entity_names_and_passages(toy_built):
     index, passages, manifest = toy_built
     encoder = OfflineEncoder(dim=manifest["embedding_dim"])
-    for i, entity in enumerate(index.catalog.to_list()):
+    for i, entity in enumerate(index.entity_names):
         expected = encoder.encode_batch([entity])[0]
         np.testing.assert_array_equal(index.entity_embeddings[i], expected)
     for j, passage in enumerate(passages):
@@ -110,7 +110,7 @@ def test_warm_rebuild_extracts_only_the_edited_passage(tmp_path, data_dir, monke
     corpus.write_text(corpus.read_text().replace("Brussels", "Strasbourg"))
     index, _ = build_index_from_corpus(config)
     assert titles == ["European Union"]  # the title of P3, the passage edited
-    entities = index.catalog.to_list()
+    entities = index.entity_names
     assert "strasbourg" in entities and "brussels" not in entities
 
 

@@ -125,6 +125,18 @@ def test_remote_chat_client_wraps_errors():
         client.complete("question")
 
 
+def test_null_chat_content_is_a_chat_error_and_an_extraction_error():
+    transport = RecordingTransport([{"choices": [{"message": {"content": None}}]}] * 2)
+    chat = RemoteChatClient(ENDPOINT, "chat-model", transport=transport)
+    with pytest.raises(ChatError, match="chat reply content is NoneType, not a string"):
+        chat.complete("question")
+    extractor = RemoteEntityExtractor(chat, default_prompt_template("entity_extraction"))
+    with pytest.raises(ExtractionError, match="content is NoneType, not a string") as excinfo:
+        extract_entities(Passage(id="p7", title="", text="Berlin"), extractor)
+    assert excinfo.value.passage_id == "p7"
+    assert len(transport.requests) == 2  # a reply is not retried
+
+
 def test_remote_extractor_formats_prompt_and_parses_json():
     transport = RecordingTransport(
         [{"choices": [{"message": {"content": '["Berlin", "Germany"]'}}]}]

@@ -10,7 +10,7 @@ from hyperhop.embeddings import (
     max_sim_to_query_entities,
     screen_max_sim,
 )
-from hyperhop.entities import OfflineEntityExtractor, build_catalog, dedup_normalized
+from hyperhop.entities import OfflineEntityExtractor, dedup_normalized
 from hyperhop.errors import ContractError
 from hyperhop.hypergraph import apply_diffusion_operator
 from hyperhop.index_store import build_index
@@ -107,7 +107,7 @@ class TestEntitySimilarity:
     def test_exact_match_coordinate_is_one(self, toy_built):
         index, _, _ = toy_built
         x = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.8)
-        assert x[index_of(index.catalog, "albert einstein")] == pytest.approx(1.0)
+        assert x[index_of(index.entity_names, "albert einstein")] == pytest.approx(1.0)
 
     def test_eta_one_blanks_everything(self, toy_built):
         index, _, _ = toy_built
@@ -118,7 +118,7 @@ class TestEntitySimilarity:
         index, _, _ = toy_built
         x = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.0)
         query_rows = embed_batch(["albert einstein"], ENCODER)
-        for i, entity in enumerate(index.catalog.to_list()):
+        for i, entity in enumerate(index.entity_names):
             expected = max(cosine(q, index.entity_embeddings[i]) for q in query_rows)
             if expected > 0.0:
                 assert x[i] == pytest.approx(expected, abs=1e-12)
@@ -128,7 +128,7 @@ class TestEntitySimilarity:
     def test_threshold_is_strict(self, toy_built):
         index, _, _ = toy_built
         x_open = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.999999)
-        assert x_open[index_of(index.catalog, "albert einstein")] == pytest.approx(1.0)
+        assert x_open[index_of(index.entity_names, "albert einstein")] == pytest.approx(1.0)
 
     def test_query_rows_of_another_dim_are_a_contract_error(self, toy_built):
         index, _, _ = toy_built
@@ -177,7 +177,7 @@ def index_with_entity_rows(values):
     """One passage per entity, the entity rows given; each passage row is
     its entity's."""
     sets = entity_sets_of({f"p{i:05d}": [f"e{i}"] for i in range(len(values))})
-    return build_index(sets, build_catalog(sets), sets.passage_ids, values, values)
+    return build_index(sets, values, values)
 
 
 class TestEntitySimilarityScreen:
@@ -465,7 +465,7 @@ class TestDiffuse:
 
     def test_toy_one_step_ordering(self, toy_index):
         x = np.zeros(5)
-        x[index_of(toy_index.catalog, "albert einstein")] = 1.0
+        x[index_of(toy_index.entity_names, "albert einstein")] = 1.0
         _, p_t = diffuse(x, TOY_WEIGHTS, toy_index, steps=1)
         oracle = dense_pipeline(
             dense_incidence(toy_index.incidence), x, TOY_WEIGHTS, steps=1, beta=0.0,
@@ -652,7 +652,7 @@ class TestDiffuse:
 
         monkeypatch.setattr(retrieval, "apply_diffusion_operator", counting)
         x = np.zeros(5)
-        x[index_of(toy_index.catalog, "albert einstein")] = 1.0
+        x[index_of(toy_index.entity_names, "albert einstein")] = 1.0
         for steps in range(5):
             outputs.clear()
             x_t, _ = diffuse(x, TOY_WEIGHTS, toy_index, steps)
@@ -872,7 +872,7 @@ class TestRetrieveEndToEnd:
     def test_toy_stipulated_weights_select_p1_p2(self, toy_index):
         # Composition of the worked diffusion and selection examples.
         x = np.zeros(5)
-        x[index_of(toy_index.catalog, "albert einstein")] = 1.0
+        x[index_of(toy_index.entity_names, "albert einstein")] = 1.0
         config = RetrievalConfig(beta=0.5, steps=1, k1=1, k2=3)
         result = rank_passages(x, TOY_WEIGHTS, toy_index, config)
         assert [col for col, _ in result.selected] == [0, 1]
