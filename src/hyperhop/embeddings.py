@@ -290,6 +290,26 @@ def row_norms_and_largest(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return np.sqrt(np.add.reduce(squares, axis=1)), axis, block[np.arange(block.shape[0]), axis]
 
 
+def norms_and_buckets(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``row_norms(block)`` and each row's ``EntityRows`` bucket as
+    ``entity_buckets.bin`` stores it, uint16: ``2 k + [e_k < 0]`` for the
+    row's first coordinate ``k`` of largest ``|e_k|``
+    (``row_norms_and_largest``), or ``2 dim`` when its norm lies outside
+    ``[2**-126, 2**127)``."""
+    norms, axis, value = row_norms_and_largest(block)
+    buckets = (2 * axis + (value < 0.0)).astype(np.uint16)
+    buckets[~_in_screen_range(norms)] = _never_skipped(block.shape[1])
+    return norms, buckets
+
+
+def _never_skipped(dim: int) -> int:
+    """``2 dim``, the bucket of ``EntityRows`` that is never skipped;
+    ContractError when a uint16 cannot hold it."""
+    if 2 * dim > np.iinfo(np.uint16).max:
+        raise ContractError(f"entity rows of dim {dim}: uint16 buckets index dims up to 32767")
+    return 2 * dim
+
+
 def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """``values`` in float64 with each row scaled to unit L2 norm; zero rows stay zero.
 
@@ -456,6 +476,12 @@ _SCREEN_MAX_NORM = 2.0**127
 _FLOAT32_TINY = float(np.finfo(np.float32).tiny)  # 2**-126, the smallest normal float32
 
 
+def _in_screen_range(norms: np.ndarray) -> np.ndarray:
+    """Where a norm lies in ``[2**-126, 2**127)``, the range in which
+    ``screen_max_sim``'s margin covers its float32 products."""
+    return (norms >= _FLOAT32_TINY) & (norms < _SCREEN_MAX_NORM)
+
+
 def _screen_margin(dim: int) -> float:
     """``2 (dim + 2) eps32``, the margin of ``screen_max_sim``'s tests."""
     return 2 * (dim + 2) * float(np.finfo(np.float32).eps)
@@ -522,8 +548,7 @@ def screen_max_sim(
         best[start:stop] = _fold_max(corpus_rows[start:stop] @ query32)
     margin = _screen_margin(corpus_rows.shape[1])
     keep = best > (eta - margin) * corpus_norms
-    in_range = (corpus_norms >= _FLOAT32_TINY) & (corpus_norms < _SCREEN_MAX_NORM)
-    keep |= ~in_range & (corpus_norms > 0.0)
+    keep |= ~_in_screen_range(corpus_norms) & (corpus_norms > 0.0)
 
     cols = np.flatnonzero((unit_query != 0.0).any(axis=0))
     undecided = np.flatnonzero(keep & (best <= (eta + margin) * corpus_norms))
@@ -547,18 +572,21 @@ class EntityRows:
     the rows of the buckets that can reach ``eta`` (see ``reachable_rows``).
     The buckets are an exact cone bound, after LEMP (Teflioudi, Gemulla &
     Mykytiuk, SIGMOD 2015) and cone trees (Ram & Gray, KDD 2012), whose
-    centroids are the axes, so they need no training and nothing on disk.
+    centroids are the axes, so they need no training. A build takes each
+    row's norm and bucket once (``of``) and the index stores both, in
+    ``entity_norms.bin`` and ``entity_buckets.bin``; a load derives the rest
+    from them (``from_buckets``).
 
     A row ``e`` whose norm ``n`` lies in ``[2**-126, 2**127)`` goes to
     bucket ``2 k + [e_k < 0]``, with ``k`` the first coordinate of largest
-    ``|e_k|``. ``cos_r[b]`` is the least float64 ``|e_k| / n`` over the rows
-    of bucket b (1 for an empty one), the cosine of the widest angle between
-    a row of the bucket and its signed axis. Zero rows and rows of a norm
-    outside that range, which the screen keeps whatever their product, go to
-    bucket ``2 dim``, which is never skipped. ``rows`` lists the row indices
-    bucket by bucket, ascending in each; bucket b holds ``rows[starts[b]:
-    starts[b + 1]]``, so a query reads only the indices of the buckets it
-    keeps.
+    ``|e_k|``. ``cos_r[b]`` is the least float64 ``s e_k / n`` over the rows
+    of bucket b, with ``s`` the bucket's sign (1 for an empty bucket): the
+    cosine of the widest angle between a row of the bucket and its signed
+    axis. Zero rows and rows of a norm outside that range, which the screen
+    keeps whatever their product, go to bucket ``2 dim``, which is never
+    skipped. ``rows`` lists the row indices bucket by bucket, ascending in
+    each; bucket b holds ``rows[starts[b]: starts[b + 1]]``, so a query
+    reads only the indices of the buckets it keeps.
     """
 
     values: np.ndarray  # float32 (n_rows, dim)
@@ -569,28 +597,49 @@ class EntityRows:
 
     @classmethod
     def of(cls, values: np.ndarray) -> EntityRows:
-        """The entity rows of the float32 matrix ``values``, each block's
-        norms and largest coordinates (``row_norms_and_largest``) taken
-        while the block is in cache."""
+        """The entity rows of the float32 matrix ``values``: each block's
+        norms and buckets (``norms_and_buckets``) taken while the block is
+        in cache, then the rest derived as a load derives it."""
         values = np.asarray(values)
-        n_rows, dim = values.shape
-        norms = np.empty(n_rows, dtype=np.float64)
-        axis = np.empty(n_rows, dtype=np.intp)
-        value = np.empty(n_rows, dtype=values.dtype)
+        norms = np.empty(values.shape[0], dtype=np.float64)
+        buckets = np.empty(values.shape[0], dtype=np.uint16)
         for start, stop, block in _blocks_of(values):
-            norms[start:stop], axis[start:stop], value[start:stop] = row_norms_and_largest(block)
-        # 16-bit keys sort stably by radix, about 6 times faster than wider ones.
-        keys = (2 * axis + (value < 0.0)).astype(np.int16 if 2 * dim < 2**15 else np.int32)
-        in_range = (norms >= _FLOAT32_TINY) & (norms < _SCREEN_MAX_NORM)
-        keys[~in_range] = 2 * dim
-        cos_r = np.ones(2 * dim + 1, dtype=np.float64)
-        np.minimum.at(cos_r, keys[in_range], np.abs(value[in_range]) / norms[in_range])
-        starts = np.zeros(2 * dim + 2, dtype=np.intp)
-        np.cumsum(np.bincount(keys, minlength=2 * dim + 1), out=starts[1:])
+            norms[start:stop], buckets[start:stop] = norms_and_buckets(block)
+        return cls.from_buckets(values, norms, buckets)
+
+    @classmethod
+    def from_buckets(
+        cls, values: np.ndarray, norms: np.ndarray, buckets: np.ndarray
+    ) -> EntityRows:
+        """The entity rows of ``values`` from their float64 ``norms`` and
+        one bucket per row, each at most ``2 dim``. A row whose norm lies
+        outside ``[2**-126, 2**127)`` goes to bucket ``2 dim`` whatever its
+        given bucket, and ``cos_r`` takes each other row's signed value on
+        its bucket's axis, so a wrong bucket only widens a cone: the
+        buckets can change which rows are screened, never ``x``.
+        """
+        last = _never_skipped(values.shape[1])
+        keys = np.array(buckets, dtype=np.uint16)  # 16-bit keys sort stably by radix
+        keys[~_in_screen_range(norms)] = last
+        on_axis = np.flatnonzero(keys < last)
+        axis_keys = keys[on_axis]
+        value = values[on_axis, axis_keys >> 1]
+        cos_r = np.ones(last + 1, dtype=np.float64)
+        signed = np.where((axis_keys & 1) == 1, -value, value)
+        np.minimum.at(cos_r, axis_keys, signed / norms[on_axis])
+        starts = np.zeros(last + 2, dtype=np.intp)
+        np.cumsum(np.bincount(keys, minlength=last + 1), out=starts[1:])
         rows = np.argsort(keys, kind="stable").astype(np.int32)
         for array in (norms, rows, starts, cos_r):
             array.flags.writeable = False
         return cls(values, norms, rows, starts, cos_r)
+
+    def buckets(self) -> np.ndarray:
+        """Each row's bucket, uint16, as ``entity_buckets.bin`` stores it."""
+        buckets = np.empty(self.rows.shape[0], dtype=np.uint16)
+        sizes = np.diff(self.starts)
+        buckets[self.rows] = np.repeat(np.arange(sizes.shape[0], dtype=np.uint16), sizes)
+        return buckets
 
     def candidates(self, query_rows: np.ndarray, eta: float) -> np.ndarray:
         """Ascending indices of every row whose ``max_sim_to_query_entities``

@@ -227,6 +227,22 @@ class RemoteEntityExtractor:
 
 
 def _parse_entity_reply(reply: str) -> list[str]:
+    """The entity names of a chat reply; raises ExtractionError on a name
+    that UTF-8 cannot encode, such as a JSON escape of a lone surrogate
+    makes, before it can reach a cache."""
+    names = _reply_names(reply)
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ExtractionError(
+                f"the reply holds an entity that is not valid UTF-8 at character {exc.start}:"
+                f" {name!r}"
+            ) from None
+    return names
+
+
+def _reply_names(reply: str) -> list[str]:
     reply = reply.strip()
     # Tolerate fenced code blocks around the JSON payload.
     if reply.startswith("```"):

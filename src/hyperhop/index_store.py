@@ -1,4 +1,4 @@
-"""Immutable on-disk retrieval index, format version 3.
+"""Immutable on-disk retrieval index, format version 4.
 
 Directory layout (all binary arrays little-endian):
 
@@ -8,31 +8,37 @@ Directory layout (all binary arrays little-endian):
     pas_offsets.bin         int32, len n_passages + 1
     pas_indices.bin         int32, len nnz (entity row per entry, ascending per passage)
     entity_embeddings.bin   float32, n_entities x dim
+    entity_norms.bin        float64, n_entities (L2 norm of each entity row)
+    entity_buckets.bin      uint16, n_entities (axis bucket of each entity row)
     passage_columns.bin     float32, dim x n_passages (passage values, coordinate-major)
     passage_norms.bin       float64, n_passages (L2 norm of each passage row)
 
 The incidence is stored passage-major only; its passage columns and its
-degrees are derived from it on first use.
-The passage files are the ``embeddings.PassageRows`` the query path reads,
-the norms summed in row order (bit for bit ``np.linalg.norm``'s).
-``save_index`` writes each file to a temporary name beside it and renames
-it into place, so a process that mapped the old file keeps it whole.
+degrees are derived from it on first use. The entity files are the
+``embeddings.EntityRows`` that a build derives once: the norms and buckets
+of ``embeddings.norms_and_buckets``. The passage files are the
+``embeddings.PassageRows`` the query path reads. Every norm is summed in
+row order, bit for bit ``np.linalg.norm``'s. ``save_index`` writes each file
+to a temporary name beside it and renames it into place, so a process that
+mapped the old file keeps it whole.
 
-``load_index`` maps both embedding files read-only and reads the rest. It
-raises IndexIntegrityError unless every file is there and of its size, the
-incidence arrays are consistent, each id list holds distinct strings,
-``embedding_dim`` is positive, every embedding value is finite, every norm
-is finite and >= 0, and the norms of ``_NORM_CHECKS`` seeded passages,
-recomputed from the columns, equal the stored ones bit for bit. The entity
-norms and buckets (``embeddings.EntityRows``) are derived in one pass over
-the map. Versions 1 and 2 (passage values row-major) are rejected and must
-be rebuilt. The manifest has sorted keys and no timestamps, so rebuilding
-from warm caches reproduces it byte for byte.
+``load_index`` maps both embedding files read-only and reads the rest; of
+the entity rows it derives only the bucket order and each bucket's cone
+(``EntityRows.from_buckets``). It raises IndexIntegrityError unless every
+file is there and of its size, the incidence arrays are consistent, each id
+list holds distinct strings, ``embedding_dim`` is positive, every embedding
+value is finite (a min/max sweep over each map), every norm is finite and
+>= 0, every bucket is at most ``2 embedding_dim``, and the norms (and, for
+entities, the buckets) of ``_NORM_CHECKS`` seeded rows of each matrix,
+recomputed from the values, equal the stored ones bit for bit. The buckets
+steer only which rows a query screens: a wrong bucket widens a cone and
+leaves ``x`` as it is. Versions 1 to 3 are rejected and must be rebuilt.
+The manifest has sorted keys and no timestamps, so rebuilding from warm
+caches reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import mmap
@@ -42,34 +48,35 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EntityRows, PassageRows, row_norms
+from .embeddings import EntityRows, PassageRows, norms_and_buckets, row_norms
 from .entities import EntitySets, distinct
 from .errors import IndexIntegrityError
 from .hypergraph import IncidenceMatrix, build_incidence
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 
-# Passages whose stored norm load_index recomputes from the columns.
+# Rows of each matrix whose stored norm (and bucket) load_index recomputes.
 _NORM_CHECKS = 64
+# Values per step of the finiteness sweep: 256 KB of float32, so the max
+# reads what the min left in cache.
+_FINITE_CHUNK = 1 << 16
 
 
 @dataclass
 class HypergraphIndex:
     """Incidence and aligned embeddings for one corpus, with the names of
-    its entity rows and the ids of its passage columns. The passages are
-    held once, as the ``embeddings.PassageRows`` that ``save_index`` writes
-    and a query reads. ``entity_rows`` (the ``embeddings.EntityRows`` of
-    ``entity_embeddings``) is computed on first use and then kept, so a
-    query never converts a whole matrix. The degrees of the incidence are
-    derived on first use too.
+    its entity rows and the ids of its passage columns. Each side is held
+    once, as the ``embeddings.EntityRows`` and ``embeddings.PassageRows``
+    that ``save_index`` writes and a query reads. The degrees of the
+    incidence are derived on first use.
     """
 
     entity_names: list[str]
     incidence: IncidenceMatrix
     passage_ids: list[str]
-    entity_embeddings: np.ndarray  # float32 (n_entities, dim)
+    entity_rows: EntityRows
     passage_rows: PassageRows
     manifest: dict | None = None
 
@@ -80,10 +87,6 @@ class HypergraphIndex:
     @property
     def n_passages(self) -> int:
         return self.incidence.n_passages
-
-    @functools.cached_property
-    def entity_rows(self) -> EntityRows:
-        return EntityRows.of(self.entity_embeddings)
 
 
 def build_index(
@@ -109,7 +112,7 @@ def build_index(
         entity_names=entity_sets.catalog,
         incidence=build_incidence(entity_sets),
         passage_ids=list(entity_sets.passage_ids),
-        entity_embeddings=entity_embeddings,
+        entity_rows=EntityRows.of(entity_embeddings),
         passage_rows=PassageRows.of(passage_embeddings),
     )
 
@@ -162,14 +165,16 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
         "n_entities": inc.n_entities,
         "n_passages": inc.n_passages,
         "nnz": inc.nnz,
-        "embedding_dim": int(index.entity_embeddings.shape[1]),
+        "embedding_dim": int(index.entity_rows.values.shape[1]),
     }
     files = {
         "entities.json": json.dumps(index.entity_names, ensure_ascii=False).encode("utf-8"),
         "passages.json": json.dumps(index.passage_ids, ensure_ascii=False).encode("utf-8"),
         "pas_offsets.bin": np.ascontiguousarray(inc.pas_offsets, dtype="<i4"),
         "pas_indices.bin": np.ascontiguousarray(inc.pas_indices, dtype="<i4"),
-        "entity_embeddings.bin": np.ascontiguousarray(index.entity_embeddings, dtype="<f4"),
+        "entity_embeddings.bin": np.ascontiguousarray(index.entity_rows.values, dtype="<f4"),
+        "entity_norms.bin": np.ascontiguousarray(index.entity_rows.norms, dtype="<f8"),
+        "entity_buckets.bin": index.entity_rows.buckets().astype("<u2"),
         "passage_columns.bin": np.ascontiguousarray(index.passage_rows.columns, dtype="<f4"),
         "passage_norms.bin": np.ascontiguousarray(index.passage_rows.norms, dtype="<f8"),
         MANIFEST_NAME: (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"),
@@ -197,20 +202,60 @@ def _checked_incidence(
     return incidence
 
 
+def spot_checked_rows(n_rows: int) -> np.ndarray:
+    """The ``_NORM_CHECKS`` seeded rows (all, when fewer) of a matrix of
+    ``n_rows`` whose stored norms ``load_index`` recomputes."""
+    return np.random.default_rng(0).choice(n_rows, min(n_rows, _NORM_CHECKS), replace=False)
+
+
+def _check_finite(path: Path, values: np.ndarray) -> None:
+    """Raise unless every value of the C-ordered ``values`` is finite:
+    checked by the min and max of each chunk, as NaN propagates through both
+    and an infinity is an extreme, with no temporary of the chunk's size."""
+    flat = values.reshape(-1)
+    for start in range(0, flat.shape[0], _FINITE_CHUNK):  # an empty map has no chunk
+        chunk = flat[start : start + _FINITE_CHUNK]
+        if not (math.isfinite(chunk.min()) and math.isfinite(chunk.max())):
+            raise IndexIntegrityError(f"{path.name} holds a non-finite value")
+
+
+def _stored_norms(path: Path, n_rows: int) -> np.ndarray:
+    norms = _stored(path, "<f8", (n_rows,))
+    if not (np.isfinite(norms) & (norms >= 0.0)).all():
+        raise IndexIntegrityError(f"{path.name} holds a non-finite or negative norm")
+    return norms
+
+
 def _checked_passage_rows(directory: Path, n_passages: int, dim: int) -> PassageRows:
     """The passage rows as stored: the columns mapped, the norms read, and
     both checked (see the module docstring)."""
     columns_path = directory / "passage_columns.bin"
     columns = _stored(columns_path, "<f4", (dim, n_passages), mapped=True)
-    norms = _stored(directory / "passage_norms.bin", "<f8", (n_passages,))
-    if not all(np.isfinite(row).all() for row in columns):  # one row's temporary at a time
-        raise IndexIntegrityError(f"{columns_path.name} holds a non-finite value")
-    if not (np.isfinite(norms) & (norms >= 0.0)).all():
-        raise IndexIntegrityError("passage_norms.bin holds a non-finite or negative norm")
-    picked = np.random.default_rng(0).choice(n_passages, min(n_passages, _NORM_CHECKS), replace=False)
+    _check_finite(columns_path, columns)
+    norms = _stored_norms(directory / "passage_norms.bin", n_passages)
+    picked = spot_checked_rows(n_passages)
     if row_norms(columns[:, picked].T).tobytes() != norms[picked].tobytes():
         raise IndexIntegrityError("passage_norms.bin does not hold the norms of passage_columns.bin")
     return PassageRows(columns, norms)
+
+
+def _checked_entity_rows(directory: Path, n_entities: int, dim: int) -> EntityRows:
+    """The entity rows from the stored values, mapped, and the stored norms
+    and buckets, all checked (see the module docstring)."""
+    values_path = directory / "entity_embeddings.bin"
+    values = _stored(values_path, "<f4", (n_entities, dim), mapped=True)
+    _check_finite(values_path, values)
+    norms = _stored_norms(directory / "entity_norms.bin", n_entities)
+    buckets = _stored(directory / "entity_buckets.bin", "<u2", (n_entities,))
+    if n_entities and buckets.max() > 2 * dim:
+        raise IndexIntegrityError(f"entity_buckets.bin holds a bucket above 2 embedding_dim = {2 * dim}")
+    picked = spot_checked_rows(n_entities)
+    for name, stored, recomputed in zip(
+        ("norms", "buckets"), (norms, buckets), norms_and_buckets(values[picked])
+    ):
+        if recomputed.tobytes() != stored[picked].tobytes():
+            raise IndexIntegrityError(f"entity_{name}.bin does not hold the {name} of {values_path.name}")
+    return EntityRows.from_buckets(values, norms, buckets)
 
 
 def _read_json(path: Path, kind: type):
@@ -269,18 +314,11 @@ def load_index(directory: str | Path) -> HypergraphIndex:
         nnz,
     )
 
-    index = HypergraphIndex(
+    return HypergraphIndex(
         entity_names=entity_names,
         incidence=incidence,
         passage_ids=passage_ids,
         passage_rows=_checked_passage_rows(directory, n_passages, dim),
-        entity_embeddings=_stored(
-            directory / "entity_embeddings.bin", "<f4", (n_entities, dim), mapped=True
-        ),
+        entity_rows=_checked_entity_rows(directory, n_entities, dim),
         manifest=manifest,
     )
-    # The norms are summed from exact float64 squares of float32 values,
-    # which cannot overflow: a norm is finite exactly when its row is.
-    if not np.isfinite(index.entity_rows.norms).all():
-        raise IndexIntegrityError("entity_embeddings.bin holds a non-finite value")
-    return index

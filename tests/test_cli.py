@@ -34,6 +34,8 @@ INDEX_FILES = [
     "pas_offsets.bin",
     "pas_indices.bin",
     "entity_embeddings.bin",
+    "entity_norms.bin",
+    "entity_buckets.bin",
     "passage_columns.bin",
     "passage_norms.bin",
 ]
@@ -287,9 +289,12 @@ class TestRetrieveCommand:
         err = capsys.readouterr().err
         assert name in err and "Errno" not in err
 
-    def test_version_2_index_exits_2(self, built, capsys):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_index_version_exits_2(self, built, capsys, version):
         path = built / "index" / "manifest.json"
-        path.write_text(path.read_text().replace('"format_version": 3', '"format_version": 2'))
+        text = path.read_text()
+        assert '"format_version": 4' in text
+        path.write_text(text.replace('"format_version": 4', f'"format_version": {version}'))
         assert main(["retrieve", TOY_QUERY] + common(built)) == 2
         assert "rebuild the index" in capsys.readouterr().err
 

@@ -515,6 +515,31 @@ class TestAxisBuckets:
         assert got == members
         assert buckets.cos_r.tobytes() == cos_r.tobytes()
 
+    def test_given_buckets_only_widen_the_cones(self):
+        rows = np.array(
+            [
+                [0.0, -2.0, 1.0],  # its bucket is 3; given 2, the other sign
+                [0.0, 0.0, 0.0],  # zero; given 0
+                [2e38, -2e38, 0.0],  # norm above 2**127; given 4
+            ],
+            dtype=np.float32,
+        )
+        norms = row_norms(rows)
+        given = EntityRows.from_buckets(rows, norms, np.array([2, 0, 4], dtype=np.uint16))
+        members = [given.rows[given.starts[b] : given.starts[b + 1]].tolist() for b in range(7)]
+        assert members == [[], [], [0], [], [], [], [1, 2]]
+        # Row 0's signed value on the positive axis 1 is -2: bucket 2's cone
+        # opens past a right angle, so a query at row 0 still reaches it.
+        assert given.cos_r.tolist() == [1.0, 1.0, -2.0 / norms[0], 1.0, 1.0, 1.0, 1.0]
+        assert given.reachable_rows(rows[:1], 0.9, 3).tolist() == [0, 1, 2]
+        assert EntityRows.of(rows).buckets().tolist() == [3, 6, 6]
+
+    def test_dims_past_what_uint16_buckets_index_are_refused(self):
+        for n_rows in (0, 1):
+            with pytest.raises(ContractError, match="dim 32768"):
+                EntityRows.of(np.zeros((n_rows, 32768), dtype=np.float32))
+        assert EntityRows.of(np.zeros((1, 32767), dtype=np.float32)).buckets().tolist() == [65534]
+
     def test_reachable_rows_keep_the_axes_near_the_query(self):
         rows = np.zeros((6, 4), dtype=np.float32)
         rows[[0, 1, 2, 3], [0, 0, 1, 2]] = [1.0, 2.0, -1.0, 1.0]

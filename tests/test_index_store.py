@@ -2,11 +2,14 @@ import gc
 import io
 import json
 import mmap
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperhop import embeddings, index_store
 from hyperhop.cli import main
@@ -18,7 +21,13 @@ from hyperhop.embeddings import (
     row_norms_and_largest,
 )
 from hyperhop.errors import IndexIntegrityError
-from hyperhop.index_store import build_index, load_index, save_index
+from hyperhop.index_store import (
+    _NORM_CHECKS,
+    build_index,
+    load_index,
+    save_index,
+    spot_checked_rows,
+)
 
 from conftest import TOY_SETS, entity_sets_of
 from reference import row_norms
@@ -49,7 +58,7 @@ def test_round_trip_preserves_everything(tmp_path):
     np.testing.assert_array_equal(
         loaded.incidence.degrees.edge_degrees, index.incidence.degrees.edge_degrees
     )
-    _assert_bitwise_equal(loaded.entity_embeddings, index.entity_embeddings)
+    _assert_bitwise_equal(loaded.entity_rows.values, index.entity_rows.values)
     _assert_bitwise_equal(loaded.entity_rows.norms, index.entity_rows.norms)
     _assert_bitwise_equal(loaded.passage_rows.columns, index.passage_rows.columns)
     _assert_bitwise_equal(loaded.passage_rows.norms, index.passage_rows.norms)
@@ -101,7 +110,14 @@ def test_missing_binary_detected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["entity_embeddings.bin", "passage_columns.bin", "passage_norms.bin"]
+    "name",
+    [
+        "entity_embeddings.bin",
+        "entity_norms.bin",
+        "entity_buckets.bin",
+        "passage_columns.bin",
+        "passage_norms.bin",
+    ],
 )
 def test_missing_embedding_file_detected_at_load(tmp_path, name):
     (_saved(tmp_path) / name).unlink()
@@ -168,7 +184,9 @@ def _saved(tmp_path):
 def test_only_the_passage_major_incidence_is_stored(tmp_path):
     assert sorted(f.name for f in _saved(tmp_path).iterdir()) == [
         "entities.json",
+        "entity_buckets.bin",
         "entity_embeddings.bin",
+        "entity_norms.bin",
         "manifest.json",
         "pas_indices.bin",
         "pas_offsets.bin",
@@ -176,10 +194,10 @@ def test_only_the_passage_major_incidence_is_stored(tmp_path):
         "passage_norms.bin",
         "passages.json",
     ]
-    assert json.loads((tmp_path / "manifest.json").read_text())["format_version"] == 3
+    assert json.loads((tmp_path / "manifest.json").read_text())["format_version"] == 4
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_older_index_versions_rejected(tmp_path, version):
     directory = _saved(tmp_path)
     manifest = json.loads((directory / "manifest.json").read_text())
@@ -195,6 +213,8 @@ def test_older_index_versions_rejected(tmp_path, version):
         ("passage_columns.bin", lambda raw: raw[:-4]),  # truncated
         ("passage_norms.bin", lambda raw: raw[:-1]),  # torn
         ("entity_embeddings.bin", lambda raw: raw + bytes(4)),  # oversized
+        ("entity_norms.bin", lambda raw: raw[:-8]),  # a norm short
+        ("entity_buckets.bin", lambda raw: raw + bytes(2)),  # a bucket over
     ],
 )
 def test_wrong_size_embeddings_detected(tmp_path, name, resize):
@@ -291,7 +311,7 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     loaded = load_index(tmp_path)
     entities = _stored(tmp_path, "entity_embeddings.bin", 16)
     columns = np.fromfile(tmp_path / "passage_columns.bin", dtype="<f4").reshape(16, rows)
-    _assert_bitwise_equal(loaded.entity_embeddings, entities)
+    _assert_bitwise_equal(loaded.entity_rows.values, entities)
     _assert_bitwise_equal(loaded.entity_rows.norms, row_norms(entities))
     _assert_bitwise_equal(loaded.passage_rows.columns, columns)
     # Row order: np.linalg.norm sums an F-ordered row in another order.
@@ -300,17 +320,68 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     entity_rows = EntityRows.of(entities)
     for name in ("values", "norms", "rows", "starts", "cos_r"):
         _assert_bitwise_equal(getattr(loaded.entity_rows, name), getattr(entity_rows, name))
-    assert loaded.entity_rows.values is loaded.entity_embeddings
-    assert not loaded.entity_embeddings.flags.writeable
+    assert not loaded.entity_rows.values.flags.writeable
     assert not loaded.entity_rows.norms.flags.writeable
     assert not loaded.passage_rows.columns.flags.writeable
     assert not loaded.passage_rows.norms.flags.writeable
 
 
-def test_a_built_index_takes_its_norms_and_buckets_from_one_pass(tmp_path, monkeypatch):
-    index = _synthetic_index(ROW_BLOCK + 1, 16)
-    save_index(index, tmp_path)
-    loaded = load_index(tmp_path)
+# Coordinates on the edges of the entity buckets: zero, ties of either
+# sign, norms below 2**-126 (subnormals), at it, and at or above 2**127.
+_EDGE_VALUES = [0.0, 1.0, -1.0, 2.0**-149, -(2.0**-149), 2.0**-126, 2.0**127, -(2.0**127), 3e38]
+
+
+@st.composite
+def _entity_matrices(draw):
+    n_rows, dim = draw(st.integers(0, 40)), draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-4.0, 4.0, width=32))
+    flat = draw(st.lists(value, min_size=n_rows * dim, max_size=n_rows * dim))
+    return np.array(flat, dtype=np.float32).reshape(n_rows, dim)
+
+
+def _reference_buckets(values):
+    """Each row's bucket, row by row, as the ``EntityRows`` docstring
+    defines it."""
+    dim = values.shape[1]
+    buckets = []
+    for row, norm in zip(values, row_norms(values)):
+        k = int(np.argmax(np.abs(row)))
+        in_range = 2.0**-126 <= norm < 2.0**127
+        buckets.append(2 * k + int(row[k] < 0) if in_range else 2 * dim)
+    return np.array(buckets, dtype="<u2")
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=_entity_matrices())
+@example(
+    values=np.array(
+        [
+            [0.0, 0.0, 0.0],  # zero: bucket 2 dim
+            [1.0, -1.0, 0.5],  # a tie: the first axis, positive
+            [-1.0, 1.0, 0.5],  # a tie: the first axis, negative
+            [0.0, -(2.0**-126), 0.0],  # a norm of 2**-126: in range
+            [2.0**-149, 0.0, -(2.0**-149)],  # a norm below 2**-126
+            [0.0, 0.0, 2.0**127],  # a norm of 2**127
+            [3e38, -3e38, 1.0],  # a norm above 2**127
+        ],
+        dtype=np.float32,
+    )
+)
+def test_stored_entity_rows_are_bitwise_those_of_the_values(values):
+    entity_sets = entity_sets_of({f"p{i:02d}": [f"e{i}"] for i in range(len(values))})
+    with tempfile.TemporaryDirectory() as directory:
+        save_index(build_index(entity_sets, values, values), directory)
+        stored = np.fromfile(Path(directory) / "entity_buckets.bin", dtype="<u2")
+        loaded = load_index(directory).entity_rows
+    assert stored.tobytes() == _reference_buckets(values).tobytes()
+    built = EntityRows.of(values)
+    for name in ("values", "norms", "rows", "starts", "cos_r"):
+        _assert_bitwise_equal(getattr(loaded, name), getattr(built, name))
+
+
+@pytest.fixture
+def largest_passes(monkeypatch):
+    """The row count of every ``row_norms_and_largest`` call, in order."""
     passes = []
 
     def counted(block):
@@ -318,22 +389,38 @@ def test_a_built_index_takes_its_norms_and_buckets_from_one_pass(tmp_path, monke
         return row_norms_and_largest(block)
 
     monkeypatch.setattr(embeddings, "row_norms_and_largest", counted)
-    built, read = index.entity_rows, loaded.entity_rows
+    return passes
+
+
+@pytest.mark.parametrize("rows", [_NORM_CHECKS - 1, ROW_BLOCK + 1])
+def test_only_a_build_takes_every_norm_and_bucket(tmp_path, largest_passes, rows):
+    """A build takes each row's norm and bucket once, a block at a time; a
+    load recomputes those of ``_NORM_CHECKS`` rows at most and derives the
+    rest from the stored files."""
+    index = _synthetic_index(rows, 16)
+    assert largest_passes == [min(ROW_BLOCK, rows - start) for start in range(0, rows, ROW_BLOCK)]
+    save_index(index, tmp_path)
+    largest_passes.clear()
+    loaded = load_index(tmp_path)
+    assert largest_passes == [min(rows, _NORM_CHECKS)]
     for name in ("norms", "rows", "starts", "cos_r"):
-        _assert_bitwise_equal(getattr(built, name), getattr(read, name))
-    assert index.entity_rows is built
-    assert passes == [ROW_BLOCK, 1]  # each row once, a block at a time
-    assert not built.norms.flags.writeable
+        _assert_bitwise_equal(getattr(loaded.entity_rows, name), getattr(index.entity_rows, name))
+        assert not getattr(index.entity_rows, name).flags.writeable
 
 
-def test_a_loaded_index_maps_its_passage_columns(tmp_path):
+def test_a_loaded_index_maps_its_embedding_matrices(tmp_path):
     loaded = load_index(_saved(tmp_path))
-    columns = loaded.passage_rows.columns
+    columns, values = loaded.passage_rows.columns, loaded.entity_rows.values
     assert columns.shape == (32, loaded.n_passages) and columns.dtype == np.float32
-    base = columns
+    assert values.shape == (loaded.n_entities, 32) and values.dtype == np.float32
+    assert _mapped(columns) and _mapped(values)
+
+
+def _mapped(array):
+    base = array
     while isinstance(base, np.ndarray):
         base = base.base
-    assert isinstance(base.obj, mmap.mmap)
+    return isinstance(base.obj, mmap.mmap)
 
 
 def test_a_loaded_index_saves_the_same_bytes(tmp_path):
@@ -370,35 +457,88 @@ def test_a_failed_save_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _exits_2_naming(directory, capsys, message):
+    assert main(["stats", "--index-dir", str(directory), "--offline"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["passage_norms.bin", "entity_norms.bin"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
-def test_a_norm_that_is_not_finite_and_nonnegative_detected(tmp_path, value):
-    path = _saved(tmp_path) / "passage_norms.bin"
+def test_a_norm_that_is_not_finite_and_nonnegative_detected(tmp_path, capsys, name, value):
+    path = _saved(tmp_path) / name
     norms = np.fromfile(path)
     norms[1] = value
     norms.tofile(path)
-    with pytest.raises(IndexIntegrityError, match="passage_norms.bin holds a non-finite or negative"):
-        load_index(tmp_path)
+    _exits_2_naming(tmp_path, capsys, f"{name} holds a non-finite or negative norm")
 
 
-def test_a_wrong_norm_detected_by_the_spot_check(tmp_path):
-    path = _saved(tmp_path) / "passage_norms.bin"
-    norms = np.fromfile(path)
-    norms[2] = np.nextafter(norms[2], np.inf)
-    norms.tofile(path)
-    with pytest.raises(IndexIntegrityError, match="not hold the norms of passage_columns.bin"):
-        load_index(tmp_path)
+def _next_up(norm):
+    return np.nextafter(norm, np.inf)
+
+
+def _other_sign(bucket):
+    return bucket ^ 1
+
+
+@pytest.mark.parametrize(
+    "name, dtype, change, message",
+    [
+        ("passage_norms.bin", "<f8", _next_up, "the norms of passage_columns.bin"),
+        ("entity_norms.bin", "<f8", _next_up, "the norms of entity_embeddings.bin"),
+        ("entity_buckets.bin", "<u2", _other_sign, "the buckets of entity_embeddings.bin"),
+    ],
+)
+def test_a_changed_spot_checked_row_exits_2(tmp_path, capsys, name, dtype, change, message):
+    save_index(_synthetic_index(ROW_BLOCK + 3, 8), tmp_path)
+    path = tmp_path / name
+    stored = np.fromfile(path, dtype=dtype)
+    # A spot-checked row that _synthetic_index did not zero, so its bucket
+    # is an axis's.
+    row = next(row for row in spot_checked_rows(stored.size) if row % 17)
+    stored[row] = change(stored[row])
+    stored.tofile(path)
+    _exits_2_naming(tmp_path, capsys, f"{name} does not hold {message}")
+
+
+def test_a_bucket_above_twice_the_dim_exits_2(tmp_path, capsys):
+    """Every bucket is range-checked, not only the spot-checked ones."""
+    save_index(_synthetic_index(ROW_BLOCK + 3, 8), tmp_path)
+    path = tmp_path / "entity_buckets.bin"
+    buckets = np.fromfile(path, dtype="<u2")
+    assert buckets.max() == 16  # the zero rows' bucket, 2 dim
+    row = np.setdiff1d(np.arange(buckets.size), spot_checked_rows(buckets.size))[-1]
+    buckets[row] = 17
+    buckets.tofile(path)
+    _exits_2_naming(tmp_path, capsys, "entity_buckets.bin holds a bucket above 2 embedding_dim = 16")
 
 
 @pytest.mark.parametrize("name", ["entity_embeddings.bin", "passage_columns.bin"])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_non_finite_last_row_of_a_partial_block_exits_2(tmp_path, capsys, name, value):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, -1])
+def test_a_non_finite_first_or_last_value_exits_2(tmp_path, capsys, name, value, position):
     save_index(_synthetic_index(ROW_BLOCK + 3, 8), tmp_path)
     path = tmp_path / name
     values = np.fromfile(path, dtype="<f4")
-    values[-1] = value
+    values[position] = value
     values.tofile(path)
-    assert main(["stats", "--index-dir", str(tmp_path), "--offline"]) == 2
-    assert f"{name} holds a non-finite value" in capsys.readouterr().err
+    _exits_2_naming(tmp_path, capsys, f"{name} holds a non-finite value")
+
+
+@pytest.mark.parametrize("position", [None, 0, 4, 5, 159])
+def test_the_finiteness_sweep_reads_every_chunk(tmp_path, monkeypatch, position):
+    """The toy's 5 x 32 entity values in chunks of 5: a NaN at either end of
+    a chunk, or at the end of the map, is found."""
+    monkeypatch.setattr(index_store, "_FINITE_CHUNK", 5)
+    path = _saved(tmp_path) / "entity_embeddings.bin"
+    values = np.fromfile(path, dtype="<f4")
+    assert values.size == 160
+    if position is not None:
+        values[position] = np.nan
+        values.tofile(path)
+        with pytest.raises(IndexIntegrityError, match="entity_embeddings.bin holds a non-finite"):
+            load_index(tmp_path)
+    else:
+        assert load_index(tmp_path).entity_rows.values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["passage_norms.bin", "pas_indices.bin"])
@@ -450,6 +590,6 @@ def test_load_neither_copies_nor_holds_a_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.passage_rows.columns.nbytes == n_rows * dim * 4
-    assert loaded.entity_embeddings.nbytes == n_rows * dim * 4
+    assert loaded.entity_rows.values.nbytes == n_rows * dim * 4
     assert retained - before < n_rows * dim * 2
     assert peak - retained <= ROW_BLOCK * dim * 8 + 64 * n_rows < n_rows * dim

@@ -32,7 +32,7 @@ def test_built_embeddings_align_with_entity_names_and_passages(toy_built):
     encoder = OfflineEncoder(dim=manifest["embedding_dim"])
     for i, entity in enumerate(index.entity_names):
         expected = encoder.encode_batch([entity])[0]
-        np.testing.assert_array_equal(index.entity_embeddings[i], expected)
+        np.testing.assert_array_equal(index.entity_rows.values[i], expected)
     for j, passage in enumerate(passages):
         expected = encoder.encode_batch([passage_embedding_text(passage)])[0]
         np.testing.assert_array_equal(index.passage_rows.columns[:, j], expected)
@@ -75,7 +75,7 @@ def test_rebuild_with_warm_caches_is_bitwise_identical(tmp_path, data_dir, no_ne
     )
     for _ in range(2):
         index, manifest = build_index_from_corpus(config)
-        results.append((manifest, index.entity_embeddings.tobytes()))
+        results.append((manifest, index.entity_rows.values.tobytes()))
     assert results[0] == results[1]
 
 

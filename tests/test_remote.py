@@ -5,12 +5,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hyperhop import pipeline
+from hyperhop.cli import main
 from hyperhop.corpus import Passage
 from hyperhop.embeddings import RemoteEncoder, embed_batch
-from hyperhop.entities import RemoteEntityExtractor, _parse_entity_reply, extract_entities
+from hyperhop.entities import (
+    ExtractionCache,
+    OfflineEntityExtractor,
+    RemoteEntityExtractor,
+    _parse_entity_reply,
+    extract_entities,
+    passage_sha256,
+)
 from hyperhop.errors import ChatError, EmbeddingError, ExtractionError
 from hyperhop.qa import RemoteChatClient, default_prompt_template
 from hyperhop.remote import EndpointConfig, chat_completion, embeddings, post_json
+
+from conftest import DATA_DIR
 
 ENDPOINT = EndpointConfig(base_url="http://fake.local/v1", api_key="k", backoff_seconds=0)
 
@@ -175,3 +186,30 @@ def test_failing_remote_extraction_is_retried_by_the_transport_only():
 )
 def test_entity_reply_parsing(reply, expected):
     assert _parse_entity_reply(reply) == expected
+
+
+def test_a_reply_that_utf8_cannot_encode_exits_2_and_keeps_the_cache(tmp_path, monkeypatch, capsys):
+    """A JSON escape of a lone surrogate is refused where the reply is
+    parsed, so the build names the passage and exits 2, and the extraction
+    cache on disk keeps the other passages' entries."""
+
+    def transport(url, payload, headers):
+        prompt = payload["messages"][0]["content"]
+        content = '["Br\\ud800ssels"]' if "Brussels" in prompt else '["Germany"]'
+        return {"choices": [{"message": {"content": content}}]}
+
+    chat = RemoteChatClient(ENDPOINT, "chat-model", transport=transport)
+    extractor = RemoteEntityExtractor(chat, default_prompt_template("entity_extraction"))
+    with pytest.raises(ExtractionError, match="not valid UTF-8 at character 2"):
+        extractor.extract("", "Brussels")
+    monkeypatch.setattr(pipeline, "make_extractor", lambda config: extractor)
+    corpus = DATA_DIR / "toy_corpus.jsonl"
+    args = ["index", "--corpus", str(corpus), "--index-dir", str(tmp_path / "index"),
+            "--cache-dir", str(tmp_path / "cache"), "--offline"]
+    assert main(args) == 2
+    assert "extraction failed for passage 'P3'" in capsys.readouterr().err
+    assert not (tmp_path / "index").exists()
+    cache = ExtractionCache(tmp_path / "cache" / "extraction", OfflineEntityExtractor.extractor_id)
+    passages = pipeline.load_corpus(corpus)
+    assert cache.lookup([passage_sha256(p) for p in passages]).tolist() == [0, 1, -1]
+    assert cache.names == ["germany"]

@@ -13,7 +13,7 @@ from hyperhop.embeddings import (
 from hyperhop.entities import OfflineEntityExtractor, dedup_normalized
 from hyperhop.errors import ContractError
 from hyperhop.hypergraph import apply_diffusion_operator
-from hyperhop.index_store import build_index
+from hyperhop.index_store import build_index, load_index, save_index, spot_checked_rows
 from hyperhop.pipeline import build_index_from_corpus, passage_embedding_text
 from hyperhop.retrieval import (
     RetrievalConfig,
@@ -119,7 +119,7 @@ class TestEntitySimilarity:
         x = build_entity_similarity(TOY_QUERY, index, ENCODER, EXTRACTOR, eta=0.0)
         query_rows = embed_batch(["albert einstein"], ENCODER)
         for i, entity in enumerate(index.entity_names):
-            expected = max(cosine(q, index.entity_embeddings[i]) for q in query_rows)
+            expected = max(cosine(q, index.entity_rows.values[i]) for q in query_rows)
             if expected > 0.0:
                 assert x[i] == pytest.approx(expected, abs=1e-12)
             else:
@@ -201,7 +201,7 @@ class TestEntitySimilarityScreen:
             index = index_with_entity_rows(values)
             fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
             x = build_entity_similarity("?", index, fixed, fixed, eta)
-            expected = per_call_entity_similarity(query, index.entity_embeddings, eta)
+            expected = per_call_entity_similarity(query, index.entity_rows.values, eta)
             np.testing.assert_array_equal(np.flatnonzero(x), np.flatnonzero(expected))
             # Both sides take the same unit rows, but the product over fewer
             # rows may sum in another order. Each order is within gamma_dim =
@@ -236,7 +236,7 @@ class TestEntitySimilarityScreen:
         words = [f"w{i}" for i in range(200)]
         names = sorted({" ".join(rng.choice(words, rng.integers(1, 4))) for _ in range(3000)})
         index = index_with_entity_rows(embed_batch(names, ENCODER))
-        unit_entities = normalized_rows(index.entity_embeddings)
+        unit_entities = normalized_rows(index.entity_rows.values)
         dim = ENCODER.dim
         u = np.finfo(np.float64).eps / 2
         gamma = dim * u / (1 - dim * u)
@@ -247,7 +247,7 @@ class TestEntitySimilarityScreen:
             ]
             x = build_entity_similarity("?", index, ENCODER, ListExtractor(query_names), eta)
             query_rows = embed_batch(dedup_normalized(query_names), ENCODER)
-            expected = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
+            expected = per_call_entity_similarity(query_rows, index.entity_rows.values, eta)
             # As in the dense test, the product over the candidates may sum in
             # another order than the whole-catalog one: the values are within
             # 2 gamma_dim, and a value that close to eta may pass on one side
@@ -380,7 +380,43 @@ class TestEntityBuckets:
             assert (x[rows] > 0.99).all()
             assert screened.pop().shape[0] < 0.05 * len(names)
             build_entity_similarity("?", index, ENCODER, ListExtractor(asked), 0.0)
-            assert screened.pop() is index.entity_embeddings  # in place
+            assert screened.pop() is index.entity_rows.values  # in place
+
+    def test_scrambled_buckets_widen_the_screen_and_leave_x_bitwise(self, rng, tmp_path):
+        """A tenth of the stored buckets, none of them spot-checked by the
+        load, set to random buckets in range: the queries reach more rows,
+        their candidates are a superset of the true buckets', and x is the
+        same, bit for bit."""
+        syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+        words = ["".join(triple) for triple in rng.choice(syllables, (1500, 3))]
+        names = sorted({f"{a} {b}" for a, b in rng.choice(words, (2000, 2))})
+        index = index_with_entity_rows(embed_batch(names, ENCODER))
+        save_index(index, tmp_path)
+        path = tmp_path / "entity_buckets.bin"
+        buckets = np.fromfile(path, dtype="<u2")
+        free = np.setdiff1d(np.arange(len(names)), spot_checked_rows(len(names)))
+        scrambled = rng.choice(free, len(names) // 10, replace=False)
+        buckets[scrambled] = rng.integers(0, 2 * ENCODER.dim + 1, scrambled.size)
+        buckets.tofile(path)
+        loaded = load_index(tmp_path)
+        assert loaded.entity_rows.cos_r.tobytes() != index.entity_rows.cos_r.tobytes()
+        widened = passed = 0
+        for eta in (0.8, 0.5):
+            for _ in range(20):
+                asked = [names[i] for i in rng.choice(len(names), rng.integers(1, 4))]
+                query_rows = embed_batch(dedup_normalized(asked), ENCODER)
+                kept = index.entity_rows.candidates(query_rows, eta)
+                assert np.isin(kept, loaded.entity_rows.candidates(query_rows, eta)).all()
+                reached = [
+                    rows.reachable_rows(query_rows, eta, np.inf).size
+                    for rows in (index.entity_rows, loaded.entity_rows)
+                ]
+                widened += reached[1] > reached[0]
+                x = build_entity_similarity("?", index, ENCODER, ListExtractor(asked), eta)
+                y = build_entity_similarity("?", loaded, ENCODER, ListExtractor(asked), eta)
+                assert x.tobytes() == y.tobytes()
+                passed += np.count_nonzero(x)
+        assert widened > 0 and passed > 0
 
     def test_dense_rows_are_screened_in_place(self, rng, screened):
         values = rng.normal(size=(3000, 64)).astype(np.float32)
@@ -389,7 +425,7 @@ class TestEntityBuckets:
             query = rng.normal(size=(2, 64)).astype(np.float32)
             fixed = FixedQuery({f"q{j}": row for j, row in enumerate(query)})
             build_entity_similarity("?", index, fixed, fixed, eta)
-            assert screened.pop() is index.entity_embeddings
+            assert screened.pop() is index.entity_rows.values
 
 
 class TestPassageSimilarity:
@@ -413,7 +449,7 @@ class TestPassageSimilarity:
 
 
 class TestRowCache:
-    def test_build_computes_only_the_passage_rows_it_saves(self, tmp_path):
+    def test_build_holds_the_rows_it_saves(self, tmp_path):
         config = AppConfig(
             corpus=str(DATA_DIR / "toy_corpus.jsonl"),
             index_dir=str(tmp_path / "index"),
@@ -421,9 +457,13 @@ class TestRowCache:
             offline=True,
         )
         index, _ = build_index_from_corpus(config)
-        assert "entity_rows" not in vars(index)
-        stored = (tmp_path / "index" / "passage_columns.bin").read_bytes()
-        assert index.passage_rows.columns.tobytes() == stored
+        stored = {path.name: path.read_bytes() for path in (tmp_path / "index").iterdir()}
+        entity_rows, passage_rows = index.entity_rows, index.passage_rows
+        assert entity_rows.values.tobytes() == stored["entity_embeddings.bin"]
+        assert entity_rows.norms.tobytes() == stored["entity_norms.bin"]
+        assert entity_rows.buckets().tobytes() == stored["entity_buckets.bin"]
+        assert passage_rows.columns.tobytes() == stored["passage_columns.bin"]
+        assert passage_rows.norms.tobytes() == stored["passage_norms.bin"]
 
     def test_queries_reuse_the_row_caches(self, toy_built):
         index, _, _ = toy_built
@@ -441,7 +481,7 @@ class TestRowCache:
         config = RetrievalConfig(eta=eta, k1=1, k2=3)
         result = retrieve(TOY_QUERY, index, config, ENCODER, EXTRACTOR)
         query_rows = embed_batch(dedup_normalized(EXTRACTOR.extract("", TOY_QUERY)), ENCODER)
-        x = per_call_entity_similarity(query_rows, index.entity_embeddings, eta)
+        x = per_call_entity_similarity(query_rows, index.entity_rows.values, eta)
         p = passage_cosines(embed_batch([TOY_QUERY], ENCODER)[0], index.passage_rows.columns.T)
         expected = rank_passages(x, p, index, config).artifacts
         assert x.any()
