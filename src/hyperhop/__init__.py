@@ -1,6 +1,6 @@
 """Entity-hypergraph diffusion retrieval for multi-hop question answering."""
 
-from .corpus import Passage, load_corpus
+from .corpus import Corpus, Passage, load_corpus
 from .embeddings import OfflineEncoder, embed_batch, max_sim_to_query_entities, unit_rows
 from .entities import (
     EntitySets,
@@ -31,6 +31,7 @@ from .retrieval import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Corpus",
     "DegreeVectors",
     "DiffusionSupport",
     "EntitySets",

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import SETTING_TYPES, AppConfig, load_app_config
-from .corpus import corpus_digest, load_corpus
+from .corpus import Corpus, load_corpus
 from .errors import ContractError, HyperhopError, IndexIntegrityError
 from .evaluate import load_qa_dataset, run_eval
 from .hypergraph import graph_stats
@@ -77,16 +77,17 @@ def _config_from_args(args: argparse.Namespace) -> AppConfig:
     return load_app_config(flags, config_file=args.config)
 
 
-def _load_indexed_corpus(config: AppConfig, index):
-    """The corpus passages, once the file is checked to be the one the index
-    was built from (its ``corpus_sha256``)."""
+def _load_indexed_corpus(config: AppConfig, index) -> Corpus:
+    """The corpus, once the bytes it was parsed from are checked to be the
+    ones the index was built from (its ``corpus_sha256``)."""
     path = config.require("corpus")
+    corpus = load_corpus(path)
     built_from = (index.manifest or {}).get("corpus_sha256")
-    if built_from is not None and corpus_digest(path) != built_from:
+    if built_from is not None and corpus.sha256 != built_from:
         raise IndexIntegrityError(
             f"corpus {path} is not the one the index was built from; rebuild the index"
         )
-    return load_corpus(path)
+    return corpus
 
 
 def _open_index(config: AppConfig):
@@ -116,9 +117,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def cmd_answer(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     index, encoder, extractor = _open_index(config)
-    passages = {p.id: p for p in _load_indexed_corpus(config, index)}
+    corpus = _load_indexed_corpus(config, index)
     result = retrieve(args.query, index, config.retrieval, encoder, extractor)
-    context = [passages[index.passage_ids[col]] for col, _ in result.selected]
+    context = corpus.passages(index.passage_ids[col] for col, _ in result.selected)
     reply = generate_answer(args.query, context, make_chat(config), answer_template(config))
     print(
         json.dumps(
@@ -138,7 +139,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     index, encoder, extractor = _open_index(config)
     dataset = load_qa_dataset(args.dataset)
     chat = make_chat(config) if args.qa else None
-    passages = _load_indexed_corpus(config, index) if args.qa else None
+    corpus = _load_indexed_corpus(config, index) if args.qa else None
     report = run_eval(
         dataset,
         index,
@@ -146,7 +147,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         encoder,
         extractor,
         chat=chat,
-        passages=passages,
+        corpus=corpus,
         answer_template=answer_template(config),
         max_workers=config.max_workers,
     )

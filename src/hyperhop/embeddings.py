@@ -15,7 +15,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
@@ -101,11 +101,14 @@ class RemoteEncoder:
         return matrix
 
 
-def text_key(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def text_key(text: str) -> bytes:
+    """The raw sha256 of ``text`` as UTF-8: the embedding cache's key."""
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
-_KEY_CHARS = 64  # a text_key: sha256 as hex
+# A record's key is read as raw bytes (V32): an S32 field would drop trailing NULs.
+_KEY = np.dtype("V32")
+_LAYOUT = 2  # raw sha256 keys; the layout of 64-character hex keys had no tag
 
 
 def open_cache(directory: Path, producer: dict) -> None:
@@ -130,13 +133,15 @@ def open_cache(directory: Path, producer: dict) -> None:
 class EmbeddingCache:
     """Append-only on-disk vector cache keyed by content hash.
 
-    ``manifest.json`` holds the encoder id and dim (see ``open_cache``).
-    ``records.bin`` holds one fixed-size record per entry: the 64-character
-    ``text_key`` as ASCII, then the float32 little-endian row. The entry
-    count is the file size over the record size, and a key and its row are
-    written together, so they cannot disagree. Opening truncates a partial
-    last record that a crashed append left. Appends are serialized; one
-    process writes a cache at a time.
+    ``manifest.json`` holds the encoder id, the dim and the layout (see
+    ``open_cache``). ``records.bin`` holds one fixed-size record per entry:
+    the 32 raw bytes of the text's ``text_key``, then the float32
+    little-endian row. The entry count is the file size over the record
+    size, and a key and its row are written together, so they cannot
+    disagree. Opening truncates a partial last record that a crashed append
+    left, and takes the keys as the mapped bytes, so a damaged key is a
+    miss, not a crash. Appends are serialized; one process writes a cache at
+    a time.
     """
 
     def __init__(self, directory: str | Path, encoder_id: str, dim: int):
@@ -145,16 +150,13 @@ class EmbeddingCache:
         self.dim = dim
         self._lock = threading.Lock()
         self._records = self.directory / "records.bin"
-        self._dtype = np.dtype([("key", f"S{_KEY_CHARS}"), ("row", "<f4", (dim,))])
-        open_cache(self.directory, {"dim": dim, "encoder_id": encoder_id})
+        self._dtype = np.dtype([("key", _KEY), ("row", "<f4", (dim,))])
+        open_cache(self.directory, {"dim": dim, "encoder_id": encoder_id, "layout": _LAYOUT})
         size = self._records.stat().st_size if self._records.exists() else 0
         self._count = size // self._dtype.itemsize
         if size != self._count * self._dtype.itemsize:
             os.truncate(self._records, self._count * self._dtype.itemsize)
-        # latin-1 decodes any byte, so a damaged key is a miss, not a crash.
-        self._offsets = {
-            key.decode("latin-1"): i for i, key in enumerate(self._mapped()["key"].tolist())
-        }
+        self._offsets = dict(zip(self._mapped()["key"].tolist(), range(self._count)))
 
     def _mapped(self) -> np.ndarray:
         """A read-only map of the first ``count`` records."""
@@ -162,8 +164,9 @@ class EmbeddingCache:
             return np.empty(0, dtype=self._dtype)
         return np.memmap(self._records, dtype=self._dtype, mode="r", shape=(self._count,))
 
-    def lookup(self, keys: Sequence[str]) -> dict[str, int]:
-        return {k: self._offsets[k] for k in keys if k in self._offsets}
+    def lookup(self, keys: Sequence[bytes]) -> dict[bytes, int]:
+        """The record of each key that the cache holds; a miss is left out."""
+        return {k: i for k, i in zip(keys, map(self._offsets.get, keys)) if i is not None}
 
     def read_rows(self, offsets: Sequence[int]) -> np.ndarray:
         """The rows at ``offsets``, gathered from a read-only map of the
@@ -184,12 +187,12 @@ class EmbeddingCache:
             )
         return rows
 
-    def append(self, keys: Sequence[str], vectors: np.ndarray) -> None:
+    def append(self, keys: Sequence[bytes], vectors: np.ndarray) -> None:
         if vectors.shape != (len(keys), self.dim):
             raise ContractError("cache append shape mismatch")
         for key in keys:
-            if len(key) != _KEY_CHARS or not key.isascii():
-                raise ContractError(f"cache key must be {_KEY_CHARS} ASCII characters: {key!r}")
+            if not isinstance(key, bytes) or len(key) != _KEY.itemsize:
+                raise ContractError(f"a cache key is a raw sha256 of 32 bytes: {key!r}")
         with self._lock:
             fresh = {k: i for i, k in enumerate(keys) if k not in self._offsets}
             if not fresh:
@@ -212,26 +215,30 @@ def embed_batch(
     """Embed texts in order, consulting and extending the cache; returns the
     float32 (len(texts), client.dim) matrix, one row per text.
 
-    Only cache misses reach the encoder client, ``batch_size`` texts per
-    call. A remote failure, or a batch holding a non-finite value, raises
-    EmbeddingError carrying the offsets of the failing batch, before the
-    batch reaches the cache; a non-finite value read from the cache raises
-    IndexIntegrityError (see ``EmbeddingCache.read_rows``).
+    The cached rows are gathered into the output at once. Only cache misses
+    reach the encoder client, ``batch_size`` texts per call. A remote
+    failure, or a batch holding a non-finite value, raises EmbeddingError
+    carrying the offsets of the failing batch, before the batch reaches the
+    cache; a non-finite value read from the cache raises IndexIntegrityError
+    (see ``EmbeddingCache.read_rows``).
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     texts = list(texts)
-    keys = [text_key(t) for t in texts]
-    out = np.empty((len(texts), client.dim), dtype=np.float32)
-
+    keys = list(map(text_key, texts))
     hits = cache.lookup(keys) if cache is not None else {}
     if hits:
-        hit_positions = [i for i, k in enumerate(keys) if k in hits]
-        out[hit_positions] = cache.read_rows([hits[keys[i]] for i in hit_positions])
+        offsets = np.fromiter(map(hits.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+        miss_positions = np.flatnonzero(offsets < 0).tolist()
+        # A miss gathers a hit's row, which its encoded row replaces below.
+        offsets[miss_positions] = next(iter(hits.values()))
+        out = cache.read_rows(offsets)
+    else:
+        miss_positions = list(range(len(keys)))
+        out = np.empty((len(texts), client.dim), dtype=np.float32)
 
     # Deduplicate misses, in order of first appearance, so repeated texts are
     # encoded once.
-    miss_positions = [i for i, k in enumerate(keys) if k not in hits]
     miss_text_by_key = {keys[i]: texts[i] for i in miss_positions}
     miss_keys = list(miss_text_by_key)
     encoded = np.empty((len(miss_keys), client.dim), dtype=np.float32)

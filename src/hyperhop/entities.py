@@ -25,7 +25,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Passage
+from .corpus import Corpus, Passage
 from .embeddings import open_cache
 from .errors import ContractError, CorpusFormatError, ExtractionError
 
@@ -258,13 +258,13 @@ def _reply_names(reply: str) -> list[str]:
     return [line.strip(" -*\t") for line in reply.splitlines() if line.strip(" -*\t")]
 
 
-def passage_sha256(passage: Passage) -> bytes:
+def passage_sha256(title: str, text: str) -> bytes:
     """The raw sha256 of what an extractor reads of a passage: its title and
     text.
 
     The title's length goes first, so no other title and text hash alike.
     """
-    content = f"{len(passage.title)}:{passage.title}{passage.text}"
+    content = f"{len(title)}:{title}{text}"
     return hashlib.sha256(content.encode("utf-8")).digest()
 
 
@@ -443,27 +443,28 @@ def dedup_normalized(raw_entities: Iterable[str]) -> list[str]:
 
 
 def extract_corpus_entities(
-    passages: Sequence[Passage],
+    corpus: Corpus,
     extractor: ExtractionClient,
     cache: ExtractionCache | None = None,
     max_workers: int = 1,
 ) -> EntitySets:
-    """Extract the entity sets of a whole corpus, aligned with ``passages``.
+    """Extract the entity sets of a whole corpus, aligned with its passages.
 
-    A passage whose content the cache holds is a hit: it costs a hash, one
-    dict lookup and its share of a numpy gather, and no extractor call.
+    A passage whose content the cache holds is a hit: it costs a hash of
+    its title and text columns, one dict lookup and its share of a numpy
+    gather, and no extractor call; only a miss is made a ``Passage``.
     ``max_workers`` bounds in-flight extraction requests for the misses.
     The cache is flushed however the extraction ends, so a failed or
     interrupted build keeps what it extracted.
     """
     if cache is None:
         cache = ExtractionCache()
-    keys = list(map(passage_sha256, passages))
+    keys = list(map(passage_sha256, corpus.titles, corpus.texts))
     entries = cache.lookup(keys)
     misses = np.flatnonzero(entries < 0).tolist()
 
     def extract(i: int) -> None:
-        entries[i] = cache.put(keys[i], extract_entities(passages[i], extractor))
+        entries[i] = cache.put(keys[i], extract_entities(corpus[i], extractor))
 
     try:
         if max_workers <= 1:
@@ -474,4 +475,4 @@ def extract_corpus_entities(
                 list(pool.map(extract, misses))
     finally:
         cache.flush()
-    return cache.entity_sets([p.id for p in passages], entries)
+    return cache.entity_sets(corpus.ids, entries)

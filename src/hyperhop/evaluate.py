@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Passage, read_jsonl
+from .corpus import Corpus, parse_jsonl
 from .embeddings import EncoderClient
 from .entities import ExtractionClient
 from .errors import ChatError, CorpusFormatError, EmbeddingError, ExtractionError, HyperhopError
@@ -51,11 +51,11 @@ def load_qa_dataset(path: str | Path) -> list[QAExample]:
 
     ``question`` must be a string, ``answers`` a non-empty list of strings
     and ``gold_passage_ids`` (an empty list when absent) a list of strings;
-    anything else, or a line that ``read_jsonl`` rejects, raises
+    anything else, or a line that ``corpus.parse_jsonl`` rejects, raises
     CorpusFormatError naming the line.
     """
     examples = []
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in parse_jsonl(Path(path).read_bytes()):
         obj.setdefault("gold_passage_ids", [])
         if not isinstance(obj.get("question"), str):
             raise CorpusFormatError("'question' must be a string", line=lineno)
@@ -182,7 +182,7 @@ def _evaluate_one(
     encoder: EncoderClient,
     extractor: ExtractionClient,
     chat: ChatClient | None,
-    passages_by_id: dict[str, Passage] | None,
+    corpus: Corpus | None,
     answer_template: str | None,
 ) -> tuple[ExampleRecord, HyperhopError | None]:
     """Score one example; also return the failed endpoint call, if any.
@@ -220,8 +220,8 @@ def _evaluate_one(
         retrieval_seconds=elapsed,
         dense_fallback=result.diagnostics.dense_fallback,
     )
-    if chat is not None and passages_by_id is not None:
-        context = [passages_by_id[pid] for pid in selected_ids if pid in passages_by_id]
+    if chat is not None and corpus is not None:
+        context = corpus.passages(selected_ids)
         try:
             record.prediction = answer(example.question, context, chat, answer_template)
         except ChatError as exc:
@@ -239,7 +239,7 @@ def run_eval(
     encoder: EncoderClient,
     extractor: ExtractionClient,
     chat: ChatClient | None = None,
-    passages: Sequence[Passage] | None = None,
+    corpus: Corpus | None = None,
     answer_template: str | None = None,
     max_workers: int = 1,
 ) -> EvalReport:
@@ -255,15 +255,14 @@ def run_eval(
     before the first example (see ``retrieval.check_encoder``).
     """
     check_encoder(index, encoder)
-    passages_by_id = {p.id: p for p in passages} if passages is not None else None
-    if chat is not None and passages_by_id is None:
+    if chat is not None and corpus is None:
         raise CorpusFormatError("QA scoring requires the corpus passages")
     known_ids = set(index.passage_ids)
 
     def work(example: QAExample) -> tuple[ExampleRecord, HyperhopError | None]:
         return _evaluate_one(
             example, index, known_ids, config, encoder, extractor, chat,
-            passages_by_id, answer_template,
+            corpus, answer_template,
         )
 
     def collect(outcomes) -> list[ExampleRecord]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .config import AppConfig
-from .corpus import Passage, corpus_digest, load_corpus
+from .corpus import load_corpus
 from .embeddings import (
     EmbeddingCache,
     EncoderClient,
@@ -27,8 +27,8 @@ from .qa import ChatClient, OfflineChatClient, RemoteChatClient, default_prompt_
 from .remote import EndpointConfig
 
 
-def passage_embedding_text(passage: Passage) -> str:
-    return f"{passage.title}\n{passage.text}" if passage.title else passage.text
+def passage_embedding_text(title: str, text: str) -> str:
+    return f"{title}\n{text}" if title else text
 
 
 def _endpoint(config: AppConfig) -> EndpointConfig:
@@ -84,7 +84,7 @@ def extractor_id(config: AppConfig) -> str:
     keys it: the offline tag, or the chat model and the sha256 of the prompt."""
     if config.offline:
         return OfflineEntityExtractor.extractor_id
-    return f"remote:{config.chat_model}:{text_key(_extraction_template(config))}"
+    return f"remote:{config.chat_model}:{text_key(_extraction_template(config)).hex()}"
 
 
 def make_chat(config: AppConfig) -> ChatClient:
@@ -105,17 +105,19 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
     """Extract, embed, assemble and persist the index; returns it with its manifest.
 
     Idempotent with warm caches: extraction and embedding results are reused
-    and the manifest is reproduced byte for byte.
+    and the manifest is reproduced byte for byte. The manifest's
+    ``corpus_sha256`` is the digest of the bytes the passages were parsed
+    from, however the file changes during the build.
     """
     corpus_path = Path(config.require("corpus"))
     index_dir = Path(config.require("index_dir"))
     cache_dir = Path(config.cache_dir) if config.cache_dir else index_dir.parent / "cache"
 
-    passages = load_corpus(corpus_path)
+    corpus = load_corpus(corpus_path)
     extractor = make_extractor(config)
     extraction_cache = ExtractionCache(cache_dir / "extraction", extractor_id(config))
     entity_sets = extract_corpus_entities(
-        passages, extractor, extraction_cache, max_workers=config.max_workers
+        corpus, extractor, extraction_cache, max_workers=config.max_workers
     )
 
     encoder = make_encoder(config)
@@ -124,7 +126,10 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
         entity_sets.catalog, encoder, embedding_cache, config.batch_size
     )
     passage_embeddings = embed_batch(
-        [passage_embedding_text(p) for p in passages], encoder, embedding_cache, config.batch_size
+        list(map(passage_embedding_text, corpus.titles, corpus.texts)),
+        encoder,
+        embedding_cache,
+        config.batch_size,
     )
 
     index = build_index(entity_sets, entity_embeddings, passage_embeddings)
@@ -132,7 +137,7 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
         index,
         index_dir,
         extra_manifest={
-            "corpus_sha256": corpus_digest(corpus_path),
+            "corpus_sha256": corpus.sha256,
             "encoder_id": encoder.encoder_id,
         },
     )

@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 
+from hyperhop.corpus import Corpus, Passage
 from hyperhop.embeddings import OfflineEncoder, embed_batch
 from hyperhop.entities import EntitySets
 from hyperhop.index_store import HypergraphIndex, build_index
@@ -20,6 +21,12 @@ TOY_SETS = {
     "P2": ["germany", "berlin", "european union"],
     "P3": ["european union", "brussels"],
 }
+
+
+def corpus_of(passages: Sequence[Passage]) -> Corpus:
+    """The Corpus of ``passages`` in their order, parsed from no file."""
+    columns = ([p.id for p in passages], [p.title for p in passages], [p.text for p in passages])
+    return Corpus(*columns, sha256="")
 
 
 def entity_sets_of(sets_by_pid: Mapping[str, Sequence[str]]) -> EntitySets:
@@ -90,5 +97,4 @@ def toy_built(tmp_path_factory):
         offline=True,
     )
     index, manifest = build_index_from_corpus(config)
-    passages = load_corpus(config.corpus)
-    return index, passages, manifest
+    return index, load_corpus(config.corpus), manifest

@@ -9,18 +9,24 @@ bit. ``encode_one`` and ``extract_spans`` are the offline encoder and
 extractor as per-token loops, sharing only the stopword list with them:
 the batched clients must match them bit for bit. ``passage_cosines`` is the
 passage similarity as a per-passage loop, which the sparse route of
-``cosine_against_rows`` must match bit for bit.
+``cosine_against_rows`` must match bit for bit. ``load_corpus_per_line``
+is the corpus loader as a per-line loop over ``json.loads``, with one
+``Passage`` per line: ``corpus.load_corpus`` must give the same passages,
+or the same CorpusFormatError on the same line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 
+from hyperhop.corpus import Passage
 from hyperhop.entities import _SPAN_STOPWORDS
-from hyperhop.errors import ContractError
+from hyperhop.errors import ContractError, CorpusFormatError
 
 
 def dense_incidence(incidence) -> np.ndarray:
@@ -241,3 +247,48 @@ def extract_spans(text: str) -> list[str]:
     if current:
         spans.append(" ".join(current))
     return spans
+
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def load_corpus_per_line(path) -> list[Passage]:
+    """The passages of a JSONL corpus, sorted by id, read one line at a time."""
+    passages: list[Passage] = []
+    seen: dict[str, int] = {}
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"not UTF-8 at byte {exc.start}", line=lineno) from exc
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            if not isinstance(obj, dict):
+                raise CorpusFormatError("expected a JSON object", line=lineno)
+            if _SURROGATE_ESCAPE.search(line):
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise CorpusFormatError("not UTF-8: a lone surrogate", line=lineno) from exc
+            for key in ("id", "title", "text"):
+                if key not in obj:
+                    raise CorpusFormatError(f"missing key {key!r}", line=lineno)
+                if not isinstance(obj[key], str):
+                    raise CorpusFormatError(f"key {key!r} must be a string", line=lineno)
+            if not obj["text"].strip():
+                raise CorpusFormatError("empty text", line=lineno)
+            pid = obj["id"]
+            if pid in seen:
+                raise CorpusFormatError(
+                    f"duplicate passage id {pid!r} (first seen at line {seen[pid]})",
+                    line=lineno,
+                )
+            seen[pid] = lineno
+            passages.append(Passage(id=pid, title=obj["title"], text=obj["text"]))
+    passages.sort(key=lambda p: p.id)
+    return passages

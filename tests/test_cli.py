@@ -13,7 +13,7 @@ import hyperhop
 from hyperhop import cli
 from hyperhop.cli import main
 from hyperhop.corpus import load_corpus
-from hyperhop.embeddings import OfflineEncoder
+from hyperhop.embeddings import OfflineEncoder, text_key
 from hyperhop.entities import OfflineEntityExtractor, passage_sha256
 from hyperhop.errors import ContractError
 from hyperhop.evaluate import load_qa_dataset, run_eval
@@ -159,6 +159,20 @@ class TestIndexCommand:
         ]
         assert (extraction / "entries.bin").stat().st_size == 3 * 36  # extracted again
 
+    def test_older_embedding_cache_layout_is_wiped_and_rebuilt(self, built, capsys):
+        index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
+        embeddings = built / "cache" / "embeddings"
+        shutil.rmtree(embeddings)
+        shutil.copytree(DATA_DIR / "toy_embeddings", embeddings)
+        old_records = (embeddings / "records.bin").read_bytes()
+        assert text_key("germany").hex().encode() in old_records  # 64-character hex keys
+        old_size = len(old_records)
+        assert main(["index"] + common(built)) == 0
+        assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
+        assert sorted(f.name for f in embeddings.iterdir()) == ["manifest.json", "records.bin"]
+        # Each text encoded again: as many records, each 32 key bytes shorter.
+        assert (embeddings / "records.bin").stat().st_size == old_size // (64 + 1024) * (32 + 1024)
+
     @pytest.mark.parametrize(
         "entities, message",
         [
@@ -173,7 +187,7 @@ class TestIndexCommand:
         saved = {f: f.read_bytes() for f in extraction.iterdir()}
         index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
         p1 = next(p for p in load_corpus(TOY_CORPUS) if p.id == "P1")
-        append_extraction_entry(extraction, passage_sha256(p1), entities)
+        append_extraction_entry(extraction, passage_sha256(p1.title, p1.text), entities)
         capsys.readouterr()
         assert main(["index"] + common(built)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -632,7 +632,7 @@ class TestEmbeddingCache:
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         cache.append([text_key("a")], client.encode_batch(["a"]))
         records = tmp_path / "records.bin"
-        record_size = 64 + 4 * client.dim
+        record_size = 32 + 4 * client.dim
         with records.open("ab") as fh:
             fh.write(bytes(record_size // 2))
 
@@ -656,7 +656,7 @@ class TestEmbeddingCache:
         # Bytes past the count, such as a half-written append of another
         # writer, are never mapped.
         with (tmp_path / "records.bin").open("ab") as fh:
-            fh.write(bytes(64 + 4 * client.dim // 2))
+            fh.write(bytes(32 + 4 * client.dim // 2))
         offsets = [39, 0, 7, 7, 20]
         rows = cache.read_rows(offsets)
         assert type(rows) is np.ndarray and rows.dtype == np.dtype("<f4")
@@ -673,7 +673,7 @@ class TestEmbeddingCache:
         assert cache.lookup([text_key("a"), text_key("b")]) == {}
         assert not (tmp_path / "records.bin").exists()
         assert json.loads((tmp_path / "manifest.json").read_text()) == {
-            "dim": 16, "encoder_id": client.encoder_id
+            "dim": 16, "encoder_id": client.encoder_id, "layout": 2
         }
         embed_batch(["a"], other, cache)
         assert other.calls == 1
@@ -683,7 +683,7 @@ class TestEmbeddingCache:
         (tmp_path / "manifest.json").write_text(
             json.dumps({"count": 1, "dim": client.dim, "encoder_id": client.encoder_id})
         )
-        (tmp_path / "keys.txt").write_text(text_key("a") + "\n")
+        (tmp_path / "keys.txt").write_text(text_key("a").hex() + "\n")
         (tmp_path / "vectors.bin").write_bytes(client.encode_batch(["a"]).tobytes())
 
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
@@ -704,15 +704,59 @@ class TestEmbeddingCache:
         assert json.loads((tmp_path / "manifest.json").read_text())["dim"] == client.dim
 
     @pytest.mark.parametrize(
-        "key", ["a" * 63, "a" * 65, "é" * 64, ""], ids=["63", "65", "non-ascii", "empty"]
+        "key",
+        [b"a" * 31, b"a" * 33, text_key("b").hex(), "a" * 32, b""],
+        ids=["31-bytes", "33-bytes", "hex", "str", "empty"],
     )
-    def test_key_that_is_not_64_ascii_characters_is_rejected(self, tmp_path, key):
+    def test_key_that_is_not_a_raw_sha256_is_rejected(self, tmp_path, key):
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        with pytest.raises(ContractError, match="64 ASCII"):
+        with pytest.raises(ContractError, match="raw sha256 of 32 bytes"):
             cache.append([text_key("a"), key], client.encode_batch(["a", "b"]))
         assert cache.lookup([text_key("a")]) == {}
         assert not (tmp_path / "records.bin").exists()
+
+    @pytest.mark.parametrize("key", [bytes(32), b"\x07" * 31 + b"\x00"], ids=["all", "last"])
+    def test_a_key_ending_in_nul_bytes_round_trips(self, tmp_path, key):
+        client = CountingEncoder()
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        cache.append([b"\x07" * 31 + b"\x01", key], client.encode_batch(["a", "b"]))
+        reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert reopened.lookup([key, key[:31], b"\x07" * 31 + b"\x01"]) == {
+            key: 1, b"\x07" * 31 + b"\x01": 0
+        }
+
+    def test_lookup_returns_the_record_of_each_hit_and_leaves_misses_out(self, tmp_path):
+        """The contract a caller counts hits by: ``len(lookup(keys))``."""
+        client = CountingEncoder()
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        cache.append([text_key(t) for t in "ab"], client.encode_batch(["a", "b"]))
+        keys = [text_key(t) for t in ["b", "x", "a", "b", "y"]]
+        hits = cache.lookup(keys)
+        assert hits == {text_key("b"): 1, text_key("a"): 0}
+        assert list(hits) == [text_key("b"), text_key("a")]  # in the order of the keys
+        assert cache.lookup([]) == {} and cache.lookup([text_key("x")]) == {}
+        reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert reopened.lookup(keys) == hits
+
+    def test_embed_batch_looks_up_every_key_once(self, tmp_path):
+        """One ``lookup`` of every text's key per call, as a counting
+        subclass sees it: no hit on a cold cache, every distinct text on a
+        warm one (a repeated key is one entry of the result)."""
+        seen = []
+
+        class CountingCache(EmbeddingCache):
+            def lookup(self, keys):
+                hits = super().lookup(keys)
+                seen.append((len(keys), len(hits)))
+                return hits
+
+        client = CountingEncoder()
+        texts = ["a", "b", "a", "c"]
+        cold = embed_batch(texts, client, CountingCache(tmp_path, client.encoder_id, client.dim))
+        warm = embed_batch(texts, client, CountingCache(tmp_path, client.encoder_id, client.dim))
+        assert seen == [(4, 0), (4, 3)]
+        assert client.calls == 1 and cold.tobytes() == warm.tobytes()
 
     def test_append_leaves_the_manifest_unchanged(self, tmp_path):
         client = CountingEncoder()

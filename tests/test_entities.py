@@ -20,7 +20,7 @@ from hyperhop.entities import (
 )
 from hyperhop.errors import ContractError, ExtractionError
 
-from conftest import entity_sets_of
+from conftest import corpus_of, entity_sets_of
 
 CACHE_FILES = ("names.txt", "ids.bin", "entries.bin")
 
@@ -147,7 +147,7 @@ def test_distinct_compares_the_values_that_share_a_hash():
 
 def cached(cache, passage):
     """The entities the cache holds for the passage's content; None on a miss."""
-    entries = cache.lookup([passage_sha256(passage)])
+    entries = cache.lookup([passage_sha256(passage.title, passage.text)])
     return None if entries[0] < 0 else cache.entity_sets([passage.id], entries).entities(0)
 
 
@@ -221,12 +221,12 @@ class TestExtractionRetryAndCache:
                 return super().extract(title, text)
 
         first = extract_corpus_entities(
-            passages, CountingExtractor(), ExtractionCache(cache_dir, "o")
+            corpus_of(passages), CountingExtractor(), ExtractionCache(cache_dir, "o")
         )
         assert CountingExtractor.calls == 2
 
         second = extract_corpus_entities(
-            passages, CountingExtractor(), ExtractionCache(cache_dir, "o")
+            corpus_of(passages), CountingExtractor(), ExtractionCache(cache_dir, "o")
         )
         assert CountingExtractor.calls == 2  # cache hits only
         assert listed(first) == listed(second) == [("p1", ("berlin",)), ("p2", ("paris",))]
@@ -258,7 +258,7 @@ class TestExtractionRetryAndCache:
 
     def test_concurrent_extraction_preserves_order(self):
         passages = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(8)]
-        sets = extract_corpus_entities(passages, OfflineEntityExtractor(), max_workers=4)
+        sets = extract_corpus_entities(corpus_of(passages), OfflineEntityExtractor(), max_workers=4)
         assert sets.passage_ids == [p.id for p in passages]
         assert sets.entities(3) == ("city3",)
 
@@ -295,7 +295,8 @@ class TestExtractionRetryAndCache:
         """The collector tracks no object per hit: a warm pass over 2000
         passages adds as many tracked objects as one over 20."""
         passages = [Passage(f"p{i}", "", f"City{i} met Town{i % 7}.") for i in range(2000)]
-        extract_corpus_entities(passages, OfflineEntityExtractor(), ExtractionCache(tmp_path, "o"))
+        cache = ExtractionCache(tmp_path, "o")
+        extract_corpus_entities(corpus_of(passages), OfflineEntityExtractor(), cache)
 
         def tracked_growth(corpus):
             cache = ExtractionCache(tmp_path, "o")
@@ -308,8 +309,8 @@ class TestExtractionRetryAndCache:
             finally:
                 gc.enable()
 
-        small, _ = tracked_growth(passages[:20])
-        large, sets = tracked_growth(passages)
+        small, _ = tracked_growth(corpus_of(passages[:20]))
+        large, sets = tracked_growth(corpus_of(passages))
         assert sets.entities(1999) == ("city1999", "town4")
         assert large == small
 
@@ -330,7 +331,7 @@ class FailsOnOnePassage(OfflineEntityExtractor):
 
 def build(passages, directory):
     return extract_corpus_entities(
-        passages, OfflineEntityExtractor(), ExtractionCache(directory, "o")
+        corpus_of(passages), OfflineEntityExtractor(), ExtractionCache(directory, "o")
     )
 
 
@@ -343,7 +344,7 @@ class TestAppendOnlyExtractionCache:
         failing = FailsOnOnePassage(failing=texts[3])
         with pytest.raises(ExtractionError):
             extract_corpus_entities(
-                self.PASSAGES, failing, ExtractionCache(tmp_path, "o"), max_workers
+                corpus_of(self.PASSAGES), failing, ExtractionCache(tmp_path, "o"), max_workers
             )
         assert texts[3] not in failing.extracted
         if max_workers == 1:
@@ -351,11 +352,11 @@ class TestAppendOnlyExtractionCache:
 
         rerun = FailsOnOnePassage()
         sets = extract_corpus_entities(
-            self.PASSAGES, rerun, ExtractionCache(tmp_path, "o"), max_workers
+            corpus_of(self.PASSAGES), rerun, ExtractionCache(tmp_path, "o"), max_workers
         )
         assert sorted(rerun.extracted) == sorted(set(texts) - set(failing.extracted))
         assert listed(sets) == listed(
-            extract_corpus_entities(self.PASSAGES, OfflineEntityExtractor())
+            extract_corpus_entities(corpus_of(self.PASSAGES), OfflineEntityExtractor())
         )
 
     @pytest.mark.parametrize("cut", ["one-byte", "all-but-one-byte"])
@@ -379,7 +380,7 @@ class TestAppendOnlyExtractionCache:
         assert opened == {**before, "names.txt": before["names.txt"] if torn == "names.txt"
                           else whole["names.txt"]}
         extractor = FailsOnOnePassage()
-        extract_corpus_entities(self.PASSAGES, extractor, cache)
+        extract_corpus_entities(corpus_of(self.PASSAGES), extractor, cache)
         assert extractor.extracted == [self.PASSAGES[-1].text]
         assert files(tmp_path) == whole
 
@@ -396,7 +397,7 @@ class TestAppendOnlyExtractionCache:
         assert appended == {
             "names.txt": b"lyon\n",
             "ids.bin": np.int32(lyon).tobytes(),
-            "entries.bin": passage_sha256(edited[2]) + np.uint32(1).tobytes(),
+            "entries.bin": passage_sha256(edited[2].title, edited[2].text) + np.uint32(1).tobytes(),
         }
         build(edited, tmp_path)
         assert files(tmp_path) == after
@@ -405,7 +406,7 @@ class TestAppendOnlyExtractionCache:
         passage = self.PASSAGES[0]
         cache = ExtractionCache(tmp_path, "o")
         for entity in ("a", "b"):
-            cache.put(passage_sha256(passage), [entity])
+            cache.put(passage_sha256(passage.title, passage.text), [entity])
         cache.flush()
         assert len((tmp_path / "entries.bin").read_bytes()) == 2 * 36
         assert cached(ExtractionCache(tmp_path, "o"), passage) == ("b",)
@@ -426,7 +427,7 @@ class TestStaleExtractionEntries:
 
     def cache_with_entry(self, tmp_path):
         cache = ExtractionCache(tmp_path / "c", "offline")
-        cache.put(passage_sha256(self.PASSAGE), ["berlin"])
+        cache.put(passage_sha256(self.PASSAGE.title, self.PASSAGE.text), ["berlin"])
         cache.flush()
         return tmp_path / "c"
 
@@ -470,7 +471,7 @@ class TestStaleExtractionEntries:
 
     def test_entry_without_a_content_hash_is_rejected(self, tmp_path):
         cache = ExtractionCache(self.cache_with_entry(tmp_path), "offline")
-        for key in (passage_sha256(self.PASSAGE).hex(), b"p1"):  # the older key, a passage id
+        for key in (passage_sha256(self.PASSAGE.title, self.PASSAGE.text).hex(), b"p1"):  # the older key, a passage id
             with pytest.raises(ContractError, match="is a raw sha256"):
                 cache.put(key, ["berlin"])
 
@@ -478,7 +479,7 @@ class TestStaleExtractionEntries:
         directory = self.cache_with_entry(tmp_path)
         edited = Passage(id="p1", title="T", text="Paris is old.")
         cache = ExtractionCache(directory, "offline")
-        extract_corpus_entities([edited], OfflineEntityExtractor(), cache)
+        extract_corpus_entities(corpus_of([edited]), OfflineEntityExtractor(), cache)
         cache = ExtractionCache(directory, "offline")
         assert cached(cache, edited) == ("paris",)
         assert cached(cache, self.PASSAGE) == ("berlin",)  # right for the old text

@@ -83,11 +83,11 @@ def test_retrieval_only_report(toy_built, data_dir):
 
 
 def test_qa_scoring_included_when_chat_configured(toy_built, data_dir):
-    index, passages, _ = toy_built
+    index, corpus, _ = toy_built
     dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
     report = run_eval(
         dataset, index, CONFIG, ENCODER, EXTRACTOR,
-        chat=OfflineChatClient(), passages=passages,
+        chat=OfflineChatClient(), corpus=corpus,
     )
     agg = report.aggregates
     assert "em" in agg and "f1" in agg
@@ -161,8 +161,8 @@ def test_timing_covers_both_similarity_vectors_and_the_ranking(toy_built, data_d
         monkeypatch.setattr(evaluate, name, slowed(getattr(evaluate, name), seconds))
     monkeypatch.setattr(evaluate, "answer", slowed(evaluate.answer, 0.5))
     dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")[:1]
-    index, passages, _ = toy_built
-    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, OfflineChatClient(), passages)
+    index, corpus, _ = toy_built
+    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, OfflineChatClient(), corpus)
     assert 0.07 <= report.records[0].retrieval_seconds < 0.5
 
 
@@ -326,10 +326,10 @@ class FailingOnQuestionChat(OfflineChatClient):
 
 
 def test_chat_failure_keeps_the_retrieval_and_evaluation_continues(toy_built, data_dir):
-    index, passages, _ = toy_built
+    index, corpus, _ = toy_built
     dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
     chat = FailingOnQuestionChat(dataset[1].question)
-    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, passages=passages)
+    report = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, corpus=corpus)
     healthy = run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR)
     assert report.errors == 1
     failed = report.records[1]
@@ -342,8 +342,8 @@ def test_chat_failure_keeps_the_retrieval_and_evaluation_continues(toy_built, da
 
 
 def test_chat_failure_before_any_success_propagates(toy_built, data_dir):
-    index, passages, _ = toy_built
+    index, corpus, _ = toy_built
     dataset = load_qa_dataset(data_dir / "toy_qa.jsonl")
     chat = FailingOnQuestionChat(dataset[0].question)
     with pytest.raises(ChatError):
-        run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, passages=passages)
+        run_eval(dataset, index, CONFIG, ENCODER, EXTRACTOR, chat=chat, corpus=corpus)

@@ -1,12 +1,13 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hyperhop import corpus as corpus_module
 from hyperhop import pipeline
 from hyperhop.config import AppConfig
-from hyperhop.corpus import Passage, corpus_digest
 from hyperhop.embeddings import OfflineEncoder
 from hyperhop.entities import OfflineEntityExtractor, _is_normalized, normalize_entity
 from hyperhop.errors import ContractError
@@ -21,10 +22,8 @@ from hyperhop.pipeline import (
 
 
 def test_passage_embedding_text_uses_title_when_present():
-    with_title = Passage(id="p", title="T", text="body")
-    without = Passage(id="p", title="", text="body")
-    assert passage_embedding_text(with_title) == "T\nbody"
-    assert passage_embedding_text(without) == "body"
+    assert passage_embedding_text("T", "body") == "T\nbody"
+    assert passage_embedding_text("", "body") == "body"
 
 
 def test_built_embeddings_align_with_entity_names_and_passages(toy_built):
@@ -34,15 +33,69 @@ def test_built_embeddings_align_with_entity_names_and_passages(toy_built):
         expected = encoder.encode_batch([entity])[0]
         np.testing.assert_array_equal(index.entity_rows.values[i], expected)
     for j, passage in enumerate(passages):
-        expected = encoder.encode_batch([passage_embedding_text(passage)])[0]
+        expected = encoder.encode_batch([passage_embedding_text(passage.title, passage.text)])[0]
         np.testing.assert_array_equal(index.passage_rows.columns[:, j], expected)
 
 
 def test_manifest_records_build_fingerprint(toy_built, data_dir):
     _, _, manifest = toy_built
-    assert manifest["corpus_sha256"] == corpus_digest(data_dir / "toy_corpus.jsonl")
+    corpus_bytes = (data_dir / "toy_corpus.jsonl").read_bytes()
+    assert manifest["corpus_sha256"] == hashlib.sha256(corpus_bytes).hexdigest()
     assert manifest["encoder_id"] == "offline-hash-bow-d256"
     assert manifest["n_entities"] == 5 and manifest["n_passages"] == 3
+
+
+class RewritesTheCorpus(OfflineEntityExtractor):
+    """Edits the corpus file while the build extracts, as a slow remote build may see."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def extract(self, title, text):
+        self.path.write_text(self.path.read_text().replace("Berlin", "Bonn"), encoding="utf-8")
+        return super().extract(title, text)
+
+
+def test_manifest_names_the_corpus_bytes_the_build_parsed(tmp_path, data_dir, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    original = (data_dir / "toy_corpus.jsonl").read_bytes()
+    corpus.write_bytes(original)
+    monkeypatch.setattr(pipeline, "make_extractor", lambda config: RewritesTheCorpus(corpus))
+    config = AppConfig(
+        corpus=str(corpus),
+        index_dir=str(tmp_path / "index"),
+        cache_dir=str(tmp_path / "cache"),
+        offline=True,
+    )
+    _, manifest = build_index_from_corpus(config)
+    assert corpus.read_bytes() != original
+    stored = json.loads((tmp_path / "index" / "manifest.json").read_text())
+    assert manifest["corpus_sha256"] == stored["corpus_sha256"]
+    assert stored["corpus_sha256"] == hashlib.sha256(original).hexdigest()
+
+
+def test_only_an_extractor_miss_makes_a_passage(tmp_path, data_dir, monkeypatch):
+    """A build reads the corpus columns: a cold build makes one Passage per
+    extraction, a warm one none."""
+    made = []
+
+    class CountedPassage(corpus_module.Passage):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.id)
+
+    monkeypatch.setattr(corpus_module, "Passage", CountedPassage)
+    config = AppConfig(
+        corpus=str(data_dir / "toy_corpus.jsonl"),
+        index_dir=str(tmp_path / "index"),
+        cache_dir=str(tmp_path / "cache"),
+        offline=True,
+    )
+    build_index_from_corpus(config)
+    assert sorted(made) == ["P1", "P2", "P3"]
+    made.clear()
+    build_index_from_corpus(config)
+    assert made == []
 
 
 def test_offline_clients_require_no_settings(no_network):

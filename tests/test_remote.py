@@ -210,6 +210,6 @@ def test_a_reply_that_utf8_cannot_encode_exits_2_and_keeps_the_cache(tmp_path, m
     assert "extraction failed for passage 'P3'" in capsys.readouterr().err
     assert not (tmp_path / "index").exists()
     cache = ExtractionCache(tmp_path / "cache" / "extraction", OfflineEntityExtractor.extractor_id)
-    passages = pipeline.load_corpus(corpus)
-    assert cache.lookup([passage_sha256(p) for p in passages]).tolist() == [0, 1, -1]
+    keys = [passage_sha256(p.title, p.text) for p in pipeline.load_corpus(corpus)]
+    assert cache.lookup(keys).tolist() == [0, 1, -1]
     assert cache.names == ["germany"]

@@ -431,7 +431,7 @@ class TestEntityBuckets:
 class TestPassageSimilarity:
     def test_identical_text_scores_one(self, toy_built):
         index, passages, _ = toy_built
-        query = passage_embedding_text(passages[1])
+        query = passage_embedding_text(passages[1].title, passages[1].text)
         p = build_passage_similarity(query, index, ENCODER)
         assert p[1] == pytest.approx(1.0, abs=1e-6)
 
