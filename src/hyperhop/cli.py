@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import SETTING_TYPES, AppConfig, load_app_config
@@ -25,42 +26,23 @@ from .pipeline import (
     make_extractor,
 )
 from .qa import answer as generate_answer
-from .retrieval import retrieve
+from .retrieval import RetrievalConfig, retrieve
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+
+def _add_setting_flags(parser: argparse.ArgumentParser, *configs: type) -> None:
+    """``--config``, then a flag for each setting field of the ``configs``
+    dataclasses, as the field's metadata spells and describes it (see
+    ``retrieval.setting``). A bool flag stores the opposite of the field's
+    default; every flag defaults to None, so an unset flag overrides nothing."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--corpus", help="corpus JSONL path")
-    parser.add_argument("--index-dir", dest="index_dir", help="index directory")
-    parser.add_argument("--cache-dir", dest="cache_dir", help="cache directory")
-    parser.add_argument("--offline", action="store_true", default=None,
-                        help="run without any network access")
-    parser.add_argument("--api-base", dest="api_base", help="OpenAI-compatible base URL")
-    parser.add_argument("--api-key", dest="api_key", help="API key")
-    parser.add_argument("--embed-model", dest="embed_model", help="remote embedding model id")
-    parser.add_argument("--embed-dim", dest="embed_dim", type=int, help="remote embedding dim")
-    parser.add_argument("--chat-model", dest="chat_model", help="remote chat model id")
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--max-workers", dest="max_workers", type=int)
-    parser.add_argument("--offline-dim", dest="offline_dim", type=int,
-                        help="offline encoder dimension")
-    parser.add_argument("--extraction-prompt", dest="extraction_prompt",
-                        help="override extraction prompt template file")
-    parser.add_argument("--answer-prompt", dest="answer_prompt",
-                        help="override answer prompt template file")
-
-
-def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, help="entity similarity threshold")
-    parser.add_argument("--beta", type=float, help="semantic enhancement blend")
-    parser.add_argument("--t", dest="steps", type=int, help="diffusion steps")
-    parser.add_argument("--k1", type=int, help="seed set size")
-    parser.add_argument("--k2", type=int, help="candidate set size")
-    parser.add_argument("--no-weights", dest="use_weight_matrix", action="store_false",
-                        default=None, help="ablation: identity hyperedge weights")
-    parser.add_argument("--no-se", dest="use_semantic_enhancement", action="store_false",
-                        default=None, help="ablation: skip semantic enhancement")
-    parser.add_argument("--no-struct", dest="use_structural_enhancement", action="store_false",
-                        default=None, help="ablation: fixed top-k1 selection")
+    for f in (f for config in configs for f in fields(config) if f.name in SETTING_TYPES):
+        flag = f.metadata.get("flag") or "--" + f.name.replace("_", "-")
+        kind = SETTING_TYPES[f.name]
+        if kind is bool:
+            how = {"action": "store_false" if f.default else "store_true", "default": None}
+        else:
+            how = {"type": kind}
+        parser.add_argument(flag, dest=f.name, help=f.metadata.get("help"), **how)
 
 
 def _check_utf8(query: str) -> None:
@@ -109,8 +91,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     index, encoder, extractor = _open_index(config)
     result = retrieve(args.query, index, config.retrieval, encoder, extractor)
-    k2 = min(config.retrieval.k2, index.n_passages)
-    print(json.dumps(result.to_payload(args.query, index.passage_ids, k2), indent=2))
+    print(json.dumps(result.to_payload(args.query, index.passage_ids), indent=2))
     return 0
 
 
@@ -179,19 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_index = sub.add_parser("index", help="build and persist the retrieval index")
-    _add_common_flags(p_index)
+    _add_setting_flags(p_index, AppConfig)
     p_index.set_defaults(func=cmd_index)
 
     p_retrieve = sub.add_parser("retrieve", help="rank passages for a query")
     p_retrieve.add_argument("query")
-    _add_common_flags(p_retrieve)
-    _add_retrieval_flags(p_retrieve)
+    _add_setting_flags(p_retrieve, AppConfig, RetrievalConfig)
     p_retrieve.set_defaults(func=cmd_retrieve)
 
     p_answer = sub.add_parser("answer", help="retrieve then answer a query")
     p_answer.add_argument("query")
-    _add_common_flags(p_answer)
-    _add_retrieval_flags(p_answer)
+    _add_setting_flags(p_answer, AppConfig, RetrievalConfig)
     p_answer.set_defaults(func=cmd_answer)
 
     p_eval = sub.add_parser("eval", help="score retrieval (and QA) on a dataset")
@@ -203,12 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
                              " entity and passage similarity (query extraction and"
                              " embedding included), diffusion and selection; not the"
                              " answer call")
-    _add_common_flags(p_eval)
-    _add_retrieval_flags(p_eval)
+    _add_setting_flags(p_eval, AppConfig, RetrievalConfig)
     p_eval.set_defaults(func=cmd_eval)
 
     p_stats = sub.add_parser("stats", help="print graph-scale statistics")
-    _add_common_flags(p_stats)
+    _add_setting_flags(p_stats, AppConfig)
     p_stats.set_defaults(func=cmd_stats)
 
     return parser

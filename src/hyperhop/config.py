@@ -9,27 +9,27 @@ from pathlib import Path
 from typing import Any, Mapping, get_args, get_type_hints
 
 from .errors import ContractError
-from .retrieval import RetrievalConfig
+from .retrieval import RetrievalConfig, setting
 
 ENV_PREFIX = "HYPERHOP_"
 
 
 @dataclass
 class AppConfig:
-    corpus: str | None = None
-    index_dir: str | None = None
-    cache_dir: str | None = None
-    offline: bool = False
-    api_base: str | None = None
-    api_key: str = ""
-    embed_model: str | None = None
-    embed_dim: int = 256
-    chat_model: str | None = None
+    corpus: str | None = setting(None, "corpus JSONL path")
+    index_dir: str | None = setting(None, "index directory")
+    cache_dir: str | None = setting(None, "cache directory")
+    offline: bool = setting(False, "run without any network access")
+    api_base: str | None = setting(None, "OpenAI-compatible base URL")
+    api_key: str = setting("", "API key")
+    embed_model: str | None = setting(None, "remote embedding model id")
+    embed_dim: int = setting(256, "remote embedding dim")
+    chat_model: str | None = setting(None, "remote chat model id")
     batch_size: int = 64
     max_workers: int = 1
-    offline_dim: int = 256
-    extraction_prompt: str | None = None
-    answer_prompt: str | None = None
+    offline_dim: int = setting(256, "offline encoder dimension")
+    extraction_prompt: str | None = setting(None, "override extraction prompt template file")
+    answer_prompt: str | None = setting(None, "override answer prompt template file")
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
 
     def require(self, name: str) -> str:

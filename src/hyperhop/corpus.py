@@ -77,9 +77,10 @@ def parse_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
     bad one are yielded first, so errors come in line order.
 
     ``data`` is decoded once, and each line is one call of the JSON
-    scanner. A line that the scanner does not take whole (surrounding
-    whitespace, a blank line, a malformed one) goes through ``json.loads``,
-    which accepts it or raises its exact error.
+    scanner. A line that the scanner does not take whole, up to its ``\n``
+    or a ``\r`` just before it (surrounding whitespace, a blank line, a
+    malformed one), goes through ``json.loads``, which accepts it or raises
+    its exact error.
     """
     try:
         text, bad_bytes = data.decode("utf-8"), None
@@ -101,7 +102,8 @@ def parse_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
             obj, end = _SCAN(text, line_start)
         except (StopIteration, ValueError):
             end = -1
-        if end != stop:
+        # "\r" is JSON whitespace: a scan that ends at a CRLF's "\r" took the line whole.
+        if end != stop and not (end == stop - 1 and text[end:stop] == "\r"):
             line = text[line_start:pos]  # with its "\n", as json.loads always saw it
             if not line.strip():
                 continue

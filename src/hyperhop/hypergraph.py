@@ -154,7 +154,7 @@ class IncidenceMatrix:
         keys.sort()
         keys &= (1 << bits) - 1
         offsets = np.zeros(self.n_entities + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.pas_indices, minlength=self.n_entities), out=offsets[1:])
+        np.cumsum(self.degrees.node_degrees, out=offsets[1:])
         return EntityMajorOrder(offsets=offsets, columns=keys.astype(np.int32, copy=False))
 
 

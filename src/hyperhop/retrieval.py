@@ -27,18 +27,27 @@ from .errors import ContractError, ExtractionError
 from .hypergraph import DiffusionSupport, apply_diffusion_operator
 from .index_store import HypergraphIndex
 
+
+def setting(default, help: str | None = None, flag: str | None = None):
+    """A config field: its default, its ``--help`` line and, where it is not
+    ``--name-with-dashes``, its flag. The CLI builds each flag from these."""
+    return field(default=default, metadata={"help": help, "flag": flag})
+
+
 @dataclass
 class RetrievalConfig:
     """Hyperparameters and ablation switches for the retrieval pipeline."""
 
-    eta: float = 0.8
-    beta: float = 0.5
-    steps: int = 4
-    k1: int = 5
-    k2: int = 10
-    use_weight_matrix: bool = True
-    use_semantic_enhancement: bool = True
-    use_structural_enhancement: bool = True
+    eta: float = setting(0.8, "entity similarity threshold")
+    beta: float = setting(0.5, "semantic enhancement blend")
+    steps: int = setting(4, "diffusion steps", "--t")
+    k1: int = setting(5, "seed set size")
+    k2: int = setting(10, "candidate set size")
+    use_weight_matrix: bool = setting(True, "ablation: identity hyperedge weights", "--no-weights")
+    use_semantic_enhancement: bool = setting(True, "ablation: skip semantic enhancement", "--no-se")
+    use_structural_enhancement: bool = setting(
+        True, "ablation: fixed top-k1 selection", "--no-struct"
+    )
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -85,14 +94,14 @@ class RankedResult:
     diagnostics: Diagnostics
     artifacts: QueryArtifacts | None = None
 
-    def to_payload(self, query: str, passage_ids: Sequence[str], k2: int) -> dict:
+    def to_payload(self, query: str, passage_ids: Sequence[str]) -> dict:
         def entries(pairs):
             return [{"id": passage_ids[col], "score": score} for col, score in pairs]
 
         return {
             "query": query,
             "selected": entries(self.selected),
-            "topk2": entries(self.ranking[:k2]),
+            "topk2": entries(self.ranking[: self.diagnostics.k2_effective]),
             "diagnostics": asdict(self.diagnostics),
         }
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 
 import hyperhop
 from hyperhop import cli
-from hyperhop.cli import main
+from hyperhop.cli import build_parser, main
+from hyperhop.config import SETTING_TYPES
 from hyperhop.corpus import load_corpus
 from hyperhop.embeddings import OfflineEncoder, text_key
 from hyperhop.entities import OfflineEntityExtractor, passage_sha256
@@ -724,6 +726,90 @@ def test_toy_outputs_are_the_golden_bytes(built, capsys):
     ids = {key: [e["id"] for e in payload[key]] for key in ("selected", "topk2")}
     rendered = json.dumps({"query": payload["query"], **ids}, indent=2) + "\n"
     assert rendered.encode("utf-8") == golden["retrieve_ids.json"]
+
+
+# Each subcommand's arguments in --help order: option string (a positional's
+# name) -> (dest, action or type), written out by hand.
+APP_FLAGS = {
+    "--config": ("config", "str"),
+    "--corpus": ("corpus", "str"),
+    "--index-dir": ("index_dir", "str"),
+    "--cache-dir": ("cache_dir", "str"),
+    "--offline": ("offline", "store_true"),
+    "--api-base": ("api_base", "str"),
+    "--api-key": ("api_key", "str"),
+    "--embed-model": ("embed_model", "str"),
+    "--embed-dim": ("embed_dim", "int"),
+    "--chat-model": ("chat_model", "str"),
+    "--batch-size": ("batch_size", "int"),
+    "--max-workers": ("max_workers", "int"),
+    "--offline-dim": ("offline_dim", "int"),
+    "--extraction-prompt": ("extraction_prompt", "str"),
+    "--answer-prompt": ("answer_prompt", "str"),
+}
+RETRIEVAL_FLAGS = {
+    "--eta": ("eta", "float"),
+    "--beta": ("beta", "float"),
+    "--t": ("steps", "int"),
+    "--k1": ("k1", "int"),
+    "--k2": ("k2", "int"),
+    "--no-weights": ("use_weight_matrix", "store_false"),
+    "--no-se": ("use_semantic_enhancement", "store_false"),
+    "--no-struct": ("use_structural_enhancement", "store_false"),
+}
+QUERY_ARGUMENT = {"query": ("query", "str")}
+EVAL_FLAGS = {
+    "--dataset": ("dataset", "str"),
+    "--output": ("output", "str"),
+    "--qa": ("qa", "store_true"),
+    "--timing": ("timing", "store_true"),
+}
+EXPECTED_FLAGS = {
+    "index": APP_FLAGS,
+    "retrieve": {**QUERY_ARGUMENT, **APP_FLAGS, **RETRIEVAL_FLAGS},
+    "answer": {**QUERY_ARGUMENT, **APP_FLAGS, **RETRIEVAL_FLAGS},
+    "eval": {**EVAL_FLAGS, **APP_FLAGS, **RETRIEVAL_FLAGS},
+    "stats": APP_FLAGS,
+}
+OWN_DESTS = {
+    "index": set(),
+    "retrieve": {"query"},
+    "answer": {"query"},
+    "eval": {"dataset", "output", "qa", "timing"},
+    "stats": set(),
+}
+
+
+def flag_table(parser: argparse.ArgumentParser) -> dict:
+    table = {}
+    for action in parser._actions:
+        if action.dest == "help":
+            continue
+        if action.nargs == 0:
+            kind = "store_true" if action.const is True else "store_false"
+        else:
+            kind = (action.type or str).__name__
+        for name in action.option_strings or [action.dest]:
+            table[name] = (action.dest, kind)
+    return table
+
+
+def test_every_setting_has_its_flag():
+    """Each command's flags keep their spellings, dests, actions, types and
+    order; index and stats take no retrieval flag; the dests are the
+    settings, --config and the command's own arguments; an unset setting
+    flag is None, so it overrides no other source."""
+    subcommands = next(a for a in build_parser()._actions if a.nargs == argparse.PARSER)
+    assert list(subcommands.choices) == list(EXPECTED_FLAGS)
+    retrieval = {dest for dest, _ in RETRIEVAL_FLAGS.values()}
+    for command, expected in EXPECTED_FLAGS.items():
+        parser = subcommands.choices[command]
+        table = flag_table(parser)
+        assert list(table.items()) == list(expected.items()), command
+        settings = set(SETTING_TYPES) - (retrieval if command in ("index", "stats") else set())
+        dests = {dest for dest, _ in table.values()}
+        assert dests == settings | {"config"} | OWN_DESTS[command], command
+        assert all(a.default is None for a in parser._actions if a.dest in settings), command
 
 
 @pytest.mark.parametrize("module", ["hyperhop", "hyperhop.cli"])

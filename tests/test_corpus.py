@@ -148,8 +148,11 @@ PARITY = {
     "duplicate-before-bad-bytes": GOOD + line("p1") + b"\n" + b"\xff\n",
     "bad-json-before-bad-bytes": GOOD + b"{\n" + b"\xff\n",
     "missing-key-before-bad-json": GOOD + b'{"id": "p3"}\n{\n',
+    "a-lone-cr-ends-no-line": GOOD + line("p3") + b"\r" + line("p4") + b"\n",
     # valid
     "crlf-line-ends": GOOD.replace(b"\n", b"\r\n"),
+    "spaces-before-the-cr": line("p2") + b"  \r\n" + line("p1") + b" \t\r\n",
+    "a-lone-cr-line": GOOD + b"\r",
     "blank-and-whitespace-lines": b"\n" + line("p2") + b"\n  \t\n\r\n" + "  \n".encode()
     + line("p1") + b"\n\n",
     "no-final-newline": GOOD + line("p0"),
@@ -182,6 +185,21 @@ def test_load_corpus_matches_the_per_line_reference(tmp_path, data):
     assert corpus.sha256 == hashlib.sha256(data).hexdigest()
 
 
+def test_crlf_lines_take_the_scanner_path(tmp_path, monkeypatch):
+    rows = [line(f"p{i}", f"text {i}", f"t{i}") for i in (3, 1, 2)]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes(b"\n".join(rows) + b"\n")
+    crlf.write_bytes(b"\r\n".join(rows) + b"\r\n")
+    want = load_corpus(lf)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr("hyperhop.corpus.json.loads", refuse)
+    got = load_corpus(crlf)
+    assert (got.ids, got.titles, got.texts) == (want.ids, want.titles, want.texts)
+
+
 def test_the_parity_table_holds_the_errors_of_the_older_loader(tmp_path):
     """Cases that a faster parser could get wrong keep the errors the
     per-line loader gives: the table is no weaker than it reads."""
@@ -193,6 +211,7 @@ def test_the_parity_table_holds_the_errors_of_the_older_loader(tmp_path):
             "line 3: invalid JSON: Expecting property name enclosed in double quotes",
         "not-utf8-on-line-3": "line 3: not UTF-8 at byte 36",
         "unterminated-string": "line 3: invalid JSON: Invalid control character at",
+        "a-lone-cr-ends-no-line": "line 3: invalid JSON: Extra data",
     }
     for case, message in expected.items():
         path = tmp_path / f"{case}.jsonl"

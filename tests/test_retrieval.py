@@ -931,7 +931,7 @@ class TestRetrieveEndToEnd:
         index, _, _ = toy_built
         config = RetrievalConfig(k1=1, k2=3)
         result = retrieve(TOY_QUERY, index, config, ENCODER, EXTRACTOR)
-        payload = result.to_payload(TOY_QUERY, index.passage_ids, 3)
+        payload = result.to_payload(TOY_QUERY, index.passage_ids)
         assert payload["query"] == TOY_QUERY
         assert [e["id"] for e in payload["selected"]] == ["P1", "P2"]
         assert len(payload["topk2"]) == 3
