@@ -13,8 +13,8 @@ Directory layout (all binary arrays little-endian):
     passage_columns.bin     float32, dim x n_passages (passage values, coordinate-major)
     passage_norms.bin       float64, n_passages (L2 norm of each passage row)
 
-The incidence is stored passage-major only; its passage columns and its
-degrees are derived from it on first use. The entity files are the
+The incidence is stored passage-major only; its degrees and its
+entity-major and slot-major orders are derived from it on first use. The entity files are the
 ``embeddings.EntityRows`` that a build derives once: the norms and buckets
 of ``embeddings.norms_and_buckets``. The passage files are the
 ``embeddings.PassageRows`` the query path reads. Every norm is summed in
@@ -193,13 +193,14 @@ def _checked_incidence(
         raise IndexIntegrityError("pas_offsets.bin does not frame pas_indices.bin")
     if nnz and (indices.min() < 0 or indices.max() >= n_entities):
         raise IndexIntegrityError("pas_indices.bin holds an entity row outside [0, n_entities)")
-    incidence = IncidenceMatrix(n_entities, n_passages, offsets, indices)
     # H^T relies on rows ascending inside each passage; a repeated row would
-    # be a duplicate incidence.
-    same_passage = incidence.pas_columns[1:] == incidence.pas_columns[:-1]
-    if np.any(same_passage & (indices[1:] <= indices[:-1])):
+    # be a duplicate incidence. Rows may descend from one passage to the next.
+    not_ascending = indices[1:] <= indices[:-1]
+    boundaries = offsets[1:-1]
+    not_ascending[boundaries[(boundaries > 0) & (boundaries < nnz)] - 1] = False
+    if np.any(not_ascending):
         raise IndexIntegrityError("pas_indices.bin rows are not strictly ascending in a passage")
-    return incidence
+    return IncidenceMatrix(n_entities, n_passages, offsets, indices)
 
 
 def spot_checked_rows(n_rows: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 Everything here works on plain dense numpy arrays and deliberately shares
 no code with the sparse production path; ``dense_incidence`` only reads the
 stored arrays of an incidence to give the oracles their input. The two full
-passes, ``entity_to_passage`` and ``passage_to_entity``, read the same arrays:
-they are the sums that every route of a diffusion step must match bit for
-bit. ``encode_one`` and ``extract_spans`` are the offline encoder and
+passes, ``entity_to_passage`` and ``passage_to_entity``, read the same arrays
+and derive each entry's passage column from the offsets
+(``passage_columns``): each is one bincount in storage order, and they are
+the sums that every route of a diffusion step must match bit for bit. ``encode_one`` and ``extract_spans`` are the offline encoder and
 extractor as per-token loops, sharing only the stopword list with them:
 the batched clients must match them bit for bit. ``passage_cosines`` is the
 passage similarity as a per-passage loop, which the sparse route of
@@ -38,10 +39,17 @@ def dense_incidence(incidence) -> np.ndarray:
     return dense
 
 
+def passage_columns(incidence) -> np.ndarray:
+    """The passage column of each stored entry, in storage order."""
+    return np.repeat(np.arange(incidence.n_passages), np.diff(incidence.pas_offsets))
+
+
 def entity_to_passage(vec: np.ndarray, incidence) -> np.ndarray:
     """H^T vec as one bincount over every stored entry, in storage order."""
     out = np.bincount(
-        incidence.pas_columns, weights=vec[incidence.pas_indices], minlength=incidence.n_passages
+        passage_columns(incidence),
+        weights=vec[incidence.pas_indices],
+        minlength=incidence.n_passages,
     )
     return out.astype(np.float64, copy=False)
 
@@ -49,7 +57,9 @@ def entity_to_passage(vec: np.ndarray, incidence) -> np.ndarray:
 def passage_to_entity(vec: np.ndarray, incidence) -> np.ndarray:
     """H vec as one bincount over every stored entry, in storage order."""
     out = np.bincount(
-        incidence.pas_indices, weights=vec[incidence.pas_columns], minlength=incidence.n_entities
+        incidence.pas_indices,
+        weights=vec[passage_columns(incidence)],
+        minlength=incidence.n_entities,
     )
     return out.astype(np.float64, copy=False)
 

@@ -728,6 +728,23 @@ def test_toy_outputs_are_the_golden_bytes(built, capsys):
     assert rendered.encode("utf-8") == golden["retrieve_ids.json"]
 
 
+def test_no_weights_retrieve_is_the_golden_bytes(built, capsys):
+    """`retrieve --no-weights` gives every passage weight one, so its full
+    diffusion half-steps run over the whole incidence, H^T slot-major (on
+    the toy, every half-step is full). Its payloads, at the default k and at `--k1 1 --k2 3`,
+    scores included, are as in tests/data/toy_golden: the query has one
+    entity, and its scores were the same bytes on OpenBLAS's Prescott,
+    Nehalem, Sandy Bridge, Haswell and SkylakeX kernels."""
+    runs = {}
+    for extra in ([], ["--k1", "1", "--k2", "3"]):
+        args = ["--no-weights", *extra]
+        capsys.readouterr()
+        assert main(["retrieve", TOY_QUERY, *args] + common(built)) == 0
+        runs[" ".join(args)] = json.loads(capsys.readouterr().out)
+    rendered = json.dumps(runs, indent=2) + "\n"
+    assert rendered.encode("utf-8") == (GOLDEN / "retrieve_no_weights.json").read_bytes()
+
+
 # Each subcommand's arguments in --help order: option string (a positional's
 # name) -> (dest, action or type), written out by hand.
 APP_FLAGS = {

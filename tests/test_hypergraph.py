@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from reference import (
     dense_incidence,
     dense_propagation_matrix,
     entity_to_passage,
+    passage_columns,
     passage_to_entity,
     random_entity_sets,
 )
@@ -41,7 +43,7 @@ class TestBuildIncidence:
         germany = index_of(catalog, "germany")
         assert degrees.node_degrees[germany] == 2
         assert np.flatnonzero(dense_incidence(incidence)[germany]).tolist() == [0, 1]
-        assert incidence.pas_columns.tolist() == [0, 0, 1, 1, 1, 2, 2]
+        assert incidence.pas_offsets.tolist() == [0, 2, 5, 7]
 
     def test_empty_entity_set_gives_zero_column(self):
         incidence, _ = make_incidence({"p1": ["a"], "p2": []})
@@ -64,7 +66,6 @@ class TestBuildIncidence:
                 assert incidence.pas_indices[lo:hi].tolist() == sorted(
                     index_of(catalog, e) for e in names
                 )
-                assert (incidence.pas_columns[lo:hi] == j).all()
 
     def test_rows_sorted_even_when_entities_arrive_out_of_catalog_order(self):
         incidence, catalog = make_incidence({"p1": ["a", "b"], "p2": ["b", "a", "c"]})
@@ -119,7 +120,7 @@ class TestGatherScatter:
             u = np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0)
             order = np.argsort(incidence.pas_indices, kind="stable")
             entity_major = np.bincount(
-                incidence.pas_columns[order],
+                passage_columns(incidence)[order],
                 weights=u[incidence.pas_indices[order]],
                 minlength=incidence.n_passages,
             )
@@ -149,7 +150,7 @@ class TestEntityMajorOrder:
         order = incidence.entity_major
         by_entity = np.argsort(incidence.pas_indices, kind="stable")
         assert order.columns.dtype == np.int32
-        np.testing.assert_array_equal(order.columns, incidence.pas_columns[by_entity])
+        np.testing.assert_array_equal(order.columns, passage_columns(incidence)[by_entity])
         counts = np.bincount(incidence.pas_indices, minlength=incidence.n_entities)
         np.testing.assert_array_equal(np.diff(order.offsets), counts)
         assert order.offsets[0] == 0
@@ -183,22 +184,100 @@ class TestEntityMajorOrder:
             assert order.columns.shape == (0,) and order.offsets.tolist() == [0]
 
 
+def random_incidence(rng, n_entities, degrees):
+    """An incidence whose passages hold ``degrees`` distinct random rows each."""
+    offsets = np.zeros(len(degrees) + 1, dtype=np.int32)
+    np.cumsum(degrees, out=offsets[1:])
+    segments = [np.sort(rng.choice(n_entities, d, replace=False)) for d in degrees]
+    rows = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
+    return IncidenceMatrix(n_entities, len(degrees), offsets, rows)
+
+
+class TestSlotMajorOrder:
+    @staticmethod
+    def assert_is_the_slot_major_order(incidence):
+        order = incidence.slot_major
+        degrees = np.diff(incidence.pas_offsets)
+        # The passages by descending degree, ties by ascending column.
+        np.testing.assert_array_equal(order.passages, np.argsort(-degrees, kind="stable"))
+        expected_widths = [np.count_nonzero(degrees > k) for k in range(degrees.max(initial=0))]
+        np.testing.assert_array_equal(order.widths, expected_widths)
+        assert (np.diff(order.widths) <= 0).all()
+        assert order.rows.dtype == np.intp and order.rows.shape == (incidence.nnz,)
+        # Each passage's rows, taken slot by slot, are its pas_indices segment.
+        slots = np.split(order.rows, np.cumsum(order.widths)[:-1])
+        for rank, j in enumerate(order.passages):
+            taken = [slot[rank] for slot in slots[: degrees[j]]]
+            lo, hi = incidence.pas_offsets[j], incidence.pas_offsets[j + 1]
+            assert taken == incidence.pas_indices[lo:hi].tolist()
+        u = np.random.default_rng(0).normal(size=incidence.n_entities)
+        assert order.passage_sums(u).tobytes() == entity_to_passage(u, incidence).tobytes()
+
+    def test_toy(self, toy_index):
+        order = toy_index.incidence.slot_major
+        assert order.passages.tolist() == [1, 0, 2] and order.widths.tolist() == [3, 3, 1]
+        self.assert_is_the_slot_major_order(toy_index.incidence)
+
+    def test_random_graphs(self, rng):
+        for _ in range(20):
+            sets = random_entity_sets(rng)
+            incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
+            self.assert_is_the_slot_major_order(incidence)
+
+    def test_skewed_degrees_with_entityless_passages(self, rng):
+        # Zipf degrees less one: about half the passages hold no entity, and
+        # a few hold most of the catalog.
+        for _ in range(20):
+            n_entities = int(rng.integers(1, 200))
+            degrees = np.minimum(rng.zipf(1.5, int(rng.integers(1, 300))) - 1, n_entities)
+            self.assert_is_the_slot_major_order(random_incidence(rng, n_entities, degrees))
+
+    def test_empty_graphs(self):
+        for sets in ({}, {"p1": [], "p2": []}):
+            incidence, _ = make_incidence(sets)
+            order = incidence.slot_major
+            assert order.widths.shape == order.rows.shape == (0,)
+            assert order.passages.tolist() == list(range(len(sets)))
+            summed = order.passage_sums(np.zeros(0))
+            assert summed.tobytes() == np.zeros(len(sets)).tobytes()
+
+    def test_a_passage_of_70000_entities_takes_int64_keys(self, rng):
+        # max_degree - degree reaches 2**16: as uint16 keys, 70000 - 10 would
+        # wrap to 4454 and put passage 0 before passage 2.
+        incidence = random_incidence(rng, 70_000, [10, 70_000, 5_000])
+        assert incidence.slot_major.passages.tolist() == [1, 2, 0]
+        self.assert_is_the_slot_major_order(incidence)
+
+    def test_derivation_peak_is_its_output_and_one_entry_length_temporary(self, rng):
+        # Passage degrees as on the passage-heavy benchmark graph. The
+        # degrees are derived beforehand: the bound is the order's own.
+        incidence = random_incidence(rng, 5_000, rng.integers(8, 17, 20_000))
+        incidence.degrees
+        tracemalloc.start()
+        try:
+            order = incidence.slot_major
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = order.passages.nbytes + order.widths.nbytes + order.rows.nbytes
+        assert peak <= output + incidence.nnz * np.dtype(np.intp).itemsize
+
+
 def test_derived_facts_are_kept_and_survive_a_round_trip(toy_index, tmp_path):
-    # The passage columns, the degrees and the entity-major order are each
+    # The degrees, the entity-major order and the slot-major order are each
     # derived once per incidence, and a loaded index derives the same bytes.
     save_index(toy_index, tmp_path)
     built, loaded = toy_index.incidence, load_index(tmp_path).incidence
-    for name in ("pas_columns", "degrees", "entity_major"):
+    names = ("degrees", "entity_major", "slot_major")
+    for name in names:
         assert getattr(built, name) is getattr(built, name)
         assert getattr(loaded, name) is getattr(loaded, name)
 
     def arrays(incidence):
-        facts = incidence.degrees, incidence.entity_major
-        return [incidence.pas_columns] + [
-            getattr(fact, f.name) for fact in facts for f in dataclasses.fields(fact)
-        ]
+        facts = [getattr(incidence, name) for name in names]
+        return [getattr(fact, f.name) for fact in facts for f in dataclasses.fields(fact)]
 
-    assert len(arrays(built)) == 7
+    assert len(arrays(built)) == 9
     for a, b in zip(arrays(built), arrays(loaded)):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -212,11 +291,11 @@ class TestDiffusionSupport:
             keep = weights > 0
             rows, columns = DiffusionSupport(incidence, weights).entries()
             if np.count_nonzero(keep) > hypergraph._RESTRICT_MAX_KEPT_SHARE * incidence.n_passages:
-                assert rows is incidence.pas_indices and columns is incidence.pas_columns
+                assert rows is incidence.pas_indices and columns is None  # H^T runs slot-major
             else:
-                entries = keep[incidence.pas_columns]
+                entries = keep[passage_columns(incidence)]
                 np.testing.assert_array_equal(rows, incidence.pas_indices[entries])
-                np.testing.assert_array_equal(columns, incidence.pas_columns[entries])
+                np.testing.assert_array_equal(columns, passage_columns(incidence)[entries])
 
     def test_no_kept_passage_leaves_no_entries(self, toy_index):
         support = DiffusionSupport(toy_index.incidence, np.zeros(3))

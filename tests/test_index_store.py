@@ -33,8 +33,8 @@ from conftest import TOY_SETS, entity_sets_of
 from reference import row_norms
 
 
-def make_toy_index():
-    entity_sets = entity_sets_of(TOY_SETS)
+def make_toy_index(sets=TOY_SETS):
+    entity_sets = entity_sets_of(sets)
     encoder = OfflineEncoder(dim=32)
     entity_embeddings = embed_batch(entity_sets.catalog, encoder)
     passage_embeddings = embed_batch([f"t {pid}" for pid in entity_sets.passage_ids], encoder)
@@ -51,7 +51,6 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded.incidence.nnz == index.incidence.nnz
     np.testing.assert_array_equal(loaded.incidence.pas_offsets, index.incidence.pas_offsets)
     np.testing.assert_array_equal(loaded.incidence.pas_indices, index.incidence.pas_indices)
-    np.testing.assert_array_equal(loaded.incidence.pas_columns, index.incidence.pas_columns)
     np.testing.assert_array_equal(
         loaded.incidence.degrees.node_degrees, index.incidence.degrees.node_degrees
     )
@@ -253,6 +252,51 @@ def test_unsorted_or_duplicated_row_detected(tmp_path, rows):
     np.array(rows, dtype="<i4").tofile(_saved(tmp_path) / "pas_indices.bin")
     with pytest.raises(IndexIntegrityError, match="strictly ascending"):
         load_index(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        # Rows 0, 1 of p3 and row 0 of p6 descend across p4 and p5.
+        {"p1": [], "p2": [], "p3": ["a", "b"], "p4": [], "p5": [], "p6": ["a"], "p7": []},
+        {"p1": [], "p2": []},
+    ],
+    ids=["empty-side-by-side", "no-entries"],
+)
+def test_empty_passages_side_by_side_load(tmp_path, sets):
+    # Rows need ascend only inside a passage; the check marks each passage
+    # boundary from pas_offsets, repeated where passages are empty.
+    index = make_toy_index(sets)
+    save_index(index, tmp_path)
+    loaded = load_index(tmp_path).incidence
+    assert loaded.pas_offsets.tobytes() == index.incidence.pas_offsets.astype("<i4").tobytes()
+    np.testing.assert_array_equal(loaded.pas_indices, index.incidence.pas_indices)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [3, 4, 0, 1, 2, 0, 1],  # rows descend across both passage boundaries
+        [0, 4, 0, 1, 2, 0, 4],  # and repeat across them
+    ],
+)
+def test_rows_descending_across_toy_boundaries_load(tmp_path, rows):
+    np.array(rows, dtype="<i4").tofile(_saved(tmp_path) / "pas_indices.bin")
+    assert load_index(tmp_path).incidence.pas_indices.tolist() == rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [1, 1, 0, 1, 2, 3, 4],  # the first passage repeats a row
+        [1, 0, 0, 1, 2, 3, 4],  # the first passage's rows descend
+        [0, 1, 0, 1, 2, 4, 4],  # the last passage repeats a row
+        [0, 1, 0, 1, 2, 4, 3],  # the last passage's rows descend
+    ],
+)
+def test_a_bad_row_in_the_first_or_last_passage_exits_2(tmp_path, capsys, rows):
+    np.array(rows, dtype="<i4").tofile(_saved(tmp_path) / "pas_indices.bin")
+    _exits_2_naming(tmp_path, capsys, "pas_indices.bin rows are not strictly ascending in a passage")
 
 
 @pytest.mark.parametrize(
