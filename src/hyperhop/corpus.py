@@ -2,7 +2,9 @@
 
 A corpus is a JSONL file, one passage per line, with string keys
 ``id``, ``title`` and ``text``. Passages are the coarse-grained unit of
-retrieval and become the hyperedges of the entity hypergraph.
+retrieval and become the hyperedges of the entity hypergraph. A passage's
+content has one key, ``passage_sha256``, by which both build caches find
+its records, and one embedded text, ``passage_embedding_text``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,22 @@ class Corpus:
             if i < len(self.ids) and self.ids[i] == pid:
                 found.append(self[i])
         return found
+
+
+def passage_sha256(title: str, text: str) -> bytes:
+    """The raw sha256 of a passage's content, its title and text: the key of
+    both build caches' records.
+
+    The title's length goes first, so no other title and text hash alike.
+    """
+    content = f"{len(title)}:{title}{text}"
+    return hashlib.sha256(content.encode("utf-8")).digest()
+
+
+def passage_embedding_text(title: str, text: str) -> str:
+    """The text an encoder embeds of a passage: its title and text, or
+    only its text when it has no title."""
+    return f"{title}\n{text}" if title else text
 
 
 def parse_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:

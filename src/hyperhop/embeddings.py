@@ -21,6 +21,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
+from .corpus import passage_sha256
 from .errors import ContractError, EmbeddingError, IndexIntegrityError
 from .remote import EndpointConfig, Transport
 from .remote import embeddings as remote_embeddings
@@ -102,13 +103,17 @@ class RemoteEncoder:
 
 
 def text_key(text: str) -> bytes:
-    """The raw sha256 of ``text`` as UTF-8: the embedding cache's key."""
-    return hashlib.sha256(text.encode("utf-8")).digest()
+    """The embedding cache's key of ``text`` embedded as itself, such as an
+    entity name: the ``passage_sha256`` of the title-less passage ``("",
+    text)``, whose embedded text ``text`` is."""
+    return passage_sha256("", text)
 
 
 # A record's key is read as raw bytes (V32): an S32 field would drop trailing NULs.
 _KEY = np.dtype("V32")
-_LAYOUT = 2  # raw sha256 keys; the layout of 64-character hex keys had no tag
+# Keys are passage_sha256s. Layout 2 keyed the raw sha256 of the embedded
+# text, and the layout of 64-character hex keys had no tag.
+_LAYOUT = 3
 
 
 def open_cache(directory: Path, producer: dict) -> None:
@@ -131,17 +136,24 @@ def open_cache(directory: Path, producer: dict) -> None:
 
 
 class EmbeddingCache:
-    """Append-only on-disk vector cache keyed by content hash.
+    """Append-only on-disk vector cache keyed by content, as the extraction
+    cache is.
+
+    A passage's row is keyed by the ``passage_sha256`` of its title and
+    text, and holds the embedding of its ``passage_embedding_text``. Any
+    other text, such as an entity name, is keyed as the title-less passage
+    ``("", text)`` (``text_key``), whose embedded text is the text itself.
+    So equal keys mean equal embedded text, and a name never hits a
+    passage's row unless the passage is that name without a title.
 
     ``manifest.json`` holds the encoder id, the dim and the layout (see
     ``open_cache``). ``records.bin`` holds one fixed-size record per entry:
-    the 32 raw bytes of the text's ``text_key``, then the float32
-    little-endian row. The entry count is the file size over the record
-    size, and a key and its row are written together, so they cannot
-    disagree. Opening truncates a partial last record that a crashed append
-    left, and takes the keys as the mapped bytes, so a damaged key is a
-    miss, not a crash. Appends are serialized; one process writes a cache at
-    a time.
+    the 32 raw bytes of the key, then the float32 little-endian row. The
+    entry count is the file size over the record size, and a key and its
+    row are written together, so they cannot disagree. Opening truncates a
+    partial last record that a crashed append left, and takes the keys as
+    the mapped bytes, so a damaged key is a miss, not a crash. Appends are
+    serialized; one process writes a cache at a time.
     """
 
     def __init__(self, directory: str | Path, encoder_id: str, dim: int):
@@ -168,26 +180,39 @@ class EmbeddingCache:
         """The record of each key that the cache holds; a miss is left out."""
         return {k: i for k, i in zip(keys, map(self._offsets.get, keys)) if i is not None}
 
-    def read_rows(self, offsets: Sequence[int]) -> np.ndarray:
-        """The rows at ``offsets``, gathered from a read-only map of the
-        first ``count`` records, so only their pages are read.
+    def read_rows(
+        self, records: Sequence[int], layout: type[EntityRows] | type[PassageRows] | None = None
+    ):
+        """The rows of ``records``, gathered from a read-only map of the
+        first ``count`` records, so only their pages are read: a float32
+        matrix, or with ``layout`` (``EntityRows`` or ``PassageRows``) the
+        ``layout.of`` of those rows, gathered into it block by block.
 
         Raises IndexIntegrityError naming the first record that holds a
         non-finite value: the encoder path never appends one, so the file is
-        damaged.
+        damaged. A layout's rows are checked through their norms: the
+        float64 squares of finite float32 values cannot overflow, so a row's
+        sum of squares is finite exactly when its values are.
         """
-        offsets = np.asarray(offsets, dtype=np.int64)
-        rows = self._mapped()["row"][offsets]  # a gather: an ndarray copy
-        finite = np.isfinite(rows).all(axis=1)
+        records = np.asarray(records, dtype=np.int64)
+        values = self._mapped()["row"]
+        if layout is None:
+            rows = values[records]  # a gather: an ndarray copy
+            finite = np.isfinite(rows).all(axis=1)
+        else:
+            rows = layout.of(values, records)
+            finite = np.isfinite(rows.norms)
         if not finite.all():
             raise IndexIntegrityError(
                 f"embedding cache {self._records} holds non-finite entries, first in record"
-                f" {offsets[~finite].min()} (counted from 0); delete the cache directory"
+                f" {records[~finite].min()} (counted from 0); delete the cache directory"
                 f" {self.directory} and build again"
             )
         return rows
 
-    def append(self, keys: Sequence[bytes], vectors: np.ndarray) -> None:
+    def append(self, keys: Sequence[bytes], vectors: np.ndarray) -> np.ndarray:
+        """Append a record of each key the cache does not hold yet, with its
+        row of ``vectors``; returns every key's record, int64."""
         if vectors.shape != (len(keys), self.dim):
             raise ContractError("cache append shape mismatch")
         for key in keys:
@@ -195,15 +220,15 @@ class EmbeddingCache:
                 raise ContractError(f"a cache key is a raw sha256 of 32 bytes: {key!r}")
         with self._lock:
             fresh = {k: i for i, k in enumerate(keys) if k not in self._offsets}
-            if not fresh:
-                return
-            records = np.empty(len(fresh), dtype=self._dtype)
-            records["key"] = list(fresh)
-            records["row"] = vectors[list(fresh.values())]
-            with self._records.open("ab") as fh:
-                fh.write(records.tobytes())
-            self._offsets.update(zip(fresh, range(self._count, self._count + len(fresh))))
-            self._count += len(fresh)
+            if fresh:
+                records = np.empty(len(fresh), dtype=self._dtype)
+                records["key"] = list(fresh)
+                records["row"] = vectors[list(fresh.values())]
+                with self._records.open("ab") as fh:
+                    fh.write(records.tobytes())
+                self._offsets.update(zip(fresh, range(self._count, self._count + len(fresh))))
+                self._count += len(fresh)
+            return np.fromiter(map(self._offsets.get, keys), dtype=np.int64, count=len(keys))
 
 
 def embed_batch(
@@ -211,42 +236,41 @@ def embed_batch(
     client: EncoderClient,
     cache: EmbeddingCache | None = None,
     batch_size: int = 64,
-) -> np.ndarray:
+    keys: Sequence[bytes] | None = None,
+    layout: type[EntityRows] | type[PassageRows] | None = None,
+):
     """Embed texts in order, consulting and extending the cache; returns the
-    float32 (len(texts), client.dim) matrix, one row per text.
+    float32 (len(texts), client.dim) matrix, one row per text, or with
+    ``layout`` (``EntityRows`` or ``PassageRows``) its ``layout.of``.
 
-    The cached rows are gathered into the output at once. Only cache misses
-    reach the encoder client, ``batch_size`` texts per call. A remote
-    failure, or a batch holding a non-finite value, raises EmbeddingError
-    carrying the offsets of the failing batch, before the batch reaches the
-    cache; a non-finite value read from the cache raises IndexIntegrityError
-    (see ``EmbeddingCache.read_rows``).
+    ``keys`` are the texts' cache keys, each text's ``text_key`` when not
+    given. A build passes the passages' ``passage_sha256`` and a sequence
+    whose i-th text is made when read, and only a miss's text is read. The
+    misses come first: deduplicated by key, so a repeated text is encoded
+    once, they reach the encoder client ``batch_size`` texts per call, and
+    each batch is appended to the cache. Then every row is gathered from
+    the cache in one pass into the matrix or the layout
+    (``EmbeddingCache.read_rows``). A remote failure, or a batch holding a
+    non-finite value, raises EmbeddingError carrying the offsets of the
+    failing batch among the misses, before the batch reaches the
+    cache; a non-finite value read from the cache raises IndexIntegrityError.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    texts = list(texts)
-    keys = list(map(text_key, texts))
+    if keys is None:
+        keys = list(map(text_key, texts))
     hits = cache.lookup(keys) if cache is not None else {}
-    if hits:
-        offsets = np.fromiter(map(hits.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
-        miss_positions = np.flatnonzero(offsets < 0).tolist()
-        # A miss gathers a hit's row, which its encoded row replaces below.
-        offsets[miss_positions] = next(iter(hits.values()))
-        out = cache.read_rows(offsets)
-    else:
-        miss_positions = list(range(len(keys)))
-        out = np.empty((len(texts), client.dim), dtype=np.float32)
-
-    # Deduplicate misses, in order of first appearance, so repeated texts are
-    # encoded once.
-    miss_text_by_key = {keys[i]: texts[i] for i in miss_positions}
-    miss_keys = list(miss_text_by_key)
-    encoded = np.empty((len(miss_keys), client.dim), dtype=np.float32)
+    records = np.fromiter(map(hits.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    miss_positions = np.flatnonzero(records < 0).tolist()
+    miss_at = {keys[i]: i for i in miss_positions}  # in order of first appearance
+    miss_keys = list(miss_at)
+    encoded = np.empty((len(miss_keys), client.dim), dtype=np.float32) if cache is None else None
+    found: dict[bytes, int] = {}  # each miss's record: in the cache, or without one in ``encoded``
     for start in range(0, len(miss_keys), batch_size):
         chunk = miss_keys[start : start + batch_size]
         stop = start + len(chunk)
         try:
-            vectors = client.encode_batch([miss_text_by_key[k] for k in chunk])
+            vectors = client.encode_batch([texts[miss_at[k]] for k in chunk])
         except Exception as exc:
             raise EmbeddingError(
                 f"embedding batch failed at offsets [{start}, {stop}): {exc}",
@@ -258,12 +282,16 @@ def embed_batch(
                 f"embedding batch at offsets [{start}, {stop}) holds a non-finite value",
                 batch_offsets=(start, stop),
             )
-        if cache is not None:
-            cache.append(chunk, vectors)
-        encoded[start:stop] = vectors
-    slot = dict(zip(miss_keys, range(len(miss_keys))))
-    out[miss_positions] = encoded[[slot[keys[i]] for i in miss_positions]]
-    return out
+        if cache is None:
+            encoded[start:stop] = vectors
+            found.update(zip(chunk, range(start, stop)))
+        else:
+            found.update(zip(chunk, cache.append(chunk, vectors).tolist()))
+    records[miss_positions] = [found[keys[i]] for i in miss_positions]
+    if cache is not None:
+        return cache.read_rows(records, layout)
+    rows = encoded[records]
+    return rows if layout is None else layout.of(rows)
 
 
 # Rows per block wherever rows pass through float64 a few at a time, in
@@ -337,10 +365,14 @@ def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def _blocks_of(values: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, block)`` over ``values``, ``ROW_BLOCK`` rows at a time."""
-    for start in range(0, values.shape[0], ROW_BLOCK):
-        yield start, start + ROW_BLOCK, values[start : start + ROW_BLOCK]
+def _blocks_of(
+    values: np.ndarray, records: np.ndarray | None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(start, stop, block)`` over the rows of ``values``, or over its rows
+    at ``records`` in that order, gathered, ``ROW_BLOCK`` rows at a time."""
+    for start in range(0, len(values if records is None else records), ROW_BLOCK):
+        stop = start + ROW_BLOCK
+        yield start, stop, values[start:stop] if records is None else values[records[start:stop]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,14 +394,15 @@ class PassageRows:
     norms: np.ndarray  # float64 (n_passages,)
 
     @classmethod
-    def of(cls, values: np.ndarray) -> PassageRows:
+    def of(cls, values: np.ndarray, records: np.ndarray | None = None) -> PassageRows:
         """The passage rows of the float32 (n_passages, dim) matrix
-        ``values``, each block transposed into ``columns`` and its norms
-        taken while it is in cache."""
-        n_rows, dim = values.shape
-        columns = np.empty((dim, n_rows), dtype=np.float32)
+        ``values``, or of its rows at ``records`` in that order: each block,
+        gathered, is transposed into ``columns`` and its norms taken while it
+        is in cache."""
+        n_rows = values.shape[0] if records is None else records.shape[0]
+        columns = np.empty((values.shape[1], n_rows), dtype=np.float32)
         norms = np.empty(n_rows, dtype=np.float64)
-        for start, stop, block in _blocks_of(values):
+        for start, stop, block in _blocks_of(values, records):
             columns[:, start:stop] = block.T
             norms[start:stop] = row_norms(block)
         columns.flags.writeable = False
@@ -603,16 +636,22 @@ class EntityRows:
     cos_r: np.ndarray  # float64 (2 dim + 1,)
 
     @classmethod
-    def of(cls, values: np.ndarray) -> EntityRows:
-        """The entity rows of the float32 matrix ``values``: each block's
-        norms and buckets (``norms_and_buckets``) taken while the block is
-        in cache, then the rest derived as a load derives it."""
+    def of(cls, values: np.ndarray, records: np.ndarray | None = None) -> EntityRows:
+        """The entity rows of the float32 matrix ``values``, or of its rows
+        at ``records`` in that order, gathered into a new matrix: each
+        block's norms and buckets (``norms_and_buckets``) taken while the
+        block is in cache, then the rest derived as a load derives it."""
         values = np.asarray(values)
-        norms = np.empty(values.shape[0], dtype=np.float64)
-        buckets = np.empty(values.shape[0], dtype=np.uint16)
-        for start, stop, block in _blocks_of(values):
+        rows = values
+        if records is not None:
+            rows = np.empty((records.shape[0], values.shape[1]), dtype=np.float32)
+        norms = np.empty(rows.shape[0], dtype=np.float64)
+        buckets = np.empty(rows.shape[0], dtype=np.uint16)
+        for start, stop, block in _blocks_of(values, records):
+            if records is not None:
+                rows[start:stop] = block
             norms[start:stop], buckets[start:stop] = norms_and_buckets(block)
-        return cls.from_buckets(values, norms, buckets)
+        return cls.from_buckets(rows, norms, buckets)
 
     @classmethod
     def from_buckets(

@@ -90,30 +90,33 @@ class HypergraphIndex:
 
 
 def build_index(
-    entity_sets: EntitySets, entity_embeddings: np.ndarray, passage_embeddings: np.ndarray
+    entity_sets: EntitySets, entity_rows: EntityRows, passage_rows: PassageRows
 ) -> HypergraphIndex:
-    """Assemble an in-memory index from a corpus's entity sets and the two
-    float32 embedding matrices, one row per name of ``entity_sets.catalog``
-    and per passage; raises IndexIntegrityError when a matrix's rows do not
-    line up with them, or when the two differ in dimension.
+    """Assemble an in-memory index from a corpus's entity sets and its
+    embedding rows, one per name of ``entity_sets.catalog`` and one per
+    passage (as ``embeddings.embed_batch`` gathers them into each layout);
+    raises IndexIntegrityError when the rows do not line up with them, or
+    when the two sides differ in dimension.
     """
-    for kind, values, rows in (
-        ("entity", entity_embeddings, len(entity_sets.catalog)),
-        ("passage", passage_embeddings, len(entity_sets)),
+    (n_entities, entity_dim), (passage_dim, n_passages) = (
+        entity_rows.values.shape,
+        passage_rows.columns.shape,
+    )
+    for kind, n_rows, expected in (
+        ("entity", n_entities, len(entity_sets.catalog)),
+        ("passage", n_passages, len(entity_sets)),
     ):
-        if values.ndim != 2 or values.shape[0] != rows:
-            raise IndexIntegrityError(
-                f"{kind} embeddings have shape {values.shape}, expected {rows} rows"
-            )
-    dims = sorted({entity_embeddings.shape[1], passage_embeddings.shape[1]})
-    if len(dims) > 1:
+        if n_rows != expected:
+            raise IndexIntegrityError(f"{kind} embeddings have {n_rows} rows, expected {expected}")
+    if entity_dim != passage_dim:
+        dims = sorted({entity_dim, passage_dim})
         raise IndexIntegrityError(f"entity and passage embedding dims differ: {dims}")
     return HypergraphIndex(
         entity_names=entity_sets.catalog,
         incidence=build_incidence(entity_sets),
         passage_ids=list(entity_sets.passage_ids),
-        entity_rows=EntityRows.of(entity_embeddings),
-        passage_rows=PassageRows.of(passage_embeddings),
+        entity_rows=entity_rows,
+        passage_rows=passage_rows,
     )
 
 

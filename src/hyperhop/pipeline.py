@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 from .config import AppConfig
-from .corpus import load_corpus
+from .corpus import Corpus, load_corpus, passage_embedding_text, passage_sha256
 from .embeddings import (
     EmbeddingCache,
     EncoderClient,
+    EntityRows,
     OfflineEncoder,
+    PassageRows,
     RemoteEncoder,
     embed_batch,
-    text_key,
 )
 from .entities import (
     ExtractionCache,
@@ -25,10 +27,6 @@ from .errors import ContractError
 from .index_store import HypergraphIndex, build_index, save_index
 from .qa import ChatClient, OfflineChatClient, RemoteChatClient, default_prompt_template
 from .remote import EndpointConfig
-
-
-def passage_embedding_text(title: str, text: str) -> str:
-    return f"{title}\n{text}" if title else text
 
 
 def _endpoint(config: AppConfig) -> EndpointConfig:
@@ -84,7 +82,8 @@ def extractor_id(config: AppConfig) -> str:
     keys it: the offline tag, or the chat model and the sha256 of the prompt."""
     if config.offline:
         return OfflineEntityExtractor.extractor_id
-    return f"remote:{config.chat_model}:{text_key(_extraction_template(config)).hex()}"
+    prompt = _extraction_template(config).encode("utf-8")
+    return f"remote:{config.chat_model}:{hashlib.sha256(prompt).hexdigest()}"
 
 
 def make_chat(config: AppConfig) -> ChatClient:
@@ -101,38 +100,57 @@ def answer_template(config: AppConfig) -> str | None:
     return None
 
 
+class _PassageTexts:
+    """The ``passage_embedding_text`` of each passage of a corpus, made when
+    read: a build reads only its embedding cache's misses."""
+
+    def __init__(self, corpus: Corpus):
+        self._titles, self._texts = corpus.titles, corpus.texts
+
+    def __getitem__(self, i: int) -> str:
+        return passage_embedding_text(self._titles[i], self._texts[i])
+
+
 def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
     """Extract, embed, assemble and persist the index; returns it with its manifest.
 
-    Idempotent with warm caches: extraction and embedding results are reused
-    and the manifest is reproduced byte for byte. The manifest's
-    ``corpus_sha256`` is the digest of the bytes the passages were parsed
-    from, however the file changes during the build.
+    Each passage is keyed once, by the ``passage_sha256`` of its title and
+    text, and both caches look it up by that key. The embedding of the
+    entity names and then of the passages encodes and appends their misses
+    first, then gathers every row from the cache straight into the layout
+    the index stores (``embed_batch``). Idempotent with warm caches:
+    extraction and embedding results are reused and the index is reproduced
+    byte for byte. The manifest's ``corpus_sha256`` is the digest of the
+    bytes the passages were parsed from, however the file changes during
+    the build.
     """
     corpus_path = Path(config.require("corpus"))
     index_dir = Path(config.require("index_dir"))
     cache_dir = Path(config.cache_dir) if config.cache_dir else index_dir.parent / "cache"
 
     corpus = load_corpus(corpus_path)
+    keys = list(map(passage_sha256, corpus.titles, corpus.texts))
     extractor = make_extractor(config)
     extraction_cache = ExtractionCache(cache_dir / "extraction", extractor_id(config))
     entity_sets = extract_corpus_entities(
-        corpus, extractor, extraction_cache, max_workers=config.max_workers
+        corpus, extractor, extraction_cache, max_workers=config.max_workers, keys=keys
     )
 
     encoder = make_encoder(config)
     embedding_cache = EmbeddingCache(cache_dir / "embeddings", encoder.encoder_id, encoder.dim)
-    entity_embeddings = embed_batch(
-        entity_sets.catalog, encoder, embedding_cache, config.batch_size
+    entity_rows = embed_batch(
+        entity_sets.catalog, encoder, embedding_cache, config.batch_size, layout=EntityRows
     )
-    passage_embeddings = embed_batch(
-        list(map(passage_embedding_text, corpus.titles, corpus.texts)),
+    passage_rows = embed_batch(
+        _PassageTexts(corpus),
         encoder,
         embedding_cache,
         config.batch_size,
+        keys=keys,
+        layout=PassageRows,
     )
 
-    index = build_index(entity_sets, entity_embeddings, passage_embeddings)
+    index = build_index(entity_sets, entity_rows, passage_rows)
     manifest = save_index(
         index,
         index_dir,

@@ -175,13 +175,17 @@ def diffuse(
     index: HypergraphIndex,
     steps: int,
     use_weight_matrix: bool = True,
+    *,
+    checked: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """t diffusion steps from x, then one entity-to-passage hop.
 
     The hyperedge weights are the clamped passage similarities (or all ones
     when the weight matrix is ablated); there is no renormalization between
     steps. Returns (x_t, p_t) with p_t = W H^T x_t. Raises ContractError
-    when x or p does not fit the index or holds a non-finite value.
+    when x or p does not fit the index or holds a non-finite value, unless
+    ``checked`` says that they are float64 arrays already checked so
+    (``rank_passages`` checks them once per query).
 
     Each step is one call of ``apply_diffusion_operator``, and the steps and
     the final hop share one ``hypergraph.DiffusionSupport``. A half-step
@@ -203,7 +207,8 @@ def diffuse(
     over H, and so is p_t, except that where x has negative entries a
     zero-weight passage's entry may be a zero of the other sign.
     """
-    x, p = _checked_similarities(x, p, index)
+    if not checked:
+        x, p = _checked_similarities(x, p, index)
     if steps < 0:
         raise ContractError("steps must be >= 0")
     if use_weight_matrix:
@@ -327,7 +332,7 @@ def rank_passages(
         p_t = np.zeros(n, dtype=np.float64)
         scores = p
     else:
-        _, p_t = diffuse(x, p, index, config.steps, config.use_weight_matrix)
+        _, p_t = diffuse(x, p, index, config.steps, config.use_weight_matrix, checked=True)
         diag.steps_run = config.steps
         scores = semantic_enhance(p_t, p, config.beta, config.use_semantic_enhancement)
 

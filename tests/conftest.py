@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hyperhop.corpus import Corpus, Passage
-from hyperhop.embeddings import OfflineEncoder, embed_batch
+from hyperhop.embeddings import EntityRows, OfflineEncoder, PassageRows, embed_batch
 from hyperhop.entities import EntitySets
 from hyperhop.index_store import HypergraphIndex, build_index
 
@@ -53,7 +53,9 @@ def index_from_sets(sets_by_pid: dict[str, list[str]], dim: int = 64) -> Hypergr
     encoder = OfflineEncoder(dim=dim)
     entity_embeddings = embed_batch(entity_sets.catalog, encoder)
     passage_embeddings = embed_batch([f"text of {pid}" for pid in entity_sets.passage_ids], encoder)
-    return build_index(entity_sets, entity_embeddings, passage_embeddings)
+    return build_index(
+        entity_sets, EntityRows.of(entity_embeddings), PassageRows.of(passage_embeddings)
+    )
 
 
 @pytest.fixture

@@ -15,11 +15,12 @@ from hyperhop import cli
 from hyperhop.cli import build_parser, main
 from hyperhop.config import SETTING_TYPES
 from hyperhop.corpus import load_corpus
-from hyperhop.embeddings import OfflineEncoder, text_key
+from hyperhop.embeddings import OfflineEncoder
 from hyperhop.entities import OfflineEntityExtractor, passage_sha256
 from hyperhop.errors import ContractError
 from hyperhop.evaluate import load_qa_dataset, run_eval
 from hyperhop.index_store import load_index
+from hyperhop.pipeline import passage_embedding_text
 from hyperhop.qa import RemoteChatClient
 from hyperhop.remote import EndpointConfig
 from hyperhop.retrieval import RetrievalConfig, ranked_order, retrieve
@@ -167,13 +168,52 @@ class TestIndexCommand:
         shutil.rmtree(embeddings)
         shutil.copytree(DATA_DIR / "toy_embeddings", embeddings)
         old_records = (embeddings / "records.bin").read_bytes()
-        assert text_key("germany").hex().encode() in old_records  # 64-character hex keys
+        assert hashlib.sha256(b"germany").hexdigest().encode() in old_records  # hex keys
         old_size = len(old_records)
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
         assert sorted(f.name for f in embeddings.iterdir()) == ["manifest.json", "records.bin"]
         # Each text encoded again: as many records, each 32 key bytes shorter.
         assert (embeddings / "records.bin").stat().st_size == old_size // (64 + 1024) * (32 + 1024)
+
+    def test_layout_2_embedding_cache_is_wiped_and_encoded_once(self, built, capsys):
+        """Layout 2 keyed each row by the raw sha256 of its embedded text."""
+        index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
+        embeddings = built / "cache" / "embeddings"
+        new_records = (embeddings / "records.bin").read_bytes()
+        encoder = OfflineEncoder(dim=256)
+        index = load_index(built / "index")
+        texts = index.entity_names + [
+            passage_embedding_text(p.title, p.text) for p in load_corpus(TOY_CORPUS)
+        ]
+        manifest = {"dim": 256, "encoder_id": encoder.encoder_id, "layout": 2}
+        (embeddings / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+        old = np.empty(len(texts), dtype=[("key", "V32"), ("row", "<f4", (256,))])
+        old["key"] = [hashlib.sha256(text.encode()).digest() for text in texts]
+        old["row"] = encoder.encode_batch(texts)
+        (embeddings / "records.bin").write_bytes(old.tobytes())
+
+        assert main(["index"] + common(built)) == 0
+        assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
+        assert json.loads((embeddings / "manifest.json").read_text())["layout"] == 3
+        assert (embeddings / "records.bin").read_bytes() == new_records  # each text encoded again
+        assert main(["index"] + common(built)) == 0
+        assert (embeddings / "records.bin").read_bytes() == new_records  # and only once
+
+    @pytest.mark.parametrize("record, kind", [(1, "entity"), (6, "passage")])
+    def test_non_finite_cached_row_exits_2_naming_the_record(self, built, capsys, record, kind):
+        """The cold build appended the 5 entity rows, then the 3 passage rows;
+        a warm one gathers them into the index layouts and checks each row."""
+        records = built / "cache" / "embeddings" / "records.bin"
+        raw = np.frombuffer(records.read_bytes(), dtype=[("key", "V32"), ("row", "<f4", (256,))])
+        raw = raw.copy()
+        raw["row"][record, 100] = np.inf
+        raw["row"][7, 0] = np.nan  # a later record, read in the same pass
+        records.write_bytes(raw.tobytes())
+        capsys.readouterr()
+        assert main(["index"] + common(built)) == 2
+        message = f"embedding cache {records} holds non-finite entries, first in record {record} "
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entities, message",

@@ -563,6 +563,32 @@ class TestAxisBuckets:
         assert entity_rows.values is rows
 
 
+@pytest.mark.parametrize("n_rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_rows_gathered_from_the_cache_are_bitwise_those_of_the_matrix(tmp_path, rng, n_rows):
+    """``read_rows`` with a layout gathers, block by block, the columns and
+    norms of ``PassageRows.of`` and the values, norms and buckets of
+    ``EntityRows.of`` over the matrix of the same records."""
+    dim = 24
+    client = CountingEncoder(dim=dim)
+    cache = EmbeddingCache(tmp_path, client.encoder_id, dim)
+    scales = 10.0 ** rng.integers(-45, 38, (n_rows + 5, 1))  # norms past the screen range too
+    values = (rng.normal(size=(n_rows + 5, dim)) * scales).astype(np.float32)
+    values[::7] = 0.0
+    cache.append([bytes([i % 256, i // 256]) * 16 for i in range(n_rows + 5)], values)
+    records = rng.permutation(n_rows + 5)[:n_rows]
+    records[-1] = records[0]  # a record read twice
+    matrix = cache.read_rows(records)
+    assert matrix.tobytes() == values[records].tobytes()
+
+    passages, want = cache.read_rows(records, PassageRows), PassageRows.of(matrix)
+    assert passages.columns.tobytes() == want.columns.tobytes()
+    assert passages.norms.tobytes() == want.norms.tobytes() == row_norms(matrix).tobytes()
+    entities, want = cache.read_rows(records, EntityRows), EntityRows.of(matrix)
+    for name in ("values", "norms", "rows", "starts", "cos_r"):
+        assert getattr(entities, name).tobytes() == getattr(want, name).tobytes(), name
+    assert entities.buckets().tobytes() == want.buckets().tobytes()
+
+
 class TestEmbeddingCache:
     def test_cache_fidelity_zero_client_calls(self, tmp_path):
         texts = ["one", "two", "three"]
@@ -673,7 +699,7 @@ class TestEmbeddingCache:
         assert cache.lookup([text_key("a"), text_key("b")]) == {}
         assert not (tmp_path / "records.bin").exists()
         assert json.loads((tmp_path / "manifest.json").read_text()) == {
-            "dim": 16, "encoder_id": client.encoder_id, "layout": 2
+            "dim": 16, "encoder_id": client.encoder_id, "layout": 3
         }
         embed_batch(["a"], other, cache)
         assert other.calls == 1

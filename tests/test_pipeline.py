@@ -1,13 +1,15 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hyperhop import corpus as corpus_module
-from hyperhop import pipeline
+from hyperhop import embeddings, entities, pipeline
 from hyperhop.config import AppConfig
+from hyperhop.corpus import passage_sha256
 from hyperhop.embeddings import OfflineEncoder
 from hyperhop.entities import OfflineEntityExtractor, _is_normalized, normalize_entity
 from hyperhop.errors import ContractError
@@ -245,3 +247,68 @@ def test_extractor_id_follows_the_model_and_the_prompt(tmp_path):
     assert ids[0] == OfflineEntityExtractor.extractor_id
     assert len(set(ids)) == 4
     assert extractor_id(remote) == ids[1]
+
+
+def test_a_build_keys_each_passage_once_and_makes_no_embedded_text_for_a_hit(
+    tmp_path, data_dir, monkeypatch, no_network
+):
+    """One ``passage_sha256`` per passage serves both caches, an entity name
+    is keyed as the title-less passage of it, and a warm build reads no
+    passage's embedded text."""
+    keyed, texts = Counter(), []
+
+    def counting_sha256(title, text):
+        keyed[title, text] += 1
+        return passage_sha256(title, text)
+
+    def counting_text(title, text):
+        texts.append(title)
+        return passage_embedding_text(title, text)
+
+    for module in (corpus_module, entities, embeddings, pipeline):
+        monkeypatch.setattr(module, "passage_sha256", counting_sha256)
+    monkeypatch.setattr(pipeline, "passage_embedding_text", counting_text)
+    config = AppConfig(
+        corpus=str(data_dir / "toy_corpus.jsonl"),
+        index_dir=str(tmp_path / "index"),
+        cache_dir=str(tmp_path / "cache"),
+        offline=True,
+    )
+    corpus = corpus_module.load_corpus(config.corpus)
+    for build in ("cold", "warm"):
+        keyed.clear()
+        texts.clear()
+        index, _ = build_index_from_corpus(config)
+        passages = Counter(zip(corpus.titles, corpus.texts))
+        names = Counter(("", name) for name in index.entity_names)
+        assert keyed == passages + names, build
+        assert sorted(texts) == (sorted(corpus.titles) if build == "cold" else []), build
+
+
+def test_an_entity_name_never_shares_a_passage_key(tmp_path, monkeypatch, no_network):
+    """The passage ("hello", " world") hashes "5:hello world"; a raw sha256
+    of the entity name "5:hello world" would be the same key."""
+    assert hashlib.sha256(b"5:hello world").digest() == passage_sha256("hello", " world")
+    assert embeddings.text_key("5:hello world") != passage_sha256("hello", " world")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "p1", "title": "hello", "text": " world"}) + "\n")
+
+    class NamesTheKey(OfflineEntityExtractor):
+        def extract(self, title, text):
+            return ["5:hello world"]
+
+    monkeypatch.setattr(pipeline, "make_extractor", lambda config: NamesTheKey())
+    config = AppConfig(
+        corpus=str(corpus),
+        index_dir=str(tmp_path / "index"),
+        cache_dir=str(tmp_path / "cache"),
+        offline=True,
+    )
+    encoder = OfflineEncoder(dim=config.offline_dim)
+    name_row, passage_row = encoder.encode_batch(["5:hello world", "hello\n world"])
+    assert name_row.tobytes() != passage_row.tobytes()
+    for _ in ("cold", "warm"):
+        index, _ = build_index_from_corpus(config)
+        assert index.entity_names == ["5:hello world"]
+        assert index.entity_rows.values[0].tobytes() == name_row.tobytes()
+        assert index.passage_rows.columns[:, 0].tobytes() == passage_row.tobytes()

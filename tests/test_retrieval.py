@@ -5,7 +5,9 @@ from hyperhop import embeddings, hypergraph, retrieval
 from hyperhop.config import AppConfig
 from hyperhop.embeddings import (
     ROW_BLOCK,
+    EntityRows,
     OfflineEncoder,
+    PassageRows,
     embed_batch,
     max_sim_to_query_entities,
     screen_max_sim,
@@ -177,7 +179,7 @@ def index_with_entity_rows(values):
     """One passage per entity, the entity rows given; each passage row is
     its entity's."""
     sets = entity_sets_of({f"p{i:05d}": [f"e{i}"] for i in range(len(values))})
-    return build_index(sets, values, values)
+    return build_index(sets, EntityRows.of(values), PassageRows.of(values))
 
 
 class TestEntitySimilarityScreen:
@@ -682,6 +684,26 @@ class TestDiffuse:
         for bad_p in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(ContractError, match=r"^p has shape \(.*\), expected \(3,\)$"):
                 rank_passages(x, bad_p, toy_index, config)
+
+    def test_a_ranking_checks_x_and_p_once_and_diffuses_through_the_module(
+        self, toy_index, monkeypatch
+    ):
+        # Tracing wraps retrieval.diffuse; rank_passages hands it checked input.
+        checks, calls = [], []
+        check, diffusion = retrieval._checked_similarities, retrieval.diffuse
+        monkeypatch.setattr(
+            retrieval, "_checked_similarities", lambda *args: checks.append(1) or check(*args)
+        )
+        monkeypatch.setattr(
+            retrieval, "diffuse", lambda *args, **kw: calls.append(kw) or diffusion(*args, **kw)
+        )
+        x = np.zeros(5)
+        x[0] = 1.0
+        ranked = rank_passages(x, TOY_WEIGHTS, toy_index, RetrievalConfig(k1=1, k2=3))
+        assert (len(checks), calls) == (1, [{"checked": True}])
+        _, want = diffusion(x, TOY_WEIGHTS, toy_index, RetrievalConfig().steps)
+        assert len(checks) == 2  # called directly, diffuse checks its input
+        assert ranked.artifacts.p_t.tobytes() == want.tobytes()
 
     def test_calls_the_module_level_diffusion_step_once_per_step(self, toy_index, monkeypatch):
         # Tracing wraps retrieval.apply_diffusion_operator and counts the
