@@ -314,25 +314,18 @@ def row_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.multiply(squares, squares, out=squares), axis=1))
 
 
-def row_norms_and_largest(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``row_norms(block)``, summed the same way, and each row's first
-    coordinate of largest absolute value with that coordinate's value. The
-    squares of float32 values are exact in float64, so they order and tie as
-    the absolute values do, and their argmax is the largest coordinate."""
+def norms_and_buckets(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``row_norms(block)``, summed the same way, and each row's
+    ``EntityRows`` bucket as ``entity_buckets.bin`` stores it, uint16:
+    ``2 k + [e_k < 0]`` for the row's first coordinate ``k`` of largest
+    ``|e_k|``, or ``2 dim`` when its norm lies outside ``[2**-126, 2**127)``.
+    The squares of float32 values are exact in float64, so they order and
+    tie as the absolute values do, and their argmax is that coordinate."""
     squares = np.array(block, dtype=np.float64, order="C")
     np.multiply(squares, squares, out=squares)
     axis = squares.argmax(axis=1)
-    return np.sqrt(np.add.reduce(squares, axis=1)), axis, block[np.arange(block.shape[0]), axis]
-
-
-def norms_and_buckets(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``row_norms(block)`` and each row's ``EntityRows`` bucket as
-    ``entity_buckets.bin`` stores it, uint16: ``2 k + [e_k < 0]`` for the
-    row's first coordinate ``k`` of largest ``|e_k|``
-    (``row_norms_and_largest``), or ``2 dim`` when its norm lies outside
-    ``[2**-126, 2**127)``."""
-    norms, axis, value = row_norms_and_largest(block)
-    buckets = (2 * axis + (value < 0.0)).astype(np.uint16)
+    norms = np.sqrt(np.add.reduce(squares, axis=1))
+    buckets = (2 * axis + (block[np.arange(block.shape[0]), axis] < 0.0)).astype(np.uint16)
     buckets[~_in_screen_range(norms)] = _never_skipped(block.shape[1])
     return norms, buckets
 
@@ -360,7 +353,7 @@ def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray
     for start in range(0, values.shape[0], ROW_BLOCK):
         stop = start + ROW_BLOCK
         block = values[start:stop].astype(np.float64)
-        scale = np.linalg.norm(block, axis=1) if norms is None else norms[start:stop]
+        scale = row_norms(block) if norms is None else norms[start:stop]
         np.divide(block, np.where(scale > 0.0, scale, 1.0)[:, None], out=out[start:stop])
     return out
 

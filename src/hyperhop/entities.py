@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import re
-import threading
 import unicodedata
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +23,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Passage, passage_sha256
+from .corpus import Corpus, Passage
 from .embeddings import open_cache
 from .errors import ContractError, CorpusFormatError, ExtractionError
 
@@ -260,17 +259,17 @@ def _reply_names(reply: str) -> list[str]:
 # Keys are read as raw bytes (V32): an S32 field would drop trailing NULs.
 _ENTRY = np.dtype([("key", "V32"), ("count", "<u4")])
 _LAYOUT = 2  # the array layout; the older records.jsonl one had no tag
-_FILES = ("names.txt", "ids.bin", "entries.bin")  # in the order a flush appends to them
+_FILES = ("names.txt", "ids.bin", "entries.bin")  # in the order an append writes them
 
 
 class ExtractionCache:
     """Append-only cache of extraction results, keyed by passage content.
 
-    The cache is a directory; with none, it lives in memory only. Its
-    ``manifest.json`` names the extractor (the offline tag, or the chat
-    model and the sha256 of the prompt) and the layout; opening for another
-    one wipes the cache (see ``embeddings.open_cache``). An entry holds the
-    entities of one passage content as ids into a table of names:
+    The cache is a directory. Its ``manifest.json`` names the extractor
+    (the offline tag, or the chat model and the sha256 of the prompt) and
+    the layout; opening for another one wipes the cache (see
+    ``embeddings.open_cache``). An entry holds the entities of one passage
+    content as ids into a table of names:
 
     - ``names.txt``: one name per line, UTF-8; a name's id is its line
       number, counted from 0.
@@ -280,25 +279,21 @@ class ExtractionCache:
 
     The key hashes all an extractor reads of a passage, so an edited title
     or text is a miss and the entry of the old text stays valid for it.
-    When a key repeats, the last entry wins. ``put`` queues an entry and
-    ``flush`` appends the queued names, ids and records, in that order and
-    one write per file; both are serialized. So an entry is committed once
-    its record is whole. Opening cuts each file back to what the committed
-    entries use: ``entries.bin`` to whole records, ``ids.bin`` to their
-    ids, ``names.txt`` to whole lines. Files that committed entries cannot
-    be read from (fewer ids than the records count, an id that is not a
-    line of ``names.txt``, a repeated or non-UTF-8 name) raise
+    When a key repeats, the last entry wins. One thread writes: ``append``
+    writes the new names, ids and records of its entries, in their order,
+    in that file order and one write per file. So an entry is committed
+    once its record is whole. Opening cuts each file back to what the
+    committed entries use: ``entries.bin`` to whole records, ``ids.bin`` to
+    their ids, ``names.txt`` to whole lines. Files that committed entries
+    cannot be read from (fewer ids than the records count, an id that is not
+    a line of ``names.txt``, a repeated or non-UTF-8 name) raise
     CorpusFormatError naming the file.
     """
 
-    def __init__(self, directory: str | Path | None = None, extractor_id: str = ""):
-        self._directory = directory = Path(directory) if directory is not None else None
-        self._lock = threading.Lock()
-        self.names: list[str] = []
-        ids, entries = np.empty(0, dtype="<i4"), np.empty(0, dtype=_ENTRY)
-        if directory is not None:
-            open_cache(directory, {"extractor_id": extractor_id, "layout": _LAYOUT})
-            self.names, ids, entries = _read_committed(directory)
+    def __init__(self, directory: str | Path, extractor_id: str):
+        self._directory = directory = Path(directory)
+        open_cache(directory, {"extractor_id": extractor_id, "layout": _LAYOUT})
+        self.names, ids, entries = _read_committed(directory)
         self._name_ids = dict(zip(self.names, range(len(self.names))))
         if len(self._name_ids) != len(self.names):  # a repeat maps to its last line
             line = next(i for i, name in enumerate(self.names) if self._name_ids[name] != i)
@@ -308,53 +303,43 @@ class ExtractionCache:
             )
         self._entry_of = dict(zip(entries["key"].tolist(), range(len(entries))))
         self._ids, self._counts = ids, entries["count"].astype(np.intp)
-        self._written_names = len(self.names)
-        self._queue: list[tuple[bytes, list[int]]] = []
 
     def lookup(self, keys: Sequence[bytes]) -> np.ndarray:
         """The entry of each key as intp, -1 for a miss."""
         entries = map(self._entry_of.get, keys, repeat(-1))
         return np.fromiter(entries, dtype=np.intp, count=len(keys))
 
-    def put(self, key: bytes, entities: Sequence[str]) -> int:
-        """Queue the entry of ``key``, distinct normalized names; returns it."""
-        if len(key) != _ENTRY["key"].itemsize:
-            raise ContractError(f"an extraction cache key is a raw sha256, not {key!r}")
-        with self._lock:
-            ids = []
-            for name in entities:
-                i = self._name_ids.get(name)
-                if i is None:
-                    if not name or not _is_normalized(name):
-                        raise ContractError(f"cannot cache {name!r}: not a normalized entity")
-                    i = self._name_ids[name] = len(self.names)
-                    self.names.append(name)
-                ids.append(i)
-            self._queue.append((key, ids))
-            self._entry_of[key] = entry = len(self._counts) + len(self._queue) - 1
-            return entry
+    def append(self, keys: Sequence[bytes], entity_lists: Sequence[Sequence[str]]) -> None:
+        """Append an entry per key, its list of distinct normalized names.
 
-    def flush(self) -> None:
-        with self._lock:
-            if not self._queue:
-                return
-            keys, id_lists = zip(*self._queue)
-            ids = np.fromiter(chain.from_iterable(id_lists), dtype="<i4")
-            records = np.empty(len(keys), dtype=_ENTRY)
-            records["key"], records["count"] = keys, list(map(len, id_lists))
-            if self._directory is not None:
-                names = "".join(f"{name}\n" for name in self.names[self._written_names :])
-                for file, data in zip(_FILES, (names.encode(), ids.tobytes(), records.tobytes())):
-                    with (self._directory / file).open("ab") as fh:
-                        fh.write(data)
-            self._ids = np.concatenate((self._ids, ids))
-            self._counts = np.concatenate((self._counts, records["count"].astype(np.intp)))
-            self._written_names = len(self.names)
-            self._queue.clear()
+        Every key and new name is checked before the first write: a key
+        that is not a raw sha256 or a name that is not a normalized entity
+        raises ContractError, and nothing is appended.
+        """
+        for key in keys:
+            if len(key) != _ENTRY["key"].itemsize:
+                raise ContractError(f"an extraction cache key is a raw sha256, not {key!r}")
+        named = list(chain.from_iterable(entity_lists))
+        fresh = [name for name in dict.fromkeys(named) if name not in self._name_ids]
+        for name in fresh:
+            if not name or not _is_normalized(name):
+                raise ContractError(f"cannot cache {name!r}: not a normalized entity")
+        lines = "".join(f"{name}\n" for name in fresh).encode()
+        records = np.empty(len(keys), dtype=_ENTRY)
+        records["key"], records["count"] = keys, list(map(len, entity_lists))
+        self._name_ids.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
+        self.names += fresh
+        ids = np.fromiter(map(self._name_ids.__getitem__, named), dtype="<i4", count=len(named))
+        for file, data in zip(_FILES, (lines, ids.tobytes(), records.tobytes())):
+            with (self._directory / file).open("ab") as fh:
+                fh.write(data)
+        self._entry_of.update(zip(keys, range(len(self._counts), len(self._counts) + len(keys))))
+        self._ids = np.concatenate((self._ids, ids))
+        self._counts = np.concatenate((self._counts, records["count"].astype(np.intp)))
 
     def entity_sets(self, passage_ids: Sequence[str], entries: np.ndarray) -> EntitySets:
-        """The EntitySets of passages whose entries (from ``lookup`` or
-        ``put``) are ``entries``, gathered with numpy once they are flushed."""
+        """The EntitySets of passages whose entries (from ``lookup``) are
+        ``entries``, gathered with numpy."""
         counts = self._counts[entries]
         offsets = np.zeros(len(entries) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
@@ -433,37 +418,41 @@ def dedup_normalized(raw_entities: Iterable[str]) -> list[str]:
 def extract_corpus_entities(
     corpus: Corpus,
     extractor: ExtractionClient,
-    cache: ExtractionCache | None = None,
+    cache: ExtractionCache,
     max_workers: int = 1,
-    keys: Sequence[bytes] | None = None,
+    *,
+    keys: Sequence[bytes],
 ) -> EntitySets:
     """Extract the entity sets of a whole corpus, aligned with its passages.
 
-    A passage whose content the cache holds is a hit: it costs a hash of
-    its title and text columns, one dict lookup and its share of a numpy
-    gather, and no extractor call; only a miss is made a ``Passage``.
-    ``max_workers`` bounds in-flight extraction requests for the misses.
-    The cache is flushed however the extraction ends, so a failed or
-    interrupted build keeps what it extracted. ``keys`` are the passages'
-    ``passage_sha256``, computed here when not given.
+    ``keys`` are the passages' ``passage_sha256``. A passage whose content
+    the cache holds is a hit: it costs one dict lookup and its share of a
+    numpy gather, and no extractor call. The misses are deduplicated by
+    key, so each distinct content is extracted once, at its first passage,
+    and only that passage is made a ``Passage``; ``max_workers`` bounds the
+    extractions in flight. The workers only extract; this thread appends
+    every new entry in one ``ExtractionCache.append``, in passage order,
+    however the extraction ends. So a failed or interrupted build keeps
+    what it extracted, and the cache bytes do not depend on the workers.
     """
-    if cache is None:
-        cache = ExtractionCache()
-    if keys is None:
-        keys = list(map(passage_sha256, corpus.titles, corpus.texts))
     entries = cache.lookup(keys)
     misses = np.flatnonzero(entries < 0).tolist()
+    # Each distinct missed content at its first passage, in passage order.
+    firsts = sorted({keys[i]: i for i in reversed(misses)}.values())
+    extracted: dict[int, list[str]] = {}
 
     def extract(i: int) -> None:
-        entries[i] = cache.put(keys[i], extract_entities(corpus[i], extractor))
+        extracted[i] = extract_entities(corpus[i], extractor)
 
     try:
         if max_workers <= 1:
-            for i in misses:
+            for i in firsts:
                 extract(i)
         else:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                list(pool.map(extract, misses))
+                list(pool.map(extract, firsts))
     finally:
-        cache.flush()
+        done = [i for i in firsts if i in extracted]
+        cache.append([keys[i] for i in done], [extracted[i] for i in done])
+    entries[misses] = cache.lookup([keys[i] for i in misses])
     return cache.entity_sets(corpus.ids, entries)

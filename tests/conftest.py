@@ -8,9 +8,15 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 
-from hyperhop.corpus import Corpus, Passage
+from hyperhop.corpus import Corpus, Passage, passage_sha256
 from hyperhop.embeddings import EntityRows, OfflineEncoder, PassageRows, embed_batch
-from hyperhop.entities import EntitySets
+from hyperhop.entities import (
+    EntitySets,
+    ExtractionCache,
+    ExtractionClient,
+    OfflineEntityExtractor,
+    extract_corpus_entities,
+)
 from hyperhop.index_store import HypergraphIndex, build_index
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -27,6 +33,20 @@ def corpus_of(passages: Sequence[Passage]) -> Corpus:
     """The Corpus of ``passages`` in their order, parsed from no file."""
     columns = ([p.id for p in passages], [p.title for p in passages], [p.text for p in passages])
     return Corpus(*columns, sha256="")
+
+
+def extract_through(
+    cache: ExtractionCache,
+    passages: Corpus | Sequence[Passage],
+    extractor: ExtractionClient | None = None,
+    max_workers: int = 1,
+) -> EntitySets:
+    """``extract_corpus_entities`` of ``passages`` through ``cache``, keyed by
+    their ``passage_sha256``, with the offline extractor when none is given."""
+    corpus = passages if isinstance(passages, Corpus) else corpus_of(passages)
+    keys = list(map(passage_sha256, corpus.titles, corpus.texts))
+    extractor = extractor if extractor is not None else OfflineEntityExtractor()
+    return extract_corpus_entities(corpus, extractor, cache, max_workers, keys=keys)
 
 
 def entity_sets_of(sets_by_pid: Mapping[str, Sequence[str]]) -> EntitySets:

@@ -14,9 +14,9 @@ import hyperhop
 from hyperhop import cli
 from hyperhop.cli import build_parser, main
 from hyperhop.config import SETTING_TYPES
-from hyperhop.corpus import load_corpus
+from hyperhop.corpus import load_corpus, passage_sha256
 from hyperhop.embeddings import OfflineEncoder
-from hyperhop.entities import OfflineEntityExtractor, passage_sha256
+from hyperhop.entities import OfflineEntityExtractor
 from hyperhop.errors import ContractError
 from hyperhop.evaluate import load_qa_dataset, run_eval
 from hyperhop.index_store import load_index
@@ -242,8 +242,8 @@ class TestIndexCommand:
 
 
 def append_extraction_entry(extraction, key, entities):
-    """Append an entry to the extraction cache files as a flush would, but
-    without the checks of ``ExtractionCache.put``."""
+    """Append an entry to the extraction cache files as ``ExtractionCache.append``
+    would, but without its checks."""
     names = (extraction / "names.txt").read_text(encoding="utf-8").split("\n")[:-1]
     fresh = [name for name in dict.fromkeys(entities) if name not in names]
     ids = [(names + fresh).index(name) for name in entities]

@@ -6,21 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperhop.corpus import Passage, load_corpus
+from hyperhop.corpus import Passage, load_corpus, passage_sha256
 from hyperhop.entities import (
     EntitySets,
     ExtractionCache,
     OfflineEntityExtractor,
     dedup_normalized,
     distinct,
-    extract_corpus_entities,
     extract_entities,
     normalize_entity,
-    passage_sha256,
 )
 from hyperhop.errors import ContractError, ExtractionError
 
-from conftest import corpus_of, entity_sets_of
+from conftest import corpus_of, entity_sets_of, extract_through
 
 CACHE_FILES = ("names.txt", "ids.bin", "entries.bin")
 
@@ -220,21 +218,16 @@ class TestExtractionRetryAndCache:
                 CountingExtractor.calls += 1
                 return super().extract(title, text)
 
-        first = extract_corpus_entities(
-            corpus_of(passages), CountingExtractor(), ExtractionCache(cache_dir, "o")
-        )
+        first = extract_through(ExtractionCache(cache_dir, "o"), passages, CountingExtractor())
         assert CountingExtractor.calls == 2
 
-        second = extract_corpus_entities(
-            corpus_of(passages), CountingExtractor(), ExtractionCache(cache_dir, "o")
-        )
+        second = extract_through(ExtractionCache(cache_dir, "o"), passages, CountingExtractor())
         assert CountingExtractor.calls == 2  # cache hits only
         assert listed(first) == listed(second) == [("p1", ("berlin",)), ("p2", ("paris",))]
 
     def toy_cache(self, directory, data_dir):
         passages = load_corpus(data_dir / "toy_corpus.jsonl")
-        cache = ExtractionCache(directory, OfflineEntityExtractor.extractor_id)
-        extract_corpus_entities(passages, OfflineEntityExtractor(), cache)
+        extract_through(ExtractionCache(directory, OfflineEntityExtractor.extractor_id), passages)
         return {p.id: p for p in passages}
 
     def test_cache_file_round_trips(self, tmp_path, data_dir):
@@ -256,37 +249,30 @@ class TestExtractionRetryAndCache:
         assert germany == "germany" and germany is cached(cache, by_id["P2"])[0]
         assert cache.names.count("germany") == 1
 
-    def test_concurrent_extraction_preserves_order(self):
+    def test_concurrent_extraction_preserves_order(self, tmp_path):
         passages = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(8)]
-        sets = extract_corpus_entities(corpus_of(passages), OfflineEntityExtractor(), max_workers=4)
+        sets = extract_through(ExtractionCache(tmp_path, "o"), passages, max_workers=4)
         assert sets.passage_ids == [p.id for p in passages]
         assert sets.entities(3) == ("city3",)
 
-    def test_cache_writes_are_serialized(self, tmp_path):
-        cache = ExtractionCache(tmp_path / "c", "x")
-
-        def put(i):
-            cache.put(bytes([i]) * 32, [f"e{i}"])
-
-        threads = [threading.Thread(target=put, args=(i,)) for i in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        cache.flush()
-        written = files(tmp_path / "c")
-        assert len(written["entries.bin"]) == 16 * 36 and len(written["ids.bin"]) == 16 * 4
-        reloaded = ExtractionCache(tmp_path / "c", "x")
-        for i in range(16):
-            entries = reloaded.lookup([bytes([i]) * 32])
-            assert reloaded.entity_sets(["p"], entries).entities(0) == (f"e{i}",)
+    def test_workers_that_finish_out_of_order_write_the_serial_bytes(self, tmp_path):
+        passages = [Passage(id=f"p{i}", title="", text=f"City{i} is nice.") for i in range(4)]
+        extract_through(ExtractionCache(tmp_path / "serial", "o"), passages)
+        last_first = LaterPassagesFirst(len(passages))
+        sets = extract_through(
+            ExtractionCache(tmp_path / "workers", "o"), passages, last_first, max_workers=4
+        )
+        assert last_first.finished == [3, 2, 1, 0]
+        assert files(tmp_path / "workers") == files(tmp_path / "serial")
+        assert (tmp_path / "serial" / "names.txt").read_text().split() == [
+            "city0", "city1", "city2", "city3"
+        ]
+        assert [sets.entities(j) for j in range(4)] == [(f"city{j}",) for j in range(4)]
 
     @pytest.mark.parametrize("key", [b"\x07" * 31 + b"\x00", bytes(32)], ids=["last", "all"])
     def test_a_key_ending_in_nul_bytes_round_trips(self, tmp_path, key):
         cache = ExtractionCache(tmp_path, "x")
-        cache.put(b"\x07" * 31 + b"\x01", ["other"])
-        cache.put(key, ["berlin"])
-        cache.flush()
+        cache.append([b"\x07" * 31 + b"\x01", key], [["other"], ["berlin"]])
         reloaded = ExtractionCache(tmp_path, "x")
         assert reloaded.lookup([key, key[:31]]).tolist() == [1, -1]
         assert reloaded.entity_sets(["p"], reloaded.lookup([key])).entities(0) == ("berlin",)
@@ -295,8 +281,7 @@ class TestExtractionRetryAndCache:
         """The collector tracks no object per hit: a warm pass over 2000
         passages adds as many tracked objects as one over 20."""
         passages = [Passage(f"p{i}", "", f"City{i} met Town{i % 7}.") for i in range(2000)]
-        cache = ExtractionCache(tmp_path, "o")
-        extract_corpus_entities(corpus_of(passages), OfflineEntityExtractor(), cache)
+        extract_through(ExtractionCache(tmp_path, "o"), passages)
 
         def tracked_growth(corpus):
             cache = ExtractionCache(tmp_path, "o")
@@ -304,7 +289,7 @@ class TestExtractionRetryAndCache:
             gc.disable()
             try:
                 before = len(gc.get_objects())
-                sets = extract_corpus_entities(corpus, OfflineEntityExtractor(), cache)
+                sets = extract_through(cache, corpus)
                 return len(gc.get_objects()) - before, sets
             finally:
                 gc.enable()
@@ -313,6 +298,24 @@ class TestExtractionRetryAndCache:
         large, sets = tracked_growth(corpus_of(passages))
         assert sets.entities(1999) == ("city1999", "town4")
         assert large == small
+
+
+class LaterPassagesFirst(OfflineEntityExtractor):
+    """Returns passage ``i`` of ``City{i} ...`` texts only once passage
+    ``i + 1`` has returned, so workers at least as many as the ``n``
+    passages finish them last to first; records the order they finish in."""
+
+    def __init__(self, n):
+        self.returned = [threading.Event() for _ in range(n)] + [threading.Event()]
+        self.returned[n].set()
+        self.finished = []
+
+    def extract(self, title, text):
+        i = int(text.split()[0].removeprefix("City"))
+        assert self.returned[i + 1].wait(timeout=10), f"passage {i + 1} never returned"
+        self.finished.append(i)
+        self.returned[i].set()
+        return super().extract(title, text)
 
 
 class FailsOnOnePassage(OfflineEntityExtractor):
@@ -330,9 +333,7 @@ class FailsOnOnePassage(OfflineEntityExtractor):
 
 
 def build(passages, directory):
-    return extract_corpus_entities(
-        corpus_of(passages), OfflineEntityExtractor(), ExtractionCache(directory, "o")
-    )
+    return extract_through(ExtractionCache(directory, "o"), passages)
 
 
 class TestAppendOnlyExtractionCache:
@@ -343,29 +344,23 @@ class TestAppendOnlyExtractionCache:
         texts = [p.text for p in self.PASSAGES]
         failing = FailsOnOnePassage(failing=texts[3])
         with pytest.raises(ExtractionError):
-            extract_corpus_entities(
-                corpus_of(self.PASSAGES), failing, ExtractionCache(tmp_path, "o"), max_workers
-            )
+            extract_through(ExtractionCache(tmp_path, "o"), self.PASSAGES, failing, max_workers)
         assert texts[3] not in failing.extracted
         if max_workers == 1:
             assert failing.extracted == texts[:3]
 
         rerun = FailsOnOnePassage()
-        sets = extract_corpus_entities(
-            corpus_of(self.PASSAGES), rerun, ExtractionCache(tmp_path, "o"), max_workers
-        )
+        sets = extract_through(ExtractionCache(tmp_path, "o"), self.PASSAGES, rerun, max_workers)
         assert sorted(rerun.extracted) == sorted(set(texts) - set(failing.extracted))
-        assert listed(sets) == listed(
-            extract_corpus_entities(corpus_of(self.PASSAGES), OfflineEntityExtractor())
-        )
+        assert listed(sets) == listed(build(self.PASSAGES, tmp_path / "fresh"))
 
     @pytest.mark.parametrize("cut", ["one-byte", "all-but-one-byte"])
     @pytest.mark.parametrize("torn", CACHE_FILES)
     def test_torn_tail_is_truncated_and_only_its_passage_extracted_again(
         self, tmp_path, torn, cut
     ):
-        """A crash in the last flush tears one file and leaves the ones it
-        appends to later unwritten."""
+        """A crash in the last append tears one file and leaves the ones it
+        writes later unwritten."""
         build(self.PASSAGES[:-1], tmp_path)
         before = files(tmp_path)
         build(self.PASSAGES, tmp_path)
@@ -380,7 +375,7 @@ class TestAppendOnlyExtractionCache:
         assert opened == {**before, "names.txt": before["names.txt"] if torn == "names.txt"
                           else whole["names.txt"]}
         extractor = FailsOnOnePassage()
-        extract_corpus_entities(corpus_of(self.PASSAGES), extractor, cache)
+        extract_through(cache, self.PASSAGES, extractor)
         assert extractor.extracted == [self.PASSAGES[-1].text]
         assert files(tmp_path) == whole
 
@@ -402,14 +397,37 @@ class TestAppendOnlyExtractionCache:
         build(edited, tmp_path)
         assert files(tmp_path) == after
 
-    def test_the_last_entry_of_a_repeated_key_wins(self, tmp_path):
+    @pytest.mark.parametrize("appends", [1, 2])
+    def test_the_last_entry_of_a_repeated_key_wins(self, tmp_path, appends):
         passage = self.PASSAGES[0]
         cache = ExtractionCache(tmp_path, "o")
-        for entity in ("a", "b"):
-            cache.put(passage_sha256(passage.title, passage.text), [entity])
-        cache.flush()
+        key = passage_sha256(passage.title, passage.text)
+        if appends == 1:
+            cache.append([key, key], [["a"], ["b"]])
+        else:
+            cache.append([key], [["a"]])
+            cache.append([key], [["b"]])
         assert len((tmp_path / "entries.bin").read_bytes()) == 2 * 36
-        assert cached(ExtractionCache(tmp_path, "o"), passage) == ("b",)
+        assert cached(cache, passage) == cached(ExtractionCache(tmp_path, "o"), passage) == ("b",)
+
+    @pytest.mark.parametrize(
+        "keys, entity_lists, message",
+        [
+            ([bytes(32), bytes(32).hex()], [["a"], ["b"]], "is a raw sha256"),  # the older key
+            ([bytes(32), b"p1"], [["a"], ["b"]], "is a raw sha256"),  # a passage id
+            ([bytes(32), bytes(31) + b"\x01"], [["a"], ["a", "B"]], "'B': not a normalized"),
+            ([bytes(32)], [["a", ""]], "'': not a normalized"),
+        ],
+        ids=["hex-key", "passage-id-key", "unnormalized-name", "empty-name"],
+    )
+    def test_a_bad_key_or_name_appends_nothing(self, tmp_path, keys, entity_lists, message):
+        build(self.PASSAGES, tmp_path)
+        before = files(tmp_path)
+        cache = ExtractionCache(tmp_path, "o")
+        with pytest.raises(ContractError, match=message):
+            cache.append(keys, entity_lists)
+        assert files(tmp_path) == before
+        assert cache.lookup([bytes(32)]).tolist() == [-1] and "a" not in cache.names
 
     def test_manifest_names_the_extractor_and_is_never_rewritten(self, tmp_path):
         ExtractionCache(tmp_path, "o")
@@ -427,8 +445,7 @@ class TestStaleExtractionEntries:
 
     def cache_with_entry(self, tmp_path):
         cache = ExtractionCache(tmp_path / "c", "offline")
-        cache.put(passage_sha256(self.PASSAGE.title, self.PASSAGE.text), ["berlin"])
-        cache.flush()
+        cache.append([passage_sha256(self.PASSAGE.title, self.PASSAGE.text)], [["berlin"]])
         return tmp_path / "c"
 
     @pytest.mark.parametrize(
@@ -469,17 +486,10 @@ class TestStaleExtractionEntries:
         assert cached(ExtractionCache(directory, "offline"), self.PASSAGE) is None
         assert set(files(directory).values()) == {b""}
 
-    def test_entry_without_a_content_hash_is_rejected(self, tmp_path):
-        cache = ExtractionCache(self.cache_with_entry(tmp_path), "offline")
-        for key in (passage_sha256(self.PASSAGE.title, self.PASSAGE.text).hex(), b"p1"):  # the older key, a passage id
-            with pytest.raises(ContractError, match="is a raw sha256"):
-                cache.put(key, ["berlin"])
-
     def test_a_miss_keeps_the_stale_entry(self, tmp_path):
         directory = self.cache_with_entry(tmp_path)
         edited = Passage(id="p1", title="T", text="Paris is old.")
-        cache = ExtractionCache(directory, "offline")
-        extract_corpus_entities(corpus_of([edited]), OfflineEntityExtractor(), cache)
+        extract_through(ExtractionCache(directory, "offline"), [edited])
         cache = ExtractionCache(directory, "offline")
         assert cached(cache, edited) == ("paris",)
         assert cached(cache, self.PASSAGE) == ("berlin",)  # right for the old text

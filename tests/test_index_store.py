@@ -19,7 +19,7 @@ from hyperhop.embeddings import (
     OfflineEncoder,
     PassageRows,
     embed_batch,
-    row_norms_and_largest,
+    norms_and_buckets,
 )
 from hyperhop.errors import IndexIntegrityError
 from hyperhop.index_store import (
@@ -427,14 +427,15 @@ def test_stored_entity_rows_are_bitwise_those_of_the_values(values):
 
 @pytest.fixture
 def largest_passes(monkeypatch):
-    """The row count of every ``row_norms_and_largest`` call, in order."""
+    """The row count of every ``norms_and_buckets`` call, in order."""
     passes = []
 
     def counted(block):
         passes.append(len(block))
-        return row_norms_and_largest(block)
+        return norms_and_buckets(block)
 
-    monkeypatch.setattr(embeddings, "row_norms_and_largest", counted)
+    for module in (embeddings, index_store):
+        monkeypatch.setattr(module, "norms_and_buckets", counted)
     return passes
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperhop import corpus as corpus_module
-from hyperhop import embeddings, entities, pipeline
+from hyperhop import embeddings, pipeline
 from hyperhop.config import AppConfig
 from hyperhop.corpus import passage_sha256
 from hyperhop.embeddings import OfflineEncoder
@@ -234,6 +235,43 @@ def test_warm_rebuild_normalizes_each_distinct_name_once(tmp_path, monkeypatch, 
     assert sorted(normalized) == sorted(name.lower() for name in names)  # not once per mention
 
 
+@pytest.mark.parametrize("max_workers", [1, 4])
+def test_repeated_content_is_extracted_once(tmp_path, monkeypatch, no_network, max_workers):
+    """Two passages of one title and text share an extraction even when the
+    extractor answers each call differently, so a warm rebuild, whose cache
+    holds one entry per content, writes the cold build's index bytes."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({"id": pid, "title": "T", "text": text}) + "\n"
+            for pid, text in [("p1", "same"), ("p2", "other"), ("p3", "same")]
+        )
+    )
+
+    answers, lock = [], threading.Lock()
+
+    class NewNameEachCall:
+        def extract(self, title, text):
+            with lock:
+                answers.append(f"name{len(answers) + 1}")
+                return answers[-1:]
+
+    monkeypatch.setattr(pipeline, "make_extractor", lambda config: NewNameEachCall())
+    config = AppConfig(
+        corpus=str(corpus),
+        index_dir=str(tmp_path / "index"),
+        cache_dir=str(tmp_path / "cache"),
+        offline=True,
+        max_workers=max_workers,
+    )
+    cold, _ = build_index_from_corpus(config)
+    cold_files = _index_files(tmp_path / "index")
+    warm, _ = build_index_from_corpus(config)
+    assert answers == ["name1", "name2"]
+    assert sorted(cold.entity_names) == sorted(warm.entity_names) == answers
+    assert _index_files(tmp_path / "index") == cold_files
+
+
 def test_extractor_id_follows_the_model_and_the_prompt(tmp_path):
     remote = AppConfig(offline=False, api_base="http://x.local/v1", chat_model="m1")
     prompt = tmp_path / "prompt.txt"
@@ -265,7 +303,7 @@ def test_a_build_keys_each_passage_once_and_makes_no_embedded_text_for_a_hit(
         texts.append(title)
         return passage_embedding_text(title, text)
 
-    for module in (corpus_module, entities, embeddings, pipeline):
+    for module in (corpus_module, embeddings, pipeline):
         monkeypatch.setattr(module, "passage_sha256", counting_sha256)
     monkeypatch.setattr(pipeline, "passage_embedding_text", counting_text)
     config = AppConfig(

@@ -7,7 +7,7 @@ import pytest
 
 from hyperhop import pipeline
 from hyperhop.cli import main
-from hyperhop.corpus import Passage
+from hyperhop.corpus import Passage, passage_sha256
 from hyperhop.embeddings import RemoteEncoder, embed_batch
 from hyperhop.entities import (
     ExtractionCache,
@@ -15,7 +15,6 @@ from hyperhop.entities import (
     RemoteEntityExtractor,
     _parse_entity_reply,
     extract_entities,
-    passage_sha256,
 )
 from hyperhop.errors import ChatError, EmbeddingError, ExtractionError
 from hyperhop.qa import RemoteChatClient, default_prompt_template
