@@ -8,12 +8,14 @@ desk runs never need a model.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import hashlib
 import json
 import os
 import re
 import threading
+import weakref
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -116,23 +118,37 @@ _KEY = np.dtype("V32")
 _LAYOUT = 3
 
 
-def open_cache(directory: Path, producer: dict) -> None:
+def open_cache(owner: object, directory: Path, producer: dict) -> weakref.finalize:
     """Make ``directory`` the cache of ``producer``, which its
-    ``manifest.json`` holds as sorted JSON.
+    ``manifest.json`` holds as sorted JSON, for ``owner`` alone; returns the
+    ``close`` of ``owner``, which releases the directory once, as does the
+    collection of ``owner``.
 
-    The manifest is written when the cache is made and never on an append.
-    A manifest that is missing or not that one (another producer, an older
+    The directory is held by an exclusive ``flock`` on its ``lock`` file,
+    taken without waiting: while another open file holds it, raises
+    ContractError naming the directory as in use by another build. The
+    manifest is written when the cache is made and never on an append. A
+    manifest that is missing or not that one (another producer, an older
     layout, an unparsable file) is replaced, and every other file in the
-    directory, the records of another producer or layout, is deleted.
+    directory but the lock, the records of another producer or layout, is
+    deleted.
     """
     directory.mkdir(parents=True, exist_ok=True)
+    lock = os.open(directory / "lock", os.O_RDWR | os.O_CREAT, 0o644)
+    close = weakref.finalize(owner, os.close, lock)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        close()
+        raise ContractError(f"cache directory {directory} is in use by another build") from None
     manifest = directory / "manifest.json"
     expected = json.dumps(producer, sort_keys=True).encode()
     if not manifest.is_file() or manifest.read_bytes() != expected:
         for path in directory.iterdir():
-            if path.is_file():
+            if path.is_file() and path.name != "lock":
                 path.unlink()
         manifest.write_bytes(expected)
+    return close
 
 
 class EmbeddingCache:
@@ -153,7 +169,8 @@ class EmbeddingCache:
     row are written together, so they cannot disagree. Opening truncates a
     partial last record that a crashed append left, and takes the keys as
     the mapped bytes, so a damaged key is a miss, not a crash. Appends are
-    serialized; one process writes a cache at a time.
+    serialized, and the cache holds its directory until ``close()``
+    (``open_cache``).
     """
 
     def __init__(self, directory: str | Path, encoder_id: str, dim: int):
@@ -163,7 +180,8 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self._records = self.directory / "records.bin"
         self._dtype = np.dtype([("key", _KEY), ("row", "<f4", (dim,))])
-        open_cache(self.directory, {"dim": dim, "encoder_id": encoder_id, "layout": _LAYOUT})
+        producer = {"dim": dim, "encoder_id": encoder_id, "layout": _LAYOUT}
+        self.close = open_cache(self, self.directory, producer)
         size = self._records.stat().st_size if self._records.exists() else 0
         self._count = size // self._dtype.itemsize
         if size != self._count * self._dtype.itemsize:

@@ -292,7 +292,8 @@ class ExtractionCache:
 
     def __init__(self, directory: str | Path, extractor_id: str):
         self._directory = directory = Path(directory)
-        open_cache(directory, {"extractor_id": extractor_id, "layout": _LAYOUT})
+        producer = {"extractor_id": extractor_id, "layout": _LAYOUT}
+        self.close = open_cache(self, directory, producer)
         self.names, ids, entries = _read_committed(directory)
         self._name_ids = dict(zip(self.names, range(len(self.names))))
         if len(self._name_ids) != len(self.names):  # a repeat maps to its last line
@@ -339,13 +340,23 @@ class ExtractionCache:
 
     def entity_sets(self, passage_ids: Sequence[str], entries: np.ndarray) -> EntitySets:
         """The EntitySets of passages whose entries (from ``lookup``) are
-        ``entries``, gathered with numpy."""
+        ``entries``, gathered with numpy. Every entry was appended checked,
+        so entries that do not form valid sets (a repeated name in one
+        entry, say, after a changed count) mean damaged cache files: that
+        raises CorpusFormatError naming them."""
         counts = self._counts[entries]
         offsets = np.zeros(len(entries) + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         starts = (np.cumsum(self._counts) - self._counts)[entries]
         gather = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-        return EntitySets(list(passage_ids), list(self.names), self._ids[gather], offsets)
+        try:
+            return EntitySets(list(passage_ids), list(self.names), self._ids[gather], offsets)
+        except ContractError as exc:
+            raise CorpusFormatError(
+                f"extraction cache {', '.join(str(self._directory / f) for f in _FILES)}: the"
+                f" cached entries are damaged ({exc}); delete the cache directory"
+                f" {self._directory} and build again"
+            ) from None
 
 
 def _read_committed(directory: Path) -> tuple[list[str], np.ndarray, np.ndarray]:

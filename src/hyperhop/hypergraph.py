@@ -7,25 +7,15 @@ in strictly ascending order. H vec scatters each passage's value onto its
 rows, and H^T vec gathers the rows' values and sums them per passage.
 Because rows ascend inside each passage, H^T adds each passage's terms in
 ascending entity order, so its result is bit for bit the one an
-entity-major transpose would give. Node and hyperedge degrees are derived
-from the two arrays on first use and kept with the incidence
-(``IncidenceMatrix.degrees``); they are never stored.
+entity-major transpose would give. The node and hyperedge degrees, the
+entity-major order of the entries (``IncidenceMatrix.entity_major``) and
+their slot-major order (``IncidenceMatrix.slot_major``) are derived from
+the two arrays on first use and kept with the incidence; none is stored.
 
-The entity-major order of the same entries, ``IncidenceMatrix.entity_major``,
-is derived in memory the first time a diffusion needs it and kept with the
-incidence; nothing of it goes to disk. It is one sort of int32 keys: 6-9
-ms and 2.4 MB on the 600k entries of the passage-heavy benchmark graph,
-1-1.4 ms on the 80k of the multihop one (numpy 2.4, whose sort uses AVX-512
-there, on one core of a 2-vCPU Xeon).
-
-The slot-major ("jagged diagonal"; Saad, *Iterative Methods for Sparse
-Linear Systems*, SIAM 2003) order, ``IncidenceMatrix.slot_major``, is
-derived and kept the same way. It holds the passages by descending degree,
-ties by ascending column, and slot after slot the entity rows of slot k:
-the k-th entry of each passage that has more than k. Deriving it takes
-about 3 ms on the passage-heavy graph, whose passages hold 12-14 entries
-(so 14 slots), and 0.3 ms on the multihop one; its rows take 8 bytes an
-entry, 4.8 MB on passage-heavy.
+The slot-major ("jagged diagonal") order of a set of passages,
+``SlotMajorOrder.over``, holds them by descending degree, ties by
+ascending column, and slot after slot the entity rows of slot k: the k-th
+entry of each passage that has more than k.
 
 The diffusion operator applies the passage-weighted symmetric normalized
 propagation matrix
@@ -37,81 +27,29 @@ zero degree use the pseudo-inverse convention 1/0 := 0, so entityless
 passages are inert under diffusion.
 
 A query's steps share one ``DiffusionSupport``, and each half-step (H^T u
-or H e) takes one of three routes:
+or H e) takes one of two routes:
 
-- frontier: only the entries of the input's nonzero nodes are gathered, as
+- frontier, while the entries of the input's nonzero nodes are under
+  ``_FRONTIER_MAX_SHARE`` of H's: only those entries are gathered, as
   entity-major ranges for H^T and passage-major ranges for H, and one
   bincount sums them;
-- full over the restricted support, H less its zero-weight passages, when
-  they are at least half of all; the first full half-step builds it. One
-  bincount sums every entry of it, read in storage order. H^T takes the
-  entries' rows of u; H repeats each kept passage's value over its
-  entries, which is the gather at their columns done as one sequential
-  pass;
-- full over H itself: H^T gathers u at the slot-major rows, adds slot k's
-  values to the first ``widths[k]`` sums as one contiguous vector add,
-  into sums that start at +0.0, and scatters the sums back to passage
-  order; H repeats each passage's value over its entries, and one bincount
-  sums them.
+- full, from the first half-step past that share on, over the support's
+  passages: H's, or its positive-weight ones when they are at most
+  ``_RESTRICT_MAX_KEPT_SHARE`` of all (``DiffusionSupport.entries``). H^T
+  gathers u at their slot-major rows, adds slot k's values to the first
+  ``widths[k]`` sums as one contiguous vector add, into sums that start at
+  +0.0, and scatters the sums back to passage order, +0.0 at the passages
+  outside the support; H repeats each passage's value over its
+  passage-major entries, and one bincount sums them.
 
 Every route adds the same nonzero terms in the same order: the ranges are
-taken in ascending node order, the kept entries keep theirs, and slot k
-adds the k-th entry of each passage, so a passage's terms still come in
-ascending entity order, one add at a time. A route skips only terms that
-are +-0.0 and the sums of zero-weight passages, which the next stage
-multiplies by their zero weight. Each sum starts at +0.0, and a sum that
-starts at +0.0 never becomes -0.0, so adding +-0.0 changes no bit of it. A
-step's result does not depend on its routes.
-
-Costs per million entries, on one core of a 2-vCPU Xeon (numpy 2.4, the
-passage-heavy graph, warm memory): a full H^T takes about 3.8 ms and a full
-H about 2.5 ms, the bincount 2.4 ms of each. H^T's gather of u at the
-entries' rows takes 1.2 ms; H repeats e in 0.6 ms, where gathering it at
-the entries' columns took 1.3. Building the restricted support at a kept
-share of one half costs 2.5 ms per million entries of H, most of it the
-compress of the rows; its columns are a repeat of the kept passages, not a
-second compress. A frontier half-step costs 7.7 ms (H^T)
-and 9.3 ms (H) per million of its own entries, 2-4 times a full one; on
-multihop, whose nodes hold fewer entries each, 25 and 12 ms.
-
-Over H itself, timed side by side (median of 30 warm calls), H^T takes
-1.3 ms per million entries slot-major: the gather 0.73 ms, the slot adds
-0.40 ms and the scatter of the 50k sums 0.07 ms. As one bincount over each
-entry's passage column, whose adds each wait on the one before, it took
-2.9 ms. The restricted support keeps its bincount. Its slot rows would
-need a compress per query whose mask has no runs, 1.1 ms (``np.compress``)
-to 5.3 ms (a boolean index) per 600k entries; tried, it put the
-passage-heavy median diffusion down 11% and the multihop one up 6%, and
-the benchmark's query times no lower. Summing H slot-major for every query, with H e still
-restricted, put the passage-heavy median up 3% and the multihop one 19%.
-
-The frontier route runs while the frontier's entries are under
-``_FRONTIER_MAX_SHARE`` (5%) of H's, and the first full half-step makes the
-rest of the query full. Against a full half-step over the question's
-support, built beforehand, a frontier H broke even at about 8% of H's
-entries on multihop and 13% on passage-heavy, and a frontier H^T at 12% and
-25%. But a whole diffusion took the same time, within 5%, at any cut-over
-from 2% to 13%, on both benchmark graphs at seeds 1 and 3 (90 questions
-each, 4 steps): step 1 starts from 2-4 entities and reaches under 1% of
-the entries, and step 2's frontier holds a median 44% of them on
-passage-heavy and 5% on multihop. So the cut-over stays 5%.
-
-The restriction was first timed against full passes over H that summed
-H^T by bincount, on the passage-heavy questions at seeds 1 and 3, each
-whole retrieval run with and without it after the 32 MB stream that the
-benchmark's calibration runs before every query: it broke even at kept
-shares of about 0.7. Timed without the stream, diffusions back to back
-broke even at about 0.6, and its build and half-steps alone on warm memory
-at 0.8-0.9: the first pass over the freshly built support costs 1-3 ms
-more than the later ones. With H^T over H slot-major, the benchmark
-(``query_passage_heavy``, 20 s runs, medians of 4) read ``query_p90_ms``
-24.1 and 23.5 ms at seeds 1 and 3 with a cut-over of 0.5, against 27.4 and
-28.9 ms at 0.7, and ``query_p50_ms`` 18.1 and 19.2 against 19.3 and 20.8;
-cut-overs of 0.4 and 0.6 read within 1.3 ms of 0.5 (3 runs each). So
-``_RESTRICT_MAX_KEPT_SHARE`` is 0.5, and 37 and 58 of the 90 passage-heavy
-questions with entities at seeds 1 and 3 run on H. The multihop questions
-keep 0.21-0.52 of their passages: 2 of them at seed 1 and none at seed 3
-keep more than half.
+taken in ascending node order, the passage-major entries keep theirs, and
+slot k adds the k-th entry of each passage, so a passage's terms still
+come in ascending entity order, one add at a time. A route skips only
+terms that are +-0.0 and the sums of zero-weight passages, which the next
+stage multiplies by their zero weight. Each sum starts at +0.0, and a sum
+that starts at +0.0 never becomes -0.0, so adding +-0.0 changes no bit of
+it. A step's result does not depend on its routes.
 """
 
 from __future__ import annotations
@@ -124,7 +62,7 @@ import numpy as np
 from .entities import EntitySets
 from .errors import ContractError
 
-# Cut-overs measured on the two benchmark graphs (see the module docstring).
+# Cut-overs timed on the two benchmark graphs (see README "Performance").
 _FRONTIER_MAX_SHARE = 0.05
 _RESTRICT_MAX_KEPT_SHARE = 0.5
 
@@ -187,30 +125,8 @@ class IncidenceMatrix:
 
     @functools.cached_property
     def slot_major(self) -> SlotMajorOrder:
-        """H's entries in slot-major ("jagged diagonal") order, derived on
-        first use and kept.
-
-        The passages are ordered by descending degree, ties by ascending
-        column: a stable argsort of ``max_degree - degree``, as uint16 keys
-        while they fit, else int64. Slot k holds the k-th entry of each
-        passage that has more than k, so the slots' rows fill one array a
-        slot at a time, with no temporary of its length.
-        """
-        degrees = self.degrees.edge_degrees
-        widths = self.n_passages - np.cumsum(np.bincount(degrees))[:-1]
-        max_degree = widths.size
-        key_type = np.uint16 if max_degree < 1 << 16 else np.int64
-        passages = np.argsort((max_degree - degrees).astype(key_type), kind="stable")
-        rows = np.empty(self.nnz, dtype=np.intp)
-        at = self.pas_offsets.take(passages).astype(np.intp)  # each passage's next entry
-        start = 0
-        for width in widths.tolist():
-            # Each position lies in its passage's entries; mode="raise"
-            # would copy through a buffer, about twice the time.
-            self.pas_indices.take(at[:width], out=rows[start : start + width], mode="clip")
-            at[:width] += 1
-            start += width
-        return SlotMajorOrder(passages=passages, widths=widths, rows=rows)
+        """H's entries in slot-major order, derived on first use and kept."""
+        return SlotMajorOrder.over(self, np.arange(self.n_passages))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,18 +141,45 @@ class EntityMajorOrder:
 
 @dataclass(frozen=True, eq=False)
 class SlotMajorOrder:
-    """The entries of H slot by slot: slot k holds the k-th entry of each of
-    the first ``widths[k]`` of ``passages``, which are ordered by descending
-    degree, so ``widths`` does not increase. ``rows`` holds the slots'
-    entity rows, slot after slot."""
+    """The entries of some of H's passages slot by slot ("jagged
+    diagonals"; Saad, *Iterative Methods for Sparse Linear Systems*, 2003):
+    slot k holds the k-th entry of each of the first ``widths[k]`` of
+    ``passages``, which are ordered by descending degree, so ``widths`` does
+    not increase. ``rows`` holds the slots' entity rows, slot after slot."""
 
-    passages: np.ndarray  # intp, len n_passages
-    widths: np.ndarray  # int64, len max passage degree
-    rows: np.ndarray  # intp, len nnz
+    passages: np.ndarray  # intp, the passages in slot order
+    widths: np.ndarray  # int64, len max degree of the passages
+    rows: np.ndarray  # intp, len total degree of the passages
 
-    def passage_sums(self, u: np.ndarray) -> np.ndarray:
-        """H^T u: one gather, one vector add per slot, one scatter back to
-        passage order. Each passage's terms are added in ascending entity
+    @classmethod
+    def over(cls, incidence: IncidenceMatrix, passages: np.ndarray) -> SlotMajorOrder:
+        """The order of the ascending ``passages`` of ``incidence``.
+
+        They are ordered by descending degree, ties by ascending column: a
+        stable argsort of ``max_degree - degree``, as uint16 keys while they
+        fit, else int64. The rows are taken from ``pas_indices`` a slot at a
+        time, with no temporary of their length.
+        """
+        degrees = incidence.degrees.edge_degrees.take(passages)
+        widths = passages.size - np.cumsum(np.bincount(degrees))[:-1]
+        max_degree = widths.size
+        key_type = np.uint16 if max_degree < 1 << 16 else np.int64
+        passages = passages.take(np.argsort((max_degree - degrees).astype(key_type), kind="stable"))
+        rows = np.empty(int(widths.sum()), dtype=np.intp)
+        at = incidence.pas_offsets.take(passages).astype(np.intp)  # each passage's next entry
+        start = 0
+        for width in widths.tolist():
+            # Each position lies in its passage's entries; mode="raise"
+            # would copy through a buffer, about twice the time.
+            incidence.pas_indices.take(at[:width], out=rows[start : start + width], mode="clip")
+            at[:width] += 1
+            start += width
+        return cls(passages=passages, widths=widths, rows=rows)
+
+    def passage_sums(self, u: np.ndarray, n_passages: int) -> np.ndarray:
+        """H^T u over the order's passages, +0.0 at the other of the
+        ``n_passages``: one gather, one vector add per slot, one scatter back
+        to passage order. Each passage's terms are added in ascending entity
         order from +0.0, as a bincount over the passage-major entries adds
         them, so the sums are bit for bit the same."""
         values = u.take(self.rows)
@@ -245,7 +188,7 @@ class SlotMajorOrder:
         for width in self.widths.tolist():
             sums[:width] += values[start : start + width]
             start += width
-        out = np.empty_like(sums)
+        out = np.zeros(n_passages)
         out[self.passages] = sums
         return out
 
@@ -296,6 +239,18 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
+@dataclass(frozen=True, eq=False)
+class SupportEntries:
+    """The passages that a support's full half-steps pass over, ascending,
+    with their degrees, their entity rows passage-major, and their
+    slot-major order."""
+
+    passages: np.ndarray  # intp
+    degrees: np.ndarray  # int64, the passages' degrees
+    rows: np.ndarray  # intp, len total degree of the passages
+    slots: SlotMajorOrder
+
+
 class DiffusionSupport:
     """H as one query's diffusion steps see it, under fixed hyperedge weights.
 
@@ -310,30 +265,25 @@ class DiffusionSupport:
             )
         self.incidence, self.edge_weights = incidence, edge_weights
         self.edge_scale = edge_weights * incidence.degrees.inv_edge
-        self._entries: tuple[np.ndarray, np.ndarray] | None = None
-        self._kept: tuple[np.ndarray, np.ndarray] | None = None  # kept passages, their degrees
 
     @property
     def full(self) -> bool:
         """Whether a half-step has gone full, so that every later one is."""
-        return self._entries is not None
+        return "entries" in self.__dict__
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The support's (entity rows, passage columns), passage-major; the
-        columns are None when the support is H itself, whose H^T runs on
-        ``slot_major`` instead. The first call builds them and makes the
-        support full."""
-        if self._entries is None:
-            inc, degrees = self.incidence, self.incidence.degrees.edge_degrees
-            keep = self.edge_weights > 0
-            kept = np.flatnonzero(keep)
-            if kept.size <= _RESTRICT_MAX_KEPT_SHARE * inc.n_passages:
-                self._kept = kept, degrees[kept]
-                rows = inc.pas_indices[np.repeat(keep, degrees)]
-                self._entries = rows, np.repeat(*self._kept)
-            else:
-                self._entries = inc.pas_indices, None
-        return self._entries
+    @functools.cached_property
+    def entries(self) -> SupportEntries:
+        """The entries of H, or of H less its zero-weight passages when at
+        most ``_RESTRICT_MAX_KEPT_SHARE`` of the passages are kept. The first
+        full half-step builds them and makes the support full."""
+        inc, degrees = self.incidence, self.incidence.degrees.edge_degrees
+        keep = self.edge_weights > 0
+        kept = np.flatnonzero(keep)
+        if kept.size > _RESTRICT_MAX_KEPT_SHARE * inc.n_passages:
+            passages = np.arange(inc.n_passages)
+            return SupportEntries(passages, degrees, inc.pas_indices, inc.slot_major)
+        rows = inc.pas_indices[np.repeat(keep, degrees)]
+        return SupportEntries(kept, degrees[kept], rows, SlotMajorOrder.over(inc, kept))
 
     def _frontier(
         self, vec: np.ndarray, degrees: np.ndarray
@@ -356,10 +306,7 @@ class DiffusionSupport:
             order = inc.entity_major
             at = _ranges(order.offsets[nonzero], counts)
             return _sums(order.columns[at], np.repeat(u[nonzero], counts), inc.n_passages)
-        rows, columns = self.entries()
-        if columns is None:
-            return inc.slot_major.passage_sums(u)
-        return _sums(columns, u.take(rows), inc.n_passages)
+        return self.entries.slots.passage_sums(u, inc.n_passages)
 
     def passage_to_entity(self, e: np.ndarray) -> np.ndarray:
         """H e, for an ``e`` that is zero on every zero-weight passage, as
@@ -371,13 +318,9 @@ class DiffusionSupport:
             nonzero, counts = frontier
             at = _ranges(inc.pas_offsets[nonzero], counts)
             return _sums(inc.pas_indices[at], np.repeat(e[nonzero], counts), inc.n_entities)
-        rows, _ = self.entries()
-        if self._kept is None:
-            values = np.repeat(e, inc.degrees.edge_degrees)
-        else:
-            kept, counts = self._kept
-            values = np.repeat(e.take(kept), counts)
-        return _sums(rows, values, inc.n_entities)
+        entries = self.entries
+        values = np.repeat(e.take(entries.passages), entries.degrees)
+        return _sums(entries.rows, values, inc.n_entities)
 
 
 def apply_diffusion_operator(x: np.ndarray, support: DiffusionSupport) -> np.ndarray:

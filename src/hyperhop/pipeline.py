@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from contextlib import closing
 from pathlib import Path
 
 from .config import AppConfig
@@ -122,33 +123,35 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
     extraction and embedding results are reused and the index is reproduced
     byte for byte. The manifest's ``corpus_sha256`` is the digest of the
     bytes the passages were parsed from, however the file changes during
-    the build.
+    the build. Both caches are held, before the corpus is read, until the
+    rows are gathered: a build on a cache directory that another build
+    holds raises ContractError (see ``embeddings.open_cache``).
     """
     corpus_path = Path(config.require("corpus"))
     index_dir = Path(config.require("index_dir"))
     cache_dir = Path(config.cache_dir) if config.cache_dir else index_dir.parent / "cache"
 
-    corpus = load_corpus(corpus_path)
-    keys = list(map(passage_sha256, corpus.titles, corpus.texts))
-    extractor = make_extractor(config)
+    extractor, encoder = make_extractor(config), make_encoder(config)
     extraction_cache = ExtractionCache(cache_dir / "extraction", extractor_id(config))
-    entity_sets = extract_corpus_entities(
-        corpus, extractor, extraction_cache, max_workers=config.max_workers, keys=keys
-    )
-
-    encoder = make_encoder(config)
-    embedding_cache = EmbeddingCache(cache_dir / "embeddings", encoder.encoder_id, encoder.dim)
-    entity_rows = embed_batch(
-        entity_sets.catalog, encoder, embedding_cache, config.batch_size, layout=EntityRows
-    )
-    passage_rows = embed_batch(
-        _PassageTexts(corpus),
-        encoder,
-        embedding_cache,
-        config.batch_size,
-        keys=keys,
-        layout=PassageRows,
-    )
+    with closing(extraction_cache), closing(
+        EmbeddingCache(cache_dir / "embeddings", encoder.encoder_id, encoder.dim)
+    ) as embedding_cache:
+        corpus = load_corpus(corpus_path)
+        keys = list(map(passage_sha256, corpus.titles, corpus.texts))
+        entity_sets = extract_corpus_entities(
+            corpus, extractor, extraction_cache, max_workers=config.max_workers, keys=keys
+        )
+        entity_rows = embed_batch(
+            entity_sets.catalog, encoder, embedding_cache, config.batch_size, layout=EntityRows
+        )
+        passage_rows = embed_batch(
+            _PassageTexts(corpus),
+            encoder,
+            embedding_cache,
+            config.batch_size,
+            keys=keys,
+            layout=PassageRows,
+        )
 
     index = build_index(entity_sets, entity_rows, passage_rows)
     manifest = save_index(

@@ -191,21 +191,17 @@ def diffuse(
     the final hop share one ``hypergraph.DiffusionSupport``. A half-step
     takes one of two routes. While the entries of its input's nonzero nodes
     are under 5% of H's, it gathers only those, through H's entity-major
-    order (derived in memory on an index's first such half-step, never
-    stored) or its passage-major one. From the first half-step past that
-    share on, each is full: over H less its zero-weight passages when they
-    are at least half of all, built once per query and read in storage
-    order, else over H. A full H^T over H sums slot-major (H's passages by
-    descending degree, derived on an index's first such half-step, never
-    stored): one gather, one vector add per slot, one scatter back. A full
-    H e repeats each passage's value over its entries instead of gathering
-    it. Both cut-overs were timed on the two benchmark graphs (see
-    ``hypergraph``).
-    The routes add the same nonzero terms in the same order, and skip only
-    +-0.0 terms, which change no bit of a sum that starts at +0.0, and the
-    sums of zero-weight passages. So x_t is bit for bit that of full passes
-    over H, and so is p_t, except that where x has negative entries a
-    zero-weight passage's entry may be a zero of the other sign.
+    order or its passage-major one. From the first half-step past that share
+    on, each is full over the query's support: H, or H less its zero-weight
+    passages when they are at least half of all. A full H^T sums the
+    support's passages slot-major (by descending degree): one gather, one
+    vector add per slot, one scatter back. A full H e repeats each
+    passage's value over its entries. The routes add the same nonzero terms
+    in the same order, and skip only +-0.0 terms, which change no bit of a
+    sum that starts at +0.0, and the sums of zero-weight passages. So x_t is
+    bit for bit that of full passes over H, and so is p_t, except that
+    where x has negative entries a zero-weight passage's entry may be a
+    zero of the other sign.
     """
     if not checked:
         x, p = _checked_similarities(x, p, index)

@@ -5,6 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import closing
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,8 @@ from hyperhop import cli
 from hyperhop.cli import build_parser, main
 from hyperhop.config import SETTING_TYPES
 from hyperhop.corpus import load_corpus, passage_sha256
-from hyperhop.embeddings import OfflineEncoder
-from hyperhop.entities import OfflineEntityExtractor
+from hyperhop.embeddings import EmbeddingCache, OfflineEncoder
+from hyperhop.entities import ExtractionCache, OfflineEntityExtractor
 from hyperhop.errors import ContractError
 from hyperhop.evaluate import load_qa_dataset, run_eval
 from hyperhop.index_store import load_index
@@ -158,7 +160,7 @@ class TestIndexCommand:
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
         assert sorted(f.name for f in extraction.iterdir()) == [
-            "entries.bin", "ids.bin", "manifest.json", "names.txt"
+            "entries.bin", "ids.bin", "lock", "manifest.json", "names.txt"
         ]
         assert (extraction / "entries.bin").stat().st_size == 3 * 36  # extracted again
 
@@ -172,7 +174,9 @@ class TestIndexCommand:
         old_size = len(old_records)
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
-        assert sorted(f.name for f in embeddings.iterdir()) == ["manifest.json", "records.bin"]
+        assert sorted(f.name for f in embeddings.iterdir()) == [
+            "lock", "manifest.json", "records.bin"
+        ]
         # Each text encoded again: as many records, each 32 key bytes shorter.
         assert (embeddings / "records.bin").stat().st_size == old_size // (64 + 1024) * (32 + 1024)
 
@@ -232,13 +236,39 @@ class TestIndexCommand:
         append_extraction_entry(extraction, passage_sha256(p1.title, p1.text), entities)
         capsys.readouterr()
         assert main(["index"] + common(built)) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        damaged = damaged_extraction_cache(extraction, message)
+        assert capsys.readouterr().err == f"error: {damaged}\n"
 
         for f, data in saved.items():
             f.write_bytes(data)
         append_extraction_entry(extraction, bytes(32), entities)
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
+
+
+    def test_a_lowered_entry_count_is_blamed_on_the_cache(self, built, capsys):
+        """A flipped byte in the first entry's count takes its last id from
+        it and gives it to the next entry: P2 then holds "germany" twice."""
+        extraction = built / "cache" / "extraction"
+        raw = bytearray((extraction / "entries.bin").read_bytes())
+        assert raw[32:36] == np.uint32(2).tobytes()  # P1's count
+        raw[32] ^= 0x03
+        (extraction / "entries.bin").write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["index"] + common(built)) == 2
+        message = "duplicate entity 'germany' in passage 'P2'"
+        damaged = damaged_extraction_cache(extraction, message)
+        assert capsys.readouterr().err == f"error: {damaged}\n"
+        shutil.rmtree(extraction)  # as the message says
+        assert main(["index"] + common(built)) == 0
+
+
+def damaged_extraction_cache(extraction, message):
+    files = ", ".join(str(extraction / name) for name in ("names.txt", "ids.bin", "entries.bin"))
+    return (
+        f"extraction cache {files}: the cached entries are damaged ({message});"
+        f" delete the cache directory {extraction} and build again"
+    )
 
 
 def append_extraction_entry(extraction, key, entities):
@@ -668,6 +698,78 @@ class TestRebuildDeterminism:
             files = sorted((root / "index").iterdir())
             digests.append([(f.name, f.read_bytes()) for f in files])
         assert digests[0] == digests[1]
+
+
+class TestOneWriterPerCache:
+    @staticmethod
+    def index_args(root, corpus=TOY_CORPUS, cache_dir=None):
+        return [
+            "index",
+            "--corpus", str(corpus),
+            "--index-dir", str(root / "index"),
+            "--cache-dir", str(cache_dir or root / "cache"),
+            "--offline",
+        ]
+
+    @staticmethod
+    def index_files(root):
+        return {f.name: f.read_bytes() for f in (root / "index").iterdir()}
+
+    @pytest.mark.parametrize("kind", ["extraction", "embeddings"])
+    def test_a_build_on_a_held_cache_directory_exits_2(self, tmp_path, no_network, capsys, kind):
+        held = tmp_path / "cache" / kind
+        producer = OfflineEntityExtractor.extractor_id if kind == "extraction" else "offline"
+        cache = ExtractionCache(held, producer) if kind == "extraction" else (
+            EmbeddingCache(held, OfflineEncoder().encoder_id, OfflineEncoder().dim)
+        )
+        with closing(cache):
+            assert main(self.index_args(tmp_path)) == 2
+            assert f"cache directory {held} is in use by another build" in capsys.readouterr().err
+            assert not (tmp_path / "index").exists()
+        assert main(self.index_args(tmp_path)) == 0
+
+    def test_of_two_index_processes_on_one_cache_the_second_exits_2(self, tmp_path, no_network):
+        # The first build reads its corpus from a FIFO, so it holds both
+        # caches, their manifests written, until the corpus is written.
+        assert main(self.index_args(tmp_path / "solo")) == 0
+        fifo, shared = tmp_path / "corpus.fifo", tmp_path / "shared"
+        os.mkfifo(fifo)
+        src = str(Path(hyperhop.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def index(root, corpus):
+            command = [sys.executable, "-m", "hyperhop", *self.index_args(root, corpus, shared)]
+            return subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, env=env)
+
+        first = index(tmp_path / "first", fifo)
+        try:
+            for _ in range(600):
+                if (shared / "embeddings" / "manifest.json").exists() or first.poll() is not None:
+                    break
+                time.sleep(0.05)
+            assert first.poll() is None, first.communicate()
+            second = index(tmp_path / "second", TOY_CORPUS)
+            _, err = second.communicate(timeout=60)
+            assert second.returncode == 2
+            assert f"cache directory {shared / 'extraction'} is in use by another build" in err
+            assert not (tmp_path / "second" / "index").exists()
+            while True:  # the toy corpus fits the pipe's buffer
+                try:
+                    writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError:  # the first build has not opened the FIFO yet
+                    assert first.poll() is None, first.communicate()
+                    time.sleep(0.01)
+            os.write(writer, Path(TOY_CORPUS).read_bytes())
+            os.close(writer)
+            _, err = first.communicate(timeout=60)
+            assert first.returncode == 0, err
+        finally:
+            if first.poll() is None:
+                first.kill()
+                first.communicate()
+        assert self.index_files(tmp_path / "first") == self.index_files(tmp_path / "solo")
 
 
 class TestRemoteModePreconditions:

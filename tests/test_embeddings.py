@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hyperhop.embeddings import (
     text_key,
     unit_rows,
 )
+from hyperhop.entities import ExtractionCache
 from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
 
 from reference import cosine, passage_cosines, row_norms, whole_matrix_screen
@@ -589,6 +591,34 @@ def test_rows_gathered_from_the_cache_are_bitwise_those_of_the_matrix(tmp_path, 
     assert entities.buckets().tobytes() == want.buckets().tobytes()
 
 
+class TestOneWriterPerCache:
+    @pytest.mark.parametrize("kind", ["embeddings", "extraction"])
+    def test_a_second_open_of_a_held_directory_raises_until_the_first_closes(
+        self, tmp_path, kind
+    ):
+        def cache(producer="offline"):
+            if kind == "embeddings":
+                return EmbeddingCache(tmp_path, producer, 8)
+            return ExtractionCache(tmp_path, producer)
+
+        held = cache()
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        message = f"^cache directory {tmp_path} is in use by another build"
+        with pytest.raises(ContractError, match=message):
+            cache()
+        with pytest.raises(ContractError, match=message):
+            cache("another producer")  # and the holder's files are not wiped
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        held.close()
+        held.close()  # a second close does nothing
+        with closing(cache("another producer")):  # wipes the holder's files, not the lock
+            assert (tmp_path / "lock").is_file()
+            assert "another producer" in (tmp_path / "manifest.json").read_text()
+            with pytest.raises(ContractError, match=message):
+                cache()
+        cache().close()
+
+
 class TestEmbeddingCache:
     def test_cache_fidelity_zero_client_calls(self, tmp_path):
         texts = ["one", "two", "three"]
@@ -596,6 +626,7 @@ class TestEmbeddingCache:
         cache = EmbeddingCache(tmp_path, first_client.encoder_id, first_client.dim)
         first = embed_batch(texts, first_client, cache)
         assert first_client.calls == 1
+        cache.close()
 
         second_client = CountingEncoder()
         cache2 = EmbeddingCache(tmp_path, second_client.encoder_id, second_client.dim)
@@ -607,6 +638,7 @@ class TestEmbeddingCache:
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         embed_batch(["a"], client, cache)
+        cache.close()
 
         other = OfflineEncoder(dim=32)
         cache2 = EmbeddingCache(tmp_path, other.encoder_id, other.dim)
@@ -636,6 +668,7 @@ class TestEmbeddingCache:
         if with_manifest:
             cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
             cache.append(abc, client.encode_batch(["a", "b", "c"]))
+            cache.close()
         orphan = np.full(int(client.dim * orphan_rows), 7.0, dtype="<f4")
         with (tmp_path / "records.bin").open("ab") as fh:
             fh.write(orphan.tobytes())
@@ -645,6 +678,7 @@ class TestEmbeddingCache:
         d, key = client.encode_batch(["d"]), text_key("d")
         reopened.append([key], d)
         np.testing.assert_array_equal(reopened.read_rows([reopened.lookup([key])[key]]), d)
+        reopened.close()
 
         again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         assert again.lookup([key]) == {key: 3 if with_manifest else 0}
@@ -661,12 +695,14 @@ class TestEmbeddingCache:
         record_size = 32 + 4 * client.dim
         with records.open("ab") as fh:
             fh.write(bytes(record_size // 2))
+        cache.close()
 
         reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         assert records.stat().st_size == record_size
         texts = ["b", "c"]
         reopened.append([text_key(t) for t in texts], client.encode_batch(texts))
         assert records.stat().st_size == 3 * record_size
+        reopened.close()
         again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         offsets = again.lookup([text_key(t) for t in ["a", "b", "c"]])
         assert sorted(offsets.values()) == [0, 1, 2]
@@ -714,10 +750,12 @@ class TestEmbeddingCache:
 
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         assert cache.lookup([text_key("a")]) == {}
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["lock", "manifest.json"]
         assert "count" not in json.loads((tmp_path / "manifest.json").read_text())
         embed_batch(["a"], client, cache)
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "records.bin"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "lock", "manifest.json", "records.bin"
+        ]
 
     @pytest.mark.parametrize("manifest", [b"{not json", b"", b"[1, 2]"])
     def test_garbage_manifest_is_replaced(self, tmp_path, manifest):
@@ -747,6 +785,7 @@ class TestEmbeddingCache:
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         cache.append([b"\x07" * 31 + b"\x01", key], client.encode_batch(["a", "b"]))
+        cache.close()
         reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         assert reopened.lookup([key, key[:31], b"\x07" * 31 + b"\x01"]) == {
             key: 1, b"\x07" * 31 + b"\x01": 0
@@ -762,6 +801,7 @@ class TestEmbeddingCache:
         assert hits == {text_key("b"): 1, text_key("a"): 0}
         assert list(hits) == [text_key("b"), text_key("a")]  # in the order of the keys
         assert cache.lookup([]) == {} and cache.lookup([text_key("x")]) == {}
+        cache.close()
         reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         assert reopened.lookup(keys) == hits
 
@@ -838,8 +878,9 @@ def test_non_finite_batch_is_not_cached(tmp_path):
     healthy = OfflineEncoder(dim=8)
     texts = ["a", "b", "c"]
     embed_batch(["a"], healthy, EmbeddingCache(tmp_path, healthy.encoder_id, 8))
-    with pytest.raises(EmbeddingError, match=r"offsets \[0, 1\)") as excinfo:
-        embed_batch(texts, NaNEncoder(dim=8), EmbeddingCache(tmp_path, healthy.encoder_id, 8), 1)
+    with closing(EmbeddingCache(tmp_path, healthy.encoder_id, 8)) as cache:
+        with pytest.raises(EmbeddingError, match=r"offsets \[0, 1\)") as excinfo:
+            embed_batch(texts, NaNEncoder(dim=8), cache, 1)
     assert excinfo.value.batch_offsets == (0, 1)
     cache = EmbeddingCache(tmp_path, healthy.encoder_id, 8)
     assert list(cache.lookup([text_key(t) for t in texts])) == [text_key("a")]

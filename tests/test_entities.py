@@ -273,6 +273,7 @@ class TestExtractionRetryAndCache:
     def test_a_key_ending_in_nul_bytes_round_trips(self, tmp_path, key):
         cache = ExtractionCache(tmp_path, "x")
         cache.append([b"\x07" * 31 + b"\x01", key], [["other"], ["berlin"]])
+        cache.close()
         reloaded = ExtractionCache(tmp_path, "x")
         assert reloaded.lookup([key, key[:31]]).tolist() == [1, -1]
         assert reloaded.entity_sets(["p"], reloaded.lookup([key])).entities(0) == ("berlin",)
@@ -408,7 +409,9 @@ class TestAppendOnlyExtractionCache:
             cache.append([key], [["a"]])
             cache.append([key], [["b"]])
         assert len((tmp_path / "entries.bin").read_bytes()) == 2 * 36
-        assert cached(cache, passage) == cached(ExtractionCache(tmp_path, "o"), passage) == ("b",)
+        assert cached(cache, passage) == ("b",)
+        cache.close()
+        assert cached(ExtractionCache(tmp_path, "o"), passage) == ("b",)
 
     @pytest.mark.parametrize(
         "keys, entity_lists, message",
@@ -469,6 +472,7 @@ class TestStaleExtractionEntries:
         assert (directory / "manifest.json").read_bytes() == (
             b'{"extractor_id": "remote:m:abc", "layout": 2}'
         )
+        cache.close()
         assert cached(ExtractionCache(directory, "offline"), self.PASSAGE) is None
 
     @pytest.mark.parametrize(

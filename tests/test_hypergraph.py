@@ -11,6 +11,7 @@ from hyperhop.errors import ContractError
 from hyperhop.hypergraph import (
     DiffusionSupport,
     IncidenceMatrix,
+    SlotMajorOrder,
     apply_diffusion_operator,
     build_incidence,
     graph_stats,
@@ -195,23 +196,34 @@ def random_incidence(rng, n_entities, degrees):
 
 class TestSlotMajorOrder:
     @staticmethod
-    def assert_is_the_slot_major_order(incidence):
-        order = incidence.slot_major
+    def assert_is_the_slot_major_order(incidence, passages=None):
+        """The order over ``passages`` (all of H's when None), checked
+        against the passage-major entries and the reference H^T bytes."""
+        if passages is None:
+            order, passages = incidence.slot_major, np.arange(incidence.n_passages)
+        else:
+            order = SlotMajorOrder.over(incidence, passages)
         degrees = np.diff(incidence.pas_offsets)
         # The passages by descending degree, ties by ascending column.
-        np.testing.assert_array_equal(order.passages, np.argsort(-degrees, kind="stable"))
-        expected_widths = [np.count_nonzero(degrees > k) for k in range(degrees.max(initial=0))]
+        by_degree = passages[np.argsort(-degrees[passages], kind="stable")]
+        np.testing.assert_array_equal(order.passages, by_degree)
+        subset = degrees[passages]
+        expected_widths = [np.count_nonzero(subset > k) for k in range(subset.max(initial=0))]
         np.testing.assert_array_equal(order.widths, expected_widths)
         assert (np.diff(order.widths) <= 0).all()
-        assert order.rows.dtype == np.intp and order.rows.shape == (incidence.nnz,)
+        assert order.rows.dtype == np.intp and order.rows.shape == (subset.sum(),)
         # Each passage's rows, taken slot by slot, are its pas_indices segment.
         slots = np.split(order.rows, np.cumsum(order.widths)[:-1])
         for rank, j in enumerate(order.passages):
             taken = [slot[rank] for slot in slots[: degrees[j]]]
             lo, hi = incidence.pas_offsets[j], incidence.pas_offsets[j + 1]
             assert taken == incidence.pas_indices[lo:hi].tolist()
+        # The passages outside the order sum to +0.0.
         u = np.random.default_rng(0).normal(size=incidence.n_entities)
-        assert order.passage_sums(u).tobytes() == entity_to_passage(u, incidence).tobytes()
+        inside = np.isin(np.arange(incidence.n_passages), passages)
+        expected = np.where(inside, entity_to_passage(u, incidence), 0.0)
+        summed = order.passage_sums(u, incidence.n_passages)
+        assert summed.tobytes() == expected.tobytes()
 
     def test_toy(self, toy_index):
         order = toy_index.incidence.slot_major
@@ -238,7 +250,7 @@ class TestSlotMajorOrder:
             order = incidence.slot_major
             assert order.widths.shape == order.rows.shape == (0,)
             assert order.passages.tolist() == list(range(len(sets)))
-            summed = order.passage_sums(np.zeros(0))
+            summed = order.passage_sums(np.zeros(0), len(sets))
             assert summed.tobytes() == np.zeros(len(sets)).tobytes()
 
     def test_a_passage_of_70000_entities_takes_int64_keys(self, rng):
@@ -247,6 +259,36 @@ class TestSlotMajorOrder:
         incidence = random_incidence(rng, 70_000, [10, 70_000, 5_000])
         assert incidence.slot_major.passages.tolist() == [1, 2, 0]
         self.assert_is_the_slot_major_order(incidence)
+
+    def test_subsets_none_kept_and_all_kept(self, rng):
+        incidence = random_incidence(rng, 50, rng.integers(0, 9, 40))
+        order = SlotMajorOrder.over(incidence, np.zeros(0, dtype=np.intp))
+        assert order.passages.shape == order.widths.shape == order.rows.shape == (0,)
+        assert order.passage_sums(np.ones(50), 40).tobytes() == np.zeros(40).tobytes()
+        self.assert_is_the_slot_major_order(incidence, np.zeros(0, dtype=np.intp))
+        every = SlotMajorOrder.over(incidence, np.arange(40))
+        for name in ("passages", "widths", "rows"):
+            assert getattr(every, name).tobytes() == getattr(incidence.slot_major, name).tobytes()
+        self.assert_is_the_slot_major_order(incidence, np.arange(40))
+
+    def test_subsets_of_mixed_degrees(self, rng):
+        # Random subsets of skewed graphs: a kept passage may hold no entity,
+        # and the subset's widths follow its own largest degree.
+        for _ in range(20):
+            n_entities = int(rng.integers(1, 200))
+            degrees = np.minimum(rng.zipf(1.5, int(rng.integers(1, 300))) - 1, n_entities)
+            incidence = random_incidence(rng, n_entities, degrees)
+            kept = np.flatnonzero(rng.random(incidence.n_passages) < rng.random())
+            self.assert_is_the_slot_major_order(incidence, kept)
+
+    def test_a_subset_with_a_degree_of_2_16_takes_int64_keys(self, rng):
+        # Kept passages of 2**16 and 3 entities: 2**16 - 3 fits uint16, but the
+        # largest key, 2**16 - 0 for an entityless passage, does not.
+        incidence = random_incidence(rng, 2**16, [0, 3, 9, 2**16, 5])
+        kept = np.array([0, 1, 3])
+        assert SlotMajorOrder.over(incidence, kept).passages.tolist() == [3, 1, 0]
+        self.assert_is_the_slot_major_order(incidence, kept)
+        self.assert_is_the_slot_major_order(incidence, np.array([2, 4]))
 
     def test_derivation_peak_is_its_output_and_one_entry_length_temporary(self, rng):
         # Passage degrees as on the passage-heavy benchmark graph. The
@@ -289,20 +331,30 @@ class TestDiffusionSupport:
             incidence, _ = make_incidence({f"p{j:02d}": s for j, s in enumerate(sets)})
             weights = np.where(rng.random(incidence.n_passages) < 0.5, rng.random(), 0.0)
             keep = weights > 0
-            rows, columns = DiffusionSupport(incidence, weights).entries()
+            support = DiffusionSupport(incidence, weights)
+            entries = support.entries
             if np.count_nonzero(keep) > hypergraph._RESTRICT_MAX_KEPT_SHARE * incidence.n_passages:
-                assert rows is incidence.pas_indices and columns is None  # H^T runs slot-major
+                assert entries.rows is incidence.pas_indices
+                assert entries.slots is incidence.slot_major
+                keep = np.ones(incidence.n_passages, dtype=bool)
             else:
-                entries = keep[passage_columns(incidence)]
-                np.testing.assert_array_equal(rows, incidence.pas_indices[entries])
-                np.testing.assert_array_equal(columns, passage_columns(incidence)[entries])
+                in_kept = keep[passage_columns(incidence)]
+                np.testing.assert_array_equal(entries.rows, incidence.pas_indices[in_kept])
+            np.testing.assert_array_equal(entries.passages, np.flatnonzero(keep))
+            np.testing.assert_array_equal(entries.degrees, np.diff(incidence.pas_offsets)[keep])
+            assert np.array_equal(np.sort(entries.slots.passages), entries.passages)
+            u = rng.normal(size=incidence.n_entities)
+            expected = np.where(keep, entity_to_passage(u, incidence), 0.0)
+            assert support.entity_to_passage(u).tobytes() == expected.tobytes()
 
     def test_no_kept_passage_leaves_no_entries(self, toy_index):
         support = DiffusionSupport(toy_index.incidence, np.zeros(3))
-        rows, columns = support.entries()
-        assert rows.shape == columns.shape == (0,)
+        entries = support.entries
+        assert entries.passages.shape == entries.degrees.shape == entries.rows.shape == (0,)
+        assert entries.slots.passages.shape == entries.slots.rows.shape == (0,)
         summed = support.entity_to_passage(np.ones(5))
         assert summed.dtype == np.float64 and summed.shape == (3,) and not summed.any()
+        assert support.passage_to_entity(np.zeros(3)).tobytes() == np.zeros(5).tobytes()
 
     def test_a_full_half_step_makes_the_rest_full(self, toy_index, monkeypatch):
         # P3 ("brussels", "european union") has weight zero: a frontier H^T

@@ -637,13 +637,13 @@ class TestDiffuse:
         p = np.where(np.arange(6) < n_kept, 0.6, -0.1)
         x_t, p_t = diffuse(x, p, index, steps=2)
         assert len(supports) == 2 and supports[0] is supports[1]
-        rows, columns = supports[0].entries()
-        assert (rows is not index.incidence.pas_indices) == restricted
-        assert (columns is not None) == restricted  # H itself sums H^T slot-major
-        kept_nnz = sum(len(sets[f"p{j}"]) for j in range(n_kept))
-        assert rows.shape == (kept_nnz if restricted else index.incidence.nnz,)
-        if restricted:
-            assert columns.shape == rows.shape
+        entries = supports[0].entries
+        assert (entries.rows is not index.incidence.pas_indices) == restricted
+        assert (entries.slots is not index.incidence.slot_major) == restricted
+        kept = np.arange(n_kept if restricted else 6)
+        np.testing.assert_array_equal(entries.passages, kept)
+        kept_nnz = sum(len(sets[f"p{j}"]) for j in kept)
+        assert entries.rows.shape == entries.slots.rows.shape == (kept_nnz,)
         ref_x, ref_p = full_incidence_diffusion(x, p, index, 2, True)
         assert x_t.tobytes() == ref_x.tobytes() and p_t.tobytes() == ref_p.tobytes()
 
