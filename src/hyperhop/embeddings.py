@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import weakref
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -118,29 +117,39 @@ _KEY = np.dtype("V32")
 _LAYOUT = 3
 
 
+def hold_lock(path: Path, what: str) -> int:
+    """A descriptor of ``path``, made when missing, that holds an exclusive
+    ``flock`` on it, taken without waiting; the lock lasts until the
+    descriptor is closed. While another open file holds it, raises
+    ContractError naming ``what`` as in use by another build."""
+    lock = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(lock)
+        raise ContractError(f"{what} is in use by another build") from None
+    except OSError:
+        os.close(lock)
+        raise
+    return lock
+
+
 def open_cache(owner: object, directory: Path, producer: dict) -> weakref.finalize:
     """Make ``directory`` the cache of ``producer``, which its
     ``manifest.json`` holds as sorted JSON, for ``owner`` alone; returns the
     ``close`` of ``owner``, which releases the directory once, as does the
     collection of ``owner``.
 
-    The directory is held by an exclusive ``flock`` on its ``lock`` file,
-    taken without waiting: while another open file holds it, raises
-    ContractError naming the directory as in use by another build. The
+    The directory is held by ``hold_lock`` on its ``lock`` file. The
     manifest is written when the cache is made and never on an append. A
     manifest that is missing or not that one (another producer, an older
     layout, an unparsable file) is replaced, and every other file in the
     directory but the lock, the records of another producer or layout, is
-    deleted.
+    deleted. Only the cache's ``append`` writes records.
     """
     directory.mkdir(parents=True, exist_ok=True)
-    lock = os.open(directory / "lock", os.O_RDWR | os.O_CREAT, 0o644)
+    lock = hold_lock(directory / "lock", f"cache directory {directory}")
     close = weakref.finalize(owner, os.close, lock)
-    try:
-        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        close()
-        raise ContractError(f"cache directory {directory} is in use by another build") from None
     manifest = directory / "manifest.json"
     expected = json.dumps(producer, sort_keys=True).encode()
     if not manifest.is_file() or manifest.read_bytes() != expected:
@@ -164,28 +173,24 @@ class EmbeddingCache:
 
     ``manifest.json`` holds the encoder id, the dim and the layout (see
     ``open_cache``). ``records.bin`` holds one fixed-size record per entry:
-    the 32 raw bytes of the key, then the float32 little-endian row. The
-    entry count is the file size over the record size, and a key and its
-    row are written together, so they cannot disagree. Opening truncates a
-    partial last record that a crashed append left, and takes the keys as
-    the mapped bytes, so a damaged key is a miss, not a crash. Appends are
-    serialized, and the cache holds its directory until ``close()``
+    the 32 raw bytes of the key, then the float32 little-endian row. A key
+    and its row are written together, so they cannot disagree, and the keys
+    are taken as the mapped bytes, so a damaged key is a miss, not a crash.
+    The entry count is the whole records found at opening plus those
+    appended. ``append`` alone writes: it first cuts a partial record that
+    a crashed append left. The cache holds its directory until ``close()``
     (``open_cache``).
     """
 
     def __init__(self, directory: str | Path, encoder_id: str, dim: int):
         self.directory = Path(directory)
-        self.encoder_id = encoder_id
         self.dim = dim
-        self._lock = threading.Lock()
         self._records = self.directory / "records.bin"
         self._dtype = np.dtype([("key", _KEY), ("row", "<f4", (dim,))])
         producer = {"dim": dim, "encoder_id": encoder_id, "layout": _LAYOUT}
         self.close = open_cache(self, self.directory, producer)
         size = self._records.stat().st_size if self._records.exists() else 0
         self._count = size // self._dtype.itemsize
-        if size != self._count * self._dtype.itemsize:
-            os.truncate(self._records, self._count * self._dtype.itemsize)
         self._offsets = dict(zip(self._mapped()["key"].tolist(), range(self._count)))
 
     def _mapped(self) -> np.ndarray:
@@ -199,27 +204,21 @@ class EmbeddingCache:
         return {k: i for k, i in zip(keys, map(self._offsets.get, keys)) if i is not None}
 
     def read_rows(
-        self, records: Sequence[int], layout: type[EntityRows] | type[PassageRows] | None = None
-    ):
-        """The rows of ``records``, gathered from a read-only map of the
-        first ``count`` records, so only their pages are read: a float32
-        matrix, or with ``layout`` (``EntityRows`` or ``PassageRows``) the
-        ``layout.of`` of those rows, gathered into it block by block.
+        self, records: Sequence[int], layout: type[EntityRows] | type[PassageRows]
+    ) -> EntityRows | PassageRows:
+        """The ``layout.of`` (``EntityRows`` or ``PassageRows``) of the rows
+        of ``records``, gathered into it block by block from a read-only map
+        of the first ``count`` records, so only their pages are read.
 
         Raises IndexIntegrityError naming the first record that holds a
         non-finite value: the encoder path never appends one, so the file is
-        damaged. A layout's rows are checked through their norms: the
-        float64 squares of finite float32 values cannot overflow, so a row's
-        sum of squares is finite exactly when its values are.
+        damaged. The rows are checked through their norms: the float64
+        squares of finite float32 values cannot overflow, so a row's sum of
+        squares is finite exactly when its values are.
         """
         records = np.asarray(records, dtype=np.int64)
-        values = self._mapped()["row"]
-        if layout is None:
-            rows = values[records]  # a gather: an ndarray copy
-            finite = np.isfinite(rows).all(axis=1)
-        else:
-            rows = layout.of(values, records)
-            finite = np.isfinite(rows.norms)
+        rows = layout.of(self._mapped()["row"], records)
+        finite = np.isfinite(rows.norms)
         if not finite.all():
             raise IndexIntegrityError(
                 f"embedding cache {self._records} holds non-finite entries, first in record"
@@ -236,17 +235,17 @@ class EmbeddingCache:
         for key in keys:
             if not isinstance(key, bytes) or len(key) != _KEY.itemsize:
                 raise ContractError(f"a cache key is a raw sha256 of 32 bytes: {key!r}")
-        with self._lock:
-            fresh = {k: i for i, k in enumerate(keys) if k not in self._offsets}
-            if fresh:
-                records = np.empty(len(fresh), dtype=self._dtype)
-                records["key"] = list(fresh)
-                records["row"] = vectors[list(fresh.values())]
-                with self._records.open("ab") as fh:
-                    fh.write(records.tobytes())
-                self._offsets.update(zip(fresh, range(self._count, self._count + len(fresh))))
-                self._count += len(fresh)
-            return np.fromiter(map(self._offsets.get, keys), dtype=np.int64, count=len(keys))
+        fresh = {k: i for i, k in enumerate(keys) if k not in self._offsets}
+        if fresh:
+            records = np.empty(len(fresh), dtype=self._dtype)
+            records["key"] = list(fresh)
+            records["row"] = vectors[list(fresh.values())]
+            with self._records.open("ab") as fh:
+                fh.truncate(self._count * self._dtype.itemsize)
+                fh.write(records.tobytes())
+            self._offsets.update(zip(fresh, range(self._count, self._count + len(fresh))))
+            self._count += len(fresh)
+        return np.fromiter(map(self._offsets.get, keys), dtype=np.int64, count=len(keys))
 
 
 def embed_batch(
@@ -259,7 +258,8 @@ def embed_batch(
 ):
     """Embed texts in order, consulting and extending the cache; returns the
     float32 (len(texts), client.dim) matrix, one row per text, or with
-    ``layout`` (``EntityRows`` or ``PassageRows``) its ``layout.of``.
+    ``layout`` (``EntityRows`` or ``PassageRows``) its ``layout.of``. With a
+    cache, a layout is required: ContractError without one.
 
     ``keys`` are the texts' cache keys, each text's ``text_key`` when not
     given. A build passes the passages' ``passage_sha256`` and a sequence
@@ -267,14 +267,16 @@ def embed_batch(
     misses come first: deduplicated by key, so a repeated text is encoded
     once, they reach the encoder client ``batch_size`` texts per call, and
     each batch is appended to the cache. Then every row is gathered from
-    the cache in one pass into the matrix or the layout
-    (``EmbeddingCache.read_rows``). A remote failure, or a batch holding a
-    non-finite value, raises EmbeddingError carrying the offsets of the
-    failing batch among the misses, before the batch reaches the
-    cache; a non-finite value read from the cache raises IndexIntegrityError.
+    the cache in one pass into the layout (``EmbeddingCache.read_rows``). A
+    remote failure, or a batch holding a non-finite value, raises
+    EmbeddingError carrying the offsets of the failing batch among the
+    misses, before the batch reaches the cache; a non-finite value read
+    from the cache raises IndexIntegrityError.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    if cache is not None and layout is None:
+        raise ContractError("embed_batch gathers cached rows into a layout: pass one")
     if keys is None:
         keys = list(map(text_key, texts))
     hits = cache.lookup(keys) if cache is not None else {}
@@ -434,13 +436,7 @@ def cosine_against_rows(query_vec: np.ndarray, rows: PassageRows) -> np.ndarray:
     reads every coordinate, ``WIDEN_BLOCK`` passages at a time widened into
     one reused float64 block, so no float64 copy of the whole matrix is
     made. Either way each sum is then divided by its row's norm and clipped
-    to [-1, 1].
-
-    On mapped random rows of dimension 256 (2-core Xeon, one BLAS thread,
-    median of 40), the loop took 1.6 ms at 16 coordinates, 10.4 at 128 and
-    15.9 at 192 on 50k rows, against 15.7 ms for the blocked GEMV (9.7 over
-    float64 columns); on 10k rows, 1.6 at 128 against 1.5. Three quarters
-    favours the larger index, where the time goes, and keeps more bitwise.
+    to [-1, 1]. README "Performance" gives the timings behind the cut-over.
 
     Why the two routes agree to about ``(dim + 2) 2**-53``. Let ``v`` be a
     row, ``n`` its computed norm and ``s`` the exact ``v . q``. Any float64
@@ -577,13 +573,8 @@ def screen_max_sim(
     is exactly +-0, which exceeds no ``eta >= 0``.
 
     The float32 product goes ``ROW_BLOCK`` rows at a time into one array of
-    ``s_i``. Over the whole catalog at once, with two or more query rows, it
-    is a matrix product for which OpenBLAS first packs the whole matrix: on
-    50k rows of dimension 256 that took 2.1-2.5 times the one-row product.
-    In 256-row blocks it streams the matrix once. The bound in 1 holds for
-    any summation order, so the blocks change nothing above. The tests stay
-    whole-catalog array operations, each with one float64 temporary of the
-    catalog's length: run per block, they cost about 1 ms more on 50k rows.
+    ``s_i`` (README "Performance" says why); the bound in 1 holds for any
+    summation order, so the blocks change nothing above.
     """
     if eta < 0.0:
         raise ContractError(f"eta must be >= 0, got {eta}")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import re
+import threading
 import unicodedata
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -279,22 +279,22 @@ class ExtractionCache:
 
     The key hashes all an extractor reads of a passage, so an edited title
     or text is a miss and the entry of the old text stays valid for it.
-    When a key repeats, the last entry wins. One thread writes: ``append``
-    writes the new names, ids and records of its entries, in their order,
+    When a key repeats, the last entry wins. Opening only reads: the
+    committed entries are the whole records of ``entries.bin``, their ids
+    and the whole lines of ``names.txt`` (a missing file is empty); files
+    they cannot be read from (too few ids, an id past ``names.txt``, a
+    repeated or non-UTF-8 name) raise CorpusFormatError naming the file.
+    ``append`` alone writes, from one thread: it cuts each file back to the
+    committed entries, then writes its entries' new names, ids and records,
     in that file order and one write per file. So an entry is committed
-    once its record is whole. Opening cuts each file back to what the
-    committed entries use: ``entries.bin`` to whole records, ``ids.bin`` to
-    their ids, ``names.txt`` to whole lines. Files that committed entries
-    cannot be read from (fewer ids than the records count, an id that is not
-    a line of ``names.txt``, a repeated or non-UTF-8 name) raise
-    CorpusFormatError naming the file.
+    once its record is whole.
     """
 
     def __init__(self, directory: str | Path, extractor_id: str):
         self._directory = directory = Path(directory)
         producer = {"extractor_id": extractor_id, "layout": _LAYOUT}
         self.close = open_cache(self, directory, producer)
-        self.names, ids, entries = _read_committed(directory)
+        self.names, ids, entries, self._names_size = _read_committed(directory)
         self._name_ids = dict(zip(self.names, range(len(self.names))))
         if len(self._name_ids) != len(self.names):  # a repeat maps to its last line
             line = next(i for i, name in enumerate(self.names) if self._name_ids[name] != i)
@@ -311,12 +311,13 @@ class ExtractionCache:
         return np.fromiter(entries, dtype=np.intp, count=len(keys))
 
     def append(self, keys: Sequence[bytes], entity_lists: Sequence[Sequence[str]]) -> None:
-        """Append an entry per key, its list of distinct normalized names.
-
-        Every key and new name is checked before the first write: a key
-        that is not a raw sha256 or a name that is not a normalized entity
-        raises ContractError, and nothing is appended.
+        """Append an entry per key, its list of distinct normalized names;
+        with no key, write nothing. Every key and new name is checked before the
+        first write: a key that is not a raw sha256 or a name that is not a
+        normalized entity raises ContractError, and nothing is appended.
         """
+        if not keys:
+            return
         for key in keys:
             if len(key) != _ENTRY["key"].itemsize:
                 raise ContractError(f"an extraction cache key is a raw sha256, not {key!r}")
@@ -331,9 +332,12 @@ class ExtractionCache:
         self._name_ids.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
         self.names += fresh
         ids = np.fromiter(map(self._name_ids.__getitem__, named), dtype="<i4", count=len(named))
-        for file, data in zip(_FILES, (lines, ids.tobytes(), records.tobytes())):
+        committed = (self._names_size, 4 * len(self._ids), _ENTRY.itemsize * len(self._counts))
+        for file, size, data in zip(_FILES, committed, (lines, ids.tobytes(), records.tobytes())):
             with (self._directory / file).open("ab") as fh:
+                fh.truncate(size)
                 fh.write(data)
+        self._names_size += len(lines)
         self._entry_of.update(zip(keys, range(len(self._counts), len(self._counts) + len(keys))))
         self._ids = np.concatenate((self._ids, ids))
         self._counts = np.concatenate((self._counts, records["count"].astype(np.intp)))
@@ -359,33 +363,21 @@ class ExtractionCache:
             ) from None
 
 
-def _read_committed(directory: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The names, ids and entry records of the committed entries, once each
-    file is cut back to them."""
+def _read_committed(directory: Path) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """The names, ids and entry records of the committed entries, and the
+    size of the whole lines of ``names.txt``; a missing file reads as empty."""
     paths = {name: directory / name for name in _FILES}
-    for path in paths.values():
-        path.touch()  # made when missing
-
-    def cut(path: Path, size: int) -> None:
-        if path.stat().st_size > size:
-            os.truncate(path, size)
-
-    n_entries = paths["entries.bin"].stat().st_size // _ENTRY.itemsize
-    cut(paths["entries.bin"], n_entries * _ENTRY.itemsize)
-    entries = np.fromfile(paths["entries.bin"], dtype=_ENTRY, count=n_entries)
+    text, ids, entries = (p.read_bytes() if p.exists() else b"" for p in paths.values())
+    entries = np.frombuffer(entries, dtype=_ENTRY, count=len(entries) // _ENTRY.itemsize)
     n_ids = int(entries["count"].sum(dtype=np.int64))
-    held = paths["ids.bin"].stat().st_size // 4
+    held = len(ids) // 4
     if held < n_ids:
         raise CorpusFormatError(
             f"extraction cache {paths['entries.bin']}: its records count {n_ids} ids,"
             f" ids.bin holds {held}"
         )
-    cut(paths["ids.bin"], n_ids * 4)
-    ids = np.fromfile(paths["ids.bin"], dtype="<i4", count=n_ids)
-
-    text = paths["names.txt"].read_bytes()
+    ids = np.frombuffer(ids, dtype="<i4", count=n_ids)
     text = text[: text.rfind(b"\n") + 1]
-    cut(paths["names.txt"], len(text))
     try:
         names = text.decode("utf-8").split("\n")[:-1]
     except UnicodeDecodeError as exc:
@@ -396,7 +388,7 @@ def _read_committed(directory: Path) -> tuple[list[str], np.ndarray, np.ndarray]
             f"extraction cache {paths['ids.bin']}: id {past[0]} is not a line of the"
             f" {len(names)} in names.txt"
         )
-    return names, ids, entries
+    return names, ids, entries, len(text)
 
 
 def extract_entities(passage: Passage, extractor: ExtractionClient) -> list[str]:
@@ -426,6 +418,11 @@ def dedup_normalized(raw_entities: Iterable[str]) -> list[str]:
     return list(entities)
 
 
+# Passages per task of a pooled extraction: a task per passage costs the
+# pool's hand-off each time, which took more CPU than the extraction itself.
+_TASK_PASSAGES = 256
+
+
 def extract_corpus_entities(
     corpus: Corpus,
     extractor: ExtractionClient,
@@ -440,28 +437,39 @@ def extract_corpus_entities(
     the cache holds is a hit: it costs one dict lookup and its share of a
     numpy gather, and no extractor call. The misses are deduplicated by
     key, so each distinct content is extracted once, at its first passage,
-    and only that passage is made a ``Passage``; ``max_workers`` bounds the
-    extractions in flight. The workers only extract; this thread appends
-    every new entry in one ``ExtractionCache.append``, in passage order,
-    however the extraction ends. So a failed or interrupted build keeps
-    what it extracted, and the cache bytes do not depend on the workers.
+    and only that passage is made a ``Passage``. With ``max_workers`` above
+    1, a pool of that many threads takes the misses in tasks of up to
+    ``_TASK_PASSAGES`` passages, split so that every worker has one, and a
+    task stops before its next passage once another has failed. The
+    workers only extract; this thread appends every new entry in one
+    ``ExtractionCache.append``, in passage order, however the extraction
+    ends. So a failed or interrupted build keeps what it extracted, and the
+    cache bytes do not depend on the workers.
     """
     entries = cache.lookup(keys)
     misses = np.flatnonzero(entries < 0).tolist()
     # Each distinct missed content at its first passage, in passage order.
     firsts = sorted({keys[i]: i for i in reversed(misses)}.values())
     extracted: dict[int, list[str]] = {}
+    failed = threading.Event()
 
-    def extract(i: int) -> None:
-        extracted[i] = extract_entities(corpus[i], extractor)
+    def extract(task: list[int]) -> None:
+        try:
+            for i in task:
+                if failed.is_set():
+                    return
+                extracted[i] = extract_entities(corpus[i], extractor)
+        except BaseException:
+            failed.set()
+            raise
 
     try:
         if max_workers <= 1:
-            for i in firsts:
-                extract(i)
+            extract(firsts)
         else:
+            size = max(1, min(_TASK_PASSAGES, -(-len(firsts) // max_workers)))
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                list(pool.map(extract, firsts))
+                list(pool.map(extract, (firsts[s : s + size] for s in range(0, len(firsts), size))))
     finally:
         done = [i for i in firsts if i in extracted]
         cache.append([keys[i] for i in done], [extracted[i] for i in done])

@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EntityRows, PassageRows, norms_and_buckets, row_norms
+from .embeddings import EntityRows, PassageRows, hold_lock, norms_and_buckets, row_norms
 from .entities import EntitySets, distinct
 from .errors import IndexIntegrityError
 from .hypergraph import IncidenceMatrix, build_incidence
@@ -156,7 +156,10 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
 
     The manifest holds the index's own manifest, then ``extra_manifest``,
     then the format version, the counts and ``embedding_dim``, derived from
-    the index; a later source wins on a shared key.
+    the index; a later source wins on a shared key. The directory is held
+    for the save by ``embeddings.hold_lock`` on the file ``<name>.lock``
+    beside it: while another save holds it, raises ContractError naming the
+    index directory as in use by another build, and writes no index file.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -182,8 +185,13 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
         "passage_norms.bin": np.ascontiguousarray(index.passage_rows.norms, dtype="<f8"),
         MANIFEST_NAME: (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"),
     }
-    for name, data in files.items():
-        _replace(directory / name, data)
+    beside = directory.resolve()
+    lock = hold_lock(beside.with_name(f"{beside.name}.lock"), f"index directory {directory}")
+    try:
+        for name, data in files.items():
+            _replace(directory / name, data)
+    finally:
+        os.close(lock)
     return manifest
 
 

@@ -188,20 +188,10 @@ def diffuse(
     (``rank_passages`` checks them once per query).
 
     Each step is one call of ``apply_diffusion_operator``, and the steps and
-    the final hop share one ``hypergraph.DiffusionSupport``. A half-step
-    takes one of two routes. While the entries of its input's nonzero nodes
-    are under 5% of H's, it gathers only those, through H's entity-major
-    order or its passage-major one. From the first half-step past that share
-    on, each is full over the query's support: H, or H less its zero-weight
-    passages when they are at least half of all. A full H^T sums the
-    support's passages slot-major (by descending degree): one gather, one
-    vector add per slot, one scatter back. A full H e repeats each
-    passage's value over its entries. The routes add the same nonzero terms
-    in the same order, and skip only +-0.0 terms, which change no bit of a
-    sum that starts at +0.0, and the sums of zero-weight passages. So x_t is
-    bit for bit that of full passes over H, and so is p_t, except that
-    where x has negative entries a zero-weight passage's entry may be a
-    zero of the other sign.
+    the final hop share one ``hypergraph.DiffusionSupport``, whose routes
+    the ``hypergraph`` module docstring describes. x_t is bit for bit that
+    of full passes over H, and so is p_t, except that where x has negative
+    entries a zero-weight passage's entry may be a zero of the other sign.
     """
     if not checked:
         x, p = _checked_similarities(x, p, index)

@@ -49,6 +49,19 @@ def extract_through(
     return extract_corpus_entities(corpus, extractor, cache, max_workers, keys=keys)
 
 
+def cached_rows(cache, records) -> np.ndarray:
+    """The float32 matrix of the rows of ``records`` in an
+    ``EmbeddingCache``: the values that ``read_rows`` gathers into
+    ``EntityRows``."""
+    return cache.read_rows(records, EntityRows).values
+
+
+def embed_cached(texts, client, cache, batch_size: int = 64) -> np.ndarray:
+    """``embed_batch`` of ``texts`` through ``cache``, as the float32 matrix
+    of the ``EntityRows`` it gathers."""
+    return embed_batch(texts, client, cache, batch_size, layout=EntityRows).values
+
+
 def entity_sets_of(sets_by_pid: Mapping[str, Sequence[str]]) -> EntitySets:
     """The EntitySets of passage id -> entity list, passages in id order."""
     pids = sorted(sets_by_pid)

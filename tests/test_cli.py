@@ -1,4 +1,5 @@
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -261,6 +262,41 @@ class TestIndexCommand:
         assert capsys.readouterr().err == f"error: {damaged}\n"
         shutil.rmtree(extraction)  # as the message says
         assert main(["index"] + common(built)) == 0
+
+
+    def test_a_lowered_entry_count_cuts_no_id_and_restored_builds_the_cold_index(
+        self, built, capsys
+    ):
+        """A build that finds the damage exits 2 and writes no cache byte, so
+        undoing the damage undoes it all."""
+        extraction = built / "cache" / "extraction"
+        index_before = {f.name: f.read_bytes() for f in (built / "index").iterdir()}
+        entries = extraction / "entries.bin"
+        whole = entries.read_bytes()
+        assert whole[32:36] == np.uint32(2).tobytes()  # P1's count
+        entries.write_bytes(whole[:32] + np.uint32(1).tobytes() + whole[36:])
+        capsys.readouterr()
+        assert main(["index"] + common(built)) == 2
+        damaged = damaged_extraction_cache(extraction, "duplicate entity 'germany' in passage 'P2'")
+        assert capsys.readouterr().err == f"error: {damaged}\n"
+        assert (extraction / "ids.bin").stat().st_size == 28
+        entries.write_bytes(whole)
+        assert main(["index"] + common(built)) == 0
+        assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
+
+    def test_a_warm_rebuild_writes_no_cache_file(self, built):
+        def cache_files():
+            return {
+                path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in (built / "cache").rglob("*")
+                if path.is_file()
+            }
+
+        before = cache_files()
+        assert len(before) == 2 + 2 + 3 + 1  # both locks and manifests, the records
+        assert main(["index"] + common(built)) == 0
+        assert main(["index"] + common(built) + ["--max-workers", "4"]) == 0
+        assert cache_files() == before
 
 
 def damaged_extraction_cache(extraction, message):
@@ -727,6 +763,24 @@ class TestOneWriterPerCache:
             assert f"cache directory {held} is in use by another build" in capsys.readouterr().err
             assert not (tmp_path / "index").exists()
         assert main(self.index_args(tmp_path)) == 0
+
+    def test_a_build_into_a_held_index_directory_exits_2(self, tmp_path, no_network, capsys):
+        assert main(self.index_args(tmp_path)) == 0
+        before = self.index_files(tmp_path)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(Path(TOY_CORPUS).read_text().replace("Berlin", "Bonn"))
+        held = os.open(tmp_path / "index.lock", os.O_RDWR)
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            capsys.readouterr()
+            assert main(self.index_args(tmp_path, edited)) == 2
+            message = f"error: index directory {tmp_path / 'index'} is in use by another build"
+            assert capsys.readouterr().err == message + "\n"
+        finally:
+            os.close(held)
+        assert self.index_files(tmp_path) == before
+        assert main(self.index_args(tmp_path, edited)) == 0
+        assert self.index_files(tmp_path) != before
 
     def test_of_two_index_processes_on_one_cache_the_second_exits_2(self, tmp_path, no_network):
         # The first build reads its corpus from a FIFO, so it holds both

@@ -24,6 +24,7 @@ from hyperhop.embeddings import (
 from hyperhop.entities import ExtractionCache
 from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
 
+from conftest import cached_rows, embed_cached
 from reference import cosine, passage_cosines, row_norms, whole_matrix_screen
 
 
@@ -579,7 +580,7 @@ def test_rows_gathered_from_the_cache_are_bitwise_those_of_the_matrix(tmp_path, 
     cache.append([bytes([i % 256, i // 256]) * 16 for i in range(n_rows + 5)], values)
     records = rng.permutation(n_rows + 5)[:n_rows]
     records[-1] = records[0]  # a record read twice
-    matrix = cache.read_rows(records)
+    matrix = cached_rows(cache, records)
     assert matrix.tobytes() == values[records].tobytes()
 
     passages, want = cache.read_rows(records, PassageRows), PassageRows.of(matrix)
@@ -624,20 +625,20 @@ class TestEmbeddingCache:
         texts = ["one", "two", "three"]
         first_client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, first_client.encoder_id, first_client.dim)
-        first = embed_batch(texts, first_client, cache)
+        first = embed_cached(texts, first_client, cache)
         assert first_client.calls == 1
         cache.close()
 
         second_client = CountingEncoder()
         cache2 = EmbeddingCache(tmp_path, second_client.encoder_id, second_client.dim)
-        second = embed_batch(texts, second_client, cache2)
+        second = embed_cached(texts, second_client, cache2)
         assert second_client.calls == 0
         assert first.tobytes() == second.tobytes()
 
     def test_cache_invalidated_on_encoder_change(self, tmp_path):
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        embed_batch(["a"], client, cache)
+        embed_cached(["a"], client, cache)
         cache.close()
 
         other = OfflineEncoder(dim=32)
@@ -647,9 +648,9 @@ class TestEmbeddingCache:
     def test_partial_hits_only_encode_misses(self, tmp_path):
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        embed_batch(["a", "b"], client, cache)
+        embed_cached(["a", "b"], client, cache)
         calls_before = client.calls
-        matrix = embed_batch(["b", "c", "a"], client, cache)
+        matrix = embed_cached(["b", "c", "a"], client, cache)
         assert client.calls == calls_before + 1  # only "c" is new
         direct = client.encode_batch(["b", "c", "a"])
         client.calls -= 1
@@ -677,15 +678,15 @@ class TestEmbeddingCache:
         assert len(reopened.lookup(abc)) == (3 if with_manifest else 0)
         d, key = client.encode_batch(["d"]), text_key("d")
         reopened.append([key], d)
-        np.testing.assert_array_equal(reopened.read_rows([reopened.lookup([key])[key]]), d)
+        np.testing.assert_array_equal(cached_rows(reopened, [reopened.lookup([key])[key]]), d)
         reopened.close()
 
         again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         assert again.lookup([key]) == {key: 3 if with_manifest else 0}
-        np.testing.assert_array_equal(again.read_rows([again.lookup([key])[key]]), d)
+        np.testing.assert_array_equal(cached_rows(again, [again.lookup([key])[key]]), d)
         if with_manifest:
             abc_rows = client.encode_batch(["a", "b", "c"])
-            assert again.read_rows([0, 1, 2]).tobytes() == abc_rows.tobytes()
+            assert cached_rows(again, [0, 1, 2]).tobytes() == abc_rows.tobytes()
 
     def test_half_a_record_is_truncated_then_appends_read_back(self, tmp_path):
         client = CountingEncoder()
@@ -698,7 +699,7 @@ class TestEmbeddingCache:
         cache.close()
 
         reopened = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        assert records.stat().st_size == record_size
+        assert records.stat().st_size == record_size + record_size // 2  # opening writes nothing
         texts = ["b", "c"]
         reopened.append([text_key(t) for t in texts], client.encode_batch(texts))
         assert records.stat().st_size == 3 * record_size
@@ -706,8 +707,28 @@ class TestEmbeddingCache:
         again = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         offsets = again.lookup([text_key(t) for t in ["a", "b", "c"]])
         assert sorted(offsets.values()) == [0, 1, 2]
-        rows = again.read_rows([offsets[text_key(t)] for t in ["a", "b", "c"]])
+        rows = cached_rows(again, [offsets[text_key(t)] for t in ["a", "b", "c"]])
         assert rows.tobytes() == client.encode_batch(["a", "b", "c"]).tobytes()
+
+    def test_a_half_record_stays_until_the_next_append(self, tmp_path):
+        """Opening, looking up, gathering and closing write nothing; the next
+        append cuts the half record before it writes."""
+        client = CountingEncoder()
+        embed_cached(["a"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
+        records = tmp_path / "records.bin"
+        record_size = 32 + 4 * client.dim
+        with records.open("ab") as fh:
+            fh.write(b"\x07" * (record_size // 2))
+        torn = records.read_bytes()
+        with closing(EmbeddingCache(tmp_path, client.encoder_id, client.dim)) as cache:
+            warm = embed_cached(["a", "a"], client, cache)
+            assert client.calls == 1 and records.read_bytes() == torn
+        cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
+        assert records.read_bytes() == torn
+        both = embed_cached(["b", "a"], client, cache)
+        assert records.stat().st_size == 2 * record_size
+        assert records.read_bytes()[:record_size] == torn[:record_size]
+        assert both[1].tobytes() == warm[0].tobytes() == client.encode_batch(["a"]).tobytes()
 
     def test_read_rows_gathers_only_the_first_count_rows(self, tmp_path):
         client = CountingEncoder()
@@ -720,15 +741,15 @@ class TestEmbeddingCache:
         with (tmp_path / "records.bin").open("ab") as fh:
             fh.write(bytes(32 + 4 * client.dim // 2))
         offsets = [39, 0, 7, 7, 20]
-        rows = cache.read_rows(offsets)
+        rows = cached_rows(cache, offsets)
         assert type(rows) is np.ndarray and rows.dtype == np.dtype("<f4")
         assert rows.tobytes() == vectors[offsets].tobytes()
         with pytest.raises(IndexError):
-            cache.read_rows([40])
+            cached_rows(cache, [40])
 
     def test_manifest_of_another_dim_discards_the_records(self, tmp_path):
         client = CountingEncoder()
-        embed_batch(["a", "b"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
+        embed_cached(["a", "b"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
         other = CountingEncoder(dim=16)
         other.encoder_id = client.encoder_id  # same id, another width
         cache = EmbeddingCache(tmp_path, other.encoder_id, other.dim)
@@ -737,7 +758,7 @@ class TestEmbeddingCache:
         assert json.loads((tmp_path / "manifest.json").read_text()) == {
             "dim": 16, "encoder_id": client.encoder_id, "layout": 3
         }
-        embed_batch(["a"], other, cache)
+        embed_cached(["a"], other, cache)
         assert other.calls == 1
 
     def test_old_layout_with_a_count_is_discarded(self, tmp_path):
@@ -752,7 +773,7 @@ class TestEmbeddingCache:
         assert cache.lookup([text_key("a")]) == {}
         assert sorted(f.name for f in tmp_path.iterdir()) == ["lock", "manifest.json"]
         assert "count" not in json.loads((tmp_path / "manifest.json").read_text())
-        embed_batch(["a"], client, cache)
+        embed_cached(["a"], client, cache)
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "lock", "manifest.json", "records.bin"
         ]
@@ -760,7 +781,7 @@ class TestEmbeddingCache:
     @pytest.mark.parametrize("manifest", [b"{not json", b"", b"[1, 2]"])
     def test_garbage_manifest_is_replaced(self, tmp_path, manifest):
         client = CountingEncoder()
-        embed_batch(["a"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
+        embed_cached(["a"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
         (tmp_path / "manifest.json").write_bytes(manifest)
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         assert cache.lookup([text_key("a")]) == {}
@@ -819,8 +840,8 @@ class TestEmbeddingCache:
 
         client = CountingEncoder()
         texts = ["a", "b", "a", "c"]
-        cold = embed_batch(texts, client, CountingCache(tmp_path, client.encoder_id, client.dim))
-        warm = embed_batch(texts, client, CountingCache(tmp_path, client.encoder_id, client.dim))
+        cold = embed_cached(texts, client, CountingCache(tmp_path, client.encoder_id, client.dim))
+        warm = embed_cached(texts, client, CountingCache(tmp_path, client.encoder_id, client.dim))
         assert seen == [(4, 0), (4, 3)]
         assert client.calls == 1 and cold.tobytes() == warm.tobytes()
 
@@ -829,7 +850,7 @@ class TestEmbeddingCache:
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         manifest = tmp_path / "manifest.json"
         before = (manifest.read_bytes(), manifest.stat().st_mtime_ns, manifest.stat().st_ino)
-        embed_batch([f"text {i}" for i in range(10)], client, cache, batch_size=3)
+        embed_cached([f"text {i}" for i in range(10)], client, cache, batch_size=3)
         assert client.calls == 4
         assert (manifest.read_bytes(), manifest.stat().st_mtime_ns, manifest.stat().st_ino) == before
         assert not (tmp_path / "keys.txt").exists()
@@ -837,7 +858,7 @@ class TestEmbeddingCache:
     def test_duplicate_texts_encoded_once(self, tmp_path):
         client = CountingEncoder()
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
-        matrix = embed_batch(["same", "same", "same"], client, cache, batch_size=1)
+        matrix = embed_cached(["same", "same", "same"], client, cache, batch_size=1)
         assert client.calls == 1
         np.testing.assert_array_equal(matrix[0], matrix[2])
 
@@ -851,6 +872,14 @@ def test_embedding_error_carries_batch_offsets():
     with pytest.raises(EmbeddingError) as excinfo:
         embed_batch(["a", "b", "c"], ExplodingEncoder(dim=8), batch_size=2)
     assert excinfo.value.batch_offsets == (0, 2)
+
+
+def test_a_cached_embed_batch_needs_a_layout(tmp_path):
+    client = CountingEncoder()
+    with closing(EmbeddingCache(tmp_path, client.encoder_id, client.dim)) as cache:
+        with pytest.raises(ContractError, match="into a layout"):
+            embed_batch(["a"], client, cache)
+    assert client.calls == 0 and not (tmp_path / "records.bin").exists()
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
@@ -877,14 +906,14 @@ def test_non_finite_batch_is_not_cached(tmp_path):
     healthy encoder on the same cache succeeds."""
     healthy = OfflineEncoder(dim=8)
     texts = ["a", "b", "c"]
-    embed_batch(["a"], healthy, EmbeddingCache(tmp_path, healthy.encoder_id, 8))
+    embed_cached(["a"], healthy, EmbeddingCache(tmp_path, healthy.encoder_id, 8))
     with closing(EmbeddingCache(tmp_path, healthy.encoder_id, 8)) as cache:
         with pytest.raises(EmbeddingError, match=r"offsets \[0, 1\)") as excinfo:
-            embed_batch(texts, NaNEncoder(dim=8), cache, 1)
+            embed_cached(texts, NaNEncoder(dim=8), cache, 1)
     assert excinfo.value.batch_offsets == (0, 1)
     cache = EmbeddingCache(tmp_path, healthy.encoder_id, 8)
     assert list(cache.lookup([text_key(t) for t in texts])) == [text_key("a")]
-    rows = embed_batch(texts, healthy, cache)
+    rows = embed_cached(texts, healthy, cache)
     assert rows.tobytes() == embed_batch(texts, healthy).tobytes()
 
 
@@ -892,7 +921,7 @@ def test_non_finite_cached_row_is_an_integrity_error(tmp_path):
     """The error names the file, the first damaged record read and the way
     out; a request that reads no damaged record is served."""
     client = OfflineEncoder(dim=8)
-    embed_batch(["a", "b", "c"], client, EmbeddingCache(tmp_path, client.encoder_id, 8))
+    embed_cached(["a", "b", "c"], client, EmbeddingCache(tmp_path, client.encoder_id, 8))
     records = tmp_path / "records.bin"
     raw = bytearray(records.read_bytes())
     size = len(raw) // 3
@@ -902,11 +931,11 @@ def test_non_finite_cached_row_is_an_integrity_error(tmp_path):
     records.write_bytes(bytes(raw))
     cache = EmbeddingCache(tmp_path, client.encoder_id, 8)
     with pytest.raises(IndexIntegrityError, match="non-finite") as excinfo:
-        embed_batch(["c", "b", "a"], client, cache)
+        embed_cached(["c", "b", "a"], client, cache)
     message = str(excinfo.value)
     assert str(records) in message
     assert "record 1 " in message
     assert f"delete the cache directory {tmp_path}" in message
     with pytest.raises(IndexIntegrityError, match="record 2 "):
-        embed_batch(["c"], client, cache)
-    assert embed_batch(["a"], client, cache).tobytes() == embed_batch(["a"], client).tobytes()
+        embed_cached(["c"], client, cache)
+    assert embed_cached(["a"], client, cache).tobytes() == embed_batch(["a"], client).tobytes()

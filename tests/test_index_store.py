@@ -1,7 +1,9 @@
+import fcntl
 import gc
 import io
 import json
 import mmap
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,7 +23,7 @@ from hyperhop.embeddings import (
     embed_batch,
     norms_and_buckets,
 )
-from hyperhop.errors import IndexIntegrityError
+from hyperhop.errors import ContractError, IndexIntegrityError
 from hyperhop.index_store import (
     _NORM_CHECKS,
     build_index,
@@ -502,6 +504,47 @@ def test_a_failed_save_leaves_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_index(make_toy_index(), tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+class TestIndexDirectoryLock:
+    @staticmethod
+    def lock_is_free(lock_path):
+        lock = os.open(lock_path, os.O_RDWR)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            return True
+        except BlockingIOError:
+            return False
+        finally:
+            os.close(lock)
+
+    def test_a_save_into_a_held_directory_raises_and_writes_nothing(self, tmp_path):
+        directory, lock_path = tmp_path / "index", tmp_path / "index.lock"
+        save_index(make_toy_index(), directory)
+        before = {f.name: f.read_bytes() for f in directory.iterdir()}
+        other = make_toy_index({"P1": ["alpha"], "P2": ["beta"]})
+        held = os.open(lock_path, os.O_RDWR)
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            message = f"^index directory {directory} is in use by another build"
+            with pytest.raises(ContractError, match=message):
+                save_index(other, directory)
+        finally:
+            os.close(held)
+        assert {f.name: f.read_bytes() for f in directory.iterdir()} == before
+        save_index(other, directory)
+        assert load_index(directory).entity_names == ["alpha", "beta"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["index", "index.lock"]
+        assert self.lock_is_free(lock_path)
+
+    def test_a_failed_save_releases_the_lock(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(index_store.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(make_toy_index(), tmp_path / "index")
+        assert self.lock_is_free(tmp_path / "index.lock")
 
 
 def _exits_2_naming(directory, capsys, message):
