@@ -12,13 +12,14 @@ import fcntl
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import weakref
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -112,9 +113,10 @@ def text_key(text: str) -> bytes:
 
 # A record's key is read as raw bytes (V32): an S32 field would drop trailing NULs.
 _KEY = np.dtype("V32")
-# Keys are passage_sha256s. Layout 2 keyed the raw sha256 of the embedded
-# text, and the layout of 64-character hex keys had no tag.
-_LAYOUT = 3
+# Keys are passage_sha256s. Layout 3 stored no norm or bucket, layout 2 keyed
+# the raw sha256 of the embedded text, and the layout of 64-character hex keys
+# had no tag.
+_LAYOUT = 4
 
 
 def hold_lock(path: Path, what: str) -> int:
@@ -173,10 +175,12 @@ class EmbeddingCache:
 
     ``manifest.json`` holds the encoder id, the dim and the layout (see
     ``open_cache``). ``records.bin`` holds one fixed-size record per entry:
-    the 32 raw bytes of the key, then the float32 little-endian row. A key
-    and its row are written together, so they cannot disagree, and the keys
-    are taken as the mapped bytes, so a damaged key is a miss, not a crash.
-    The entry count is the whole records found at opening plus those
+    the 32 raw bytes of the key, the float32 little-endian row, then the
+    row's float64 norm and uint16 ``EntityRows`` bucket, which ``append``
+    takes once (``norms_and_buckets``) so that a build only gathers them. A
+    key and its row are written together, so they cannot disagree, and the
+    keys are taken as the mapped bytes, so a damaged key is a miss, not a
+    crash. The entry count is the whole records found at opening plus those
     appended. ``append`` alone writes: it first cuts a partial record that
     a crashed append left. The cache holds its directory until ``close()``
     (``open_cache``).
@@ -186,7 +190,9 @@ class EmbeddingCache:
         self.directory = Path(directory)
         self.dim = dim
         self._records = self.directory / "records.bin"
-        self._dtype = np.dtype([("key", _KEY), ("row", "<f4", (dim,))])
+        self._dtype = np.dtype(
+            [("key", _KEY), ("row", "<f4", (dim,)), ("norm", "<f8"), ("bucket", "<u2")]
+        )
         producer = {"dim": dim, "encoder_id": encoder_id, "layout": _LAYOUT}
         self.close = open_cache(self, self.directory, producer)
         size = self._records.stat().st_size if self._records.exists() else 0
@@ -206,30 +212,52 @@ class EmbeddingCache:
     def read_rows(
         self, records: Sequence[int], layout: type[EntityRows] | type[PassageRows]
     ) -> EntityRows | PassageRows:
-        """The ``layout.of`` (``EntityRows`` or ``PassageRows``) of the rows
-        of ``records``, gathered into it block by block from a read-only map
-        of the first ``count`` records, so only their pages are read.
+        """The ``EntityRows`` or ``PassageRows`` (``layout``) of the records
+        ``records``, from a read-only map of the first ``count`` records, so
+        only their pages are read: their stored norms and buckets gathered
+        whole, their rows ``ROW_BLOCK`` at a time into the values or the
+        columns. Nothing is computed again from a row.
 
-        Raises IndexIntegrityError naming the first record that holds a
-        non-finite value: the encoder path never appends one, so the file is
-        damaged. The rows are checked through their norms: the float64
-        squares of finite float32 values cannot overflow, so a row's sum of
-        squares is finite exactly when its values are.
+        Raises IndexIntegrityError naming the first record read that holds
+        a norm that is not finite and >= 0 or a bucket above ``2 dim``, or a
+        non-finite value: ``append`` writes none, so the file is damaged.
+        The stored norms do not show a row's finiteness, so each block of
+        rows is checked by its min and max, through which NaN propagates.
         """
         records = np.asarray(records, dtype=np.int64)
-        rows = layout.of(self._mapped()["row"], records)
-        finite = np.isfinite(rows.norms)
-        if not finite.all():
-            raise IndexIntegrityError(
-                f"embedding cache {self._records} holds non-finite entries, first in record"
-                f" {records[~finite].min()} (counted from 0); delete the cache directory"
-                f" {self.directory} and build again"
-            )
-        return rows
+        mapped = self._mapped()
+        rows, norms, buckets = mapped["row"], mapped["norm"][records], mapped["bucket"][records]
+        bad = ~(np.isfinite(norms) & (norms >= 0.0)) | (buckets > 2 * self.dim)
+        if bad.any():
+            raise self._damaged("a norm or bucket out of range", records[bad].min())
+        shape = (len(records), self.dim) if layout is EntityRows else (self.dim, len(records))
+        out = np.empty(shape, dtype=np.float32)
+        for start in range(0, len(records), ROW_BLOCK):
+            stop = start + ROW_BLOCK
+            block = rows[records[start:stop]]
+            if not (math.isfinite(block.min()) and math.isfinite(block.max())):
+                read = np.unique(records)
+                first = read[~np.isfinite(rows[read]).all(axis=1)].min()
+                raise self._damaged("non-finite entries", first)
+            if layout is EntityRows:
+                out[start:stop] = block
+            else:
+                out[:, start:stop] = block.T
+        if layout is EntityRows:
+            return EntityRows.from_buckets(out, norms, buckets)
+        out.flags.writeable = norms.flags.writeable = False
+        return PassageRows(out, norms)
+
+    def _damaged(self, what: str, record: int) -> IndexIntegrityError:
+        return IndexIntegrityError(
+            f"embedding cache {self._records} holds {what}, first in record {record} (counted"
+            f" from 0); delete the cache directory {self.directory} and build again"
+        )
 
     def append(self, keys: Sequence[bytes], vectors: np.ndarray) -> np.ndarray:
         """Append a record of each key the cache does not hold yet, with its
-        row of ``vectors``; returns every key's record, int64."""
+        row of ``vectors`` and that row's ``norms_and_buckets``; returns
+        every key's record, int64."""
         if vectors.shape != (len(keys), self.dim):
             raise ContractError("cache append shape mismatch")
         for key in keys:
@@ -240,6 +268,7 @@ class EmbeddingCache:
             records = np.empty(len(fresh), dtype=self._dtype)
             records["key"] = list(fresh)
             records["row"] = vectors[list(fresh.values())]
+            records["norm"], records["bucket"] = norms_and_buckets(records["row"])
             with self._records.open("ab") as fh:
                 fh.truncate(self._count * self._dtype.itemsize)
                 fh.write(records.tobytes())
@@ -262,12 +291,14 @@ def embed_batch(
     cache, a layout is required: ContractError without one.
 
     ``keys`` are the texts' cache keys, each text's ``text_key`` when not
-    given. A build passes the passages' ``passage_sha256`` and a sequence
-    whose i-th text is made when read, and only a miss's text is read. The
-    misses come first: deduplicated by key, so a repeated text is encoded
-    once, they reach the encoder client ``batch_size`` texts per call, and
-    each batch is appended to the cache. Then every row is gathered from
-    the cache in one pass into the layout (``EmbeddingCache.read_rows``). A
+    given. A build passes the catalog's keys from its extraction cache
+    (``ExtractionCache.name_keys``), and the passages' ``passage_sha256``
+    with a sequence whose i-th text is made when read, and only a miss's
+    text is read. The misses come first: deduplicated by key, so a repeated
+    text is encoded once, they reach the encoder client ``batch_size``
+    texts per call, and each batch is appended to the cache. Then every
+    row, with its stored norm and bucket, is gathered from the cache in one
+    pass into the layout (``EmbeddingCache.read_rows``). A
     remote failure, or a batch holding a non-finite value, raises
     EmbeddingError carrying the offsets of the failing batch among the
     misses, before the batch reaches the cache; a non-finite value read
@@ -378,16 +409,6 @@ def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def _blocks_of(
-    values: np.ndarray, records: np.ndarray | None
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(start, stop, block)`` over the rows of ``values``, or over its rows
-    at ``records`` in that order, gathered, ``ROW_BLOCK`` rows at a time."""
-    for start in range(0, len(values if records is None else records), ROW_BLOCK):
-        stop = start + ROW_BLOCK
-        yield start, stop, values[start:stop] if records is None else values[records[start:stop]]
-
-
 @dataclass(frozen=True, eq=False)
 class PassageRows:
     """What the passage similarity reads of the passages: the stored float32
@@ -407,19 +428,17 @@ class PassageRows:
     norms: np.ndarray  # float64 (n_passages,)
 
     @classmethod
-    def of(cls, values: np.ndarray, records: np.ndarray | None = None) -> PassageRows:
+    def of(cls, values: np.ndarray) -> PassageRows:
         """The passage rows of the float32 (n_passages, dim) matrix
-        ``values``, or of its rows at ``records`` in that order: each block,
-        gathered, is transposed into ``columns`` and its norms taken while it
-        is in cache."""
-        n_rows = values.shape[0] if records is None else records.shape[0]
-        columns = np.empty((values.shape[1], n_rows), dtype=np.float32)
-        norms = np.empty(n_rows, dtype=np.float64)
-        for start, stop, block in _blocks_of(values, records):
-            columns[:, start:stop] = block.T
-            norms[start:stop] = row_norms(block)
-        columns.flags.writeable = False
-        norms.flags.writeable = False
+        ``values``: each block of ``ROW_BLOCK`` rows is transposed into
+        ``columns`` and its norms taken while it is in cache."""
+        columns = np.empty((values.shape[1], values.shape[0]), dtype=np.float32)
+        norms = np.empty(values.shape[0], dtype=np.float64)
+        for start in range(0, values.shape[0], ROW_BLOCK):
+            block = values[start : start + ROW_BLOCK]
+            columns[:, start : start + ROW_BLOCK] = block.T
+            norms[start : start + ROW_BLOCK] = row_norms(block)
+        columns.flags.writeable = norms.flags.writeable = False
         return cls(columns, norms)
 
 
@@ -614,10 +633,11 @@ class EntityRows:
     the rows of the buckets that can reach ``eta`` (see ``reachable_rows``).
     The buckets are an exact cone bound, after LEMP (Teflioudi, Gemulla &
     Mykytiuk, SIGMOD 2015) and cone trees (Ram & Gray, KDD 2012), whose
-    centroids are the axes, so they need no training. A build takes each
-    row's norm and bucket once (``of``) and the index stores both, in
-    ``entity_norms.bin`` and ``entity_buckets.bin``; a load derives the rest
-    from them (``from_buckets``).
+    centroids are the axes, so they need no training. Each row's norm and
+    bucket are taken once, when the embedding cache stores the row
+    (``EmbeddingCache.append``; ``of`` without a cache), and the index
+    stores both, in ``entity_norms.bin`` and ``entity_buckets.bin``; a
+    build and a load derive the rest from them (``from_buckets``).
 
     A row ``e`` whose norm ``n`` lies in ``[2**-126, 2**127)`` goes to
     bucket ``2 k + [e_k < 0]``, with ``k`` the first coordinate of largest
@@ -638,22 +658,17 @@ class EntityRows:
     cos_r: np.ndarray  # float64 (2 dim + 1,)
 
     @classmethod
-    def of(cls, values: np.ndarray, records: np.ndarray | None = None) -> EntityRows:
-        """The entity rows of the float32 matrix ``values``, or of its rows
-        at ``records`` in that order, gathered into a new matrix: each
-        block's norms and buckets (``norms_and_buckets``) taken while the
-        block is in cache, then the rest derived as a load derives it."""
+    def of(cls, values: np.ndarray) -> EntityRows:
+        """The entity rows of the float32 matrix ``values``: the norms and
+        buckets of each block of ``ROW_BLOCK`` rows (``norms_and_buckets``),
+        then the rest derived as a load derives it."""
         values = np.asarray(values)
-        rows = values
-        if records is not None:
-            rows = np.empty((records.shape[0], values.shape[1]), dtype=np.float32)
-        norms = np.empty(rows.shape[0], dtype=np.float64)
-        buckets = np.empty(rows.shape[0], dtype=np.uint16)
-        for start, stop, block in _blocks_of(values, records):
-            if records is not None:
-                rows[start:stop] = block
-            norms[start:stop], buckets[start:stop] = norms_and_buckets(block)
-        return cls.from_buckets(rows, norms, buckets)
+        norms = np.empty(values.shape[0], dtype=np.float64)
+        buckets = np.empty(values.shape[0], dtype=np.uint16)
+        for start in range(0, values.shape[0], ROW_BLOCK):
+            stop = start + ROW_BLOCK
+            norms[start:stop], buckets[start:stop] = norms_and_buckets(values[start:stop])
+        return cls.from_buckets(values, norms, buckets)
 
     @classmethod
     def from_buckets(

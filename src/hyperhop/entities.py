@@ -24,7 +24,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .corpus import Corpus, Passage
-from .embeddings import open_cache
+from .embeddings import open_cache, text_key
 from .errors import ContractError, CorpusFormatError, ExtractionError
 
 # Tokens that may never start a capitalized span in the offline extractor.
@@ -139,18 +139,18 @@ class EntitySets:
     @functools.cached_property
     def catalog(self) -> list[str]:
         """The used names in first-seen order, by passage then by position."""
-        return [self.names[i] for i in self._first_seen.tolist()]
+        return [self.names[i] for i in self.catalog_ids.tolist()]
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
         """The catalog row of each id, as intp."""
         row_of = np.empty(len(self.names), dtype=np.intp)
-        row_of[self._first_seen] = np.arange(len(self._first_seen))
+        row_of[self.catalog_ids] = np.arange(len(self.catalog_ids))
         return row_of[self.ids]
 
     @functools.cached_property
-    def _first_seen(self) -> np.ndarray:
-        """The ids of the used names, in first-seen order."""
+    def catalog_ids(self) -> np.ndarray:
+        """The ids of the used names, in first-seen order: the catalog's."""
         first = np.full(len(self.names), len(self.ids), dtype=np.intp)
         np.minimum.at(first, self.ids, np.arange(len(self.ids), dtype=np.intp))
         used = np.flatnonzero(first < len(self.ids))
@@ -255,11 +255,13 @@ def _reply_names(reply: str) -> list[str]:
     return [line.strip(" -*\t") for line in reply.splitlines() if line.strip(" -*\t")]
 
 
-# An entry record: the raw passage_sha256, then the count of the entry's ids.
 # Keys are read as raw bytes (V32): an S32 field would drop trailing NULs.
-_ENTRY = np.dtype([("key", "V32"), ("count", "<u4")])
+_KEY = np.dtype("V32")
+# An entry record: the raw passage_sha256, then the count of the entry's ids.
+_ENTRY = np.dtype([("key", _KEY), ("count", "<u4")])
 _LAYOUT = 2  # the array layout; the older records.jsonl one had no tag
-_FILES = ("names.txt", "ids.bin", "entries.bin")  # in the order an append writes them
+_FILES = ("names.txt", "ids.bin", "entries.bin")  # the files of the entries
+_WRITES = ("names.txt", "keys.bin", "ids.bin", "entries.bin")  # in the order an append writes
 
 
 class ExtractionCache:
@@ -276,6 +278,9 @@ class ExtractionCache:
     - ``ids.bin``: the int32 name ids of every entry, entry after entry.
     - ``entries.bin``: one record per entry, the 32-byte ``passage_sha256``
       and the uint32 count of the entry's ids.
+    - ``keys.bin``: the 32-byte ``embeddings.text_key`` of each line of
+      ``names.txt``, in line order, which the embedding cache keys the
+      name's row by (``name_keys``).
 
     The key hashes all an extractor reads of a passage, so an edited title
     or text is a miss and the entry of the old text stays valid for it.
@@ -284,10 +289,12 @@ class ExtractionCache:
     and the whole lines of ``names.txt`` (a missing file is empty); files
     they cannot be read from (too few ids, an id past ``names.txt``, a
     repeated or non-UTF-8 name) raise CorpusFormatError naming the file.
-    ``append`` alone writes, from one thread: it cuts each file back to the
-    committed entries, then writes its entries' new names, ids and records,
-    in that file order and one write per file. So an entry is committed
-    once its record is whole.
+    The keys of the names past the whole keys of ``keys.bin`` (a cache
+    written before it, a torn append) are computed at opening. ``append``
+    alone writes, from one thread: it writes its entries' new names, the
+    keys ``keys.bin`` lacks, then the ids and records, in that file order
+    and one write per file, each cut back to its committed bytes first. So
+    an entry is committed once its record is whole.
     """
 
     def __init__(self, directory: str | Path, extractor_id: str):
@@ -304,20 +311,29 @@ class ExtractionCache:
             )
         self._entry_of = dict(zip(entries["key"].tolist(), range(len(entries))))
         self._ids, self._counts = ids, entries["count"].astype(np.intp)
+        keys = directory / "keys.bin"
+        stored = keys.read_bytes() if keys.exists() else b""
+        self._keyed = min(len(stored) // _KEY.itemsize, len(self.names))  # whole keys on disk
+        self._keys = np.concatenate(
+            (np.frombuffer(stored, _KEY, self._keyed), _text_keys(self.names[self._keyed :]))
+        )
 
     def lookup(self, keys: Sequence[bytes]) -> np.ndarray:
         """The entry of each key as intp, -1 for a miss."""
         entries = map(self._entry_of.get, keys, repeat(-1))
         return np.fromiter(entries, dtype=np.intp, count=len(keys))
 
+    def name_keys(self, ids: np.ndarray) -> list[bytes]:
+        """The ``embeddings.text_key`` of the name of each id."""
+        return self._keys[ids].tolist()
+
     def append(self, keys: Sequence[bytes], entity_lists: Sequence[Sequence[str]]) -> None:
-        """Append an entry per key, its list of distinct normalized names;
-        with no key, write nothing. Every key and new name is checked before the
+        """Append an entry per key, its list of distinct normalized names,
+        and the keys of the names ``keys.bin`` lacks; a file with nothing to
+        append is not written. Every key and new name is checked before the
         first write: a key that is not a raw sha256 or a name that is not a
         normalized entity raises ContractError, and nothing is appended.
         """
-        if not keys:
-            return
         for key in keys:
             if len(key) != _ENTRY["key"].itemsize:
                 raise ContractError(f"an extraction cache key is a raw sha256, not {key!r}")
@@ -331,13 +347,22 @@ class ExtractionCache:
         records["key"], records["count"] = keys, list(map(len, entity_lists))
         self._name_ids.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
         self.names += fresh
+        self._keys = np.concatenate((self._keys, _text_keys(fresh)))
         ids = np.fromiter(map(self._name_ids.__getitem__, named), dtype="<i4", count=len(named))
-        committed = (self._names_size, 4 * len(self._ids), _ENTRY.itemsize * len(self._counts))
-        for file, size, data in zip(_FILES, committed, (lines, ids.tobytes(), records.tobytes())):
-            with (self._directory / file).open("ab") as fh:
-                fh.truncate(size)
-                fh.write(data)
+        committed = (
+            self._names_size,
+            _KEY.itemsize * self._keyed,
+            4 * len(self._ids),
+            _ENTRY.itemsize * len(self._counts),
+        )
+        data = (lines, self._keys[self._keyed :].tobytes(), ids.tobytes(), records.tobytes())
+        for file, size, tail in zip(_WRITES, committed, data):
+            if tail:
+                with (self._directory / file).open("ab") as fh:
+                    fh.truncate(size)
+                    fh.write(tail)
         self._names_size += len(lines)
+        self._keyed = len(self.names)
         self._entry_of.update(zip(keys, range(len(self._counts), len(self._counts) + len(keys))))
         self._ids = np.concatenate((self._ids, ids))
         self._counts = np.concatenate((self._counts, records["count"].astype(np.intp)))
@@ -361,6 +386,10 @@ class ExtractionCache:
                 f" cached entries are damaged ({exc}); delete the cache directory"
                 f" {self._directory} and build again"
             ) from None
+
+
+def _text_keys(names: Sequence[str]) -> np.ndarray:
+    return np.array(list(map(text_key, names)), dtype=_KEY)
 
 
 def _read_committed(directory: Path) -> tuple[list[str], np.ndarray, np.ndarray, int]:
@@ -444,10 +473,16 @@ def extract_corpus_entities(
     workers only extract; this thread appends every new entry in one
     ``ExtractionCache.append``, in passage order, however the extraction
     ends. So a failed or interrupted build keeps what it extracted, and the
-    cache bytes do not depend on the workers.
+    cache bytes do not depend on the workers. The hits' entries are
+    gathered and checked (``ExtractionCache.entity_sets``) before anything
+    is extracted or appended, so damaged entries fail the build before an
+    append can cut the cache back to them.
     """
     entries = cache.lookup(keys)
-    misses = np.flatnonzero(entries < 0).tolist()
+    hits = entries >= 0
+    misses = np.flatnonzero(~hits).tolist()
+    hit_ids = [corpus.ids[i] for i in np.flatnonzero(hits).tolist()] if misses else corpus.ids
+    checked = cache.entity_sets(hit_ids, entries[hits])
     # Each distinct missed content at its first passage, in passage order.
     firsts = sorted({keys[i]: i for i in reversed(misses)}.values())
     extracted: dict[int, list[str]] = {}
@@ -473,5 +508,7 @@ def extract_corpus_entities(
     finally:
         done = [i for i in firsts if i in extracted]
         cache.append([keys[i] for i in done], [extracted[i] for i in done])
+    if not misses:
+        return checked
     entries[misses] = cache.lookup([keys[i] for i in misses])
     return cache.entity_sets(corpus.ids, entries)

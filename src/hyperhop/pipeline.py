@@ -116,10 +116,12 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
     """Extract, embed, assemble and persist the index; returns it with its manifest.
 
     Each passage is keyed once, by the ``passage_sha256`` of its title and
-    text, and both caches look it up by that key. The embedding of the
-    entity names and then of the passages encodes and appends their misses
-    first, then gathers every row from the cache straight into the layout
-    the index stores (``embed_batch``). Idempotent with warm caches:
+    text, and both caches look it up by that key; each entity name is keyed
+    once, when the extraction cache stores it (``ExtractionCache.name_keys``).
+    The embedding of the entity names and then of the passages encodes and
+    appends their misses first, then gathers every row, with the norm and
+    bucket the cache stored with it, straight into the layout the index
+    stores (``embed_batch``). Idempotent with warm caches:
     extraction and embedding results are reused and the index is reproduced
     byte for byte. The manifest's ``corpus_sha256`` is the digest of the
     bytes the passages were parsed from, however the file changes during
@@ -142,7 +144,12 @@ def build_index_from_corpus(config: AppConfig) -> tuple[HypergraphIndex, dict]:
             corpus, extractor, extraction_cache, max_workers=config.max_workers, keys=keys
         )
         entity_rows = embed_batch(
-            entity_sets.catalog, encoder, embedding_cache, config.batch_size, layout=EntityRows
+            entity_sets.catalog,
+            encoder,
+            embedding_cache,
+            config.batch_size,
+            keys=extraction_cache.name_keys(entity_sets.catalog_ids),
+            layout=EntityRows,
         )
         passage_rows = embed_batch(
             _PassageTexts(corpus),

@@ -161,7 +161,7 @@ class TestIndexCommand:
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
         assert sorted(f.name for f in extraction.iterdir()) == [
-            "entries.bin", "ids.bin", "lock", "manifest.json", "names.txt"
+            "entries.bin", "ids.bin", "keys.bin", "lock", "manifest.json", "names.txt"
         ]
         assert (extraction / "entries.bin").stat().st_size == 3 * 36  # extracted again
 
@@ -178,8 +178,10 @@ class TestIndexCommand:
         assert sorted(f.name for f in embeddings.iterdir()) == [
             "lock", "manifest.json", "records.bin"
         ]
-        # Each text encoded again: as many records, each 32 key bytes shorter.
-        assert (embeddings / "records.bin").stat().st_size == old_size // (64 + 1024) * (32 + 1024)
+        # Each text encoded again: as many records, each with a 32-byte key,
+        # the row, its float64 norm and its uint16 bucket.
+        record_size = 32 + 4 * 256 + 8 + 2
+        assert (embeddings / "records.bin").stat().st_size == old_size // (64 + 1024) * record_size
 
     def test_layout_2_embedding_cache_is_wiped_and_encoded_once(self, built, capsys):
         """Layout 2 keyed each row by the raw sha256 of its embedded text."""
@@ -200,7 +202,7 @@ class TestIndexCommand:
 
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
-        assert json.loads((embeddings / "manifest.json").read_text())["layout"] == 3
+        assert json.loads((embeddings / "manifest.json").read_text())["layout"] == 4
         assert (embeddings / "records.bin").read_bytes() == new_records  # each text encoded again
         assert main(["index"] + common(built)) == 0
         assert (embeddings / "records.bin").read_bytes() == new_records  # and only once
@@ -208,12 +210,14 @@ class TestIndexCommand:
     @pytest.mark.parametrize("record, kind", [(1, "entity"), (6, "passage")])
     def test_non_finite_cached_row_exits_2_naming_the_record(self, built, capsys, record, kind):
         """The cold build appended the 5 entity rows, then the 3 passage rows;
-        a warm one gathers them into the index layouts and checks each row."""
+        a warm one gathers them into the index layouts and checks each row,
+        whose stored norm stays finite."""
         records = built / "cache" / "embeddings" / "records.bin"
-        raw = np.frombuffer(records.read_bytes(), dtype=[("key", "V32"), ("row", "<f4", (256,))])
-        raw = raw.copy()
+        layout = [("key", "V32"), ("row", "<f4", (256,)), ("norm", "<f8"), ("bucket", "<u2")]
+        raw = np.frombuffer(records.read_bytes(), dtype=layout).copy()
         raw["row"][record, 100] = np.inf
         raw["row"][7, 0] = np.nan  # a later record, read in the same pass
+        assert np.isfinite(raw["norm"]).all()
         records.write_bytes(raw.tobytes())
         capsys.readouterr()
         assert main(["index"] + common(built)) == 2
@@ -284,6 +288,43 @@ class TestIndexCommand:
         assert main(["index"] + common(built)) == 0
         assert {f.name: f.read_bytes() for f in (built / "index").iterdir()} == index_before
 
+    def test_a_lowered_entry_count_fails_a_build_with_a_miss_before_it_appends(
+        self, built, capsys
+    ):
+        """The hits' entries are checked before the new passage is extracted
+        or appended, so no cache file is written and ids.bin keeps the id
+        the lowered count no longer frames; restoring the count builds the
+        cold index of the larger corpus."""
+        corpus = built / "corpus.jsonl"
+        new = {"id": "P4", "title": "Lyon", "text": "Lyon lies in France."}
+        corpus.write_text(Path(TOY_CORPUS).read_text() + json.dumps(new) + "\n")
+
+        def index(name, cache):
+            return main(["index", "--corpus", str(corpus), "--index-dir", str(built / name),
+                         "--cache-dir", str(built / cache), "--offline"])
+
+        extraction = built / "cache" / "extraction"
+        entries = extraction / "entries.bin"
+        whole = entries.read_bytes()
+        assert whole[32:36] == np.uint32(2).tobytes()  # P1's count
+        entries.write_bytes(whole[:32] + np.uint32(1).tobytes() + whole[36:])
+        damaged = {f.name: f.read_bytes() for f in extraction.iterdir()}
+        capsys.readouterr()
+        assert index("index", "cache") == 2
+        message = damaged_extraction_cache(extraction, "duplicate entity 'germany' in passage 'P2'")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert (extraction / "ids.bin").stat().st_size == 28
+        assert {f.name: f.read_bytes() for f in extraction.iterdir()} == damaged
+        assert set(damaged) >= {"names.txt", "keys.bin", "ids.bin", "entries.bin"}
+
+        entries.write_bytes(whole)
+        assert index("index", "cache") == 0
+        assert index("cold", "fresh") == 0
+        files = sorted(f.name for f in (built / "cold").iterdir())
+        assert files == sorted(INDEX_FILES)
+        for name in files:
+            assert (built / "index" / name).read_bytes() == (built / "cold" / name).read_bytes()
+
     def test_a_warm_rebuild_writes_no_cache_file(self, built):
         def cache_files():
             return {
@@ -293,7 +334,7 @@ class TestIndexCommand:
             }
 
         before = cache_files()
-        assert len(before) == 2 + 2 + 3 + 1  # both locks and manifests, the records
+        assert len(before) == 2 + 2 + 4 + 1  # both locks and manifests, the records
         assert main(["index"] + common(built)) == 0
         assert main(["index"] + common(built) + ["--max-workers", "4"]) == 0
         assert cache_files() == before

@@ -693,7 +693,7 @@ class TestEmbeddingCache:
         cache = EmbeddingCache(tmp_path, client.encoder_id, client.dim)
         cache.append([text_key("a")], client.encode_batch(["a"]))
         records = tmp_path / "records.bin"
-        record_size = 32 + 4 * client.dim
+        record_size = 32 + 4 * client.dim + 8 + 2
         with records.open("ab") as fh:
             fh.write(bytes(record_size // 2))
         cache.close()
@@ -716,7 +716,7 @@ class TestEmbeddingCache:
         client = CountingEncoder()
         embed_cached(["a"], client, EmbeddingCache(tmp_path, client.encoder_id, client.dim))
         records = tmp_path / "records.bin"
-        record_size = 32 + 4 * client.dim
+        record_size = 32 + 4 * client.dim + 8 + 2
         with records.open("ab") as fh:
             fh.write(b"\x07" * (record_size // 2))
         torn = records.read_bytes()
@@ -756,7 +756,7 @@ class TestEmbeddingCache:
         assert cache.lookup([text_key("a"), text_key("b")]) == {}
         assert not (tmp_path / "records.bin").exists()
         assert json.loads((tmp_path / "manifest.json").read_text()) == {
-            "dim": 16, "encoder_id": client.encoder_id, "layout": 3
+            "dim": 16, "encoder_id": client.encoder_id, "layout": 4
         }
         embed_cached(["a"], other, cache)
         assert other.calls == 1
@@ -923,12 +923,11 @@ def test_non_finite_cached_row_is_an_integrity_error(tmp_path):
     client = OfflineEncoder(dim=8)
     embed_cached(["a", "b", "c"], client, EmbeddingCache(tmp_path, client.encoder_id, 8))
     records = tmp_path / "records.bin"
-    raw = bytearray(records.read_bytes())
-    size = len(raw) // 3
-    nan = np.array([np.nan], dtype="<f4").tobytes()
-    raw[2 * size - 4 : 2 * size] = nan  # the last value of "b", record 1
-    raw[-4:] = nan  # the last value of "c", record 2
-    records.write_bytes(bytes(raw))
+    layout = [("key", "V32"), ("row", "<f4", (8,)), ("norm", "<f8"), ("bucket", "<u2")]
+    raw = np.fromfile(records, dtype=layout)
+    raw["row"][1:, -1] = np.nan  # the last values of "b" and "c", records 1 and 2
+    assert np.isfinite(raw["norm"]).all()  # the stored norms do not show it
+    raw.tofile(records)
     cache = EmbeddingCache(tmp_path, client.encoder_id, 8)
     with pytest.raises(IndexIntegrityError, match="non-finite") as excinfo:
         embed_cached(["c", "b", "a"], client, cache)
@@ -938,4 +937,21 @@ def test_non_finite_cached_row_is_an_integrity_error(tmp_path):
     assert f"delete the cache directory {tmp_path}" in message
     with pytest.raises(IndexIntegrityError, match="record 2 "):
         embed_cached(["c"], client, cache)
+    assert embed_cached(["a"], client, cache).tobytes() == embed_batch(["a"], client).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("norm", np.nan), ("norm", -1.0), ("bucket", 2 * 8 + 1)]
+)
+def test_a_stored_norm_or_bucket_out_of_range_is_an_integrity_error(tmp_path, field, value):
+    client = OfflineEncoder(dim=8)
+    embed_cached(["a", "b", "c"], client, EmbeddingCache(tmp_path, client.encoder_id, 8))
+    records = tmp_path / "records.bin"
+    layout = [("key", "V32"), ("row", "<f4", (8,)), ("norm", "<f8"), ("bucket", "<u2")]
+    raw = np.fromfile(records, dtype=layout)
+    raw[field][1] = value
+    raw.tofile(records)
+    cache = EmbeddingCache(tmp_path, client.encoder_id, 8)
+    with pytest.raises(IndexIntegrityError, match="a norm or bucket out of range, first in record 1 "):
+        embed_cached(["c", "b", "a"], client, cache)
     assert embed_cached(["a"], client, cache).tobytes() == embed_batch(["a"], client).tobytes()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hyperhop import entities
 from hyperhop.corpus import Passage, load_corpus, passage_sha256
+from hyperhop.embeddings import text_key
 from hyperhop.entities import (
     EntitySets,
     ExtractionCache,
@@ -23,7 +24,7 @@ from hyperhop.errors import ContractError, ExtractionError
 
 from conftest import corpus_of, entity_sets_of, extract_through
 
-CACHE_FILES = ("names.txt", "ids.bin", "entries.bin")
+CACHE_FILES = ("names.txt", "keys.bin", "ids.bin", "entries.bin")  # in the order of an append
 
 
 class TestNormalizeEntity:
@@ -442,6 +443,7 @@ class TestAppendOnlyExtractionCache:
         lyon = len(self.PASSAGES)  # one name per passage before it
         assert appended == {
             "names.txt": b"lyon\n",
+            "keys.bin": text_key("lyon"),
             "ids.bin": np.int32(lyon).tobytes(),
             "entries.bin": passage_sha256(edited[2].title, edited[2].text) + np.uint32(1).tobytes(),
         }
@@ -481,6 +483,23 @@ class TestAppendOnlyExtractionCache:
             cache.append(keys, entity_lists)
         assert files(tmp_path) == before
         assert cache.lookup([bytes(32)]).tolist() == [-1] and "a" not in cache.names
+
+    def test_the_keys_keys_bin_lacks_are_computed_at_opening_and_written_by_append(
+        self, tmp_path
+    ):
+        build(self.PASSAGES, tmp_path)
+        whole = files(tmp_path)
+        (tmp_path / "keys.bin").write_bytes(whole["keys.bin"][: 2 * 32 + 5])
+        torn = files(tmp_path)
+        cache = ExtractionCache(tmp_path, "o")
+        assert files(tmp_path) == torn  # opening writes nothing
+        assert cache.name_keys(np.array([5, 0, 5])) == [text_key(n) for n in ("city5", "city0", "city5")]
+        cache.append([], [])
+        assert files(tmp_path) == whole
+        assert whole["keys.bin"] == b"".join(text_key(f"city{i}") for i in range(6))
+        mtime = (tmp_path / "keys.bin").stat().st_mtime_ns
+        cache.append([], [])  # nothing left to write
+        assert (tmp_path / "keys.bin").stat().st_mtime_ns == mtime
 
     def test_manifest_names_the_extractor_and_is_never_rewritten(self, tmp_path):
         ExtractionCache(tmp_path, "o")

@@ -11,7 +11,7 @@ from hyperhop import corpus as corpus_module
 from hyperhop import embeddings, pipeline
 from hyperhop.config import AppConfig
 from hyperhop.corpus import passage_sha256
-from hyperhop.embeddings import OfflineEncoder
+from hyperhop.embeddings import OfflineEncoder, norms_and_buckets, text_key
 from hyperhop.entities import OfflineEntityExtractor, _is_normalized, normalize_entity
 from hyperhop.errors import ContractError
 from hyperhop.pipeline import (
@@ -291,8 +291,9 @@ def test_a_build_keys_each_passage_once_and_makes_no_embedded_text_for_a_hit(
     tmp_path, data_dir, monkeypatch, no_network
 ):
     """One ``passage_sha256`` per passage serves both caches, an entity name
-    is keyed as the title-less passage of it, and a warm build reads no
-    passage's embedded text."""
+    is keyed as the title-less passage of it when the extraction cache
+    stores it, and a warm build keys no name and reads no passage's
+    embedded text."""
     keyed, texts = Counter(), []
 
     def counting_sha256(title, text):
@@ -318,7 +319,7 @@ def test_a_build_keys_each_passage_once_and_makes_no_embedded_text_for_a_hit(
         texts.clear()
         index, _ = build_index_from_corpus(config)
         passages = Counter(zip(corpus.titles, corpus.texts))
-        names = Counter(("", name) for name in index.entity_names)
+        names = Counter(("", name) for name in index.entity_names if build == "cold")
         assert keyed == passages + names, build
         assert sorted(texts) == (sorted(corpus.titles) if build == "cold" else []), build
 
@@ -350,3 +351,92 @@ def test_an_entity_name_never_shares_a_passage_key(tmp_path, monkeypatch, no_net
         assert index.entity_names == ["5:hello world"]
         assert index.entity_rows.values[0].tobytes() == name_row.tobytes()
         assert index.passage_rows.columns[:, 0].tobytes() == passage_row.tobytes()
+
+
+def _names_corpus(path):
+    """300 passages that name 300 + 7 + 11 entities, as the CI's larger corpus does."""
+    lines = (
+        json.dumps({"id": f"B{i:03d}", "title": "", "text": f"Alda{i} Berg met Corin{i % 7} Dahl"
+                    f" in Essen{i % 11}."})
+        for i in range(300)
+    )
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def _build_into(tmp_path, corpus, root, max_workers=1):
+    """Build ``corpus`` into ``root``'s index and cache; returns the index files."""
+    config = AppConfig(
+        corpus=str(corpus),
+        index_dir=str(tmp_path / root / "index"),
+        cache_dir=str(tmp_path / root / "cache"),
+        offline=True,
+        max_workers=max_workers,
+    )
+    build_index_from_corpus(config)
+    return _index_files(tmp_path / root / "index")
+
+
+def _records(cache_dir, dim=256):
+    layout = [("key", "V32"), ("row", "<f4", (dim,)), ("norm", "<f8"), ("bucket", "<u2")]
+    return np.fromfile(cache_dir / "embeddings" / "records.bin", dtype=layout)
+
+
+def test_a_cache_without_keys_bin_builds_the_same_index_and_writes_every_key(
+    tmp_path, no_network
+):
+    corpus = _names_corpus(tmp_path / "corpus.jsonl")
+    cold = _build_into(tmp_path, corpus, "b")
+    extraction = tmp_path / "b" / "cache" / "extraction"
+    keys = extraction / "keys.bin"
+    written = keys.read_bytes()
+    names = (extraction / "names.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    assert written == b"".join(map(text_key, names)) and len(names) == 318
+    records = _records(tmp_path / "b" / "cache").tobytes()
+    keys.unlink()
+    assert _build_into(tmp_path, corpus, "b") == cold
+    assert keys.read_bytes() == written
+    assert _records(tmp_path / "b" / "cache").tobytes() == records  # every row a hit
+    keys.write_bytes(written[: 32 * 100 + 7])  # a torn keys.bin
+    assert _build_into(tmp_path, corpus, "b") == cold
+    assert keys.read_bytes() == written
+
+
+def test_a_flipped_byte_in_keys_bin_makes_its_name_one_miss(tmp_path, monkeypatch, no_network):
+    corpus = _names_corpus(tmp_path / "corpus.jsonl")
+    cold = _build_into(tmp_path, corpus, "b")
+    cache = tmp_path / "b" / "cache"
+    names = (cache / "extraction" / "names.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    keys = bytearray((cache / "extraction" / "keys.bin").read_bytes())
+    keys[32 * 5 + 31] ^= 0x40
+    (cache / "extraction" / "keys.bin").write_bytes(bytes(keys))
+    before = _records(cache)
+    encoded = []
+
+    class RecordingEncoder(OfflineEncoder):
+        def encode_batch(self, texts):
+            encoded.extend(texts)
+            return super().encode_batch(texts)
+
+    monkeypatch.setattr(pipeline, "make_encoder", lambda config: RecordingEncoder(256))
+    assert _build_into(tmp_path, corpus, "b") == cold
+    assert encoded == [names[5]]
+    after = _records(cache)
+    assert after[:-1].tobytes() == before.tobytes()
+    assert after[-1]["key"].tobytes() == bytes(keys[32 * 5 : 32 * 6])
+    assert after[-1]["row"].tobytes() == OfflineEncoder(256).encode_batch([names[5]]).tobytes()
+
+
+def test_every_record_stores_the_norm_and_bucket_of_its_row(tmp_path, no_network):
+    corpus = _names_corpus(tmp_path / "corpus.jsonl")
+    built = {workers: _build_into(tmp_path, corpus, f"w{workers}", workers) for workers in (1, 4)}
+    assert built[1] == built[4]
+    for workers in (1, 4):
+        records = _records(tmp_path / f"w{workers}" / "cache")
+        assert len(records) == 318 + 300
+        norms, buckets = norms_and_buckets(records["row"])
+        assert records["norm"].tobytes() == norms.tobytes()
+        assert records["bucket"].tobytes() == buckets.tobytes()
+    for name in ("extraction/keys.bin", "embeddings/records.bin"):
+        paths = [tmp_path / f"w{workers}" / "cache" / name for workers in (1, 4)]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
