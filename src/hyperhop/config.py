@@ -32,6 +32,11 @@ class AppConfig:
     answer_prompt: str | None = setting(None, "override answer prompt template file")
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
 
+    def __post_init__(self):
+        for name in ("embed_dim", "batch_size", "offline_dim"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def require(self, name: str) -> str:
         value = getattr(self, name)
         if not value:

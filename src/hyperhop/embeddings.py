@@ -111,11 +111,11 @@ def text_key(text: str) -> bytes:
     return passage_sha256("", text)
 
 
-# A record's key is read as raw bytes (V32): an S32 field would drop trailing NULs.
-_KEY = np.dtype("V32")
-# Keys are passage_sha256s. Layout 3 stored no norm or bucket, layout 2 keyed
-# the raw sha256 of the embedded text, and the layout of 64-character hex keys
-# had no tag.
+# Both build caches key a record by a passage_sha256, read as raw bytes (V32):
+# an S32 field would drop trailing NULs.
+CACHE_KEY = np.dtype("V32")
+# Layout 3 stored no norm or bucket, layout 2 keyed the raw sha256 of the
+# embedded text, and the layout of 64-character hex keys had no tag.
 _LAYOUT = 4
 
 
@@ -162,6 +162,21 @@ def open_cache(owner: object, directory: Path, producer: dict) -> weakref.finali
     return close
 
 
+def check_cache_keys(keys: Sequence[bytes]) -> None:
+    """Raise ContractError unless every key is a raw sha256: 32 bytes."""
+    for key in keys:
+        if not isinstance(key, bytes) or len(key) != CACHE_KEY.itemsize:
+            raise ContractError(f"a cache key is a raw sha256 of 32 bytes, not {key!r}")
+
+
+def append_committed(path: Path, committed: int, data: bytes) -> None:
+    """Append ``data`` to ``path``, made when missing, after cutting the
+    file back to its ``committed`` bytes: what a failed append left goes."""
+    with path.open("ab") as fh:
+        fh.truncate(committed)
+        fh.write(data)
+
+
 class EmbeddingCache:
     """Append-only on-disk vector cache keyed by content, as the extraction
     cache is.
@@ -191,7 +206,7 @@ class EmbeddingCache:
         self.dim = dim
         self._records = self.directory / "records.bin"
         self._dtype = np.dtype(
-            [("key", _KEY), ("row", "<f4", (dim,)), ("norm", "<f8"), ("bucket", "<u2")]
+            [("key", CACHE_KEY), ("row", "<f4", (dim,)), ("norm", "<f8"), ("bucket", "<u2")]
         )
         producer = {"dim": dim, "encoder_id": encoder_id, "layout": _LAYOUT}
         self.close = open_cache(self, self.directory, producer)
@@ -232,6 +247,7 @@ class EmbeddingCache:
             raise self._damaged("a norm or bucket out of range", records[bad].min())
         shape = (len(records), self.dim) if layout is EntityRows else (self.dim, len(records))
         out = np.empty(shape, dtype=np.float32)
+        by_row = out if layout is EntityRows else out.T  # row-major in either layout
         for start in range(0, len(records), ROW_BLOCK):
             stop = start + ROW_BLOCK
             block = rows[records[start:stop]]
@@ -239,10 +255,7 @@ class EmbeddingCache:
                 read = np.unique(records)
                 first = read[~np.isfinite(rows[read]).all(axis=1)].min()
                 raise self._damaged("non-finite entries", first)
-            if layout is EntityRows:
-                out[start:stop] = block
-            else:
-                out[:, start:stop] = block.T
+            by_row[start:stop] = block
         if layout is EntityRows:
             return EntityRows.from_buckets(out, norms, buckets)
         out.flags.writeable = norms.flags.writeable = False
@@ -260,18 +273,14 @@ class EmbeddingCache:
         every key's record, int64."""
         if vectors.shape != (len(keys), self.dim):
             raise ContractError("cache append shape mismatch")
-        for key in keys:
-            if not isinstance(key, bytes) or len(key) != _KEY.itemsize:
-                raise ContractError(f"a cache key is a raw sha256 of 32 bytes: {key!r}")
+        check_cache_keys(keys)
         fresh = {k: i for i, k in enumerate(keys) if k not in self._offsets}
         if fresh:
             records = np.empty(len(fresh), dtype=self._dtype)
             records["key"] = list(fresh)
             records["row"] = vectors[list(fresh.values())]
             records["norm"], records["bucket"] = norms_and_buckets(records["row"])
-            with self._records.open("ab") as fh:
-                fh.truncate(self._count * self._dtype.itemsize)
-                fh.write(records.tobytes())
+            append_committed(self._records, self._count * self._dtype.itemsize, records.tobytes())
             self._offsets.update(zip(fresh, range(self._count, self._count + len(fresh))))
             self._count += len(fresh)
         return np.fromiter(map(self._offsets.get, keys), dtype=np.int64, count=len(keys))
@@ -285,70 +294,69 @@ def embed_batch(
     keys: Sequence[bytes] | None = None,
     layout: type[EntityRows] | type[PassageRows] | None = None,
 ):
-    """Embed texts in order, consulting and extending the cache; returns the
-    float32 (len(texts), client.dim) matrix, one row per text, or with
-    ``layout`` (``EntityRows`` or ``PassageRows``) its ``layout.of``. With a
-    cache, a layout is required: ContractError without one.
+    """Embed texts in order, one row per text: without a cache, the float32
+    (len(texts), client.dim) matrix, encoded ``batch_size`` texts per call;
+    with one, the ``EntityRows`` or ``PassageRows`` (``layout``) a build
+    stores. A layout without a cache, or a cache without one, raises
+    ContractError.
 
     ``keys`` are the texts' cache keys, each text's ``text_key`` when not
     given. A build passes the catalog's keys from its extraction cache
     (``ExtractionCache.name_keys``), and the passages' ``passage_sha256``
     with a sequence whose i-th text is made when read, and only a miss's
-    text is read. The misses come first: deduplicated by key, so a repeated
-    text is encoded once, they reach the encoder client ``batch_size``
-    texts per call, and each batch is appended to the cache. Then every
-    row, with its stored norm and bucket, is gathered from the cache in one
-    pass into the layout (``EmbeddingCache.read_rows``). A
-    remote failure, or a batch holding a non-finite value, raises
-    EmbeddingError carrying the offsets of the failing batch among the
-    misses, before the batch reaches the cache; a non-finite value read
+    text is read. The misses, deduplicated by key, are encoded
+    ``batch_size`` per call and each batch is appended to the cache; then
+    every row, with its stored norm and bucket, is gathered into the layout
+    (``EmbeddingCache.read_rows``). A failing batch raises EmbeddingError
+    (``_encoded``) before it reaches the cache; a non-finite value read
     from the cache raises IndexIntegrityError.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    if cache is not None and layout is None:
-        raise ContractError("embed_batch gathers cached rows into a layout: pass one")
+    if (cache is None) != (layout is None):
+        raise ContractError("embed_batch gathers cached rows into a layout: pass both or neither")
+    if cache is None:
+        matrix = np.empty((len(texts), client.dim), dtype=np.float32)
+        for start in range(0, len(texts), batch_size):
+            stop = start + batch_size
+            matrix[start:stop] = _encoded(client, texts[start:stop], start)
+        return matrix
     if keys is None:
         keys = list(map(text_key, texts))
-    hits = cache.lookup(keys) if cache is not None else {}
-    records = np.fromiter(map(hits.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    record_of = cache.lookup(keys).get
+    records = np.fromiter(map(record_of, keys, repeat(-1)), dtype=np.int64, count=len(keys))
     miss_positions = np.flatnonzero(records < 0).tolist()
     miss_at = {keys[i]: i for i in miss_positions}  # in order of first appearance
     miss_keys = list(miss_at)
-    encoded = np.empty((len(miss_keys), client.dim), dtype=np.float32) if cache is None else None
-    found: dict[bytes, int] = {}  # each miss's record: in the cache, or without one in ``encoded``
+    appended: dict[bytes, int] = {}
     for start in range(0, len(miss_keys), batch_size):
         chunk = miss_keys[start : start + batch_size]
-        stop = start + len(chunk)
-        try:
-            vectors = client.encode_batch([texts[miss_at[k]] for k in chunk])
-        except Exception as exc:
-            raise EmbeddingError(
-                f"embedding batch failed at offsets [{start}, {stop}): {exc}",
-                batch_offsets=(start, stop),
-            ) from exc
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if not np.isfinite(vectors).all():
-            raise EmbeddingError(
-                f"embedding batch at offsets [{start}, {stop}) holds a non-finite value",
-                batch_offsets=(start, stop),
-            )
-        if cache is None:
-            encoded[start:stop] = vectors
-            found.update(zip(chunk, range(start, stop)))
-        else:
-            found.update(zip(chunk, cache.append(chunk, vectors).tolist()))
-    records[miss_positions] = [found[keys[i]] for i in miss_positions]
-    if cache is not None:
-        return cache.read_rows(records, layout)
-    rows = encoded[records]
-    return rows if layout is None else layout.of(rows)
+        vectors = _encoded(client, [texts[miss_at[k]] for k in chunk], start)
+        appended.update(zip(chunk, cache.append(chunk, vectors).tolist()))
+    records[miss_positions] = [appended[keys[i]] for i in miss_positions]
+    return cache.read_rows(records, layout)
 
 
-# Rows per block wherever rows pass through float64 a few at a time, in
-# screen_max_sim's float32 product and the row norms. On 50k rows of
-# dimension 256 (2-core Xeon, numpy 2.4), 256-row blocks beat 4096-row
-# ones: unit_rows 74 vs 117 ms, the row norms 25 vs 101 ms.
+def _encoded(client: EncoderClient, texts: Sequence[str], start: int) -> np.ndarray:
+    """The float32 rows of ``texts``, the batch at offsets ``[start, start +
+    len(texts))`` of the texts encoded; EmbeddingError carrying those offsets
+    when the client fails or a row holds a non-finite value."""
+    stop = start + len(texts)
+    try:
+        vectors = client.encode_batch(texts)
+    except Exception as exc:
+        message = f"embedding batch failed at offsets [{start}, {stop}): {exc}"
+        raise EmbeddingError(message, batch_offsets=(start, stop)) from exc
+    vectors = np.asarray(vectors, dtype=np.float32)
+    if not np.isfinite(vectors).all():
+        message = f"embedding batch at offsets [{start}, {stop}) holds a non-finite value"
+        raise EmbeddingError(message, batch_offsets=(start, stop))
+    return vectors
+
+
+# Rows per block wherever a few rows at a time are gathered or multiplied:
+# EmbeddingCache.read_rows, max_sim_to_query_entities's float64 unit rows and
+# screen_max_sim's float32 product.
 ROW_BLOCK = 256
 # Passages per float64 block in cosine_against_rows's GEMV. On 50k and 10k
 # mapped float32 rows of dimension 256 (one BLAS thread, median of 40), 384
@@ -366,16 +374,12 @@ def row_norms(block: np.ndarray) -> np.ndarray:
 
 
 def norms_and_buckets(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``row_norms(block)``, summed the same way, and each row's
-    ``EntityRows`` bucket as ``entity_buckets.bin`` stores it, uint16:
-    ``2 k + [e_k < 0]`` for the row's first coordinate ``k`` of largest
-    ``|e_k|``, or ``2 dim`` when its norm lies outside ``[2**-126, 2**127)``.
-    The squares of float32 values are exact in float64, so they order and
-    tie as the absolute values do, and their argmax is that coordinate."""
-    squares = np.array(block, dtype=np.float64, order="C")
-    np.multiply(squares, squares, out=squares)
-    axis = squares.argmax(axis=1)
-    norms = np.sqrt(np.add.reduce(squares, axis=1))
+    """``row_norms(block)`` and each row's ``EntityRows`` bucket as
+    ``entity_buckets.bin`` stores it, uint16: ``2 k + [e_k < 0]`` for the
+    row's first coordinate ``k`` of largest ``|e_k|``, or ``2 dim`` when its
+    norm lies outside ``[2**-126, 2**127)``."""
+    norms = row_norms(block)
+    axis = np.abs(block).argmax(axis=1)
     buckets = (2 * axis + (block[np.arange(block.shape[0]), axis] < 0.0)).astype(np.uint16)
     buckets[~_in_screen_range(norms)] = _never_skipped(block.shape[1])
     return norms, buckets
@@ -393,20 +397,14 @@ def unit_rows(values: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray
     """``values`` in float64 with each row scaled to unit L2 norm; zero rows stay zero.
 
     ``norms`` are the float64 norms of the rows (``EntityRows.norms``),
-    computed block by block when not given; either way the rows come out
-    bit for bit the same, so the rows of a matrix can be normalized a few at
-    a time from its cached norms. Works through blocks of rows, so the
-    float64 copy is one block, not the whole matrix; the cast to float64 is
-    exact.
+    taken by ``row_norms`` when not given; either way the rows come out bit
+    for bit the same, so the rows of a matrix can be normalized a few at a
+    time from its cached norms. One float64 copy of ``values`` (the cast is
+    exact), divided in place: callers pass a block of rows at most.
     """
-    values = np.asarray(values)
-    out = np.empty(values.shape, dtype=np.float64)
-    for start in range(0, values.shape[0], ROW_BLOCK):
-        stop = start + ROW_BLOCK
-        block = values[start:stop].astype(np.float64)
-        scale = row_norms(block) if norms is None else norms[start:stop]
-        np.divide(block, np.where(scale > 0.0, scale, 1.0)[:, None], out=out[start:stop])
-    return out
+    out = np.array(values, dtype=np.float64)
+    scale = row_norms(out) if norms is None else norms
+    return np.divide(out, np.where(scale > 0.0, scale, 1.0)[:, None], out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,20 +424,6 @@ class PassageRows:
 
     columns: np.ndarray  # float32 (dim, n_passages)
     norms: np.ndarray  # float64 (n_passages,)
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> PassageRows:
-        """The passage rows of the float32 (n_passages, dim) matrix
-        ``values``: each block of ``ROW_BLOCK`` rows is transposed into
-        ``columns`` and its norms taken while it is in cache."""
-        columns = np.empty((values.shape[1], values.shape[0]), dtype=np.float32)
-        norms = np.empty(values.shape[0], dtype=np.float64)
-        for start in range(0, values.shape[0], ROW_BLOCK):
-            block = values[start : start + ROW_BLOCK]
-            columns[:, start : start + ROW_BLOCK] = block.T
-            norms[start : start + ROW_BLOCK] = row_norms(block)
-        columns.flags.writeable = norms.flags.writeable = False
-        return cls(columns, norms)
 
 
 def cosine_against_rows(query_vec: np.ndarray, rows: PassageRows) -> np.ndarray:
@@ -635,9 +619,9 @@ class EntityRows:
     Mykytiuk, SIGMOD 2015) and cone trees (Ram & Gray, KDD 2012), whose
     centroids are the axes, so they need no training. Each row's norm and
     bucket are taken once, when the embedding cache stores the row
-    (``EmbeddingCache.append``; ``of`` without a cache), and the index
-    stores both, in ``entity_norms.bin`` and ``entity_buckets.bin``; a
-    build and a load derive the rest from them (``from_buckets``).
+    (``EmbeddingCache.append``), and the index stores both, in
+    ``entity_norms.bin`` and ``entity_buckets.bin``; a build and a load
+    derive the rest from them (``from_buckets``).
 
     A row ``e`` whose norm ``n`` lies in ``[2**-126, 2**127)`` goes to
     bucket ``2 k + [e_k < 0]``, with ``k`` the first coordinate of largest
@@ -646,29 +630,18 @@ class EntityRows:
     cosine of the widest angle between a row of the bucket and its signed
     axis. Zero rows and rows of a norm outside that range, which the screen
     keeps whatever their product, go to bucket ``2 dim``, which is never
-    skipped. ``rows`` lists the row indices bucket by bucket, ascending in
+    skipped. ``buckets`` holds each row's bucket, as ``entity_buckets.bin``
+    stores it; ``rows`` lists the row indices bucket by bucket, ascending in
     each; bucket b holds ``rows[starts[b]: starts[b + 1]]``, so a query
     reads only the indices of the buckets it keeps.
     """
 
     values: np.ndarray  # float32 (n_rows, dim)
     norms: np.ndarray  # float64 (n_rows,)
+    buckets: np.ndarray  # uint16 (n_rows,)
     rows: np.ndarray  # int32 (n_rows,)
     starts: np.ndarray  # (2 dim + 2,)
     cos_r: np.ndarray  # float64 (2 dim + 1,)
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> EntityRows:
-        """The entity rows of the float32 matrix ``values``: the norms and
-        buckets of each block of ``ROW_BLOCK`` rows (``norms_and_buckets``),
-        then the rest derived as a load derives it."""
-        values = np.asarray(values)
-        norms = np.empty(values.shape[0], dtype=np.float64)
-        buckets = np.empty(values.shape[0], dtype=np.uint16)
-        for start in range(0, values.shape[0], ROW_BLOCK):
-            stop = start + ROW_BLOCK
-            norms[start:stop], buckets[start:stop] = norms_and_buckets(values[start:stop])
-        return cls.from_buckets(values, norms, buckets)
 
     @classmethod
     def from_buckets(
@@ -693,16 +666,9 @@ class EntityRows:
         starts = np.zeros(last + 2, dtype=np.intp)
         np.cumsum(np.bincount(keys, minlength=last + 1), out=starts[1:])
         rows = np.argsort(keys, kind="stable").astype(np.int32)
-        for array in (norms, rows, starts, cos_r):
+        for array in (norms, keys, rows, starts, cos_r):
             array.flags.writeable = False
-        return cls(values, norms, rows, starts, cos_r)
-
-    def buckets(self) -> np.ndarray:
-        """Each row's bucket, uint16, as ``entity_buckets.bin`` stores it."""
-        buckets = np.empty(self.rows.shape[0], dtype=np.uint16)
-        sizes = np.diff(self.starts)
-        buckets[self.rows] = np.repeat(np.arange(sizes.shape[0], dtype=np.uint16), sizes)
-        return buckets
+        return cls(values, norms, keys, rows, starts, cos_r)
 
     def candidates(self, query_rows: np.ndarray, eta: float) -> np.ndarray:
         """Ascending indices of every row whose ``max_sim_to_query_entities``

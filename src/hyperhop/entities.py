@@ -24,7 +24,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .corpus import Corpus, Passage
-from .embeddings import open_cache, text_key
+from .embeddings import CACHE_KEY, append_committed, check_cache_keys, open_cache, text_key
 from .errors import ContractError, CorpusFormatError, ExtractionError
 
 # Tokens that may never start a capitalized span in the offline extractor.
@@ -255,10 +255,8 @@ def _reply_names(reply: str) -> list[str]:
     return [line.strip(" -*\t") for line in reply.splitlines() if line.strip(" -*\t")]
 
 
-# Keys are read as raw bytes (V32): an S32 field would drop trailing NULs.
-_KEY = np.dtype("V32")
 # An entry record: the raw passage_sha256, then the count of the entry's ids.
-_ENTRY = np.dtype([("key", _KEY), ("count", "<u4")])
+_ENTRY = np.dtype([("key", CACHE_KEY), ("count", "<u4")])
 _LAYOUT = 2  # the array layout; the older records.jsonl one had no tag
 _FILES = ("names.txt", "ids.bin", "entries.bin")  # the files of the entries
 _WRITES = ("names.txt", "keys.bin", "ids.bin", "entries.bin")  # in the order an append writes
@@ -313,9 +311,9 @@ class ExtractionCache:
         self._ids, self._counts = ids, entries["count"].astype(np.intp)
         keys = directory / "keys.bin"
         stored = keys.read_bytes() if keys.exists() else b""
-        self._keyed = min(len(stored) // _KEY.itemsize, len(self.names))  # whole keys on disk
+        self._keyed = min(len(stored) // CACHE_KEY.itemsize, len(self.names))  # whole keys on disk
         self._keys = np.concatenate(
-            (np.frombuffer(stored, _KEY, self._keyed), _text_keys(self.names[self._keyed :]))
+            (np.frombuffer(stored, CACHE_KEY, self._keyed), _text_keys(self.names[self._keyed :]))
         )
 
     def lookup(self, keys: Sequence[bytes]) -> np.ndarray:
@@ -334,9 +332,7 @@ class ExtractionCache:
         first write: a key that is not a raw sha256 or a name that is not a
         normalized entity raises ContractError, and nothing is appended.
         """
-        for key in keys:
-            if len(key) != _ENTRY["key"].itemsize:
-                raise ContractError(f"an extraction cache key is a raw sha256, not {key!r}")
+        check_cache_keys(keys)
         named = list(chain.from_iterable(entity_lists))
         fresh = [name for name in dict.fromkeys(named) if name not in self._name_ids]
         for name in fresh:
@@ -351,16 +347,14 @@ class ExtractionCache:
         ids = np.fromiter(map(self._name_ids.__getitem__, named), dtype="<i4", count=len(named))
         committed = (
             self._names_size,
-            _KEY.itemsize * self._keyed,
+            CACHE_KEY.itemsize * self._keyed,
             4 * len(self._ids),
             _ENTRY.itemsize * len(self._counts),
         )
         data = (lines, self._keys[self._keyed :].tobytes(), ids.tobytes(), records.tobytes())
         for file, size, tail in zip(_WRITES, committed, data):
             if tail:
-                with (self._directory / file).open("ab") as fh:
-                    fh.truncate(size)
-                    fh.write(tail)
+                append_committed(self._directory / file, size, tail)
         self._names_size += len(lines)
         self._keyed = len(self.names)
         self._entry_of.update(zip(keys, range(len(self._counts), len(self._counts) + len(keys))))
@@ -389,7 +383,7 @@ class ExtractionCache:
 
 
 def _text_keys(names: Sequence[str]) -> np.ndarray:
-    return np.array(list(map(text_key, names)), dtype=_KEY)
+    return np.array(list(map(text_key, names)), dtype=CACHE_KEY)
 
 
 def _read_committed(directory: Path) -> tuple[list[str], np.ndarray, np.ndarray, int]:

@@ -180,7 +180,7 @@ def save_index(index: HypergraphIndex, directory: str | Path, extra_manifest: di
         "pas_indices.bin": np.ascontiguousarray(inc.pas_indices, dtype="<i4"),
         "entity_embeddings.bin": np.ascontiguousarray(index.entity_rows.values, dtype="<f4"),
         "entity_norms.bin": np.ascontiguousarray(index.entity_rows.norms, dtype="<f8"),
-        "entity_buckets.bin": index.entity_rows.buckets().astype("<u2"),
+        "entity_buckets.bin": np.ascontiguousarray(index.entity_rows.buckets, dtype="<u2"),
         "passage_columns.bin": np.ascontiguousarray(index.passage_rows.columns, dtype="<f4"),
         "passage_norms.bin": np.ascontiguousarray(index.passage_rows.norms, dtype="<f8"),
         MANIFEST_NAME: (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"),

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from hyperhop.corpus import Corpus, Passage, passage_sha256
-from hyperhop.embeddings import EntityRows, OfflineEncoder, PassageRows, embed_batch
+from hyperhop.embeddings import (
+    EntityRows,
+    OfflineEncoder,
+    PassageRows,
+    embed_batch,
+    norms_and_buckets,
+    row_norms,
+)
 from hyperhop.entities import (
     EntitySets,
     ExtractionCache,
@@ -62,6 +69,22 @@ def embed_cached(texts, client, cache, batch_size: int = 64) -> np.ndarray:
     return embed_batch(texts, client, cache, batch_size, layout=EntityRows).values
 
 
+def entity_rows_of(values) -> EntityRows:
+    """The ``EntityRows`` of the float32 matrix ``values``, made as a build
+    and a load make them: from each row's ``norms_and_buckets``."""
+    values = np.asarray(values, dtype=np.float32)
+    return EntityRows.from_buckets(values, *norms_and_buckets(values))
+
+
+def passage_rows_of(values) -> PassageRows:
+    """The read-only ``PassageRows`` of the float32 (n_passages, dim) matrix
+    ``values``: its columns and its ``row_norms``, as a build gathers them."""
+    values = np.asarray(values, dtype=np.float32)
+    columns, norms = np.ascontiguousarray(values.T), row_norms(values)
+    columns.flags.writeable = norms.flags.writeable = False
+    return PassageRows(columns, norms)
+
+
 def entity_sets_of(sets_by_pid: Mapping[str, Sequence[str]]) -> EntitySets:
     """The EntitySets of passage id -> entity list, passages in id order."""
     pids = sorted(sets_by_pid)
@@ -87,7 +110,7 @@ def index_from_sets(sets_by_pid: dict[str, list[str]], dim: int = 64) -> Hypergr
     entity_embeddings = embed_batch(entity_sets.catalog, encoder)
     passage_embeddings = embed_batch([f"text of {pid}" for pid in entity_sets.passage_ids], encoder)
     return build_index(
-        entity_sets, EntityRows.of(entity_embeddings), PassageRows.of(passage_embeddings)
+        entity_sets, entity_rows_of(entity_embeddings), passage_rows_of(passage_embeddings)
     )
 
 

@@ -708,6 +708,28 @@ class TestEvalCommand:
         assert "endpoint down" in capsys.readouterr().err
 
 
+class TestSettingsOutOfRange:
+    """A numeric setting out of range exits 2 naming it, when the config is
+    made: before any cache is opened or any passage extracted."""
+
+    def test_batch_size_0_extracts_nothing(self, tmp_path, capsys, no_network):
+        assert main(["index"] + common(tmp_path) + ["--batch-size", "0"]) == 2
+        assert "batch_size must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "cache" / "extraction" / "entries.bin").exists()
+
+    def test_a_negative_remote_embed_dim(self, tmp_path, capsys, monkeypatch, no_network):
+        monkeypatch.delenv("HYPERHOP_OFFLINE", raising=False)
+        args = [
+            "index", "--corpus", TOY_CORPUS,
+            "--index-dir", str(tmp_path / "index"), "--cache-dir", str(tmp_path / "cache"),
+            "--api-base", "http://localhost:9",
+            "--embed-model", "m", "--embed-dim", "-5", "--chat-model", "chat",
+        ]
+        assert main(args) == 2
+        assert "embed_dim must be >= 1, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+
 class TestEncoderMismatch:
     """A query command whose encoder is not the one the index was built
     with stops before the first query."""

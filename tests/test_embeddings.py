@@ -17,6 +17,7 @@ from hyperhop.embeddings import (
     cosine_against_rows,
     embed_batch,
     max_sim_to_query_entities,
+    norms_and_buckets,
     screen_max_sim,
     text_key,
     unit_rows,
@@ -24,7 +25,7 @@ from hyperhop.embeddings import (
 from hyperhop.entities import ExtractionCache
 from hyperhop.errors import ContractError, EmbeddingError, IndexIntegrityError
 
-from conftest import cached_rows, embed_cached
+from conftest import cached_rows, embed_cached, entity_rows_of, passage_rows_of
 from reference import cosine, passage_cosines, row_norms, whole_matrix_screen
 
 
@@ -96,7 +97,7 @@ class TestCosine:
         rows = rng.normal(size=(7, 5)).astype(np.float32)  # passage rows are float32
         rows[3] = 0.0  # zero row uses the zero convention
         q = rng.normal(size=5)
-        sims = cosine_against_rows(q, PassageRows.of(rows))
+        sims = cosine_against_rows(q, passage_rows_of(rows))
         expected = [cosine(q, row) for row in rows]
         np.testing.assert_allclose(sims, expected, rtol=1e-12)
 
@@ -134,7 +135,7 @@ class TestPassageCosines:
         # At dim 1 only the zero query is sparse: every other takes the GEMV.
         for _ in range(30):
             values, query = passage_fuzz(rng, dim, int(rng.integers(0, sparse_limit(dim) + 1)))
-            got = cosine_against_rows(query, PassageRows.of(values))
+            got = cosine_against_rows(query, passage_rows_of(values))
             assert got.tobytes() == passage_cosines(query, values).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 16, 64, 256])
@@ -142,37 +143,43 @@ class TestPassageCosines:
         for _ in range(30):
             nonzero = int(rng.integers(sparse_limit(dim) + 1, dim + 1))
             values, query = passage_fuzz(rng, dim, nonzero)
-            got = cosine_against_rows(query, PassageRows.of(values))
+            got = cosine_against_rows(query, passage_rows_of(values))
             expected = passage_cosines(query, values)
             assert np.abs(got - expected).max() <= dense_route_bound(dim)
 
     @pytest.mark.parametrize("dim", [16, 64, 256])
     def test_routes_cut_over_past_three_quarters_of_the_coordinates(self, rng, dim):
         values, query = passage_fuzz(rng, dim, sparse_limit(dim))
-        rows = PassageRows.of(values)
+        rows = passage_rows_of(values)
         assert cosine_against_rows(query, rows).tobytes() == passage_cosines(query, values).tobytes()
         values, query = passage_fuzz(rng, dim, sparse_limit(dim) + 1)
-        got = cosine_against_rows(query, PassageRows.of(values))
+        got = cosine_against_rows(query, passage_rows_of(values))
         assert np.abs(got - passage_cosines(query, values)).max() <= dense_route_bound(dim)
 
     def test_zero_query_and_zero_rows_give_positive_zero(self):
         values = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [3.0, 0.0, 0.0, 4.0]])
-        rows = PassageRows.of(values.astype(np.float32))
+        rows = passage_rows_of(values.astype(np.float32))
         assert cosine_against_rows(np.zeros(4), rows).tobytes() == np.zeros(3).tobytes()
         # -q[0] times the zeros of rows 0 and 1 are -0.0 terms; the sums start at +0.0.
         got = cosine_against_rows(np.array([-1.0, 0.0, 0.0, 0.0]), rows)
         assert got.tobytes() == np.array([0.0, 0.0, -0.6]).tobytes()
 
     def test_no_rows_and_dim_mismatch(self):
-        rows = PassageRows.of(np.empty((0, 4), dtype=np.float32))
+        rows = passage_rows_of(np.empty((0, 4), dtype=np.float32))
         assert cosine_against_rows(np.ones(4), rows).shape == (0,)
         with pytest.raises(ContractError, match="dim mismatch"):
             cosine_against_rows(np.ones(5), rows)
 
-    def test_rows_hold_the_values_coordinate_major_and_their_norms(self, rng):
-        values = rng.standard_normal((ROW_BLOCK + 3, 8)).astype(np.float32)
-        values[[0, ROW_BLOCK]] = 0.0
-        rows = PassageRows.of(values)
+    def test_rows_hold_the_values_coordinate_major_and_their_norms(self, tmp_path):
+        """The ``PassageRows`` of a cached build, in batches across a block
+        edge, tokenless texts (zero rows) among them."""
+        client = OfflineEncoder(dim=8)
+        texts = [f"passage {i} about topic{i % 5}" for i in range(ROW_BLOCK + 3)]
+        texts[0], texts[ROW_BLOCK] = "?!", "..."
+        with closing(EmbeddingCache(tmp_path, client.encoder_id, client.dim)) as cache:
+            rows = embed_batch(texts, client, cache, 100, layout=PassageRows)
+        values = client.encode_batch(texts)
+        assert not values[[0, ROW_BLOCK]].any()
         assert rows.columns.tobytes() == np.ascontiguousarray(values.T).tobytes()
         assert rows.columns.shape == (8, ROW_BLOCK + 3) and rows.columns.dtype == np.float32
         assert rows.norms.tobytes() == row_norms(values).tobytes()
@@ -190,7 +197,7 @@ class TestDenseRoute:
         values = rng.standard_normal((20_000, self.DIM)).astype(np.float32)
         values[[0, WIDEN_BLOCK, 19_999]] = 0.0
         query = rng.standard_normal(self.DIM)
-        return values, PassageRows.of(values), query
+        return values, passage_rows_of(values), query
 
     def test_within_the_derived_bound_of_the_reference(self, dense):
         values, rows, query = dense
@@ -482,7 +489,7 @@ class TestAxisBuckets:
             ],
             dtype=np.float32,
         )
-        buckets = EntityRows.of(rows)
+        buckets = entity_rows_of(rows)
         members = [
             buckets.rows[buckets.starts[b] : buckets.starts[b + 1]].tolist() for b in range(7)
         ]
@@ -501,7 +508,7 @@ class TestAxisBuckets:
         rows[rng.random(n_rows) < 0.3] = 0.0
         rows[rng.random(n_rows) < 0.2, 3] = 1e3  # many rows in one bucket
         norms = row_norms(rows)
-        buckets = EntityRows.of(rows)
+        buckets = entity_rows_of(rows)
         assert buckets.norms.tobytes() == norms.tobytes()
         keys, cos_r = [], np.ones(2 * dim + 1)
         for row, norm in zip(rows, norms):
@@ -535,19 +542,19 @@ class TestAxisBuckets:
         # opens past a right angle, so a query at row 0 still reaches it.
         assert given.cos_r.tolist() == [1.0, 1.0, -2.0 / norms[0], 1.0, 1.0, 1.0, 1.0]
         assert given.reachable_rows(rows[:1], 0.9, 3).tolist() == [0, 1, 2]
-        assert EntityRows.of(rows).buckets().tolist() == [3, 6, 6]
+        assert entity_rows_of(rows).buckets.tolist() == [3, 6, 6]
 
     def test_dims_past_what_uint16_buckets_index_are_refused(self):
         for n_rows in (0, 1):
             with pytest.raises(ContractError, match="dim 32768"):
-                EntityRows.of(np.zeros((n_rows, 32768), dtype=np.float32))
-        assert EntityRows.of(np.zeros((1, 32767), dtype=np.float32)).buckets().tolist() == [65534]
+                entity_rows_of(np.zeros((n_rows, 32768), dtype=np.float32))
+        assert entity_rows_of(np.zeros((1, 32767), dtype=np.float32)).buckets.tolist() == [65534]
 
     def test_reachable_rows_keep_the_axes_near_the_query(self):
         rows = np.zeros((6, 4), dtype=np.float32)
         rows[[0, 1, 2, 3], [0, 0, 1, 2]] = [1.0, 2.0, -1.0, 1.0]
         rows[4] = [0.6, 0.8, 0.0, 0.0]  # bucket 2 (axis 1, positive), cosine 0.8
-        buckets = EntityRows.of(rows)
+        buckets = entity_rows_of(rows)
         query = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
         # Bucket 0 holds the query's axis. Bucket 2's row, at cosine 0.8
         # from its axis, can reach cosine 0.6 with the query; the others
@@ -559,18 +566,23 @@ class TestAxisBuckets:
 
     @pytest.mark.parametrize("n_rows", BLOCK_EDGES)
     def test_rows_taken_in_blocks_give_the_whole_matrix_norms(self, rng, n_rows):
+        """A cache appends rows a batch at a time: each row's norm and bucket
+        depend on that row alone."""
         rows = rng.normal(size=(n_rows, 8)).astype(np.float32)
         rows[::5] = 0.0
-        entity_rows = EntityRows.of(rows)
-        assert entity_rows.norms.tobytes() == row_norms(rows).tobytes()
-        assert entity_rows.values is rows
+        norms, buckets = norms_and_buckets(rows)
+        assert norms.tobytes() == row_norms(rows).tobytes()
+        blocks = [norms_and_buckets(rows[s : s + 7]) for s in range(0, max(n_rows, 1), 7)]
+        assert np.concatenate([n for n, _ in blocks]).tobytes() == norms.tobytes()
+        assert np.concatenate([b for _, b in blocks]).tobytes() == buckets.tobytes()
+        assert entity_rows_of(rows).values is rows
 
 
 @pytest.mark.parametrize("n_rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_rows_gathered_from_the_cache_are_bitwise_those_of_the_matrix(tmp_path, rng, n_rows):
-    """``read_rows`` with a layout gathers, block by block, the columns and
-    norms of ``PassageRows.of`` and the values, norms and buckets of
-    ``EntityRows.of`` over the matrix of the same records."""
+    """``read_rows`` with a layout gathers, block by block, the columns,
+    norms and buckets that ``row_norms`` and ``norms_and_buckets`` take over
+    the whole matrix of the same records."""
     dim = 24
     client = CountingEncoder(dim=dim)
     cache = EmbeddingCache(tmp_path, client.encoder_id, dim)
@@ -583,13 +595,13 @@ def test_rows_gathered_from_the_cache_are_bitwise_those_of_the_matrix(tmp_path, 
     matrix = cached_rows(cache, records)
     assert matrix.tobytes() == values[records].tobytes()
 
-    passages, want = cache.read_rows(records, PassageRows), PassageRows.of(matrix)
+    passages, want = cache.read_rows(records, PassageRows), passage_rows_of(matrix)
     assert passages.columns.tobytes() == want.columns.tobytes()
     assert passages.norms.tobytes() == want.norms.tobytes() == row_norms(matrix).tobytes()
-    entities, want = cache.read_rows(records, EntityRows), EntityRows.of(matrix)
+    entities, want = cache.read_rows(records, EntityRows), entity_rows_of(matrix)
     for name in ("values", "norms", "rows", "starts", "cos_r"):
         assert getattr(entities, name).tobytes() == getattr(want, name).tobytes(), name
-    assert entities.buckets().tobytes() == want.buckets().tobytes()
+    assert entities.buckets.tobytes() == want.buckets.tobytes()
 
 
 class TestOneWriterPerCache:
@@ -618,6 +630,20 @@ class TestOneWriterPerCache:
             with pytest.raises(ContractError, match=message):
                 cache()
         cache().close()
+
+
+@pytest.mark.parametrize("kind", ["embeddings", "extraction"])
+def test_a_str_key_is_refused_by_both_caches_and_writes_nothing(tmp_path, kind):
+    keys = [bytes(32), "a" * 32]
+    if kind == "embeddings":
+        cache = EmbeddingCache(tmp_path, "offline", 8)
+        rows = (np.zeros((2, 8), dtype=np.float32),)
+    else:
+        cache = ExtractionCache(tmp_path, "offline")
+        rows = ([["a"], ["b"]],)
+    with closing(cache), pytest.raises(ContractError, match="raw sha256 of 32 bytes, not 'a"):
+        cache.append(keys, *rows)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["lock", "manifest.json"]
 
 
 class TestEmbeddingCache:
@@ -880,6 +906,25 @@ def test_a_cached_embed_batch_needs_a_layout(tmp_path):
         with pytest.raises(ContractError, match="into a layout"):
             embed_batch(["a"], client, cache)
     assert client.calls == 0 and not (tmp_path / "records.bin").exists()
+
+
+@pytest.mark.parametrize("layout", [EntityRows, PassageRows])
+def test_a_layout_needs_a_cache(layout):
+    client = CountingEncoder()
+    with pytest.raises(ContractError, match="into a layout"):
+        embed_batch(["a"], client, layout=layout)
+    assert client.calls == 0
+
+
+def test_an_uncached_embed_batch_encodes_every_text_in_batches():
+    """Without a cache, texts are neither keyed nor deduplicated: each
+    batch of ``batch_size`` texts is one call, in order."""
+    client = CountingEncoder()
+    texts = ["a", "b", "a", "c", "a"]
+    matrix = embed_batch(texts, client, batch_size=2)
+    assert client.calls == 3
+    client.calls = 0
+    assert matrix.tobytes() == client.encode_batch(texts).tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])

@@ -6,6 +6,7 @@ import mmap
 import os
 import tempfile
 import tracemalloc
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hyperhop import embeddings, index_store
 from hyperhop.cli import main
 from hyperhop.embeddings import (
     ROW_BLOCK,
+    EmbeddingCache,
     EntityRows,
     OfflineEncoder,
     PassageRows,
@@ -32,7 +34,7 @@ from hyperhop.index_store import (
     spot_checked_rows,
 )
 
-from conftest import TOY_SETS, entity_sets_of
+from conftest import TOY_SETS, entity_rows_of, entity_sets_of, passage_rows_of
 from reference import row_norms
 
 
@@ -42,7 +44,7 @@ def make_toy_index(sets=TOY_SETS):
     entity_embeddings = embed_batch(entity_sets.catalog, encoder)
     passage_embeddings = embed_batch([f"t {pid}" for pid in entity_sets.passage_ids], encoder)
     return build_index(
-        entity_sets, EntityRows.of(entity_embeddings), PassageRows.of(passage_embeddings)
+        entity_sets, entity_rows_of(entity_embeddings), passage_rows_of(passage_embeddings)
     )
 
 
@@ -176,7 +178,7 @@ def test_misaligned_embeddings_rejected(entity_shape, passage_shape):
     entities = np.ones(entity_shape, dtype=np.float32)
     passages = np.ones(passage_shape, dtype=np.float32)
     with pytest.raises(IndexIntegrityError, match="embedding"):
-        build_index(entity_sets, EntityRows.of(entities), PassageRows.of(passages))
+        build_index(entity_sets, entity_rows_of(entities), passage_rows_of(passages))
 
 
 def _saved(tmp_path):
@@ -346,7 +348,7 @@ def _synthetic_index(rows, dim, seed=7):
         values = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-20, 20, (rows, 1))
         values[::17] = 0.0
         matrices.append(values.astype(np.float32))
-    return build_index(entity_sets, EntityRows.of(matrices[0]), PassageRows.of(matrices[1]))
+    return build_index(entity_sets, entity_rows_of(matrices[0]), passage_rows_of(matrices[1]))
 
 
 def _stored(directory, name, dim):
@@ -365,11 +367,13 @@ def test_loaded_rows_are_bitwise_those_of_the_stored_matrices(tmp_path, rows):
     # Row order: np.linalg.norm sums an F-ordered row in another order.
     _assert_bitwise_equal(loaded.passage_rows.norms, row_norms(np.ascontiguousarray(columns.T)))
     _assert_bitwise_equal(loaded.passage_rows.norms, np.fromfile(tmp_path / "passage_norms.bin"))
-    entity_rows = EntityRows.of(entities)
-    for name in ("values", "norms", "rows", "starts", "cos_r"):
+    buckets = np.fromfile(tmp_path / "entity_buckets.bin", dtype="<u2")
+    _assert_bitwise_equal(loaded.entity_rows.buckets, buckets)
+    entity_rows = entity_rows_of(entities)
+    for name in ("values", "norms", "buckets", "rows", "starts", "cos_r"):
         _assert_bitwise_equal(getattr(loaded.entity_rows, name), getattr(entity_rows, name))
-    assert not loaded.entity_rows.values.flags.writeable
-    assert not loaded.entity_rows.norms.flags.writeable
+    for name in ("values", "norms", "buckets"):
+        assert not getattr(loaded.entity_rows, name).flags.writeable
     assert not loaded.passage_rows.columns.flags.writeable
     assert not loaded.passage_rows.norms.flags.writeable
 
@@ -418,17 +422,17 @@ def _reference_buckets(values):
 def test_stored_entity_rows_are_bitwise_those_of_the_values(values):
     entity_sets = entity_sets_of({f"p{i:02d}": [f"e{i}"] for i in range(len(values))})
     with tempfile.TemporaryDirectory() as directory:
-        save_index(build_index(entity_sets, EntityRows.of(values), PassageRows.of(values)), directory)
+        save_index(build_index(entity_sets, entity_rows_of(values), passage_rows_of(values)), directory)
         stored = np.fromfile(Path(directory) / "entity_buckets.bin", dtype="<u2")
         loaded = load_index(directory).entity_rows
     assert stored.tobytes() == _reference_buckets(values).tobytes()
-    built = EntityRows.of(values)
-    for name in ("values", "norms", "rows", "starts", "cos_r"):
+    built = entity_rows_of(values)
+    for name in ("values", "norms", "buckets", "rows", "starts", "cos_r"):
         _assert_bitwise_equal(getattr(loaded, name), getattr(built, name))
 
 
 @pytest.fixture
-def largest_passes(monkeypatch):
+def bucket_passes(monkeypatch):
     """The row count of every ``norms_and_buckets`` call, in order."""
     passes = []
 
@@ -442,18 +446,33 @@ def largest_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [_NORM_CHECKS - 1, ROW_BLOCK + 1])
-def test_only_a_build_takes_every_norm_and_bucket(tmp_path, largest_passes, rows):
-    """A build takes each row's norm and bucket once, a block at a time; a
-    load recomputes those of ``_NORM_CHECKS`` rows at most and derives the
-    rest from the stored files."""
-    index = _synthetic_index(rows, 16)
-    assert largest_passes == [min(ROW_BLOCK, rows - start) for start in range(0, rows, ROW_BLOCK)]
-    save_index(index, tmp_path)
-    largest_passes.clear()
-    loaded = load_index(tmp_path)
-    assert largest_passes == [min(rows, _NORM_CHECKS)]
-    for name in ("norms", "rows", "starts", "cos_r"):
-        _assert_bitwise_equal(getattr(loaded.entity_rows, name), getattr(index.entity_rows, name))
+def test_only_a_build_takes_every_norm_and_bucket(tmp_path, bucket_passes, rows):
+    """A cached build takes each row's norm and bucket once, when the cache
+    appends its batch, and none while it gathers the rows; a warm build
+    takes none; a load recomputes those of ``_NORM_CHECKS`` rows at most and
+    reads the rest from the stored files."""
+    client, batch = OfflineEncoder(dim=16), 50
+    entity_sets = entity_sets_of({f"p{i:06d}": [f"e{i}"] for i in range(rows)})
+    texts = [f"text of {pid}" for pid in entity_sets.passage_ids]
+
+    def cached_build():
+        with closing(EmbeddingCache(tmp_path / "cache", client.encoder_id, 16)) as cache:
+            entity_rows = embed_batch(entity_sets.catalog, client, cache, batch, layout=EntityRows)
+            passage_rows = embed_batch(texts, client, cache, batch, layout=PassageRows)
+        return build_index(entity_sets, entity_rows, passage_rows)
+
+    index = cached_build()
+    appended = [min(batch, rows - start) for start in range(0, rows, batch)]
+    assert bucket_passes == appended + appended  # the names' batches, then the passages'
+    bucket_passes.clear()
+    warm = cached_build()
+    assert bucket_passes == []
+    save_index(index, tmp_path / "index")
+    loaded = load_index(tmp_path / "index")
+    assert bucket_passes == [min(rows, _NORM_CHECKS)]
+    for name in ("norms", "buckets", "rows", "starts", "cos_r"):
+        for rows_of in (warm.entity_rows, loaded.entity_rows):
+            _assert_bitwise_equal(getattr(rows_of, name), getattr(index.entity_rows, name))
         assert not getattr(index.entity_rows, name).flags.writeable
 
 

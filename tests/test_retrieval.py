@@ -5,9 +5,7 @@ from hyperhop import embeddings, hypergraph, retrieval
 from hyperhop.config import AppConfig
 from hyperhop.embeddings import (
     ROW_BLOCK,
-    EntityRows,
     OfflineEncoder,
-    PassageRows,
     embed_batch,
     max_sim_to_query_entities,
     screen_max_sim,
@@ -30,7 +28,14 @@ from hyperhop.retrieval import (
     structural_enhance,
 )
 
-from conftest import DATA_DIR, entity_sets_of, index_from_sets, index_of
+from conftest import (
+    DATA_DIR,
+    entity_rows_of,
+    entity_sets_of,
+    index_from_sets,
+    index_of,
+    passage_rows_of,
+)
 from test_embeddings import BLOCK_EDGES
 from reference import (
     cosine,
@@ -179,7 +184,7 @@ def index_with_entity_rows(values):
     """One passage per entity, the entity rows given; each passage row is
     its entity's."""
     sets = entity_sets_of({f"p{i:05d}": [f"e{i}"] for i in range(len(values))})
-    return build_index(sets, EntityRows.of(values), PassageRows.of(values))
+    return build_index(sets, entity_rows_of(values), passage_rows_of(values))
 
 
 class TestEntitySimilarityScreen:
@@ -463,7 +468,7 @@ class TestRowCache:
         entity_rows, passage_rows = index.entity_rows, index.passage_rows
         assert entity_rows.values.tobytes() == stored["entity_embeddings.bin"]
         assert entity_rows.norms.tobytes() == stored["entity_norms.bin"]
-        assert entity_rows.buckets().tobytes() == stored["entity_buckets.bin"]
+        assert entity_rows.buckets.tobytes() == stored["entity_buckets.bin"]
         assert passage_rows.columns.tobytes() == stored["passage_columns.bin"]
         assert passage_rows.norms.tobytes() == stored["passage_norms.bin"]
 
